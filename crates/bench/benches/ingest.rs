@@ -1,33 +1,21 @@
-//! Tentpole benchmark — concurrent ingest throughput: the seed write path
-//! (single lock stripe, per-line `Point` materialization, triple series
-//! lookup) vs the sharded allocation-free path (`write_parsed` over lock
-//! stripes) vs the staged batch path (`write_parsed_batch` through
-//! per-shard append buffers).
-//!
-//! Four engines bracket the changes:
-//!
-//! * `seed`: one stripe, `line.to_point()` + `write_point` — the hot path
-//!   before the sharding refactor.
-//! * `striped-1`: one stripe, allocation-free `write_parsed` — isolates
-//!   the entry-API/no-alloc win from the concurrency win.
-//! * `sharded`: default stripes, `write_parsed` — the per-line path.
-//! * `batched`: default stripes, `write_parsed_batch` — whole batches are
-//!   staged into per-shard append buffers and drained by one thread per
-//!   shard, so hot-series writers no longer convoy on a series write lock.
+//! Concurrent ingest throughput of the write path production runs:
+//! `Database::write_parsed_batch` (whole parsed batches staged into
+//! per-shard append buffers and drained by one thread per shard) over the
+//! default shard count — the `current` engine, the only one.
 //!
 //! Two workloads: `many-series` (each writer owns its series; writes spread
-//! across stripes) and `hot-series` (every thread hammers one series; the
-//! per-line engines serialize on that series' stripe).
+//! across stripes) and `hot-series` (every thread hammers one series, the
+//! shape on which staging pays: writers hand points to the running drainer
+//! instead of convoying on the series' stripe).
 //!
-//! Custom harness (not criterion): the comparison needs the measured
-//! numbers programmatically to compute speedups and emit
-//! `BENCH_ingest.json` at the repository root.
+//! Custom harness (not criterion): the gate needs the measured numbers
+//! programmatically, and the run emits `BENCH_ingest.json` at the
+//! repository root.
 //!
 //! `LMS_BENCH_QUICK=1` switches to the CI smoke mode: hot-series only,
 //! 1 and 8 threads, 3 runs, no file overwrite — it exits non-zero when
-//! the batched/seed speedup at 8 threads regresses more than 30% against
-//! the checked-in `BENCH_ingest.json`, or when the batched path is slower
-//! at 8 threads than at 1 (the contention collapse this PR removes).
+//! throughput at 8 threads regresses more than 30% against the checked-in
+//! `BENCH_ingest.json`, or fails the contention gate against 1 thread.
 
 use lms_influx::{Database, Influx, StorageConfig, WriteOptions};
 use lms_lineproto::{parse_batch, ParseOutcome};
@@ -60,18 +48,6 @@ impl Workload {
     }
 }
 
-#[derive(Clone, Copy)]
-enum Path {
-    /// The seed hot path: materialize a `Point` per line, triple-lookup
-    /// insert via `write_point`.
-    SeedPoint,
-    /// The per-line path: borrowed `ParsedLine` + reused key buffer.
-    Parsed,
-    /// The batch path: whole `ParseOutcome`s through the per-shard
-    /// append buffers.
-    Batched,
-}
-
 /// Pre-builds the line-protocol batches one thread will write, so the timed
 /// region contains only parse + write calls.
 fn batches_for(workload: Workload, thread: usize) -> Vec<String> {
@@ -81,8 +57,7 @@ fn batches_for(workload: Workload, thread: usize) -> Vec<String> {
         for i in 0..LINES_PER_BATCH {
             let n = b * LINES_PER_BATCH + i;
             // Monotonic timestamps per series keep Series inserts at the
-            // append fast path for every engine; the engines differ only in
-            // locking and per-line allocation work.
+            // append fast path.
             match workload {
                 Workload::ManySeries => {
                     let series = n % 64;
@@ -110,52 +85,23 @@ fn batches_for(workload: Workload, thread: usize) -> Vec<String> {
 
 /// One timed run: `threads` writers push their pre-parsed batches into a
 /// fresh database. Parsing happens once, outside the timed region — the
-/// benchmark isolates the storage-engine write path this change touched.
+/// benchmark isolates the storage-engine write path.
 /// Returns points per second.
-fn run_once(
-    shards: usize,
-    path: Path,
-    threads: usize,
-    inputs: &[Vec<ParseOutcome<'_>>],
-) -> f64 {
-    let db = Database::with_shards(shards);
+fn run_once(threads: usize, inputs: &[Vec<ParseOutcome<'_>>]) -> f64 {
+    let db = Database::with_shards(DEFAULT_SHARDS);
     let start = Instant::now();
     std::thread::scope(|s| {
         for input in inputs.iter().take(threads) {
             let db = &db;
             s.spawn(move || {
-                let mut key_buf = String::with_capacity(64);
                 for parsed in input {
-                    match path {
-                        Path::Batched => {
-                            db.write_parsed_batch(
-                                black_box(&parsed.lines),
-                                WriteOptions::default(),
-                                0,
-                            );
-                        }
-                        _ => {
-                            for line in &parsed.lines {
-                                let ts = line.timestamp.expect("bench lines carry timestamps");
-                                match path {
-                                    Path::SeedPoint => {
-                                        let point = black_box(line).to_point();
-                                        db.write_point(&point, ts);
-                                    }
-                                    Path::Parsed => {
-                                        db.write_parsed(black_box(line), ts, &mut key_buf)
-                                    }
-                                    Path::Batched => unreachable!(),
-                                }
-                            }
-                        }
-                    }
+                    db.write_parsed_batch(black_box(&parsed.lines), WriteOptions::default(), 0);
                 }
             });
         }
     });
-    // point_count drains the staged buffers, so the batched path is
-    // charged for its own drain work, not just for staging.
+    // point_count drains the staged buffers, so the run is charged for
+    // its own drain work, not just for staging.
     black_box(db.point_count());
     let elapsed = start.elapsed().as_secs_f64();
     let points = (threads * BATCHES_PER_THREAD * LINES_PER_BATCH) as f64;
@@ -163,15 +109,8 @@ fn run_once(
 }
 
 /// Median of `runs` runs.
-fn measure(
-    shards: usize,
-    path: Path,
-    threads: usize,
-    inputs: &[Vec<ParseOutcome<'_>>],
-    runs: usize,
-) -> f64 {
-    let mut samples: Vec<f64> =
-        (0..runs).map(|_| run_once(shards, path, threads, inputs)).collect();
+fn measure(threads: usize, inputs: &[Vec<ParseOutcome<'_>>], runs: usize) -> f64 {
+    let mut samples: Vec<f64> = (0..runs).map(|_| run_once(threads, inputs)).collect();
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite throughput"));
     samples[samples.len() / 2]
 }
@@ -179,18 +118,14 @@ fn measure(
 struct Row {
     workload: &'static str,
     threads: usize,
-    seed: f64,
-    striped_1: f64,
-    sharded: f64,
-    batched: f64,
+    current: f64,
 }
 
-/// WAL fsyncs per acknowledged point, end to end, for the legacy stack
-/// (every collector batch delivered and fsynced individually) vs the new
-/// one (the router coalesces queued batches into merged deliveries and
-/// the WAL commits concurrent appends as one fsynced group).
-/// Returns (legacy_fsyncs_per_point, grouped_fsyncs_per_point).
-fn measure_wal_fsync_reduction() -> (f64, f64) {
+/// WAL fsyncs per acknowledged point at 8 writers with per-append fsync:
+/// each writer delivers merged batches (as the router's forwarder does
+/// under backlog) and the WAL commits concurrent appends as one fsynced
+/// group.
+fn measure_wal_fsyncs_per_point() -> f64 {
     const WRITERS: usize = 8;
     const BATCHES: usize = 40;
     const LINES: usize = 20;
@@ -198,49 +133,34 @@ fn measure_wal_fsync_reduction() -> (f64, f64) {
     /// (conservative: its cap is bytes-based and far higher than this).
     const COALESCE: usize = 4;
 
-    let run = |grouped: bool| -> f64 {
-        let dir = std::env::temp_dir().join(format!(
-            "lms-bench-wal-{}-{}",
-            std::process::id(),
-            if grouped { "grouped" } else { "legacy" }
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut cfg = StorageConfig::new(&dir);
-        cfg.wal_fsync = true;
-        if !grouped {
-            cfg.wal_group_commit = Duration::ZERO;
-            cfg.wal_group_commit_bytes = 0;
-        }
-        let ix = Influx::open(Clock::simulated(Timestamp::from_secs(1_000)), DEFAULT_SHARDS, cfg)
-            .expect("open persistent influx");
-        std::thread::scope(|s| {
-            for t in 0..WRITERS {
-                let ix = ix.clone();
-                s.spawn(move || {
-                    let mut pending = String::new();
-                    let mut queued = 0usize;
-                    for b in 0..BATCHES {
-                        for i in 0..LINES {
-                            let ts = ((t * BATCHES + b) * LINES + i + 1) as i64;
-                            pending.push_str(&format!("cpu,hostname=h{t} busy={i} {ts}\n"));
-                        }
-                        queued += 1;
-                        let flush_at = if grouped { COALESCE } else { 1 };
-                        if queued == flush_at || b + 1 == BATCHES {
-                            ix.write_lines("lms", &pending, WriteOptions::default())
-                                .expect("acked write");
-                            pending.clear();
-                            queued = 0;
-                        }
+    let dir = std::env::temp_dir().join(format!("lms-bench-wal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut cfg = StorageConfig::new(&dir);
+    cfg.wal_fsync = true;
+    let ix = Influx::open(Clock::simulated(Timestamp::from_secs(1_000)), DEFAULT_SHARDS, cfg)
+        .expect("open persistent influx");
+    std::thread::scope(|s| {
+        for t in 0..WRITERS {
+            let ix = ix.clone();
+            s.spawn(move || {
+                let mut pending = String::new();
+                for b in 0..BATCHES {
+                    for i in 0..LINES {
+                        let ts = ((t * BATCHES + b) * LINES + i + 1) as i64;
+                        pending.push_str(&format!("cpu,hostname=h{t} busy={i} {ts}\n"));
                     }
-                });
-            }
-        });
-        let fsyncs = ix.storage_stats().wal_fsyncs as f64;
-        let _ = std::fs::remove_dir_all(&dir);
-        fsyncs / (WRITERS * BATCHES * LINES) as f64
-    };
-    (run(false), run(true))
+                    if (b + 1) % COALESCE == 0 || b + 1 == BATCHES {
+                        ix.write_lines("lms", &pending, WriteOptions::default())
+                            .expect("acked write");
+                        pending.clear();
+                    }
+                }
+            });
+        }
+    });
+    let fsyncs = ix.storage_stats().wal_fsyncs as f64;
+    let _ = std::fs::remove_dir_all(&dir);
+    fsyncs / (WRITERS * BATCHES * LINES) as f64
 }
 
 /// Ingest throughput with and without the background integrity scrubber
@@ -359,20 +279,16 @@ fn json_num(line: &str, key: &str) -> Option<f64> {
     rest[..end].trim().parse().ok()
 }
 
-/// The checked-in hot-series@8 batched/seed speedup, if present.
-fn baseline_hot8_speedup(json: &str) -> Option<f64> {
-    for line in json.lines() {
-        if line.contains("\"hot-series\"") && line.contains("\"threads\": 8") {
-            let seed = json_num(line, "seed_pts_per_s")?;
-            let batched = json_num(line, "batched_pts_per_s")?;
-            return Some(batched / seed);
-        }
-    }
-    None
+/// The checked-in `current` hot-series@8 throughput, if present.
+fn baseline_hot8(json: &str) -> Option<f64> {
+    let line = json
+        .lines()
+        .find(|l| l.contains("\"hot-series\"") && l.contains("\"threads\": 8"))?;
+    json_num(line, "current_pts_per_s")
 }
 
-/// Contention gate over `(writers, pts/s)` tiers for the batched
-/// hot-series path. While added writers are backed by real cores,
+/// Contention gate over `(writers, pts/s)` tiers for the hot-series
+/// workload. While added writers are backed by real cores,
 /// throughput must be monotonically non-decreasing. Past the machine's
 /// core count the writers time-share CPUs, so no scaling is physically
 /// possible and the check degrades to a bounded-amplification floor:
@@ -386,7 +302,7 @@ fn contention_ok(tiers: &[(usize, f64)]) -> bool {
         let ((t0, p0), (t1, p1)) = (w[0], w[1]);
         if t1 <= cores && p1 < p0 {
             eprintln!(
-                "FAIL: batched throughput decreases {t0}→{t1} writers with {cores} cores: \
+                "FAIL: throughput decreases {t0}→{t1} writers with {cores} cores: \
                  {p0:.0} → {p1:.0} pts/s"
             );
             ok = false;
@@ -417,27 +333,21 @@ fn run_quick() -> bool {
         .map(|batches| batches.iter().map(|b| parse_batch(b)).collect())
         .collect();
 
-    let seed_8 = measure(1, Path::SeedPoint, 8, &inputs, QUICK_RUNS);
-    let batched_1 = measure(DEFAULT_SHARDS, Path::Batched, 1, &inputs, QUICK_RUNS);
-    let batched_8 = measure(DEFAULT_SHARDS, Path::Batched, 8, &inputs, QUICK_RUNS);
-    println!(
-        "hot-series  seed@8 {seed_8:>9.0} pts/s   batched@1 {batched_1:>9.0} pts/s   batched@8 {batched_8:>9.0} pts/s"
-    );
+    let at_1 = measure(1, &inputs, QUICK_RUNS);
+    let at_8 = measure(8, &inputs, QUICK_RUNS);
+    println!("hot-series  current@1 {at_1:>9.0} pts/s   current@8 {at_8:>9.0} pts/s");
 
-    let mut ok = contention_ok(&[(1, batched_1), (8, batched_8)]);
-    match std::fs::read_to_string(BASELINE_PATH).ok().as_deref().and_then(baseline_hot8_speedup) {
-        Some(base) => {
-            let now = batched_8 / seed_8;
-            println!("hot-series @8: batched/seed = {now:.2}x (baseline {base:.2}x)");
-            if now < 0.7 * base {
-                eprintln!(
-                    "FAIL: >30% regression vs checked-in BENCH_ingest.json \
-                     ({now:.2}x < 0.7 × {base:.2}x)"
-                );
-                ok = false;
-            }
+    let mut ok = contention_ok(&[(1, at_1), (8, at_8)]);
+    match std::fs::read_to_string(BASELINE_PATH).ok().as_deref().and_then(baseline_hot8) {
+        Some(base) if at_8 < 0.7 * base => {
+            eprintln!(
+                "FAIL: >30% regression vs checked-in BENCH_ingest.json \
+                 ({at_8:.0} pts/s < 0.7 × {base:.0} pts/s)"
+            );
+            ok = false;
         }
-        None => println!("note: no batched baseline in BENCH_ingest.json; skipping ratio check"),
+        Some(base) => println!("hot-series @8: {at_8:.0} pts/s (baseline {base:.0})"),
+        None => println!("note: no current baseline in BENCH_ingest.json; skipping the check"),
     }
 
     let (plain, scrubbed) = measure_scrub_overhead();
@@ -468,35 +378,14 @@ fn run_full() {
             .map(|batches| batches.iter().map(|b| parse_batch(b)).collect())
             .collect();
         for threads in [1usize, 4, 8] {
-            let seed = measure(1, Path::SeedPoint, threads, &inputs, RUNS);
-            let striped_1 = measure(1, Path::Parsed, threads, &inputs, RUNS);
-            let sharded = measure(DEFAULT_SHARDS, Path::Parsed, threads, &inputs, RUNS);
-            let batched = measure(DEFAULT_SHARDS, Path::Batched, threads, &inputs, RUNS);
-            println!(
-                "{:<12} threads={threads}  seed {:>9.0} pts/s   striped-1 {:>9.0} pts/s   sharded({DEFAULT_SHARDS}) {:>9.0} pts/s   batched {:>9.0} pts/s   speedup {:>6.2}x",
-                workload.name(),
-                seed,
-                striped_1,
-                sharded,
-                batched,
-                batched / seed,
-            );
-            rows.push(Row {
-                workload: workload.name(),
-                threads,
-                seed,
-                striped_1,
-                sharded,
-                batched,
-            });
+            let current = measure(threads, &inputs, RUNS);
+            println!("{:<12} threads={threads}  current {current:>9.0} pts/s", workload.name());
+            rows.push(Row { workload: workload.name(), threads, current });
         }
     }
 
-    let (legacy_fpp, grouped_fpp) = measure_wal_fsync_reduction();
-    let reduction = legacy_fpp / grouped_fpp.max(f64::MIN_POSITIVE);
-    println!(
-        "\nwal group commit @ 8 writers: legacy {legacy_fpp:.4} fsyncs/pt, grouped {grouped_fpp:.4} fsyncs/pt — {reduction:.1}x fewer (target ≥ 10x)"
-    );
+    let fsyncs_per_point = measure_wal_fsyncs_per_point();
+    println!("\nwal group commit @ 8 writers: {fsyncs_per_point:.5} fsyncs/pt");
 
     let (plain, scrubbed) = measure_scrub_overhead();
     println!(
@@ -505,7 +394,7 @@ fn run_full() {
         WRITERS = 4
     );
 
-    let json = render_json(&rows, legacy_fpp, grouped_fpp, plain, scrubbed);
+    let json = render_json(&rows, fsyncs_per_point, plain, scrubbed);
     std::fs::write(BASELINE_PATH, &json).expect("write BENCH_ingest.json");
     println!("wrote {BASELINE_PATH}");
 
@@ -516,14 +405,14 @@ fn run_full() {
     };
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     println!(
-        "acceptance: hot-series batched @ 8 writers = {:.0} pts/s (target ≥ 1M): {}, \
+        "acceptance: hot-series @ 8 writers = {:.0} pts/s (target ≥ 1M): {}, \
          scaling 1→4→8 on {cores} cores = {:.0} → {:.0} → {:.0}: {}",
-        hot(8).batched,
-        if hot(8).batched >= 1_000_000.0 { "OK" } else { "FAIL" },
-        hot(1).batched,
-        hot(4).batched,
-        hot(8).batched,
-        if contention_ok(&[(1, hot(1).batched), (4, hot(4).batched), (8, hot(8).batched)]) {
+        hot(8).current,
+        if hot(8).current >= 1_000_000.0 { "OK" } else { "FAIL" },
+        hot(1).current,
+        hot(4).current,
+        hot(8).current,
+        if contention_ok(&[(1, hot(1).current), (4, hot(4).current), (8, hot(8).current)]) {
             "OK"
         } else {
             "FAIL"
@@ -544,8 +433,7 @@ fn main() {
 
 fn render_json(
     rows: &[Row],
-    legacy_fpp: f64,
-    grouped_fpp: f64,
+    fsyncs_per_point: f64,
     scrub_plain: f64,
     scrub_scrubbed: f64,
 ) -> String {
@@ -553,10 +441,9 @@ fn render_json(
     out.push_str(&format!(
         "  \"config\": {{\"lines_per_batch\": {LINES_PER_BATCH}, \"batches_per_thread\": {BATCHES_PER_THREAD}, \"runs\": {RUNS}, \"default_shards\": {DEFAULT_SHARDS}}},\n"
     ));
-    out.push_str("  \"engines\": {\"seed\": \"1 stripe, Point materialization (pre-refactor hot path)\", \"striped_1\": \"1 stripe, allocation-free write_parsed\", \"sharded\": \"default stripes, allocation-free write_parsed\", \"batched\": \"default stripes, write_parsed_batch through per-shard append buffers\"},\n");
+    out.push_str("  \"engines\": {\"current\": \"default stripes, write_parsed_batch through per-shard append buffers\"},\n");
     out.push_str(&format!(
-        "  \"wal_group_commit\": {{\"writers\": 8, \"legacy_fsyncs_per_point\": {legacy_fpp:.5}, \"grouped_fsyncs_per_point\": {grouped_fpp:.5}, \"reduction\": {:.1}}},\n",
-        legacy_fpp / grouped_fpp.max(f64::MIN_POSITIVE)
+        "  \"wal_group_commit\": {{\"writers\": 8, \"grouped_fsyncs_per_point\": {fsyncs_per_point:.5}}},\n"
     ));
     out.push_str(&format!(
         "  \"scrub_overhead\": {{\"writers\": 4, \"plain_pts_per_s\": {scrub_plain:.0}, \"scrubbed_pts_per_s\": {scrub_scrubbed:.0}, \"overhead_pct\": {:.2}}},\n",
@@ -574,15 +461,10 @@ fn render_json(
     out.push_str("  \"results\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"threads\": {}, \"seed_pts_per_s\": {:.0}, \"striped_1_pts_per_s\": {:.0}, \"sharded_pts_per_s\": {:.0}, \"batched_pts_per_s\": {:.0}, \"speedup_vs_seed\": {:.2}, \"speedup_batched_vs_seed\": {:.2}}}{}\n",
+            "    {{\"workload\": \"{}\", \"threads\": {}, \"current_pts_per_s\": {:.0}}}{}\n",
             r.workload,
             r.threads,
-            r.seed,
-            r.striped_1,
-            r.sharded,
-            r.batched,
-            r.sharded / r.seed,
-            r.batched / r.seed,
+            r.current,
             if i + 1 == rows.len() { "" } else { "," },
         ));
     }

@@ -12,27 +12,27 @@
 //! `db name → Database` map is read-mostly (`RwLock` around an
 //! [`Arc<Database>`] map: writes only when a database is created), and each
 //! database partitions its series across [`DEFAULT_SHARDS`] lock-striped
-//! shards selected by series-key hash. A batch write *stages* its parsed
-//! points into per-shard append buffers (a brief mutex per touched shard)
-//! and whichever writer wins a shard's `data` lock drains everything
-//! staged there — N writers hammering one hot series never queue on a
-//! series lock; they hand their points to the running drainer and return.
-//! Read paths drain before reading, so every caller observes its own
-//! completed writes.
+//! shards selected by series-key hash. Points enter a shard one way only,
+//! WAL replay included: [`Database::write_parsed_batch`] stages them in the
+//! shard's append buffer, and whichever writer finds the shard backlogged
+//! and free drains it (the `staging` submodule owns the buffer and that
+//! decision). Read paths, flush and retention drain before they look, so
+//! every caller observes its own completed writes.
 //!
-//! Lock order is `meta` → shard `data` → shard `pending` (ascending),
-//! established in [`Database::create_and_write`] and
-//! [`Database::enforce_retention`]; the
-//! hot path takes a single shard lock and nothing else. Series are stored
-//! as `Arc<Series>` so queries snapshot cheaply (clone the `Arc`s under a
+//! Lock order is `meta` → shard `data` → staging buffer, established in
+//! [`series_slot`]'s callers and [`Database::enforce_retention`]; the hot
+//! path takes a single shard lock and nothing else. Series are stored as
+//! `Arc<Series>` so queries snapshot cheaply (clone the `Arc`s under a
 //! shard read lock) while writers mutate in place through `Arc::make_mut`
 //! — the copy-on-write clone only triggers when a query holds the same
 //! series concurrently.
 
+mod staging;
+
 use crate::exec::{self, QueryResult};
 use crate::query::{Condition, Statement, TimeValue};
 use crate::storage::Series;
-use lms_lineproto::{parse_batch, FieldValue, ParsedLine, Point, Precision};
+use lms_lineproto::{parse_batch, FieldValue, Point, Precision};
 use lms_rollup::{align_down, align_up, is_rollup_db, rollup_db_name, Tier, WindowAcc, TIERS};
 use lms_tsm::{BlockEntry, Recovered, ScrubOutcome, Scrubber, SealedBlock, TsmConfig, TsmEngine};
 use lms_util::digest::{bucket_of, owner_mask, point_hash, BucketDigest};
@@ -44,26 +44,12 @@ use lms_util::{
 use parking_lot::{Mutex, RwLock};
 use std::collections::hash_map::Entry;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 /// Default number of lock-striped series shards per database.
 pub const DEFAULT_SHARDS: usize = 16;
-
-/// Staged points a shard accumulates before a writer bothers draining it.
-///
-/// Applying a staged run costs O(run + overlap), where `overlap` is how far
-/// back into the sorted column the run's oldest timestamp reaches. Hot
-/// series written by concurrent batchers interleave timestamps, so *every*
-/// run overlaps the recent tail — draining after each 200-line batch pays
-/// that tail splice hundreds of times. Draining only once a shard holds a
-/// few thousand points pays it once per big combined run instead, bounding
-/// write amplification to O(1) splices per `DRAIN_BATCH_POINTS` points.
-/// Reads are unaffected: every read path drains all shards first, so the
-/// threshold trades only a bounded slice of staging memory (on the order
-/// of a megabyte per backlogged shard), never visibility.
-const DRAIN_BATCH_POINTS: usize = 8192;
 
 /// Configuration of the persistent storage layer (one `lms-tsm` engine per
 /// database, rooted at `data_dir/<db name>`). Absent entirely for the
@@ -85,8 +71,7 @@ pub struct StorageConfig {
     /// Compact once any partition accumulates this many segment files.
     pub compact_min_files: usize,
     /// WAL group-commit window: with `wal_fsync`, concurrent appends
-    /// within this window share one fsync. Zero (together with a zero
-    /// byte bound) restores the legacy one-fsync-per-append path.
+    /// within this window share one fsync; zero means no hold window.
     pub wal_group_commit: Duration,
     /// WAL group-commit size bound: commit early once this many staged
     /// bytes accumulate (`0` = no size bound).
@@ -264,123 +249,31 @@ struct Shard {
     series: FxHashMap<String, Arc<Series>>,
 }
 
-/// One staged point: a field-name range into the arena, timestamp, value.
-#[derive(Debug)]
-struct PendingPoint {
-    field: (u32, u32),
-    ts: i64,
-    value: FieldValue,
-}
-
-/// A staging buffer of parsed points bound for one shard. Series keys and
-/// field names live in a single string arena (`text`), so staging a point
-/// for a known series allocates nothing in steady state — buffers are
-/// recycled with their capacity intact.
-#[derive(Debug, Default)]
-struct PendingBuf {
-    /// Arena holding series keys and field names back to back.
-    text: String,
-    /// `((key range in text), (point range in points))`: one run per
-    /// maximal stretch of consecutive same-series lines.
-    runs: Vec<((u32, u32), (u32, u32))>,
-    points: Vec<PendingPoint>,
-}
-
-impl PendingBuf {
-    fn is_empty(&self) -> bool {
-        self.runs.is_empty()
-    }
-
-    fn point_count(&self) -> usize {
-        self.points.len()
-    }
-
-    fn clear(&mut self) {
-        self.text.clear();
-        self.runs.clear();
-        self.points.clear();
-    }
-
-    /// Stages one field point of `key`; consecutive pushes for the same
-    /// series share one run (and one copy of the key).
-    fn push(&mut self, key: &str, field: &str, ts: i64, value: FieldValue) {
-        let same_key = self
-            .runs
-            .last()
-            .is_some_and(|((ks, ke), _)| &self.text[*ks as usize..*ke as usize] == key);
-        if !same_key {
-            let ks = self.text.len() as u32;
-            self.text.push_str(key);
-            let ke = self.text.len() as u32;
-            let ps = self.points.len() as u32;
-            self.runs.push(((ks, ke), (ps, ps)));
-        }
-        let fs = self.text.len() as u32;
-        self.text.push_str(field);
-        let fe = self.text.len() as u32;
-        self.points.push(PendingPoint { field: (fs, fe), ts, value });
-        self.runs.last_mut().unwrap().1 .1 = self.points.len() as u32;
-    }
-
-    /// Moves every staged point from `other` into `self`, rebasing arena
-    /// offsets; `other` is left cleared with its capacity intact.
-    fn absorb(&mut self, other: &mut PendingBuf) {
-        let text_base = self.text.len() as u32;
-        let points_base = self.points.len() as u32;
-        self.text.push_str(&other.text);
-        self.points.extend(other.points.drain(..).map(|p| PendingPoint {
-            field: (p.field.0 + text_base, p.field.1 + text_base),
-            ts: p.ts,
-            value: p.value,
-        }));
-        self.runs.extend(other.runs.drain(..).map(|((ks, ke), (ps, pe))| {
-            ((ks + text_base, ke + text_base), (ps + points_base, pe + points_base))
-        }));
-        other.text.clear();
-    }
-}
-
-/// A staged point whose series vanished between staging and drain (a
-/// retention sweep GC'd it). Re-created under the `meta` lock.
-struct StagedLeftover {
-    key: String,
-    field: String,
-    ts: i64,
-    value: FieldValue,
-}
-
-/// One lock stripe plus its append buffer for batched writes.
-///
-/// Writers stage parsed points into `pending` under a brief mutex and then
-/// *try* to drain: whoever wins the shard's `data` write lock applies every
-/// staged point (its own and any concurrent writer's) in one pass, so N hot
-/// writers never queue on the series map — they hand off to the current
-/// drainer and return. Points left pending when no drainer is running are
-/// folded in by the next drain, and every read path drains first, so reads
-/// always observe their own completed writes.
+/// One lock stripe plus the staging buffer writes reach it through (see
+/// [`staging`]).
 #[derive(Debug, Default)]
 struct ShardSlot {
     data: RwLock<Shard>,
-    pending: Mutex<PendingBuf>,
-    /// Exact staged-point count (only mutated under `pending`); lock-free
-    /// loads serve as fast-path skip hints and the depth gauge.
-    pending_points: AtomicUsize,
+    staged: staging::Staged,
 }
 
-thread_local! {
-    /// Per-thread scratch for [`Database::write_parsed_batch`]: key buffers
-    /// and per-shard staging areas reused across batches, so the steady
-    /// state of the hot write path performs zero allocations.
-    static INGEST_SCRATCH: std::cell::RefCell<IngestScratch> =
-        std::cell::RefCell::new(IngestScratch::default());
-}
-
-#[derive(Default)]
-struct IngestScratch {
-    key_buf: String,
-    prev_key: String,
-    stages: Vec<PendingBuf>,
-    touched: Vec<usize>,
+/// The series behind `key`, created and registered in the measurement
+/// index when new. The caller holds `meta`, then the shard — the lock
+/// order every series creation follows.
+fn series_slot<'a>(
+    meta: &mut Meta,
+    shard: &'a mut Shard,
+    key: &str,
+    measurement: &str,
+    tags: &[(String, String)],
+) -> &'a mut Arc<Series> {
+    match shard.series.entry(key.to_string()) {
+        Entry::Occupied(slot) => slot.into_mut(),
+        Entry::Vacant(slot) => {
+            meta.measurements.entry(measurement.to_string()).or_default().push(key.to_string());
+            slot.insert(Arc::new(Series::new(measurement, tags)))
+        }
+    }
 }
 
 /// Cross-shard metadata, guarded by its own lock (taken *before* any shard
@@ -469,7 +362,7 @@ impl Database {
     }
 
     /// An empty database with `shards` lock stripes (rounded up to a power
-    /// of two; `1` reproduces the old single-lock write path).
+    /// of two).
     pub fn with_shards(shards: usize) -> Self {
         let n = shards.max(1).next_power_of_two();
         Database {
@@ -524,31 +417,18 @@ impl Database {
     /// the WAL replay on top (its newer values win over sealed duplicates
     /// because the head outranks every block).
     fn install_recovered(&self, recovered: Recovered) {
-        for entry in recovered.blocks {
+        for BlockEntry { series_key, measurement, tags, field, block } in recovered.blocks {
             let mut meta = self.meta.write();
-            let mut shard = self.shard_of(&entry.series_key).data.write();
-            let series = match shard.series.entry(entry.series_key.clone()) {
-                Entry::Occupied(slot) => Arc::make_mut(slot.into_mut()),
-                Entry::Vacant(slot) => {
-                    meta.measurements
-                        .entry(entry.measurement.clone())
-                        .or_default()
-                        .push(entry.series_key.clone());
-                    Arc::make_mut(
-                        slot.insert(Arc::new(Series::new(&entry.measurement, &entry.tags))),
-                    )
-                }
-            };
-            series.field_mut_or_create(&entry.field).push_sealed(Arc::new(entry.block));
+            let mut shard = self.shard_of(&series_key).data.write();
+            let series = series_slot(&mut meta, &mut shard, &series_key, &measurement, &tags);
+            Arc::make_mut(series).field_mut_or_create(&field).push_sealed(Arc::new(block));
         }
-        let mut key_buf = String::with_capacity(64);
         for record in &recovered.wal_records {
             // WAL batches are normalized at append time: every line carries
             // an explicit nanosecond timestamp, so replay is deterministic.
-            for line in &parse_batch(&record.batch).lines {
-                let ts = line.timestamp.unwrap_or(0);
-                self.write_parsed(line, ts, &mut key_buf);
-            }
+            // Records stage in log order, so overwrites resolve as they did
+            // before the crash.
+            self.write_parsed_batch(&parse_batch(&record.batch).lines, WriteOptions::default(), 0);
         }
     }
 
@@ -602,319 +482,6 @@ impl Database {
     /// (`i64::MIN` before the first eviction).
     pub fn raw_drop_cutoff(&self) -> i64 {
         self.raw_drop_cutoff.load(Ordering::Acquire)
-    }
-
-    /// Fast path: the series exists — one shard write lock, zero
-    /// allocations. Returns `false` when the series is missing.
-    fn try_write_fields<'f>(
-        &self,
-        key: &str,
-        ts: i64,
-        fields: impl Iterator<Item = (&'f str, &'f FieldValue)>,
-    ) -> bool {
-        let mut shard = self.shard_of(key).data.write();
-        let Some(series) = shard.series.get_mut(key) else { return false };
-        let series = Arc::make_mut(series);
-        for (field, value) in fields {
-            series.insert(field, ts, value.clone());
-        }
-        true
-    }
-
-    /// Slow path: the series may need creating. Lock order is `meta` →
-    /// shard, and the presence check is re-run under both locks because
-    /// another writer can create the series between a failed fast path and
-    /// here. The series map and the measurements index are each updated in
-    /// a single entry-API pass.
-    fn create_and_write<'f>(
-        &self,
-        key: &str,
-        measurement: &str,
-        tags: &[(String, String)],
-        ts: i64,
-        fields: impl Iterator<Item = (&'f str, &'f FieldValue)>,
-    ) {
-        let mut meta = self.meta.write();
-        let mut shard = self.shard_of(key).data.write();
-        let series = match shard.series.entry(key.to_string()) {
-            Entry::Occupied(slot) => Arc::make_mut(slot.into_mut()),
-            Entry::Vacant(slot) => {
-                meta.measurements
-                    .entry(measurement.to_string())
-                    .or_default()
-                    .push(key.to_string());
-                Arc::make_mut(slot.insert(Arc::new(Series::new(measurement, tags))))
-            }
-        };
-        for (field, value) in fields {
-            series.insert(field, ts, value.clone());
-        }
-    }
-
-    /// Writes one already-parsed point.
-    pub fn write_point(&self, point: &lms_lineproto::Point, default_ts: i64) {
-        let key = point.series_key();
-        let ts = point.timestamp().unwrap_or(default_ts);
-        let fields = || point.fields().iter().map(|(k, v)| (k.as_str(), v));
-        if !self.try_write_fields(&key, ts, fields()) {
-            self.create_and_write(&key, point.measurement(), point.tags(), ts, fields());
-        }
-    }
-
-    /// Writes one parsed line without materializing an owned
-    /// [`Point`](lms_lineproto::Point).
-    ///
-    /// `key_buf` is caller-provided scratch reused across a batch; for
-    /// series the database has already seen, the write performs no
-    /// allocation at all (the buffer is rewritten in place and field values
-    /// land directly in the columns).
-    pub fn write_parsed(&self, line: &ParsedLine<'_>, ts: i64, key_buf: &mut String) {
-        key_buf.clear();
-        line.series_key_into(key_buf);
-        let fields = || line.fields.iter().map(|(k, v)| (k.as_ref(), v));
-        if !self.try_write_fields(key_buf, ts, fields()) {
-            let tags = line.canonical_tags();
-            self.create_and_write(key_buf, line.measurement.as_ref(), &tags, ts, fields());
-        }
-    }
-
-    /// Writes a whole parsed batch through the per-shard append buffers:
-    /// points are staged per shard (allocation-free in steady state, one
-    /// brief mutex per touched shard) and drained into the series maps in
-    /// `DRAIN_BATCH_POINTS`-sized gulps by whichever writer finds a shard
-    /// both backlogged and free — concurrent writers to a hot series hand
-    /// their points to the running drainer instead of queueing on its
-    /// lock. Returns the number of points written.
-    ///
-    /// Visibility: a point may remain staged briefly after this returns,
-    /// but every read path drains before reading, so callers always see
-    /// their own completed writes.
-    pub fn write_parsed_batch(
-        &self,
-        lines: &[ParsedLine<'_>],
-        opts: WriteOptions,
-        default_ts: i64,
-    ) -> usize {
-        if lines.is_empty() {
-            return 0;
-        }
-        INGEST_SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            if scratch.stages.len() < self.shards.len() {
-                scratch.stages.resize_with(self.shards.len(), PendingBuf::default);
-            }
-            scratch.prev_key.clear();
-            let mut prev_idx = usize::MAX;
-            let mut written = 0usize;
-            for line in lines {
-                let ts =
-                    line.timestamp.map(|t| opts.precision.to_nanos(t)).unwrap_or(default_ts);
-                scratch.key_buf.clear();
-                line.series_key_into(&mut scratch.key_buf);
-                // Hot-series batches repeat one key: skip the rehash and
-                // existence check for consecutive identical keys.
-                let idx = if prev_idx != usize::MAX && scratch.key_buf == scratch.prev_key {
-                    prev_idx
-                } else {
-                    let idx = self.shard_index(&scratch.key_buf);
-                    self.ensure_series(idx, &scratch.key_buf, line);
-                    std::mem::swap(&mut scratch.prev_key, &mut scratch.key_buf);
-                    prev_idx = idx;
-                    idx
-                };
-                let stage = &mut scratch.stages[idx];
-                if stage.is_empty() {
-                    scratch.touched.push(idx);
-                }
-                for (field, value) in &line.fields {
-                    stage.push(&scratch.prev_key, field.as_ref(), ts, value.clone());
-                }
-                written += 1;
-            }
-            for &idx in &scratch.touched {
-                let slot = &self.shards[idx];
-                {
-                    let mut pending = slot.pending.lock();
-                    slot.pending_points
-                        .fetch_add(scratch.stages[idx].point_count(), Ordering::Release);
-                    pending.absorb(&mut scratch.stages[idx]);
-                }
-                // Drain only once the shard's backlog is worth a splice
-                // (see DRAIN_BATCH_POINTS) and the shard is free; otherwise
-                // the current lock holder or the next reader picks this up.
-                if slot.pending_points.load(Ordering::Acquire) >= DRAIN_BATCH_POINTS {
-                    if let Some(mut shard) = slot.data.try_write() {
-                        let leftovers = Self::drain_locked(slot, &mut shard);
-                        drop(shard);
-                        if !leftovers.is_empty() {
-                            let mut meta = self.meta.write();
-                            self.install_leftovers(&mut meta, idx, leftovers);
-                        }
-                    }
-                }
-            }
-            scratch.touched.clear();
-            written
-        })
-    }
-
-    /// Makes sure the series behind `key` exists (so the drain path almost
-    /// never sees a missing series, and `series_count` is exact without a
-    /// drain). Lock order `meta` → shard.
-    fn ensure_series(&self, idx: usize, key: &str, line: &ParsedLine<'_>) {
-        if self.shards[idx].data.read().series.contains_key(key) {
-            return;
-        }
-        let tags = line.canonical_tags();
-        let mut meta = self.meta.write();
-        let mut shard = self.shards[idx].data.write();
-        if let Entry::Vacant(slot) = shard.series.entry(key.to_string()) {
-            meta.measurements
-                .entry(line.measurement.to_string())
-                .or_default()
-                .push(key.to_string());
-            slot.insert(Arc::new(Series::new(line.measurement.as_ref(), &tags)));
-        }
-    }
-
-    /// Drains every staged point of one shard into its series map, holding
-    /// the shard's `data` write lock (passed in). Loops until the pending
-    /// buffer is observed empty, so points staged *while* this drainer was
-    /// applying a previous swap are folded in before the lock is released.
-    fn drain_locked(slot: &ShardSlot, shard: &mut Shard) -> Vec<StagedLeftover> {
-        let mut leftovers = Vec::new();
-        let mut work = PendingBuf::default();
-        loop {
-            {
-                let mut pending = slot.pending.lock();
-                if pending.is_empty() {
-                    // Hand the warm (larger) buffer back for the next batch.
-                    if pending.text.capacity() < work.text.capacity() {
-                        std::mem::swap(&mut *pending, &mut work);
-                    }
-                    break;
-                }
-                slot.pending_points.fetch_sub(pending.point_count(), Ordering::Release);
-                std::mem::swap(&mut *pending, &mut work);
-            }
-            Self::apply_pending(shard, &work, &mut leftovers);
-            work.clear();
-        }
-        leftovers
-    }
-
-    /// Applies one swapped-out staging buffer to the shard: consecutive
-    /// same-series runs share a single map lookup and copy-on-write clone.
-    fn apply_pending(shard: &mut Shard, buf: &PendingBuf, leftovers: &mut Vec<StagedLeftover>) {
-        let text = buf.text.as_str();
-        let key_of =
-            |r: &((u32, u32), (u32, u32))| &text[r.0 .0 as usize..r.0 .1 as usize];
-        let mut i = 0;
-        while i < buf.runs.len() {
-            let key = key_of(&buf.runs[i]);
-            let mut j = i + 1;
-            while j < buf.runs.len() && key_of(&buf.runs[j]) == key {
-                j += 1;
-            }
-            match shard.series.get_mut(key) {
-                Some(series) => Self::apply_runs(Arc::make_mut(series), buf, i, j),
-                None => {
-                    // Retention GC'd the series after staging: carry the
-                    // points out; the caller re-creates it under `meta`.
-                    for r in &buf.runs[i..j] {
-                        for p in &buf.points[r.1 .0 as usize..r.1 .1 as usize] {
-                            leftovers.push(StagedLeftover {
-                                key: key.to_string(),
-                                field: text[p.field.0 as usize..p.field.1 as usize]
-                                    .to_string(),
-                                ts: p.ts,
-                                value: p.value.clone(),
-                            });
-                        }
-                    }
-                }
-            }
-            i = j;
-        }
-    }
-
-    /// Applies runs `[i, j)` (all the same series) to one series: points
-    /// are grouped per field, sorted by timestamp (stable, so staging
-    /// order breaks ties — last write wins), and merged into the column
-    /// in one pass.
-    fn apply_runs(series: &mut Series, buf: &PendingBuf, i: usize, j: usize) {
-        let text = buf.text.as_str();
-        let mut per_field: Vec<(&str, Vec<(i64, FieldValue)>)> = Vec::new();
-        for r in &buf.runs[i..j] {
-            for p in &buf.points[r.1 .0 as usize..r.1 .1 as usize] {
-                let field = &text[p.field.0 as usize..p.field.1 as usize];
-                match per_field.iter_mut().find(|(f, _)| *f == field) {
-                    Some((_, v)) => v.push((p.ts, p.value.clone())),
-                    None => per_field.push((field, vec![(p.ts, p.value.clone())])),
-                }
-            }
-        }
-        for (field, mut run) in per_field {
-            run.sort_by_key(|&(t, _)| t);
-            series.field_mut_or_create(field).insert_many(&run);
-        }
-    }
-
-    /// Re-creates series that were GC'd while their points sat staged. The
-    /// series key is by construction a valid line-protocol series prefix,
-    /// so it round-trips through the parser to recover measurement and
-    /// canonical tags. Caller holds `meta` (lock order `meta` → shard).
-    fn install_leftovers(
-        &self,
-        meta: &mut Meta,
-        idx: usize,
-        leftovers: Vec<StagedLeftover>,
-    ) {
-        let mut shard = self.shards[idx].data.write();
-        for l in leftovers {
-            match shard.series.entry(l.key) {
-                Entry::Occupied(mut slot) => {
-                    Arc::make_mut(slot.get_mut()).insert(&l.field, l.ts, l.value);
-                }
-                Entry::Vacant(slot) => {
-                    let probe = format!("{} x=0", slot.key());
-                    let Ok(line) = lms_lineproto::parse_line(&probe) else { continue };
-                    let tags = line.canonical_tags();
-                    meta.measurements
-                        .entry(line.measurement.to_string())
-                        .or_default()
-                        .push(slot.key().clone());
-                    let mut series = Series::new(line.measurement.as_ref(), &tags);
-                    series.insert(&l.field, l.ts, l.value);
-                    slot.insert(Arc::new(series));
-                }
-            }
-        }
-    }
-
-    /// Drains one shard's staged points if any (read-path entry point).
-    fn drain_shard(&self, idx: usize) {
-        let slot = &self.shards[idx];
-        if slot.pending_points.load(Ordering::Acquire) == 0 {
-            return;
-        }
-        let mut shard = slot.data.write();
-        let leftovers = Self::drain_locked(slot, &mut shard);
-        drop(shard);
-        if !leftovers.is_empty() {
-            let mut meta = self.meta.write();
-            self.install_leftovers(&mut meta, idx, leftovers);
-        }
-    }
-
-    /// Drains every shard's staged points: called by read paths before
-    /// they take `meta`, so reads observe all completed writes. Must not
-    /// be called with `meta` or any shard lock held (drain may need
-    /// `meta` → shard for leftovers).
-    fn drain_all_pending(&self) {
-        for idx in 0..self.shards.len() {
-            self.drain_shard(idx);
-        }
     }
 
     /// Snapshots all series of a measurement, in first-write order.
@@ -1298,19 +865,14 @@ impl Database {
     }
 
     /// Storage gauges for this database (engine gauges plus a live sweep
-    /// of the in-memory layer).
+    /// of the in-memory layer) under read locks only: a scrape that drained
+    /// would apply every shard's backlog in scrape-sized pieces. Staged
+    /// points are head points not yet applied, so `head_points` includes
+    /// them — an upper bound while overwrites of one point sit staged.
     pub fn storage_stats(&self) -> StorageStats {
-        let mut stats = StorageStats {
-            // Capture the buffer depth before draining (afterwards it is 0
-            // by construction); the drain below completes the head sweep.
-            shard_buffer_depth: self
-                .shards
-                .iter()
-                .map(|s| s.pending_points.load(Ordering::Acquire) as u64)
-                .sum(),
-            ..StorageStats::default()
-        };
-        self.drain_all_pending();
+        let staged = self.shards.iter().map(|s| s.staged.depth() as u64).sum();
+        let mut stats =
+            StorageStats { shard_buffer_depth: staged, head_points: staged, ..Default::default() };
         if let Some(engine) = &self.engine {
             let e = engine.stats();
             stats.wal_bytes = e.wal_bytes;
@@ -1366,19 +928,11 @@ impl Database {
         let mut evicted = 0;
         let mut removed: FxHashSet<String> = FxHashSet::default();
         for idx in 0..self.shards.len() {
-            let slot = &self.shards[idx];
             // Drain staged writes first (with the already-held meta for
             // leftover re-creation) so the sweep sees them — otherwise a
             // stale staged point could resurrect a series just evicted.
-            if slot.pending_points.load(Ordering::Acquire) > 0 {
-                let mut shard = slot.data.write();
-                let leftovers = Self::drain_locked(slot, &mut shard);
-                drop(shard);
-                if !leftovers.is_empty() {
-                    self.install_leftovers(&mut meta, idx, leftovers);
-                }
-            }
-            let mut shard = slot.data.write();
+            self.drain_shard(idx, Some(&mut meta));
+            let mut shard = self.shards[idx].data.write();
             shard.series.retain(|key, series| {
                 let series = Arc::make_mut(series);
                 evicted += series.evict_before(cutoff);
@@ -1528,8 +1082,6 @@ impl Influx {
     }
 
     /// Creates an empty storage whose databases use `shards` lock stripes.
-    /// `with_shards(clock, 1)` reproduces the old single-lock write path
-    /// (the benchmark baseline).
     pub fn with_shards(clock: Clock, shards: usize) -> Self {
         Influx {
             inner: Arc::new(RwLock::new(Inner {
@@ -1912,11 +1464,8 @@ impl Influx {
     /// collector). Fails only when the database does not exist and
     /// auto-create is off.
     ///
-    /// The whole batch is submitted through the per-shard append buffers
-    /// ([`Database::write_parsed_batch`]): concurrent writers — even to
-    /// one hot series — stage points and hand off to a single drainer per
-    /// shard instead of serializing on series locks, and the WAL append
-    /// joins a group commit shared with concurrent batches.
+    /// The whole batch goes through [`Database::write_parsed_batch`], and
+    /// the WAL append joins a group commit shared with concurrent batches.
     pub fn write_lines(&self, db: &str, batch: &str, opts: WriteOptions) -> Result<WriteOutcome> {
         let parsed = parse_batch(batch);
         let default_ts = self.clock.now().nanos();
@@ -2536,33 +2085,6 @@ mod tests {
         assert_eq!(sharded.point_count("lms"), single.point_count("lms"));
     }
 
-    #[test]
-    fn write_parsed_matches_write_point() {
-        // The allocation-free parsed-line path and the owned Point path
-        // must store identical data, including duplicate tag/field keys.
-        let lines = "m,b=2,a=1,a=9 v=1,v=2,w=3i 5\nm,a=9,b=2 v=7 5";
-        let via_parsed = influx();
-        via_parsed.write_lines("lms", lines, Default::default()).unwrap();
-
-        let via_point = influx();
-        {
-            let db = via_point.database_or_create("lms").unwrap();
-            for parsed in lms_lineproto::parse_batch(lines).lines {
-                let point = parsed.to_point();
-                db.write_point(&point, 0);
-            }
-        }
-        for q in ["SELECT v, w FROM m", "SHOW FIELD KEYS FROM m"] {
-            assert_eq!(
-                via_parsed.query("lms", q).unwrap(),
-                via_point.query("lms", q).unwrap(),
-                "query {q} diverged between write paths"
-            );
-        }
-        assert_eq!(via_parsed.series_count("lms"), 1);
-        assert_eq!(via_point.series_count("lms"), 1);
-    }
-
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("lms-influx-db-{}-{tag}", std::process::id()));
@@ -2608,17 +2130,27 @@ mod tests {
 
     #[test]
     fn restart_without_flush_replays_wal() {
+        // Replay goes through the batch path: `cpu` is sealed, then two
+        // unflushed WAL records overwrite one `(series, ts)` of it and `mem`
+        // exists only in the log — every answer must survive the reopen.
         let dir = tmp_dir("wal-restart");
-        {
+        let queries =
+            ["SELECT v FROM cpu", "SELECT used FROM mem", "SHOW MEASUREMENTS", "SELECT sum(v) FROM cpu"];
+        let before: Vec<QueryResult> = {
             let ix = persistent(&dir);
-            ix.write_lines("lms", "cpu v=1 1\ncpu v=2 2", Default::default()).unwrap();
-            // No flush: points only exist in memory + WAL.
-        }
+            ix.write_lines("lms", "cpu,host=b v=1 1\ncpu,host=a v=2 2", Default::default()).unwrap();
+            ix.flush_storage().unwrap();
+            for batch in ["cpu,host=a v=7 2\nmem,host=a used=3i 3", "cpu,host=a v=9 2"] {
+                ix.write_lines("lms", batch, Default::default()).unwrap();
+            }
+            queries.iter().map(|q| ix.query("lms", q).unwrap()).collect()
+        };
+        assert_eq!(before[3].series[0].values[0][1].as_f64(), Some(10.0), "last overwrite wins");
         let ix = persistent(&dir);
-        assert_eq!(ix.point_count("lms"), 2);
-        let r = ix.query("lms", "SELECT v FROM cpu").unwrap();
-        assert_eq!(r.series[0].values.len(), 2);
-        assert!(ix.storage_stats().recovered_records > 0);
+        assert_eq!(ix.storage_stats().recovered_records, 2);
+        for (q, expect) in queries.iter().zip(before) {
+            assert_eq!(ix.query("lms", q).unwrap(), expect, "query {q} diverged after replay");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

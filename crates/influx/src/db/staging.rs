@@ -1,0 +1,384 @@
+//! The ingest path: thread-local stage → per-shard staging buffer → drain
+//! → [`Column::insert_many`](crate::storage::Column::insert_many).
+//!
+//! [`Database::write_parsed_batch`] is the only way points enter the series
+//! maps (WAL replay included). It stages a parsed batch per shard in
+//! thread-local scratch, hands each touched shard's share to that shard's
+//! [`Staged`] buffer under a brief mutex, and then decides — here and
+//! nowhere else — whether to apply now or leave the points staged: a shard
+//! is drained only once its backlog is worth a splice
+//! ([`DRAIN_BATCH_POINTS`]) and its `data` lock is free. Whoever wins that
+//! lock applies every staged point, its own and any concurrent writer's, so
+//! N writers on one hot series hand their points to the running drainer
+//! instead of queueing on the series map.
+//!
+//! The rest of `db` sees three operations: stage a batch, drain a shard
+//! ([`Database::drain_shard`] / [`Database::drain_all_pending`], which read
+//! paths, flush and retention call before they look) and the staged depth
+//! ([`Staged::depth`], for gauges). The buffers themselves are private.
+
+use super::{series_slot, Database, Meta, Shard, WriteOptions};
+use lms_lineproto::{FieldValue, ParsedLine};
+use parking_lot::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+/// Staged points a shard accumulates before a writer bothers draining it.
+///
+/// Applying a staged run costs O(run + overlap), where `overlap` is how far
+/// back into the sorted column the run's oldest timestamp reaches. Hot
+/// series written by concurrent batchers interleave timestamps, so *every*
+/// run overlaps the recent tail — draining after each 200-line batch pays
+/// that tail splice hundreds of times. Draining only once a shard holds a
+/// few thousand points pays it once per big combined run instead, bounding
+/// write amplification to O(1) splices per `DRAIN_BATCH_POINTS` points.
+/// Reads are unaffected: every read path drains all shards first, so the
+/// threshold trades only a bounded slice of staging memory (on the order
+/// of a megabyte per backlogged shard), never visibility.
+const DRAIN_BATCH_POINTS: usize = 8192;
+
+/// One staged point: a field-name range into the arena, timestamp, value.
+#[derive(Debug)]
+struct PendingPoint {
+    field: (u32, u32),
+    ts: i64,
+    value: FieldValue,
+}
+
+/// A staging buffer of parsed points bound for one shard. Series keys and
+/// field names live in a single string arena (`text`), so staging a point
+/// for a known series allocates nothing in steady state — buffers are
+/// recycled with their capacity intact.
+#[derive(Debug, Default)]
+struct PendingBuf {
+    /// Arena holding series keys and field names back to back.
+    text: String,
+    /// `((key range in text), (point range in points))`: one run per
+    /// maximal stretch of consecutive same-series lines.
+    runs: Vec<((u32, u32), (u32, u32))>,
+    points: Vec<PendingPoint>,
+}
+
+impl PendingBuf {
+    fn is_empty(&self) -> bool {
+        self.runs.is_empty()
+    }
+
+    fn clear(&mut self) {
+        self.text.clear();
+        self.runs.clear();
+        self.points.clear();
+    }
+
+    /// Stages one field point of `key`; consecutive pushes for the same
+    /// series share one run (and one copy of the key).
+    fn push(&mut self, key: &str, field: &str, ts: i64, value: FieldValue) {
+        let same_key = self
+            .runs
+            .last()
+            .is_some_and(|((ks, ke), _)| &self.text[*ks as usize..*ke as usize] == key);
+        if !same_key {
+            let ks = self.text.len() as u32;
+            self.text.push_str(key);
+            let ke = self.text.len() as u32;
+            let ps = self.points.len() as u32;
+            self.runs.push(((ks, ke), (ps, ps)));
+        }
+        let fs = self.text.len() as u32;
+        self.text.push_str(field);
+        let fe = self.text.len() as u32;
+        self.points.push(PendingPoint { field: (fs, fe), ts, value });
+        self.runs.last_mut().unwrap().1 .1 = self.points.len() as u32;
+    }
+
+    /// Moves every staged point from `other` into `self`, rebasing arena
+    /// offsets; `other` is left cleared with its capacity intact.
+    fn absorb(&mut self, other: &mut PendingBuf) {
+        let text_base = self.text.len() as u32;
+        let points_base = self.points.len() as u32;
+        self.text.push_str(&other.text);
+        self.points.extend(other.points.drain(..).map(|p| PendingPoint {
+            field: (p.field.0 + text_base, p.field.1 + text_base),
+            ts: p.ts,
+            value: p.value,
+        }));
+        self.runs.extend(other.runs.drain(..).map(|((ks, ke), (ps, pe))| {
+            ((ks + text_base, ke + text_base), (ps + points_base, pe + points_base))
+        }));
+        other.text.clear();
+    }
+}
+
+/// A staged point whose series vanished between staging and drain (a
+/// retention sweep GC'd it). Re-created under the `meta` lock.
+struct Leftover {
+    key: String,
+    field: String,
+    ts: i64,
+    value: FieldValue,
+}
+
+/// One shard's staging buffer. Points left here when no drainer is running
+/// are folded in by the next drain, and every read path drains first, so
+/// reads always observe their own completed writes.
+#[derive(Debug, Default)]
+pub(super) struct Staged {
+    pending: Mutex<PendingBuf>,
+    /// Exact staged-point count (only mutated under `pending`); lock-free
+    /// loads serve as fast-path skip hints and the depth gauge.
+    points: AtomicUsize,
+}
+
+impl Staged {
+    /// Points staged and not yet applied to the shard's series.
+    pub(super) fn depth(&self) -> usize {
+        self.points.load(Ordering::Acquire)
+    }
+
+    /// Applies every staged point to `shard`, whose `data` write lock the
+    /// caller holds. Loops until the buffer is observed empty, so points
+    /// staged *while* this drainer was applying a previous swap are folded
+    /// in before the lock is released.
+    fn drain_into(&self, shard: &mut Shard) -> Vec<Leftover> {
+        let mut leftovers = Vec::new();
+        let mut work = PendingBuf::default();
+        loop {
+            {
+                let mut pending = self.pending.lock();
+                if pending.is_empty() {
+                    // Hand the warm (larger) buffer back for the next batch.
+                    if pending.text.capacity() < work.text.capacity() {
+                        std::mem::swap(&mut *pending, &mut work);
+                    }
+                    break;
+                }
+                self.points.fetch_sub(pending.points.len(), Ordering::Release);
+                std::mem::swap(&mut *pending, &mut work);
+            }
+            apply_pending(shard, &work, &mut leftovers);
+            work.clear();
+        }
+        leftovers
+    }
+}
+
+thread_local! {
+    /// Per-thread scratch for [`Database::write_parsed_batch`]: key buffers
+    /// and per-shard staging areas reused across batches, so the steady
+    /// state of the hot write path performs zero allocations.
+    static INGEST_SCRATCH: std::cell::RefCell<IngestScratch> =
+        std::cell::RefCell::new(IngestScratch::default());
+}
+
+#[derive(Default)]
+struct IngestScratch {
+    key_buf: String,
+    prev_key: String,
+    stages: Vec<PendingBuf>,
+    touched: Vec<usize>,
+}
+
+/// Applies one swapped-out staging buffer to the shard: consecutive
+/// same-series runs share a single map lookup and copy-on-write clone.
+fn apply_pending(shard: &mut Shard, buf: &PendingBuf, leftovers: &mut Vec<Leftover>) {
+    let text = buf.text.as_str();
+    let key_of = |r: &((u32, u32), (u32, u32))| &text[r.0 .0 as usize..r.0 .1 as usize];
+    let mut i = 0;
+    while i < buf.runs.len() {
+        let key = key_of(&buf.runs[i]);
+        let mut j = i + 1;
+        while j < buf.runs.len() && key_of(&buf.runs[j]) == key {
+            j += 1;
+        }
+        let points = &buf.points[buf.runs[i].1 .0 as usize..buf.runs[j - 1].1 .1 as usize];
+        let field_of = |p: &PendingPoint| &text[p.field.0 as usize..p.field.1 as usize];
+        match shard.series.get_mut(key) {
+            Some(series) => {
+                // Group per field, sort by timestamp (stable, so staging
+                // order breaks ties — last write wins), merge each column
+                // in one pass.
+                let mut per_field: Vec<(&str, Vec<(i64, FieldValue)>)> = Vec::new();
+                for p in points {
+                    let field = field_of(p);
+                    match per_field.iter_mut().find(|(f, _)| *f == field) {
+                        Some((_, v)) => v.push((p.ts, p.value.clone())),
+                        None => per_field.push((field, vec![(p.ts, p.value.clone())])),
+                    }
+                }
+                let series = Arc::make_mut(series);
+                for (field, mut run) in per_field {
+                    run.sort_by_key(|&(t, _)| t);
+                    series.field_mut_or_create(field).insert_many(&run);
+                }
+            }
+            // Retention GC'd the series after staging: carry the points
+            // out; the caller re-creates it under `meta`.
+            None => leftovers.extend(points.iter().map(|p| Leftover {
+                key: key.to_string(),
+                field: field_of(p).to_string(),
+                ts: p.ts,
+                value: p.value.clone(),
+            })),
+        }
+        i = j;
+    }
+}
+
+impl Database {
+    /// Writes a whole parsed batch through the per-shard staging buffers:
+    /// points are staged per shard (allocation-free in steady state, one
+    /// brief mutex per touched shard) and drained into the series maps in
+    /// `DRAIN_BATCH_POINTS`-sized gulps by whichever writer finds a shard
+    /// both backlogged and free — concurrent writers to a hot series hand
+    /// their points to the running drainer instead of queueing on its
+    /// lock. Returns the number of points written.
+    ///
+    /// Visibility: a point may remain staged briefly after this returns,
+    /// but every read path drains before reading, so callers always see
+    /// their own completed writes.
+    pub fn write_parsed_batch(
+        &self,
+        lines: &[ParsedLine<'_>],
+        opts: WriteOptions,
+        default_ts: i64,
+    ) -> usize {
+        if lines.is_empty() {
+            return 0;
+        }
+        INGEST_SCRATCH.with(|cell| {
+            let scratch = &mut *cell.borrow_mut();
+            if scratch.stages.len() < self.shards.len() {
+                scratch.stages.resize_with(self.shards.len(), PendingBuf::default);
+            }
+            scratch.prev_key.clear();
+            let mut prev_idx = usize::MAX;
+            for line in lines {
+                let ts =
+                    line.timestamp.map(|t| opts.precision.to_nanos(t)).unwrap_or(default_ts);
+                scratch.key_buf.clear();
+                line.series_key_into(&mut scratch.key_buf);
+                // Hot-series batches repeat one key: skip the rehash and
+                // existence check for consecutive identical keys.
+                let idx = if prev_idx != usize::MAX && scratch.key_buf == scratch.prev_key {
+                    prev_idx
+                } else {
+                    let idx = self.shard_index(&scratch.key_buf);
+                    self.ensure_series(idx, &scratch.key_buf, line);
+                    std::mem::swap(&mut scratch.prev_key, &mut scratch.key_buf);
+                    prev_idx = idx;
+                    idx
+                };
+                let stage = &mut scratch.stages[idx];
+                if stage.is_empty() {
+                    scratch.touched.push(idx);
+                }
+                for (field, value) in &line.fields {
+                    stage.push(&scratch.prev_key, field.as_ref(), ts, value.clone());
+                }
+            }
+            for &idx in &scratch.touched {
+                let slot = &self.shards[idx];
+                {
+                    let stage = &mut scratch.stages[idx];
+                    let mut pending = slot.staged.pending.lock();
+                    slot.staged.points.fetch_add(stage.points.len(), Ordering::Release);
+                    pending.absorb(stage);
+                }
+                // Drain only once the shard's backlog is worth a splice
+                // (see DRAIN_BATCH_POINTS) and the shard is free; otherwise
+                // the current lock holder or the next reader picks this up.
+                if slot.staged.depth() >= DRAIN_BATCH_POINTS {
+                    if let Some(mut shard) = slot.data.try_write() {
+                        let leftovers = slot.staged.drain_into(&mut shard);
+                        drop(shard);
+                        self.install_leftovers(idx, leftovers, None);
+                    }
+                }
+            }
+            scratch.touched.clear();
+            lines.len()
+        })
+    }
+
+    /// Makes sure the series behind `key` exists (so the drain path almost
+    /// never sees a missing series, and `series_count` is exact without a
+    /// drain).
+    fn ensure_series(&self, idx: usize, key: &str, line: &ParsedLine<'_>) {
+        if self.shards[idx].data.read().series.contains_key(key) {
+            return;
+        }
+        let tags = line.canonical_tags();
+        let mut meta = self.meta.write();
+        let mut shard = self.shards[idx].data.write();
+        series_slot(&mut meta, &mut shard, key, line.measurement.as_ref(), &tags);
+    }
+
+    /// Re-creates series that were GC'd while their points sat staged. The
+    /// series key is by construction a valid line-protocol series prefix,
+    /// so it round-trips through the parser to recover measurement and
+    /// canonical tags. `meta` is the caller's write guard when it already
+    /// holds one; otherwise the lock is taken here (order `meta` → shard).
+    fn install_leftovers(&self, idx: usize, leftovers: Vec<Leftover>, meta: Option<&mut Meta>) {
+        if leftovers.is_empty() {
+            return;
+        }
+        let mut guard;
+        let meta = match meta {
+            Some(held) => held,
+            None => {
+                guard = self.meta.write();
+                &mut *guard
+            }
+        };
+        let mut shard = self.shards[idx].data.write();
+        for l in leftovers {
+            let probe = format!("{} x=0", l.key);
+            let Ok(line) = lms_lineproto::parse_line(&probe) else { continue };
+            let series =
+                series_slot(meta, &mut shard, &l.key, &line.measurement, &line.canonical_tags());
+            Arc::make_mut(series).insert(&l.field, l.ts, l.value);
+        }
+    }
+
+    /// Drains one shard's staged points, if any, into its series map.
+    /// `held_meta` is the caller's `meta` write guard when it holds one
+    /// (retention); without it `meta` is taken only to re-create GC'd
+    /// series, so the caller must hold neither `meta` nor a shard lock.
+    pub(super) fn drain_shard(&self, idx: usize, held_meta: Option<&mut Meta>) {
+        let slot = &self.shards[idx];
+        if slot.staged.depth() == 0 {
+            return;
+        }
+        let leftovers = slot.staged.drain_into(&mut slot.data.write());
+        self.install_leftovers(idx, leftovers, held_meta);
+    }
+
+    /// Drains every shard's staged points: called by read paths before
+    /// they take `meta`, so reads observe all completed writes.
+    pub(super) fn drain_all_pending(&self) {
+        for idx in 0..self.shards.len() {
+            self.drain_shard(idx, None);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::Influx;
+    use lms_util::{Clock, Timestamp};
+
+    #[test]
+    fn storage_stats_reads_without_draining() {
+        let ix = Influx::new(Clock::simulated(Timestamp::from_secs(1000)));
+        let body: String = (0..100).map(|i| format!("m,host=h{} v={i} {i}\n", i % 4)).collect();
+        ix.write_lines("lms", &body, Default::default()).unwrap();
+        for _ in 0..2 {
+            let s = ix.storage_stats();
+            assert_eq!(s.shard_buffer_depth, 100, "a scrape must leave staged points staged");
+            assert_eq!(s.head_points, 100, "staged points count as head points");
+        }
+        assert_eq!(ix.point_count("lms"), 100); // a read drains
+        let s = ix.storage_stats();
+        assert_eq!((s.shard_buffer_depth, s.head_points), (0, 100));
+    }
+}

@@ -2,14 +2,15 @@
 //! rendezvous ring.
 //!
 //! The single-database stack is the degenerate one-node cluster, so the
-//! router always talks to a [`ClusterForwarder`]; with one node there is no
-//! per-line hashing and the classic fast path is untouched. With N nodes,
-//! every line's **series key** (db + measurement + canonical tags) places
-//! it on R owners; each owner gets its own bounded queue, worker pool,
-//! circuit breaker and — crucially — its own on-disk spool subdirectory,
-//! which is what turns the PR 2 durability machinery into **hinted
-//! handoff**: a down node's share spills to *that node's* spool and the
-//! drainer replays it, in order, once the node's `/ping` answers again.
+//! router always talks to a [`ClusterForwarder`] through a [`RoutedBatch`];
+//! with one node every line goes to that node without its series key ever
+//! being built or hashed. With N nodes, every line's **series key** (db +
+//! measurement + canonical tags) places it on R owners; each owner gets its
+//! own bounded queue, worker pool, circuit breaker and — crucially — its
+//! own on-disk spool subdirectory, which is what turns the PR 2 durability
+//! machinery into **hinted handoff**: a down node's share spills to *that
+//! node's* spool and the drainer replays it, in order, once the node's
+//! `/ping` answers again.
 //!
 //! Writes acknowledge at a configurable quorum W of the R owners; an
 //! "accepted" node-batch means queued for delivery or durably spooled.
@@ -115,12 +116,6 @@ impl ClusterForwarder {
             owners: Vec::with_capacity(self.replication),
             key: String::with_capacity(64),
         }
-    }
-
-    /// Direct single-node enqueue (the one-node fast path).
-    pub fn enqueue_single(&self, db: &str, body: String) -> bool {
-        debug_assert_eq!(self.nodes.len(), 1);
-        self.nodes[0].forwarder.enqueue(db, body)
     }
 
     /// True when any destination's pipeline is saturated. Conservative:
@@ -278,16 +273,24 @@ pub struct RoutedBatch<'a> {
 }
 
 impl RoutedBatch<'_> {
-    fn owners_of_key(&mut self) {
+    /// Resolves `self.owners` for the line whose series key `write_key`
+    /// appends. A lone node owns every line, so there the key is neither
+    /// built nor hashed.
+    fn place(&mut self, write_key: impl FnOnce(&mut String)) {
+        if self.builders.len() == 1 {
+            self.owners.clear();
+            self.owners.push(0);
+            return;
+        }
+        self.key.clear();
+        write_key(&mut self.key);
         let hash = fx_hash(&(self.db.as_str(), self.key.as_str()));
         self.cluster.ring.owners_into(hash, self.cluster.replication, &mut self.owners);
     }
 
     /// Routes a parsed line verbatim (the enrichment-free fast path).
     pub fn push_raw(&mut self, line: &ParsedLine) {
-        self.key.clear();
-        line.series_key_into(&mut self.key);
-        self.owners_of_key();
+        self.place(|key| line.series_key_into(key));
         for i in 0..self.owners.len() {
             self.builders[self.owners[i]].push_raw(line.raw);
         }
@@ -295,9 +298,7 @@ impl RoutedBatch<'_> {
 
     /// Routes a materialized point (enriched / re-stamped lines, events).
     pub fn push_point(&mut self, point: &Point) {
-        self.key.clear();
-        self.key.push_str(&point.series_key());
-        self.owners_of_key();
+        self.place(|key| key.push_str(&point.series_key()));
         for i in 0..self.owners.len() {
             self.builders[self.owners[i]].push(point);
         }
@@ -419,11 +420,24 @@ mod tests {
     }
 
     #[test]
-    fn single_node_cluster_behaves_like_plain_forwarder() {
+    fn single_node_batch_emits_the_bytes_of_a_plain_builder() {
         let (servers, handles, cf) = cluster_of(1, 1);
-        assert!(cf.enqueue_single("lms", "m v=1 1\nm v=2 2".into()));
+        let body = "m,b=2,a=1 v=1 1\nm v=2 2\n";
+        let mut point = Point::new("ev");
+        point.add_tag("z", "9").add_tag("a", "1").add_field("text", "hi").set_timestamp(3);
+        let mut routed = cf.batch("lms");
+        let mut plain = BatchBuilder::new();
+        for line in &parse_batch(body).lines {
+            routed.push_raw(line);
+            plain.push_raw(line.raw);
+        }
+        routed.push_point(&point);
+        plain.push(&point);
+        assert_eq!(routed.builders[0].as_str(), plain.as_str());
+        assert!(routed.key.is_empty(), "one node: no series key is built");
+        assert!(routed.submit());
         assert!(cf.flush(Duration::from_secs(5)));
-        assert_eq!(handles[0].point_count("lms"), 2);
+        assert_eq!(handles[0].point_count("lms"), 3);
         assert_eq!(cf.stats().delivered, 1);
         assert_eq!(cf.destination_stats().len(), 1);
         for s in servers {

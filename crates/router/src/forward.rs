@@ -456,10 +456,10 @@ fn worker_loop(rx: &Receiver<Batch>, config: &ForwardConfig, shared: &Shared, in
     }
 }
 
-/// Delivers a run of same-db batches as one merged write. Accounting
-/// stays per-batch: success counts every batch delivered (and marks the
-/// merged ones `coalesced`); giving up spills each original body
-/// separately so spool replay granularity is unchanged.
+/// Delivers a run of same-db batches as one write (merged when the run
+/// holds more than one). Accounting stays per-batch: success counts every
+/// batch delivered (and marks merged ones `coalesced`); giving up spills
+/// each original body separately so spool replay granularity is unchanged.
 fn process_run(
     run: &[Batch],
     client: &mut Option<InfluxClient>,
@@ -467,86 +467,29 @@ fn process_run(
     shared: &Shared,
     rng: &mut XorShift64,
 ) {
-    if run.len() == 1 {
-        process_batch(&run[0], client, config, shared, rng);
-        return;
-    }
     let spill_all = || {
         for b in run {
             shared.spill(&b.db, &b.body);
         }
     };
-    // Mirrors process_batch: breaker already open with a spool available
-    // means spill immediately instead of burning a retry budget.
+    // Breaker already open and a spool available: spill immediately
+    // instead of burning a full retry/backoff budget per run. (Without
+    // a spool the worker still tries — dropping data because a breaker
+    // said so would be worse than a wasted retry.)
     if shared.spool.is_some() && !shared.breaker.allow() {
         spill_all();
         return;
     }
     let db = &run[0].db;
-    let mut body = String::with_capacity(run.iter().map(|b| b.body.len() + 1).sum());
-    for b in run {
-        if !body.is_empty() {
-            body.push('\n');
+    let merged;
+    let body = match run {
+        [only] => only.body.as_str(),
+        _ => {
+            merged = run.iter().map(|b| b.body.as_str()).collect::<Vec<_>>().join("\n");
+            merged.as_str()
         }
-        body.push_str(&b.body);
-    }
+    };
     let n = run.len() as u64;
-    let mut attempt = 0u32;
-    loop {
-        if attempt > 0 {
-            shared.retries.fetch_add(1, Ordering::Relaxed);
-            std::thread::sleep(rng.backoff(config.backoff_base, config.backoff_cap, attempt - 1));
-            if shared.spool.is_some() && !shared.breaker.allow() {
-                spill_all();
-                return;
-            }
-        }
-        match try_write(client, config, db, &body) {
-            Ok(()) => {
-                shared.delivered.fetch_add(n, Ordering::Relaxed);
-                shared.coalesced.fetch_add(n, Ordering::Relaxed);
-                shared.breaker.record_success();
-                return;
-            }
-            Err(e) if e.is_transient() => {
-                shared.breaker.record_failure();
-                *client = None; // reconnect on next attempt
-                attempt += 1;
-                let give_up = attempt > config.max_retries
-                    || (shared.spool.is_some() && shared.breaker.state() == BreakerState::Open);
-                if give_up {
-                    spill_all();
-                    return;
-                }
-            }
-            Err(_) => {
-                // Permanent refusal of the merged body. The database
-                // rejects a write only when *nothing* in it parses, so
-                // every batch in the run was malformed — reject them all.
-                // (Mixed runs are partially accepted and land in Ok.)
-                shared.breaker.record_success();
-                shared.rejected.fetch_add(n, Ordering::Relaxed);
-                return;
-            }
-        }
-    }
-}
-
-fn process_batch(
-    batch: &Batch,
-    client: &mut Option<InfluxClient>,
-    config: &ForwardConfig,
-    shared: &Shared,
-    rng: &mut XorShift64,
-) {
-    // Breaker already open and a spool available: spill immediately
-    // instead of burning a full retry/backoff budget per batch. (Without
-    // a spool the worker still tries — dropping data because a breaker
-    // said so would be worse than a wasted retry.)
-    if shared.spool.is_some() && !shared.breaker.allow() {
-        shared.spill(&batch.db, &batch.body);
-        return;
-    }
     let mut attempt = 0u32;
     loop {
         if attempt > 0 {
@@ -557,13 +500,16 @@ fn process_batch(
             // through the sleep would block the drainer and every other
             // worker from delivering for the whole backoff.
             if shared.spool.is_some() && !shared.breaker.allow() {
-                shared.spill(&batch.db, &batch.body);
+                spill_all();
                 return;
             }
         }
-        match try_write(client, config, &batch.db, &batch.body) {
+        match try_write(client, config, db, body) {
             Ok(()) => {
-                shared.delivered.fetch_add(1, Ordering::Relaxed);
+                shared.delivered.fetch_add(n, Ordering::Relaxed);
+                if n > 1 {
+                    shared.coalesced.fetch_add(n, Ordering::Relaxed);
+                }
                 shared.breaker.record_success();
                 return;
             }
@@ -576,19 +522,21 @@ fn process_batch(
                 let give_up = attempt > config.max_retries
                     || (shared.spool.is_some() && shared.breaker.state() == BreakerState::Open);
                 if give_up {
-                    shared.spill(&batch.db, &batch.body);
+                    spill_all();
                     return;
                 }
             }
             Err(_) => {
                 // Permanent (protocol) error: retrying or replaying the
-                // same bytes can never succeed. The destination *did*
-                // answer, so report success — this releases a half-open
-                // probe claimed by allow() (leaving it claimed would wedge
-                // the breaker HalfOpen forever) and resets the failure
-                // streak.
+                // same bytes can never succeed. The database rejects a
+                // write only when *nothing* in it parses, so every batch
+                // in the run was malformed (mixed runs are partially
+                // accepted and land in Ok). The destination *did* answer,
+                // so report success: that releases a half-open probe
+                // claimed by allow() — left claimed it would wedge the
+                // breaker HalfOpen forever — and resets the failure streak.
                 shared.breaker.record_success();
-                shared.rejected.fetch_add(1, Ordering::Relaxed);
+                shared.rejected.fetch_add(n, Ordering::Relaxed);
                 return;
             }
         }
@@ -911,15 +859,15 @@ mod tests {
         let (server, _ix) = db();
         let addr = server.addr();
         server.shutdown();
-        let f = Forwarder::start(ForwardConfig {
+        let config = ForwardConfig {
             spool: Some(tmp_spool("probe-reject")),
             breaker: BreakerConfig {
                 failure_threshold: 1,
                 open_for: Duration::from_millis(50),
             },
             ..cfg(addr, 64, 0, 1)
-        })
-        .unwrap();
+        };
+        let f = Forwarder::start(config.clone()).unwrap();
         // DB down: both batches spill, the malformed one at the spool head.
         f.enqueue("lms", "completely broken line".to_string());
         f.enqueue("lms", "ok v=1 1".to_string());
@@ -941,6 +889,21 @@ mod tests {
         assert_eq!(s.replayed, 2, "{s:?}");
         assert_eq!(s.dropped, 0, "{s:?}");
         assert_eq!(influx2.point_count("lms"), 1);
+
+        // A worker that claims the probe owes the same release, for a lone
+        // batch and for a coalesced run alike. The spool is empty now, so
+        // the drainer never touches the breaker: trip it, wait out the
+        // cool-down, and the run's own allow() is the half-open probe.
+        for bodies in [&["still broken"][..], &["broken again", "and again"]] {
+            f.shared.breaker.record_failure();
+            assert_eq!(f.shared.breaker.state(), BreakerState::Open);
+            std::thread::sleep(config.breaker.open_for * 2);
+            let batch = |body: &&str| Batch { db: "lms".into(), body: body.to_string() };
+            let run: Vec<Batch> = bodies.iter().map(batch).collect();
+            process_run(&run, &mut None, &config, &f.shared, &mut XorShift64::new(1));
+            assert_eq!(f.shared.breaker.state(), BreakerState::Closed, "{bodies:?}");
+        }
+        assert_eq!(f.stats().rejected, 4, "one from the drainer, three from the runs");
         server2.shutdown();
     }
 

@@ -1,12 +1,12 @@
 //! The enrichment core: parse → tag → forward → duplicate → publish.
 
 use crate::breaker::{BreakerConfig, BreakerState};
-use crate::delivery::{ClusterForwarder, DestinationStats};
+use crate::delivery::{ClusterForwarder, DestinationStats, RoutedBatch};
 use crate::forward::{ForwardConfig, ForwardStats};
 use crate::tagstore::{JobSignal, TagStore};
 use lms_cluster::{merge_results, partial_plan, ClusterConfig, PartialPlan};
 use lms_influx::QueryResult;
-use lms_lineproto::{parse_batch, BatchBuilder, Point};
+use lms_lineproto::{parse_batch, Point};
 use lms_mq::Publisher;
 use lms_spool::SpoolConfig;
 use lms_util::{Clock, Error, FxHashMap, Result};
@@ -235,8 +235,8 @@ impl Router {
         let default_ts = self.clock.now().nanos();
         let global_db = db.unwrap_or(&self.config.global_db).to_string();
         let mut accepted = 0usize;
-        let mut global = self.sink(&global_db, body.len() + body.len() / 4);
-        let mut per_user: FxHashMap<String, Sink<'_>> = FxHashMap::default();
+        let mut global = self.delivery.batch(&global_db);
+        let mut per_user: FxHashMap<String, RoutedBatch<'_>> = FxHashMap::default();
         // Per-user duplication follows the tier: rollup rows bound for
         // `X__rollup_1m` land in `user_<name>__rollup_1m`, keeping each
         // user slice's raw and tier databases as clean siblings.
@@ -249,8 +249,8 @@ impl Router {
                 // Pass-through fast path: a line that already carries a
                 // timestamp, whose host has no job entry, and that per-user
                 // duplication would not touch is forwarded byte-for-byte —
-                // no Point materialization, no re-serialization. (In
-                // cluster mode the series key is still hashed for
+                // no Point materialization, no re-serialization. (With
+                // more than one node the series key is still hashed for
                 // placement, but the raw bytes are never re-serialized.)
                 if line.timestamp.is_some()
                     && !self.config.per_user
@@ -295,7 +295,7 @@ impl Router {
                         };
                         per_user
                             .entry(user_db)
-                            .or_insert_with_key(|user_db| self.sink(user_db, 256))
+                            .or_insert_with_key(|user_db| self.delivery.batch(user_db))
                             .push_point(&point);
                     }
                 }
@@ -309,24 +309,14 @@ impl Router {
         }
         self.lines_enriched.fetch_add(enriched_count, Ordering::Relaxed);
 
-        let mut acked = global.submit(&self.delivery);
-        for (_, sink) in per_user {
-            acked &= sink.submit(&self.delivery);
+        let mut acked = global.submit();
+        for (_, batch) in per_user {
+            acked &= batch.submit();
         }
         if !acked {
             self.quorum_failures.fetch_add(1, Ordering::Relaxed);
         }
         WriteOutcome { accepted, rejected, acked }
-    }
-
-    /// A batch sink for `db`: a plain builder on the single-node stack, a
-    /// ring-routed per-node accumulator on a cluster.
-    fn sink(&self, db: &str, capacity: usize) -> Sink<'_> {
-        if self.delivery.node_count() == 1 {
-            Sink::Single { db: db.to_string(), batch: BatchBuilder::with_capacity(capacity) }
-        } else {
-            Sink::Routed(self.delivery.batch(db))
-        }
     }
 
     /// Scatter-gather read over the cluster (the `/query` endpoint).
@@ -484,7 +474,7 @@ impl Router {
     /// Writes the annotation events for a signal and publishes it.
     fn record_signal_event(&self, kind: &str, job_id: &str, user: &str, hosts: &[String]) {
         let ts = self.clock.now().nanos();
-        let mut batch = self.sink(&self.config.global_db, 256);
+        let mut batch = self.delivery.batch(&self.config.global_db);
         for host in hosts {
             let mut ev = Point::new("events");
             ev.add_tag("hostname", host.as_str())
@@ -500,7 +490,7 @@ impl Router {
                 format!("jobid={job_id} user={user} hosts={}", hosts.join(",")).as_bytes(),
             );
         }
-        batch.submit(&self.delivery);
+        batch.submit();
     }
 
     /// One anti-entropy repair pass over `dbs` (see [`crate::repair`]):
@@ -546,38 +536,6 @@ impl Router {
     /// In-flight replays are always waited for.
     pub fn flush_or_hinted(&self, timeout: std::time::Duration) -> bool {
         self.delivery.flush_or_hinted(timeout)
-    }
-}
-
-/// A per-db batch under construction: plain on one node, ring-routed on a
-/// cluster.
-enum Sink<'a> {
-    Single { db: String, batch: BatchBuilder },
-    Routed(crate::delivery::RoutedBatch<'a>),
-}
-
-impl Sink<'_> {
-    fn push_raw(&mut self, line: &lms_lineproto::ParsedLine<'_>) {
-        match self {
-            Sink::Single { batch, .. } => batch.push_raw(line.raw),
-            Sink::Routed(b) => b.push_raw(line),
-        }
-    }
-
-    fn push_point(&mut self, point: &Point) {
-        match self {
-            Sink::Single { batch, .. } => batch.push(point),
-            Sink::Routed(b) => b.push_point(point),
-        }
-    }
-
-    /// Enqueues the batch(es); true when the write quorum held (single
-    /// node: the batch was queued or spooled).
-    fn submit(self, delivery: &ClusterForwarder) -> bool {
-        match self {
-            Sink::Single { db, mut batch } => delivery.enqueue_single(&db, batch.take()),
-            Sink::Routed(b) => b.submit(),
-        }
     }
 }
 

@@ -14,7 +14,7 @@ use crate::encode::{decode_block, encode_block};
 use lms_lineproto::FieldValue;
 
 /// Pre-aggregated statistics over one sealed block, computed at seal time
-/// and persisted in the segment footer (format V2).
+/// and persisted in the segment footer.
 ///
 /// The fields mirror what a single streaming pass over the decoded points
 /// would accumulate, so an aggregate over a fully-covered, unshadowed block
@@ -87,8 +87,8 @@ pub struct SealedBlock {
     /// Number of encoded points.
     pub count: u32,
     bytes: Vec<u8>,
-    /// Pre-aggregated stats; `None` only for blocks loaded from legacy V1
-    /// segments whose points failed to decode (corrupt payloads).
+    /// Pre-aggregated stats; `None` only for a block whose segment entry
+    /// recorded no summary (`present = 0`: a corrupt payload).
     summary: Option<BlockSummary>,
 }
 
@@ -108,16 +108,9 @@ impl SealedBlock {
         }
     }
 
-    /// Reconstructs a block from already-encoded bytes (segment file load).
-    /// The summary is recomputed with one decode pass — used for legacy V1
-    /// segments that carry no persisted summaries.
-    pub fn from_parts(gen: u64, min_ts: i64, max_ts: i64, count: u32, bytes: Vec<u8>) -> Self {
-        let summary = decode_block(&bytes).as_deref().and_then(BlockSummary::compute);
-        SealedBlock { gen, min_ts, max_ts, count, bytes, summary }
-    }
-
-    /// Reconstructs a block with a persisted summary (segment V2 load).
-    pub fn from_parts_with_summary(
+    /// Reconstructs a block from already-encoded bytes and its persisted
+    /// summary (segment file load).
+    pub fn from_parts(
         gen: u64,
         min_ts: i64,
         max_ts: i64,
@@ -187,7 +180,7 @@ mod tests {
 
     #[test]
     fn corrupt_bytes_decode_empty() {
-        let b = SealedBlock::from_parts(0, 0, 10, 5, vec![0xFF, 0xFF, 0xFF]);
+        let b = SealedBlock::from_parts(0, 0, 10, 5, vec![0xFF, 0xFF, 0xFF], None);
         assert!(b.decode().is_empty());
     }
 }

@@ -58,8 +58,7 @@ pub struct TsmConfig {
     /// many segment files.
     pub compact_min_files: usize,
     /// WAL group-commit window in milliseconds (see
-    /// [`WalConfig::group_commit_delay`]). Zero together with
-    /// `wal_group_commit_bytes == 0` restores the legacy per-append path.
+    /// [`WalConfig::group_commit_delay`]); zero means no hold window.
     pub wal_group_commit_ms: u64,
     /// WAL group-commit size bound (see [`WalConfig::group_commit_bytes`]).
     pub wal_group_commit_bytes: usize,

@@ -4,7 +4,7 @@
 //! maintenance pass for one time partition. Layout:
 //!
 //! ```text
-//! [magic: b"LMSTSM1\n"]
+//! [magic: b"LMSTSM2\n"]
 //! repeated frames: [payload_len: u32 LE][crc32(payload): u32 LE][payload]
 //! ```
 //!
@@ -18,23 +18,22 @@
 //! [ntags: u16] ntags * ([klen: u16][key][vlen: u16][value])
 //! [field_len: u16][field]
 //! [block_len: u32][compressed block bytes]
-//! (V2 only) [summary: see below]
+//! [summary: see below]
 //! ```
 //!
-//! Format V2 appends the block's pre-aggregated summary after the block
-//! bytes, so queries can answer `mean`/`min`/`max`/`sum`/`count` over a
-//! fully-covered block without ever decoding it:
+//! The block's pre-aggregated summary follows the block bytes, so queries
+//! can answer `mean`/`min`/`max`/`sum`/`count` over a fully-covered block
+//! without ever decoding it:
 //!
 //! ```text
-//! [present: u8]                      0 = no summary (corrupt legacy block)
+//! [present: u8]                      0 = no summary (corrupt block)
 //! [numeric: u8][sum: f64][sum_sq: f64][min: f64][max: f64]
 //! [first: tagged value][last: tagged value]
 //! ```
 //!
 //! Tagged values reuse the mixed-block tags: `0` float (8-byte LE bits),
 //! `1` integer (zigzag varint), `2` bool (1 byte), `3` text (varint
-//! length + UTF-8 bytes). V1 files (magic `LMSTSM1\n`) remain readable:
-//! their blocks get summaries recomputed by a one-time decode at load.
+//! length + UTF-8 bytes).
 //!
 //! Segments are written to a `.tmp` sibling, fsynced, then atomically
 //! renamed into place — readers never observe a half-written `.tsm` file,
@@ -52,9 +51,6 @@ use lms_util::{Error, Result};
 use std::fs::{self, OpenOptions};
 use std::io::Write;
 use std::path::Path;
-
-/// Legacy file magic (V1): entries carry no block summaries.
-pub const MAGIC_V1: &[u8; 8] = b"LMSTSM1\n";
 
 /// File magic: identifies format + version.
 pub const MAGIC: &[u8; 8] = b"LMSTSM2\n";
@@ -119,7 +115,7 @@ fn put_summary(out: &mut Vec<u8>, summary: Option<&BlockSummary>) {
     put_value(out, &s.last);
 }
 
-fn encode_entry(entry: &BlockEntry, out: &mut Vec<u8>, with_summary: bool) {
+fn encode_entry(entry: &BlockEntry, out: &mut Vec<u8>) {
     let payload_start = out.len() + HEADER_LEN;
     out.extend_from_slice(&[0; HEADER_LEN]); // length + CRC back-patched
     let b = &entry.block;
@@ -138,9 +134,7 @@ fn encode_entry(entry: &BlockEntry, out: &mut Vec<u8>, with_summary: bool) {
     put_str16(out, &entry.field);
     out.extend_from_slice(&(b.bytes().len() as u32).to_le_bytes());
     out.extend_from_slice(b.bytes());
-    if with_summary {
-        put_summary(out, b.summary());
-    }
+    put_summary(out, b.summary());
     let payload_len = out.len() - payload_start;
     assert!(payload_len <= MAX_PAYLOAD, "block entry too large for one frame");
     let crc = crc32(&out[payload_start..]);
@@ -232,7 +226,7 @@ impl<'a> Cursor<'a> {
     }
 }
 
-fn decode_entry(payload: &[u8], with_summary: bool) -> Option<BlockEntry> {
+fn decode_entry(payload: &[u8]) -> Option<BlockEntry> {
     let mut c = Cursor { buf: payload, off: 0 };
     let gen = c.u64()?;
     let min_ts = c.i64()?;
@@ -248,13 +242,8 @@ fn decode_entry(payload: &[u8], with_summary: bool) -> Option<BlockEntry> {
     let field = c.str16()?;
     let block_len = c.u32()? as usize;
     let bytes = c.take(block_len)?.to_vec();
-    let block = if with_summary {
-        let summary = c.summary()?;
-        SealedBlock::from_parts_with_summary(gen, min_ts, max_ts, count, bytes, summary)
-    } else {
-        // Legacy V1 entry: recompute the summary with one decode pass.
-        SealedBlock::from_parts(gen, min_ts, max_ts, count, bytes)
-    };
+    let summary = c.summary()?;
+    let block = SealedBlock::from_parts(gen, min_ts, max_ts, count, bytes, summary);
     if c.off != payload.len() {
         return None; // trailing garbage inside a CRC-clean frame
     }
@@ -272,25 +261,10 @@ pub fn write_segment(
     entries: &[BlockEntry],
     fail_after_bytes: Option<u64>,
 ) -> Result<u64> {
-    write_segment_impl(path, entries, fail_after_bytes, true)
-}
-
-/// Writes a legacy V1 segment (no summaries). Kept for backward-compat
-/// tests: every reader must keep accepting files older deployments wrote.
-pub fn write_segment_v1(path: &Path, entries: &[BlockEntry]) -> Result<u64> {
-    write_segment_impl(path, entries, None, false)
-}
-
-fn write_segment_impl(
-    path: &Path,
-    entries: &[BlockEntry],
-    fail_after_bytes: Option<u64>,
-    with_summary: bool,
-) -> Result<u64> {
     let mut buf = Vec::with_capacity(4096);
-    buf.extend_from_slice(if with_summary { MAGIC } else { MAGIC_V1 });
+    buf.extend_from_slice(MAGIC);
     for e in entries {
-        encode_entry(e, &mut buf, with_summary);
+        encode_entry(e, &mut buf);
     }
     let tmp = path.with_extension("tmp");
     {
@@ -341,13 +315,9 @@ impl SegmentScan {
 
 fn scan_segment_impl(path: &Path, decode: bool) -> Result<SegmentScan> {
     let buf = fs::read(path)?;
-    let with_summary = if buf.len() >= MAGIC.len() && &buf[..MAGIC.len()] == MAGIC {
-        true
-    } else if buf.len() >= MAGIC_V1.len() && &buf[..MAGIC_V1.len()] == MAGIC_V1 {
-        false
-    } else {
+    if !buf.starts_with(MAGIC) {
         return Err(Error::invalid(format!("{}: bad segment magic", path.display())));
-    };
+    }
     let mut scan = SegmentScan { bytes_scanned: buf.len() as u64, ..SegmentScan::default() };
     let mut off = MAGIC.len();
     loop {
@@ -367,7 +337,7 @@ fn scan_segment_impl(path: &Path, decode: bool) -> Result<SegmentScan> {
             scan.corrupt_frames += 1;
             scan.corrupt_offsets.push(off as u64);
         } else if decode {
-            match decode_entry(payload, with_summary) {
+            match decode_entry(payload) {
                 Some(entry) => scan.entries.push(entry),
                 None => {
                     scan.corrupt_frames += 1;
@@ -516,13 +486,13 @@ mod tests {
     }
 
     #[test]
-    fn v2_round_trips_summaries() {
-        let dir = tmp("v2sum");
+    fn round_trips_summaries() {
+        let dir = tmp("sum");
         let path = dir.join("seg-0-0000000000000004.tsm");
         let entries = vec![entry("cpu,host=n01", "usage", 1, 0..100)];
         write_segment(&path, &entries, None).unwrap();
         let back = read_segment(&path).unwrap();
-        let s = back[0].block.summary().expect("V2 carries a summary");
+        let s = back[0].block.summary().expect("footer carries a summary");
         assert_eq!(s, entries[0].block.summary().unwrap());
         assert!(s.numeric);
         // Values are t * 0.5 for t in 0..100.
@@ -531,24 +501,6 @@ mod tests {
         assert_eq!(s.sum, (0..100).map(|t| t as f64 * 0.5).sum::<f64>());
         assert_eq!(s.first, FieldValue::Float(0.0));
         assert_eq!(s.last, FieldValue::Float(49.5));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn v1_segments_still_open_and_get_summaries() {
-        let dir = tmp("v1compat");
-        let path = dir.join("seg-0-0000000000000005.tsm");
-        let entries =
-            vec![entry("cpu,host=n01", "usage", 1, 0..50), entry("cpu,host=n01", "temp", 2, 5..25)];
-        write_segment_v1(&path, &entries).unwrap();
-        assert_eq!(&fs::read(&path).unwrap()[..8], MAGIC_V1);
-        let back = read_segment(&path).unwrap();
-        assert_eq!(back.len(), 2);
-        assert_eq!(back[0].block.decode(), entries[0].block.decode());
-        // Summaries are recomputed at load, so V1 files benefit from
-        // pruning too.
-        let s = back[1].block.summary().expect("recomputed at load");
-        assert_eq!(s, entries[1].block.summary().unwrap());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -582,8 +534,12 @@ mod tests {
     fn bad_magic_is_an_error() {
         let dir = tmp("magic");
         let path = dir.join("seg-0-0000000000000003.tsm");
-        fs::write(&path, b"not a segment").unwrap();
-        assert!(read_segment(&path).is_err());
+        // A foreign file and the retired `LMSTSM1` format fail alike.
+        for foreign in [&b"not a segment"[..], b"LMSTSM1\n"] {
+            fs::write(&path, foreign).unwrap();
+            let err = read_segment(&path).unwrap_err().to_string();
+            assert!(err.contains("bad segment magic"), "{err}");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -22,16 +22,13 @@
 //! so the commit pipeline never stalls arriving writers.
 //!
 //! An append only returns once its record's group is durably committed
-//! (acks release after the group fsync), so durability semantics are
-//! identical to the old record-at-a-time path — only the fsync *count*
-//! changes. With [`WalConfig::fsync_every_append`] set, the leader
-//! additionally holds the group open for up to
-//! [`WalConfig::group_commit_delay`] (or until
+//! (acks release after the group fsync). With
+//! [`WalConfig::fsync_every_append`] set, the leader additionally holds
+//! the group open for up to [`WalConfig::group_commit_delay`] (or until
 //! [`WalConfig::group_commit_bytes`] accumulate), bounding the fsync rate
-//! under load; without per-append fsync there is no artificial delay —
-//! grouping is purely the natural coalescing of concurrent appends.
-//! Setting both knobs to zero disables grouping entirely and restores the
-//! legacy one-write-one-fsync-per-append path (the benchmark baseline).
+//! under load; without per-append fsync, or with a zero delay, there is no
+//! hold window — a group is whatever concurrent appends staged while the
+//! previous leader was inside its write.
 //!
 //! ## Recovery
 //!
@@ -83,8 +80,7 @@ pub struct WalConfig {
     pub fsync_every_append: bool,
     /// How long the commit leader holds a group open waiting for more
     /// appends (only when `fsync_every_append` is set — the delay exists
-    /// to amortize fsyncs, not writes). Zero together with
-    /// `group_commit_bytes == 0` disables grouping entirely.
+    /// to amortize fsyncs, not writes). Zero means no hold window.
     pub group_commit_delay: Duration,
     /// Commit the group early once this many staged bytes accumulate
     /// (`0` = no size bound).
@@ -186,8 +182,6 @@ struct FileState {
 /// A segmented, CRC-framed write-ahead log with group commit.
 pub struct Wal {
     cfg: WalConfig,
-    /// False when both group-commit knobs are zero: legacy per-append path.
-    grouped: bool,
     state: Mutex<GroupState>,
     cv: Condvar,
     file: Mutex<FileState>,
@@ -307,10 +301,8 @@ impl Wal {
             .create(true)
             .append(true)
             .open(segment_path(&cfg.dir, active_seq))?;
-        let grouped = !cfg.group_commit_delay.is_zero() || cfg.group_commit_bytes > 0;
         let wal = Wal {
             cfg,
-            grouped,
             state: Mutex::new(GroupState {
                 buf: Vec::new(),
                 spare: Vec::new(),
@@ -341,9 +333,6 @@ impl Wal {
     /// group is written to the OS (and fsynced, when configured). The
     /// record survives any subsequent process crash.
     pub fn append(&self, batch: &str, points: u64) -> Result<u64> {
-        if !self.grouped {
-            return self.append_legacy(batch);
-        }
         let mut st = self.state.lock().unwrap();
         let seq = st.next_record_seq;
         st.next_record_seq += 1;
@@ -462,37 +451,6 @@ impl Wal {
             self.fsyncs.fetch_add(1, Ordering::Relaxed);
         }
         Ok(())
-    }
-
-    /// Legacy path (grouping disabled): sequence assignment and the file
-    /// write are serialized under one critical section, exactly the old
-    /// one-write-one-fsync-per-append behaviour.
-    fn append_legacy(&self, batch: &str) -> Result<u64> {
-        let mut st = self.state.lock().unwrap();
-        let seq = st.next_record_seq;
-        let mut buf = Vec::with_capacity(HEADER_LEN + 8 + batch.len());
-        encode_record(seq, batch, &mut buf);
-        {
-            let mut file = self.file.lock().unwrap();
-            if file.dirty_tail || file.active_bytes >= self.cfg.segment_bytes as u64 {
-                self.rotate_file_locked(&mut file)?;
-            }
-            if let Err(e) = file.active.write_all(&buf) {
-                file.dirty_tail = true;
-                return Err(e.into());
-            }
-            file.active_bytes += buf.len() as u64;
-            if self.cfg.fsync_every_append {
-                if let Err(e) = file.active.sync_data() {
-                    file.dirty_tail = true;
-                    return Err(e.into());
-                }
-                self.fsyncs.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        st.next_record_seq = seq + 1;
-        st.durable_seq = seq + 1;
-        Ok(seq)
     }
 
     fn rotate_file_locked(&self, file: &mut FileState) -> Result<u64> {
@@ -683,31 +641,44 @@ mod tests {
 
     #[test]
     fn concurrent_group_appends_all_recovered_in_seq_order() {
-        let dir = tmp("group-concurrent");
-        {
-            let (wal, _) = Wal::open(WalConfig::new(&dir)).unwrap();
-            std::thread::scope(|s| {
-                for t in 0..8 {
-                    let wal = &wal;
-                    s.spawn(move || {
-                        for i in 0..50 {
-                            wal.append(&format!("m,t=t{t} v={i} {i}"), 1).unwrap();
-                        }
-                    });
-                }
+        // Default knobs, then both knobs at zero with per-append fsync: the
+        // same leader/follower path minus the hold window — acks still follow
+        // the group's fsync, and appends staged during it share the next one.
+        for (tag, zero_knobs) in [("group-concurrent", false), ("zero-knobs", true)] {
+            let dir = tmp(tag);
+            let mut cfg = WalConfig::new(&dir);
+            if zero_knobs {
+                cfg.fsync_every_append = true;
+                cfg.group_commit_delay = Duration::ZERO;
+                cfg.group_commit_bytes = 0;
+            }
+            let (wal, _) = Wal::open(cfg.clone()).unwrap();
+            let barrier = std::sync::Barrier::new(8);
+            let mut acked: Vec<u64> = std::thread::scope(|s| {
+                let appenders: Vec<_> = (0..8)
+                    .map(|t| {
+                        let (wal, barrier) = (&wal, &barrier);
+                        s.spawn(move || {
+                            barrier.wait();
+                            (0..50)
+                                .map(|i| wal.append(&format!("m,t=t{t} v={i} {i}"), 1).unwrap())
+                                .collect::<Vec<u64>>()
+                        })
+                    })
+                    .collect();
+                appenders.into_iter().flat_map(|h| h.join().unwrap()).collect()
             });
+            acked.sort_unstable();
+            assert_eq!(acked, (0..400).collect::<Vec<u64>>(), "{tag}: one distinct seq per ack");
             let stats = wal.group_stats();
-            assert!(stats.group_commits >= 1);
-            assert!(stats.group_commits <= 400);
+            assert!((1..=400).contains(&stats.group_commits), "{tag}: {stats:?}");
+            assert!(stats.fsyncs <= 400, "{tag}: more fsyncs than appends: {stats:?}");
+            drop(wal);
+            let (_, rec) = Wal::open(cfg).unwrap();
+            let recovered: Vec<u64> = rec.records.iter().map(|r| r.seq).collect();
+            assert_eq!(recovered, acked, "{tag}: every ack recovered, file order = seq order");
+            let _ = fs::remove_dir_all(&dir);
         }
-        let (_, rec) = Wal::open(WalConfig::new(&dir)).unwrap();
-        assert_eq!(rec.records.len(), 400, "every acknowledged append recovered");
-        let seqs: Vec<u64> = rec.records.iter().map(|r| r.seq).collect();
-        let mut sorted = seqs.clone();
-        sorted.sort_unstable();
-        assert_eq!(seqs, sorted, "file order is sequence order");
-        assert_eq!(seqs, (0..400).collect::<Vec<u64>>());
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -741,28 +712,6 @@ mod tests {
         drop(wal);
         let (_, rec) = Wal::open(cfg).unwrap();
         assert_eq!(rec.records.len(), 8);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn zero_knobs_disable_grouping() {
-        let dir = tmp("legacy");
-        let cfg = WalConfig {
-            fsync_every_append: true,
-            group_commit_delay: Duration::ZERO,
-            group_commit_bytes: 0,
-            ..WalConfig::new(&dir)
-        };
-        let (wal, _) = Wal::open(cfg.clone()).unwrap();
-        for i in 0..10 {
-            wal.append(&format!("m v={i} {i}"), 1).unwrap();
-        }
-        let stats = wal.group_stats();
-        assert_eq!(stats.group_commits, 0, "legacy path never forms groups");
-        assert_eq!(stats.fsyncs, 10, "one fsync per append");
-        drop(wal);
-        let (_, rec) = Wal::open(cfg).unwrap();
-        assert_eq!(rec.records.len(), 10);
         let _ = fs::remove_dir_all(&dir);
     }
 }
