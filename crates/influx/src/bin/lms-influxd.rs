@@ -16,7 +16,10 @@
 //! Without `--data-dir` the daemon is memory-only. With it, every write is
 //! appended to a write-ahead log and periodically sealed into compressed
 //! segment files; a restarted daemon replays both and serves the same
-//! queries as before the restart.
+//! queries as before the restart. A database is sealed once its oldest
+//! un-sealed value is `--flush-interval-secs` old, or earlier when it holds
+//! `--flush-points` un-sealed field values — a bound on head memory and WAL
+//! replay length, not a block size.
 
 use lms_http::ServerConfig;
 use lms_influx::{Influx, InfluxServer, RollupPolicy, StorageConfig};
@@ -126,7 +129,13 @@ fn run() -> Result<()> {
                      \x20                 [--wal-group-commit-ms N] [--wal-group-commit-bytes N]\n\
                      \x20                 [--scrub-interval-secs N] [--scrub-rate-bytes N]\n\
                      \x20                 [--max-connections N] [--max-body-bytes N]\n\
-                     durations accept query-style literals: 90d, 6h, 30m, 45s"
+                     durations accept query-style literals: 90d, 6h, 30m, 45s\n\
+                     --flush-interval-secs N  seal a database's heads once its oldest\n\
+                     \x20    un-sealed value is N seconds old (default 10): the normal trigger\n\
+                     --flush-points N  ...or once it holds N un-sealed field values (default\n\
+                     \x20    1000000; a line with 5 fields counts 5): a bound on head memory\n\
+                     \x20    (~40 B/value) and on the WAL a restart replays (~25 B/value),\n\
+                     \x20    not a block size"
                 );
                 return Ok(());
             }

@@ -31,10 +31,12 @@ mod staging;
 
 use crate::exec::{self, QueryResult};
 use crate::query::{Condition, Statement, TimeValue};
-use crate::storage::Series;
+use crate::storage::{lww_dedup, Series};
 use lms_lineproto::{parse_batch, FieldValue, Point, Precision};
 use lms_rollup::{align_down, align_up, is_rollup_db, rollup_db_name, Tier, WindowAcc, TIERS};
-use lms_tsm::{BlockEntry, Recovered, ScrubOutcome, Scrubber, SealedBlock, TsmConfig, TsmEngine};
+use lms_tsm::{
+    BlockEntry, Recovered, ScrubOutcome, Scrubber, SealedBlock, SeriesId, TsmConfig, TsmEngine,
+};
 use lms_util::digest::{bucket_of, owner_mask, point_hash, BucketDigest};
 use lms_util::ring::HashRing;
 use lms_util::{
@@ -44,7 +46,7 @@ use lms_util::{
 use parking_lot::{Mutex, RwLock};
 use std::collections::hash_map::Entry;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -58,17 +60,22 @@ pub const DEFAULT_SHARDS: usize = 16;
 pub struct StorageConfig {
     /// Root directory; each database gets a subdirectory named after it.
     pub data_dir: PathBuf,
-    /// Flush (seal heads to disk) once a database holds this many head
-    /// points...
+    /// Flush (seal heads to disk) once a database holds this many
+    /// un-sealed **field values** (a line with five fields counts five). A
+    /// bound on what un-sealed data costs — head memory (≈40 B per value)
+    /// and the WAL a restart must replay (≈25 B per value) — not a block
+    /// size: how many values a sealed block holds is `flush_interval`'s
+    /// business.
     pub flush_points: usize,
-    /// ...or this much time has passed since the last flush, whichever
-    /// comes first.
+    /// Flush a database once its oldest un-sealed value is this old — the
+    /// trigger in normal operation; `flush_points` cuts it short only
+    /// under a burst.
     pub flush_interval: Duration,
     /// Time-partition width of segment files (retention drops whole files).
     pub partition: Duration,
     /// Fsync the WAL on every write (durability over throughput).
     pub wal_fsync: bool,
-    /// Compact once any partition accumulates this many segment files.
+    /// Compact a partition once it accumulates this many segment files.
     pub compact_min_files: usize,
     /// WAL group-commit window: with `wal_fsync`, concurrent appends
     /// within this window share one fsync; zero means no hold window.
@@ -90,13 +97,14 @@ pub struct StorageConfig {
 }
 
 impl StorageConfig {
-    /// Defaults: flush at 50k points or 10s, 2h partitions, fsync on
-    /// rotation only, compact at 4 files, 2 ms / 1 MiB group commits,
-    /// scrub 8 MiB per minute.
+    /// Defaults: flush every 10s or at 1M un-sealed field values (≈40 MB
+    /// of heads, ≈25 MB of WAL to replay), 2h partitions, fsync on
+    /// rotation only, compact a partition at 4 files, 2 ms / 1 MiB group
+    /// commits, scrub 8 MiB per minute.
     pub fn new(data_dir: impl Into<PathBuf>) -> Self {
         StorageConfig {
             data_dir: data_dir.into(),
-            flush_points: 50_000,
+            flush_points: 1_000_000,
             flush_interval: Duration::from_secs(10),
             partition: Duration::from_secs(2 * 3600),
             wal_fsync: false,
@@ -163,7 +171,7 @@ pub struct StorageStats {
     pub segment_files: u64,
     /// Bytes in segment files.
     pub segment_bytes: u64,
-    /// Major compactions since open.
+    /// Compactions since open.
     pub compactions: u64,
     /// WAL records replayed at the last open.
     pub recovered_records: u64,
@@ -257,21 +265,21 @@ struct ShardSlot {
     staged: staging::Staged,
 }
 
-/// The series behind `key`, created and registered in the measurement
-/// index when new. The caller holds `meta`, then the shard — the lock
-/// order every series creation follows.
+/// The series behind `key`, created from `id()` and registered in the
+/// measurement index when new. The caller holds `meta`, then the shard —
+/// the lock order every series creation follows.
 fn series_slot<'a>(
     meta: &mut Meta,
     shard: &'a mut Shard,
     key: &str,
-    measurement: &str,
-    tags: &[(String, String)],
+    id: impl FnOnce() -> Arc<SeriesId>,
 ) -> &'a mut Arc<Series> {
     match shard.series.entry(key.to_string()) {
         Entry::Occupied(slot) => slot.into_mut(),
         Entry::Vacant(slot) => {
-            meta.measurements.entry(measurement.to_string()).or_default().push(key.to_string());
-            slot.insert(Arc::new(Series::new(measurement, tags)))
+            let id = id();
+            meta.measurements.entry(id.measurement.clone()).or_default().push(id.clone());
+            slot.insert(Arc::new(Series::new(id)))
         }
     }
 }
@@ -280,10 +288,11 @@ fn series_slot<'a>(
 /// lock — see the module docs for the lock order).
 #[derive(Debug, Default)]
 struct Meta {
-    /// measurement → series keys in first-write order. Raw query results
-    /// key rows by `(timestamp, series index)`, so preserving this order
-    /// keeps results byte-identical to the single-lock engine.
-    measurements: FxHashMap<String, Vec<String>>,
+    /// measurement → its series in first-write order (each identity is
+    /// the one its `Series` holds). Raw query results key rows by
+    /// `(timestamp, series index)`, so preserving this order keeps results
+    /// byte-identical to the single-lock engine.
+    measurements: FxHashMap<String, Vec<Arc<SeriesId>>>,
     retention: Option<Duration>,
 }
 
@@ -320,6 +329,9 @@ pub struct Database {
     /// next flush so the on-disk state catches up (the WAL still covers
     /// them in the meantime).
     unflushed: Mutex<Vec<BlockEntry>>,
+    /// The flush-trigger gauge: field values staged since the last flush
+    /// settled it (see [`Self::unsealed_values`]).
+    unsealed: AtomicUsize,
     /// [`QueryTuning::use_summaries`].
     use_summaries: AtomicBool,
     /// [`QueryTuning::parallel_scan`].
@@ -370,6 +382,7 @@ impl Database {
             meta: RwLock::new(Meta::default()),
             engine: None,
             unflushed: Mutex::new(Vec::new()),
+            unsealed: AtomicUsize::new(0),
             use_summaries: AtomicBool::new(true),
             parallel_scan: AtomicBool::new(true),
             rollup_tracked: AtomicBool::new(false),
@@ -417,11 +430,11 @@ impl Database {
     /// the WAL replay on top (its newer values win over sealed duplicates
     /// because the head outranks every block).
     fn install_recovered(&self, recovered: Recovered) {
-        for BlockEntry { series_key, measurement, tags, field, block } in recovered.blocks {
+        for BlockEntry { series: id, field, block } in recovered.blocks {
             let mut meta = self.meta.write();
-            let mut shard = self.shard_of(&series_key).data.write();
-            let series = series_slot(&mut meta, &mut shard, &series_key, &measurement, &tags);
-            Arc::make_mut(series).field_mut_or_create(&field).push_sealed(Arc::new(block));
+            let mut shard = self.shard_of(&id.series_key).data.write();
+            let series = series_slot(&mut meta, &mut shard, &id.series_key, || id.clone());
+            Arc::make_mut(series).field_mut_or_create(&field).push_sealed(block);
         }
         for record in &recovered.wal_records {
             // WAL batches are normalized at append time: every line carries
@@ -494,11 +507,13 @@ impl Database {
         // point (and because draining may itself need the meta lock).
         self.drain_all_pending();
         let meta = self.meta.read();
-        let Some(keys) = meta.measurements.get(measurement) else {
+        let Some(ids) = meta.measurements.get(measurement) else {
             return Vec::new();
         };
-        keys.iter()
-            .filter_map(|k| self.shard_of(k).data.read().series.get(k).cloned())
+        ids.iter()
+            .filter_map(|id| {
+                self.shard_of(&id.series_key).data.read().series.get(&id.series_key).cloned()
+            })
             .collect()
     }
 
@@ -539,7 +554,9 @@ impl Database {
             .sum()
     }
 
-    /// Points currently in mutable heads (the flush trigger gauge).
+    /// Points currently in mutable heads, exactly: drains every shard and
+    /// walks every column. The flush trigger reads the O(1)
+    /// `unsealed_values` gauge instead.
     pub fn head_point_count(&self) -> usize {
         self.drain_all_pending();
         self.shards
@@ -549,24 +566,18 @@ impl Database {
                     .read()
                     .series
                     .values()
-                    .map(|series| {
-                        series
-                            .field_names()
-                            .filter_map(|f| series.field(f))
-                            .map(|c| c.head_len())
-                            .sum::<usize>()
-                    })
+                    .map(|series| series.fields().map(|(_, c)| c.head_len()).sum::<usize>())
                     .sum::<usize>()
             })
             .sum()
     }
 
-    /// Series keys in flush order: measurements sorted by name, keys in
+    /// Series in flush order: measurements sorted by name, series in
     /// first-write order within each. Sealing in a deterministic order
     /// keeps generation numbers aligned with first-write order, so recovery
     /// (which installs blocks by ascending generation) rebuilds the
     /// measurement index in the same order queries saw before the restart.
-    fn keys_in_flush_order(&self) -> Vec<String> {
+    fn series_in_flush_order(&self) -> Vec<Arc<SeriesId>> {
         let meta = self.meta.read();
         let mut names: Vec<&String> = meta.measurements.keys().collect();
         names.sort_unstable();
@@ -584,6 +595,10 @@ impl Database {
     pub fn flush_storage(&self) -> Result<usize> {
         let Some(engine) = &self.engine else { return Ok(0) };
         let mut session = engine.begin_flush()?;
+        // Every value the gauge has counted by now is staged or in a head
+        // (see `unsealed_values`), so the drain and the sweep below seal it
+        // and a successful flush may settle the gauge by this much.
+        let claimed = self.unsealed.load(Ordering::Acquire);
         // Drain AFTER rotating the WAL: any point staged before its WAL
         // record landed in a now-frozen segment is applied (and sealed)
         // below, so checkpointing those segments loses nothing. Points
@@ -591,13 +606,13 @@ impl Database {
         // replayed — replay is idempotent.
         self.drain_all_pending();
         let mut entries = std::mem::take(&mut *self.unflushed.lock());
-        for key in self.keys_in_flush_order() {
-            let mut shard = self.shard_of(&key).data.write();
-            let Some(series) = shard.series.get_mut(&key) else { continue };
-            let series = Arc::make_mut(series);
-            let measurement = series.measurement().to_string();
-            let tags = series.tags().to_vec();
-            for (field, col) in series.fields_mut() {
+        for id in self.series_in_flush_order() {
+            let mut shard = self.shard_of(&id.series_key).data.write();
+            let Some(series) = shard.series.get_mut(&id.series_key) else { continue };
+            if series.fields().all(|(_, col)| col.head().is_empty()) {
+                continue; // nothing to seal: leave a shared snapshot shared
+            }
+            for (field, col) in Arc::make_mut(series).fields_mut() {
                 if col.head().is_empty() {
                     continue;
                 }
@@ -609,13 +624,7 @@ impl Database {
                 for run in partition_runs(engine, &head) {
                     let block = Arc::new(SealedBlock::seal(engine.next_gen(), run));
                     col.push_sealed(block.clone());
-                    entries.push(BlockEntry {
-                        series_key: key.clone(),
-                        measurement: measurement.clone(),
-                        tags: tags.clone(),
-                        field: field.to_string(),
-                        block: (*block).clone(),
-                    });
+                    entries.push(BlockEntry { series: id.clone(), field: field.clone(), block });
                 }
             }
         }
@@ -625,6 +634,7 @@ impl Database {
             return Err(e);
         }
         session.commit()?;
+        self.unsealed.fetch_sub(claimed, Ordering::AcqRel);
         if self.rollup_tracked.load(Ordering::Acquire) && !entries.is_empty() {
             // Record what this flush sealed; the next rollup pass recomputes
             // every tier window these ranges touch (exact under backfill —
@@ -648,77 +658,88 @@ impl Database {
         self.rollup_dirty.lock().extend(ranges);
     }
 
-    /// Major compaction: merges every column's sealed blocks into one
-    /// (dropping overwritten versions and retention-floored points),
-    /// rewrites all segment files, and deletes the old ones. Returns the
-    /// number of blocks written.
+    /// Major compaction: merges every column's sealed blocks into one per
+    /// partition and block span (dropping overwritten versions and
+    /// retention-floored points), rewrites all segment files, and deletes
+    /// the old ones. Returns the number of blocks written.
     pub fn compact_storage(&self) -> Result<usize> {
+        self.compact_partitions(None)
+    }
+
+    /// Background compaction: the same merge, confined to the partitions
+    /// that have accumulated `compact_min_files` segment files — their
+    /// files and the blocks that live in them; every other partition keeps
+    /// its files untouched. Returns the number of blocks written (0 when no
+    /// partition is due).
+    pub fn compact_due_partitions(&self) -> Result<usize> {
         let Some(engine) = &self.engine else { return Ok(0) };
-        let mut session = engine.begin_rewrite();
+        let due = engine.partitions_to_compact();
+        if due.is_empty() {
+            return Ok(0);
+        }
+        self.compact_partitions(Some(&due))
+    }
+
+    /// Merges, per column, the sealed blocks living in `partitions` (`None`
+    /// = every block) and replaces those partitions' segment files.
+    fn compact_partitions(&self, partitions: Option<&[i64]>) -> Result<usize> {
+        let Some(engine) = &self.engine else { return Ok(0) };
+        let mut session = engine.begin_rewrite(partitions);
         let mut entries: Vec<BlockEntry> = Vec::new();
-        // (series key, field, new sealed layer) to install after a durable
-        // write; an empty layer means every sealed point had expired.
-        let mut installs: Vec<(String, String, Vec<Arc<SealedBlock>>)> = Vec::new();
-        for key in self.keys_in_flush_order() {
-            let shard = self.shard_of(&key).data.read();
-            let Some(series) = shard.series.get(&key) else { continue };
-            let measurement = series.measurement().to_string();
-            let tags = series.tags().to_vec();
-            for field in series.field_names() {
-                let Some(col) = series.field(field) else { continue };
-                let blocks = col.sealed();
-                if blocks.is_empty() {
+        // (series, field, blocks merged away, their replacement) to install
+        // after a durable write; an empty replacement means every merged
+        // point had expired.
+        type Install = (Arc<SeriesId>, Arc<str>, Vec<Arc<SealedBlock>>, Vec<Arc<SealedBlock>>);
+        let mut installs: Vec<Install> = Vec::new();
+        for id in self.series_in_flush_order() {
+            let shard = self.shard_of(&id.series_key).data.read();
+            let Some(series) = shard.series.get(&id.series_key) else { continue };
+            for (field, col) in series.fields() {
+                let partition_pure = |b: &SealedBlock| {
+                    engine.partition_of(b.min_ts) == engine.partition_of(b.max_ts)
+                };
+                // A block lives in the partition (and file) of its `max_ts`.
+                // One that reaches back into an earlier partition may shadow
+                // or be shadowed by blocks there, so a column holding one is
+                // merged whole, as a major compaction would.
+                let in_scope = |b: &SealedBlock| {
+                    partitions.is_none_or(|ps| ps.contains(&engine.partition_of(b.max_ts)))
+                };
+                if !col.sealed().iter().any(|b| in_scope(b)) {
                     continue;
                 }
-                let entry = |block: SealedBlock| BlockEntry {
-                    series_key: key.clone(),
-                    measurement: measurement.clone(),
-                    tags: tags.clone(),
-                    field: field.to_string(),
+                let whole = !col.sealed().iter().all(|b| partition_pure(b));
+                let blocks: Vec<Arc<SealedBlock>> =
+                    col.sealed().iter().filter(|b| whole || in_scope(b)).cloned().collect();
+                let entry = |block: Arc<SealedBlock>| BlockEntry {
+                    series: id.clone(),
+                    field: field.clone(),
                     block,
                 };
-                let partition_pure = blocks.iter().all(|b| {
-                    engine.partition_of(b.min_ts) == engine.partition_of(b.max_ts)
-                });
-                if blocks.len() == 1 && col.floor().is_none() && partition_pure {
+                if blocks.len() == 1 && col.floor().is_none() && !whole {
                     // Already compact: carry the block over verbatim.
-                    entries.push(entry((*blocks[0]).clone()));
+                    entries.push(entry(blocks[0].clone()));
                     continue;
                 }
                 // Merge all versions, newest generation wins, drop points
                 // hidden by the retention floor.
                 let floor = col.floor().unwrap_or(i64::MIN);
-                let mut versions: Vec<(i64, u64, FieldValue)> = blocks
+                let versions: Vec<(i64, u64, FieldValue)> = blocks
                     .iter()
-                    .flat_map(|b| {
-                        b.decode().into_iter().map(move |(t, v)| (t, b.gen, v))
-                    })
+                    .flat_map(|b| b.decode().into_iter().map(move |(t, v)| (t, b.gen, v)))
                     .filter(|&(t, _, _)| t >= floor)
                     .collect();
-                versions.sort_by_key(|&(t, g, _)| (t, g));
-                let mut merged: Vec<(i64, FieldValue)> = Vec::with_capacity(versions.len());
-                for (t, _, v) in versions {
-                    match merged.last_mut() {
-                        Some(last) if last.0 == t => last.1 = v,
-                        _ => merged.push((t, v)),
-                    }
-                }
-                if merged.is_empty() {
-                    // Everything expired: drop the sealed layer entirely.
-                    installs.push((key.clone(), field.to_string(), Vec::new()));
-                    continue;
-                }
-                // One merged block per partition (same reasoning as flush);
-                // they share the max source generation — they never overlap
-                // each other, so relative order among them is irrelevant.
+                let merged = lww_dedup(versions);
+                // One merged block per partition and span (same reasoning as
+                // flush); they share the max source generation — they never
+                // overlap each other, so relative order among them is
+                // irrelevant.
                 let gen = blocks.iter().map(|b| b.gen).max().unwrap_or(0);
-                let mut layer = Vec::new();
-                for run in partition_runs(engine, &merged) {
-                    let block = Arc::new(SealedBlock::seal(gen, run));
-                    entries.push(entry((*block).clone()));
-                    layer.push(block);
-                }
-                installs.push((key.clone(), field.to_string(), layer));
+                let layer: Vec<Arc<SealedBlock>> = partition_runs(engine, &merged)
+                    .map(|run| Arc::new(SealedBlock::seal(gen, run)))
+                    .collect();
+                entries.extend(layer.iter().cloned().map(entry));
+                installs.push((id.clone(), field.clone(), blocks, layer));
             }
         }
         let written = entries.len();
@@ -726,11 +747,19 @@ impl Database {
         // Install the merged blocks in memory before deleting old files:
         // if the deletes fail, disk merely holds redundant versions that
         // last-write-wins hides at the next open.
-        for (key, field, layer) in installs {
-            let mut shard = self.shard_of(&key).data.write();
-            let Some(series) = shard.series.get_mut(&key) else { continue };
-            let series = Arc::make_mut(series);
-            series.field_mut_or_create(&field).set_sealed(layer);
+        for (id, field, merged_away, layer) in installs {
+            let mut shard = self.shard_of(&id.series_key).data.write();
+            let Some(series) = shard.series.get_mut(&id.series_key) else { continue };
+            let col = Arc::make_mut(series).field_mut_or_create(&field);
+            let mut sealed: Vec<Arc<SealedBlock>> = col
+                .sealed()
+                .iter()
+                .filter(|b| !merged_away.iter().any(|m| Arc::ptr_eq(m, b)))
+                .cloned()
+                .chain(layer)
+                .collect();
+            sealed.sort_by_key(|b| b.gen);
+            col.set_sealed(sealed);
         }
         session.commit()?;
         Ok(written)
@@ -759,9 +788,10 @@ impl Database {
     /// untouched; flushes seal one block per partition, so a block's
     /// `min_ts` decides membership for the whole block.
     fn replace_partition_blocks(&self, start_ns: i64, end_ns: i64, reloaded: Vec<BlockEntry>) {
-        let mut by_col: FxHashMap<(String, String), Vec<Arc<SealedBlock>>> = FxHashMap::default();
+        let mut by_col: FxHashMap<(String, Arc<str>), Vec<Arc<SealedBlock>>> =
+            FxHashMap::default();
         for e in reloaded {
-            by_col.entry((e.series_key, e.field)).or_default().push(Arc::new(e.block));
+            by_col.entry((e.series.series_key.clone(), e.field)).or_default().push(e.block);
         }
         for idx in 0..self.shards.len() {
             let mut shard = self.shards[idx].data.write();
@@ -770,7 +800,7 @@ impl Database {
                 for (field, col) in series.fields_mut() {
                     let in_range =
                         |b: &Arc<SealedBlock>| b.min_ts >= start_ns && b.min_ts < end_ns;
-                    let replacement = by_col.remove(&(key.clone(), field.to_string()));
+                    let replacement = by_col.remove(&(key.clone(), field.clone()));
                     if replacement.is_none() && !col.sealed().iter().any(in_range) {
                         continue;
                     }
@@ -953,9 +983,9 @@ impl Database {
             }
         }
         if !removed.is_empty() {
-            meta.measurements.retain(|_, keys| {
-                keys.retain(|k| !removed.contains(k));
-                !keys.is_empty()
+            meta.measurements.retain(|_, ids| {
+                ids.retain(|id| !removed.contains(&id.series_key));
+                !ids.is_empty()
             });
             for keys in meta.measurements.values_mut() {
                 if keys.capacity() > 64 && keys.capacity() > 4 * keys.len() {
@@ -1656,16 +1686,16 @@ impl Influx {
         Ok(sealed)
     }
 
-    /// Compacts every database whose engine wants it; returns blocks
-    /// written.
+    /// Compacts, in every database, the partitions that have accumulated
+    /// `compact_min_files` segment files (see
+    /// [`Database::compact_due_partitions`]); returns blocks written — 0
+    /// once no partition of any database is due.
     pub fn compact_storage(&self) -> Result<usize> {
         let databases: Vec<Arc<Database>> =
             self.inner.read().databases.values().cloned().collect();
         let mut written = 0;
         for db in databases {
-            if db.engine().is_some_and(|e| e.needs_compaction()) {
-                written += db.compact_storage()?;
-            }
+            written += db.compact_due_partitions()?;
         }
         Ok(written)
     }
@@ -1728,9 +1758,10 @@ impl Influx {
 
     /// Spawns the background flush/compaction worker under a supervisor.
     /// Returns `None` when persistence is not configured. The worker
-    /// flushes when any database accumulates `flush_points` head points or
-    /// every `flush_interval`, and compacts opportunistically after
-    /// flushing; stopping it performs a final flush. A panicking worker is
+    /// flushes a database once its oldest un-sealed value is
+    /// `flush_interval` old or it holds `flush_points` un-sealed field
+    /// values, and compacts the partitions that are due after flushing;
+    /// stopping it performs a final flush. A panicking worker is
     /// restarted with backoff; its health feeds [`Influx::workers_ready`].
     pub fn spawn_storage_worker(&self) -> Option<StorageWorker> {
         self.spawn_storage_worker_with(SupervisorConfig::default())
@@ -1745,7 +1776,11 @@ impl Influx {
         let panics = self.worker_panics.clone();
         let spawned = supervisor.spawn("storage", move |ctx| {
             let tick = Duration::from_millis(200).min(cfg.flush_interval);
-            let mut last_flush = std::time::Instant::now();
+            // Per database: when it last had nothing un-sealed or was last
+            // flushed successfully — its oldest un-sealed value is no
+            // older. A flush of one database (or a failed one) does not
+            // restart another's interval.
+            let mut clean_at: FxHashMap<String, std::time::Instant> = FxHashMap::default();
             let mut last_scrub = std::time::Instant::now();
             let scrub_enabled = cfg.scrub_interval > Duration::ZERO && cfg.scrub_rate_bytes > 0;
             while !ctx.should_stop() {
@@ -1756,7 +1791,6 @@ impl Influx {
                 {
                     panic!("injected storage worker panic");
                 }
-                let due = last_flush.elapsed() >= cfg.flush_interval;
                 let databases: Vec<(String, Arc<Database>)> = ix
                     .inner
                     .read()
@@ -1772,21 +1806,21 @@ impl Influx {
                     if engine.is_degraded() {
                         continue;
                     }
-                    let heads = db.head_point_count();
-                    if heads > 0
-                        && (due || heads >= cfg.flush_points)
+                    let now = std::time::Instant::now();
+                    let unsealed = db.unsealed_values();
+                    let clean_at = clean_at.entry(name.clone()).or_insert(now);
+                    if unsealed == 0 {
+                        *clean_at = now;
+                    } else if (now.duration_since(*clean_at) >= cfg.flush_interval
+                        || unsealed >= cfg.flush_points)
                         && db.flush_storage().is_ok()
                     {
+                        *clean_at = std::time::Instant::now();
                         // Downsample the freshly sealed ranges; an
                         // error leaves them claimed-back for retry.
                         let _ = ix.rollup_pass(&name);
                     }
-                    if db.engine().is_some_and(|e| e.needs_compaction()) {
-                        let _ = db.compact_storage();
-                    }
-                }
-                if due {
-                    last_flush = std::time::Instant::now();
+                    let _ = db.compact_due_partitions();
                 }
                 // Budgeted background scrub: re-verify sealed-segment CRCs
                 // and quarantine damage so the router's repair pass can
@@ -2307,6 +2341,87 @@ mod tests {
     }
 
     #[test]
+    fn background_compaction_rewrites_only_due_partitions() {
+        let dir = tmp_dir("compact-scope");
+        let ix = persistent(&dir);
+        // 2h partitions: 1s → partition 0, 8000s → 1, 15000s → 2. Four
+        // flushes put four files into partition 1 (with overwrites across
+        // them); partitions 0 and 2 get two files and one.
+        const S: i64 = 1_000_000_000;
+        for round in 0..4i64 {
+            let mut batch = String::new();
+            for i in 0..30 {
+                let ts = (8000 + i * 100 + (round % 2) * 50) * S; // both 1h spans
+                batch.push_str(&format!("m,host=h{} v={},w={i}i {ts}\n", i % 3, round * 100 + i));
+            }
+            if round < 2 {
+                batch.push_str(&format!("m,host=h0 v={round},w=1i {}\n", (1 + round) * S));
+            }
+            if round == 0 {
+                batch.push_str(&format!("m,host=h1 v=7,w=2i {}\n", 15000 * S));
+                batch.push_str(&format!("n,host=h1 x=1 {}\n", 15001 * S));
+            }
+            ix.write_lines("lms", &batch, Default::default()).unwrap();
+            ix.flush_storage().unwrap();
+        }
+        let queries = [
+            "SELECT v, w FROM m",
+            "SELECT mean(v), count(w) FROM m GROUP BY time(1h)",
+            "SELECT max(v) FROM m WHERE host = 'h1' GROUP BY time(30m)",
+            "SELECT x FROM n",
+            "SHOW MEASUREMENTS",
+        ];
+        let answers = |ix: &Influx| -> Vec<QueryResult> {
+            queries.iter().map(|q| ix.query("lms", q).unwrap()).collect()
+        };
+        let files = |prefix: &str| -> Vec<(PathBuf, Vec<u8>)> {
+            let mut found: Vec<(PathBuf, Vec<u8>)> = find_segments(&dir, prefix)
+                .into_iter()
+                .map(|p| (p.clone(), std::fs::read(&p).unwrap()))
+                .collect();
+            found.sort();
+            found
+        };
+        let before = answers(&ix);
+        let (p0, p2) = (files("seg-0-"), files("seg-2-"));
+        assert_eq!((p0.len(), files("seg-1-").len(), p2.len()), (2, 4, 1));
+
+        assert!(ix.compact_storage().unwrap() > 0);
+        assert_eq!(files("seg-1-").len(), 1, "the due partition is merged into one file");
+        assert_eq!(files("seg-0-"), p0, "partition 0 keeps its files, byte for byte");
+        assert_eq!(files("seg-2-"), p2, "partition 2 keeps its file, byte for byte");
+        assert_eq!(ix.storage_stats().compactions, 1);
+        assert_eq!(answers(&ix), before);
+        assert_eq!(ix.compact_storage().unwrap(), 0, "nothing is due any more");
+        drop(ix);
+
+        let ix = persistent(&dir);
+        assert_eq!(answers(&ix), before, "diverged after reopen");
+        // A major compaction still merges every partition: one block per
+        // column, partition and span.
+        let db = ix.database("lms").unwrap();
+        assert!(db.compact_storage().unwrap() > 0);
+        assert_eq!(answers(&ix), before);
+        for partition in ["seg-0-", "seg-1-", "seg-2-"] {
+            assert_eq!(files(partition).len(), 1, "{partition}: merged into one file");
+        }
+        let engine = db.engine().unwrap();
+        for series in db.series_of("m") {
+            for (field, col) in series.fields() {
+                let mut spans: Vec<i64> =
+                    col.sealed().iter().map(|b| engine.span_of(b.min_ts)).collect();
+                let blocks = spans.len();
+                spans.sort_unstable();
+                spans.dedup();
+                assert_eq!(spans.len(), blocks, "{field}: two blocks in one span");
+            }
+        }
+        drop(ix);
+        assert_eq!(answers(&persistent(&dir)), before);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn retention_drops_expired_segment_files() {
         let dir = tmp_dir("segment-retention");
         let ix = Influx::open(
@@ -2419,6 +2534,94 @@ mod tests {
         }
         assert!(ix.storage_stats().sealed_points > 0, "worker flushed on point threshold");
         worker.stop();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// What the test below has seen of one database: its segment files and
+    /// sealed values at the last look, and `(when, values sealed)` per
+    /// flush noticed.
+    #[derive(Default)]
+    struct Seen {
+        files: u64,
+        sealed: u64,
+        flushes: Vec<(Duration, u64)>,
+    }
+
+    #[test]
+    fn every_flush_is_size_triggered_or_a_full_interval_after_the_last() {
+        const INTERVAL: Duration = Duration::from_millis(1000);
+        const FLUSH_POINTS: usize = 300;
+        let dir = tmp_dir("flush-cadence");
+        let ix = Influx::open(
+            Clock::simulated(Timestamp::from_secs(1000)),
+            DEFAULT_SHARDS,
+            StorageConfig {
+                flush_points: FLUSH_POINTS,
+                flush_interval: INTERVAL,
+                compact_min_files: 1 << 20, // one segment file per flush, kept
+                ..StorageConfig::new(&dir)
+            },
+        )
+        .unwrap();
+        ix.create_database("fast");
+        ix.create_database("slow");
+        let worker = ix.spawn_storage_worker().expect("storage configured");
+        // `fast` fills the size trigger about every 0.4 s, never waiting
+        // out an interval; `slow` only ever reaches the interval. Each
+        // flush of a database adds one segment file: watch for them.
+        let stop = AtomicBool::new(false);
+        let flushes = std::thread::scope(|scope| {
+            let writer = |db: &'static str, values_per_write: i64| {
+                let (ix, stop) = (&ix, &stop);
+                scope.spawn(move || {
+                    let mut ts = 0i64;
+                    while !stop.load(Ordering::Relaxed) {
+                        let body: String = (0..values_per_write)
+                            .map(|i| format!("m,s=s{i} v=1 {}\n", ts + i))
+                            .collect();
+                        ts += values_per_write;
+                        ix.write_lines(db, &body, Default::default()).unwrap();
+                        std::thread::sleep(Duration::from_millis(20));
+                    }
+                });
+            };
+            writer("fast", 15);
+            writer("slow", 1);
+            let started = std::time::Instant::now();
+            let mut seen: FxHashMap<&str, Seen> = FxHashMap::default();
+            while started.elapsed() < Duration::from_millis(3600) {
+                for name in ["fast", "slow"] {
+                    let stats = ix.database(name).unwrap().storage_stats();
+                    let seen = seen.entry(name).or_default();
+                    if stats.segment_files > seen.files {
+                        seen.flushes.push((started.elapsed(), stats.sealed_points - seen.sealed));
+                        (seen.files, seen.sealed) = (stats.segment_files, stats.sealed_points);
+                    }
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            stop.store(true, Ordering::Relaxed);
+            seen
+        });
+        worker.stop();
+        // A flush is seen up to a poll (and a busy box's scheduling delay)
+        // after it happened, so a gap may read that much short.
+        let slack = Duration::from_millis(300);
+        for (name, Seen { flushes: log, .. }) in &flushes {
+            assert!(log.len() >= 2, "{name}: too few flushes observed: {log:?}");
+            let mut previous = Duration::ZERO; // the worker first saw the database about here
+            for &(at, sealed) in log {
+                assert!(
+                    sealed >= FLUSH_POINTS as u64 || at - previous + slack >= INTERVAL,
+                    "{name}: a flush of {sealed} values {:?} after the previous one: {log:?}",
+                    at - previous
+                );
+                previous = at;
+            }
+        }
+        let sizes = |name: &str| flushes[name].flushes.iter().map(|&(_, n)| n).collect::<Vec<_>>();
+        assert!(sizes("fast").iter().any(|&n| n >= FLUSH_POINTS as u64), "{:?}", sizes("fast"));
+        assert!(sizes("slow").iter().all(|&n| n < FLUSH_POINTS as u64), "{:?}", sizes("slow"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

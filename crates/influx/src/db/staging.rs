@@ -12,13 +12,16 @@
 //! N writers on one hot series hand their points to the running drainer
 //! instead of queueing on the series map.
 //!
-//! The rest of `db` sees three operations: stage a batch, drain a shard
+//! The rest of `db` sees four operations: stage a batch, drain a shard
 //! ([`Database::drain_shard`] / [`Database::drain_all_pending`], which read
-//! paths, flush and retention call before they look) and the staged depth
-//! ([`Staged::depth`], for gauges). The buffers themselves are private.
+//! paths, flush and retention call before they look), the staged depth
+//! ([`Staged::depth`], for gauges) and the count of values staged since the
+//! last flush ([`Database::unsealed_values`], the flush trigger). The
+//! buffers themselves are private.
 
 use super::{series_slot, Database, Meta, Shard, WriteOptions};
 use lms_lineproto::{FieldValue, ParsedLine};
+use lms_tsm::SeriesId;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -178,6 +181,14 @@ struct IngestScratch {
     touched: Vec<usize>,
 }
 
+fn series_id(key: &str, line: &ParsedLine<'_>) -> Arc<SeriesId> {
+    Arc::new(SeriesId {
+        series_key: key.to_string(),
+        measurement: line.measurement.to_string(),
+        tags: line.canonical_tags(),
+    })
+}
+
 /// Applies one swapped-out staging buffer to the shard: consecutive
 /// same-series runs share a single map lookup and copy-on-write clone.
 fn apply_pending(shard: &mut Shard, buf: &PendingBuf, leftovers: &mut Vec<Leftover>) {
@@ -282,6 +293,11 @@ impl Database {
                     let stage = &mut scratch.stages[idx];
                     let mut pending = slot.staged.pending.lock();
                     slot.staged.points.fetch_add(stage.points.len(), Ordering::Release);
+                    // Counted inside the critical section that makes the
+                    // values visible to a drain. `Release` pairs with the
+                    // `Acquire` load in `flush_storage`: a flush that has
+                    // counted a value finds it when it drains.
+                    self.unsealed.fetch_add(stage.points.len(), Ordering::Release);
                     pending.absorb(stage);
                 }
                 // Drain only once the shard's backlog is worth a splice
@@ -300,6 +316,19 @@ impl Database {
         })
     }
 
+    /// Field values staged since the last successful flush settled the
+    /// count: an O(1) upper bound on what sits un-sealed in staging buffers
+    /// and heads, which is what the flush trigger needs. It over-reports
+    /// overwrites of one `(series, field, timestamp)` (counted per write,
+    /// stored once) and values a flush sealed while their batch was still
+    /// being counted; it never under-reports a value whose
+    /// `write_parsed_batch` has returned. [`Database::flush_storage`]
+    /// subtracts what the gauge read when the flush began — all of it
+    /// staged by then, so all of it sealed by that flush.
+    pub(super) fn unsealed_values(&self) -> usize {
+        self.unsealed.load(Ordering::Acquire)
+    }
+
     /// Makes sure the series behind `key` exists (so the drain path almost
     /// never sees a missing series, and `series_count` is exact without a
     /// drain).
@@ -307,10 +336,9 @@ impl Database {
         if self.shards[idx].data.read().series.contains_key(key) {
             return;
         }
-        let tags = line.canonical_tags();
         let mut meta = self.meta.write();
         let mut shard = self.shards[idx].data.write();
-        series_slot(&mut meta, &mut shard, key, line.measurement.as_ref(), &tags);
+        series_slot(&mut meta, &mut shard, key, || series_id(key, line));
     }
 
     /// Re-creates series that were GC'd while their points sat staged. The
@@ -330,12 +358,16 @@ impl Database {
                 &mut *guard
             }
         };
+        // Carried out of the buffer and not yet in a head, these values were
+        // out of a flush's sight; one that ran meanwhile has settled the
+        // gauge for them all the same. Count them again (at worst twice,
+        // until the next flush).
+        self.unsealed.fetch_add(leftovers.len(), Ordering::Release);
         let mut shard = self.shards[idx].data.write();
         for l in leftovers {
             let probe = format!("{} x=0", l.key);
             let Ok(line) = lms_lineproto::parse_line(&probe) else { continue };
-            let series =
-                series_slot(meta, &mut shard, &l.key, &line.measurement, &line.canonical_tags());
+            let series = series_slot(meta, &mut shard, &l.key, || series_id(&l.key, &line));
             Arc::make_mut(series).insert(&l.field, l.ts, l.value);
         }
     }
@@ -364,8 +396,109 @@ impl Database {
 
 #[cfg(test)]
 mod tests {
-    use crate::Influx;
+    use crate::{Influx, StorageConfig};
+    use lms_util::rng::XorShift64;
     use lms_util::{Clock, Timestamp};
+
+    #[test]
+    fn unsealed_gauge_never_under_reports_and_settles_at_flush() {
+        let dir = std::env::temp_dir().join(format!("lms-influx-gauge-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let open = || {
+            Influx::open(Clock::simulated(Timestamp::from_secs(1000)), 4, StorageConfig::new(&dir))
+                .unwrap()
+        };
+        let mut rng = XorShift64::new(7);
+        let mut ix = open();
+        let mut flushes = 0;
+        for step in 0..300 {
+            // Fresh points, overwrites of recent ones and late lines, over
+            // a few series, one to three fields a line.
+            let body: String = (0..1 + rng.below(20))
+                .map(|_| {
+                    let ts = match rng.below(4) {
+                        0 => rng.below(50),                // late / overwrite
+                        _ => step * 10 + rng.below(10),    // live, may repeat
+                    };
+                    let fields = ["a=1", "a=2,b=3", "a=4,b=5,c=6"][rng.below(3) as usize];
+                    format!("m,host=h{} {fields} {ts}\n", rng.below(6))
+                })
+                .collect();
+            ix.write_lines("lms", &body, Default::default()).unwrap();
+            let db = ix.database("lms").unwrap();
+            assert!(
+                db.unsealed_values() >= db.head_point_count(),
+                "step {step}: gauge {} under exact {}",
+                db.unsealed_values(),
+                db.head_point_count()
+            );
+            match rng.below(25) {
+                0 => {
+                    assert!(db.flush_storage().is_ok());
+                    assert_eq!(db.unsealed_values(), 0, "quiescent after a flush");
+                    assert_eq!(db.head_point_count(), 0);
+                    flushes += 1;
+                }
+                1 => {
+                    // Reopen: the WAL replays through `write_parsed_batch`,
+                    // so the un-flushed values are counted again.
+                    let exact = db.head_point_count();
+                    drop(db);
+                    drop(ix);
+                    ix = open();
+                    let db = ix.database("lms").unwrap();
+                    assert_eq!(db.head_point_count(), exact, "replay restores the heads");
+                    assert!(db.unsealed_values() >= exact);
+                }
+                _ => {}
+            }
+        }
+        assert!(flushes > 3, "the schedule must exercise the settle path");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unsealed_gauge_holds_under_flushes_racing_writers() {
+        let dir =
+            std::env::temp_dir().join(format!("lms-influx-gauge-race-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let ix =
+            Influx::open(Clock::simulated(Timestamp::from_secs(1000)), 4, StorageConfig::new(&dir))
+                .unwrap();
+        ix.create_database("lms");
+        let db = ix.database("lms").unwrap();
+        let start = std::sync::Barrier::new(5);
+        std::thread::scope(|scope| {
+            for w in 0..4 {
+                let (ix, start) = (&ix, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..200 {
+                        let body: String =
+                            (0..8).map(|s| format!("m,w=w{w},s=s{s} a=1,b=2 {i}\n")).collect();
+                        ix.write_lines("lms", &body, Default::default()).unwrap();
+                    }
+                });
+            }
+            let (db, start) = (&db, &start);
+            scope.spawn(move || {
+                start.wait();
+                for _ in 0..20 {
+                    db.flush_storage().unwrap();
+                    // Writers are mid-batch: a value is counted no later
+                    // than it becomes visible to the exact count, so read
+                    // that first.
+                    let exact = db.head_point_count();
+                    assert!(db.unsealed_values() >= exact);
+                }
+            });
+        });
+        assert!(db.unsealed_values() >= db.head_point_count());
+        db.flush_storage().unwrap();
+        assert_eq!(db.unsealed_values(), 0);
+        assert_eq!(ix.storage_stats().sealed_points, 4 * 200 * 8 * 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     #[test]
     fn storage_stats_reads_without_draining() {

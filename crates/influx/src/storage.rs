@@ -21,47 +21,64 @@
 //! block's file expires or is compacted.
 
 use lms_lineproto::FieldValue;
-use lms_tsm::SealedBlock;
+use lms_tsm::{SealedBlock, SeriesId};
 use std::sync::Arc;
 
 /// Time index over a column's sealed blocks: block positions sorted by
 /// `min_ts` plus a running maximum of `max_ts`, so a range query finds its
 /// overlapping blocks by binary search + a bounded backward walk instead of
 /// testing every block of the column. Blocks arrive from flushes in time
-/// order, so the walk almost always stops after one step past the range.
-#[derive(Debug, Clone, Default)]
+/// order, so the walk almost always stops after one step past the range —
+/// and so a new block almost always extends the index at its end.
+#[derive(Debug, Clone, Default, PartialEq)]
 struct TimeIndex {
-    /// Indices into `sealed`, sorted ascending by block `min_ts`.
-    order: Vec<u32>,
-    /// `prefix_max[i]` = max `max_ts` over `order[..=i]`.
-    prefix_max: Vec<i64>,
+    /// `(index into sealed, max max_ts over this and every earlier entry)`,
+    /// sorted ascending by block `min_ts` (ties in `sealed` order).
+    entries: Vec<(u32, i64)>,
 }
 
 impl TimeIndex {
     fn build(sealed: &[Arc<SealedBlock>]) -> TimeIndex {
-        let mut order: Vec<u32> = (0..sealed.len() as u32).collect();
-        order.sort_by_key(|&i| sealed[i as usize].min_ts);
-        let mut prefix_max = Vec::with_capacity(order.len());
+        let mut entries: Vec<(u32, i64)> =
+            sealed.iter().enumerate().map(|(i, b)| (i as u32, b.max_ts)).collect();
+        entries.sort_by_key(|&(i, _)| sealed[i as usize].min_ts);
         let mut running = i64::MIN;
-        for &i in &order {
-            running = running.max(sealed[i as usize].max_ts);
-            prefix_max.push(running);
+        for (_, max_ts) in &mut entries {
+            running = running.max(*max_ts);
+            *max_ts = running;
         }
-        TimeIndex { order, prefix_max }
+        TimeIndex { entries }
+    }
+
+    /// Indexes the block just pushed onto `sealed`. One that starts at or
+    /// after every indexed block — each live flush — appends in O(1);
+    /// backfill re-sorts.
+    fn push_last(&mut self, sealed: &[Arc<SealedBlock>]) {
+        let i = sealed.len() - 1;
+        let block = &sealed[i];
+        match self.entries.last() {
+            Some(&(last, _)) if sealed[last as usize].min_ts > block.min_ts => {
+                *self = TimeIndex::build(sealed);
+            }
+            last => {
+                let running = last.map_or(i64::MIN, |&(_, m)| m).max(block.max_ts);
+                self.entries.push((i as u32, running));
+            }
+        }
     }
 
     /// Indices (into `sealed`) of blocks overlapping `[start, end)`, in
     /// ascending `min_ts` order.
     fn overlapping(&self, sealed: &[Arc<SealedBlock>], start: i64, end: i64) -> Vec<usize> {
-        // Candidates: blocks with min_ts < end (a sorted prefix of `order`).
-        let k = self.order.partition_point(|&i| sealed[i as usize].min_ts < end);
+        // Candidates: blocks with min_ts < end (a sorted prefix of the index).
+        let k = self.entries.partition_point(|&(i, _)| sealed[i as usize].min_ts < end);
         let mut out = Vec::new();
-        for j in (0..k).rev() {
-            if self.prefix_max[j] < start {
+        for &(i, prefix_max) in self.entries[..k].iter().rev() {
+            if prefix_max < start {
                 break; // nothing earlier can reach `start` either
             }
-            if sealed[self.order[j] as usize].max_ts >= start {
-                out.push(self.order[j] as usize);
+            if sealed[i as usize].max_ts >= start {
+                out.push(i as usize);
             }
         }
         out.reverse();
@@ -105,7 +122,7 @@ pub struct Column {
     /// scrape but are still representable, so the floor starts at `i64::MIN`
     /// semantically — we store the raw cutoff and only raise it.
     floor: Option<i64>,
-    /// Binary-search index over `sealed`, rebuilt whenever it changes.
+    /// Binary-search index over `sealed`, kept in step with it.
     index: TimeIndex,
 }
 
@@ -406,7 +423,7 @@ impl Column {
     pub fn push_sealed(&mut self, block: Arc<SealedBlock>) {
         debug_assert!(self.sealed.last().is_none_or(|b| b.gen <= block.gen));
         self.sealed.push(block);
-        self.index = TimeIndex::build(&self.sealed);
+        self.index.push_last(&self.sealed);
     }
 
     /// Replaces the sealed layer (compaction install).
@@ -442,72 +459,68 @@ impl Column {
 /// One series: measurement + tag set + field columns.
 #[derive(Debug, Clone)]
 pub struct Series {
-    measurement: String,
-    /// Sorted by key (canonical form, mirrors `Point::tags`).
-    tags: Vec<(String, String)>,
+    /// Key, measurement and tags (sorted by key — canonical form, mirrors
+    /// `Point::tags`), shared with every segment entry of the series.
+    id: Arc<SeriesId>,
     /// `(field name, column)`, insertion order.
-    fields: Vec<(String, Column)>,
+    fields: Vec<(Arc<str>, Column)>,
 }
 
 impl Series {
     /// Creates an empty series.
-    pub fn new(measurement: &str, tags: &[(String, String)]) -> Self {
-        Series { measurement: measurement.to_string(), tags: tags.to_vec(), fields: Vec::new() }
+    pub fn new(id: Arc<SeriesId>) -> Self {
+        Series { id, fields: Vec::new() }
     }
 
     /// The measurement name.
     pub fn measurement(&self) -> &str {
-        &self.measurement
+        &self.id.measurement
     }
 
     /// The tag set, sorted by key.
     pub fn tags(&self) -> &[(String, String)] {
-        &self.tags
+        &self.id.tags
     }
 
     /// Tag lookup.
     pub fn tag(&self, key: &str) -> Option<&str> {
-        self.tags
-            .binary_search_by(|(k, _)| k.as_str().cmp(key))
-            .ok()
-            .map(|i| self.tags[i].1.as_str())
+        let tags = self.tags();
+        tags.binary_search_by(|(k, _)| k.as_str().cmp(key)).ok().map(|i| tags[i].1.as_str())
     }
 
     /// Inserts one field value.
     pub fn insert(&mut self, field: &str, ts: i64, value: FieldValue) {
-        match self.fields.iter_mut().find(|(f, _)| f == field) {
-            Some((_, col)) => col.insert(ts, value),
-            None => {
-                let mut col = Column::default();
-                col.insert(ts, value);
-                self.fields.push((field.to_string(), col));
-            }
-        }
+        self.field_mut_or_create(field).insert(ts, value);
     }
 
     /// The column of a field.
     pub fn field(&self, name: &str) -> Option<&Column> {
-        self.fields.iter().find(|(f, _)| f == name).map(|(_, c)| c)
+        self.fields.iter().find(|(f, _)| &**f == name).map(|(_, c)| c)
     }
 
     /// Mutable access to a field's column, creating it if missing
     /// (sealed-block install during recovery).
     pub fn field_mut_or_create(&mut self, name: &str) -> &mut Column {
-        if let Some(i) = self.fields.iter().position(|(f, _)| f == name) {
+        if let Some(i) = self.fields.iter().position(|(f, _)| &**f == name) {
             return &mut self.fields[i].1;
         }
-        self.fields.push((name.to_string(), Column::default()));
+        self.fields.push((name.into(), Column::default()));
         &mut self.fields.last_mut().unwrap().1
     }
 
-    /// Iterates `(field name, column)` mutably (flush/compaction).
-    pub fn fields_mut(&mut self) -> impl Iterator<Item = (&str, &mut Column)> {
-        self.fields.iter_mut().map(|(f, c)| (f.as_str(), c))
+    /// Iterates `(field name, column)`, insertion order (compaction).
+    pub fn fields(&self) -> impl Iterator<Item = (&Arc<str>, &Column)> {
+        self.fields.iter().map(|(f, c)| (f, c))
+    }
+
+    /// Iterates `(field name, column)` mutably (flush).
+    pub fn fields_mut(&mut self) -> impl Iterator<Item = (&Arc<str>, &mut Column)> {
+        self.fields.iter_mut().map(|(f, c)| (&*f, c))
     }
 
     /// All field names, insertion order.
     pub fn field_names(&self) -> impl Iterator<Item = &str> {
-        self.fields.iter().map(|(f, _)| f.as_str())
+        self.fields.iter().map(|(f, _)| &**f)
     }
 
     /// Total stored point versions across fields (see [`Column::len`]).
@@ -542,6 +555,14 @@ mod tests {
 
     fn collect(points: Points<'_>) -> Vec<(i64, FieldValue)> {
         points.collect()
+    }
+
+    fn series(measurement: &str, tags: &[(&str, &str)]) -> Series {
+        Series::new(Arc::new(SeriesId {
+            series_key: measurement.to_string(),
+            measurement: measurement.to_string(),
+            tags: tags.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect(),
+        }))
     }
 
     /// Seals `points` (must be sorted) into the column at generation `gen`.
@@ -836,10 +857,40 @@ mod tests {
         }
     }
 
+    proptest::proptest! {
+        /// Whatever order blocks are pushed in — ascending `min_ts` (live
+        /// flushes, the O(1) append), ties, or backfill before indexed
+        /// blocks (the rebuild) — the index kept in step equals one built
+        /// from scratch and finds what a linear scan finds.
+        #[test]
+        fn incremental_time_index_equals_rebuild(
+            spans in proptest::collection::vec((0i64..200, 0i64..60, 0u8..4), 1..24),
+            ranges in proptest::collection::vec((-10i64..260, 1i64..120), 1..8),
+        ) {
+            let mut c = Column::default();
+            let mut next_lo = 0;
+            for (g, &(lo, len, in_order)) in spans.iter().enumerate() {
+                // Three pushes in four continue from the newest block, the
+                // fourth lands anywhere.
+                let lo = if in_order > 0 { next_lo + lo % 5 } else { lo };
+                next_lo = next_lo.max(lo);
+                seal_into(&mut c, g as u64, &[(lo, f(0.0)), (lo + len + 1, f(1.0))]);
+                proptest::prop_assert_eq!(&c.index, &TimeIndex::build(&c.sealed));
+            }
+            for &(start, len) in &ranges {
+                let end = start + len;
+                let mut by_index = c.index.overlapping(&c.sealed, start, end);
+                by_index.sort_unstable();
+                let linear: Vec<usize> =
+                    (0..c.sealed.len()).filter(|&i| c.sealed[i].overlaps(start, end)).collect();
+                proptest::prop_assert_eq!(by_index, linear, "range [{}, {})", start, end);
+            }
+        }
+    }
+
     #[test]
     fn series_fields_and_tags() {
-        let tags = vec![("hostname".to_string(), "h1".to_string())];
-        let mut s = Series::new("cpu", &tags);
+        let mut s = series("cpu", &[("hostname", "h1")]);
         s.insert("value", 1, f(0.5));
         s.insert("count", 1, FieldValue::Integer(3));
         s.insert("value", 2, f(0.7));
@@ -853,7 +904,7 @@ mod tests {
 
     #[test]
     fn series_eviction_drops_empty_fields() {
-        let mut s = Series::new("m", &[]);
+        let mut s = series("m", &[]);
         s.insert("old", 1, f(0.0));
         s.insert("fresh", 100, f(0.0));
         assert_eq!(s.evict_before(50), 1);

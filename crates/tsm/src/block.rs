@@ -74,8 +74,9 @@ pub fn numeric_view(v: &FieldValue) -> Option<f64> {
     v.as_f64()
 }
 
-/// One immutable, compressed run of a field column.
-#[derive(Debug, Clone)]
+/// One immutable, compressed run of a field column. Deliberately not
+/// `Clone`: holders share it through `Arc`.
+#[derive(Debug)]
 pub struct SealedBlock {
     /// Monotonic seal generation: among blocks holding the same timestamp,
     /// the highest generation wins (the mutable head outranks all blocks).

@@ -24,11 +24,13 @@
 //!   deletes the frozen WAL segments. Crash anywhere before commit leaves
 //!   the WAL intact, so replay restores every acknowledged point; records
 //!   that were both sealed and replayed deduplicate via last-write-wins.
-//! * [`RewriteSession`] — major compaction: receives the merged,
+//! * [`RewriteSession`] — compaction of a set of partitions (those that
+//!   reached `compact_min_files`, or all of them): receives the merged,
 //!   re-encoded blocks, writes fresh segment files, and on commit deletes
-//!   every pre-session file. A crash mid-rewrite leaves old and new files
-//!   coexisting; both load at next open and last-write-wins hides the
-//!   stale versions until the next compaction removes them.
+//!   the pre-session files of those partitions. A crash mid-rewrite leaves
+//!   old and new files coexisting; both load at next open and
+//!   last-write-wins hides the stale versions until the next compaction
+//!   removes them.
 //!
 //! Fault-injection hooks (`inject_segment_write_failure`,
 //! `set_fail_wal_remove`) let crash tests abort these protocols at their
@@ -113,7 +115,7 @@ pub struct TsmStats {
     pub segment_files: u64,
     /// Total bytes across segment files.
     pub segment_bytes: u64,
-    /// Major compactions completed since open.
+    /// Compactions completed since open.
     pub compactions: u64,
     /// WAL records replayed at the last open.
     pub recovered_records: u64,
@@ -425,12 +427,19 @@ impl TsmEngine {
         Ok(FlushSession { engine: self, _guard: guard, boundary })
     }
 
-    /// Starts a major compaction rewrite session. The caller merges and
-    /// re-encodes blocks however it likes; the session replaces every
-    /// pre-existing segment file on commit.
-    pub fn begin_rewrite(&self) -> RewriteSession<'_> {
+    /// Starts a compaction rewrite session over `partitions` (`None` =
+    /// every partition). The caller merges and re-encodes the blocks that
+    /// live in them however it likes; on commit the session replaces the
+    /// segment files those partitions held when it began.
+    pub fn begin_rewrite(&self, partitions: Option<&[i64]>) -> RewriteSession<'_> {
         let guard = self.maint.lock();
-        let old: Vec<PathBuf> = self.files.lock().iter().map(|f| f.path.clone()).collect();
+        let old: Vec<PathBuf> = self
+            .files
+            .lock()
+            .iter()
+            .filter(|f| partitions.is_none_or(|ps| ps.contains(&f.partition)))
+            .map(|f| f.path.clone())
+            .collect();
         RewriteSession { engine: self, _guard: guard, old, new: Vec::new() }
     }
 
@@ -452,8 +461,7 @@ impl TsmEngine {
             let seq = self.next_seg_seq.fetch_add(1, Ordering::Relaxed);
             let path = self.cfg.dir.join(segment_file_name(partition, seq));
             let fail_after = self.faults.lock().segment_write_after.take();
-            let owned: Vec<BlockEntry> = group.into_iter().cloned().collect();
-            let bytes = match segment::write_segment(&path, &owned, fail_after) {
+            let bytes = match segment::write_segment(&path, &group, fail_after) {
                 Ok(b) => b,
                 Err(e) => {
                     if is_storage_full(&e) {
@@ -498,17 +506,19 @@ impl TsmEngine {
         Ok(dropped)
     }
 
-    /// True when any partition has accumulated `compact_min_files` files.
-    pub fn needs_compaction(&self) -> bool {
+    /// The partitions that have accumulated `compact_min_files` segment
+    /// files, ascending — the scope of the next background compaction.
+    pub fn partitions_to_compact(&self) -> Vec<i64> {
         let files = self.files.lock();
-        let mut counts: Vec<(i64, usize)> = Vec::new();
+        let mut counts: std::collections::BTreeMap<i64, usize> = Default::default();
         for f in files.iter() {
-            match counts.iter_mut().find(|(p, _)| *p == f.partition) {
-                Some((_, n)) => *n += 1,
-                None => counts.push((f.partition, 1)),
-            }
+            *counts.entry(f.partition).or_default() += 1;
         }
-        counts.iter().any(|(_, n)| *n >= self.cfg.compact_min_files)
+        counts
+            .into_iter()
+            .filter(|&(_, n)| n >= self.cfg.compact_min_files)
+            .map(|(p, _)| p)
+            .collect()
     }
 
     /// Number of live segment files.
@@ -597,7 +607,7 @@ impl TsmEngine {
         let end_ns = (seg.partition + 1).saturating_mul(self.cfg.partition_ns);
         let intact_series: Vec<String> = {
             let mut keys: Vec<String> = segment::scan_segment(&seg.path)
-                .map(|s| s.entries.into_iter().map(|e| e.series_key).collect())
+                .map(|s| s.entries.iter().map(|e| e.series.series_key.clone()).collect())
                 .unwrap_or_default();
             keys.sort();
             keys.dedup();
@@ -722,7 +732,7 @@ impl FlushSession<'_> {
     }
 }
 
-/// An in-progress major compaction (see [`TsmEngine::begin_rewrite`]).
+/// An in-progress compaction (see [`TsmEngine::begin_rewrite`]).
 pub struct RewriteSession<'a> {
     engine: &'a TsmEngine,
     _guard: parking_lot::MutexGuard<'a, ()>,
@@ -740,7 +750,8 @@ impl RewriteSession<'_> {
         Ok(())
     }
 
-    /// Installs the rewritten files and deletes every pre-session file.
+    /// Installs the rewritten files and deletes the pre-session files of
+    /// the session's partitions.
     pub fn commit(self) -> Result<()> {
         {
             let mut files = self.engine.files.lock();
@@ -775,7 +786,9 @@ pub fn list_segment_files(dir: &Path) -> Vec<PathBuf> {
 mod tests {
     use super::*;
     use crate::block::SealedBlock;
+    use crate::segment::SeriesId;
     use lms_lineproto::FieldValue;
+    use std::sync::Arc;
 
     fn tmp(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("lms-tsm-eng-{}-{tag}", std::process::id()));
@@ -791,11 +804,13 @@ mod tests {
         let points: Vec<(i64, FieldValue)> =
             ts.map(|t| (t, FieldValue::Float(t as f64))).collect();
         BlockEntry {
-            series_key: key.to_string(),
-            measurement: "m".to_string(),
-            tags: Vec::new(),
-            field: "v".to_string(),
-            block: SealedBlock::seal(gen, &points),
+            series: Arc::new(SeriesId {
+                series_key: key.to_string(),
+                measurement: "m".to_string(),
+                tags: Vec::new(),
+            }),
+            field: "v".into(),
+            block: Arc::new(SealedBlock::seal(gen, &points)),
         }
     }
 
@@ -913,7 +928,7 @@ mod tests {
     }
 
     #[test]
-    fn rewrite_replaces_files_and_counts_compactions() {
+    fn rewrite_replaces_its_partitions_files_and_counts_compactions() {
         let dir = tmp("rewrite");
         let (engine, _) = TsmEngine::open(cfg(&dir)).unwrap();
         for i in 0..4u64 {
@@ -921,16 +936,33 @@ mod tests {
             flush.write(&[entry("a", i, 0..10)]).unwrap();
             flush.commit().unwrap();
         }
-        assert_eq!(engine.segment_file_count(), 4);
-        assert!(engine.needs_compaction());
+        let mut flush = engine.begin_flush().unwrap();
+        flush.write(&[entry("a", 4, 1500..1510)]).unwrap();
+        flush.commit().unwrap();
+        assert_eq!(engine.segment_file_count(), 5);
+        assert_eq!(engine.partitions_to_compact(), [0], "partition 1 holds one file");
+        let other: Vec<PathBuf> = list_segment_files(&dir)
+            .into_iter()
+            .filter(|p| p.to_string_lossy().contains("seg-1-"))
+            .collect();
 
-        let mut rw = engine.begin_rewrite();
-        rw.write(&[entry("a", 4, 0..10)]).unwrap();
+        // Scoped to partition 0: partition 1's file is neither replaced
+        // nor deleted.
+        let mut rw = engine.begin_rewrite(Some(&[0]));
+        rw.write(&[entry("a", 5, 0..10)]).unwrap();
         rw.commit().unwrap();
-        assert_eq!(engine.segment_file_count(), 1);
-        assert!(!engine.needs_compaction());
+        assert_eq!(engine.segment_file_count(), 2);
+        assert!(engine.partitions_to_compact().is_empty());
         assert_eq!(engine.stats().compactions, 1);
-        assert_eq!(list_segment_files(&dir).len(), 1);
+        assert!(other.iter().all(|p| p.exists()) && other.len() == 1);
+
+        // Unscoped: every pre-session file goes.
+        let mut rw = engine.begin_rewrite(None);
+        rw.write(&[entry("a", 6, 0..10), entry("a", 6, 1500..1510)]).unwrap();
+        rw.commit().unwrap();
+        assert_eq!(engine.segment_file_count(), 2);
+        assert!(!other[0].exists());
+        assert_eq!(list_segment_files(&dir).len(), 2);
         let _ = fs::remove_dir_all(&dir);
     }
 }

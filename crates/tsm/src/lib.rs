@@ -40,5 +40,5 @@ pub use engine::{
     TsmStats,
 };
 pub use scrub::{ScrubConfig, ScrubOutcome, Scrubber};
-pub use segment::{BlockEntry, SegmentScan};
+pub use segment::{BlockEntry, SegmentScan, SeriesId};
 pub use wal::{Wal, WalConfig, WalRecord, WalRecovery};

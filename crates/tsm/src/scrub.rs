@@ -236,7 +236,8 @@ mod tests {
     use super::*;
     use crate::block::SealedBlock;
     use crate::engine::{TsmConfig, TsmEngine};
-    use crate::segment::BlockEntry;
+    use crate::segment::{BlockEntry, SeriesId};
+    use std::sync::Arc;
     use lms_lineproto::FieldValue;
     use std::fs;
 
@@ -254,11 +255,13 @@ mod tests {
         let points: Vec<(i64, FieldValue)> =
             ts.map(|t| (t, FieldValue::Float(t as f64))).collect();
         BlockEntry {
-            series_key: key.to_string(),
-            measurement: "m".to_string(),
-            tags: Vec::new(),
-            field: "v".to_string(),
-            block: SealedBlock::seal(gen, &points),
+            series: Arc::new(SeriesId {
+                series_key: key.to_string(),
+                measurement: "m".to_string(),
+                tags: Vec::new(),
+            }),
+            field: "v".into(),
+            block: Arc::new(SealedBlock::seal(gen, &points)),
         }
     }
 
@@ -450,11 +453,13 @@ mod tests {
                         }
                     }
                     let e = BlockEntry {
-                        series_key: key.clone(),
-                        measurement: "m".into(),
-                        tags: Vec::new(),
+                        series: Arc::new(SeriesId {
+                            series_key: key.clone(),
+                            measurement: "m".into(),
+                            tags: Vec::new(),
+                        }),
                         field: "v".into(),
-                        block: SealedBlock::seal(gen as u64, &points),
+                        block: Arc::new(SealedBlock::seal(gen as u64, &points)),
                     };
                     flush(&engine, &[e]);
                 }
@@ -482,7 +487,7 @@ mod tests {
                     for e in segment::scan_segment(&path).unwrap().entries {
                         for (t, v) in e.block.decode() {
                             if let FieldValue::Float(f) = v {
-                                surviving.insert((e.series_key.clone(), t, f.to_bits()));
+                                surviving.insert((e.series.series_key.clone(), t, f.to_bits()));
                             }
                         }
                     }

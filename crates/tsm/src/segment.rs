@@ -51,6 +51,7 @@ use lms_util::{Error, Result};
 use std::fs::{self, OpenOptions};
 use std::io::Write;
 use std::path::Path;
+use std::sync::Arc;
 
 /// File magic: identifies format + version.
 pub const MAGIC: &[u8; 8] = b"LMSTSM2\n";
@@ -58,19 +59,30 @@ pub const MAGIC: &[u8; 8] = b"LMSTSM2\n";
 const HEADER_LEN: usize = 8;
 const MAX_PAYLOAD: usize = 256 * 1024 * 1024;
 
-/// One sealed block plus the series identity it belongs to.
-#[derive(Debug, Clone)]
-pub struct BlockEntry {
+/// The identity of one series: what a segment frame records so the owning
+/// series can be rebuilt in the in-memory index from that frame alone.
+#[derive(Debug, PartialEq, Eq)]
+pub struct SeriesId {
     /// The series key exactly as used by the database shard maps.
     pub series_key: String,
     /// Measurement name.
     pub measurement: String,
     /// Sorted tag pairs.
     pub tags: Vec<(String, String)>,
+}
+
+/// One sealed block plus the series and field it belongs to. Every part is
+/// shared: the identity with the series (and with every other entry of
+/// it), the field name with the column, the block with the column's sealed
+/// layer — building, grouping and writing entries copies no bytes.
+#[derive(Debug, Clone)]
+pub struct BlockEntry {
+    /// The owning series.
+    pub series: Arc<SeriesId>,
     /// Field name within the series.
-    pub field: String,
+    pub field: Arc<str>,
     /// The compressed block.
-    pub block: SealedBlock,
+    pub block: Arc<SealedBlock>,
 }
 
 fn put_str16(out: &mut Vec<u8>, s: &str) {
@@ -123,11 +135,12 @@ fn encode_entry(entry: &BlockEntry, out: &mut Vec<u8>) {
     out.extend_from_slice(&b.min_ts.to_le_bytes());
     out.extend_from_slice(&b.max_ts.to_le_bytes());
     out.extend_from_slice(&b.count.to_le_bytes());
-    put_str16(out, &entry.series_key);
-    put_str16(out, &entry.measurement);
-    assert!(entry.tags.len() <= u16::MAX as usize);
-    out.extend_from_slice(&(entry.tags.len() as u16).to_le_bytes());
-    for (k, v) in &entry.tags {
+    let series = &*entry.series;
+    put_str16(out, &series.series_key);
+    put_str16(out, &series.measurement);
+    assert!(series.tags.len() <= u16::MAX as usize);
+    out.extend_from_slice(&(series.tags.len() as u16).to_le_bytes());
+    for (k, v) in &series.tags {
         put_str16(out, k);
         put_str16(out, v);
     }
@@ -247,7 +260,8 @@ fn decode_entry(payload: &[u8]) -> Option<BlockEntry> {
     if c.off != payload.len() {
         return None; // trailing garbage inside a CRC-clean frame
     }
-    Some(BlockEntry { series_key, measurement, tags, field, block })
+    let series = Arc::new(SeriesId { series_key, measurement, tags });
+    Some(BlockEntry { series, field: field.into(), block: Arc::new(block) })
 }
 
 /// Writes `entries` to `path` atomically (tmp + fsync + rename). Returns the
@@ -258,12 +272,12 @@ fn decode_entry(payload: &[u8]) -> Option<BlockEntry> {
 /// temp file, simulating a crash mid-flush — the `.tsm` file never appears.
 pub fn write_segment(
     path: &Path,
-    entries: &[BlockEntry],
+    entries: &[&BlockEntry],
     fail_after_bytes: Option<u64>,
 ) -> Result<u64> {
     let mut buf = Vec::with_capacity(4096);
     buf.extend_from_slice(MAGIC);
-    for e in entries {
+    for &e in entries {
         encode_entry(e, &mut buf);
     }
     let tmp = path.with_extension("tmp");
@@ -386,12 +400,19 @@ mod tests {
         let points: Vec<(i64, FieldValue)> =
             ts.map(|t| (t, FieldValue::Float(t as f64 * 0.5))).collect();
         BlockEntry {
-            series_key: key.to_string(),
-            measurement: "cpu".to_string(),
-            tags: vec![("host".to_string(), "n01".to_string())],
-            field: field.to_string(),
-            block: SealedBlock::seal(gen, &points),
+            series: Arc::new(SeriesId {
+                series_key: key.to_string(),
+                measurement: "cpu".to_string(),
+                tags: vec![("host".to_string(), "n01".to_string())],
+            }),
+            field: field.into(),
+            block: Arc::new(SealedBlock::seal(gen, &points)),
         }
+    }
+
+    /// Writes owned entries (the writer takes them by reference).
+    fn write(path: &Path, entries: &[BlockEntry], fail_after: Option<u64>) -> Result<u64> {
+        write_segment(path, &entries.iter().collect::<Vec<_>>(), fail_after)
     }
 
     #[test]
@@ -400,15 +421,14 @@ mod tests {
         let path = dir.join("seg-0-0000000000000000.tsm");
         let entries =
             vec![entry("cpu,host=n01", "usage", 1, 0..100), entry("cpu,host=n01", "temp", 2, 50..80)];
-        let bytes = write_segment(&path, &entries, None).unwrap();
+        let bytes = write(&path, &entries, None).unwrap();
         assert_eq!(bytes, fs::metadata(&path).unwrap().len());
         let back = read_segment(&path).unwrap();
         assert_eq!(back.len(), 2);
-        assert_eq!(back[0].series_key, "cpu,host=n01");
-        assert_eq!(back[0].tags, entries[0].tags);
+        assert_eq!(back[0].series, entries[0].series);
         assert_eq!(back[0].block.gen, 1);
         assert_eq!(back[0].block.decode(), entries[0].block.decode());
-        assert_eq!(back[1].field, "temp");
+        assert_eq!(&*back[1].field, "temp");
         assert_eq!(back[1].block.decode().len(), 30);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -417,7 +437,7 @@ mod tests {
     fn fault_injection_leaves_no_visible_segment() {
         let dir = tmp("fault");
         let path = dir.join("seg-0-0000000000000001.tsm");
-        let err = write_segment(&path, &[entry("k", "f", 0, 0..10)], Some(12));
+        let err = write(&path, &[entry("k", "f", 0, 0..10)], Some(12));
         assert!(err.is_err());
         assert!(!path.exists(), "aborted write must not surface a .tsm file");
         assert!(path.with_extension("tmp").exists());
@@ -429,14 +449,14 @@ mod tests {
         let dir = tmp("corrupt");
         let path = dir.join("seg-0-0000000000000002.tsm");
         let entries = vec![entry("a", "f", 0, 0..10), entry("b", "f", 1, 0..10)];
-        write_segment(&path, &entries, None).unwrap();
+        write(&path, &entries, None).unwrap();
         let mut bytes = fs::read(&path).unwrap();
         let n = bytes.len();
         bytes[n - 4] ^= 0xFF; // clobber the last entry's block bytes
         fs::write(&path, &bytes).unwrap();
         let scan = scan_segment(&path).unwrap();
         assert_eq!(scan.entries.len(), 1);
-        assert_eq!(scan.entries[0].series_key, "a");
+        assert_eq!(scan.entries[0].series.series_key, "a");
         assert_eq!(scan.corrupt_frames, 1);
         assert_eq!(scan.corrupt_offsets.len(), 1);
         assert_eq!(scan.torn_bytes, 0);
@@ -450,7 +470,7 @@ mod tests {
         let path = dir.join("seg-0-0000000000000007.tsm");
         let entries =
             vec![entry("a", "f", 0, 0..10), entry("b", "f", 1, 0..10), entry("c", "f", 2, 0..10)];
-        write_segment(&path, &entries, None).unwrap();
+        write(&path, &entries, None).unwrap();
         let mut bytes = fs::read(&path).unwrap();
         // Locate the middle frame and flip a payload byte inside it.
         let first_len =
@@ -460,7 +480,7 @@ mod tests {
         fs::write(&path, &bytes).unwrap();
         let scan = scan_segment(&path).unwrap();
         assert_eq!(scan.corrupt_frames, 1);
-        let keys: Vec<&str> = scan.entries.iter().map(|e| e.series_key.as_str()).collect();
+        let keys: Vec<&str> = scan.entries.iter().map(|e| e.series.series_key.as_str()).collect();
         assert_eq!(keys, ["a", "c"], "scan must resynchronize past the bad frame");
         // verify_segment sees the same corruption without decoding.
         let v = verify_segment(&path).unwrap();
@@ -475,7 +495,7 @@ mod tests {
         let dir = tmp("torn");
         let path = dir.join("seg-0-0000000000000008.tsm");
         let entries = vec![entry("a", "f", 0, 0..10), entry("b", "f", 1, 0..10)];
-        write_segment(&path, &entries, None).unwrap();
+        write(&path, &entries, None).unwrap();
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..bytes.len() - 7]).unwrap();
         let scan = scan_segment(&path).unwrap();
@@ -490,7 +510,7 @@ mod tests {
         let dir = tmp("sum");
         let path = dir.join("seg-0-0000000000000004.tsm");
         let entries = vec![entry("cpu,host=n01", "usage", 1, 0..100)];
-        write_segment(&path, &entries, None).unwrap();
+        write(&path, &entries, None).unwrap();
         let back = read_segment(&path).unwrap();
         let s = back[0].block.summary().expect("footer carries a summary");
         assert_eq!(s, entries[0].block.summary().unwrap());
@@ -514,13 +534,15 @@ mod tests {
             (30, FieldValue::Boolean(true)),
         ];
         let e = BlockEntry {
-            series_key: "events,jobid=9".into(),
-            measurement: "events".into(),
-            tags: vec![("jobid".into(), "9".into())],
+            series: Arc::new(SeriesId {
+                series_key: "events,jobid=9".into(),
+                measurement: "events".into(),
+                tags: vec![("jobid".into(), "9".into())],
+            }),
             field: "text".into(),
-            block: SealedBlock::seal(3, &points),
+            block: Arc::new(SealedBlock::seal(3, &points)),
         };
-        write_segment(&path, &[e.clone()], None).unwrap();
+        write(&path, &[e.clone()], None).unwrap();
         let back = read_segment(&path).unwrap();
         let s = back[0].block.summary().unwrap();
         assert_eq!(s.first, FieldValue::Text("job start".into()));

@@ -134,8 +134,37 @@ fn sleep_unless(stop: &AtomicBool, total: Duration) -> bool {
     !stop.load(Ordering::Acquire)
 }
 
+/// Linux keeps the first 15 bytes of a thread's name (`comm`): what
+/// `top -H` and `/proc/<pid>/task/<tid>/comm` show.
+const COMM_LEN: usize = 15;
+
+/// The OS thread name of the worker `name`: `lms-<name>` cut to
+/// [`COMM_LEN`] bytes, so what tells workers apart survives the kernel's
+/// truncation (`lms-storage`, `lms-forwarder-0`, `lms-spool-drain`). When
+/// the cut collides with a name in `taken`, the tail gives way to a
+/// counter instead.
+fn thread_name(name: &str, taken: &[Arc<WorkerSlot>]) -> String {
+    let cut = |s: &str, len: usize| {
+        let mut end = s.len().min(len);
+        while !s.is_char_boundary(end) {
+            end -= 1;
+        }
+        s[..end].to_string()
+    };
+    let full = format!("lms-{name}");
+    let mut candidate = cut(&full, COMM_LEN);
+    let mut n = 0;
+    while taken.iter().any(|slot| slot.thread_name == candidate) {
+        n += 1;
+        let suffix = format!("~{n}");
+        candidate = cut(&full, COMM_LEN - suffix.len()) + &suffix;
+    }
+    candidate
+}
+
 struct WorkerSlot {
     name: String,
+    thread_name: String,
     // Encoded WorkerHealth (discriminant as usize) for lock-free reads.
     health: AtomicUsize,
     restarts: AtomicU64,
@@ -198,13 +227,18 @@ impl Supervisor {
         if self.inner.stop.load(Ordering::Acquire) {
             return Err(Error::invalid("supervisor is shut down"));
         }
-        let slot = Arc::new(WorkerSlot {
-            name: name.to_string(),
-            health: AtomicUsize::new(WorkerHealth::Healthy as usize),
-            restarts: AtomicU64::new(0),
-            last_panic: Mutex::new(None),
-        });
-        lock(&self.inner.workers).push(slot.clone());
+        let slot = {
+            let mut workers = lock(&self.inner.workers);
+            let slot = Arc::new(WorkerSlot {
+                name: name.to_string(),
+                thread_name: thread_name(name, &workers),
+                health: AtomicUsize::new(WorkerHealth::Healthy as usize),
+                restarts: AtomicU64::new(0),
+                last_panic: Mutex::new(None),
+            });
+            workers.push(slot.clone());
+            slot
+        };
 
         let config = self.inner.config.clone();
         let stop = self.inner.stop.clone();
@@ -212,7 +246,7 @@ impl Supervisor {
         // not march in lockstep.
         let seed = self.inner.next_seed.fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed);
         let monitor = std::thread::Builder::new()
-            .name(format!("lms-supervisor-{name}"))
+            .name(slot.thread_name.clone())
             .spawn(move || monitor_loop(slot, config, stop, seed, &mut body))
             .map_err(Error::from)?;
         lock(&self.inner.monitors).push(monitor);
@@ -439,6 +473,33 @@ mod tests {
         sup.shutdown();
         assert!(start.elapsed() < Duration::from_secs(5), "shutdown must not wait out backoff");
         assert_eq!(sup.health_of("slowpoke"), Some(WorkerHealth::Stopped));
+    }
+
+    #[test]
+    fn thread_names_survive_comm_truncation_and_stay_distinct() {
+        let sup = Supervisor::new(quick_config());
+        let (tx, rx) = std::sync::mpsc::channel();
+        let mut names = vec!["storage".to_string(), "spool-drainer".to_string()];
+        names.extend((0..12).map(|i| format!("forwarder-{i}")));
+        names.push("spool-drainer-b".to_string()); // collides once cut
+        for name in &names {
+            let tx = tx.clone();
+            sup.spawn(name, move |_ctx| {
+                let _ = tx.send(std::thread::current().name().map(str::to_string));
+            })
+            .unwrap();
+        }
+        let seen: Vec<String> =
+            names.iter().map(|_| rx.recv().unwrap().expect("workers are named")).collect();
+        for expected in ["lms-storage", "lms-spool-drain", "lms-forwarder-0", "lms-forwarder-9"] {
+            assert!(seen.iter().any(|n| n == expected), "{expected} missing from {seen:?}");
+        }
+        assert!(seen.iter().all(|n| n.len() <= COMM_LEN), "{seen:?}");
+        let distinct: std::collections::HashSet<&String> = seen.iter().collect();
+        assert_eq!(distinct.len(), names.len(), "{seen:?}");
+        // Reports keep the name `spawn` was given.
+        assert!(sup.health_of("spool-drainer").is_some());
+        sup.shutdown();
     }
 
     #[test]
