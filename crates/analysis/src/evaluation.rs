@@ -63,8 +63,31 @@ pub struct JobEvaluation {
     pub signature: PerfSignature,
 }
 
+/// The per-host means an evaluation asks for, as `(measurement, field)`, in
+/// the order [`JobEvaluation::evaluate`] unpacks them. The last two come
+/// from the BRANCH and CYCLE_STALLS groups, which are optional in the
+/// collector rotation: when a site enables them their metrics feed the
+/// corresponding tree inputs, otherwise those stay 0 (the tree orders its
+/// checks so absent signals never misclassify).
+const HOST_MEANS: [(&str, &str); 13] = [
+    ("network", "rx_bytes_per_s"),
+    ("network", "tx_bytes_per_s"),
+    ("disk", "read_bytes_per_s"),
+    ("disk", "write_bytes_per_s"),
+    ("load", "load1"),
+    ("cpu_total", "busy"),
+    ("hpm_flops_dp", "ipc"),
+    ("hpm_flops_dp", "dp_mflop_s"),
+    ("hpm_mem", "memory_bandwidth_mbytes_s"),
+    ("memory", "used_frac"),
+    ("hpm_flops_dp", "vectorization_ratio"),
+    ("hpm_branch", "branch_misprediction_ratio"),
+    ("hpm_cycle_stalls", "stall_rate"),
+];
+
 impl JobEvaluation {
-    /// Evaluates a job from the database.
+    /// Evaluates a job from the database: one batch of per-host means,
+    /// then the pathology detectors' batch.
     pub fn evaluate(
         source: &mut dyn QuerySource,
         db: &str,
@@ -75,37 +98,44 @@ impl JobEvaluation {
         peaks: NodePeaks,
     ) -> Result<JobEvaluation> {
         let range = format!("time >= {} AND time <= {}", start.nanos(), end.nanos());
-        let mean_of = |source: &mut dyn QuerySource,
-                       measurement: &str,
-                       field: &str,
-                       host: &str|
-         -> Result<f64> {
-            let q = format!(
-                "SELECT mean({field}) FROM {measurement} WHERE hostname = '{host}' AND {range}"
-            );
-            let ts = TimeSeries::from_result(&source.query_source(db, &q)?, "mean");
-            Ok(ts.points.first().map(|&(_, v)| v).unwrap_or(0.0))
-        };
+        let stmts: Vec<String> = hosts
+            .iter()
+            .flat_map(|host| {
+                let range = &range;
+                HOST_MEANS.iter().map(move |(measurement, field)| {
+                    format!(
+                        "SELECT mean({field}) FROM {measurement} WHERE hostname = '{host}' AND {range}"
+                    )
+                })
+            })
+            .collect();
+        let means: Vec<f64> = source
+            .query_batch(db, &stmts)?
+            .iter()
+            .map(|r| TimeSeries::from_result(r, "mean").points.first().map_or(0.0, |&(_, v)| v))
+            .collect();
 
         let mut nodes = Vec::with_capacity(hosts.len());
-        for host in hosts {
-            let rx = mean_of(source, "network", "rx_bytes_per_s", host)?;
-            let tx = mean_of(source, "network", "tx_bytes_per_s", host)?;
-            let rd = mean_of(source, "disk", "read_bytes_per_s", host)?;
-            let wr = mean_of(source, "disk", "write_bytes_per_s", host)?;
+        let mut branch_misp_ratio = 0.0;
+        let mut stall_frac = 0.0;
+        for (host, means) in hosts.iter().zip(means.chunks_exact(HOST_MEANS.len())) {
+            let [rx, tx, rd, wr, load1, cpu_busy, ipc, dp_mflops, membw_mbytes, mem_used_frac,
+                 vectorized, branch_misp, stall_rate]: [f64; HOST_MEANS.len()] =
+                means.try_into().expect("chunks of HOST_MEANS.len()");
             nodes.push(NodeEvaluation {
                 hostname: host.clone(),
-                load1: mean_of(source, "load", "load1", host)?,
-                cpu_busy: mean_of(source, "cpu_total", "busy", host)?,
-                ipc: mean_of(source, "hpm_flops_dp", "ipc", host)?,
-                dp_mflops: mean_of(source, "hpm_flops_dp", "dp_mflop_s", host)?,
-                membw_mbytes: mean_of(source, "hpm_mem", "memory_bandwidth_mbytes_s", host)?,
-                mem_used_frac: mean_of(source, "memory", "used_frac", host)?,
+                load1,
+                cpu_busy,
+                ipc,
+                dp_mflops,
+                membw_mbytes,
+                mem_used_frac,
                 net_bytes: rx + tx,
                 file_bytes: rd + wr,
-                vectorization: mean_of(source, "hpm_flops_dp", "vectorization_ratio", host)?
-                    / 100.0,
+                vectorization: vectorized / 100.0,
             });
+            branch_misp_ratio += branch_misp;
+            stall_frac += stall_rate / 100.0;
         }
 
         let findings = PathologyDetector::new(db).detect(source, hosts, start, end)?;
@@ -122,17 +152,6 @@ impl JobEvaluation {
         } else {
             0.0
         };
-        // The BRANCH and CYCLE_STALLS groups are optional in the
-        // collector rotation; when a site enables them their metrics feed
-        // the corresponding tree inputs, otherwise those stay 0 (the tree
-        // orders its checks so absent signals never misclassify).
-        let mut branch_misp_ratio = 0.0;
-        let mut stall_frac = 0.0;
-        for host in hosts {
-            branch_misp_ratio +=
-                mean_of(source, "hpm_branch", "branch_misprediction_ratio", host)?;
-            stall_frac += mean_of(source, "hpm_cycle_stalls", "stall_rate", host)? / 100.0;
-        }
         branch_misp_ratio /= n;
         stall_frac /= n;
 

@@ -92,7 +92,8 @@ impl PathologyDetector {
         format!("time >= {} AND time <= {}", start.nanos(), end.nanos())
     }
 
-    /// Runs every detector for one job.
+    /// Runs every detector for one job, off one batch of four statements
+    /// per host.
     pub fn detect(
         &self,
         source: &mut dyn QuerySource,
@@ -100,33 +101,45 @@ impl PathologyDetector {
         start: Timestamp,
         end: Timestamp,
     ) -> Result<Vec<Finding>> {
+        let range = Self::range_clause(start, end);
+        let stmts: Vec<String> = hosts
+            .iter()
+            .flat_map(|host| {
+                [
+                    format!("SELECT mean(busy) FROM cpu_total WHERE hostname = '{host}' AND {range}"),
+                    format!("SELECT max(used_frac) FROM memory WHERE hostname = '{host}' AND {range}"),
+                    format!(
+                        "SELECT mean(dp_mflop_s) FROM hpm_flops_dp WHERE hostname = '{host}' AND {range} GROUP BY time(1m)"
+                    ),
+                    format!(
+                        "SELECT mean(memory_bandwidth_mbytes_s) FROM hpm_mem WHERE hostname = '{host}' AND {range} GROUP BY time(1m)"
+                    ),
+                ]
+            })
+            .collect();
+        let answers = source.query_batch(&self.db, &stmts)?;
+        let per_host = || hosts.iter().zip(answers.chunks_exact(4));
+
         let mut findings = Vec::new();
-        self.detect_idle_and_imbalance(source, hosts, start, end, &mut findings)?;
-        self.detect_memory(source, hosts, start, end, &mut findings)?;
-        self.detect_breaks(source, hosts, start, end, &mut findings)?;
+        let busys: Vec<f64> = per_host()
+            .map(|(_, a)| TimeSeries::from_result(&a[0], "mean").points.first().map_or(0.0, |&(_, v)| v))
+            .collect();
+        self.detect_idle_and_imbalance(&busys, &mut findings);
+        for (host, a) in per_host() {
+            self.detect_memory(host, &TimeSeries::from_result(&a[1], "max"), &mut findings);
+        }
+        for (host, a) in per_host() {
+            let fp = TimeSeries::from_result(&a[2], "mean");
+            let bw = TimeSeries::from_result(&a[3], "mean");
+            self.detect_breaks(host, &fp, &bw, &mut findings);
+        }
         Ok(findings)
     }
 
     /// Idle-job and load-imbalance detection from per-host busy fractions.
-    fn detect_idle_and_imbalance(
-        &self,
-        source: &mut dyn QuerySource,
-        hosts: &[String],
-        start: Timestamp,
-        end: Timestamp,
-        findings: &mut Vec<Finding>,
-    ) -> Result<()> {
-        let mut busys = Vec::with_capacity(hosts.len());
-        for host in hosts {
-            let q = format!(
-                "SELECT mean(busy) FROM cpu_total WHERE hostname = '{host}' AND {}",
-                Self::range_clause(start, end)
-            );
-            let ts = TimeSeries::from_result(&source.query_source(&self.db, &q)?, "mean");
-            busys.push(ts.points.first().map(|&(_, v)| v).unwrap_or(0.0));
-        }
+    fn detect_idle_and_imbalance(&self, busys: &[f64], findings: &mut Vec<Finding>) {
         if busys.is_empty() {
-            return Ok(());
+            return;
         }
         let mean = busys.iter().sum::<f64>() / busys.len() as f64;
         if mean < self.thresholds.idle_busy {
@@ -154,78 +167,49 @@ impl PathologyDetector {
                 });
             }
         }
-        Ok(())
     }
 
-    /// Exceeded-memory detection from the peak used fraction per host.
-    fn detect_memory(
-        &self,
-        source: &mut dyn QuerySource,
-        hosts: &[String],
-        start: Timestamp,
-        end: Timestamp,
-        findings: &mut Vec<Finding>,
-    ) -> Result<()> {
-        for host in hosts {
-            let q = format!(
-                "SELECT max(used_frac) FROM memory WHERE hostname = '{host}' AND {}",
-                Self::range_clause(start, end)
-            );
-            let ts = TimeSeries::from_result(&source.query_source(&self.db, &q)?, "max");
-            if let Some(&(_, peak)) = ts.points.first() {
-                if peak > self.thresholds.mem_used_frac {
-                    findings.push(Finding {
-                        kind: FindingKind::MemoryExceeded,
-                        host: Some(host.clone()),
-                        window: None,
-                        detail: format!("peak memory use {:.1}% on {host}", peak * 100.0),
-                    });
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Fig. 4: combined FP-rate + bandwidth break per host.
-    fn detect_breaks(
-        &self,
-        source: &mut dyn QuerySource,
-        hosts: &[String],
-        start: Timestamp,
-        end: Timestamp,
-        findings: &mut Vec<Finding>,
-    ) -> Result<()> {
-        let range = Self::range_clause(start, end);
-        let fp_rule = Rule::below("DP FP rate", self.thresholds.fp_rate_mflops, self.thresholds.break_timeout);
-        let bw_rule =
-            Rule::below("memory bandwidth", self.thresholds.membw_mbytes, self.thresholds.break_timeout);
-        for host in hosts {
-            let q = format!(
-                "SELECT mean(dp_mflop_s) FROM hpm_flops_dp WHERE hostname = '{host}' AND {range} GROUP BY time(1m)"
-            );
-            let fp = TimeSeries::from_result(&source.query_source(&self.db, &q)?, "mean");
-            let q = format!(
-                "SELECT mean(memory_bandwidth_mbytes_s) FROM hpm_mem WHERE hostname = '{host}' AND {range} GROUP BY time(1m)"
-            );
-            let bw = TimeSeries::from_result(&source.query_source(&self.db, &q)?, "mean");
-            if fp.is_empty() || bw.is_empty() {
-                continue;
-            }
-            for window in
-                evaluate_all(&[(&fp_rule, &fp), (&bw_rule, &bw)], self.thresholds.break_timeout)
-            {
+    /// Exceeded-memory detection from one host's peak used fraction.
+    fn detect_memory(&self, host: &str, used_frac: &TimeSeries, findings: &mut Vec<Finding>) {
+        if let Some(&(_, peak)) = used_frac.points.first() {
+            if peak > self.thresholds.mem_used_frac {
                 findings.push(Finding {
-                    kind: FindingKind::ComputationBreak,
-                    host: Some(host.clone()),
-                    window: Some(window),
-                    detail: format!(
-                        "FP rate and memory bandwidth below thresholds for {} on {host}",
-                        lms_util::fmt::duration(window.duration())
-                    ),
+                    kind: FindingKind::MemoryExceeded,
+                    host: Some(host.to_string()),
+                    window: None,
+                    detail: format!("peak memory use {:.1}% on {host}", peak * 100.0),
                 });
             }
         }
-        Ok(())
+    }
+
+    /// Fig. 4: combined FP-rate + bandwidth break on one host.
+    fn detect_breaks(
+        &self,
+        host: &str,
+        fp: &TimeSeries,
+        bw: &TimeSeries,
+        findings: &mut Vec<Finding>,
+    ) {
+        if fp.is_empty() || bw.is_empty() {
+            return;
+        }
+        let fp_rule = Rule::below("DP FP rate", self.thresholds.fp_rate_mflops, self.thresholds.break_timeout);
+        let bw_rule =
+            Rule::below("memory bandwidth", self.thresholds.membw_mbytes, self.thresholds.break_timeout);
+        for window in
+            evaluate_all(&[(&fp_rule, fp), (&bw_rule, bw)], self.thresholds.break_timeout)
+        {
+            findings.push(Finding {
+                kind: FindingKind::ComputationBreak,
+                host: Some(host.to_string()),
+                window: Some(window),
+                detail: format!(
+                    "FP rate and memory bandwidth below thresholds for {} on {host}",
+                    lms_util::fmt::duration(window.duration())
+                ),
+            });
+        }
     }
 }
 

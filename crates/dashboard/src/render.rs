@@ -9,8 +9,8 @@
 use crate::model::{Panel, PanelKind};
 use lms_analysis::stats::Histogram;
 use lms_analysis::TimeSeries;
-use lms_influx::QuerySource;
-use lms_util::{Result, Timestamp};
+use lms_influx::{QueryResult, QuerySource};
+use lms_util::{Error, Result, Timestamp};
 
 /// Rendering options.
 #[derive(Debug, Clone, Copy)]
@@ -52,37 +52,114 @@ pub fn render_panel(
     source: &mut dyn QuerySource,
     opts: RenderOptions,
 ) -> Result<String> {
-    match panel.kind {
-        PanelKind::Text => Ok(format!("== {} ==\n{}\n", panel.title, panel.content)),
-        PanelKind::SingleStat => {
-            let mut out = format!("== {} ==\n", panel.title);
-            for target in &panel.targets {
-                let ts = TimeSeries::from_result(
-                    &source.query_source(&target.db, &target.query)?,
-                    &target.column,
-                );
-                match ts.last() {
-                    Some((_, v)) => {
-                        out.push_str(&format!("{}: {v:.4} {}\n", target.alias, panel.unit))
+    Ok(render_panels(&[panel], source, opts)?.pop().expect("one text per panel"))
+}
+
+/// Renders panels together, one text per panel: every panel's targets go
+/// to the source as one batch per database, then every graph's annotation
+/// query (whose time window comes out of the graph's data) as a second —
+/// two round trips for a remote source, however many panels.
+pub fn render_panels(
+    panels: &[&Panel],
+    source: &mut dyn QuerySource,
+    opts: RenderOptions,
+) -> Result<Vec<String>> {
+    let targets = panels
+        .iter()
+        .filter(|panel| panel.kind != PanelKind::Text)
+        .flat_map(|panel| &panel.targets)
+        .map(|target| (target.db.clone(), target.query.clone()))
+        .collect();
+    let mut answers = query_per_db(source, targets)?.into_iter();
+
+    let mut texts: Vec<String> = Vec::with_capacity(panels.len());
+    let mut graphs: Vec<(usize, Graph)> = Vec::new();
+    for (i, panel) in panels.iter().enumerate() {
+        let queried = if panel.kind == PanelKind::Text { 0 } else { panel.targets.len() };
+        let results: Vec<QueryResult> = answers.by_ref().take(queried).collect();
+        let series = panel.targets.iter().zip(&results);
+        texts.push(match panel.kind {
+            PanelKind::Text => format!("== {} ==\n{}\n", panel.title, panel.content),
+            PanelKind::SingleStat => {
+                let mut out = format!("== {} ==\n", panel.title);
+                for (target, result) in series {
+                    match TimeSeries::from_result(result, &target.column).last() {
+                        Some((_, v)) => {
+                            out.push_str(&format!("{}: {v:.4} {}\n", target.alias, panel.unit))
+                        }
+                        None => out.push_str(&format!("{}: no data\n", target.alias)),
                     }
-                    None => out.push_str(&format!("{}: no data\n", target.alias)),
                 }
+                out
             }
-            Ok(out)
-        }
-        PanelKind::Histogram => {
-            let mut values = Vec::new();
-            for target in &panel.targets {
-                let ts = TimeSeries::from_result(
-                    &source.query_source(&target.db, &target.query)?,
-                    &target.column,
-                );
-                values.extend(ts.values());
+            PanelKind::Histogram => {
+                let values: Vec<f64> = series
+                    .flat_map(|(target, result)| {
+                        TimeSeries::from_result(result, &target.column).values()
+                    })
+                    .collect();
+                render_histogram(panel, &values, opts)
             }
-            Ok(render_histogram(panel, &values, opts))
-        }
-        PanelKind::Graph => render_graph(panel, source, opts),
+            PanelKind::Graph => {
+                graphs.push((i, Graph::plot(panel, &results)));
+                String::new() // drawn below, once the annotations are in
+            }
+        });
     }
+
+    // An annotation query that fails costs the graphs their event lines,
+    // never the render.
+    let notes = graphs.iter().filter_map(|(_, graph)| graph.annotation_query.clone()).collect();
+    let mut notes = query_per_db(source, notes).unwrap_or_default().into_iter();
+    for (i, graph) in graphs {
+        let events = match graph.annotation_query {
+            Some(_) => notes.next().unwrap_or_default(),
+            None => QueryResult::empty(),
+        };
+        // Text column isn't numeric; pull times straight from rows.
+        let annotations: Vec<(i64, String)> = events
+            .series
+            .iter()
+            .flat_map(|s| &s.values)
+            .filter_map(|row| {
+                let t = row.first().and_then(|v| v.as_i64())?;
+                let text = row.get(1).and_then(|v| v.as_str())?;
+                Some((t, text.to_string()))
+            })
+            .collect();
+        texts[i] = graph.draw(panels[i], &annotations, opts);
+    }
+    Ok(texts)
+}
+
+/// Runs `(database, statement)` pairs as one batch per database; answers
+/// in the order of the pairs.
+fn query_per_db(
+    source: &mut dyn QuerySource,
+    stmts: Vec<(String, String)>,
+) -> Result<Vec<QueryResult>> {
+    let mut answers: Vec<Option<QueryResult>> = vec![None; stmts.len()];
+    let mut batches: Vec<(String, Vec<usize>, Vec<String>)> = Vec::new();
+    for (slot, (db, stmt)) in stmts.into_iter().enumerate() {
+        let batch = match batches.iter().position(|(of, ..)| *of == db) {
+            Some(i) => &mut batches[i],
+            None => {
+                batches.push((db, Vec::new(), Vec::new()));
+                batches.last_mut().expect("just pushed")
+            }
+        };
+        batch.1.push(slot);
+        batch.2.push(stmt);
+    }
+    for (db, slots, batch) in batches {
+        for (slot, answer) in slots.into_iter().zip(source.query_batch(&db, &batch)?) {
+            answers[slot] = Some(answer);
+        }
+    }
+    answers
+        .into_iter()
+        .map(|a| a.ok_or_else(|| Error::protocol("query batch answered fewer statements than sent")))
+        .collect()
 }
 
 fn render_histogram(panel: &Panel, values: &[f64], opts: RenderOptions) -> String {
@@ -108,164 +185,165 @@ fn render_histogram(panel: &Panel, values: &[f64], opts: RenderOptions) -> Strin
     out
 }
 
-fn render_graph(
-    panel: &Panel,
-    source: &mut dyn QuerySource,
-    opts: RenderOptions,
-) -> Result<String> {
-    let mut series: Vec<(String, TimeSeries)> = Vec::new();
-    for target in &panel.targets {
-        let result = source.query_source(&target.db, &target.query)?;
-        if result.series.len() > 1 {
-            // GROUP BY tag queries: one plotted series per group.
-            for (tag, ts) in TimeSeries::per_tag(&result, "hostname", &target.column) {
-                let label =
-                    if tag.is_empty() { target.alias.clone() } else { tag.to_string() };
-                series.push((label, ts));
-            }
-        } else {
-            series.push((
-                target.alias.clone(),
-                TimeSeries::from_result(&result, &target.column),
-            ));
-        }
-    }
-    series.retain(|(_, ts)| !ts.is_empty());
+/// A graph panel between its two queries: the plotted series are in, the
+/// annotation query — bounded by their time extents — is still to run.
+struct Graph {
+    series: Vec<(String, TimeSeries)>,
+    /// `(t_min, t_max, v_min, v_max)` of the finite data; `None` without any.
+    extents: Option<(i64, i64, f64, f64)>,
+    /// `(database, statement)` fetching the events to draw, when the panel
+    /// asks for annotations and has data to draw them over.
+    annotation_query: Option<(String, String)>,
+}
 
-    let mut out = format!("== {} ==", panel.title);
-    if !panel.unit.is_empty() {
-        out.push_str(&format!("  [{}]", panel.unit));
-    }
-    out.push('\n');
-    if series.is_empty() {
-        out.push_str("(no data)\n");
-        return Ok(out);
-    }
-
-    // Global extents.
-    let (mut t_min, mut t_max) = (i64::MAX, i64::MIN);
-    let (mut v_min, mut v_max) = (f64::INFINITY, f64::NEG_INFINITY);
-    for (_, ts) in &series {
-        for &(t, v) in &ts.points {
-            t_min = t_min.min(t.nanos());
-            t_max = t_max.max(t.nanos());
-            if v.is_finite() {
-                v_min = v_min.min(v);
-                v_max = v_max.max(v);
+impl Graph {
+    fn plot(panel: &Panel, results: &[QueryResult]) -> Graph {
+        let mut series: Vec<(String, TimeSeries)> = Vec::new();
+        for (target, result) in panel.targets.iter().zip(results) {
+            if result.series.len() > 1 {
+                // GROUP BY tag queries: one plotted series per group.
+                for (tag, ts) in TimeSeries::per_tag(result, "hostname", &target.column) {
+                    let label =
+                        if tag.is_empty() { target.alias.clone() } else { tag.to_string() };
+                    series.push((label, ts));
+                }
+            } else {
+                series.push((
+                    target.alias.clone(),
+                    TimeSeries::from_result(result, &target.column),
+                ));
             }
         }
-    }
-    if !v_min.is_finite() {
-        out.push_str("(no finite data)\n");
-        return Ok(out);
-    }
-    if v_max <= v_min {
-        v_max = v_min + 1.0;
-    }
-    if t_max <= t_min {
-        t_max = t_min + 1;
-    }
-    // Include zero in the axis when close (charts read better).
-    if v_min > 0.0 && v_min < 0.25 * v_max {
-        v_min = 0.0;
-    }
+        series.retain(|(_, ts)| !ts.is_empty());
 
-    let (w, h) = (opts.width.max(16), opts.height.max(4));
-    let mut grid = vec![vec![' '; w]; h];
-
-    // Event annotations: dashed vertical lines where events fall. The
-    // window extends a little past the data so begin/end events sent just
-    // outside the sampled range (Fig. 3's bracketing events) still show.
-    let mut annotations: Vec<(i64, String)> = Vec::new();
-    if let Some(measurement) = &panel.annotation_measurement {
-        if let Some(target) = panel.targets.first() {
-            let margin = ((t_max - t_min) / 10).max(1);
-            let (a_min, a_max) =
-                (t_min.saturating_sub(margin), t_max.saturating_add(margin));
-            let q = format!(
-                "SELECT text FROM {measurement} WHERE time >= {a_min} AND time <= {a_max}"
-            );
-            if let Ok(result) = source.query_source(&target.db, &q) {
-                let ts = TimeSeries::from_result(&result, "text");
-                // Text column isn't numeric; pull times straight from rows.
-                let _ = ts;
-                for s in &result.series {
-                    for row in &s.values {
-                        if let (Some(t), Some(text)) = (
-                            row.first().and_then(|v| v.as_i64()),
-                            row.get(1).and_then(|v| v.as_str()),
-                        ) {
-                            annotations.push((t, text.to_string()));
-                        }
-                    }
+        // Global extents.
+        let (mut t_min, mut t_max) = (i64::MAX, i64::MIN);
+        let (mut v_min, mut v_max) = (f64::INFINITY, f64::NEG_INFINITY);
+        for (_, ts) in &series {
+            for &(t, v) in &ts.points {
+                t_min = t_min.min(t.nanos());
+                t_max = t_max.max(t.nanos());
+                if v.is_finite() {
+                    v_min = v_min.min(v);
+                    v_max = v_max.max(v);
                 }
             }
         }
-    }
-    let col_of = |t: i64| -> usize {
-        let c = ((t - t_min) as f64 / (t_max - t_min) as f64) * (w - 1) as f64;
-        (c.round().max(0.0) as usize).min(w - 1) // out-of-range events clamp
-    };
-    let row_of = |v: f64| -> usize {
-        let frac = (v - v_min) / (v_max - v_min);
-        ((1.0 - frac) * (h - 1) as f64).round() as usize
-    };
-    for (t, _) in &annotations {
-        let c = col_of(*t);
-        for (r, grid_row) in grid.iter_mut().enumerate() {
-            if r % 2 == 0 {
-                grid_row[c] = '¦';
-            }
+        if !v_min.is_finite() {
+            return Graph { series, extents: None, annotation_query: None };
         }
-    }
-    // Series markers (drawn after annotations so data wins the cell).
-    for (si, (_, ts)) in series.iter().enumerate() {
-        let marker = MARKERS[si % MARKERS.len()];
-        for &(t, v) in &ts.points {
-            if !v.is_finite() {
-                continue;
-            }
-            grid[row_of(v)][col_of(t.nanos())] = marker;
+        if v_max <= v_min {
+            v_max = v_min + 1.0;
         }
+        if t_max <= t_min {
+            t_max = t_min + 1;
+        }
+        // Include zero in the axis when close (charts read better).
+        if v_min > 0.0 && v_min < 0.25 * v_max {
+            v_min = 0.0;
+        }
+
+        // Event annotations: dashed vertical lines where events fall. The
+        // window extends a little past the data so begin/end events sent just
+        // outside the sampled range (Fig. 3's bracketing events) still show.
+        let annotation_query = panel.annotation_measurement.as_ref().zip(panel.targets.first()).map(
+            |(measurement, target)| {
+                let margin = ((t_max - t_min) / 10).max(1);
+                let (a_min, a_max) = (t_min.saturating_sub(margin), t_max.saturating_add(margin));
+                (
+                    target.db.clone(),
+                    format!(
+                        "SELECT text FROM {measurement} WHERE time >= {a_min} AND time <= {a_max}"
+                    ),
+                )
+            },
+        );
+        Graph { series, extents: Some((t_min, t_max, v_min, v_max)), annotation_query }
     }
 
-    // Compose with a y-axis gutter.
-    for (r, grid_row) in grid.iter().enumerate() {
-        let label = if r % 3 == 0 || r == h - 1 {
-            let v = v_max - (v_max - v_min) * r as f64 / (h - 1) as f64;
-            format!("{v:>10.2}")
-        } else {
-            " ".repeat(10)
-        };
-        out.push_str(&label);
-        out.push_str(" |");
-        out.extend(grid_row.iter());
+    fn draw(&self, panel: &Panel, annotations: &[(i64, String)], opts: RenderOptions) -> String {
+        let series = &self.series;
+        let mut out = format!("== {} ==", panel.title);
+        if !panel.unit.is_empty() {
+            out.push_str(&format!("  [{}]", panel.unit));
+        }
         out.push('\n');
-    }
-    out.push_str(&" ".repeat(10));
-    out.push_str(" +");
-    out.push_str(&"-".repeat(w));
-    out.push('\n');
-    out.push_str(&format!(
-        "{:>12}{}{:>w$}\n",
-        Timestamp(t_min).to_string(),
-        " ".repeat(2),
-        Timestamp(t_max).to_string(),
-        w = w.saturating_sub(14)
-    ));
-    // Legend.
-    for (si, (label, ts)) in series.iter().enumerate() {
+        if series.is_empty() {
+            out.push_str("(no data)\n");
+            return out;
+        }
+        let Some((t_min, t_max, v_min, v_max)) = self.extents else {
+            out.push_str("(no finite data)\n");
+            return out;
+        };
+
+        let (w, h) = (opts.width.max(16), opts.height.max(4));
+        let mut grid = vec![vec![' '; w]; h];
+        let col_of = |t: i64| -> usize {
+            let c = ((t - t_min) as f64 / (t_max - t_min) as f64) * (w - 1) as f64;
+            (c.round().max(0.0) as usize).min(w - 1) // out-of-range events clamp
+        };
+        let row_of = |v: f64| -> usize {
+            let frac = (v - v_min) / (v_max - v_min);
+            ((1.0 - frac) * (h - 1) as f64).round() as usize
+        };
+        for (t, _) in annotations {
+            let c = col_of(*t);
+            for (r, grid_row) in grid.iter_mut().enumerate() {
+                if r % 2 == 0 {
+                    grid_row[c] = '¦';
+                }
+            }
+        }
+        // Series markers (drawn after annotations so data wins the cell).
+        for (si, (_, ts)) in series.iter().enumerate() {
+            let marker = MARKERS[si % MARKERS.len()];
+            for &(t, v) in &ts.points {
+                if !v.is_finite() {
+                    continue;
+                }
+                grid[row_of(v)][col_of(t.nanos())] = marker;
+            }
+        }
+
+        // Compose with a y-axis gutter.
+        for (r, grid_row) in grid.iter().enumerate() {
+            let label = if r % 3 == 0 || r == h - 1 {
+                let v = v_max - (v_max - v_min) * r as f64 / (h - 1) as f64;
+                format!("{v:>10.2}")
+            } else {
+                " ".repeat(10)
+            };
+            out.push_str(&label);
+            out.push_str(" |");
+            out.extend(grid_row.iter());
+            out.push('\n');
+        }
+        out.push_str(&" ".repeat(10));
+        out.push_str(" +");
+        out.push_str(&"-".repeat(w));
+        out.push('\n');
         out.push_str(&format!(
-            "  {} {}  (n={})\n",
-            MARKERS[si % MARKERS.len()],
-            label,
-            ts.len()
+            "{:>12}{}{:>w$}\n",
+            Timestamp(t_min).to_string(),
+            " ".repeat(2),
+            Timestamp(t_max).to_string(),
+            w = w.saturating_sub(14)
         ));
+        // Legend.
+        for (si, (label, ts)) in series.iter().enumerate() {
+            out.push_str(&format!(
+                "  {} {}  (n={})\n",
+                MARKERS[si % MARKERS.len()],
+                label,
+                ts.len()
+            ));
+        }
+        for (t, text) in annotations {
+            out.push_str(&format!("  ¦ {} @ {}\n", text, Timestamp(*t)));
+        }
+        out
     }
-    for (t, text) in &annotations {
-        out.push_str(&format!("  ¦ {} @ {}\n", text, Timestamp(*t)));
-    }
-    Ok(out)
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! administrators' overview of all running jobs.
 
 use crate::model::{Dashboard, Panel, Row, Target};
-use crate::render::{render_panel, sparkline, RenderOptions};
+use crate::render::{render_panels, sparkline, RenderOptions};
 use crate::templates::TemplateStore;
 use lms_analysis::evaluation::{JobEvaluation, NodePeaks};
 use lms_influx::QuerySource;
@@ -152,19 +152,20 @@ impl ViewerAgent {
         Ok(dashboard)
     }
 
-    /// Renders a whole dashboard to text (all panels).
+    /// Renders a whole dashboard to text (all panels, queried together:
+    /// see [`render_panels`]).
     pub fn render_dashboard(
         &self,
         source: &mut dyn QuerySource,
         dashboard: &Dashboard,
         opts: RenderOptions,
     ) -> Result<String> {
+        let panels: Vec<&Panel> = dashboard.rows.iter().flat_map(|row| &row.panels).collect();
+        let mut texts = render_panels(&panels, source, opts)?.into_iter();
         let mut out = format!("##### {} #####\n", dashboard.title);
         for row in &dashboard.rows {
             out.push_str(&format!("\n--- {} ---\n", row.title));
-            for panel in &row.panels {
-                out.push_str(&render_panel(panel, source, opts)?);
-            }
+            out.extend(texts.by_ref().take(row.panels.len()));
         }
         Ok(out)
     }
@@ -177,26 +178,29 @@ impl ViewerAgent {
         jobs: &[JobInfo],
         now: Timestamp,
     ) -> Result<AdminView> {
+        // Thumbnails from each job's first host (a representative trace;
+        // the full dashboard shows every node), all in one batch.
+        let stmts: Vec<String> = jobs
+            .iter()
+            .map(|job| {
+                let host = job.hosts.first().map(String::as_str).unwrap_or("");
+                format!(
+                    "SELECT mean(dp_mflop_s) FROM hpm_flops_dp WHERE hostname = '{host}' AND time >= {} AND time <= {} GROUP BY time(1m)",
+                    job.start.nanos(),
+                    job.end.unwrap_or(now).nanos()
+                )
+            })
+            .collect();
+        let traces = source.query_batch(&self.db, &stmts)?;
+
         let mut text = String::from("RUNNING JOBS\n");
         text.push_str(&format!(
             "{:<8} {:<10} {:<6} {:<24} {}\n",
             "jobid", "user", "nodes", "runtime", "DP FLOP rate"
         ));
-        for job in jobs {
-            let end = job.end.unwrap_or(now);
-            let runtime = lms_util::fmt::duration(end.since(job.start));
-            // Thumbnail from the job's first host (a representative trace;
-            // the full dashboard shows every node).
-            let host = job.hosts.first().map(String::as_str).unwrap_or("");
-            let q = format!(
-                "SELECT mean(dp_mflop_s) FROM hpm_flops_dp WHERE hostname = '{host}' AND time >= {} AND time <= {} GROUP BY time(1m)",
-                job.start.nanos(),
-                end.nanos()
-            );
-            let series = lms_analysis::TimeSeries::from_result(
-                &source.query_source(&self.db, &q)?,
-                "mean",
-            );
+        for (job, trace) in jobs.iter().zip(&traces) {
+            let runtime = lms_util::fmt::duration(job.end.unwrap_or(now).since(job.start));
+            let series = lms_analysis::TimeSeries::from_result(trace, "mean");
             let thumb = sparkline(&series.values());
             text.push_str(&format!(
                 "{:<8} {:<10} {:<6} {:<24} {}\n",

@@ -33,4 +33,4 @@ pub mod url;
 pub use client::HttpClient;
 pub use fault::{FaultConfig, FaultProxy};
 pub use message::{Request, Response};
-pub use server::{Server, ServerConfig};
+pub use server::{Server, ServerConfig, MIN_CONNECTION_CAP};

@@ -7,6 +7,16 @@
 //! thread; `max_connections` bounds the total. Connection threads poll the
 //! stop flag every 200 ms while idle, so shutdown completes promptly.
 //! Designed for the trusted-cluster-network setting of the paper: no TLS.
+//!
+//! Thread-per-connection is priced per *connection*, so it holds as long
+//! as peers keep theirs: a thread spawn and a TCP handshake cost more than
+//! a small request does, and a peer that dials per request pays both every
+//! time. The stack's own peers therefore dial once — agents and signalers
+//! hold one client each, and the router keeps a small set of connections
+//! per database node that its forwarders, spool drainer and query path all
+//! share — which leaves each server a few dozen long-lived threads that
+//! sleep in `read` between requests. [`Server::accepted_connections`]
+//! counts the dials, so a per-request dialer shows up as a number.
 
 use crate::message::{Request, Response};
 use lms_util::{Error, Result};
@@ -20,13 +30,21 @@ use std::time::Duration;
 /// The request handler type: pure function from request to response.
 pub type Handler = Arc<dyn Fn(Request) -> Response + Send + Sync>;
 
+/// The floor under every server's concurrent-connection bound: a
+/// configured `max_connections` below it is raised to it, because the
+/// stack's own internal clients — the router's kept node connections,
+/// signalers, health probes — must always fit. Peers that keep
+/// connections open size themselves against this number (the router's
+/// `MAX_IDLE_CLIENTS`).
+pub const MIN_CONNECTION_CAP: usize = 16;
+
 /// Admission and resource limits of a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Concurrent-connection bound (minimum 16: the stack's own internal
-    /// clients — forwarders, signalers, health probes — must always fit).
-    /// Connections over the limit are answered `503 + Retry-After` and
-    /// closed immediately instead of getting a thread.
+    /// Concurrent-connection bound, raised to [`MIN_CONNECTION_CAP`] when
+    /// below it. Connections over the limit are answered
+    /// `503 + Retry-After` and closed immediately instead of getting a
+    /// thread.
     pub max_connections: usize,
     /// Per-request body cap; a larger declared `Content-Length` is
     /// answered `413 Payload Too Large`.
@@ -63,6 +81,7 @@ pub struct Server {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     active: Arc<AtomicUsize>,
+    accepted: Arc<AtomicU64>,
     shed: Arc<AtomicU64>,
     acceptor: Option<JoinHandle<()>>,
 }
@@ -91,14 +110,16 @@ impl Server {
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let active = Arc::new(AtomicUsize::new(0));
+        let accepted = Arc::new(AtomicU64::new(0));
         let shed = Arc::new(AtomicU64::new(0));
         let handler: Handler = Arc::new(handler);
-        let cap = config.max_connections.max(16);
+        let cap = config.max_connections.max(MIN_CONNECTION_CAP);
         let retry_after = config.retry_after_secs;
 
         let acceptor = {
             let stop = stop.clone();
             let active = active.clone();
+            let accepted = accepted.clone();
             let shed = shed.clone();
             let config = config.clone();
             std::thread::Builder::new()
@@ -125,6 +146,7 @@ impl Server {
                             continue;
                         }
                         let _ = stream.set_nodelay(true);
+                        accepted.fetch_add(1, Ordering::Relaxed);
                         active.fetch_add(1, Ordering::AcqRel);
                         let handler = handler.clone();
                         let stop = stop.clone();
@@ -144,7 +166,7 @@ impl Server {
                 .map_err(Error::from)?
         };
 
-        Ok(Server { addr: local, stop, active, shed, acceptor: Some(acceptor) })
+        Ok(Server { addr: local, stop, active, accepted, shed, acceptor: Some(acceptor) })
     }
 
     /// The bound address (resolves port 0 to the actual port).
@@ -155,6 +177,12 @@ impl Server {
     /// Number of open connections.
     pub fn active_connections(&self) -> usize {
         self.active.load(Ordering::Acquire)
+    }
+
+    /// Number of connections admitted (given a thread) since the server
+    /// started — one per dial, however many requests each then carried.
+    pub fn accepted_connections(&self) -> u64 {
+        self.accepted.load(Ordering::Relaxed)
     }
 
     /// Number of connections refused with `503` because the server was at
@@ -276,6 +304,7 @@ mod tests {
             let r = c.get(&format!("/req{i}")).unwrap();
             assert_eq!(r.body_str(), format!("/req{i}"));
         }
+        assert_eq!(server.accepted_connections(), 1, "ten requests, one dial");
         server.shutdown();
     }
 
@@ -332,7 +361,7 @@ mod tests {
         // being silently dropped (the pre-fix behavior) or given a thread.
         let server = Server::bind("127.0.0.1:0", 1, |_| Response::no_content()).unwrap();
         let addr = server.addr();
-        let _parked: Vec<HttpClient> = (0..16)
+        let _parked: Vec<HttpClient> = (0..MIN_CONNECTION_CAP)
             .map(|_| {
                 let mut c = HttpClient::connect(addr).unwrap();
                 assert_eq!(c.get("/warm").unwrap().status, 204);
@@ -341,7 +370,7 @@ mod tests {
             .collect();
         // Wait until all 16 connection threads are registered.
         for _ in 0..100 {
-            if server.active_connections() >= 16 {
+            if server.active_connections() >= MIN_CONNECTION_CAP {
                 break;
             }
             std::thread::sleep(std::time::Duration::from_millis(10));
@@ -352,6 +381,7 @@ mod tests {
         assert!(buf.starts_with("HTTP/1.1 503"), "{buf}");
         assert!(buf.to_ascii_lowercase().contains("retry-after:"), "{buf}");
         assert!(server.shed_connections() >= 1);
+        assert_eq!(server.accepted_connections(), MIN_CONNECTION_CAP as u64, "shed ≠ accepted");
         server.shutdown();
     }
 

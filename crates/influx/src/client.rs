@@ -5,14 +5,31 @@
 //! real InfluxDB (the point of mimicking its API, per the paper).
 
 use crate::exec::QueryResult;
-use lms_http::HttpClient;
+use lms_http::url::percent_encode;
+use lms_http::{HttpClient, Request, Response};
 use lms_lineproto::Precision;
-use lms_util::{Json, Result};
+use lms_util::{Error, Json, Result};
 use std::net::ToSocketAddrs;
 
 /// Client for one database server.
 pub struct InfluxClient {
     http: HttpClient,
+}
+
+/// Parses a JSON answer, lifting an `{"error": ...}` body — or any answer
+/// of status ≥ 400, JSON or not (a node sheds connections over its cap
+/// with a plain-text 503) — into `Error::Remote` under the real HTTP
+/// status. Cluster routers tell a node's "no such database" (404, an empty
+/// answer) from a malformed query (400) and from an overloaded node (503,
+/// a partial answer) by exactly this status.
+fn lift(resp: &Response) -> Result<Json> {
+    let parsed = Json::parse(&resp.body_str());
+    let error = parsed.as_ref().ok().and_then(|json| json.get("error")).and_then(Json::as_str);
+    if error.is_some() || resp.status >= 400 {
+        let message = error.map_or_else(|| resp.body_str().into_owned(), str::to_string);
+        return Err(Error::Remote { status: resp.status, message });
+    }
+    parsed
 }
 
 impl InfluxClient {
@@ -26,6 +43,20 @@ impl InfluxClient {
     /// pin a worker for the default 10 s.
     pub fn set_timeout(&mut self, t: std::time::Duration) {
         self.http.set_timeout(t);
+    }
+
+    /// Writes one of this API's requests (the `*_request` builders)
+    /// without waiting for the answer, so a caller with clients to several
+    /// servers can write to all before it waits for any. See
+    /// [`HttpClient::start`].
+    pub fn start(&mut self, req: &Request) -> Result<()> {
+        self.http.start(req)
+    }
+
+    /// Reads the answer to `req`, which [`start`](Self::start) wrote, for
+    /// the matching `parse_*` function. See [`HttpClient::finish`].
+    pub fn finish(&mut self, req: &Request) -> Result<Response> {
+        self.http.finish(req)
     }
 
     /// Health check: `GET /ping`.
@@ -52,34 +83,97 @@ impl InfluxClient {
         batch: &str,
         precision: Precision,
     ) -> Result<()> {
-        let target = format!(
-            "/write?db={}&precision={}",
-            lms_http::url::percent_encode(db),
-            precision.as_str()
-        );
+        let target = format!("/write?db={}&precision={}", percent_encode(db), precision.as_str());
         self.http.post_text(&target, batch)?.into_result().map(drop)
+    }
+
+    /// The `/query` request carrying `stmts` as one `;`-separated list in
+    /// a form-encoded POST body — what InfluxDB accepts, and what keeps a
+    /// view's worth of statements out of the request line.
+    pub fn statements_request(db: &str, stmts: &[String]) -> Request {
+        let mut req = Request::new("POST", &format!("/query?db={}", percent_encode(db)));
+        req.headers.push(("content-type".into(), "application/x-www-form-urlencoded".into()));
+        req.body = format!("q={}", percent_encode(&stmts.join(";"))).into_bytes();
+        req
+    }
+
+    /// The `/query_range` request.
+    pub fn query_range_request(
+        db: &str,
+        q: &str,
+        start: i64,
+        end: i64,
+        step: Option<i64>,
+    ) -> Request {
+        use std::fmt::Write as _;
+        let mut target = format!(
+            "/query_range?db={}&q={}&start={start}&end={end}",
+            percent_encode(db),
+            percent_encode(q)
+        );
+        if let Some(step) = step {
+            write!(target, "&step={step}").expect("writing to a String");
+        }
+        Request::new("GET", &target)
+    }
+
+    /// The `/metrics` request.
+    pub fn metrics_request(db: &str) -> Request {
+        Request::new("GET", &format!("/metrics?db={}", percent_encode(db)))
+    }
+
+    /// The `/labels/{measurement}` request.
+    pub fn labels_request(db: &str, measurement: &str) -> Request {
+        Request::new(
+            "GET",
+            &format!("/labels/{}?db={}", percent_encode(measurement), percent_encode(db)),
+        )
+    }
+
+    /// Reads a single-statement `/query` or `/query_range` answer.
+    pub fn parse_query(resp: &Response) -> Result<QueryResult> {
+        Self::parse_statements(resp, 1)?.pop().expect("one outcome, checked")
+    }
+
+    /// Reads the `/query` answer to `sent` statements: one outcome per
+    /// statement, in order. An error answer to the request as a whole is
+    /// the outer error, as is an answer of another length.
+    pub fn parse_statements(resp: &Response, sent: usize) -> Result<Vec<Result<QueryResult>>> {
+        let outcomes = QueryResult::batch_from_json(lift(resp)?)?;
+        if outcomes.len() != sent {
+            return Err(Error::protocol(format!(
+                "{sent} statements sent, {} answered",
+                outcomes.len()
+            )));
+        }
+        Ok(outcomes)
+    }
+
+    /// Reads a `{"<key>": [names]}` listing (`/metrics`, `/labels`).
+    pub fn parse_listing(resp: &Response, key: &str) -> Result<Vec<String>> {
+        let json = lift(resp)?;
+        let items = json
+            .get(key)
+            .and_then(Json::as_arr)
+            .ok_or_else(|| Error::protocol(format!("missing `{key}` in listing")))?;
+        Ok(items.iter().filter_map(Json::as_str).map(str::to_string).collect())
     }
 
     /// Runs a query and parses the result.
     pub fn query(&mut self, db: &str, q: &str) -> Result<QueryResult> {
-        let target = format!(
-            "/query?db={}&q={}",
-            lms_http::url::percent_encode(db),
-            lms_http::url::percent_encode(q)
-        );
-        let resp = self.http.get(&target)?;
-        // Error responses carry {"error": ...}; surface them as Remote
-        // errors under their real HTTP status — cluster routers tell a
-        // node's "no such database" (404, an empty answer) apart from a
-        // malformed query (400) by exactly this status.
-        let json = Json::parse(&resp.body_str())?;
-        if let Some(err) = json.get("error").and_then(Json::as_str) {
-            return Err(lms_util::Error::Remote {
-                status: resp.status,
-                message: err.to_string(),
-            });
-        }
-        QueryResult::from_json(&json)
+        let target = format!("/query?db={}&q={}", percent_encode(db), percent_encode(q));
+        Self::parse_query(&self.http.get(&target)?)
+    }
+
+    /// Runs `stmts` in one request; one outcome per statement, in order.
+    /// [`QuerySource::query_batch`](crate::QuerySource::query_batch) is
+    /// this with the first failed statement failing the whole.
+    pub fn query_statements(
+        &mut self,
+        db: &str,
+        stmts: &[String],
+    ) -> Result<Vec<Result<QueryResult>>> {
+        Self::parse_statements(&self.http.send(&Self::statements_request(db, stmts))?, stmts.len())
     }
 
     /// Runs a range query: a SELECT over the half-open `[start, end)` ns
@@ -92,62 +186,18 @@ impl InfluxClient {
         end: i64,
         step: Option<i64>,
     ) -> Result<QueryResult> {
-        let mut target = format!(
-            "/query_range?db={}&q={}&start={start}&end={end}",
-            lms_http::url::percent_encode(db),
-            lms_http::url::percent_encode(q)
-        );
-        if let Some(step) = step {
-            target.push_str(&format!("&step={step}"));
-        }
-        let resp = self.http.get(&target)?;
-        let json = Json::parse(&resp.body_str())?;
-        if let Some(err) = json.get("error").and_then(Json::as_str) {
-            return Err(lms_util::Error::Remote {
-                status: resp.status,
-                message: err.to_string(),
-            });
-        }
-        QueryResult::from_json(&json)
+        let req = Self::query_range_request(db, q, start, end, step);
+        Self::parse_query(&self.http.send(&req)?)
     }
 
     /// Lists the measurement names of a database (`/metrics`).
     pub fn metrics(&mut self, db: &str) -> Result<Vec<String>> {
-        let target = format!("/metrics?db={}", lms_http::url::percent_encode(db));
-        self.string_listing(&target, "metrics")
+        Self::parse_listing(&self.http.send(&Self::metrics_request(db))?, "metrics")
     }
 
     /// Lists the tag keys of one measurement (`/labels/{measurement}`).
     pub fn labels(&mut self, db: &str, measurement: &str) -> Result<Vec<String>> {
-        let target = format!(
-            "/labels/{}?db={}",
-            lms_http::url::percent_encode(measurement),
-            lms_http::url::percent_encode(db)
-        );
-        self.string_listing(&target, "labels")
-    }
-
-    fn string_listing(&mut self, target: &str, key: &str) -> Result<Vec<String>> {
-        let resp = self.http.get(target)?;
-        let json = Json::parse(&resp.body_str())?;
-        if let Some(err) = json.get("error").and_then(Json::as_str) {
-            return Err(lms_util::Error::Remote {
-                status: resp.status,
-                message: err.to_string(),
-            });
-        }
-        let mut names = Vec::new();
-        let Some(arr) = json.get(key) else {
-            return Err(lms_util::Error::protocol(format!("missing `{key}` in listing")));
-        };
-        let mut i = 0;
-        while let Some(item) = arr.idx(i) {
-            if let Some(s) = item.as_str() {
-                names.push(s.to_string());
-            }
-            i += 1;
-        }
-        Ok(names)
+        Self::parse_listing(&self.http.send(&Self::labels_request(db, measurement))?, "labels")
     }
 
     /// Fetches the anti-entropy range digests of one database
@@ -162,19 +212,12 @@ impl InfluxClient {
     ) -> Result<Vec<lms_util::digest::BucketDigest>> {
         let target = format!(
             "/integrity?db={}&nodes={nodes}&replication={replication}&seed={seed}",
-            lms_http::url::percent_encode(db)
+            percent_encode(db)
         );
-        let resp = self.http.get(&target)?;
-        let json = Json::parse(&resp.body_str())?;
-        if let Some(err) = json.get("error").and_then(Json::as_str) {
-            return Err(lms_util::Error::Remote {
-                status: resp.status,
-                message: err.to_string(),
-            });
-        }
+        let json = lift(&self.http.get(&target)?)?;
         let digests = json
             .get("digests")
-            .ok_or_else(|| lms_util::Error::protocol("missing `digests` in /integrity"))?;
+            .ok_or_else(|| Error::protocol("missing `digests` in /integrity"))?;
         lms_util::digest::digests_from_json(digests)
     }
 
@@ -183,7 +226,7 @@ impl InfluxClient {
     pub fn integrity_export(&mut self, db: &str, start: i64, end: i64) -> Result<String> {
         let target = format!(
             "/integrity/export?db={}&start={start}&end={end}",
-            lms_http::url::percent_encode(db)
+            percent_encode(db)
         );
         let resp = self.http.get(&target)?;
         if resp.status >= 400 {
@@ -191,17 +234,14 @@ impl InfluxClient {
                 .ok()
                 .and_then(|j| j.get("error").and_then(Json::as_str).map(str::to_string))
                 .unwrap_or_else(|| format!("HTTP {}", resp.status));
-            return Err(lms_util::Error::Remote { status: resp.status, message });
+            return Err(Error::Remote { status: resp.status, message });
         }
         Ok(resp.body_str().into_owned())
     }
 
     /// Creates a database.
     pub fn create_database(&mut self, name: &str) -> Result<()> {
-        let target = format!(
-            "/query?q={}",
-            lms_http::url::percent_encode(&format!("CREATE DATABASE {name}"))
-        );
+        let target = format!("/query?q={}", percent_encode(&format!("CREATE DATABASE {name}")));
         self.http.post(&target, b"")?.into_result().map(drop)
     }
 }

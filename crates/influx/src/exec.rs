@@ -55,106 +55,191 @@ impl QueryResult {
         Self::default()
     }
 
-    /// Renders the InfluxDB `/query` response JSON.
-    pub fn to_json(&self) -> Json {
+    /// This result as one element of the response's `results` array.
+    /// Consumes the result: its cells move into the tree.
+    fn into_statement_json(self, statement_id: usize) -> Json {
         let series = self
             .series
-            .iter()
+            .into_iter()
             .map(|s| {
-                let mut obj = vec![("name".to_string(), Json::str(&s.name))];
+                let mut obj = vec![("name".to_string(), Json::Str(s.name))];
                 if !s.tags.is_empty() {
                     obj.push((
                         "tags".to_string(),
-                        Json::Obj(
-                            s.tags
-                                .iter()
-                                .map(|(k, v)| (k.clone(), Json::str(v)))
-                                .collect(),
-                        ),
+                        Json::Obj(s.tags.into_iter().map(|(k, v)| (k, Json::Str(v))).collect()),
                     ));
                 }
-                obj.push((
-                    "columns".to_string(),
-                    Json::arr(s.columns.iter().map(Json::str)),
-                ));
-                obj.push((
-                    "values".to_string(),
-                    Json::arr(s.values.iter().map(|row| Json::arr(row.iter().cloned()))),
-                ));
+                obj.push(("columns".to_string(), Json::arr(s.columns.into_iter().map(Json::Str))));
+                obj.push(("values".to_string(), Json::arr(s.values.into_iter().map(Json::Arr))));
                 Json::Obj(obj)
             })
             .collect::<Vec<_>>();
-        let mut top = vec![(
-            "results".to_string(),
-            Json::arr([Json::obj([
-                ("statement_id", Json::from(0i64)),
-                ("series", Json::Arr(series)),
-            ])]),
-        )];
-        if self.partial {
+        Json::obj([
+            ("statement_id", Json::from(statement_id as i64)),
+            ("series", Json::Arr(series)),
+        ])
+    }
+
+    /// Renders the InfluxDB `/query` response JSON.
+    pub fn to_json(&self) -> Json {
+        self.clone().into_json()
+    }
+
+    /// [`to_json`](Self::to_json) of a result that is not needed after:
+    /// no cell is copied.
+    pub fn into_json(self) -> Json {
+        let partial = self.partial;
+        let mut top = vec![("results".to_string(), Json::arr([self.into_statement_json(0)]))];
+        if partial {
             top.push(("partial".to_string(), Json::Bool(true)));
         }
         Json::Obj(top)
     }
 
+    /// Serializes the answer to a multi-statement `/query` — one `results`
+    /// element per outcome, in order, by `statement_id` — and tells whether
+    /// any of it is partial. Outcomes are taken one at a time, so a lazy
+    /// `outcomes` keeps one statement's result and JSON tree alive at
+    /// once, not the whole list's. A failed statement's element carries
+    /// `error` and — so that a client can raise exactly what the statement
+    /// sent alone would have — the HTTP `status` of that lone answer (404
+    /// for a missing database, 400 otherwise, a remote error's own).
+    /// `partial` is per request: every statement rode the same scatter.
+    pub fn batch_body(outcomes: impl IntoIterator<Item = Result<QueryResult>>) -> (String, bool) {
+        use std::fmt::Write as _;
+        let mut body = String::from(r#"{"results":["#);
+        let mut partial = false;
+        for (id, outcome) in outcomes.into_iter().enumerate() {
+            let element = match outcome {
+                Ok(result) => {
+                    partial |= result.partial;
+                    result.into_statement_json(id)
+                }
+                Err(e) => {
+                    let (status, message) = match e {
+                        Error::Remote { status, message } => (status, message),
+                        Error::NotFound(_) => (404, e.to_string()),
+                        e => (400, e.to_string()),
+                    };
+                    Json::obj([
+                        ("statement_id", Json::from(id as i64)),
+                        ("error", Json::Str(message)),
+                        ("status", Json::from(i64::from(status))),
+                    ])
+                }
+            };
+            let comma = if id > 0 { "," } else { "" };
+            write!(body, "{comma}{element}").expect("writing to a String");
+        }
+        body.push_str(if partial { r#"],"partial":true}"# } else { "]}" });
+        (body, partial)
+    }
+
+    /// Parses a `/query` response of any statement count into one outcome
+    /// per `results` element (client side of [`batch_body`]; a
+    /// single-statement answer is the one-element case). A failed
+    /// statement becomes `Error::Remote` under its `status` (400 when the
+    /// server — a real InfluxDB — sent none). Consumes the tree: cells
+    /// move into the results.
+    ///
+    /// [`batch_body`]: Self::batch_body
+    pub fn batch_from_json(json: Json) -> Result<Vec<Result<QueryResult>>> {
+        let partial = json.get("partial").and_then(Json::as_bool).unwrap_or(false);
+        let results = match json {
+            Json::Obj(top) => top.into_iter().find(|(key, _)| key == "results"),
+            _ => None,
+        };
+        let Some((_, Json::Arr(results))) = results else {
+            return Err(Error::protocol("query response missing `results`"));
+        };
+        Ok(results
+            .into_iter()
+            .map(|result| {
+                if let Some(err) = result.get("error").and_then(Json::as_str) {
+                    let status = result
+                        .get("status")
+                        .and_then(Json::as_i64)
+                        .and_then(|s| u16::try_from(s).ok())
+                        .unwrap_or(400);
+                    return Err(Error::Remote { status, message: err.to_string() });
+                }
+                Ok(QueryResult { series: series_of(result), partial })
+            })
+            .collect())
+    }
+
     /// Parses the InfluxDB `/query` response JSON (client side). Also
-    /// surfaces `{"error": "..."}` responses as errors.
+    /// surfaces `{"error": "..."}` responses as errors. The series of
+    /// every `results` element are concatenated.
     pub fn from_json(json: &Json) -> Result<QueryResult> {
         if let Some(err) = json.get("error").and_then(Json::as_str) {
             return Err(Error::Remote { status: 400, message: err.to_string() });
         }
         let mut out = QueryResult::empty();
-        out.partial = json.get("partial").and_then(Json::as_bool).unwrap_or(false);
-        let results = json
-            .get("results")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| Error::protocol("query response missing `results`"))?;
-        for result in results {
-            if let Some(err) = result.get("error").and_then(Json::as_str) {
-                return Err(Error::Remote { status: 400, message: err.to_string() });
-            }
-            let Some(series) = result.get("series").and_then(Json::as_arr) else {
-                continue;
-            };
-            for s in series {
-                let name = s
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .unwrap_or_default()
-                    .to_string();
-                let mut tags: Vec<(String, String)> = s
-                    .get("tags")
-                    .and_then(Json::as_obj)
-                    .map(|o| {
-                        o.iter()
-                            .map(|(k, v)| {
-                                (k.clone(), v.as_str().unwrap_or_default().to_string())
-                            })
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                tags.sort();
-                let columns = s
-                    .get("columns")
-                    .and_then(Json::as_arr)
-                    .map(|a| {
-                        a.iter().map(|c| c.as_str().unwrap_or_default().to_string()).collect()
-                    })
-                    .unwrap_or_default();
-                let values = s
-                    .get("values")
-                    .and_then(Json::as_arr)
-                    .map(|rows| {
-                        rows.iter()
-                            .map(|r| r.as_arr().map(<[Json]>::to_vec).unwrap_or_default())
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                out.series.push(ResultSeries { name, tags, columns, values });
-            }
+        for result in Self::batch_from_json(json.clone())? {
+            let result = result?;
+            out.partial = result.partial;
+            out.series.extend(result.series);
         }
         Ok(out)
     }
+}
+
+/// The series of one `results` element, its cells moved out of the tree.
+fn series_of(result: Json) -> Vec<ResultSeries> {
+    let Json::Obj(fields) = result else { return Vec::new() };
+    let Some((_, Json::Arr(series))) = fields.into_iter().find(|(key, _)| key == "series") else {
+        return Vec::new();
+    };
+    let strings = |json: Json| match json {
+        Json::Arr(items) => items
+            .into_iter()
+            .map(|item| match item {
+                Json::Str(s) => s,
+                _ => String::new(),
+            })
+            .collect(),
+        _ => Vec::new(),
+    };
+    series
+        .into_iter()
+        .map(|s| {
+            let mut out = ResultSeries {
+                name: String::new(),
+                tags: Vec::new(),
+                columns: Vec::new(),
+                values: Vec::new(),
+            };
+            let Json::Obj(fields) = s else { return out };
+            for (key, value) in fields {
+                match (key.as_str(), value) {
+                    ("name", Json::Str(name)) => out.name = name,
+                    ("tags", Json::Obj(tags)) => {
+                        out.tags = tags
+                            .into_iter()
+                            .map(|(k, v)| match v {
+                                Json::Str(v) => (k, v),
+                                _ => (k, String::new()),
+                            })
+                            .collect();
+                        out.tags.sort();
+                    }
+                    ("columns", columns) => out.columns = strings(columns),
+                    ("values", Json::Arr(rows)) => {
+                        out.values = rows
+                            .into_iter()
+                            .map(|row| match row {
+                                Json::Arr(cells) => cells,
+                                _ => Vec::new(),
+                            })
+                            .collect();
+                    }
+                    _ => {}
+                }
+            }
+            out
+        })
+        .collect()
 }
 
 fn json_of(v: &FieldValue) -> Json {
@@ -1242,5 +1327,67 @@ mod tests {
         assert!(QueryResult::from_json(&j).is_err());
         let j = Json::parse(r#"{"results":[{"statement_id":0,"error":"boom"}]}"#).unwrap();
         assert!(QueryResult::from_json(&j).is_err());
+    }
+
+    #[test]
+    fn multi_statement_answers_round_trip_by_statement_id() {
+        let db = fixture();
+        let results = vec![
+            Ok(q(&db, "SELECT mean(value) FROM cpu GROUP BY hostname")),
+            Err(Error::not_found("database `ghost`")),
+            Ok(QueryResult::empty()),
+            Err(Error::protocol("query: expected SELECT, SHOW or CREATE")),
+            Err(Error::Remote { status: 503, message: "shed".into() }),
+        ];
+        let expect: Vec<Option<QueryResult>> =
+            results.iter().map(|r| r.as_ref().ok().cloned()).collect();
+        let messages: Vec<Option<String>> = results
+            .iter()
+            .map(|r| match r {
+                Err(Error::Remote { message, .. }) => Some(message.clone()),
+                Err(other) => Some(other.to_string()),
+                Ok(_) => None,
+            })
+            .collect();
+        let one_alone = expect[0].clone().unwrap().to_json();
+        let (body, partial) = QueryResult::batch_body(results);
+        assert!(!partial);
+        let json = Json::parse(&body).unwrap();
+        let ids: Vec<i64> = json
+            .get("results")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .map(|r| r.get("statement_id").and_then(Json::as_i64).unwrap())
+            .collect();
+        assert_eq!(ids, vec![0, 1, 2, 3, 4]);
+        let back = QueryResult::batch_from_json(json).unwrap();
+        assert_eq!(back.len(), expect.len());
+        assert_eq!(back[0].as_ref().ok(), expect[0].as_ref());
+        assert_eq!(back[2].as_ref().unwrap(), &QueryResult::empty());
+        // A failed statement comes back as what it would have been alone:
+        // the error text under the status of the lone answer.
+        for (i, status) in [(1, 404), (3, 400), (4, 503)] {
+            match &back[i] {
+                Err(Error::Remote { status: s, message }) => {
+                    assert_eq!(*s, status);
+                    assert_eq!(Some(message), messages[i].as_ref());
+                }
+                other => panic!("statement {i}: {other:?}"),
+            }
+        }
+        // A one-statement answer is the one-element case of the same form,
+        // byte for byte.
+        let one = QueryResult::batch_from_json(one_alone.clone()).unwrap();
+        assert_eq!(one.len(), 1);
+        assert_eq!(one[0].as_ref().ok(), expect[0].as_ref());
+        assert_eq!(QueryResult::batch_body([Ok(expect[0].clone().unwrap())]).0, one_alone.to_string());
+        // `partial` is per request.
+        let partial = QueryResult { partial: true, ..QueryResult::empty() };
+        let (body, flagged) = QueryResult::batch_body([Ok(QueryResult::empty()), Ok(partial.clone())]);
+        assert!(flagged);
+        let back = QueryResult::batch_from_json(Json::parse(&body).unwrap()).unwrap();
+        assert!(back.iter().all(|r| r.as_ref().unwrap().partial));
+        assert_eq!(QueryResult::batch_body([Ok(partial.clone())]).0, partial.to_json().to_string());
     }
 }

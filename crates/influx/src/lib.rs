@@ -17,7 +17,8 @@
 //!   time DESC`, `LIMIT`, plus `SHOW MEASUREMENTS` / `SHOW TAG VALUES` /
 //!   `SHOW FIELD KEYS` / `CREATE DATABASE`,
 //! - [`exec`] — query execution and InfluxDB-shaped JSON results,
-//! - [`server`] — `/ping`, `/write`, `/query` endpoints over `lms-http`,
+//! - [`server`] — `/ping`, `/write`, `/query` (one statement or a `;`-separated
+//!   list) endpoints over `lms-http`,
 //! - [`client`] — a typed client for the same API (used by the router,
 //!   dashboard agent and analysis).
 //!
@@ -67,6 +68,15 @@ pub use lms_rollup::Tier;
 pub trait QuerySource {
     /// Runs a query against a database.
     fn query_source(&mut self, db: &str, q: &str) -> lms_util::Result<QueryResult>;
+
+    /// Runs `stmts` against one database and answers them in order; the
+    /// first statement that fails fails the batch, as a loop of
+    /// [`query_source`](Self::query_source) with `?` would. A view asks
+    /// for everything one stage needs in one call, so a remote source can
+    /// make it one round trip; the default is that loop.
+    fn query_batch(&mut self, db: &str, stmts: &[String]) -> lms_util::Result<Vec<QueryResult>> {
+        stmts.iter().map(|q| self.query_source(db, q)).collect()
+    }
 }
 
 impl QuerySource for Influx {
@@ -78,6 +88,14 @@ impl QuerySource for Influx {
 impl QuerySource for InfluxClient {
     fn query_source(&mut self, db: &str, q: &str) -> lms_util::Result<QueryResult> {
         self.query(db, q)
+    }
+
+    /// One request for the whole list (none for an empty one).
+    fn query_batch(&mut self, db: &str, stmts: &[String]) -> lms_util::Result<Vec<QueryResult>> {
+        if stmts.is_empty() {
+            return Ok(Vec::new());
+        }
+        self.query_statements(db, stmts)?.into_iter().collect()
     }
 }
 
@@ -106,6 +124,60 @@ mod proptests {
         }
         ix.write_lines("lms", &batch, Default::default()).unwrap();
         ix
+    }
+
+    /// Statements a batch is drawn from: aggregates (with and without
+    /// windows and groups), raw rows, a listing, two empty answers (one
+    /// with a `;` in a string) and two that fail.
+    const STATEMENT_POOL: [&str; 9] = [
+        "SELECT mean(v) FROM m",
+        "SELECT mean(v), max(v), count(v) FROM m WHERE time >= 0 AND time < 3600000000000 GROUP BY time(10m), hostname",
+        "SELECT v FROM m WHERE hostname = 'h1'",
+        "SELECT sum(v) FROM m GROUP BY hostname",
+        "SHOW MEASUREMENTS",
+        "SELECT v FROM ghost",
+        "SELECT count(v) FROM m WHERE hostname = 'a;b'",
+        "SELEKT v FROM m",
+        "SELECT v FROM",
+    ];
+
+    /// `query_batch` against a loop of `query_source`: equal answers, or
+    /// the same first error.
+    fn batch_equals_loop(source: &mut dyn QuerySource, db: &str, stmts: &[String]) -> Result<(), String> {
+        let batch = source.query_batch(db, stmts);
+        let looped: lms_util::Result<Vec<QueryResult>> =
+            stmts.iter().map(|q| source.query_source(db, q)).collect();
+        match (batch, looped) {
+            (Ok(b), Ok(l)) if b == l => Ok(()),
+            (Err(b), Err(l)) if b.to_string() == l.to_string() => Ok(()),
+            (b, l) => Err(format!("batch {b:?}\n loop {l:?}")),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+        /// One request carrying a statement list answers what the
+        /// statements sent one by one do — over HTTP to a node, and on the
+        /// embedded handle (the trait's default loop).
+        #[test]
+        fn batch_equals_loop_on_one_node(
+            points in points_strategy(),
+            picks in proptest::collection::vec(0usize..STATEMENT_POOL.len(), 0..8),
+            db_exists in proptest::prelude::any::<bool>(),
+        ) {
+            let mut ix = load(&points);
+            let server = InfluxServer::start("127.0.0.1:0", ix.clone()).unwrap();
+            let mut client = InfluxClient::connect(server.addr()).unwrap();
+            let stmts: Vec<String> = picks.iter().map(|&i| STATEMENT_POOL[i].to_string()).collect();
+            let db = if db_exists { "lms" } else { "nowhere" };
+            let remote = batch_equals_loop(&mut client, db, &stmts);
+            let embedded = batch_equals_loop(&mut ix, db, &stmts);
+            drop(client);
+            server.shutdown();
+            prop_assert!(remote.is_ok(), "over HTTP: {}", remote.unwrap_err());
+            prop_assert!(embedded.is_ok(), "embedded: {}", embedded.unwrap_err());
+        }
     }
 
     proptest! {

@@ -294,6 +294,38 @@ impl Statement {
     }
 }
 
+/// Splits the text of a `/query` request into its `;`-separated
+/// statements, trimmed; blank statements (a trailing `;`, `;;`) are
+/// dropped. A `;` inside a single-quoted string (`''` escapes a quote), a
+/// double-quoted identifier or a `/regex/` (`\/` escapes a slash) belongs
+/// to its statement. An unterminated quote runs to the end of the text,
+/// where [`Statement::parse`] reports it.
+pub fn split_statements(text: &str) -> Vec<&str> {
+    let b = text.as_bytes();
+    let mut out = Vec::new();
+    let mut start = 0;
+    let mut i = 0;
+    while i < b.len() {
+        match b[i] {
+            b';' => {
+                out.push(&text[start..i]);
+                start = i + 1;
+            }
+            // `''` closes and reopens, which scans the same as an escape.
+            quote @ (b'\'' | b'"' | b'/') => {
+                i += 1;
+                while i < b.len() && b[i] != quote {
+                    i += if quote == b'/' && b[i] == b'\\' { 2 } else { 1 };
+                }
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    out.push(&text[start..]);
+    out.into_iter().map(str::trim).filter(|s| !s.is_empty()).collect()
+}
+
 /// Parses a duration literal body like `10m`, `30s`, `500ms`, `2h` into ns.
 pub fn parse_duration_ns(s: &str) -> Result<i64> {
     let digits_end = s.find(|c: char| !c.is_ascii_digit()).unwrap_or(s.len());
@@ -967,6 +999,49 @@ mod tests {
         let s = sel("select Mean(v) from m where h = 'x' group by time(1s) order by time desc limit 5");
         assert_eq!(s.projections[0], Projection::Agg(AggFunc::Mean, "v".into()));
         assert!(s.order_desc);
+    }
+
+    #[test]
+    fn statement_lists_split_on_semicolons_outside_quotes() {
+        assert_eq!(
+            split_statements("SELECT v FROM a; SHOW MEASUREMENTS ;SELECT v FROM b"),
+            vec!["SELECT v FROM a", "SHOW MEASUREMENTS", "SELECT v FROM b"]
+        );
+        // Trailing `;` and blank statements are ignored.
+        assert_eq!(split_statements("SELECT v FROM a;"), vec!["SELECT v FROM a"]);
+        assert_eq!(split_statements(" ;; SELECT v FROM a ;\n; "), vec!["SELECT v FROM a"]);
+        assert!(split_statements("").is_empty());
+        assert!(split_statements(" ; ;").is_empty());
+        // A `;` inside a string (with its `''` escape), a quoted identifier
+        // or a regex stays with its statement.
+        let quoted = "SELECT v FROM m WHERE h = 'a;''b;'; SELECT \"x;y\" FROM m";
+        assert_eq!(
+            split_statements(quoted),
+            vec!["SELECT v FROM m WHERE h = 'a;''b;'", "SELECT \"x;y\" FROM m"]
+        );
+        let regex = r"SELECT v FROM /cpu;\/;.*/ WHERE h = 'x'; SHOW MEASUREMENTS";
+        assert_eq!(
+            split_statements(regex),
+            vec![r"SELECT v FROM /cpu;\/;.*/ WHERE h = 'x'", "SHOW MEASUREMENTS"]
+        );
+        // An unterminated quote runs to the end, for the parser to report.
+        assert_eq!(split_statements("SELECT v FROM m WHERE h = 'a; SELECT 1").len(), 1);
+        assert!(Statement::parse("SELECT v FROM m WHERE h = 'a; SELECT 1").is_err());
+    }
+
+    #[test]
+    fn parsing_one_statement_is_what_it_was() {
+        // The tokenizer still skips a `;`, so a lone statement parses the
+        // same with or without its terminator, and a tag value keeps its.
+        assert_eq!(
+            Statement::parse("SELECT v FROM m;").unwrap(),
+            Statement::parse("SELECT v FROM m").unwrap()
+        );
+        let s = sel("SELECT v FROM m WHERE h = 'a;b'");
+        assert_eq!(s.conditions, vec![Condition::TagEq("h".into(), "a;b".into())]);
+        for stmt in split_statements("SELECT mean(v) FROM m GROUP BY time(1m); SHOW MEASUREMENTS;") {
+            Statement::parse(stmt).unwrap();
+        }
     }
 
     #[test]

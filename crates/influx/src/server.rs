@@ -4,7 +4,8 @@
 //! |---|---|
 //! | `GET /ping` | `204` with `X-Influxdb-Version` header |
 //! | `POST /write?db=<db>&precision=<p>` | line-protocol batch → `204`; `400` with a JSON error when every line failed or the db is missing |
-//! | `GET/POST /query?db=<db>&q=<stmt>` | InfluxDB-shaped JSON result |
+//! | `GET/POST /query?db=<db>&q=<stmt>` | InfluxDB-shaped JSON result; `q` may instead be a form field of a POST body |
+//! | `POST /query?db=<db>` body `q=<stmt>;<stmt>;…` | each statement run in order, answered as `results[]` by `statement_id`; a failed one carries `error` + `status` in its element and the rest still answer (`200`) |
 //! | `GET/POST /query_range?db=<db>&q=<stmt>&start=<ns>&end=<ns>&step=<dur>` | SELECT over an explicit `[start, end)` range, bucketed to `step` |
 //! | `GET /metrics?db=<db>` | sorted measurement names |
 //! | `GET /labels/<measurement>?db=<db>` | sorted tag keys of one measurement |
@@ -15,6 +16,7 @@
 //! | `GET /health/ready` | `204` when workers are healthy and storage is not degraded; `503` otherwise |
 
 use crate::db::{Influx, WriteOptions};
+use crate::exec::QueryResult;
 use lms_http::{Request, Response, Server, ServerConfig};
 use lms_lineproto::Precision;
 use lms_util::{Json, Result};
@@ -27,11 +29,14 @@ pub struct InfluxServer {
 
 impl InfluxServer {
     /// Starts serving `influx` on `addr` with a connection cap of one per
-    /// core (at least 4) — the sharded engine accepts concurrent writes,
-    /// so the HTTP layer should offer matching parallelism.
+    /// core and never under [`lms_http::MIN_CONNECTION_CAP`] (16) — the
+    /// sharded engine accepts concurrent writes, so the HTTP layer should
+    /// offer matching parallelism, and below 17 cores the floor is the
+    /// cap. Peers are expected to keep their connections: a router holds
+    /// at most `lms_router::MAX_IDLE_CLIENTS` open to a node at rest.
     pub fn start<A: ToSocketAddrs>(addr: A, influx: Influx) -> Result<Self> {
-        let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).max(4);
-        Self::start_with(addr, ServerConfig::with_max_connections(workers), influx)
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        Self::start_with(addr, ServerConfig::with_max_connections(cores), influx)
     }
 
     /// Starts serving with explicit admission limits (connection cap, body
@@ -53,6 +58,11 @@ impl InfluxServer {
     /// Connections refused with `503` at the admission limit.
     pub fn shed_connections(&self) -> u64 {
         self.server.shed_connections()
+    }
+
+    /// Connections admitted since the server started (one per dial).
+    pub fn accepted_connections(&self) -> u64 {
+        self.server.accepted_connections()
     }
 
     /// Stops the server.
@@ -80,6 +90,21 @@ fn parse_ns(req: &Request, name: &str) -> std::result::Result<Option<i64>, Respo
             error_json(&format!("bad `{name}` parameter `{raw}`: expected ns or duration")),
         )),
     }
+}
+
+/// The text of a `/query` request: the `q` URL parameter, or the `q` field
+/// of a form-encoded POST body (how InfluxDB takes statement lists too
+/// long for a request line).
+pub fn query_text(req: &Request) -> Option<std::borrow::Cow<'_, str>> {
+    if let Some(q) = req.query_param("q") {
+        return Some(q.into());
+    }
+    if req.method != "POST" {
+        return None;
+    }
+    lms_http::url::parse_query(&req.body_str())
+        .into_iter()
+        .find_map(|(k, v)| (k == "q").then_some(v.into()))
 }
 
 fn handle(influx: &Influx, req: Request) -> Response {
@@ -137,13 +162,18 @@ fn handle(influx: &Influx, req: Request) -> Response {
             }
         }
         ("GET", "/query") | ("POST", "/query") => {
-            let Some(q) = req.query_param("q") else {
+            let Some(q) = query_text(&req) else {
                 return Response::json(400, error_json("missing `q` parameter"));
             };
             // CREATE DATABASE has no db param; data queries need one.
             let db = req.query_param("db").unwrap_or("");
-            match influx.query(db, q) {
-                Ok(result) => Response::json(200, result.to_json().to_string()),
+            let stmts = crate::query::split_statements(&q);
+            if stmts.len() > 1 {
+                let outcomes = stmts.iter().map(|stmt| influx.query(db, stmt));
+                return Response::json(200, QueryResult::batch_body(outcomes).0);
+            }
+            match influx.query(db, &q) {
+                Ok(result) => Response::json(200, result.into_json().to_string()),
                 // A missing database is 404, not 400: cluster routers
                 // fan queries to every node and rely on the status to
                 // tell "this node does not hold that database" (an
@@ -171,7 +201,7 @@ fn handle(influx: &Influx, req: Request) -> Response {
                 Err(r) => return r,
             };
             match influx.query_range(db, q, start, end, step) {
-                Ok(result) => Response::json(200, result.to_json().to_string()),
+                Ok(result) => Response::json(200, result.into_json().to_string()),
                 Err(e @ lms_util::Error::NotFound(_)) => {
                     Response::json(404, error_json(&e.to_string()))
                 }
@@ -375,6 +405,60 @@ mod tests {
         let r = c.get("/query?db=missing&q=SELECT%20v%20FROM%20m").unwrap();
         assert_eq!(r.status, 404, "missing database is 404 (cluster routers rely on it)");
         assert!(r.body_str().contains("error"));
+        server.shutdown();
+    }
+
+    #[test]
+    fn statement_list_in_a_post_body_answers_by_statement_id() {
+        let (server, _ix, mut c) = start();
+        c.post_text("/write?db=lms", "cpu,hostname=h1 value=0.5 900000000000").unwrap();
+        let form = |q: &str| format!("q={}", lms_http::url::percent_encode(q));
+        let r = c
+            .post_text(
+                "/query?db=lms",
+                &form("SELECT value FROM cpu; SELECT nope FROM; SHOW MEASUREMENTS; SELECT v FROM ghost;"),
+            )
+            .unwrap();
+        assert_eq!(r.status, 200, "a failed statement fails its element, not the request");
+        let json = Json::parse(&r.body_str()).unwrap();
+        let results = json.get("results").and_then(Json::as_arr).unwrap();
+        assert_eq!(results.len(), 4, "the trailing `;` adds no statement");
+        for (id, result) in results.iter().enumerate() {
+            assert_eq!(result.get("statement_id").and_then(Json::as_i64), Some(id as i64));
+        }
+        assert!(results[0].get("series").unwrap().idx(0).is_some());
+        assert!(results[1].get("error").and_then(Json::as_str).unwrap().contains("query"));
+        assert_eq!(results[1].get("status").and_then(Json::as_i64), Some(400));
+        assert_eq!(
+            results[2].get("series").unwrap().idx(0).unwrap().get("name").and_then(Json::as_str),
+            Some("measurements")
+        );
+        assert!(results[3].get("series").unwrap().idx(0).is_none(), "empty, not an error");
+
+        // A missing database fails every statement with the lone answer's 404.
+        let r = c.post_text("/query?db=ghost", &form("SELECT v FROM m; SELECT w FROM m")).unwrap();
+        assert_eq!(r.status, 200);
+        let json = Json::parse(&r.body_str()).unwrap();
+        for result in json.get("results").and_then(Json::as_arr).unwrap() {
+            assert_eq!(result.get("status").and_then(Json::as_i64), Some(404));
+        }
+        server.shutdown();
+    }
+
+    #[test]
+    fn one_statement_answers_the_same_bytes_however_it_arrives() {
+        let (server, _ix, mut c) = start();
+        c.post_text("/write?db=lms", "cpu,hostname=h1 value=0.5 900000000000").unwrap();
+        for (db, q) in [("lms", "SELECT value FROM cpu"), ("ghost", "SELECT v FROM m"), ("lms", "SELEKT")] {
+            let encoded = lms_http::url::percent_encode(q);
+            let by_url = c.get(&format!("/query?db={db}&q={encoded}")).unwrap();
+            for body in [format!("q={encoded}"), format!("q={encoded}%3B"), format!("q=%3B{encoded}")] {
+                let by_body = c.post_text(&format!("/query?db={db}"), &body).unwrap();
+                assert_eq!(by_body.status, by_url.status, "{q}");
+                assert_eq!(by_body.body, by_url.body, "{q}");
+            }
+        }
+        assert_eq!(c.post_text("/query?db=lms", "").unwrap().status, 400, "no `q` anywhere");
         server.shutdown();
     }
 

@@ -14,13 +14,14 @@
 //!
 //! Writes acknowledge at a configurable quorum W of the R owners; an
 //! "accepted" node-batch means queued for delivery or durably spooled.
-//! Reads scatter to every node and merge by the storage engine's LWW rule
-//! (see `lms-cluster`).
+//! Reads scatter to every node over the same kept connections the
+//! forwarders deliver on ([`crate::clients`]) and merge by the storage
+//! engine's LWW rule (see `lms-cluster`).
 
 use crate::breaker::BreakerState;
+use crate::clients::NodeClients;
 use crate::forward::{ForwardConfig, ForwardStats, Forwarder};
 use lms_cluster::{ClusterConfig, HashRing};
-use lms_influx::{InfluxClient, QueryResult};
 use lms_lineproto::{BatchBuilder, ParsedLine, Point};
 use lms_util::hash::fx_hash;
 use lms_util::rng::XorShift64;
@@ -51,7 +52,6 @@ pub struct ClusterForwarder {
     replication: usize,
     write_quorum: usize,
     seed: u64,
-    io_timeout: Duration,
 }
 
 impl ClusterForwarder {
@@ -83,7 +83,6 @@ impl ClusterForwarder {
             replication: cluster.replication,
             write_quorum: cluster.write_quorum,
             seed: cluster.seed,
-            io_timeout: template.io_timeout,
         })
     }
 
@@ -181,44 +180,18 @@ impl ClusterForwarder {
         self.nodes[i].forwarder.stats().breaker
     }
 
-    /// One node's `/query`, with the delivery I/O timeout.
-    pub fn query_node(&self, i: usize, db: &str, q: &str) -> Result<QueryResult> {
-        let mut client = self.client(i)?;
-        client.query(db, q)
-    }
-
-    /// One node's `/query_range`, with the delivery I/O timeout.
-    pub fn query_range_node(
-        &self,
-        i: usize,
-        db: &str,
-        q: &str,
-        start: i64,
-        end: i64,
-        step: Option<i64>,
-    ) -> Result<QueryResult> {
-        let mut client = self.client(i)?;
-        client.query_range(db, q, start, end, step)
-    }
-
-    /// One node's `/metrics` listing.
-    pub fn metrics_node(&self, i: usize, db: &str) -> Result<Vec<String>> {
-        let mut client = self.client(i)?;
-        client.metrics(db)
-    }
-
-    /// One node's `/labels/{measurement}` listing.
-    pub fn labels_node(&self, i: usize, db: &str, measurement: &str) -> Result<Vec<String>> {
-        let mut client = self.client(i)?;
-        client.labels(db, measurement)
+    /// Node `i`'s kept connections — the one set its forwarder's workers,
+    /// its spool drainer and every read of the node draw from.
+    pub fn clients(&self, i: usize) -> &NodeClients {
+        self.nodes[i].forwarder.clients()
     }
 
     /// One node's `/integrity` digests, computed against this cluster's
     /// ring geometry (node count, replication, seed) so every node groups
     /// series by the same owner sets the router places by.
     pub fn integrity_node(&self, i: usize, db: &str) -> Result<Vec<lms_cluster::BucketDigest>> {
-        let mut client = self.client(i)?;
-        client.integrity(db, self.nodes.len(), self.replication, self.seed)
+        self.clients(i)
+            .with(|client| client.integrity(db, self.nodes.len(), self.replication, self.seed))
     }
 
     /// One node's `/integrity/export` of `[start, end)` ns — canonical
@@ -230,14 +203,7 @@ impl ClusterForwarder {
         start: i64,
         end: i64,
     ) -> Result<String> {
-        let mut client = self.client(i)?;
-        client.integrity_export(db, start, end)
-    }
-
-    fn client(&self, i: usize) -> Result<InfluxClient> {
-        let mut client = InfluxClient::connect(self.nodes[i].addr)?;
-        client.set_timeout(self.io_timeout);
-        Ok(client)
+        self.clients(i).with(|client| client.integrity_export(db, start, end))
     }
 
     /// Flushes every node completely (queue + in-flight + replay + spool).

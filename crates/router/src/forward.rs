@@ -3,9 +3,11 @@
 //! The router must keep accepting metrics while the database hiccups: the
 //! forwarder decouples the HTTP handler from database I/O with a bounded
 //! queue and a pool of worker threads that retry transient failures with
-//! full-jitter exponential backoff. Each worker holds its own database
-//! connection and competes for batches on the shared channel, so delivery
-//! parallelism matches the sharded engine's concurrent write path.
+//! full-jitter exponential backoff. Workers compete for batches on the
+//! shared channel and each delivery checks a kept connection out of the
+//! destination's [`NodeClients`] set (shared with the spool drainer and the
+//! router's query path), so delivery parallelism matches the sharded
+//! engine's concurrent write path without a connection per user.
 //!
 //! The failure model (see `DESIGN.md` §"Delivery durability"):
 //!
@@ -22,8 +24,8 @@
 //!   is a batch dropped, and then it is counted.
 
 use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
+use crate::clients::NodeClients;
 use crossbeam_channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
-use lms_influx::InfluxClient;
 use lms_spool::{Spool, SpoolConfig};
 use lms_util::rng::XorShift64;
 use lms_util::{Result, Supervisor, SupervisorConfig, WorkerReport};
@@ -151,6 +153,8 @@ struct Shared {
     progress: Mutex<()>,
     progress_cv: Condvar,
     breaker: CircuitBreaker,
+    /// Kept connections to the destination, for every user of it.
+    clients: NodeClients,
     spool: Option<Spool>,
     stop: AtomicBool,
     /// Queue capacity, for the saturation signal.
@@ -228,6 +232,7 @@ impl Forwarder {
             progress: Mutex::new(()),
             progress_cv: Condvar::new(),
             breaker: CircuitBreaker::new(config.breaker),
+            clients: NodeClients::new(config.db_addr, config.io_timeout),
             spool,
             stop: AtomicBool::new(false),
             capacity: config.queue_capacity.max(1) as u64,
@@ -273,6 +278,13 @@ impl Forwarder {
                 held
             }
         }
+    }
+
+    /// The destination's kept connections: the set this forwarder's
+    /// workers and drainer draw from, for the router's reads of the same
+    /// node to share.
+    pub fn clients(&self) -> &NodeClients {
+        &self.shared.clients
     }
 
     /// True when the delivery pipeline is saturated: as many batches are
@@ -380,23 +392,7 @@ impl Drop for Forwarder {
     }
 }
 
-/// Connects (with the configured timeout) if needed, then writes.
-fn try_write(
-    client: &mut Option<InfluxClient>,
-    config: &ForwardConfig,
-    db: &str,
-    body: &str,
-) -> Result<()> {
-    if client.is_none() {
-        let mut c = InfluxClient::connect(config.db_addr)?;
-        c.set_timeout(config.io_timeout);
-        *client = Some(c);
-    }
-    client.as_mut().expect("just set").write(db, body)
-}
-
 fn worker_loop(rx: &Receiver<Batch>, config: &ForwardConfig, shared: &Shared, index: u64) {
-    let mut client: Option<InfluxClient> = None;
     let mut rng = XorShift64::new(config.seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     loop {
         let first = match rx.recv_timeout(Duration::from_secs(1)) {
@@ -436,7 +432,7 @@ fn worker_loop(rx: &Receiver<Batch>, config: &ForwardConfig, shared: &Shared, in
             // re-raise so the supervisor records the panic and restarts
             // this worker with backoff.
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                process_run(run, &mut client, config, shared, &mut rng);
+                process_run(run, config, shared, &mut rng);
             }));
             if let Err(panic) = result {
                 // Spill *before* settling `outstanding`: a flush() racing
@@ -462,7 +458,6 @@ fn worker_loop(rx: &Receiver<Batch>, config: &ForwardConfig, shared: &Shared, in
 /// each original body separately so spool replay granularity is unchanged.
 fn process_run(
     run: &[Batch],
-    client: &mut Option<InfluxClient>,
     config: &ForwardConfig,
     shared: &Shared,
     rng: &mut XorShift64,
@@ -504,7 +499,7 @@ fn process_run(
                 return;
             }
         }
-        match try_write(client, config, db, body) {
+        match shared.clients.with(|client| client.write(db, body)) {
             Ok(()) => {
                 shared.delivered.fetch_add(n, Ordering::Relaxed);
                 if n > 1 {
@@ -515,7 +510,6 @@ fn process_run(
             }
             Err(e) if e.is_transient() => {
                 shared.breaker.record_failure();
-                *client = None; // reconnect on next attempt
                 attempt += 1;
                 // `state()` (not `allow()`): a plain read cannot claim
                 // the probe slot this arm would then never report on.
@@ -549,9 +543,11 @@ fn process_run(
 /// breaker for the workers too).
 fn drainer_loop(config: &ForwardConfig, shared: &Shared) {
     let spool = shared.spool.as_ref().expect("drainer requires spool");
-    let mut client: Option<InfluxClient> = None;
     let mut rng = XorShift64::new(config.seed ^ 0xD5A1_4E55);
     let mut failures: u32 = 0;
+    // Health probe before replaying a backlog: at start and again after
+    // every transient failure.
+    let mut probe = true;
     while !shared.stop.load(Ordering::Acquire) {
         // Fault injection: consume one pending panic per iteration so
         // tests can exercise the supervisor's restart/budget path.
@@ -577,15 +573,13 @@ fn drainer_loop(config: &ForwardConfig, shared: &Shared) {
         // path, including a panic unwinding through the supervisor.
         let backoff = {
             let _replaying = ReplayGuard::enter(shared);
-            let result = (|| {
-                if client.is_none() {
-                    let mut c = InfluxClient::connect(config.db_addr)?;
-                    c.set_timeout(config.io_timeout);
-                    c.ping()?; // health probe before replaying a backlog
-                    client = Some(c);
+            let result = shared.clients.with(|client| {
+                if probe {
+                    client.ping()?;
                 }
-                client.as_mut().expect("just set").write(&entry.db, &entry.body)
-            })();
+                client.write(&entry.db, &entry.body)
+            });
+            probe = matches!(&result, Err(e) if e.is_transient());
             match result {
                 Ok(()) => {
                     spool.ack(&entry);
@@ -595,7 +589,6 @@ fn drainer_loop(config: &ForwardConfig, shared: &Shared) {
                 }
                 Err(e) if e.is_transient() => {
                     shared.breaker.record_failure();
-                    client = None;
                     failures += 1;
                     Some(rng.backoff(
                         config.backoff_base,
@@ -900,7 +893,7 @@ mod tests {
             std::thread::sleep(config.breaker.open_for * 2);
             let batch = |body: &&str| Batch { db: "lms".into(), body: body.to_string() };
             let run: Vec<Batch> = bodies.iter().map(batch).collect();
-            process_run(&run, &mut None, &config, &f.shared, &mut XorShift64::new(1));
+            process_run(&run, &config, &f.shared, &mut XorShift64::new(1));
             assert_eq!(f.shared.breaker.state(), BreakerState::Closed, "{bodies:?}");
         }
         assert_eq!(f.stats().rejected, 4, "one from the drainer, three from the runs");

@@ -20,13 +20,15 @@
 //! Modules: [`tagstore`] (hostname → job tags), [`forward`] (buffered,
 //! durable, retrying delivery to one database), [`delivery`] (the cluster
 //! fabric: per-node forwarders behind a seeded rendezvous ring, quorum
-//! writes, hinted handoff, scatter-gather reads), [`breaker`] (the
+//! writes, hinted handoff, scatter-gather reads), [`clients`] (the kept
+//! connections to one node that all of those share), [`breaker`] (the
 //! per-destination circuit breaker), [`repair`] (anti-entropy read-repair:
 //! digest diffing and divergent-range replay), [`router`] (the enrichment
 //! core), [`server`] (HTTP endpoints), [`proxy`] (the Ganglia gmond pull
 //! proxy).
 
 pub mod breaker;
+pub mod clients;
 pub mod delivery;
 pub mod forward;
 pub mod proxy;
@@ -36,6 +38,7 @@ pub mod server;
 pub mod tagstore;
 
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
+pub use clients::{NodeClients, MAX_IDLE_CLIENTS};
 pub use delivery::{ClusterForwarder, DestinationStats};
 pub use forward::{ForwardConfig, ForwardStats, Forwarder};
 pub use lms_cluster::ClusterConfig;

@@ -5,7 +5,8 @@ use crate::delivery::{ClusterForwarder, DestinationStats, RoutedBatch};
 use crate::forward::{ForwardConfig, ForwardStats};
 use crate::tagstore::{JobSignal, TagStore};
 use lms_cluster::{merge_results, partial_plan, ClusterConfig, PartialPlan};
-use lms_influx::QueryResult;
+use lms_http::{Request, Response};
+use lms_influx::{InfluxClient, QueryResult};
 use lms_lineproto::{parse_batch, Point};
 use lms_mq::Publisher;
 use lms_spool::SpoolConfig;
@@ -336,10 +337,54 @@ impl Router {
     /// R < N, databases exist only on the nodes that own some of their
     /// series.
     pub fn handle_query(&self, db: &str, q: &str) -> Result<QueryResult> {
-        let plan = self.plan_for(q);
-        let sent = plan.as_ref().map_or(q, PartialPlan::partial_query);
-        let (parts, partial) = self.scatter(db, |i| self.delivery.query_node(i, db, sent))?;
-        Ok(self.merge(plan, parts, partial))
+        self.handle_statements(db, &[q.to_string()])?.pop().expect("one outcome per statement")
+    }
+
+    /// [`handle_query`](Self::handle_query) for a list of statements (the
+    /// `;`-separated form of `/query`): every statement is planned on its
+    /// own, each node gets **one** request carrying all of them, and the
+    /// answers merge per statement — so the list costs one scatter, and
+    /// each outcome is what the statement sent alone would have produced.
+    /// The outer error is the scatter's (no node reachable).
+    pub fn handle_statements(
+        &self,
+        db: &str,
+        stmts: &[String],
+    ) -> Result<Vec<Result<QueryResult>>> {
+        let plans: Vec<Option<PartialPlan>> = stmts.iter().map(|q| self.plan_for(q)).collect();
+        let sent: Vec<String> = stmts
+            .iter()
+            .zip(&plans)
+            .map(|(q, plan)| plan.as_ref().map_or(q.as_str(), PartialPlan::partial_query).to_string())
+            .collect();
+        let req = InfluxClient::statements_request(db, &sent);
+        let (nodes, partial) =
+            self.scatter(db, &req, |resp| InfluxClient::parse_statements(resp, sent.len()))?;
+        // Statement k's parts are the k-th outcome of every node, folded by
+        // the scatter's own rules: a 404 is an empty answer, any other
+        // error is the statement's.
+        let mut nodes: Vec<_> = nodes.into_iter().map(Vec::into_iter).collect();
+        Ok(plans
+            .into_iter()
+            .map(|plan| {
+                let outcomes: Vec<Result<QueryResult>> = nodes
+                    .iter_mut()
+                    .map(|node| node.next().expect("one outcome per statement, checked above"))
+                    .collect();
+                let mut parts = Vec::with_capacity(outcomes.len());
+                for outcome in outcomes {
+                    match outcome {
+                        Ok(part) => parts.push(part),
+                        Err(Error::Remote { status: 404, .. }) => {}
+                        Err(e) => return Err(e),
+                    }
+                }
+                if parts.is_empty() {
+                    return Err(missing_db_error(db));
+                }
+                Ok(self.merge(plan, parts, partial))
+            })
+            .collect())
     }
 
     /// Scatter-gather range read over the cluster (the `/query_range`
@@ -357,22 +402,26 @@ impl Router {
     ) -> Result<QueryResult> {
         let plan = self.plan_for(q);
         let sent = plan.as_ref().map_or(q, PartialPlan::partial_query);
-        let (parts, partial) = self
-            .scatter(db, |i| self.delivery.query_range_node(i, db, sent, start, end, step))?;
+        let req = InfluxClient::query_range_request(db, sent, start, end, step);
+        let (parts, partial) = self.scatter(db, &req, InfluxClient::parse_query)?;
         Ok(self.merge(plan, parts, partial))
     }
 
     /// Cluster-wide measurement listing (the `/metrics` endpoint): the
     /// union of every reachable node's measurements, sorted.
     pub fn handle_metrics(&self, db: &str) -> Result<Vec<String>> {
-        let (parts, _) = self.scatter(db, |i| self.delivery.metrics_node(i, db))?;
+        let req = InfluxClient::metrics_request(db);
+        let (parts, _) =
+            self.scatter(db, &req, |resp| InfluxClient::parse_listing(resp, "metrics"))?;
         Ok(union_sorted(parts))
     }
 
     /// Cluster-wide tag-key listing for one measurement (the
     /// `/labels/{measurement}` endpoint).
     pub fn handle_labels(&self, db: &str, measurement: &str) -> Result<Vec<String>> {
-        let (parts, _) = self.scatter(db, |i| self.delivery.labels_node(i, db, measurement))?;
+        let req = InfluxClient::labels_request(db, measurement);
+        let (parts, _) =
+            self.scatter(db, &req, |resp| InfluxClient::parse_listing(resp, "labels"))?;
         Ok(union_sorted(parts))
     }
 
@@ -387,22 +436,53 @@ impl Router {
         }
     }
 
-    /// The shared scatter skeleton: one request per node via `call`,
-    /// breaker-open and transient nodes degrade to a partial answer, 404s
-    /// count as empty answers, and zero reachable answers surface as the
-    /// single-node stack's error.
-    fn scatter<T>(&self, db: &str, call: impl Fn(usize) -> Result<T>) -> Result<(Vec<T>, bool)> {
+    /// The shared scatter skeleton: `req` is written to every reachable
+    /// node over a kept connection, and only then are the answers read
+    /// (each through `parse`) — the nodes work at the same time, so the
+    /// scatter costs the slowest node rather than the sum, with no thread
+    /// of its own. Breaker-open and transient nodes degrade to a partial
+    /// answer, 404s count as empty answers, and zero reachable answers
+    /// surface as the single-node stack's error. A client goes back to its
+    /// node's set only once its answer is read in full; an early return
+    /// drops the ones still owed an answer, which closes them.
+    fn scatter<T>(
+        &self,
+        db: &str,
+        req: &Request,
+        parse: impl Fn(&Response) -> Result<T>,
+    ) -> Result<(Vec<T>, bool)> {
         let nodes = self.delivery.node_count();
-        let mut parts = Vec::with_capacity(nodes);
         let mut partial = false;
-        let mut missing_db = 0usize;
         let mut last_transient: Option<Error> = None;
+        let mut in_flight = Vec::with_capacity(nodes);
         for i in 0..nodes {
             if nodes > 1 && self.delivery.breaker_state(i) == BreakerState::Open {
                 partial = true;
                 continue;
             }
-            match call(i) {
+            let clients = self.delivery.clients(i);
+            let started = clients.checkout().and_then(|mut client| {
+                client.start(req)?;
+                Ok(client)
+            });
+            match started {
+                Ok(client) => in_flight.push((clients, client)),
+                Err(e) if e.is_transient() => {
+                    partial = true;
+                    last_transient = Some(e);
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        let mut parts = Vec::with_capacity(in_flight.len());
+        let mut missing_db = 0usize;
+        for (clients, mut client) in in_flight {
+            let answer = client.finish(req);
+            // A 5xx is kept out of the set: the node closes what it sheds.
+            if matches!(&answer, Ok(resp) if resp.status < 500) {
+                clients.give_back(client);
+            }
+            match answer.and_then(|resp| parse(&resp)) {
                 Ok(r) => parts.push(r),
                 Err(Error::Remote { status: 404, .. }) => missing_db += 1,
                 Err(e) if e.is_transient() => {
@@ -416,10 +496,7 @@ impl Router {
             if missing_db > 0 {
                 // Every reachable node answered 404: surface it as the
                 // single-node stack would.
-                return Err(Error::Remote {
-                    status: 404,
-                    message: format!("database {db:?} not found"),
-                });
+                return Err(missing_db_error(db));
             }
             return Err(last_transient
                 .unwrap_or_else(|| Error::unavailable("no cluster node reachable")));
@@ -537,6 +614,11 @@ impl Router {
     pub fn flush_or_hinted(&self, timeout: std::time::Duration) -> bool {
         self.delivery.flush_or_hinted(timeout)
     }
+}
+
+/// What the single-node stack answers for a database no node holds.
+fn missing_db_error(db: &str) -> Error {
+    Error::Remote { status: 404, message: format!("database {db:?} not found") }
 }
 
 /// Union of per-node name listings, sorted and deduplicated.

@@ -6,6 +6,8 @@
 //! | `POST /write?db=<db>` | line-protocol batch → enrich → forward (`204`) |
 //! | `POST /signal/start?job=<id>&user=<u>&hosts=<h1,h2>&<k>=<v>…` | job-start signal; extra query params become job tags |
 //! | `POST /signal/end?job=<id>` | job-end signal |
+//! | `GET/POST /query?db=<db>&q=<stmt>` | scatter-gather read, merged; `q` may instead be a form field of a POST body |
+//! | `POST /query?db=<db>` body `q=<stmt>;<stmt>;…` | the list costs one scatter (one request per node); answered as `results[]` by `statement_id`, a failed statement carrying `error` + `status` in its element |
 //! | `GET/POST /query_range?db=&q=&start=&end=&step=` | bounded, bucketed scatter-gather read |
 //! | `GET /metrics?db=<db>` | union of the cluster's measurement names |
 //! | `GET /labels/<measurement>?db=<db>` | union of a measurement's tag keys |
@@ -22,6 +24,7 @@
 use crate::router::{parse_hosts, Router};
 use crate::tagstore::JobSignal;
 use lms_http::{Request, Response, Server, ServerConfig};
+use lms_influx::QueryResult;
 use lms_util::{Json, Result};
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
@@ -111,14 +114,25 @@ fn handle(router: &Router, req: Request) -> Response {
         // answer (replica down) is flagged in the JSON and the
         // `X-Lms-Partial` header instead of failing the query.
         ("GET", "/query") | ("POST", "/query") => {
-            let Some(q) = req.query_param("q") else {
+            let Some(q) = lms_influx::server::query_text(&req) else {
                 return Response::bad_request("missing `q`");
             };
             let db = req.query_param("db").unwrap_or("");
             if db.is_empty() {
                 return Response::bad_request("missing `db`");
             }
-            query_response(router.handle_query(db, q))
+            let stmts = lms_influx::query::split_statements(&q);
+            if stmts.len() > 1 {
+                let stmts: Vec<String> = stmts.into_iter().map(String::from).collect();
+                return match router.handle_statements(db, &stmts) {
+                    Ok(results) => {
+                        let (body, partial) = QueryResult::batch_body(results);
+                        query_json(body, partial)
+                    }
+                    Err(e) => error_response(e),
+                };
+            }
+            query_response(router.handle_query(db, &q))
         }
         // Bounded, bucketed read: `start`/`end` (required) and `step`
         // (optional) are nanosecond integers or duration literals; the
@@ -291,24 +305,38 @@ fn handle(router: &Router, req: Request) -> Response {
 }
 
 /// A scatter-gather query outcome as an HTTP response: partial answers
-/// carry the `X-Lms-Partial` header, node-side errors keep their real
-/// status, transient cluster failures answer 503 + Retry-After.
-fn query_response(result: lms_util::Result<lms_influx::QueryResult>) -> Response {
+/// carry the `X-Lms-Partial` header, errors map as [`error_response`] does.
+fn query_response(result: lms_util::Result<QueryResult>) -> Response {
     match result {
         Ok(result) => {
-            let mut resp = Response::json(200, result.to_json().to_string());
-            if result.partial {
-                resp.headers.push(("x-lms-partial".into(), "true".into()));
-            }
-            resp
+            let partial = result.partial;
+            query_json(result.into_json().to_string(), partial)
         }
-        Err(lms_util::Error::Remote { status, message }) => {
+        Err(e) => error_response(e),
+    }
+}
+
+/// A `200` query answer, flagged `X-Lms-Partial` when a replica was
+/// unreachable.
+fn query_json(body: String, partial: bool) -> Response {
+    let mut resp = Response::json(200, body);
+    if partial {
+        resp.headers.push(("x-lms-partial".into(), "true".into()));
+    }
+    resp
+}
+
+/// A failed read as an HTTP response: node-side errors keep their real
+/// status, transient cluster failures answer 503 + Retry-After.
+fn error_response(e: lms_util::Error) -> Response {
+    match e {
+        lms_util::Error::Remote { status, message } => {
             Response::json(status, Json::obj([("error", Json::str(message))]).to_string())
         }
-        Err(e) if e.is_transient() => {
+        e if e.is_transient() => {
             Response::service_unavailable(&format!("cluster unreachable: {e}"), 1)
         }
-        Err(e) => Response::bad_request(&format!("{e}")),
+        e => Response::bad_request(&format!("{e}")),
     }
 }
 
@@ -321,13 +349,7 @@ fn listing_response(result: lms_util::Result<Vec<String>>, key: &str) -> Respons
             Json::obj([(key, Json::arr(names.iter().map(|n| Json::str(n.as_str()))))])
                 .to_string(),
         ),
-        Err(lms_util::Error::Remote { status, message }) => {
-            Response::json(status, Json::obj([("error", Json::str(message))]).to_string())
-        }
-        Err(e) if e.is_transient() => {
-            Response::service_unavailable(&format!("cluster unreachable: {e}"), 1)
-        }
-        Err(e) => Response::bad_request(&format!("{e}")),
+        Err(e) => error_response(e),
     }
 }
 
