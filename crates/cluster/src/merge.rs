@@ -23,12 +23,13 @@
 //! axis; their rows are unioned, sorted and deduplicated wholesale.
 //!
 //! Cross-node **aggregates** (`SELECT mean(...)`) do not go through this
-//! merge at all: the router decomposes them into per-node partials
-//! (`count`/`sum`/`min`/`max` per series) and recombines algebraically via
-//! [`crate::partial`], which is exact at any replication factor R ≤ N.
-//! Only non-decomposable aggregates (`first`/`last`/`stddev`, or a
-//! non-default `FILL`) still land here and resolve by the LWW rule —
-//! exact when R = N, last-part-wins otherwise.
+//! merge at all: the router decomposes them into per-node partials (the
+//! `count`/`sum`/`min`/`max` of each series' aggregate state) and merges
+//! them back into that state via [`crate::partial`], which is exact at any
+//! replication factor R ≤ N. Only aggregates whose state has no partial
+//! row yet (`first`/`last`/`stddev`) or a non-default `FILL` still land
+//! here and resolve by the LWW rule — exact when R = N, last-part-wins
+//! otherwise.
 
 use lms_influx::{lww_dedup, QueryResult, ResultSeries};
 use lms_util::Json;

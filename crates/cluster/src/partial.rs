@@ -15,9 +15,12 @@
 //!    for every `(series, window)` exactly one node's partial row is kept
 //!    (highest part index wins, the same LWW rule [`crate::merge`] uses —
 //!    divergent replicas resolve deterministically, never mix).
-//! 4. **Recombine** — rows are re-grouped by the *original* GROUP BY key
-//!    and folded: counts and sums add, min/max fold, `mean = Σsum/Σcount`.
-//!    The fold is exact for `count`/`sum`/`min`/`max`/`mean` at any R ≤ N.
+//! 4. **Recombine** — rows are re-grouped by the *original* GROUP BY key,
+//!    each quadruple read back as an [`Agg`] and merged
+//!    ([`Agg::merge`]: counts and sums add, min/max fold), then finalized
+//!    by the executor's own [`finalize`] — `mean = Σsum/Σcount`, and the
+//!    null rules are a single node's. The fold is exact for
+//!    `count`/`sum`/`min`/`max`/`mean` at any R ≤ N.
 //!
 //! A query stays on the legacy whole-result merge when it is not
 //! decomposable: raw projections, `first`/`last`/`stddev` (order- or
@@ -30,7 +33,9 @@
 //! path (the per-series partial groups are all empty and skipped), where a
 //! single node would emit one all-null row.
 
+use lms_influx::exec::finalize;
 use lms_influx::query::{AggFunc, Fill, Projection, Select, Statement};
+use lms_influx::tsm::Agg;
 use lms_influx::{QueryResult, ResultSeries};
 use lms_util::Json;
 use std::collections::BTreeMap;
@@ -140,7 +145,7 @@ impl PartialPlan {
             }
         }
         // Re-group by the original GROUP BY key and fold the quadruples.
-        let mut groups: BTreeMap<TagSet, BTreeMap<i64, Vec<PartialAcc>>> = BTreeMap::new();
+        let mut groups: BTreeMap<TagSet, BTreeMap<i64, Vec<Agg>>> = BTreeMap::new();
         for ((tags, ts), row) in rows {
             let key: Vec<(String, String)> = if self.group_all {
                 tags
@@ -157,13 +162,13 @@ impl PartialPlan {
                     })
                     .collect()
             };
-            let accs = groups
+            let aggs = groups
                 .entry(key)
                 .or_default()
                 .entry(ts)
-                .or_insert_with(|| vec![PartialAcc::default(); self.n_fields]);
-            for (fi, acc) in accs.iter_mut().enumerate() {
-                acc.fold(&row, 1 + fi * 4);
+                .or_insert_with(|| vec![Agg::default(); self.n_fields]);
+            for (fi, agg) in aggs.iter_mut().enumerate() {
+                agg.merge(&quadruple_agg(&row, 1 + fi * 4));
             }
         }
         let columns: Vec<String> = std::iter::once("time".to_string())
@@ -173,9 +178,9 @@ impl PartialPlan {
         for (tags, by_ts) in groups {
             let mut values: Vec<Vec<Json>> = by_ts
                 .into_iter()
-                .map(|(ts, accs)| {
+                .map(|(ts, aggs)| {
                     std::iter::once(Json::Int(ts))
-                        .chain(self.outputs.iter().map(|&(func, fi)| accs[fi].finalize(func)))
+                        .chain(self.outputs.iter().map(|&(func, fi)| finalize(&aggs[fi], func)))
                         .collect()
                 })
                 .collect();
@@ -196,55 +201,20 @@ impl PartialPlan {
     }
 }
 
-/// One field's folded partials across series. Mirrors the executor's
-/// accumulator exactly: `count` covers every point (numeric or not), the
-/// numeric stats only fold when the node reported them (non-null).
-#[derive(Debug, Clone, Copy)]
-struct PartialAcc {
-    count: i64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Default for PartialAcc {
-    fn default() -> Self {
-        PartialAcc { count: 0, sum: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY }
+/// The [`Agg`] of one node's `count, sum, min, max` quadruple starting at
+/// column `base` of a partial row. A null numeric column — the series held
+/// no numeric value — leaves that stat empty.
+fn quadruple_agg(row: &[Json], base: usize) -> Agg {
+    let stat = |i: usize| row.get(base + i).and_then(Json::as_f64);
+    let count = row.get(base).and_then(Json::as_i64).unwrap_or(0);
+    let mut agg = Agg { count: u64::try_from(count).unwrap_or(0), ..Agg::default() };
+    if let Some(sum) = stat(1) {
+        agg.numeric = true;
+        agg.sum = sum;
     }
-}
-
-impl PartialAcc {
-    /// Folds one quadruple starting at column `base` of a partial row.
-    fn fold(&mut self, row: &[Json], base: usize) {
-        self.count += row.get(base).and_then(Json::as_i64).unwrap_or(0);
-        if let Some(s) = row.get(base + 1).and_then(Json::as_f64) {
-            self.sum += s;
-        }
-        if let Some(m) = row.get(base + 2).and_then(Json::as_f64) {
-            self.min = self.min.min(m);
-        }
-        if let Some(m) = row.get(base + 3).and_then(Json::as_f64) {
-            self.max = self.max.max(m);
-        }
-    }
-
-    /// Finalizes one aggregate — the same rules as the single-node
-    /// executor: `count == 0` answers null, numeric aggregates over
-    /// non-numeric values answer null.
-    fn finalize(&self, func: AggFunc) -> Json {
-        if self.count == 0 {
-            return Json::Null;
-        }
-        let numeric = self.min.is_finite();
-        match func {
-            AggFunc::Count => Json::Int(self.count),
-            AggFunc::Mean if numeric => Json::Num(self.sum / self.count as f64),
-            AggFunc::Sum if numeric => Json::Num(self.sum),
-            AggFunc::Min if numeric => Json::Num(self.min),
-            AggFunc::Max if numeric => Json::Num(self.max),
-            _ => Json::Null,
-        }
-    }
+    agg.min = stat(2).unwrap_or(agg.min);
+    agg.max = stat(3).unwrap_or(agg.max);
+    agg
 }
 
 #[cfg(test)]

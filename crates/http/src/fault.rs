@@ -4,7 +4,7 @@
 //! purpose: drops connections mid-exchange, delays requests, answers
 //! `503` without consulting the upstream, goes fully down, or blackholes
 //! (accepts requests and never answers). All probabilistic faults are
-//! driven by a seeded [`XorShift64`](lms_util::rng::XorShift64) — the
+//! driven by a seeded [`XorShift64`] — the
 //! same seed replays the same fault schedule, so a chaos test failure
 //! reproduces under `LMS_CHAOS_SEED=<n>`.
 //!

@@ -20,7 +20,7 @@
 //! every caller observes its own completed writes.
 //!
 //! Lock order is `meta` → shard `data` → staging buffer, established in
-//! [`series_slot`]'s callers and [`Database::enforce_retention`]; the hot
+//! `series_slot`'s callers and [`Database::enforce_retention`]; the hot
 //! path takes a single shard lock and nothing else. Series are stored as
 //! `Arc<Series>` so queries snapshot cheaply (clone the `Arc`s under a
 //! shard read lock) while writers mutate in place through `Arc::make_mut`
@@ -33,9 +33,9 @@ use crate::exec::{self, QueryResult};
 use crate::query::{Condition, Statement, TimeValue};
 use crate::storage::{lww_dedup, Series};
 use lms_lineproto::{parse_batch, FieldValue, Point, Precision};
-use lms_rollup::{align_down, align_up, is_rollup_db, rollup_db_name, Tier, WindowAcc, TIERS};
+use lms_rollup::{align_down, align_up, is_rollup_db, rollup_db_name, Tier, TIERS};
 use lms_tsm::{
-    BlockEntry, Recovered, ScrubOutcome, Scrubber, SealedBlock, SeriesId, TsmConfig, TsmEngine,
+    Agg, BlockEntry, Recovered, ScrubOutcome, Scrubber, SealedBlock, SeriesId, TsmConfig, TsmEngine,
 };
 use lms_util::digest::{bucket_of, owner_mask, point_hash, BucketDigest};
 use lms_util::ring::HashRing;
@@ -590,7 +590,7 @@ impl Database {
     ///
     /// Crash/fault behaviour: the WAL is rotated before anything is
     /// sealed, so on any failure the log still covers every point; blocks
-    /// already sealed in memory are kept in [`Self::unflushed`] and
+    /// already sealed in memory are kept in `unflushed` and
     /// re-written by the next flush.
     pub fn flush_storage(&self) -> Result<usize> {
         let Some(engine) = &self.engine else { return Ok(0) };
@@ -1354,15 +1354,12 @@ impl Influx {
             }
             for (m, series_list) in measurements.iter().zip(&snapshots) {
                 for series in series_list {
-                    // window start → (field, accumulator) rows.
-                    let mut windows: std::collections::BTreeMap<i64, Vec<(String, WindowAcc)>> =
+                    // window start → (field, aggregate) rows.
+                    let mut windows: std::collections::BTreeMap<i64, Vec<(&str, Agg)>> =
                         std::collections::BTreeMap::new();
-                    let fields: Vec<String> =
-                        series.field_names().map(str::to_string).collect();
-                    for field in &fields {
-                        let Some(col) = series.field(field) else { continue };
+                    for (field, col) in series.fields() {
                         for &(lo, hi) in &merged {
-                            let mut cur: Option<(i64, WindowAcc)> = None;
+                            let mut cur: Option<(i64, Agg)> = None;
                             for (ts, value) in col.points_in(lo, hi) {
                                 let ws = align_down(ts, w);
                                 if ws < floor {
@@ -1371,30 +1368,20 @@ impl Influx {
                                     // existing tier row stays authoritative.
                                     continue;
                                 }
-                                match &mut cur {
-                                    Some((s, acc)) if *s == ws => acc.add(ts, &value),
-                                    _ => {
-                                        if let Some((s, acc)) = cur.take() {
-                                            windows
-                                                .entry(s)
-                                                .or_default()
-                                                .push((field.clone(), acc));
-                                        }
-                                        let mut acc = WindowAcc::default();
-                                        acc.add(ts, &value);
-                                        cur = Some((ws, acc));
-                                    }
+                                if let Some((s, agg)) = cur.take_if(|(s, _)| *s != ws) {
+                                    windows.entry(s).or_default().push((field, agg));
                                 }
+                                cur.get_or_insert_with(|| (ws, Agg::default())).1.add(ts, &value);
                             }
-                            if let Some((s, acc)) = cur.take() {
-                                windows.entry(s).or_default().push((field.clone(), acc));
+                            if let Some((s, agg)) = cur {
+                                windows.entry(s).or_default().push((field, agg));
                             }
                         }
                     }
                     let mut batch = String::new();
-                    for (ws, accs) in windows {
+                    for (ws, aggs) in windows {
                         if let Some(point) =
-                            lms_rollup::rollup_fields(m, series.tags(), ws, &accs)
+                            lms_rollup::rollup_fields(m, series.tags(), ws, &aggs)
                         {
                             batch.push_str(&point.to_line());
                             batch.push('\n');

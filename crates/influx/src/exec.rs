@@ -4,8 +4,8 @@ use crate::db::{Database, QueryTuning};
 use crate::query::{AggFunc, Condition, Fill, Projection, Select, Statement};
 use crate::storage::{Column, Series};
 use lms_lineproto::FieldValue;
-use lms_rollup::{align_down, align_up, stat_field};
-use lms_tsm::SealedBlock;
+use lms_rollup::{agg_of_row, align_down, align_up, stat_field};
+use lms_tsm::Agg;
 use lms_util::{Error, Json, Result};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -508,115 +508,28 @@ fn raw_group(sel: &Select, group: &[&Series], start: i64, end: i64) -> ResultSer
     }
 }
 
-/// A streaming aggregate accumulator: exactly the state one pass of the
-/// original per-window executor built, so finalization is byte-for-byte
-/// identical when fed the same values in the same order.
-#[derive(Debug, Clone)]
-struct Acc {
-    count: u64,
-    sum: f64,
-    sum_sq: f64,
-    min: f64,
-    max: f64,
-    first: Option<(i64, FieldValue)>,
-    last: Option<(i64, FieldValue)>,
-}
-
-impl Default for Acc {
-    fn default() -> Self {
-        Acc {
-            count: 0,
-            sum: 0.0,
-            sum_sq: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            first: None,
-            last: None,
-        }
+/// Finalizes one aggregate over `agg` — the null rules, written once: an
+/// empty aggregate answers null, and so does a numeric aggregate over
+/// values none of which was numeric (`min` still infinite).
+pub fn finalize(agg: &Agg, func: AggFunc) -> Json {
+    if agg.count == 0 {
+        return Json::Null;
     }
-}
-
-impl Acc {
-    fn add_point(&mut self, ts: i64, value: &FieldValue) {
-        self.count += 1;
-        if self.first.as_ref().is_none_or(|f| ts < f.0) {
-            self.first = Some((ts, value.clone()));
+    let numeric = agg.min.is_finite();
+    match func {
+        AggFunc::Count => Json::Int(agg.count as i64),
+        AggFunc::First => agg.first.as_ref().map(|(_, v)| json_of(v)).unwrap_or(Json::Null),
+        AggFunc::Last => agg.last.as_ref().map(|(_, v)| json_of(v)).unwrap_or(Json::Null),
+        AggFunc::Mean if numeric => Json::Num(agg.sum / agg.count as f64),
+        AggFunc::Sum if numeric => Json::Num(agg.sum),
+        AggFunc::Min if numeric => Json::Num(agg.min),
+        AggFunc::Max if numeric => Json::Num(agg.max),
+        AggFunc::Stddev if numeric => {
+            let n = agg.count as f64;
+            let var = (agg.sum_sq / n - (agg.sum / n) * (agg.sum / n)).max(0.0);
+            Json::Num(var.sqrt())
         }
-        if self.last.as_ref().is_none_or(|l| ts >= l.0) {
-            self.last = Some((ts, value.clone()));
-        }
-        if let Some(v) = value.as_f64() {
-            self.sum += v;
-            self.sum_sq += v * v;
-            self.min = self.min.min(v);
-            self.max = self.max.max(v);
-        }
-    }
-
-    /// Consumes a block's pre-aggregated summary. Valid only for blocks the
-    /// scan planner proved fully-covered and unshadowed — the block's
-    /// points are then exactly the visible points of its time span.
-    fn add_summary(&mut self, block: &SealedBlock) {
-        let Some(s) = block.summary() else { return };
-        self.count += block.count as u64;
-        if self.first.as_ref().is_none_or(|f| block.min_ts < f.0) {
-            self.first = Some((block.min_ts, s.first.clone()));
-        }
-        if self.last.as_ref().is_none_or(|l| block.max_ts >= l.0) {
-            self.last = Some((block.max_ts, s.last.clone()));
-        }
-        if s.numeric {
-            self.sum += s.sum;
-            self.sum_sq += s.sum_sq;
-            self.min = self.min.min(s.min);
-            self.max = self.max.max(s.max);
-        }
-    }
-
-    /// Folds a later column's accumulator into this one. `other` must come
-    /// from a series later in group order: `first` keeps the earlier
-    /// timestamp (first-seen wins ties), `last` the later (last-seen wins),
-    /// matching the sequential executor's series iteration order.
-    fn merge(&mut self, other: Acc) {
-        self.count += other.count;
-        if let Some((ts, v)) = other.first {
-            if self.first.as_ref().is_none_or(|f| ts < f.0) {
-                self.first = Some((ts, v));
-            }
-        }
-        if let Some((ts, v)) = other.last {
-            if self.last.as_ref().is_none_or(|l| ts >= l.0) {
-                self.last = Some((ts, v));
-            }
-        }
-        self.sum += other.sum;
-        self.sum_sq += other.sum_sq;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    fn finalize(&self, func: AggFunc) -> Json {
-        if self.count == 0 {
-            return Json::Null;
-        }
-        let numeric = self.min.is_finite();
-        match func {
-            AggFunc::Count => Json::Int(self.count as i64),
-            AggFunc::First => {
-                self.first.as_ref().map(|(_, v)| json_of(v)).unwrap_or(Json::Null)
-            }
-            AggFunc::Last => self.last.as_ref().map(|(_, v)| json_of(v)).unwrap_or(Json::Null),
-            AggFunc::Mean if numeric => Json::Num(self.sum / self.count as f64),
-            AggFunc::Sum if numeric => Json::Num(self.sum),
-            AggFunc::Min if numeric => Json::Num(self.min),
-            AggFunc::Max if numeric => Json::Num(self.max),
-            AggFunc::Stddev if numeric => {
-                let n = self.count as f64;
-                let var = (self.sum_sq / n - (self.sum / n) * (self.sum / n)).max(0.0);
-                Json::Num(var.sqrt())
-            }
-            _ => Json::Null, // numeric agg over non-numeric values
-        }
+        _ => Json::Null,
     }
 }
 
@@ -630,34 +543,29 @@ fn column_accs(
     end: i64,
     window: Option<i64>,
     use_summaries: bool,
-) -> BTreeMap<i64, Acc> {
+) -> BTreeMap<i64, Agg> {
     let scan = col.scan(start, end, window, use_summaries);
     let key = |ts: i64| match window {
         Some(w) => ts.div_euclid(w) * w,
         None => 0,
     };
-    let mut accs: BTreeMap<i64, Acc> = BTreeMap::new();
-    let mut blocks = scan.summarized.into_iter().peekable();
+    let mut accs: BTreeMap<i64, Agg> = BTreeMap::new();
+    let mut summaries =
+        scan.summarized.into_iter().filter_map(|b| Some((b.min_ts, b.summary()?))).peekable();
     for (ts, value) in scan.residual {
-        while blocks.peek().is_some_and(|b| b.min_ts < ts) {
-            let b = blocks.next().expect("peeked");
-            accs.entry(key(b.min_ts)).or_default().add_summary(b);
+        while let Some((t, summary)) = summaries.next_if(|&(t, _)| t < ts) {
+            accs.entry(key(t)).or_default().merge(summary);
         }
-        accs.entry(key(ts)).or_default().add_point(ts, &value);
+        accs.entry(key(ts)).or_default().add(ts, &value);
     }
-    for b in blocks {
-        accs.entry(key(b.min_ts)).or_default().add_summary(b);
+    for (t, summary) in summaries {
+        accs.entry(key(t)).or_default().merge(summary);
     }
     accs
 }
 
-/// Sealed points in range that a scan may have to decode: the threshold
-/// input for going parallel. Uses the block time index, not a decode.
-fn decode_estimate(col: &Column, start: i64, end: i64) -> usize {
-    col.sealed_points_in(start, end)
-}
-
-/// Minimum estimated sealed points in range before a group scan fans out
+/// Minimum sealed points overlapping the range (an upper bound on the
+/// decode work, from the block time index) before a group scan fans out
 /// to threads: below this, spawn overhead beats the decode savings.
 const PARALLEL_THRESHOLD: usize = 64 * 1024;
 
@@ -673,7 +581,7 @@ fn scan_group(
     end: i64,
     window: Option<i64>,
     tuning: QueryTuning,
-) -> Vec<BTreeMap<i64, Acc>> {
+) -> Vec<BTreeMap<i64, Agg>> {
     let jobs: Vec<(usize, &Column)> = fields
         .iter()
         .enumerate()
@@ -681,18 +589,18 @@ fn scan_group(
             group.iter().filter_map(move |s| s.field(f)).map(move |c| (fi, c))
         })
         .collect();
-    let mut merged: Vec<BTreeMap<i64, Acc>> = (0..fields.len()).map(|_| BTreeMap::new()).collect();
+    let mut merged: Vec<BTreeMap<i64, Agg>> = (0..fields.len()).map(|_| BTreeMap::new()).collect();
     let parallel = tuning.parallel_scan
         && jobs.len() > 1
-        && jobs.iter().map(|&(_, c)| decode_estimate(c, start, end)).sum::<usize>()
+        && jobs.iter().map(|&(_, c)| c.sealed_points_in(start, end)).sum::<usize>()
             >= PARALLEL_THRESHOLD;
-    let maps: Vec<(usize, BTreeMap<i64, Acc>)> = if parallel {
+    let maps: Vec<(usize, BTreeMap<i64, Agg>)> = if parallel {
         let workers = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(4)
             .min(jobs.len())
             .min(8);
-        let (tx, rx) = std::sync::mpsc::channel::<(usize, usize, BTreeMap<i64, Acc>)>();
+        let (tx, rx) = std::sync::mpsc::channel::<(usize, usize, BTreeMap<i64, Agg>)>();
         std::thread::scope(|scope| {
             for w in 0..workers {
                 let tx = tx.clone();
@@ -708,7 +616,7 @@ fn scan_group(
             }
         });
         drop(tx);
-        let mut out: Vec<(usize, usize, BTreeMap<i64, Acc>)> = rx.into_iter().collect();
+        let mut out: Vec<(usize, usize, BTreeMap<i64, Agg>)> = rx.into_iter().collect();
         // Deterministic merge order regardless of thread scheduling.
         out.sort_by_key(|&(ji, _, _)| ji);
         out.into_iter().map(|(_, fi, accs)| (fi, accs)).collect()
@@ -719,12 +627,7 @@ fn scan_group(
     };
     for (fi, accs) in maps {
         for (w, acc) in accs {
-            match merged[fi].get_mut(&w) {
-                Some(m) => m.merge(acc),
-                None => {
-                    merged[fi].insert(w, acc);
-                }
-            }
+            merged[fi].entry(w).and_modify(|m| m.merge(&acc)).or_insert(acc);
         }
     }
     merged
@@ -746,12 +649,9 @@ struct TierPart<'a> {
 /// the earliest head (unflushed) point of any column in the group.
 fn tier_cap(group: &[&Series], watermark: i64) -> i64 {
     let mut cap = watermark;
-    for s in group {
-        let fields: Vec<String> = s.field_names().map(str::to_string).collect();
-        for f in &fields {
-            if let Some(&(ts, _)) = s.field(f).and_then(|c| c.head().first()) {
-                cap = cap.min(ts);
-            }
+    for (_, col) in group.iter().flat_map(|s| s.fields()) {
+        if let Some(&(ts, _)) = col.head().first() {
+            cap = cap.min(ts);
         }
     }
     cap
@@ -774,7 +674,7 @@ fn stitched_accs(
     end: i64,
     window: Option<i64>,
     tuning: QueryTuning,
-) -> Vec<BTreeMap<i64, Acc>> {
+) -> Vec<BTreeMap<i64, Agg>> {
     if let Some(t) = tier {
         // An unbounded start needs no alignment: there is no raw left
         // edge below the first tier row.
@@ -785,12 +685,7 @@ fn stitched_accs(
             let right = scan_group(group, fields, b, end, window, tuning);
             for (fi, m) in right.into_iter().enumerate() {
                 for (w, acc) in m {
-                    match accs[fi].get_mut(&w) {
-                        Some(cur) => cur.merge(acc),
-                        None => {
-                            accs[fi].insert(w, acc);
-                        }
-                    }
+                    accs[fi].entry(w).and_modify(|cur| cur.merge(&acc)).or_insert(acc);
                 }
             }
             tier_fold(t.series, fields, needed, a, b, window, &mut accs);
@@ -816,12 +711,11 @@ fn tier_stats_for(func: AggFunc) -> &'static [&'static str] {
 }
 
 /// Folds the tier rows with window starts in `[a, b)` into the per-field
-/// accumulators. Each tier row's stat fields reconstruct the exact
-/// accumulator state a raw decode of that window would have produced;
-/// `first`/`last` use the stored original timestamps so cross-layer
-/// tie-breaking matches a full raw scan. Only the stat columns in
-/// `needed[fi]` are decoded — the rest cannot reach the finalized output
-/// of the requested aggregates.
+/// accumulators. Each row is the [`Agg`] a raw decode of its window would
+/// have produced, `first`/`last` at their original timestamps, so
+/// cross-layer tie-breaking matches a full raw scan. Only the stat columns
+/// in `needed[fi]` are decoded — the rest cannot reach the finalized
+/// output of the requested aggregates.
 fn tier_fold(
     tier: &[&Series],
     fields: &[&str],
@@ -829,20 +723,8 @@ fn tier_fold(
     a: i64,
     b: i64,
     out_window: Option<i64>,
-    accs: &mut [BTreeMap<i64, Acc>],
+    accs: &mut [BTreeMap<i64, Agg>],
 ) {
-    #[derive(Default)]
-    struct Partial {
-        count: i64,
-        sum: Option<f64>,
-        sum_sq: Option<f64>,
-        min: Option<f64>,
-        max: Option<f64>,
-        first: Option<FieldValue>,
-        first_ts: Option<i64>,
-        last: Option<FieldValue>,
-        last_ts: Option<i64>,
-    }
     let key = |ts: i64| match out_window {
         Some(w) => ts.div_euclid(w) * w,
         None => 0,
@@ -863,49 +745,14 @@ fn tier_fold(
                     others.push((stat, col.points_in(a, b).peekable()));
                 }
             }
-            for (ts, value) in count_col.points_in(a, b) {
-                let FieldValue::Integer(count) = value else { continue };
-                if count <= 0 {
-                    continue;
-                }
-                let mut p = Partial { count, ..Default::default() };
-                for (stat, it) in others.iter_mut() {
-                    while it.peek().is_some_and(|&(t, _)| t < ts) {
-                        it.next();
-                    }
-                    if it.peek().is_none_or(|&(t, _)| t != ts) {
-                        continue;
-                    }
-                    let (_, value) = it.next().expect("peeked above");
-                    match (*stat, &value) {
-                        ("sum", _) => p.sum = value.as_f64(),
-                        ("sumsq", _) => p.sum_sq = value.as_f64(),
-                        ("min", _) => p.min = value.as_f64(),
-                        ("max", _) => p.max = value.as_f64(),
-                        ("first", _) => p.first = Some(value),
-                        ("first_ts", FieldValue::Integer(t)) => p.first_ts = Some(*t),
-                        ("last", _) => p.last = Some(value),
-                        ("last_ts", FieldValue::Integer(t)) => p.last_ts = Some(*t),
-                        _ => {}
-                    }
-                }
-                // Non-numeric windows carry no sum/min/max: the defaults
-                // leave `min` infinite, which finalize() already treats
-                // as "not numeric" (count/first/last still work).
-                let acc = Acc {
-                    count: p.count as u64,
-                    sum: p.sum.unwrap_or(0.0),
-                    sum_sq: p.sum_sq.unwrap_or(0.0),
-                    min: p.min.unwrap_or(f64::INFINITY),
-                    max: p.max.unwrap_or(f64::NEG_INFINITY),
-                    first: p.first.map(|v| (p.first_ts.unwrap_or(ts), v)),
-                    last: p.last.map(|v| (p.last_ts.unwrap_or(ts), v)),
-                };
-                match accs[fi].get_mut(&key(ts)) {
-                    Some(cur) => cur.merge(acc),
-                    None => {
-                        accs[fi].insert(key(ts), acc);
-                    }
+            for (ts, count) in count_col.points_in(a, b) {
+                let stats = others.iter_mut().filter_map(|(stat, it)| {
+                    while it.next_if(|&(t, _)| t < ts).is_some() {}
+                    it.next_if(|&(t, _)| t == ts).map(|(_, value)| (*stat, value))
+                });
+                let acc = agg_of_row(ts, std::iter::once(("count", count)).chain(stats));
+                if acc.count > 0 {
+                    accs[fi].entry(key(ts)).and_modify(|cur| cur.merge(&acc)).or_insert(acc);
                 }
             }
         }
@@ -971,13 +818,12 @@ fn aggregate_group(
     let values = match sel.group_time {
         None => {
             let accs = stitched_accs(group, tier, &fields, &needed, start, end, None, tuning);
-            let empty = Acc::default();
+            let empty = Agg::default();
             let row_time = if start == i64::MIN { 0 } else { start };
             let mut row = vec![Json::Int(row_time)];
             let mut any = false;
             for spec in &specs {
-                let acc = accs[field_idx(spec)].get(&0).unwrap_or(&empty);
-                let agg = acc.finalize(spec.func);
+                let agg = finalize(accs[field_idx(spec)].get(&0).unwrap_or(&empty), spec.func);
                 if !agg.is_null() {
                     any = true;
                 }
@@ -1060,7 +906,7 @@ fn aggregate_group(
             } else {
                 Vec::new()
             };
-            let empty = Acc::default();
+            let empty = Agg::default();
             let mut rows = Vec::new();
             let mut w_start = first_w;
             while w_start < range_end {
@@ -1068,8 +914,8 @@ fn aggregate_group(
                 let mut row = vec![Json::Int(w_start)];
                 let mut any = false;
                 for spec in &specs {
-                    let acc = accs[field_idx(spec)].get(&w_start).unwrap_or(&empty);
-                    let agg = acc.finalize(spec.func);
+                    let agg =
+                        finalize(accs[field_idx(spec)].get(&w_start).unwrap_or(&empty), spec.func);
                     if !agg.is_null() {
                         any = true;
                     }

@@ -11,14 +11,12 @@
 //!
 //! - [`Tier`] — the rollup resolutions (1 minute, 1 hour) and their
 //!   window math,
-//! - [`WindowAcc`] — the per-window accumulator
-//!   (count/min/max/sum/sum²/first/last), the same math as the block
-//!   summaries of `lms-tsm`,
-//! - the **rollup field codec** ([`rollup_fields`], [`RollupValue`]) —
-//!   how one raw field's window aggregate is laid out as suffixed fields
-//!   (`v` → `v__count`, `v__sum`, …) of an ordinary point whose timestamp
-//!   is the window start, so rollup tiers are plain databases served by
-//!   the unmodified write/query machinery,
+//! - the **tier row codec** ([`append_fields`], its inverse
+//!   [`agg_of_row`], and [`rollup_fields`]) — a tier row is the
+//!   serialisation of one window's [`Agg`] per raw field, laid out as
+//!   suffixed fields (`v` → `v__count`, `v__sum`, …) of an ordinary point
+//!   whose timestamp is the window start, so rollup tiers are plain
+//!   databases served by the unmodified write/query machinery,
 //! - **tier database naming** ([`rollup_db_name`], [`is_rollup_db`],
 //!   [`base_db_of`]) — a base database `lms` materializes into sibling
 //!   databases `lms__rollup_1m` / `lms__rollup_1h`, each with its own
@@ -33,7 +31,7 @@
 //! from the full raw column.
 
 use lms_lineproto::{FieldValue, Point};
-use lms_tsm::BlockSummary;
+use lms_tsm::Agg;
 
 /// The measurement holding the per-database rollup watermark. One point is
 /// written into the 1 m tier database per completed rollup pass, with the
@@ -94,12 +92,6 @@ impl Tier {
             _ => None,
         }
     }
-
-    /// Epoch-aligned window start containing `ts`.
-    pub fn window_start(self, ts: i64) -> i64 {
-        let w = self.window_ns();
-        ts.div_euclid(w) * w
-    }
 }
 
 /// Smallest multiple of `unit` that is `>= ts` (saturating).
@@ -147,137 +139,80 @@ pub fn stat_field(field: &str, stat: &str) -> String {
     format!("{field}{FIELD_SEP}{stat}")
 }
 
-/// Splits a rollup field name back into `(raw field, statistic)`;
-/// `None` when the name carries no known statistic suffix.
-pub fn split_stat_field(name: &str) -> Option<(&str, &str)> {
-    let (field, stat) = name.rsplit_once(FIELD_SEP)?;
-    if field.is_empty() || !STATS.contains(&stat) {
-        return None;
+/// Appends the tier-row fields of `agg` for raw field `field` onto `out`:
+/// `count` always, `sum`/`sumsq`/`min`/`max` when a value was numeric, and
+/// `first`/`last` with their original timestamps.
+pub fn append_fields(field: &str, agg: &Agg, out: &mut Vec<(String, FieldValue)>) {
+    if agg.count == 0 {
+        return;
     }
-    Some((field, stat))
-}
-
-/// One window's aggregate of one raw field: exactly the state a decode of
-/// the window's points accumulates, reusing the block-summary math of
-/// `lms-tsm` so flush-side rollups and query-side summaries agree
-/// bit-for-bit.
-#[derive(Debug, Clone)]
-pub struct WindowAcc {
-    /// Points in the window.
-    pub count: u64,
-    /// True once a point had a numeric view (min/max/sum/sum_sq valid).
-    pub numeric: bool,
-    /// Sum of numeric views.
-    pub sum: f64,
-    /// Sum of squared numeric views (stddev recombination).
-    pub sum_sq: f64,
-    /// Smallest numeric view.
-    pub min: f64,
-    /// Largest numeric view.
-    pub max: f64,
-    /// `(ts, value)` at the earliest timestamp.
-    pub first: Option<(i64, FieldValue)>,
-    /// `(ts, value)` at the latest timestamp.
-    pub last: Option<(i64, FieldValue)>,
-}
-
-impl Default for WindowAcc {
-    fn default() -> Self {
-        WindowAcc {
-            count: 0,
-            numeric: false,
-            sum: 0.0,
-            sum_sq: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            first: None,
-            last: None,
-        }
+    out.push((stat_field(field, "count"), FieldValue::Integer(agg.count as i64)));
+    if agg.numeric {
+        out.push((stat_field(field, "sum"), FieldValue::Float(agg.sum)));
+        out.push((stat_field(field, "sumsq"), FieldValue::Float(agg.sum_sq)));
+        out.push((stat_field(field, "min"), FieldValue::Float(agg.min)));
+        out.push((stat_field(field, "max"), FieldValue::Float(agg.max)));
+    }
+    if let Some((ts, v)) = &agg.first {
+        out.push((stat_field(field, "first"), v.clone()));
+        out.push((stat_field(field, "first_ts"), FieldValue::Integer(*ts)));
+    }
+    if let Some((ts, v)) = &agg.last {
+        out.push((stat_field(field, "last"), v.clone()));
+        out.push((stat_field(field, "last_ts"), FieldValue::Integer(*ts)));
     }
 }
 
-impl WindowAcc {
-    /// Accumulates one point (same tie-breaking as the query executor:
-    /// `first` keeps the strictly-earlier timestamp, `last` keeps
-    /// timestamps `>=` so the last-seen value wins ties).
-    pub fn add(&mut self, ts: i64, value: &FieldValue) {
-        self.count += 1;
-        if self.first.as_ref().is_none_or(|f| ts < f.0) {
-            self.first = Some((ts, value.clone()));
-        }
-        if self.last.as_ref().is_none_or(|l| ts >= l.0) {
-            self.last = Some((ts, value.clone()));
-        }
-        if let Some(x) = lms_tsm::block::numeric_view(value) {
-            self.numeric = true;
-            self.sum += x;
-            self.sum_sq += x * x;
-            self.min = self.min.min(x);
-            self.max = self.max.max(x);
-        }
-    }
-
-    /// Builds the accumulator from a timestamp-ascending run — the same
-    /// pass [`BlockSummary::compute`] makes, so a window covered exactly
-    /// by one sealed block yields identical floats.
-    pub fn from_run(points: &[(i64, FieldValue)]) -> Option<WindowAcc> {
-        let summary = BlockSummary::compute(points)?;
-        let (first_ts, _) = points[0];
-        let (last_ts, _) = points[points.len() - 1];
-        Some(WindowAcc {
-            count: points.len() as u64,
-            numeric: summary.numeric,
-            sum: summary.sum,
-            sum_sq: summary.sum_sq,
-            min: summary.min,
-            max: summary.max,
-            first: Some((first_ts, summary.first)),
-            last: Some((last_ts, summary.last)),
-        })
-    }
-
-    /// True when nothing was accumulated.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Appends the rollup fields of this accumulator for raw field
-    /// `field` onto `out` (the wire/storage schema of a tier row).
-    /// Non-numeric fields carry only `count`/`first`/`last`.
-    pub fn append_fields(&self, field: &str, out: &mut Vec<(String, FieldValue)>) {
-        if self.count == 0 {
-            return;
-        }
-        out.push((stat_field(field, "count"), FieldValue::Integer(self.count as i64)));
-        if self.numeric {
-            out.push((stat_field(field, "sum"), FieldValue::Float(self.sum)));
-            out.push((stat_field(field, "sumsq"), FieldValue::Float(self.sum_sq)));
-            out.push((stat_field(field, "min"), FieldValue::Float(self.min)));
-            out.push((stat_field(field, "max"), FieldValue::Float(self.max)));
-        }
-        if let Some((ts, v)) = &self.first {
-            out.push((stat_field(field, "first"), v.clone()));
-            out.push((stat_field(field, "first_ts"), FieldValue::Integer(*ts)));
-        }
-        if let Some((ts, v)) = &self.last {
-            out.push((stat_field(field, "last"), v.clone()));
-            out.push((stat_field(field, "last_ts"), FieldValue::Integer(*ts)));
+/// The inverse of [`append_fields`]: the [`Agg`] of a tier row at window
+/// start `ts`, from whichever of its `(stat, value)` fields were read.
+/// Stats left out keep their empty value — a row read without `count`
+/// counts nothing — and `first`/`last` without their `_ts` stand at `ts`.
+pub fn agg_of_row<'a>(ts: i64, stats: impl IntoIterator<Item = (&'a str, FieldValue)>) -> Agg {
+    let mut agg = Agg::default();
+    let (mut first_ts, mut last_ts) = (ts, ts);
+    for (stat, value) in stats {
+        match (stat, value) {
+            ("count", FieldValue::Integer(n)) => agg.count = u64::try_from(n).unwrap_or(0),
+            ("first", v) => agg.first = Some((ts, v)),
+            ("last", v) => agg.last = Some((ts, v)),
+            ("first_ts", FieldValue::Integer(t)) => first_ts = t,
+            ("last_ts", FieldValue::Integer(t)) => last_ts = t,
+            (stat, v) => {
+                let slot = match stat {
+                    "sum" => &mut agg.sum,
+                    "sumsq" => &mut agg.sum_sq,
+                    "min" => &mut agg.min,
+                    "max" => &mut agg.max,
+                    _ => continue,
+                };
+                if let Some(x) = v.as_f64() {
+                    *slot = x;
+                    agg.numeric = true;
+                }
+            }
         }
     }
+    if let Some(first) = &mut agg.first {
+        first.0 = first_ts;
+    }
+    if let Some(last) = &mut agg.last {
+        last.0 = last_ts;
+    }
+    agg
 }
 
-/// Renders one tier row: the rollup fields of `accs` (raw field name →
-/// accumulator) as a [`Point`] on the *same* measurement and tag set as
-/// the raw series, timestamped at the window start.
-pub fn rollup_fields(
+/// Renders one tier row: the rollup fields of `aggs` (raw field name →
+/// window aggregate) as a [`Point`] on the *same* measurement and tag set
+/// as the raw series, timestamped at the window start.
+pub fn rollup_fields<F: AsRef<str>>(
     measurement: &str,
     tags: &[(String, String)],
     window_start: i64,
-    accs: &[(String, WindowAcc)],
+    aggs: &[(F, Agg)],
 ) -> Option<Point> {
     let mut fields = Vec::new();
-    for (field, acc) in accs {
-        acc.append_fields(field, &mut fields);
+    for (field, agg) in aggs {
+        append_fields(field.as_ref(), agg, &mut fields);
     }
     if fields.is_empty() {
         return None;
@@ -304,10 +239,9 @@ pub fn rollup_fields(
 #[derive(Debug, Default)]
 pub struct WindowAggregator {
     window_ns: i64,
-    /// Open windows: (series key, window start) → per-field accumulators,
+    /// Open windows: (series key, window start) → per-field aggregates,
     /// plus the measurement/tags needed to re-emit the row.
     open: Vec<OpenWindow>,
-    windows_emitted: u64,
 }
 
 #[derive(Debug)]
@@ -316,7 +250,7 @@ struct OpenWindow {
     measurement: String,
     tags: Vec<(String, String)>,
     window_start: i64,
-    accs: Vec<(String, WindowAcc)>,
+    aggs: Vec<(String, Agg)>,
 }
 
 impl WindowAggregator {
@@ -324,7 +258,7 @@ impl WindowAggregator {
     /// (60 s for the 1 m tier).
     pub fn new(window_ns: i64) -> Self {
         assert!(window_ns > 0, "aggregation window must be positive");
-        WindowAggregator { window_ns, open: Vec::new(), windows_emitted: 0 }
+        WindowAggregator { window_ns, open: Vec::new() }
     }
 
     /// The canonical 1 m tier aggregator.
@@ -348,20 +282,20 @@ impl WindowAggregator {
                     measurement: point.measurement().to_string(),
                     tags: point.tags().to_vec(),
                     window_start: w_start,
-                    accs: Vec::new(),
+                    aggs: Vec::new(),
                 });
                 self.open.last_mut().expect("just pushed")
             }
         };
         for (field, value) in point.fields() {
-            let acc = match open.accs.iter_mut().find(|(f, _)| f == field) {
-                Some((_, acc)) => acc,
+            let agg = match open.aggs.iter_mut().find(|(f, _)| f == field) {
+                Some((_, agg)) => agg,
                 None => {
-                    open.accs.push((field.clone(), WindowAcc::default()));
-                    &mut open.accs.last_mut().expect("just pushed").1
+                    open.aggs.push((field.clone(), Agg::default()));
+                    &mut open.aggs.last_mut().expect("just pushed").1
                 }
             };
-            acc.add(ts, value);
+            agg.add(ts, value);
         }
     }
 
@@ -374,7 +308,7 @@ impl WindowAggregator {
         for w in self.open.drain(..) {
             if w.window_start.saturating_add(window_ns) <= now_ns {
                 if let Some(p) =
-                    rollup_fields(&w.measurement, &w.tags, w.window_start, &w.accs)
+                    rollup_fields(&w.measurement, &w.tags, w.window_start, &w.aggs)
                 {
                     out.push(p);
                 }
@@ -383,7 +317,6 @@ impl WindowAggregator {
             }
         }
         self.open = kept;
-        self.windows_emitted += out.len() as u64;
         out
     }
 
@@ -396,11 +329,6 @@ impl WindowAggregator {
     pub fn open_windows(&self) -> usize {
         self.open.len()
     }
-
-    /// Windows emitted over the aggregator's lifetime.
-    pub fn windows_emitted(&self) -> u64 {
-        self.windows_emitted
-    }
 }
 
 #[cfg(test)]
@@ -411,8 +339,6 @@ mod tests {
     fn tier_window_math() {
         assert_eq!(Tier::Minute.window_ns(), 60_000_000_000);
         assert_eq!(Tier::Hour.window_ns(), 3_600_000_000_000);
-        assert_eq!(Tier::Minute.window_start(61_000_000_000), 60_000_000_000);
-        assert_eq!(Tier::Minute.window_start(-1), -60_000_000_000);
         assert_eq!(align_up(0, 60), 0);
         assert_eq!(align_up(1, 60), 60);
         assert_eq!(align_down(119, 60), 60);
@@ -433,41 +359,12 @@ mod tests {
     }
 
     #[test]
-    fn stat_field_round_trips() {
-        assert_eq!(stat_field("busy", "sum"), "busy__sum");
-        assert_eq!(split_stat_field("busy__sum"), Some(("busy", "sum")));
-        assert_eq!(split_stat_field("busy__sumsq"), Some(("busy", "sumsq")));
-        assert_eq!(split_stat_field("busy"), None);
-        assert_eq!(split_stat_field("busy__median"), None);
-        // Raw fields containing the separator still split at the last one.
-        assert_eq!(split_stat_field("a__b__count"), Some(("a__b", "count")));
-    }
-
-    #[test]
-    fn window_acc_matches_block_summary() {
-        let points: Vec<(i64, FieldValue)> =
-            (0..100).map(|i| (i, FieldValue::Float((i * 7 % 13) as f64))).collect();
-        let acc = WindowAcc::from_run(&points).unwrap();
-        let mut streamed = WindowAcc::default();
-        for (t, v) in &points {
-            streamed.add(*t, v);
-        }
-        assert_eq!(acc.count, streamed.count);
-        assert_eq!(acc.sum.to_bits(), streamed.sum.to_bits(), "same accumulation order");
-        assert_eq!(acc.sum_sq.to_bits(), streamed.sum_sq.to_bits());
-        assert_eq!(acc.min, streamed.min);
-        assert_eq!(acc.max, streamed.max);
-        assert_eq!(acc.first, streamed.first);
-        assert_eq!(acc.last, streamed.last);
-    }
-
-    #[test]
     fn non_numeric_fields_carry_count_first_last_only() {
-        let mut acc = WindowAcc::default();
-        acc.add(1, &FieldValue::Text("a".into()));
-        acc.add(2, &FieldValue::Text("b".into()));
+        let mut agg = Agg::default();
+        agg.add(1, &FieldValue::Text("a".into()));
+        agg.add(2, &FieldValue::Text("b".into()));
         let mut fields = Vec::new();
-        acc.append_fields("msg", &mut fields);
+        append_fields("msg", &agg, &mut fields);
         let names: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(
             names,
@@ -506,6 +403,5 @@ mod tests {
         assert_eq!(agg.open_windows(), 1);
         assert_eq!(agg.flush().len(), 1);
         assert_eq!(agg.open_windows(), 0);
-        assert_eq!(agg.windows_emitted(), 2);
     }
 }

@@ -343,7 +343,7 @@ impl Forwarder {
         })
     }
 
-    /// Graceful-drain variant for cluster destinations: like [`flush`],
+    /// Graceful-drain variant for cluster destinations: like [`Self::flush`],
     /// but an **unreachable** destination (breaker open) does not block on
     /// its spool — hinted handoff is durable on disk and replays after the
     /// node recovers (or after a router restart). The drain still waits

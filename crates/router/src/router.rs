@@ -859,6 +859,62 @@ mod tests {
         }
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 8,
+            ..Default::default()
+        })]
+
+        /// A 3-node R = 2 cluster answers the decomposable aggregates
+        /// exactly as one node holding every point: ungrouped, per host,
+        /// and per window and host, newest first, truncated. Values are
+        /// integer-valued so that sums are exact in any order.
+        #[test]
+        fn cluster_aggregates_equal_one_node(
+            points in proptest::collection::vec((0u8..8, 0i64..600, -100i64..100), 1..80),
+            window_s in 1i64..120,
+            limit in 1usize..6,
+        ) {
+            let body: String = points
+                .iter()
+                .map(|(h, t, v)| format!("m,hostname=g{h} v={v} {}\n", t * 1_000_000_000))
+                .collect();
+            let clock = Clock::simulated(Timestamp::from_secs(5000));
+            let one = Influx::new(clock.clone());
+            one.write_lines("lms", &body, Default::default()).unwrap();
+            let servers: Vec<InfluxServer> = (0..3)
+                .map(|_| InfluxServer::start("127.0.0.1:0", Influx::new(clock.clone())).unwrap())
+                .collect();
+            let cluster = ClusterConfig {
+                nodes: servers.iter().map(|s| s.addr()).collect(),
+                replication: 2,
+                write_quorum: 1,
+                seed: 7,
+            };
+            let router =
+                Router::new_cluster(cluster, RouterConfig::default(), clock, None).unwrap();
+            assert!(router.handle_write(None, &body).acked);
+            assert!(router.flush(Duration::from_secs(10)));
+
+            let aggs = "mean(v), sum(v), min(v), max(v), count(v)";
+            for q in [
+                format!("SELECT {aggs} FROM m"),
+                format!("SELECT {aggs} FROM m GROUP BY hostname"),
+                format!(
+                    "SELECT {aggs} FROM m GROUP BY time({window_s}s), hostname \
+                     ORDER BY time DESC LIMIT {limit}"
+                ),
+            ] {
+                let want = one.query("lms", &q).unwrap();
+                let got = router.handle_query("lms", &q).unwrap();
+                proptest::prop_assert_eq!(got, want, "{}", q);
+            }
+            for s in servers {
+                s.shutdown();
+            }
+        }
+    }
+
     #[test]
     fn range_queries_scatter_gather_through_the_cluster() {
         // R = 1 over 2 nodes: each series on exactly one owner, so every

@@ -10,69 +10,9 @@
 //! queries and the flush/compaction sessions that write them to segment
 //! files — sealing compresses once, and the bytes are never copied again.
 
+use crate::agg::Agg;
 use crate::encode::{decode_block, encode_block};
 use lms_lineproto::FieldValue;
-
-/// Pre-aggregated statistics over one sealed block, computed at seal time
-/// and persisted in the segment footer.
-///
-/// The fields mirror what a single streaming pass over the decoded points
-/// would accumulate, so an aggregate over a fully-covered, unshadowed block
-/// can consume the summary instead of decoding: `sum`/`sum_sq`/`min`/`max`
-/// run over the numeric view of each value (`Float` as-is, `Integer` and
-/// `Boolean` widened), while `first`/`last` keep the raw boundary values of
-/// the run. Point count and time bounds already live on [`SealedBlock`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct BlockSummary {
-    /// True when at least one point had a numeric view (min/max/sum valid).
-    pub numeric: bool,
-    /// Sum of numeric values.
-    pub sum: f64,
-    /// Sum of squared numeric values (for stddev recombination).
-    pub sum_sq: f64,
-    /// Smallest numeric value (meaningless unless `numeric`).
-    pub min: f64,
-    /// Largest numeric value (meaningless unless `numeric`).
-    pub max: f64,
-    /// Value at the block's earliest timestamp.
-    pub first: FieldValue,
-    /// Value at the block's latest timestamp.
-    pub last: FieldValue,
-}
-
-impl BlockSummary {
-    /// Computes the summary a full decode-and-accumulate pass would produce
-    /// over a timestamp-ascending run. Returns `None` on an empty run.
-    pub fn compute(points: &[(i64, FieldValue)]) -> Option<BlockSummary> {
-        let first = points.first()?.1.clone();
-        let last = points[points.len() - 1].1.clone();
-        let mut s = BlockSummary {
-            numeric: false,
-            sum: 0.0,
-            sum_sq: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            first,
-            last,
-        };
-        for (_, v) in points {
-            if let Some(x) = numeric_view(v) {
-                s.numeric = true;
-                s.sum += x;
-                s.sum_sq += x * x;
-                s.min = s.min.min(x);
-                s.max = s.max.max(x);
-            }
-        }
-        Some(s)
-    }
-}
-
-/// The numeric view aggregates use: floats as-is, integers and booleans
-/// widened. Text yields `None` (counted but excluded from numeric stats).
-pub fn numeric_view(v: &FieldValue) -> Option<f64> {
-    v.as_f64()
-}
 
 /// One immutable, compressed run of a field column. Deliberately not
 /// `Clone`: holders share it through `Arc`.
@@ -88,9 +28,10 @@ pub struct SealedBlock {
     /// Number of encoded points.
     pub count: u32,
     bytes: Vec<u8>,
-    /// Pre-aggregated stats; `None` only for a block whose segment entry
-    /// recorded no summary (`present = 0`: a corrupt payload).
-    summary: Option<BlockSummary>,
+    /// The aggregate of the whole run, computed at seal time; `None` only
+    /// for a block whose segment entry recorded none (`present = 0`: a
+    /// corrupt payload).
+    summary: Option<Agg>,
 }
 
 impl SealedBlock {
@@ -105,25 +46,25 @@ impl SealedBlock {
             max_ts: points[points.len() - 1].0,
             count: points.len() as u32,
             bytes: encode_block(points),
-            summary: BlockSummary::compute(points),
+            summary: Agg::of_run(points),
         }
     }
 
     /// Reconstructs a block from already-encoded bytes and its persisted
-    /// summary (segment file load).
+    /// aggregate (segment file load).
     pub fn from_parts(
         gen: u64,
         min_ts: i64,
         max_ts: i64,
         count: u32,
         bytes: Vec<u8>,
-        summary: Option<BlockSummary>,
+        summary: Option<Agg>,
     ) -> Self {
         SealedBlock { gen, min_ts, max_ts, count, bytes, summary }
     }
 
-    /// The pre-aggregated stats, when available.
-    pub fn summary(&self) -> Option<&BlockSummary> {
+    /// The aggregate of the whole run, when available.
+    pub fn summary(&self) -> Option<&Agg> {
         self.summary.as_ref()
     }
 

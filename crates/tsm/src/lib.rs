@@ -26,6 +26,7 @@
 //! mutable head on top) — and drives the engine's flush/compaction
 //! sessions from a background worker.
 
+pub mod agg;
 pub mod bits;
 pub mod block;
 pub mod encode;
@@ -34,7 +35,8 @@ pub mod scrub;
 pub mod segment;
 pub mod wal;
 
-pub use block::{BlockSummary, SealedBlock};
+pub use agg::Agg;
+pub use block::SealedBlock;
 pub use engine::{
     DamagedRange, FlushSession, QuarantineReport, Recovered, RewriteSession, TsmConfig, TsmEngine,
     TsmStats,

@@ -21,12 +21,14 @@
 //! [summary: see below]
 //! ```
 //!
-//! The block's pre-aggregated summary follows the block bytes, so queries
-//! can answer `mean`/`min`/`max`/`sum`/`count` over a fully-covered block
-//! without ever decoding it:
+//! The block's [`Agg`] follows the block bytes, so queries can answer
+//! every aggregate (`count`/`sum`/`mean`/`min`/`max`/`stddev`/`first`/
+//! `last`) over a fully-covered block without ever decoding it. Its count
+//! and first/last timestamps are the entry's `count`, `min_ts` and
+//! `max_ts`; the footer holds the rest:
 //!
 //! ```text
-//! [present: u8]                      0 = no summary (corrupt block)
+//! [present: u8]                      0 = no aggregate (corrupt block)
 //! [numeric: u8][sum: f64][sum_sq: f64][min: f64][max: f64]
 //! [first: tagged value][last: tagged value]
 //! ```
@@ -43,7 +45,8 @@
 //! loses one block, not the rest of the file; only a torn tail — where
 //! the framing itself is unreadable — ends the scan.
 
-use crate::block::{BlockSummary, SealedBlock};
+use crate::agg::Agg;
+use crate::block::SealedBlock;
 use crate::encode::{get_uvarint, put_uvarint, unzigzag, zigzag};
 use lms_lineproto::FieldValue;
 use lms_util::hash::crc32;
@@ -113,18 +116,23 @@ fn put_value(out: &mut Vec<u8>, v: &FieldValue) {
     }
 }
 
-fn put_summary(out: &mut Vec<u8>, summary: Option<&BlockSummary>) {
-    let Some(s) = summary else {
-        out.push(0);
-        return;
-    };
-    out.push(1);
-    out.push(s.numeric as u8);
-    for x in [s.sum, s.sum_sq, s.min, s.max] {
-        out.extend_from_slice(&x.to_bits().to_le_bytes());
+/// An aggregate's count and edge timestamps are the entry's own `count`,
+/// `min_ts` and `max_ts`, so only the rest is written.
+fn put_summary(out: &mut Vec<u8>, summary: Option<&Agg>) {
+    match summary {
+        Some(Agg {
+            numeric, sum, sum_sq, min, max, first: Some((_, first)), last: Some((_, last)), ..
+        }) => {
+            out.push(1);
+            out.push(*numeric as u8);
+            for x in [sum, sum_sq, min, max] {
+                out.extend_from_slice(&x.to_bits().to_le_bytes());
+            }
+            put_value(out, first);
+            put_value(out, last);
+        }
+        _ => out.push(0),
     }
-    put_value(out, &s.first);
-    put_value(out, &s.last);
 }
 
 fn encode_entry(entry: &BlockEntry, out: &mut Vec<u8>) {
@@ -221,19 +229,21 @@ impl<'a> Cursor<'a> {
         })
     }
 
-    fn summary(&mut self) -> Option<Option<BlockSummary>> {
+    /// The footer aggregate of an entry holding `count` points over
+    /// `[min_ts, max_ts]`.
+    fn summary(&mut self, count: u32, min_ts: i64, max_ts: i64) -> Option<Option<Agg>> {
         match self.u8()? {
             0 => Some(None),
-            1 => {
-                let numeric = self.u8()? != 0;
-                let sum = self.f64()?;
-                let sum_sq = self.f64()?;
-                let min = self.f64()?;
-                let max = self.f64()?;
-                let first = self.value()?;
-                let last = self.value()?;
-                Some(Some(BlockSummary { numeric, sum, sum_sq, min, max, first, last }))
-            }
+            1 => Some(Some(Agg {
+                count: count.into(),
+                numeric: self.u8()? != 0,
+                sum: self.f64()?,
+                sum_sq: self.f64()?,
+                min: self.f64()?,
+                max: self.f64()?,
+                first: Some((min_ts, self.value()?)),
+                last: Some((max_ts, self.value()?)),
+            })),
             _ => None,
         }
     }
@@ -255,7 +265,7 @@ fn decode_entry(payload: &[u8]) -> Option<BlockEntry> {
     let field = c.str16()?;
     let block_len = c.u32()? as usize;
     let bytes = c.take(block_len)?.to_vec();
-    let summary = c.summary()?;
+    let summary = c.summary(count, min_ts, max_ts)?;
     let block = SealedBlock::from_parts(gen, min_ts, max_ts, count, bytes, summary);
     if c.off != payload.len() {
         return None; // trailing garbage inside a CRC-clean frame
@@ -519,8 +529,8 @@ mod tests {
         assert_eq!(s.min, 0.0);
         assert_eq!(s.max, 49.5);
         assert_eq!(s.sum, (0..100).map(|t| t as f64 * 0.5).sum::<f64>());
-        assert_eq!(s.first, FieldValue::Float(0.0));
-        assert_eq!(s.last, FieldValue::Float(49.5));
+        assert_eq!(s.first, Some((0, FieldValue::Float(0.0))));
+        assert_eq!(s.last, Some((99, FieldValue::Float(49.5))));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -542,11 +552,12 @@ mod tests {
             field: "text".into(),
             block: Arc::new(SealedBlock::seal(3, &points)),
         };
-        write(&path, &[e.clone()], None).unwrap();
+        write(&path, std::slice::from_ref(&e), None).unwrap();
         let back = read_segment(&path).unwrap();
         let s = back[0].block.summary().unwrap();
-        assert_eq!(s.first, FieldValue::Text("job start".into()));
-        assert_eq!(s.last, FieldValue::Boolean(true));
+        assert_eq!(s.first, Some((10, FieldValue::Text("job start".into()))));
+        assert_eq!(s.last, Some((30, FieldValue::Boolean(true))));
+        assert_eq!(s.count, 3);
         assert!(s.numeric); // integer + boolean are numeric-viewed
         assert_eq!(s.sum, 8.0);
         let _ = fs::remove_dir_all(&dir);
