@@ -9,10 +9,12 @@
 //! ([`ring::HashRing`]) and fans the line to its R owners. Writes ack at a
 //! configurable write quorum W; a down replica's share lands in that
 //! replica's on-disk spool as a *hinted handoff* and replays once the node
-//! answers `/ping` again. Reads scatter to every node and merge through the
-//! same last-write-wins rule the storage engine uses for overlapping block
-//! generations ([`merge::merge_results`]), degrading to a partial result
-//! instead of failing when a replica is unreachable.
+//! answers `/ping` again. A SELECT scatters in its partial form: every node
+//! answers each matching series' own aggregate state or raw rows, and the
+//! router folds them with the executor's own fold, as one node holding
+//! every point would ([`partial::PartialPlan`]). Listings are unioned
+//! ([`merge::merge_results`]). A read degrades to a partial result instead
+//! of failing when a replica is unreachable.
 //!
 //! The crate is deliberately mechanism-only — placement, quorum arithmetic
 //! and merging. The delivery machinery (queues, spools, breakers,

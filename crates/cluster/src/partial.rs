@@ -1,366 +1,187 @@
-//! Exact cross-node aggregates: decompose, scatter, recombine.
+//! Cluster SELECTs: scatter the partial form, fold the answers like one
+//! node.
 //!
-//! A cluster aggregate (`SELECT mean(v) FROM cpu ... GROUP BY time(1m)`)
-//! cannot be answered by merging per-node *final* answers: with R < N each
-//! node aggregates only the series it owns, and a mean of means is not the
-//! mean. The router therefore rewrites decomposable aggregates into
-//! **partial** queries and recombines algebraically:
+//! A cluster SELECT cannot be answered by merging per-node *final*
+//! answers: with R < N each node holds only the series it owns, a mean of
+//! means is not the mean, and a `first`, a `FILL` row or a `LIMIT` cut
+//! made per node is not the cluster's. The router therefore plans the
+//! statement once ([`Plan`]) and sends every node its **partial form**:
+//! the range fixed as absolute bounds from the router's own `now()`, and
+//! the `PARTIAL` marker. Each node answers the rows of every matching
+//! series it holds, each series' under a header row with its tags
+//! ([`Plan::partial_answer`]): its window [`Agg`](lms_influx::tsm::Agg)s
+//! as tier-row stats, or its raw rows. The router
 //!
-//! 1. **Decompose** — every projected field is replaced by the quadruple
-//!    `count(f), sum(f), min(f), max(f)`, and `GROUP BY *` is added so each
-//!    node answers one series per *underlying* series it holds (the full
-//!    tag set is the series identity).
-//! 2. **Scatter** — the rewritten query fans out like any other read.
-//! 3. **Dedupe** — a series is wholly stored on each of its R owners, so
-//!    for every `(series, window)` exactly one node's partial row is kept
-//!    (highest part index wins, the same LWW rule [`crate::merge`] uses —
-//!    divergent replicas resolve deterministically, never mix).
-//! 4. **Recombine** — rows are re-grouped by the *original* GROUP BY key,
-//!    each quadruple read back as an [`Agg`] and merged
-//!    ([`Agg::merge`]: counts and sums add, min/max fold), then finalized
-//!    by the executor's own [`finalize`] — `mean = Σsum/Σcount`, and the
-//!    null rules are a single node's. The fold is exact for
-//!    `count`/`sum`/`min`/`max`/`mean` at any R ≤ N.
-//!
-//! A query stays on the legacy whole-result merge when it is not
-//! decomposable: raw projections, `first`/`last`/`stddev` (order- or
-//! variance-carrying), or a non-default `FILL(...)` (fill rows are
-//! synthesized per node over node-local window ranges and cannot be told
-//! apart from real all-null windows after the fact).
-//!
-//! One visible edge: an ungrouped aggregate over a measurement whose
-//! series hold no in-range points returns an *empty* result through this
-//! path (the per-series partial groups are all empty and skipped), where a
-//! single node would emit one all-null row.
+//! 1. **dedupes** replica copies ([`Plan::read_partial`]): a series is
+//!    wholly stored on each of its R owners, so per (series, window or
+//!    timestamp) one node's row is kept, the later part winning whole
+//!    rows (divergent replicas resolve deterministically, never mix);
+//! 2. **folds** the series with the executor's own [`Plan::fold`]: the
+//!    same grouping, tag-set merge order, windows, `FILL`, finalize,
+//!    `ORDER BY` and `LIMIT` as a single node holding every point.
 
-use lms_influx::exec::finalize;
-use lms_influx::query::{AggFunc, Fill, Projection, Select, Statement};
-use lms_influx::tsm::Agg;
-use lms_influx::{QueryResult, ResultSeries};
-use lms_util::Json;
-use std::collections::BTreeMap;
+use lms_influx::exec::Plan;
+use lms_influx::query::Statement;
+use lms_influx::QueryResult;
+use lms_util::Clock;
 
-/// A series' tag set as sorted `(key, value)` pairs.
-type TagSet = Vec<(String, String)>;
-
-/// A decomposed aggregate query: the rewritten per-node statement plus
-/// everything needed to recombine the partial answers exactly.
+/// A planned cluster SELECT: the partial form sent to every node plus the
+/// plan that folds their answers.
 #[derive(Debug, Clone)]
 pub struct PartialPlan {
-    /// The rewritten statement sent to every node.
+    plan: Plan,
     partial_query: String,
-    /// One entry per original projection: the aggregate and the index of
-    /// its field in the per-field quadruple layout.
-    outputs: Vec<(AggFunc, usize)>,
-    /// Number of distinct projected fields (quadruples per row).
-    n_fields: usize,
-    measurement: String,
-    group_tags: Vec<String>,
-    group_all: bool,
-    order_desc: bool,
-    limit: Option<usize>,
 }
 
-/// Plans a decomposition for a raw query string. `None` when the query is
-/// not a decomposable aggregate SELECT (including unparsable input — the
-/// caller forwards the original string and lets the nodes answer).
+/// Plans `q` with `now()` read from the system clock (see
+/// [`PartialPlan::new`]).
 pub fn partial_plan(q: &str) -> Option<PartialPlan> {
-    match Statement::parse(q) {
-        Ok(Statement::Select(sel)) => PartialPlan::for_select(&sel),
-        _ => None,
-    }
+    PartialPlan::new(q, Clock::system().now().nanos())
 }
 
 impl PartialPlan {
-    /// Plans a decomposition for a parsed SELECT; `None` when any
-    /// projection is raw or order/variance-carrying, or the fill policy
-    /// is not the default `FILL(none)`.
-    pub fn for_select(sel: &Select) -> Option<PartialPlan> {
-        if sel.fill != Fill::None {
-            return None;
-        }
-        let mut fields: Vec<&str> = Vec::new();
-        let mut outputs = Vec::new();
-        for p in &sel.projections {
-            let Projection::Agg(func, field) = p else { return None };
-            if !matches!(
-                func,
-                AggFunc::Mean | AggFunc::Sum | AggFunc::Min | AggFunc::Max | AggFunc::Count
-            ) {
-                return None;
-            }
-            let fi = fields.iter().position(|f| f == field).unwrap_or_else(|| {
-                fields.push(field);
-                fields.len() - 1
-            });
-            outputs.push((*func, fi));
-        }
-        if outputs.is_empty() {
-            return None;
-        }
-        let mut partial = sel.clone();
-        partial.projections = fields
-            .iter()
-            .flat_map(|f| {
-                [AggFunc::Count, AggFunc::Sum, AggFunc::Min, AggFunc::Max]
-                    .map(|func| Projection::Agg(func, f.to_string()))
-            })
-            .collect();
-        partial.group_all = true;
-        // Ordering and truncation apply to the *recombined* rows; a
-        // per-node LIMIT would drop windows other nodes still need.
-        partial.order_desc = false;
-        partial.limit = None;
-        Some(PartialPlan {
-            partial_query: partial.render(),
-            outputs,
-            n_fields: fields.len(),
-            measurement: sel.measurement.clone(),
-            group_tags: sel.group_tags.clone(),
-            group_all: sel.group_all,
-            order_desc: sel.order_desc,
-            limit: sel.limit,
-        })
+    /// Plans `q` with `now()` at `now_ns`. `None` when `q` is not a valid
+    /// SELECT (including unparsable input — the caller forwards the
+    /// original string and lets the nodes answer the error, or the listing
+    /// that [`crate::merge_results`] unions).
+    pub fn new(q: &str, now_ns: i64) -> Option<PartialPlan> {
+        let Ok(Statement::Select(sel)) = Statement::parse(q) else { return None };
+        let plan = Plan::new(&sel, now_ns).ok()?;
+        Some(PartialPlan { partial_query: plan.partial_query(), plan })
     }
 
-    /// The rewritten statement to send to every node.
+    /// The partial form to send to every node.
     pub fn partial_query(&self) -> &str {
         &self.partial_query
     }
 
-    /// Recombines per-node partial answers into the final result. `parts`
-    /// holds each reachable node's answer in node order; the output
-    /// `partial` flag is the OR of the inputs'.
+    /// Folds the nodes' answers to [`partial_query`](Self::partial_query)
+    /// into the final result. `parts` holds each reachable node's answer
+    /// in node order; the output `partial` flag is the OR of the inputs'.
     pub fn merge(&self, parts: Vec<QueryResult>) -> QueryResult {
         let partial = parts.iter().any(|p| p.partial);
-        // (series tags, window ts) → one node's row; later parts win on
-        // replica copies, matching the LWW rule of the plain merge.
-        let mut rows: BTreeMap<(TagSet, i64), Vec<Json>> = BTreeMap::new();
-        for part in parts {
-            for series in part.series {
-                for row in series.values {
-                    let ts = row.first().and_then(Json::as_i64).unwrap_or(i64::MIN);
-                    rows.insert((series.tags.clone(), ts), row);
-                }
-            }
-        }
-        // Re-group by the original GROUP BY key and fold the quadruples.
-        let mut groups: BTreeMap<TagSet, BTreeMap<i64, Vec<Agg>>> = BTreeMap::new();
-        for ((tags, ts), row) in rows {
-            let key: Vec<(String, String)> = if self.group_all {
-                tags
-            } else {
-                self.group_tags
-                    .iter()
-                    .map(|t| {
-                        let v = tags
-                            .iter()
-                            .find(|(k, _)| k == t)
-                            .map(|(_, v)| v.clone())
-                            .unwrap_or_default();
-                        (t.clone(), v)
-                    })
-                    .collect()
-            };
-            let aggs = groups
-                .entry(key)
-                .or_default()
-                .entry(ts)
-                .or_insert_with(|| vec![Agg::default(); self.n_fields]);
-            for (fi, agg) in aggs.iter_mut().enumerate() {
-                agg.merge(&quadruple_agg(&row, 1 + fi * 4));
-            }
-        }
-        let columns: Vec<String> = std::iter::once("time".to_string())
-            .chain(self.outputs.iter().map(|(func, _)| func.column_name().to_string()))
-            .collect();
-        let mut out = QueryResult { series: Vec::with_capacity(groups.len()), partial };
-        for (tags, by_ts) in groups {
-            let mut values: Vec<Vec<Json>> = by_ts
-                .into_iter()
-                .map(|(ts, aggs)| {
-                    std::iter::once(Json::Int(ts))
-                        .chain(self.outputs.iter().map(|&(func, fi)| finalize(&aggs[fi], func)))
-                        .collect()
-                })
-                .collect();
-            if self.order_desc {
-                values.reverse();
-            }
-            if let Some(limit) = self.limit {
-                values.truncate(limit);
-            }
-            out.series.push(ResultSeries {
-                name: self.measurement.clone(),
-                tags,
-                columns: columns.clone(),
-                values,
-            });
-        }
+        let mut out = self.plan.fold(self.plan.read_partial(parts));
+        out.partial = partial;
         out
     }
-}
-
-/// The [`Agg`] of one node's `count, sum, min, max` quadruple starting at
-/// column `base` of a partial row. A null numeric column — the series held
-/// no numeric value — leaves that stat empty.
-fn quadruple_agg(row: &[Json], base: usize) -> Agg {
-    let stat = |i: usize| row.get(base + i).and_then(Json::as_f64);
-    let count = row.get(base).and_then(Json::as_i64).unwrap_or(0);
-    let mut agg = Agg { count: u64::try_from(count).unwrap_or(0), ..Agg::default() };
-    if let Some(sum) = stat(1) {
-        agg.numeric = true;
-        agg.sum = sum;
-    }
-    agg.min = stat(2).unwrap_or(agg.min);
-    agg.max = stat(3).unwrap_or(agg.max);
-    agg
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lms_influx::ResultSeries;
+    use lms_util::Json;
 
-    fn series(tags: &[(&str, &str)], rows: Vec<Vec<Json>>) -> ResultSeries {
-        ResultSeries {
-            name: "cpu".into(),
-            tags: tags.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect(),
-            columns: vec![
-                "time".into(),
-                "count".into(),
-                "sum".into(),
-                "min".into(),
-                "max".into(),
-            ],
-            values: rows,
+    /// A node's partial answer: each `(host, rows)` series' rows after its
+    /// header row, under `columns` and the tag key `host`.
+    fn node(columns: &[&str], series: &[(&str, Vec<Vec<Json>>)]) -> QueryResult {
+        let values = series
+            .iter()
+            .flat_map(|(host, rows)| {
+                std::iter::once(vec![Json::Null, Json::str(*host)]).chain(rows.iter().cloned())
+            })
+            .collect();
+        let columns = columns.iter().chain(&["host"]).map(|c| c.to_string()).collect();
+        QueryResult {
+            series: vec![ResultSeries { name: "cpu".into(), tags: Vec::new(), columns, values }],
+            partial: false,
         }
     }
 
-    fn quad(ts: i64, count: i64, sum: f64, min: f64, max: f64) -> Vec<Json> {
-        vec![Json::Int(ts), Json::Int(count), Json::Num(sum), Json::Num(min), Json::Num(max)]
+    /// A `v__count, v__sum, v__min` row: what a node sends for `mean(v)`
+    /// or `sum(v)`.
+    fn stats(ts: i64, count: i64, sum: f64, min: f64) -> Vec<Json> {
+        vec![Json::Int(ts), Json::Int(count), Json::Num(sum), Json::Num(min)]
     }
 
+    const SUM_COLUMNS: [&str; 4] = ["time", "v__count", "v__sum", "v__min"];
+
     #[test]
-    fn plans_only_decomposable_aggregates() {
-        assert!(partial_plan("SELECT mean(v), count(v) FROM cpu").is_some());
-        assert!(partial_plan("SELECT sum(v) FROM cpu GROUP BY time(1m), host").is_some());
-        assert!(partial_plan("SELECT v FROM cpu").is_none(), "raw projection");
-        assert!(partial_plan("SELECT first(v) FROM cpu").is_none(), "order-carrying");
-        assert!(partial_plan("SELECT stddev(v) FROM cpu").is_none(), "variance-carrying");
-        assert!(
-            partial_plan("SELECT mean(v) FROM cpu GROUP BY time(1m) FILL(null)").is_none(),
-            "non-default fill"
-        );
+    fn plans_every_valid_select() {
+        for q in [
+            "SELECT mean(v), count(v) FROM cpu",
+            "SELECT v FROM cpu",
+            "SELECT first(v), stddev(v) FROM cpu GROUP BY time(1m), host FILL(null)",
+        ] {
+            let plan = PartialPlan::new(q, 0).unwrap();
+            assert!(plan.partial_query().ends_with(" PARTIAL"), "{}", plan.partial_query());
+        }
         assert!(partial_plan("SHOW MEASUREMENTS").is_none());
         assert!(partial_plan("not even influxql").is_none());
+        assert!(partial_plan("SELECT v, mean(v) FROM cpu").is_none(), "nodes answer the error");
     }
 
     #[test]
-    fn partial_query_carries_quadruples_and_group_star() {
-        let plan = partial_plan(
-            "SELECT mean(v) FROM cpu WHERE time >= 0 GROUP BY time(1m), \"host\" LIMIT 3",
+    fn partial_query_fixes_the_range_at_the_routers_now() {
+        let plan = PartialPlan::new(
+            "SELECT mean(v) FROM cpu WHERE time >= now() - 10s AND host = 'a' \
+             GROUP BY time(1s), host ORDER BY time DESC LIMIT 3",
+            100_000_000_000,
         )
         .unwrap();
-        let q = plan.partial_query();
-        for piece in ["count(\"v\")", "sum(\"v\")", "min(\"v\")", "max(\"v\")", "*"] {
-            assert!(q.contains(piece), "missing {piece} in {q}");
-        }
-        assert!(!q.contains("LIMIT"), "limit must apply after recombination: {q}");
+        assert_eq!(
+            plan.partial_query(),
+            "SELECT mean(\"v\") FROM \"cpu\" WHERE \"host\" = 'a' AND time >= 90000000000 \
+             GROUP BY time(1000000000ns), \"host\" ORDER BY time DESC LIMIT 3 PARTIAL"
+        );
     }
 
     #[test]
-    fn mean_recombines_exactly_across_nodes() {
-        // h1 (3 points, sum 30) on node 0; h2 (1 point, sum 10) on node 1.
-        // mean = 40/4 = 10, NOT the mean of means (15 + 10)/2 = 12.5.
+    fn mean_folds_exactly_across_nodes() {
+        // h1 (3 points, sum 60) on node 0; h2 (1 point, sum 10) on node 1.
+        // mean = 70/4 = 17.5, NOT the mean of means (20 + 10)/2 = 15.
         let plan = partial_plan("SELECT mean(v), count(v) FROM cpu").unwrap();
-        let a = QueryResult {
-            series: vec![series(&[("host", "h1")], vec![quad(0, 3, 30.0, 5.0, 20.0)])],
-            partial: false,
-        };
-        let b = QueryResult {
-            series: vec![series(&[("host", "h2")], vec![quad(0, 1, 10.0, 10.0, 10.0)])],
-            partial: false,
-        };
+        let a = node(&SUM_COLUMNS, &[("h1", vec![stats(0, 3, 60.0, 5.0)])]);
+        let b = node(&SUM_COLUMNS, &[("h2", vec![stats(0, 1, 10.0, 10.0)])]);
         let m = plan.merge(vec![a, b]);
         assert_eq!(m.series.len(), 1);
         assert!(m.series[0].tags.is_empty());
         assert_eq!(m.series[0].columns, vec!["time", "mean", "count"]);
-        assert_eq!(m.series[0].values[0][1].as_f64(), Some(10.0));
+        assert_eq!(m.series[0].values[0][1].as_f64(), Some(17.5));
         assert_eq!(m.series[0].values[0][2].as_i64(), Some(4));
     }
 
     #[test]
-    fn replica_copies_collapse_before_folding() {
-        // The same series answered by both of its owners must count once.
+    fn replica_copies_collapse_and_divergent_ones_resolve_by_part_order() {
         let plan = partial_plan("SELECT sum(v) FROM cpu").unwrap();
-        let row = || series(&[("host", "h1")], vec![quad(0, 2, 8.0, 3.0, 5.0)]);
-        let m = plan.merge(vec![
-            QueryResult { series: vec![row()], partial: false },
-            QueryResult { series: vec![row()], partial: false },
-        ]);
-        assert_eq!(m.series[0].values[0][1].as_f64(), Some(8.0));
+        let copy = || node(&SUM_COLUMNS, &[("h1", vec![stats(0, 2, 8.0, 3.0)])]);
+        let m = plan.merge(vec![copy(), copy()]);
+        assert_eq!(m.series[0].values[0][1].as_f64(), Some(8.0), "counted once");
+        let stale = node(&SUM_COLUMNS, &[("h1", vec![stats(0, 1, 3.0, 3.0)])]);
+        let m = plan.merge(vec![stale, copy()]);
+        assert_eq!(m.series[0].values[0][1].as_f64(), Some(8.0), "later part wins the row");
     }
 
     #[test]
-    fn divergent_replicas_resolve_by_part_order_not_mixing() {
-        let plan = partial_plan("SELECT count(v) FROM cpu").unwrap();
-        let a = QueryResult {
-            series: vec![series(&[("host", "h1")], vec![quad(0, 5, 5.0, 1.0, 1.0)])],
-            partial: false,
-        };
-        let b = QueryResult {
-            series: vec![series(&[("host", "h1")], vec![quad(0, 7, 7.0, 1.0, 1.0)])],
-            partial: false,
-        };
+    fn raw_rows_keep_series_identity() {
+        // Two series with the same row at the same instant, one per node,
+        // plus a replica copy of the first: two rows, not one and not three.
+        let plan = partial_plan("SELECT text FROM events ORDER BY time DESC").unwrap();
+        let row = || vec![Json::Int(5), Json::str("job start")];
+        let columns = ["time", "text"];
+        let a = node(&columns, &[("h1", vec![row()])]);
+        let b = node(&columns, &[("h1", vec![row()]), ("h2", vec![row()])]);
         let m = plan.merge(vec![a, b]);
-        assert_eq!(m.series[0].values[0][1].as_i64(), Some(7), "later part wins whole row");
+        assert_eq!(m.series.len(), 1);
+        assert_eq!(m.series[0].values, vec![row(), row()]);
     }
 
     #[test]
-    fn grouped_windows_union_and_order() {
-        // GROUP BY time + host: windows from different nodes union per
-        // group; order_desc and limit apply after recombination.
+    fn an_empty_series_makes_its_fill_group_exist() {
+        // h2 holds nothing in range, yet one node would answer its group.
         let plan = partial_plan(
-            "SELECT max(v) FROM cpu GROUP BY time(60), \"host\" ORDER BY time DESC LIMIT 1",
+            "SELECT count(v) FROM cpu WHERE time >= 0 AND time < 20 \
+             GROUP BY time(10ns), host FILL(0)",
         )
         .unwrap();
-        let a = QueryResult {
-            series: vec![series(&[("host", "h1"), ("socket", "0")], vec![
-                quad(0, 1, 1.0, 1.0, 1.0),
-                quad(60, 1, 2.0, 2.0, 2.0),
-            ])],
-            partial: false,
-        };
-        let b = QueryResult {
-            series: vec![series(&[("host", "h1"), ("socket", "1")], vec![
-                quad(60, 1, 9.0, 9.0, 9.0),
-            ])],
-            partial: false,
-        };
-        let m = plan.merge(vec![a, b]);
-        assert_eq!(m.series.len(), 1, "both series share host=h1");
-        assert_eq!(m.series[0].tags, vec![("host".to_string(), "h1".to_string())]);
-        // DESC + LIMIT 1: only the latest window, max folded across series.
-        assert_eq!(m.series[0].values.len(), 1);
-        assert_eq!(m.series[0].values[0][0].as_i64(), Some(60));
-        assert_eq!(m.series[0].values[0][1].as_f64(), Some(9.0));
-    }
-
-    #[test]
-    fn non_numeric_series_answer_null_but_count() {
-        let plan = partial_plan("SELECT mean(v), count(v) FROM cpu").unwrap();
-        let a = QueryResult {
-            series: vec![series(&[("host", "h1")], vec![vec![
-                Json::Int(0),
-                Json::Int(3),
-                Json::Null,
-                Json::Null,
-                Json::Null,
-            ]])],
-            partial: false,
-        };
+        let columns = ["time", "v__count"];
+        let a = node(&columns, &[("h1", vec![vec![Json::Int(10), Json::Int(2)]]), ("h2", vec![])]);
         let m = plan.merge(vec![a]);
-        assert_eq!(m.series[0].values[0][1], Json::Null, "mean over text is null");
-        assert_eq!(m.series[0].values[0][2].as_i64(), Some(3), "count still exact");
+        let counts = |s: &ResultSeries| -> Vec<i64> {
+            s.values.iter().map(|r| r[1].as_i64().unwrap()).collect()
+        };
+        let rows: Vec<(&str, Vec<i64>)> =
+            m.series.iter().map(|s| (s.tags[0].1.as_str(), counts(s))).collect();
+        assert_eq!(rows, vec![("h1", vec![0, 2]), ("h2", vec![0, 0])]);
     }
 }

@@ -1,15 +1,16 @@
 //! The aggregate algebra across its serialisations. A run cut into
 //! sub-runs is summarised per sub-run three ways — `Agg::of_run` (a sealed
 //! block's footer), a tier row written and read back, and a node's partial
-//! row recombined by the router — and merging the sub-run summaries in
-//! order must give what adding the points one by one gives.
+//! answer sent over the wire and folded by the router — and merging the
+//! sub-run summaries in order must give what adding the points one by one
+//! gives.
 
 use lms_cluster::partial_plan;
-use lms_influx::exec::finalize;
-use lms_influx::query::AggFunc;
+use lms_influx::exec::{finalize, Plan, SeriesData};
+use lms_influx::query::{AggFunc, Statement};
 use lms_influx::rollup::{agg_of_row, append_fields};
 use lms_influx::tsm::Agg;
-use lms_influx::{QueryResult, ResultSeries};
+use lms_influx::QueryResult;
 use lms_lineproto::FieldValue;
 use lms_util::Json;
 use proptest::prelude::*;
@@ -63,9 +64,16 @@ fn through_tier_row(agg: &Agg, window_start: i64) -> Agg {
     agg_of_row(window_start, stats)
 }
 
-const PARTIAL_FUNCS: [AggFunc; 4] = [AggFunc::Count, AggFunc::Sum, AggFunc::Min, AggFunc::Max];
-const ANSWERED: [AggFunc; 5] =
-    [AggFunc::Count, AggFunc::Sum, AggFunc::Min, AggFunc::Max, AggFunc::Mean];
+const FUNCS: [AggFunc; 8] = [
+    AggFunc::Count,
+    AggFunc::Sum,
+    AggFunc::Min,
+    AggFunc::Max,
+    AggFunc::Mean,
+    AggFunc::First,
+    AggFunc::Last,
+    AggFunc::Stddev,
+];
 
 proptest! {
     #[test]
@@ -79,36 +87,40 @@ proptest! {
         }
         let subs = cut(&run, &cuts);
 
+        let q = format!(
+            "SELECT {} FROM m",
+            FUNCS.map(|func| format!("{}(v)", func.column_name())).join(", ")
+        );
+        let Ok(Statement::Select(sel)) = Statement::parse(&q) else { panic!("{q}") };
+        let node_plan = Plan::new(&sel, 0).expect("a valid select");
         let mut blocks = Agg::default();
         let mut rows = Agg::default();
-        let mut nodes = QueryResult::empty();
+        let mut held = Vec::new();
         for (i, sub) in subs.iter().enumerate() {
             let agg = Agg::of_run(sub).expect("sub-runs are not empty");
             blocks.merge(&agg);
             rows.merge(&through_tier_row(&agg, sub[0].0));
-            // The node holding this sub-run answers the partial query for
-            // it as one series of its own.
-            let row = std::iter::once(Json::Int(0))
-                .chain(PARTIAL_FUNCS.map(|func| finalize(&agg, func)))
-                .collect();
-            nodes.series.push(ResultSeries {
-                name: "m".into(),
-                tags: vec![("part".into(), i.to_string())],
-                columns: vec![],
-                values: vec![row],
-            });
+            // A series of its own per sub-run, named so that tag-set order
+            // is run order.
+            let tags = vec![("part".to_string(), format!("{i:02}"))];
+            held.push((tags.into(), SeriesData::Aggs(vec![vec![(0, agg)]])));
         }
         prop_assert_eq!(&blocks, &folded);
         prop_assert_eq!(&rows, &folded);
 
-        let plan = partial_plan("SELECT count(v), sum(v), min(v), max(v), mean(v) FROM m")
-            .expect("a decomposable aggregate");
-        let merged = plan.merge(vec![nodes]);
-        let want: Vec<Json> = ANSWERED.iter().map(|&func| finalize(&folded, func)).collect();
+        // What the node holding the sub-runs sends, over the wire.
+        let sent = node_plan.partial_answer(held).to_json().to_string();
+        let received = QueryResult::from_json(&Json::parse(&sent).unwrap()).unwrap();
+        let merged = partial_plan(&q).expect("a select").merge(vec![received]);
+        let want: Vec<Json> = FUNCS.iter().map(|&func| finalize(&folded, func)).collect();
         prop_assert_eq!(&merged.series[0].values[0][1..], &want[..]);
         prop_assert_eq!(&want[0], &Json::Int(run.len() as i64));
         if !folded.numeric {
-            prop_assert!(want[1..].iter().all(Json::is_null), "text has no numeric aggregate");
+            let numeric = |func: &AggFunc| {
+                !matches!(func, AggFunc::Count | AggFunc::First | AggFunc::Last)
+            };
+            let mut numeric = FUNCS.iter().zip(&want).filter(|(func, _)| numeric(func));
+            prop_assert!(numeric.all(|(_, w)| w.is_null()), "text has no numeric aggregate");
         }
     }
 }

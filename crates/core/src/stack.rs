@@ -986,7 +986,7 @@ mod tests {
         assert_eq!(per_node, stack.stats().db_points);
 
         // Scatter-gather through the router sees each raw sample exactly
-        // once: replicas deduplicate by LWW merge, and nothing is lost.
+        // once: replica copies deduplicate per series, and nothing is lost.
         // The deterministic simulation produces the identical sample set
         // on a single-node stack, which serves as the reference.
         let r = stack.router().handle_query("lms", "SELECT busy FROM cpu_total").unwrap();

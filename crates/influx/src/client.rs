@@ -97,26 +97,6 @@ impl InfluxClient {
         req
     }
 
-    /// The `/query_range` request.
-    pub fn query_range_request(
-        db: &str,
-        q: &str,
-        start: i64,
-        end: i64,
-        step: Option<i64>,
-    ) -> Request {
-        use std::fmt::Write as _;
-        let mut target = format!(
-            "/query_range?db={}&q={}&start={start}&end={end}",
-            percent_encode(db),
-            percent_encode(q)
-        );
-        if let Some(step) = step {
-            write!(target, "&step={step}").expect("writing to a String");
-        }
-        Request::new("GET", &target)
-    }
-
     /// The `/metrics` request.
     pub fn metrics_request(db: &str) -> Request {
         Request::new("GET", &format!("/metrics?db={}", percent_encode(db)))
@@ -131,7 +111,7 @@ impl InfluxClient {
     }
 
     /// Reads a single-statement `/query` or `/query_range` answer.
-    pub fn parse_query(resp: &Response) -> Result<QueryResult> {
+    fn parse_query(resp: &Response) -> Result<QueryResult> {
         Self::parse_statements(resp, 1)?.pop().expect("one outcome, checked")
     }
 
@@ -186,8 +166,16 @@ impl InfluxClient {
         end: i64,
         step: Option<i64>,
     ) -> Result<QueryResult> {
-        let req = Self::query_range_request(db, q, start, end, step);
-        Self::parse_query(&self.http.send(&req)?)
+        use std::fmt::Write as _;
+        let mut target = format!(
+            "/query_range?db={}&q={}&start={start}&end={end}",
+            percent_encode(db),
+            percent_encode(q)
+        );
+        if let Some(step) = step {
+            write!(target, "&step={step}").expect("writing to a String");
+        }
+        Self::parse_query(&self.http.get(&target)?)
     }
 
     /// Lists the measurement names of a database (`/metrics`).

@@ -30,7 +30,7 @@
 mod staging;
 
 use crate::exec::{self, QueryResult};
-use crate::query::{Condition, Statement, TimeValue};
+use crate::query::{Select, Statement};
 use crate::storage::{lww_dedup, Series};
 use lms_lineproto::{parse_batch, FieldValue, Point, Precision};
 use lms_rollup::{align_down, align_up, is_rollup_db, rollup_db_name, Tier, TIERS};
@@ -1573,11 +1573,10 @@ impl Influx {
     /// ns, optionally re-bucketed to `step` ns windows — the first-class
     /// range-query API behind `/query_range`.
     ///
-    /// The bounds and step are *injected into the parsed statement* (extra
-    /// `time >=` / `time <` conjuncts intersect with any bounds already in
-    /// the query; `step` overrides `GROUP BY time(...)`), so the request
-    /// goes through the exact same planner and executor as `/query` —
-    /// including summary pruning and parallel scans.
+    /// The bounds and step are *injected into the parsed statement*
+    /// ([`Select::for_range`]), so the request goes through the exact same
+    /// planner and executor as `/query` — including summary pruning and
+    /// parallel scans.
     pub fn query_range(
         &self,
         db: &str,
@@ -1586,20 +1585,7 @@ impl Influx {
         end: i64,
         step: Option<i64>,
     ) -> Result<QueryResult> {
-        if start >= end {
-            return Err(Error::protocol("query_range: start must be < end"));
-        }
-        let Statement::Select(mut sel) = Statement::parse(q)? else {
-            return Err(Error::protocol("query_range: only SELECT statements are supported"));
-        };
-        sel.conditions.push(Condition::TimeGe(TimeValue::Abs(start)));
-        sel.conditions.push(Condition::TimeLt(TimeValue::Abs(end)));
-        if let Some(step) = step {
-            if step <= 0 {
-                return Err(Error::protocol("query_range: step must be positive"));
-            }
-            sel.group_time = Some(step);
-        }
+        let sel = Select::for_range(q, start, end, step)?;
         let now = self.clock.now().nanos();
         let database = self
             .database(db)

@@ -1,13 +1,24 @@
 //! Query execution over [`Database`] storage, with InfluxDB-shaped results.
+//!
+//! A SELECT ([`Plan`]) runs in two steps. The **sources** read each
+//! matching series: its raw rows, or per (field, window) an [`Agg`] from
+//! block summaries, decoded points and rollup tier rows. The **fold**
+//! groups the series by the GROUP BY key, merges their aggregates or rows
+//! in tag-set order, and emits windows, `FILL` rows, finalized values,
+//! `ORDER BY` and `LIMIT`. A cluster router runs the same fold over the
+//! series every node read: a node answers the statement's partial form
+//! with its sources, unfolded.
 
 use crate::db::{Database, QueryTuning};
-use crate::query::{AggFunc, Condition, Fill, Projection, Select, Statement};
+use crate::query::{AggFunc, Condition, Fill, Projection, Select, Statement, TimeValue};
 use crate::storage::{Column, Series};
 use lms_lineproto::FieldValue;
-use lms_rollup::{agg_of_row, align_down, align_up, stat_field};
+use lms_rollup::{agg_of_row, align_down, align_up, stat_field, stat_value, STATS};
 use lms_tsm::Agg;
 use lms_util::{Error, Json, Result};
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// The rollup tier databases available to serve aggregate queries for one
@@ -324,22 +335,6 @@ pub fn execute_tiered(
     }
 }
 
-/// The resolved time range `[start, end)` of a SELECT.
-fn time_range(sel: &Select, now_ns: i64) -> (i64, i64) {
-    let mut start = i64::MIN;
-    let mut end = i64::MAX;
-    for c in &sel.conditions {
-        match c {
-            Condition::TimeGe(v) => start = start.max(v.resolve(now_ns)),
-            Condition::TimeGt(v) => start = start.max(v.resolve(now_ns).saturating_add(1)),
-            Condition::TimeLe(v) => end = end.min(v.resolve(now_ns).saturating_add(1)),
-            Condition::TimeLt(v) => end = end.min(v.resolve(now_ns)),
-            _ => {}
-        }
-    }
-    (start, end)
-}
-
 fn series_matches(series: &Series, sel: &Select) -> bool {
     sel.conditions.iter().all(|c| match c {
         Condition::TagEq(k, v) => series.tag(k) == Some(v.as_str()),
@@ -354,158 +349,559 @@ fn select(
     tiers: Option<&TierCtx>,
     now_ns: i64,
 ) -> Result<QueryResult> {
-    let (start, end) = time_range(sel, now_ns);
-    if start >= end {
+    let plan = Plan::new(sel, now_ns)?;
+    if plan.start >= plan.end {
         return Ok(QueryResult::empty());
     }
-    let tuning = db.query_tuning();
-    // Snapshot fans out across the database's shards; the measurement
-    // index fixes the series order, so results are identical regardless
-    // of shard count.
     let snapshot = db.series_of(&sel.measurement);
-    let matching: Vec<&Series> = snapshot
-        .iter()
-        .map(AsRef::as_ref)
-        .filter(|s| series_matches(s, sel))
-        .collect();
-
-    let has_agg = sel.projections.iter().any(|p| matches!(p, Projection::Agg(..)));
-    let all_agg = sel.projections.iter().all(|p| matches!(p, Projection::Agg(..)));
-
-    // Tier eligibility: only decomposable aggregates can be answered from
-    // rollups, and an output window must be a whole multiple of the tier
-    // window. The first (coarsest) eligible tier wins.
-    let tier_sel: Option<(i64, Arc<Database>)> = tiers.filter(|_| all_agg).and_then(|ctx| {
-        ctx.tiers
-            .iter()
-            .find(|(w, _)| sel.group_time.is_none_or(|g| g % *w == 0))
-            .cloned()
+    // Only aggregates can be answered from rollups, and an output window
+    // must be a whole multiple of the tier window. The first (coarsest)
+    // eligible tier wins.
+    let tier = tiers.filter(|_| !plan.aggs.is_empty()).and_then(|ctx| {
+        let (w, tdb) =
+            ctx.tiers.iter().find(|(w, _)| sel.group_time.is_none_or(|g| g % *w == 0))?;
+        Some((*w, tdb.series_of(&sel.measurement), ctx.watermark))
     });
-    let tier_snapshot: Vec<Arc<Series>> = tier_sel
-        .as_ref()
-        .map(|(_, tdb)| tdb.series_of(&sel.measurement))
-        .unwrap_or_default();
-    // Tier series carry the same tag sets as their base series, so tag
-    // predicates and GROUP BY keys apply unchanged.
-    let tier_matching: Vec<&Series> = tier_snapshot
-        .iter()
-        .map(AsRef::as_ref)
-        .filter(|s| series_matches(s, sel))
-        .collect();
-
-    // A series may survive only in the tiers (raw evicted by retention):
-    // the query is still answerable, so emptiness requires both layers.
-    if matching.is_empty() && tier_matching.is_empty() {
-        return Ok(QueryResult::empty());
-    }
-
-    // Group series by the values of the GROUP BY tags; `GROUP BY *` pins
-    // each full tag set to its own group (used by the router to keep
-    // per-series identity when recombining cross-node partials). Base and
-    // tier series land in the same group when their keys agree.
-    let group_key = |s: &Series| -> Vec<(String, String)> {
-        if sel.group_all {
-            s.tags().to_vec()
-        } else {
-            sel.group_tags
-                .iter()
-                .map(|t| (t.clone(), s.tag(t).unwrap_or("").to_string()))
-                .collect()
-        }
-    };
-    // Raw and tier series of one tag-key group, in series order.
-    type GroupPair<'a> = (Vec<&'a Series>, Vec<&'a Series>);
-    let mut groups: BTreeMap<Vec<(String, String)>, GroupPair<'_>> = BTreeMap::new();
-    for s in matching {
-        groups.entry(group_key(s)).or_default().0.push(s);
-    }
-    for s in tier_matching {
-        groups.entry(group_key(s)).or_default().1.push(s);
-    }
-
-    if has_agg && !all_agg {
-        return Err(Error::invalid(
-            "query: cannot mix aggregated and raw projections",
-        ));
-    }
-    if sel.group_time.is_some() && !all_agg {
-        return Err(Error::invalid("query: GROUP BY time requires aggregations"));
-    }
-
-    let grouped = !sel.group_tags.is_empty() || sel.group_all;
-    let mut out = QueryResult::empty();
-    for (tags, (group, tier_group)) in groups {
-        let mut rs = if all_agg {
-            let part = match &tier_sel {
-                Some((w, _)) if !tier_group.is_empty() => Some(TierPart {
-                    series: &tier_group,
-                    window_ns: *w,
-                    cap: tier_cap(&group, tiers.expect("tier_sel implies ctx").watermark),
-                }),
-                _ => None,
-            };
-            aggregate_group(sel, &group, part.as_ref(), start, end, now_ns, tuning)
-        } else {
-            raw_group(sel, &group, start, end)
-        };
-        if rs.values.is_empty() && grouped {
-            continue; // groups emptied by the time range vanish
-        }
-        if sel.order_desc {
-            rs.values.reverse();
-        }
-        if let Some(limit) = sel.limit {
-            rs.values.truncate(limit);
-        }
-        rs.tags = tags;
-        out.series.push(rs);
-    }
-    // A completely empty ungrouped result: drop the series entirely.
-    out.series.retain(|s| !s.values.is_empty());
-    Ok(out)
+    let series = plan.sources(&snapshot, tier.as_ref(), db.query_tuning());
+    Ok(if sel.partial { plan.partial_answer(series) } else { plan.fold(series) })
 }
 
-/// Raw projection: merge rows across the group's series by timestamp.
-fn raw_group(sel: &Select, group: &[&Series], start: i64, end: i64) -> ResultSeries {
-    let fields: Vec<&str> = sel
-        .projections
-        .iter()
-        .map(|p| match p {
-            Projection::Field(f) => f.as_str(),
-            Projection::Agg(..) => unreachable!("checked by caller"),
-        })
-        .collect();
-    // Rows keyed by (time, source series): fields of the same point merge
-    // into one row; distinct series at the same instant stay distinct rows
-    // (InfluxDB emits duplicate-timestamp rows too).
-    let mut rows: BTreeMap<(i64, usize), Vec<Json>> = BTreeMap::new();
-    for (si, series) in group.iter().enumerate() {
-        for (fi, field) in fields.iter().enumerate() {
-            let Some(col) = series.field(field) else { continue };
-            for (ts, value) in col.points_in(start, end) {
-                let row = rows
-                    .entry((ts, si))
-                    .or_insert_with(|| vec![Json::Null; fields.len()]);
-                row[fi] = json_of(&value);
+/// A series' tag set: sorted `(key, value)` pairs, its identity within a
+/// measurement. A node's sources borrow it from the series they read.
+pub type TagSet<'a> = Cow<'a, [(String, String)]>;
+
+/// One column's aggregates by window start (`0` when unwindowed),
+/// ascending, one per window with data.
+pub type Windows = Vec<(i64, Agg)>;
+
+/// What one series contributes to a SELECT.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SeriesData {
+    /// Per field of the plan, the series' window aggregates.
+    Aggs(Vec<Windows>),
+    /// The series' rows, `[time, field...]`, ascending by time.
+    Rows(Vec<Vec<Json>>),
+}
+
+impl SeriesData {
+    /// Folds in `other`, from a series later in tag-set order.
+    fn merge(&mut self, other: SeriesData) {
+        match (self, other) {
+            (SeriesData::Aggs(accs), SeriesData::Aggs(more)) => {
+                for (acc, more) in accs.iter_mut().zip(more) {
+                    merge_windows(acc, more);
+                }
             }
+            (SeriesData::Rows(rows), SeriesData::Rows(more)) => rows.extend(more),
+            _ => unreachable!("one plan reads one kind of series data"),
         }
     }
-    let mut columns = vec!["time".to_string()];
-    columns.extend(fields.iter().map(|f| f.to_string()));
-    ResultSeries {
-        name: sel.measurement.clone(),
-        tags: Vec::new(),
-        columns,
-        values: rows
-            .into_iter()
-            .map(|((ts, _), mut vals)| {
-                let mut row = Vec::with_capacity(vals.len() + 1);
-                row.push(Json::Int(ts));
-                row.append(&mut vals);
-                row
-            })
-            .collect(),
+}
+
+/// Merges `more`, later in series order, into `acc`, in place: series
+/// sampled alike share their windows, and the windows `acc` lacks are
+/// merged in by one stable sort of the two ascending runs.
+fn merge_windows(acc: &mut Windows, more: Windows) {
+    let mut lacking = Vec::new();
+    let mut i = 0;
+    for (w, later) in more {
+        while acc.get(i).is_some_and(|&(k, _)| k < w) {
+            i += 1;
+        }
+        match acc.get_mut(i) {
+            Some((k, agg)) if *k == w => agg.merge(&later),
+            _ => lacking.push((w, later)),
+        }
     }
+    if !lacking.is_empty() {
+        acc.append(&mut lacking);
+        acc.sort_by_key(|&(w, _)| w);
+    }
+}
+
+/// The aggregate of window `w`, at or after every window so far, to add
+/// into.
+fn window_at(windows: &mut Windows, w: i64) -> &mut Agg {
+    debug_assert!(windows.last().is_none_or(|&(last, _)| last <= w), "windows out of order");
+    if windows.last().is_none_or(|&(last, _)| last != w) {
+        windows.push((w, Agg::default()));
+    }
+    &mut windows.last_mut().expect("pushed above").1
+}
+
+/// The aggregate of window `w`, if it holds data.
+fn window(windows: &Windows, w: i64) -> Option<&Agg> {
+    windows.binary_search_by_key(&w, |&(k, _)| k).ok().map(|i| &windows[i].1)
+}
+
+/// A checked SELECT with its range resolved: what the sources read and
+/// how the fold combines it. A node plans, reads and folds its own series.
+/// The cluster router plans the same statement, sends its
+/// [partial form](Self::partial_query), reads every node's
+/// [partial answer](Self::partial_answer) back as series data
+/// ([`read_partial`](Self::read_partial)) and runs the same
+/// [`fold`](Self::fold).
+#[derive(Debug, Clone)]
+pub struct Plan {
+    sel: Select,
+    /// The fields read, in first-use order: every projected field of a raw
+    /// select, each aggregated field once.
+    fields: Vec<String>,
+    /// Per projection of an aggregate select, its function and the index
+    /// of its field; empty for a raw select.
+    aggs: Vec<(AggFunc, usize)>,
+    /// Per field, the tier-row stats its aggregates read.
+    needed: Vec<Vec<&'static str>>,
+    /// The resolved range `[start, end)`.
+    start: i64,
+    end: i64,
+}
+
+impl Plan {
+    /// Checks `sel` and resolves its range against `now_ns`. A windowed
+    /// aggregate with a bounded end stops at `now`: no window after it is
+    /// emitted. The partial form is not cut again — its bounds were fixed
+    /// by the router that wrote it.
+    pub fn new(sel: &Select, now_ns: i64) -> Result<Plan> {
+        let raw = sel.projections.iter().all(|p| matches!(p, Projection::Field(_)));
+        if !raw && sel.projections.iter().any(|p| matches!(p, Projection::Field(_))) {
+            return Err(Error::invalid("query: cannot mix aggregated and raw projections"));
+        }
+        if raw && sel.group_time.is_some() {
+            return Err(Error::invalid("query: GROUP BY time requires aggregations"));
+        }
+        let mut fields: Vec<String> = Vec::new();
+        let mut aggs = Vec::new();
+        for p in &sel.projections {
+            match p {
+                Projection::Field(f) => fields.push(f.clone()),
+                Projection::Agg(func, f) => {
+                    let fi = fields.iter().position(|x| x == f).unwrap_or_else(|| {
+                        fields.push(f.clone());
+                        fields.len() - 1
+                    });
+                    aggs.push((*func, fi));
+                }
+            }
+        }
+        let mut needed = vec![Vec::new(); fields.len()];
+        for &(func, fi) in &aggs {
+            for stat in tier_stats_for(func) {
+                if !needed[fi].contains(stat) {
+                    needed[fi].push(*stat);
+                }
+            }
+        }
+        let (mut start, mut end) = (i64::MIN, i64::MAX);
+        for c in &sel.conditions {
+            match c {
+                Condition::TimeGe(v) => start = start.max(v.resolve(now_ns)),
+                Condition::TimeGt(v) => start = start.max(v.resolve(now_ns).saturating_add(1)),
+                Condition::TimeLe(v) => end = end.min(v.resolve(now_ns).saturating_add(1)),
+                Condition::TimeLt(v) => end = end.min(v.resolve(now_ns)),
+                _ => {}
+            }
+        }
+        if sel.group_time.is_some() && end != i64::MAX && !sel.partial {
+            end = end.min(now_ns.saturating_add(1));
+        }
+        Ok(Plan { sel: sel.clone(), fields, aggs, needed, start, end })
+    }
+
+    /// The statement in its partial form, as the router sends it: the
+    /// resolved range as absolute bounds, and the `PARTIAL` marker.
+    pub fn partial_query(&self) -> String {
+        let mut sel = self.sel.clone();
+        sel.conditions.retain(|c| matches!(c, Condition::TagEq(..) | Condition::TagNe(..)));
+        if self.start != i64::MIN {
+            sel.conditions.push(Condition::TimeGe(TimeValue::Abs(self.start)));
+        }
+        if self.end != i64::MAX {
+            sel.conditions.push(Condition::TimeLt(TimeValue::Abs(self.end)));
+        }
+        sel.partial = true;
+        sel.render()
+    }
+
+    /// The sources: every series of the measurement that the tag
+    /// predicates match, in tag-set order, with what it holds in range. A
+    /// raw select reads the series' rows. An aggregate reads, per field,
+    /// window aggregates from block summaries and decoded points — and,
+    /// where `tier` (its window, series and the base watermark) covers
+    /// whole windows of the range, from the tier's rows, the raw edges
+    /// scanned around them.
+    fn sources<'a>(
+        &self,
+        snapshot: &'a [Arc<Series>],
+        tier: Option<&'a (i64, Vec<Arc<Series>>, i64)>,
+        tuning: QueryTuning,
+    ) -> Vec<(TagSet<'a>, SeriesData)> {
+        let sel = &self.sel;
+        // Base and tier series, sorted by tag set, a base series before
+        // the tier series that carries its tag set. A series may survive
+        // only in a tier (raw evicted by retention). The sort is the stable
+        // one: it merges the runs that first-write order already holds
+        // (`h1`..`h9`, `h10`..`h99`) in linear time.
+        let tier_series = tier.map(|(_, series, _)| series.as_slice()).unwrap_or_default();
+        let mut all: Vec<(&Series, bool)> = snapshot
+            .iter()
+            .map(|s| (s.as_ref(), false))
+            .chain(tier_series.iter().map(|s| (s.as_ref(), true)))
+            .filter(|(s, _)| series_matches(s, sel))
+            .collect();
+        all.sort_by(|(a, a_tier), (b, b_tier)| {
+            a.tags().cmp(b.tags()).then(a_tier.cmp(b_tier))
+        });
+        let by_tags = all.chunk_by(|(a, _), (b, _)| a.tags() == b.tags()).map(|same| {
+            let base = same.iter().find(|(_, tier)| !tier).map(|&(s, _)| s);
+            let tier = same.iter().find(|(_, tier)| *tier).map(|&(s, _)| s);
+            (same[0].0.tags(), base, tier)
+        });
+        if self.aggs.is_empty() {
+            let rows = |(tags, base, _): (_, Option<&Series>, _)| {
+                Some((Cow::Borrowed(tags), SeriesData::Rows(self.raw_rows(base?))))
+            };
+            return by_tags.filter_map(rows).collect();
+        }
+
+        // One job per (series, field) column.
+        let by_tags: Vec<_> = by_tags.collect();
+        let mut jobs: Vec<(usize, Option<&Column>, Option<TierPart>)> = Vec::new();
+        for &(_, base, tier_series) in &by_tags {
+            let part = tier_series.zip(tier).map(|(series, (window_ns, _, watermark))| {
+                TierPart { series, window_ns: *window_ns, cap: tier_cap(base, *watermark) }
+            });
+            for (fi, field) in self.fields.iter().enumerate() {
+                jobs.push((fi, base.and_then(|s| s.field(field)), part));
+            }
+        }
+        let parallel = tuning.parallel_scan
+            && jobs.len() > 1
+            && jobs
+                .iter()
+                .filter_map(|&(_, col, _)| col)
+                .map(|c| c.sealed_points_in(self.start, self.end))
+                .sum::<usize>()
+                >= PARALLEL_THRESHOLD;
+        let mut scanned = par_map(&jobs, parallel, |&(fi, col, tier)| {
+            self.column_source(fi, col, tier.as_ref(), tuning.use_summaries)
+        })
+        .into_iter();
+        by_tags
+            .into_iter()
+            .map(|(tags, _, _)| {
+                let accs = scanned.by_ref().take(self.fields.len()).collect();
+                (Cow::Borrowed(tags), SeriesData::Aggs(accs))
+            })
+            .collect()
+    }
+
+    /// One series' rows in range: a row per instant at which any projected
+    /// field has a value, `null` in the fields that have none.
+    fn raw_rows(&self, series: &Series) -> Vec<Vec<Json>> {
+        let mut rows: BTreeMap<i64, Vec<Json>> = BTreeMap::new();
+        for (fi, field) in self.fields.iter().enumerate() {
+            let Some(col) = series.field(field) else { continue };
+            for (ts, value) in col.points_in(self.start, self.end) {
+                rows.entry(ts).or_insert_with(|| {
+                    let mut row = vec![Json::Null; self.fields.len() + 1];
+                    row[0] = Json::Int(ts);
+                    row
+                })[fi + 1] = json_of(&value);
+            }
+        }
+        rows.into_values().collect()
+    }
+
+    /// One column's window aggregates over the range: a raw scan or, when
+    /// a tier covers whole tier windows `[a, b)` of it, raw scans of the
+    /// two edges merged with a fold of the tier rows in between — exact,
+    /// because a tier row is its window's complete [`Agg`] and the three
+    /// sub-ranges partition the visible timestamps.
+    fn column_source(
+        &self,
+        fi: usize,
+        col: Option<&Column>,
+        tier: Option<&TierPart>,
+        use_summaries: bool,
+    ) -> Windows {
+        let window = self.sel.group_time;
+        let scan = |lo: i64, hi: i64| {
+            col.map(|c| column_accs(c, lo, hi, window, use_summaries)).unwrap_or_default()
+        };
+        if let Some(t) = tier {
+            // An unbounded start needs no alignment: there is no raw left
+            // edge below the first tier row.
+            let a = match self.start {
+                i64::MIN => i64::MIN,
+                start => align_up(start, t.window_ns),
+            };
+            let b = align_down(self.end.min(t.cap), t.window_ns);
+            if a < b {
+                let mut accs = scan(self.start, a);
+                tier_fold(t.series, &self.fields[fi], &self.needed[fi], a, b, window, &mut accs);
+                merge_windows(&mut accs, scan(b, self.end));
+                return accs;
+            }
+        }
+        scan(self.start, self.end)
+    }
+
+    /// The fold: groups `series` — each matching series' contribution, in
+    /// tag-set order — by the GROUP BY key, merges each group's aggregates
+    /// or rows in that order, and emits its windows, FILL rows, finalized
+    /// values, ORDER BY and LIMIT. A group with nothing to emit vanishes.
+    pub fn fold<'a>(
+        &self,
+        series: impl IntoIterator<Item = (TagSet<'a>, SeriesData)>,
+    ) -> QueryResult {
+        let mut groups: BTreeMap<Vec<(String, String)>, SeriesData> = BTreeMap::new();
+        for (tags, data) in series {
+            let key = if self.sel.group_all {
+                tags.into_owned()
+            } else {
+                let value = |t: &str| tags.iter().find(|(k, _)| k == t).map(|(_, v)| v.clone());
+                let key = self.sel.group_tags.iter();
+                key.map(|t| (t.clone(), value(t).unwrap_or_default())).collect()
+            };
+            match groups.entry(key) {
+                Entry::Vacant(slot) => {
+                    slot.insert(data);
+                }
+                Entry::Occupied(mut slot) => slot.get_mut().merge(data),
+            }
+        }
+        let columns = if self.aggs.is_empty() {
+            self.raw_columns()
+        } else {
+            let names = self.aggs.iter().map(|(func, _)| func.column_name().to_string());
+            std::iter::once("time".to_string()).chain(names).collect()
+        };
+        let mut out = QueryResult::empty();
+        for (tags, data) in groups {
+            let mut values = match data {
+                SeriesData::Aggs(accs) => self.emit(&accs),
+                SeriesData::Rows(mut rows) => {
+                    // Stable: equal timestamps keep tag-set order.
+                    rows.sort_by_key(|row| row.first().and_then(Json::as_i64));
+                    rows
+                }
+            };
+            if values.is_empty() {
+                continue;
+            }
+            self.order_and_limit(&mut values);
+            out.series.push(ResultSeries {
+                name: self.sel.measurement.clone(),
+                tags,
+                columns: columns.clone(),
+                values,
+            });
+        }
+        out
+    }
+
+    /// One group's rows from its merged window aggregates. Unwindowed, the
+    /// group is one row at the range start (`0` when unbounded), if any
+    /// value is not null. Windows are epoch-aligned, and an unbounded side
+    /// of the range ends at the group's first or last window with data;
+    /// `FILL(null|0)` emits the empty windows in between.
+    fn emit(&self, accs: &[Windows]) -> Vec<Vec<Json>> {
+        let empty = Agg::default();
+        let finalized = |w: i64| -> Option<Vec<Json>> {
+            let cells: Vec<Json> = self
+                .aggs
+                .iter()
+                .map(|&(func, fi)| finalize(window(&accs[fi], w).unwrap_or(&empty), func))
+                .collect();
+            cells.iter().any(|c| !c.is_null()).then_some(cells)
+        };
+        let row = |time: i64, cells: Vec<Json>| -> Vec<Json> {
+            std::iter::once(Json::Int(time)).chain(cells).collect()
+        };
+        let Some(width) = self.sel.group_time else {
+            let time = if self.start == i64::MIN { 0 } else { self.start };
+            return finalized(0).map(|cells| row(time, cells)).into_iter().collect();
+        };
+        let with_data = window_keys(accs);
+        let first = match self.start {
+            i64::MIN => with_data.first().copied(),
+            start => Some(align_down(start, width)),
+        };
+        let end = match self.end {
+            i64::MAX => with_data.last().map(|w| w.saturating_add(width)),
+            end => Some(end),
+        };
+        let (Some(first), Some(end)) = (first, end) else { return Vec::new() };
+        if first >= end {
+            return Vec::new();
+        }
+        let n = self.aggs.len();
+        let windows: Vec<i64> = match self.sel.fill {
+            Fill::None => with_data.into_iter().filter(|w| (first..end).contains(w)).collect(),
+            Fill::Null | Fill::Zero => (first..end).step_by(width as usize).collect(),
+        };
+        windows
+            .into_iter()
+            .filter_map(|w| match (finalized(w), self.sel.fill) {
+                (Some(cells), _) => Some(row(w, cells)),
+                (None, Fill::None) => None,
+                (None, Fill::Null) => Some(row(w, vec![Json::Null; n])),
+                (None, Fill::Zero) => Some(row(w, vec![Json::Int(0); n])),
+            })
+            .collect()
+    }
+
+    fn raw_columns(&self) -> Vec<String> {
+        std::iter::once("time".to_string()).chain(self.fields.iter().cloned()).collect()
+    }
+
+    fn order_and_limit(&self, values: &mut Vec<Vec<Json>>) {
+        if self.sel.order_desc {
+            values.reverse();
+        }
+        if let Some(limit) = self.sel.limit {
+            values.truncate(limit);
+        }
+    }
+
+    /// The stat columns of an aggregate's partial answer: per field, the
+    /// tier-row stats its functions read, in [`STATS`] order.
+    fn stat_slots(&self) -> impl Iterator<Item = (usize, &'static str)> + '_ {
+        self.needed.iter().enumerate().flat_map(|(fi, needed)| {
+            STATS.into_iter().filter(|stat| needed.contains(stat)).map(move |stat| (fi, stat))
+        })
+    }
+
+    /// The answer to the partial form: the rows of every matching series,
+    /// in tag-set order, in one result series. A raw select's rows are the
+    /// series' own; an aggregate's are one per window with data, holding
+    /// the window's [`Agg`] per field as the tier-row stats its functions
+    /// read (`v__count`, `v__sum`, …). Each series' rows follow a header
+    /// row `[null, tag values…]`, its values under the tag keys that end
+    /// `columns` (null where the series lacks the tag). A series with no
+    /// rows is left out unless `FILL` fills its group's windows: one node
+    /// answers that group. ORDER BY and LIMIT apply per series: a group's
+    /// first n rows or windows lie within its series' first n.
+    pub fn partial_answer(&self, series: Vec<(TagSet, SeriesData)>) -> QueryResult {
+        let keys: BTreeSet<&str> =
+            series.iter().flat_map(|(tags, _)| tags.iter().map(|(k, _)| k.as_str())).collect();
+        let keys: Vec<String> = keys.into_iter().map(str::to_string).collect();
+        let slots: Vec<(usize, &str)> = self.stat_slots().collect();
+        let fills = self.sel.group_time.is_some() && self.sel.fill != Fill::None;
+        let mut values = Vec::new();
+        for (tags, data) in series {
+            let mut rows = match data {
+                SeriesData::Rows(rows) => rows,
+                SeriesData::Aggs(accs) => {
+                    let stat = |w: i64, &(fi, stat): &(usize, &str)| {
+                        let value = window(&accs[fi], w).and_then(|agg| stat_value(agg, stat));
+                        value.map_or(Json::Null, |v| json_of(&v))
+                    };
+                    let row = |w| {
+                        let stats = slots.iter().map(move |s| stat(w, s));
+                        std::iter::once(Json::Int(w)).chain(stats).collect()
+                    };
+                    window_keys(&accs).into_iter().map(row).collect()
+                }
+            };
+            if rows.is_empty() && !fills {
+                continue;
+            }
+            self.order_and_limit(&mut rows);
+            let value = |key: &String| {
+                let found = tags.iter().find(|(k, _)| k == key);
+                found.map_or(Json::Null, |(_, v)| Json::str(v.as_str()))
+            };
+            values.push(std::iter::once(Json::Null).chain(keys.iter().map(value)).collect());
+            values.append(&mut rows);
+        }
+        if values.is_empty() {
+            return QueryResult::empty();
+        }
+        let mut columns = if self.aggs.is_empty() {
+            self.raw_columns()
+        } else {
+            let stats = slots.iter().map(|&(fi, stat)| stat_field(&self.fields[fi], stat));
+            std::iter::once("time".to_string()).chain(stats).collect()
+        };
+        columns.extend(keys);
+        let answer =
+            ResultSeries { name: self.sel.measurement.clone(), tags: Vec::new(), columns, values };
+        QueryResult { series: vec![answer], partial: false }
+    }
+
+    /// Reads the nodes' [partial answers](Self::partial_answer) back as
+    /// series data, in tag-set order, ready to [`fold`](Self::fold). A
+    /// series is wholly stored on each of its R owners, so replica copies
+    /// of a row — same series, same window or timestamp — are one row: the
+    /// later part's wins whole, and divergent replicas never mix.
+    pub fn read_partial(&self, parts: Vec<QueryResult>) -> Vec<(TagSet<'static>, SeriesData)> {
+        let width = 1 + if self.aggs.is_empty() {
+            self.fields.len()
+        } else {
+            self.stat_slots().count()
+        };
+        type Rows = BTreeMap<i64, Vec<Json>>;
+        let mut series: BTreeMap<Vec<(String, String)>, Rows> = BTreeMap::new();
+        for answer in parts.into_iter().flat_map(|part| part.series) {
+            let keys = answer.columns.get(width..).unwrap_or_default();
+            let mut rows: Option<&mut Rows> = None;
+            for row in answer.values {
+                if row.first().is_some_and(Json::is_null) {
+                    let values = row.into_iter().skip(1);
+                    let tags = keys.iter().zip(values).filter_map(|(k, v)| match v {
+                        Json::Str(v) => Some((k.clone(), v)),
+                        _ => None,
+                    });
+                    rows = Some(series.entry(tags.collect()).or_default());
+                } else if let (Some(rows), Some(ts)) =
+                    (rows.as_mut(), row.first().and_then(Json::as_i64))
+                {
+                    rows.insert(ts, row);
+                }
+            }
+        }
+        let slots: Vec<(usize, &str)> = self.stat_slots().collect();
+        let read = |rows: Rows| {
+            if self.aggs.is_empty() {
+                return SeriesData::Rows(rows.into_values().collect());
+            }
+            let mut accs = vec![Vec::new(); self.fields.len()];
+            for (w, row) in rows {
+                for (fi, acc) in accs.iter_mut().enumerate() {
+                    let cells = slots.iter().zip(&row[1..]).filter(|((f, _), _)| *f == fi);
+                    let stats =
+                        cells.filter_map(|(&(_, stat), cell)| Some((stat, field_value(cell)?)));
+                    let agg = agg_of_row(w, stats);
+                    if agg.count > 0 {
+                        acc.push((w, agg));
+                    }
+                }
+            }
+            SeriesData::Aggs(accs)
+        };
+        series.into_iter().map(|(tags, rows)| (Cow::Owned(tags), read(rows))).collect()
+    }
+}
+
+/// The windows, of any field, that hold data, ascending.
+fn window_keys(accs: &[Windows]) -> Vec<i64> {
+    let mut keys: Vec<i64> = accs.iter().flat_map(|acc| acc.iter().map(|&(w, _)| w)).collect();
+    keys.sort_unstable();
+    keys.dedup();
+    keys
+}
+
+/// The inverse of [`json_of`]; `None` for `null`.
+fn field_value(cell: &Json) -> Option<FieldValue> {
+    Some(match cell {
+        Json::Int(i) => FieldValue::Integer(*i),
+        Json::Num(x) => FieldValue::Float(*x),
+        Json::Bool(b) => FieldValue::Boolean(*b),
+        Json::Str(s) => FieldValue::Text(s.clone()),
+        _ => return None,
+    })
 }
 
 /// Finalizes one aggregate over `agg` — the null rules, written once: an
@@ -543,156 +939,79 @@ fn column_accs(
     end: i64,
     window: Option<i64>,
     use_summaries: bool,
-) -> BTreeMap<i64, Agg> {
+) -> Windows {
     let scan = col.scan(start, end, window, use_summaries);
     let key = |ts: i64| match window {
         Some(w) => ts.div_euclid(w) * w,
         None => 0,
     };
-    let mut accs: BTreeMap<i64, Agg> = BTreeMap::new();
+    let mut accs = Windows::new();
     let mut summaries =
         scan.summarized.into_iter().filter_map(|b| Some((b.min_ts, b.summary()?))).peekable();
     for (ts, value) in scan.residual {
         while let Some((t, summary)) = summaries.next_if(|&(t, _)| t < ts) {
-            accs.entry(key(t)).or_default().merge(summary);
+            window_at(&mut accs, key(t)).merge(summary);
         }
-        accs.entry(key(ts)).or_default().add(ts, &value);
+        window_at(&mut accs, key(ts)).add(ts, &value);
     }
     for (t, summary) in summaries {
-        accs.entry(key(t)).or_default().merge(summary);
+        window_at(&mut accs, key(t)).merge(summary);
     }
     accs
 }
 
 /// Minimum sealed points overlapping the range (an upper bound on the
-/// decode work, from the block time index) before a group scan fans out
-/// to threads: below this, spawn overhead beats the decode savings.
+/// decode work, from the block time index) before the column scans fan
+/// out to threads: below this, spawn overhead beats the decode savings.
 const PARALLEL_THRESHOLD: usize = 64 * 1024;
 
-/// Scans every `(field, series)` column of the group and merges the
-/// per-column window accumulators in group order. Columns scan in parallel
-/// across a small worker pool when enough sealed data overlaps the range;
-/// the merge order is fixed by `(field, series)` index, so the result is
-/// identical to the sequential path.
-fn scan_group(
-    group: &[&Series],
-    fields: &[&str],
-    start: i64,
-    end: i64,
-    window: Option<i64>,
-    tuning: QueryTuning,
-) -> Vec<BTreeMap<i64, Agg>> {
-    let jobs: Vec<(usize, &Column)> = fields
-        .iter()
-        .enumerate()
-        .flat_map(|(fi, f)| {
-            group.iter().filter_map(move |s| s.field(f)).map(move |c| (fi, c))
-        })
-        .collect();
-    let mut merged: Vec<BTreeMap<i64, Agg>> = (0..fields.len()).map(|_| BTreeMap::new()).collect();
-    let parallel = tuning.parallel_scan
-        && jobs.len() > 1
-        && jobs.iter().map(|&(_, c)| c.sealed_points_in(start, end)).sum::<usize>()
-            >= PARALLEL_THRESHOLD;
-    let maps: Vec<(usize, BTreeMap<i64, Agg>)> = if parallel {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .min(jobs.len())
-            .min(8);
-        let (tx, rx) = std::sync::mpsc::channel::<(usize, usize, BTreeMap<i64, Agg>)>();
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let tx = tx.clone();
-                let jobs = &jobs;
-                scope.spawn(move || {
-                    for (ji, &(fi, col)) in jobs.iter().enumerate().skip(w).step_by(workers) {
-                        let accs = column_accs(col, start, end, window, tuning.use_summaries);
-                        if tx.send((ji, fi, accs)).is_err() {
-                            return;
-                        }
-                    }
-                });
-            }
-        });
-        drop(tx);
-        let mut out: Vec<(usize, usize, BTreeMap<i64, Agg>)> = rx.into_iter().collect();
-        // Deterministic merge order regardless of thread scheduling.
-        out.sort_by_key(|&(ji, _, _)| ji);
-        out.into_iter().map(|(_, fi, accs)| (fi, accs)).collect()
-    } else {
-        jobs.iter()
-            .map(|&(fi, col)| (fi, column_accs(col, start, end, window, tuning.use_summaries)))
-            .collect()
-    };
-    for (fi, accs) in maps {
-        for (w, acc) in accs {
-            merged[fi].entry(w).and_modify(|m| m.merge(&acc)).or_insert(acc);
-        }
+/// `items` mapped by `f`, in order — over a small pool of scoped threads
+/// when `parallel`, so the result never depends on scheduling.
+fn par_map<T: Sync, R: Send>(items: &[T], parallel: bool, f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    if !parallel {
+        return items.iter().map(f).collect();
     }
-    merged
+    let workers =
+        std::thread::available_parallelism().map_or(4, |n| n.get()).min(items.len()).min(8);
+    let mut out: Vec<Option<R>> = items.iter().map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let f = &f;
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                scope.spawn(move || {
+                    let mine = items.iter().enumerate().skip(w).step_by(workers);
+                    mine.map(|(i, item)| (i, f(item))).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for handle in handles {
+            for (i, r) in handle.join().expect("a scan worker panicked") {
+                out[i] = Some(r);
+            }
+        }
+    });
+    out.into_iter().map(|r| r.expect("every item is mapped by one worker")).collect()
 }
 
-/// The tier slice available to one group's aggregation: the group's tier
-/// series, the tier window, and the cap below which the tier is
-/// authoritative.
+/// One series' rollup tier: its tier series, the tier window, and the cap
+/// below which the tier is authoritative.
+#[derive(Clone, Copy)]
 struct TierPart<'a> {
-    series: &'a [&'a Series],
+    series: &'a Series,
     window_ns: i64,
     /// Timestamps `< cap` may be served from the tier; `[cap, ...)` must
-    /// come from raw. `min(watermark, earliest unflushed head point)` —
-    /// head points may have arrived after the last rollup pass.
+    /// come from raw.
     cap: i64,
 }
 
-/// The tier-serve cap for one group: the base watermark, pulled down to
-/// the earliest head (unflushed) point of any column in the group.
-fn tier_cap(group: &[&Series], watermark: i64) -> i64 {
-    let mut cap = watermark;
-    for (_, col) in group.iter().flat_map(|s| s.fields()) {
-        if let Some(&(ts, _)) = col.head().first() {
-            cap = cap.min(ts);
-        }
-    }
-    cap
-}
-
-/// Per-field window accumulators over `[start, end)`: raw-only, or — when
-/// a tier slice covers a whole-window middle `[a, b)` of the range — raw
-/// edge scans stitched around a fold of the tier's pre-aggregated rows.
-/// The stitched result is exact for decomposable aggregates because the
-/// tier rows carry complete per-window state (count/sum/sumsq/min/max and
-/// first/last with their original timestamps) and the three sub-ranges
-/// partition the visible timestamps.
-#[allow(clippy::too_many_arguments)]
-fn stitched_accs(
-    group: &[&Series],
-    tier: Option<&TierPart>,
-    fields: &[&str],
-    needed: &[Vec<&'static str>],
-    start: i64,
-    end: i64,
-    window: Option<i64>,
-    tuning: QueryTuning,
-) -> Vec<BTreeMap<i64, Agg>> {
-    if let Some(t) = tier {
-        // An unbounded start needs no alignment: there is no raw left
-        // edge below the first tier row.
-        let a = if start == i64::MIN { start } else { align_up(start, t.window_ns) };
-        let b = align_down(end.min(t.cap), t.window_ns);
-        if a < b {
-            let mut accs = scan_group(group, fields, start, a, window, tuning);
-            let right = scan_group(group, fields, b, end, window, tuning);
-            for (fi, m) in right.into_iter().enumerate() {
-                for (w, acc) in m {
-                    accs[fi].entry(w).and_modify(|cur| cur.merge(&acc)).or_insert(acc);
-                }
-            }
-            tier_fold(t.series, fields, needed, a, b, window, &mut accs);
-            return accs;
-        }
-    }
-    scan_group(group, fields, start, end, window, tuning)
+/// The tier-serve cap of one series: the base watermark, pulled down to
+/// the series' earliest head (unflushed) point — head points may have
+/// arrived after the last rollup pass.
+fn tier_cap(base: Option<&Series>, watermark: i64) -> i64 {
+    base.into_iter()
+        .flat_map(|s| s.fields())
+        .filter_map(|(_, col)| col.head().first().map(|&(ts, _)| ts))
+        .fold(watermark, i64::min)
 }
 
 /// The tier stat columns one aggregate function reads. `count` gates
@@ -710,235 +1029,50 @@ fn tier_stats_for(func: AggFunc) -> &'static [&'static str] {
     }
 }
 
-/// Folds the tier rows with window starts in `[a, b)` into the per-field
-/// accumulators. Each row is the [`Agg`] a raw decode of its window would
-/// have produced, `first`/`last` at their original timestamps, so
-/// cross-layer tie-breaking matches a full raw scan. Only the stat columns
-/// in `needed[fi]` are decoded — the rest cannot reach the finalized
+/// Folds `field`'s rows of tier series `tier` with window starts in
+/// `[a, b)` into `accs`, which holds nothing after `a`. Each row is the
+/// [`Agg`] a raw decode of its
+/// window would have produced, `first`/`last` at their original
+/// timestamps, so tie-breaking matches a full raw scan. Only the stat
+/// columns in `needed` are decoded — the rest cannot reach the finalized
 /// output of the requested aggregates.
 fn tier_fold(
-    tier: &[&Series],
-    fields: &[&str],
-    needed: &[Vec<&'static str>],
+    tier: &Series,
+    field: &str,
+    needed: &[&'static str],
     a: i64,
     b: i64,
     out_window: Option<i64>,
-    accs: &mut [BTreeMap<i64, Agg>],
+    accs: &mut Windows,
 ) {
     let key = |ts: i64| match out_window {
         Some(w) => ts.div_euclid(w) * w,
         None => 0,
     };
-    for series in tier {
-        for (fi, field) in fields.iter().enumerate() {
-            let Some(count_col) = series.field(&stat_field(field, "count")) else { continue };
-            // Every rollup row writes `count`, so its ordered scan is the
-            // row spine; the other needed stat scans advance in lockstep
-            // (their timestamp sets are subsets of the spine's), avoiding
-            // a map lookup per decoded stat point.
-            let mut others: Vec<(&str, _)> = Vec::new();
-            for stat in lms_rollup::STATS {
-                if stat == "count" || !needed[fi].contains(&stat) {
-                    continue;
-                }
-                if let Some(col) = series.field(&stat_field(field, stat)) {
-                    others.push((stat, col.points_in(a, b).peekable()));
-                }
-            }
-            for (ts, count) in count_col.points_in(a, b) {
-                let stats = others.iter_mut().filter_map(|(stat, it)| {
-                    while it.next_if(|&(t, _)| t < ts).is_some() {}
-                    it.next_if(|&(t, _)| t == ts).map(|(_, value)| (*stat, value))
-                });
-                let acc = agg_of_row(ts, std::iter::once(("count", count)).chain(stats));
-                if acc.count > 0 {
-                    accs[fi].entry(key(ts)).and_modify(|cur| cur.merge(&acc)).or_insert(acc);
-                }
-            }
+    let Some(count_col) = tier.field(&stat_field(field, "count")) else { return };
+    // Every rollup row writes `count`, so its ordered scan is the row
+    // spine; the other needed stat scans advance in lockstep (their
+    // timestamp sets are subsets of the spine's), avoiding a map lookup
+    // per decoded stat point.
+    let mut others: Vec<(&str, _)> = Vec::new();
+    for stat in STATS {
+        if stat == "count" || !needed.contains(&stat) {
+            continue;
+        }
+        if let Some(col) = tier.field(&stat_field(field, stat)) {
+            others.push((stat, col.points_in(a, b).peekable()));
         }
     }
-}
-
-/// Aggregated projection, optionally windowed by `GROUP BY time(w)`.
-///
-/// One planned scan per `(field, series)` column covers the whole query
-/// range: summaries of fully-covered blocks feed their window's
-/// accumulator without a decode, residual points stream into theirs, and
-/// the per-window rows are emitted from the finished accumulators — where
-/// the previous executor re-decoded every overlapping block once per
-/// window per aggregate. With a tier slice, the whole-window middle of
-/// the range is answered from rollup rows instead of raw decodes.
-fn aggregate_group(
-    sel: &Select,
-    group: &[&Series],
-    tier: Option<&TierPart>,
-    start: i64,
-    end: i64,
-    now_ns: i64,
-    tuning: QueryTuning,
-) -> ResultSeries {
-    struct AggSpec {
-        func: AggFunc,
-        field: String,
-    }
-    let specs: Vec<AggSpec> = sel
-        .projections
-        .iter()
-        .map(|p| match p {
-            Projection::Agg(func, field) => AggSpec { func: *func, field: field.clone() },
-            Projection::Field(_) => unreachable!("checked by caller"),
-        })
-        .collect();
-
-    let mut columns = vec!["time".to_string()];
-    columns.extend(specs.iter().map(|s| s.func.column_name().to_string()));
-
-    // Distinct aggregated fields share one accumulator per window.
-    let mut fields: Vec<&str> = Vec::new();
-    for spec in &specs {
-        if !fields.contains(&spec.field.as_str()) {
-            fields.push(&spec.field);
+    for (ts, count) in count_col.points_in(a, b) {
+        let stats = others.iter_mut().filter_map(|(stat, it)| {
+            while it.next_if(|&(t, _)| t < ts).is_some() {}
+            it.next_if(|&(t, _)| t == ts).map(|(_, value)| (*stat, value))
+        });
+        let acc = agg_of_row(ts, std::iter::once(("count", count)).chain(stats));
+        if acc.count > 0 {
+            window_at(accs, key(ts)).merge(&acc);
         }
     }
-    let field_idx = |spec: &AggSpec| {
-        fields.iter().position(|f| *f == spec.field).expect("collected above")
-    };
-    // Union of tier stat columns every aggregate on a field reads — the
-    // tier fold skips the rest.
-    let mut needed: Vec<Vec<&'static str>> = vec![Vec::new(); fields.len()];
-    for spec in &specs {
-        let fi = field_idx(spec);
-        for stat in tier_stats_for(spec.func) {
-            if !needed[fi].contains(stat) {
-                needed[fi].push(stat);
-            }
-        }
-    }
-
-    let values = match sel.group_time {
-        None => {
-            let accs = stitched_accs(group, tier, &fields, &needed, start, end, None, tuning);
-            let empty = Agg::default();
-            let row_time = if start == i64::MIN { 0 } else { start };
-            let mut row = vec![Json::Int(row_time)];
-            let mut any = false;
-            for spec in &specs {
-                let agg = finalize(accs[field_idx(spec)].get(&0).unwrap_or(&empty), spec.func);
-                if !agg.is_null() {
-                    any = true;
-                }
-                row.push(agg);
-            }
-            if any {
-                vec![row]
-            } else {
-                Vec::new()
-            }
-        }
-        Some(window) => {
-            // Window boundaries are aligned to the epoch (InfluxDB default).
-            // Unbounded ranges clamp to the data extent — including the
-            // tier extent, since raw below the retention cutoff survives
-            // only as rollup rows (a tier row at window start `t` covers
-            // points up to `t + tier_w`).
-            let range_start = if start == i64::MIN {
-                let mut lo: Option<i64> = None;
-                for s in group {
-                    for sp in &specs {
-                        if let Some(t) = s.field(&sp.field).and_then(|c| c.first_ts()) {
-                            lo = Some(lo.map_or(t, |m| m.min(t)));
-                        }
-                    }
-                }
-                if let Some(t) = tier {
-                    for s in t.series {
-                        for sp in &specs {
-                            if let Some(ts) = s
-                                .field(&stat_field(&sp.field, "count"))
-                                .and_then(|c| c.first_ts())
-                            {
-                                lo = Some(lo.map_or(ts, |m| m.min(ts)));
-                            }
-                        }
-                    }
-                }
-                lo.unwrap_or(0)
-            } else {
-                start
-            };
-            let range_end = if end == i64::MAX {
-                let mut hi: Option<i64> = None;
-                for s in group {
-                    for sp in &specs {
-                        if let Some(t) = s.field(&sp.field).and_then(|c| c.last_ts()) {
-                            let t = t.saturating_add(1);
-                            hi = Some(hi.map_or(t, |m| m.max(t)));
-                        }
-                    }
-                }
-                if let Some(t) = tier {
-                    for s in t.series {
-                        for sp in &specs {
-                            if let Some(ts) = s
-                                .field(&stat_field(&sp.field, "count"))
-                                .and_then(|c| c.last_ts())
-                            {
-                                let e = ts.saturating_add(t.window_ns);
-                                hi = Some(hi.map_or(e, |m| m.max(e)));
-                            }
-                        }
-                    }
-                }
-                hi.unwrap_or(0)
-            } else {
-                end.min(now_ns.saturating_add(1).max(start))
-            };
-            let first_w = range_start.div_euclid(window) * window;
-            let accs = if first_w < range_end {
-                // One scan covers every emitted window: the first window is
-                // clamped to `start` below, and the last reaches at most
-                // `end` — exactly the per-window `[lo, hi)` bounds of the
-                // emission loop.
-                let last_w = (range_end - 1).div_euclid(window) * window;
-                let scan_lo = first_w.max(start);
-                let scan_hi = last_w.saturating_add(window).min(end);
-                stitched_accs(group, tier, &fields, &needed, scan_lo, scan_hi, Some(window), tuning)
-            } else {
-                Vec::new()
-            };
-            let empty = Agg::default();
-            let mut rows = Vec::new();
-            let mut w_start = first_w;
-            while w_start < range_end {
-                let w_end = w_start.saturating_add(window);
-                let mut row = vec![Json::Int(w_start)];
-                let mut any = false;
-                for spec in &specs {
-                    let agg =
-                        finalize(accs[field_idx(spec)].get(&w_start).unwrap_or(&empty), spec.func);
-                    if !agg.is_null() {
-                        any = true;
-                    }
-                    row.push(agg);
-                }
-                match (any, sel.fill) {
-                    (true, _) => rows.push(row),
-                    (false, Fill::Null) => rows.push(row),
-                    (false, Fill::Zero) => {
-                        let n = row.len();
-                        let mut zero_row = vec![row[0].clone()];
-                        zero_row.extend(std::iter::repeat_n(Json::Int(0), n - 1));
-                        rows.push(zero_row);
-                    }
-                    (false, Fill::None) => {}
-                }
-                w_start = w_end;
-            }
-            rows
-        }
-    };
-
-    ResultSeries { name: sel.measurement.clone(), tags: Vec::new(), columns, values }
 }
 
 #[cfg(test)]

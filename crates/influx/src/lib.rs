@@ -15,8 +15,10 @@
 //! - [`query`] — an InfluxQL-subset parser: `SELECT` with aggregations,
 //!   time-range and tag predicates, `GROUP BY time(...)` and tags, `ORDER BY
 //!   time DESC`, `LIMIT`, plus `SHOW MEASUREMENTS` / `SHOW TAG VALUES` /
-//!   `SHOW FIELD KEYS` / `CREATE DATABASE`,
-//! - [`exec`] — query execution and InfluxDB-shaped JSON results,
+//!   `SHOW FIELD KEYS` / `CREATE DATABASE`, and the router-internal
+//!   `PARTIAL` marker of a cluster read,
+//! - [`exec`] — query execution (per-series sources, one fold) and
+//!   InfluxDB-shaped JSON results,
 //! - [`server`] — `/ping`, `/write`, `/query` (one statement or a `;`-separated
 //!   list) endpoints over `lms-http`,
 //! - [`client`] — a typed client for the same API (used by the router,
@@ -49,7 +51,7 @@ pub use db::{
 };
 pub use exec::{QueryResult, ResultSeries, TierCtx};
 pub use query::Statement;
-pub use storage::{lww_dedup, Scan};
+pub use storage::Scan;
 pub use server::InfluxServer;
 
 /// The persistent storage engine (re-exported for direct use in tests,

@@ -19,6 +19,11 @@
 //! single-quoted; time literals are nanosecond integers, duration literals
 //! (`10m`, `30s`, ...) or `now() ± duration`; only `AND`-conjunctions are
 //! supported (all LMS dashboards are AND-shaped).
+//!
+//! A trailing `PARTIAL` marks the **partial form** of a SELECT. It is
+//! router-internal: the cluster router writes it, with absolute time
+//! bounds, to ask each node for every matching series' own aggregate state
+//! or raw rows instead of a folded answer (see [`crate::exec::Plan`]).
 
 use lms_util::{Error, Result};
 
@@ -144,8 +149,6 @@ pub struct Select {
     /// `GROUP BY <tags>`.
     pub group_tags: Vec<String>,
     /// `GROUP BY *`: group by the full tag set, one group per series.
-    /// Used by the cluster router's partial-aggregate rewrite to keep
-    /// per-series identity so replica copies deduplicate exactly.
     pub group_all: bool,
     /// Fill policy.
     pub fill: Fill,
@@ -153,6 +156,10 @@ pub struct Select {
     pub order_desc: bool,
     /// `LIMIT n`.
     pub limit: Option<usize>,
+    /// The router-internal `PARTIAL` marker: answer every matching
+    /// series' own rows or window aggregates, unfolded (see the module
+    /// docs).
+    pub partial: bool,
 }
 
 fn render_ident(out: &mut String, ident: &str) {
@@ -173,10 +180,33 @@ fn render_time(out: &mut String, v: &TimeValue) {
 }
 
 impl Select {
+    /// Parses `q` as a SELECT bounded to `[start, end)` ns and, with
+    /// `step`, bucketed to `step`-ns windows: the statement a
+    /// `/query_range` request runs, on a node and through the router
+    /// alike. The bounds intersect with any already in `q`; `step`
+    /// replaces its `GROUP BY time(...)`.
+    pub fn for_range(q: &str, start: i64, end: i64, step: Option<i64>) -> Result<Select> {
+        if start >= end {
+            return Err(Error::protocol("query_range: start must be < end"));
+        }
+        let Statement::Select(mut sel) = Statement::parse(q)? else {
+            return Err(Error::protocol("query_range: only SELECT statements are supported"));
+        };
+        sel.conditions.push(Condition::TimeGe(TimeValue::Abs(start)));
+        sel.conditions.push(Condition::TimeLt(TimeValue::Abs(end)));
+        if let Some(step) = step {
+            if step <= 0 {
+                return Err(Error::protocol("query_range: step must be positive"));
+            }
+            sel.group_time = Some(step);
+        }
+        Ok(sel)
+    }
+
     /// Renders the statement back to parseable InfluxQL. The output
     /// round-trips: `Statement::parse(sel.render())` yields `sel` again
     /// (relative `now()` bounds stay relative). Used by the router to
-    /// rewrite aggregate queries into per-node partial queries.
+    /// write the partial form it sends to the nodes.
     pub fn render(&self) -> String {
         let mut out = String::from("SELECT ");
         for (i, p) in self.projections.iter().enumerate() {
@@ -248,6 +278,9 @@ impl Select {
         }
         if let Some(n) = self.limit {
             out.push_str(&format!(" LIMIT {n}"));
+        }
+        if self.partial {
+            out.push_str(" PARTIAL");
         }
         out
     }
@@ -718,6 +751,7 @@ impl P<'_> {
                 }
             }
         }
+        let partial = self.keyword("PARTIAL");
 
         Ok(Select {
             projections,
@@ -729,6 +763,7 @@ impl P<'_> {
             fill,
             order_desc,
             limit,
+            partial,
         })
     }
 
@@ -947,6 +982,8 @@ mod tests {
             "SELECT mean(v) FROM m WHERE time >= 0 AND time < 100 \
              GROUP BY time(30s), *, \"hostname\" FILL(0) ORDER BY time DESC LIMIT 5",
             "SELECT sum(v) FROM m WHERE time > now() AND s != 'x' GROUP BY time(1h) FILL(null)",
+            "SELECT first(v) FROM m WHERE time >= 5 GROUP BY time(1m) FILL(0) LIMIT 2 PARTIAL",
+            "SELECT v FROM m PARTIAL",
         ] {
             let parsed = sel(q);
             let rendered = parsed.render();

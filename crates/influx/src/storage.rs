@@ -90,13 +90,10 @@ impl TimeIndex {
 /// sorts by `(timestamp, generation)` and keeps the highest-generation
 /// version of each timestamp, returning `(timestamp, value)` ascending.
 ///
-/// This is the one LWW rule of the whole stack. [`Column::points_in`] uses
-/// it to merge the mutable head (generation `u64::MAX`) with sealed block
-/// generations, and the cluster scatter-gather read path uses it to merge
-/// the same series fetched from several replicas (tagging each replica's
-/// rows with its node index as the generation) — so replicated reads
-/// resolve duplicates exactly like a single node resolves overlapping
-/// blocks.
+/// [`Column::points_in`] uses it to merge the mutable head (generation
+/// `u64::MAX`) with sealed block generations. The cluster read path keeps
+/// the same rule with the node's part index as the generation: of a
+/// series' replica copies, the later part's row wins.
 pub fn lww_dedup<V>(mut versions: Vec<(i64, u64, V)>) -> Vec<(i64, V)> {
     versions.sort_by_key(|&(t, g, _)| (t, g));
     let mut out: Vec<(i64, V)> = Vec::with_capacity(versions.len());

@@ -11,8 +11,8 @@
 //!
 //! - [`Tier`] — the rollup resolutions (1 minute, 1 hour) and their
 //!   window math,
-//! - the **tier row codec** ([`append_fields`], its inverse
-//!   [`agg_of_row`], and [`rollup_fields`]) — a tier row is the
+//! - the **tier row codec** ([`stat_value`], [`append_fields`], their
+//!   inverse [`agg_of_row`], and [`rollup_fields`]) — a tier row is the
 //!   serialisation of one window's [`Agg`] per raw field, laid out as
 //!   suffixed fields (`v` → `v__count`, `v__sum`, …) of an ordinary point
 //!   whose timestamp is the window start, so rollup tiers are plain
@@ -139,27 +139,36 @@ pub fn stat_field(field: &str, stat: &str) -> String {
     format!("{field}{FIELD_SEP}{stat}")
 }
 
-/// Appends the tier-row fields of `agg` for raw field `field` onto `out`:
-/// `count` always, `sum`/`sumsq`/`min`/`max` when a value was numeric, and
-/// `first`/`last` with their original timestamps.
-pub fn append_fields(field: &str, agg: &Agg, out: &mut Vec<(String, FieldValue)>) {
+/// One tier-row stat of `agg`: `count` whenever anything was counted,
+/// `sum`/`sumsq`/`min`/`max` when a value was numeric, and `first`/`last`
+/// with their original timestamps; `None` for a stat the row leaves out.
+pub fn stat_value(agg: &Agg, stat: &str) -> Option<FieldValue> {
     if agg.count == 0 {
-        return;
+        return None;
     }
-    out.push((stat_field(field, "count"), FieldValue::Integer(agg.count as i64)));
-    if agg.numeric {
-        out.push((stat_field(field, "sum"), FieldValue::Float(agg.sum)));
-        out.push((stat_field(field, "sumsq"), FieldValue::Float(agg.sum_sq)));
-        out.push((stat_field(field, "min"), FieldValue::Float(agg.min)));
-        out.push((stat_field(field, "max"), FieldValue::Float(agg.max)));
+    let numeric = |x: f64| agg.numeric.then_some(FieldValue::Float(x));
+    match stat {
+        "count" => Some(FieldValue::Integer(agg.count as i64)),
+        "sum" => numeric(agg.sum),
+        "sumsq" => numeric(agg.sum_sq),
+        "min" => numeric(agg.min),
+        "max" => numeric(agg.max),
+        "first" => agg.first.as_ref().map(|(_, v)| v.clone()),
+        "last" => agg.last.as_ref().map(|(_, v)| v.clone()),
+        "first_ts" => agg.first.as_ref().map(|&(ts, _)| FieldValue::Integer(ts)),
+        "last_ts" => agg.last.as_ref().map(|&(ts, _)| FieldValue::Integer(ts)),
+        _ => None,
     }
-    if let Some((ts, v)) = &agg.first {
-        out.push((stat_field(field, "first"), v.clone()));
-        out.push((stat_field(field, "first_ts"), FieldValue::Integer(*ts)));
-    }
-    if let Some((ts, v)) = &agg.last {
-        out.push((stat_field(field, "last"), v.clone()));
-        out.push((stat_field(field, "last_ts"), FieldValue::Integer(*ts)));
+}
+
+/// Appends the tier-row fields of `agg` for raw field `field` onto `out`:
+/// each [`stat_value`] the row holds, `first` and `last` each followed by
+/// its timestamp.
+pub fn append_fields(field: &str, agg: &Agg, out: &mut Vec<(String, FieldValue)>) {
+    for stat in ["count", "sum", "sumsq", "min", "max", "first", "first_ts", "last", "last_ts"] {
+        if let Some(value) = stat_value(agg, stat) {
+            out.push((stat_field(field, stat), value));
+        }
     }
 }
 

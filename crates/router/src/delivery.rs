@@ -15,8 +15,8 @@
 //! Writes acknowledge at a configurable quorum W of the R owners; an
 //! "accepted" node-batch means queued for delivery or durably spooled.
 //! Reads scatter to every node over the same kept connections the
-//! forwarders deliver on ([`crate::clients`]) and merge by the storage
-//! engine's LWW rule (see `lms-cluster`).
+//! forwarders deliver on ([`crate::clients`]) and are folded by the router
+//! (see `lms-cluster`).
 
 use crate::breaker::BreakerState;
 use crate::clients::NodeClients;

@@ -4,8 +4,9 @@ use crate::breaker::{BreakerConfig, BreakerState};
 use crate::delivery::{ClusterForwarder, DestinationStats, RoutedBatch};
 use crate::forward::{ForwardConfig, ForwardStats};
 use crate::tagstore::{JobSignal, TagStore};
-use lms_cluster::{merge_results, partial_plan, ClusterConfig, PartialPlan};
+use lms_cluster::{merge_results, ClusterConfig, PartialPlan};
 use lms_http::{Request, Response};
+use lms_influx::query::Select;
 use lms_influx::{InfluxClient, QueryResult};
 use lms_lineproto::{parse_batch, Point};
 use lms_mq::Publisher;
@@ -322,17 +323,17 @@ impl Router {
 
     /// Scatter-gather read over the cluster (the `/query` endpoint).
     ///
-    /// Fans the query to every node and merges the answers. Decomposable
-    /// aggregates (`mean`/`sum`/`min`/`max`/`count` with default FILL) are
-    /// rewritten into per-node `count`/`sum`/`min`/`max` partials grouped
-    /// by the full tag set and recombined algebraically
-    /// ([`lms_cluster::partial`]) — exact at any replication factor R ≤ N.
-    /// Everything else merges with the storage engine's LWW rule
-    /// (replicated series deduplicate; divergent replicas resolve
-    /// deterministically). Unreachable nodes degrade the result to
-    /// `partial` instead of failing it: a breaker-open node is skipped
-    /// outright, a transient error is noted and skipped, and only genuine
-    /// query errors (or *zero* reachable nodes) surface as errors. A node
+    /// With one node the statement passes through unchanged. With more,
+    /// every SELECT goes out in its partial form, its range fixed from the
+    /// router's clock: each node answers every matching series' own window
+    /// aggregates or raw rows, and the router dedupes replica copies and
+    /// runs the executor's own fold over them ([`lms_cluster::partial`]) —
+    /// the answer of one node holding every point, at any replication
+    /// factor R ≤ N. Listings (`SHOW ...`) are unioned. Unreachable nodes
+    /// degrade the result to `partial` instead of failing it: a
+    /// breaker-open node is skipped outright, a transient error is noted
+    /// and skipped, and only genuine query errors (or *zero* reachable
+    /// nodes) surface as errors. A node
     /// that does not know the database counts as an empty answer — with
     /// R < N, databases exist only on the nodes that own some of their
     /// series.
@@ -351,7 +352,12 @@ impl Router {
         db: &str,
         stmts: &[String],
     ) -> Result<Vec<Result<QueryResult>>> {
-        let plans: Vec<Option<PartialPlan>> = stmts.iter().map(|q| self.plan_for(q)).collect();
+        let cluster = self.delivery.node_count() > 1;
+        let now = self.clock.now().nanos();
+        let plans: Vec<Option<PartialPlan>> = stmts
+            .iter()
+            .map(|q| if cluster { PartialPlan::new(q, now) } else { None })
+            .collect();
         let sent: Vec<String> = stmts
             .iter()
             .zip(&plans)
@@ -388,10 +394,9 @@ impl Router {
     }
 
     /// Scatter-gather range read over the cluster (the `/query_range`
-    /// endpoint): each node bounds the query to `[start, end)` ns and
-    /// buckets to `step` ns windows before answering; the merge is the
-    /// same as [`handle_query`](Self::handle_query), including the exact
-    /// partial-aggregate path.
+    /// endpoint): the statement bounded to `[start, end)` ns and bucketed
+    /// to `step` ns windows as a node would ([`Select::for_range`]), then
+    /// read as [`handle_query`](Self::handle_query) reads it.
     pub fn handle_query_range(
         &self,
         db: &str,
@@ -400,11 +405,8 @@ impl Router {
         end: i64,
         step: Option<i64>,
     ) -> Result<QueryResult> {
-        let plan = self.plan_for(q);
-        let sent = plan.as_ref().map_or(q, PartialPlan::partial_query);
-        let req = InfluxClient::query_range_request(db, sent, start, end, step);
-        let (parts, partial) = self.scatter(db, &req, InfluxClient::parse_query)?;
-        Ok(self.merge(plan, parts, partial))
+        let sel = Select::for_range(q, start, end, step)?;
+        self.handle_query(db, &sel.render())
     }
 
     /// Cluster-wide measurement listing (the `/metrics` endpoint): the
@@ -423,17 +425,6 @@ impl Router {
         let (parts, _) =
             self.scatter(db, &req, |resp| InfluxClient::parse_listing(resp, "labels"))?;
         Ok(union_sorted(parts))
-    }
-
-    /// The partial-aggregate plan for `q`, when the cluster has more than
-    /// one node and the query decomposes. On a single node the node's own
-    /// answer is already exact — no rewrite.
-    fn plan_for(&self, q: &str) -> Option<PartialPlan> {
-        if self.delivery.node_count() > 1 {
-            partial_plan(q)
-        } else {
-            None
-        }
     }
 
     /// The shared scatter skeleton: `req` is written to every reachable
@@ -504,8 +495,8 @@ impl Router {
         Ok((parts, partial))
     }
 
-    /// Recombines per-node answers — algebraically through `plan` when the
-    /// query decomposed, by the LWW rule otherwise — and counts partials.
+    /// Combines per-node answers — folded through `plan` for a SELECT,
+    /// unioned otherwise — and counts partials.
     fn merge(&self, plan: Option<PartialPlan>, parts: Vec<QueryResult>, partial: bool) -> QueryResult {
         let mut merged = match plan {
             Some(plan) => plan.merge(parts),
@@ -809,9 +800,9 @@ mod tests {
         }
     }
 
-    /// An N-node cluster with R-way replication, pre-loaded with 32 points
-    /// over 8 series: `m,hostname=g{i%8} v=i i` for i in 1..=32.
-    fn loaded_cluster(n: usize, replication: usize) -> (Vec<InfluxServer>, Router) {
+    /// An N-node cluster with R-way replication with `body` written
+    /// through its router, at a clock of 5000 s.
+    fn cluster_with(n: usize, replication: usize, body: &str) -> (Vec<InfluxServer>, Router) {
         let clock = Clock::simulated(Timestamp::from_secs(5000));
         let servers: Vec<InfluxServer> = (0..n)
             .map(|_| InfluxServer::start("127.0.0.1:0", Influx::new(clock.clone())).unwrap())
@@ -824,93 +815,165 @@ mod tests {
         };
         let router =
             Router::new_cluster(cluster, RouterConfig::default(), clock, None).unwrap();
-        let body: String =
-            (1..=32).map(|i| format!("m,hostname=g{} v={i} {i}\n", i % 8)).collect();
-        assert!(router.handle_write(None, &body).acked);
+        assert!(router.handle_write(None, body).acked);
         assert!(router.flush(Duration::from_secs(10)));
         (servers, router)
     }
 
+    /// One node holding every point of `body`, at the clusters' clock.
+    fn one_node(body: &str) -> Influx {
+        let one = Influx::new(Clock::simulated(Timestamp::from_secs(5000)));
+        one.write_lines("lms", body, Default::default()).unwrap();
+        one
+    }
+
+    /// 32 points over 8 series, `m,hostname=g{i%8} v=i` at `i × unit_ns`
+    /// for i in 1..=32.
+    fn points_32(unit_ns: i64) -> String {
+        (1..=32).map(|i| format!("m,hostname=g{} v={i} {}\n", i % 8, i * unit_ns)).collect()
+    }
+
+    fn loaded_cluster(n: usize, replication: usize) -> (Vec<InfluxServer>, Router) {
+        cluster_with(n, replication, &points_32(1))
+    }
+
     #[test]
-    fn cluster_aggregates_recombine_exactly_at_r_less_than_n() {
+    fn cluster_answers_equal_one_node_where_the_per_node_merges_did_not() {
         // R = 2 over 3 nodes: every series lives on two owners, no node
-        // holds everything. A mean-of-means (or the old LWW merge of
-        // per-node aggregate rows) would be wrong whenever the owners'
-        // shares are unbalanced; the partial path recombines Σsum/Σcount
-        // algebraically, so the answer matches a single node holding all
-        // the data: mean 16.5, count 32, min 1, max 32.
-        let (servers, router) = loaded_cluster(3, 2);
-        let r = router
-            .handle_query("lms", "SELECT mean(v), count(v), min(v), max(v) FROM m")
-            .unwrap();
-        assert!(!r.partial);
-        assert_eq!(r.series.len(), 1, "{:?}", r.series);
-        assert_eq!(
-            r.series[0].columns,
-            vec!["time", "mean", "count", "min", "max"]
-        );
-        let row = &r.series[0].values[0];
-        assert_eq!(row[1].as_f64(), Some(16.5));
-        assert_eq!(row[2].as_i64(), Some(32));
-        assert_eq!(row[3].as_f64(), Some(1.0));
-        assert_eq!(row[4].as_f64(), Some(32.0));
+        // holds everything. Each statement got a wrong answer from merging
+        // per-node results: two rows for last/first, three stddev rows,
+        // five unordered raw rows, twelve per-node FILL rows.
+        let body = points_32(1_000_000_000);
+        let one = one_node(&body);
+        let (servers, router) = cluster_with(3, 2, &body);
+        let cases: [(&str, &[f64]); 6] = [
+            ("SELECT mean(v), count(v), min(v), max(v) FROM m", &[16.5, 32.0, 1.0, 32.0]),
+            ("SELECT last(v) FROM m", &[32.0]),
+            ("SELECT first(v) FROM m", &[1.0]),
+            ("SELECT stddev(v) FROM m", &[85.25f64.sqrt()]),
+            ("SELECT v FROM m ORDER BY time DESC LIMIT 3", &[32.0, 31.0, 30.0]),
+            ("SELECT count(v) FROM m GROUP BY time(8s) FILL(null)", &[7.0, 8.0, 8.0, 8.0, 1.0]),
+        ];
+        for (q, values) in cases {
+            let got = router.handle_query("lms", q).unwrap();
+            assert_eq!(got, one.query("lms", q).unwrap(), "{q}");
+            assert!(!got.partial);
+            assert_eq!(got.series.len(), 1, "{q}: {:?}", got.series);
+            let cells: Vec<f64> = match got.series[0].values.as_slice() {
+                [row] => row[1..].iter().map(|c| c.as_f64().unwrap()).collect(),
+                rows => rows.iter().map(|row| row[1].as_f64().unwrap()).collect(),
+            };
+            assert_eq!(cells, values, "{q}");
+        }
         for s in servers {
             s.shutdown();
         }
     }
 
+    /// The functions a generated statement draws from.
+    const FUNCS: [&str; 8] = ["count", "sum", "mean", "min", "max", "first", "last", "stddev"];
+
+    /// A generated SELECT: projection kind (raw `v`, raw `w, v`, or the
+    /// drawn aggregates over `v`/`w`), fill, grouping (none, host, time,
+    /// both), `ORDER BY time DESC`, `LIMIT`, range kind (none, absolute,
+    /// relative to `now()`), window, range start and span, in seconds.
+    type Shape =
+        (u8, Vec<(usize, bool)>, u8, u8, bool, Option<usize>, u8, i64, i64, i64);
+
+    fn statement(shape: &Shape) -> String {
+        let (kind, funcs, fill, grouping, desc, limit, range, window, lo, span) = shape;
+        let raw = *kind < 2;
+        let projection = match kind {
+            0 => "v".to_string(),
+            1 => "w, v".to_string(),
+            _ => funcs
+                .iter()
+                .map(|&(f, on_w)| format!("{}({})", FUNCS[f], if on_w { "w" } else { "v" }))
+                .collect::<Vec<_>>()
+                .join(", "),
+        };
+        let mut q = format!("SELECT {projection} FROM m");
+        match range {
+            1 => q.push_str(&format!(" WHERE time >= {lo}s AND time < {}s", lo + span)),
+            2 => q.push_str(&format!(" WHERE time >= now() - {}s", 5000 - lo)),
+            _ => {}
+        }
+        let mut groups = Vec::new();
+        if grouping & 1 == 1 && !raw {
+            groups.push(format!("time({window}s)"));
+        }
+        if grouping & 2 == 2 {
+            groups.push("hostname".to_string());
+        }
+        if !groups.is_empty() {
+            q.push_str(&format!(" GROUP BY {}", groups.join(", ")));
+        }
+        q.push_str(["", " FILL(null)", " FILL(0)"][*fill as usize]);
+        if *desc {
+            q.push_str(" ORDER BY time DESC");
+        }
+        if let Some(n) = limit {
+            q.push_str(&format!(" LIMIT {n}"));
+        }
+        q
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig {
-            cases: 8,
+            cases: 12,
             ..Default::default()
         })]
 
-        /// A 3-node R = 2 cluster answers the decomposable aggregates
-        /// exactly as one node holding every point: ungrouped, per host,
-        /// and per window and host, newest first, truncated. Values are
-        /// integer-valued so that sums are exact in any order.
+        /// A 3-node R = 2 cluster and a 2-node R = 1 cluster answer every
+        /// SELECT shape exactly as one node holding every point: raw
+        /// fields, each aggregate and mixes, every FILL, every grouping,
+        /// newest first or not, truncated or not, bounded or not. Values
+        /// are integer-valued, so sums are exact in any order; timestamps
+        /// collide within and across hosts, so first/last ties and
+        /// same-instant rows are exercised.
         #[test]
-        fn cluster_aggregates_equal_one_node(
-            points in proptest::collection::vec((0u8..8, 0i64..600, -100i64..100), 1..80),
-            window_s in 1i64..120,
-            limit in 1usize..6,
+        fn cluster_answers_equal_one_node(
+            points in proptest::collection::vec(
+                (0u8..8, 0i64..600, -100i64..100, proptest::option::of(-100i64..100)),
+                1..80,
+            ),
+            shapes in proptest::collection::vec(
+                (
+                    0u8..3,
+                    proptest::collection::vec((0usize..8, proptest::prelude::any::<bool>()), 1..4),
+                    0u8..3,
+                    0u8..4,
+                    proptest::prelude::any::<bool>(),
+                    proptest::option::of(1usize..6),
+                    0u8..3,
+                    1i64..120,
+                    0i64..600,
+                    1i64..600,
+                ),
+                6..12,
+            ),
         ) {
             let body: String = points
                 .iter()
-                .map(|(h, t, v)| format!("m,hostname=g{h} v={v} {}\n", t * 1_000_000_000))
+                .map(|(h, t, v, w)| {
+                    let w = w.map(|w| format!(",w={w}i")).unwrap_or_default();
+                    format!("m,hostname=g{h} v={v}{w} {}\n", t * 1_000_000_000)
+                })
                 .collect();
-            let clock = Clock::simulated(Timestamp::from_secs(5000));
-            let one = Influx::new(clock.clone());
-            one.write_lines("lms", &body, Default::default()).unwrap();
-            let servers: Vec<InfluxServer> = (0..3)
-                .map(|_| InfluxServer::start("127.0.0.1:0", Influx::new(clock.clone())).unwrap())
-                .collect();
-            let cluster = ClusterConfig {
-                nodes: servers.iter().map(|s| s.addr()).collect(),
-                replication: 2,
-                write_quorum: 1,
-                seed: 7,
-            };
-            let router =
-                Router::new_cluster(cluster, RouterConfig::default(), clock, None).unwrap();
-            assert!(router.handle_write(None, &body).acked);
-            assert!(router.flush(Duration::from_secs(10)));
-
-            let aggs = "mean(v), sum(v), min(v), max(v), count(v)";
-            for q in [
-                format!("SELECT {aggs} FROM m"),
-                format!("SELECT {aggs} FROM m GROUP BY hostname"),
-                format!(
-                    "SELECT {aggs} FROM m GROUP BY time({window_s}s), hostname \
-                     ORDER BY time DESC LIMIT {limit}"
-                ),
-            ] {
+            let one = one_node(&body);
+            let clusters = [cluster_with(3, 2, &body), cluster_with(2, 1, &body)];
+            for shape in &shapes {
+                let q = statement(shape);
                 let want = one.query("lms", &q).unwrap();
-                let got = router.handle_query("lms", &q).unwrap();
-                proptest::prop_assert_eq!(got, want, "{}", q);
+                for (servers, router) in &clusters {
+                    let got = router.handle_query("lms", &q).unwrap();
+                    proptest::prop_assert_eq!(&got, &want, "{} nodes: {}", servers.len(), q);
+                }
             }
-            for s in servers {
-                s.shutdown();
+            for (servers, _) in clusters {
+                for s in servers {
+                    s.shutdown();
+                }
             }
         }
     }
@@ -919,7 +982,7 @@ mod tests {
     fn range_queries_scatter_gather_through_the_cluster() {
         // R = 1 over 2 nodes: each series on exactly one owner, so every
         // window's sum needs contributions from both — exactness here
-        // means the range endpoint rode the same partial-aggregate path.
+        // means the range endpoint rode the same fold as `/query`.
         let (servers, router) = loaded_cluster(2, 1);
         let r = router
             .handle_query_range("lms", "SELECT sum(v) FROM m", 0, 17, None)

@@ -135,10 +135,10 @@ fn handle(router: &Router, req: Request) -> Response {
             query_response(router.handle_query(db, &q))
         }
         // Bounded, bucketed read: `start`/`end` (required) and `step`
-        // (optional) are nanosecond integers or duration literals; the
-        // nodes apply the bounds before answering, and the merge is the
-        // same as `/query` — including the exact partial-aggregate path
-        // and the `X-Lms-Partial` degradation flag.
+        // (optional) are nanosecond integers or duration literals that
+        // bound the statement as a node would, and the read is the same
+        // as `/query` — including the cluster fold and the
+        // `X-Lms-Partial` degradation flag.
         ("GET", "/query_range") | ("POST", "/query_range") => {
             let Some(q) = req.query_param("q") else {
                 return Response::bad_request("missing `q`");

@@ -8,14 +8,17 @@
 //! measure. The second half runs the same reads against kept connections
 //! that die: a node restarts, a node is killed and returns, a node answers
 //! an error while its peers' answers are still in flight, a node is at its
-//! connection cap.
+//! connection cap. Between them, a cluster read answers what one node
+//! holding every point answers.
 
 use lms::analysis::evaluation::NodePeaks;
 use lms::dashboard::render::RenderOptions;
 use lms::dashboard::{JobInfo, TemplateStore, ViewerAgent};
 use lms::http::{FaultConfig, FaultProxy, HttpClient, MIN_CONNECTION_CAP};
 use lms::influx::{Influx, InfluxClient, InfluxServer, QueryResult, QuerySource};
-use lms::router::{ClusterConfig, Router, RouterConfig, RouterServer, MAX_IDLE_CLIENTS};
+use lms::router::{
+    ClusterConfig, JobSignal, Router, RouterConfig, RouterServer, MAX_IDLE_CLIENTS,
+};
 use lms::util::{Clock, Error, Timestamp};
 use proptest::prelude::*;
 use std::net::SocketAddr;
@@ -26,15 +29,19 @@ fn clock() -> Clock {
     Clock::simulated(Timestamp::from_secs(4000))
 }
 
-/// Three database nodes with R = 2 behind a router. `via` maps each node's
-/// address to the one the router dials (a counting or fault proxy).
+/// Database nodes behind a router. `via` maps each node's address to the
+/// one the router dials (a counting or fault proxy).
 struct Cluster {
     nodes: Vec<(Influx, InfluxServer)>,
     router: Arc<Router>,
 }
 
-fn cluster_via(via: impl Fn(usize, SocketAddr) -> SocketAddr) -> Cluster {
-    let nodes: Vec<(Influx, InfluxServer)> = (0..3)
+fn cluster_via(
+    n: usize,
+    replication: usize,
+    via: impl Fn(usize, SocketAddr) -> SocketAddr,
+) -> Cluster {
+    let nodes: Vec<(Influx, InfluxServer)> = (0..n)
         .map(|_| {
             let influx = Influx::new(clock());
             let server = InfluxServer::start("127.0.0.1:0", influx.clone()).unwrap();
@@ -43,7 +50,7 @@ fn cluster_via(via: impl Fn(usize, SocketAddr) -> SocketAddr) -> Cluster {
         .collect();
     let cluster = ClusterConfig {
         nodes: nodes.iter().enumerate().map(|(i, (_, s))| via(i, s.addr())).collect(),
-        replication: 2,
+        replication,
         write_quorum: 1,
         seed: 7,
     };
@@ -52,8 +59,9 @@ fn cluster_via(via: impl Fn(usize, SocketAddr) -> SocketAddr) -> Cluster {
     Cluster { nodes, router }
 }
 
+/// Three nodes with R = 2.
 fn cluster() -> Cluster {
-    cluster_via(|_, addr| addr)
+    cluster_via(3, 2, |_, addr| addr)
 }
 
 impl Cluster {
@@ -129,7 +137,7 @@ struct Counted {
 
 fn counted() -> Counted {
     let proxies = std::sync::Mutex::new(Vec::new());
-    let cluster = cluster_via(|_, addr| {
+    let cluster = cluster_via(3, 2, |_, addr| {
         let proxy = FaultProxy::start(addr, FaultConfig::default()).unwrap();
         let via = proxy.addr();
         proxies.lock().unwrap().push(proxy);
@@ -278,7 +286,7 @@ fn a_node_restart_between_two_queries_is_invisible() {
 #[test]
 fn a_killed_node_degrades_reads_and_returns_without_poisoned_clients() {
     let proxy = std::sync::Mutex::new(None);
-    let c = cluster_via(|i, addr| match i {
+    let c = cluster_via(3, 2, |i, addr| match i {
         1 => {
             let p = FaultProxy::start(addr, FaultConfig::default()).unwrap();
             let via = p.addr();
@@ -387,11 +395,44 @@ fn a_node_at_its_connection_cap_makes_the_answer_partial_not_an_error() {
     c.shutdown();
 }
 
+// --------------------------------------------------------------- answers
+
+#[test]
+fn a_job_start_reads_back_once_per_host() {
+    // Each host's annotation is a series of its own holding the same text
+    // at the same instant: equal rows of different series, on different
+    // nodes, are all answers.
+    for (n, replication, hosts) in [(3, 2, 8), (2, 1, 2)] {
+        let signal = JobSignal {
+            job_id: "7".into(),
+            user: "alice".into(),
+            hosts: (0..hosts).map(|h| format!("h{h}")).collect(),
+            extra_tags: Vec::new(),
+        };
+        let c = cluster_via(n, replication, |_, addr| addr);
+        c.router.handle_job_start(signal.clone());
+        assert!(c.router.flush(Duration::from_secs(10)));
+        let influx = Influx::new(clock());
+        let server = InfluxServer::start("127.0.0.1:0", influx).unwrap();
+        let one = Router::new(server.addr(), RouterConfig::default(), clock(), None).unwrap();
+        one.handle_job_start(signal);
+        assert!(one.flush(Duration::from_secs(10)));
+
+        let q = "SELECT text FROM events";
+        let r = c.router.handle_query("lms", q).unwrap();
+        assert_eq!(r.series.iter().map(|s| s.values.len()).sum::<usize>(), hosts, "{n} nodes");
+        assert_eq!(r, one.handle_query("lms", q).unwrap(), "{n} nodes");
+        drop(one);
+        server.shutdown();
+        c.shutdown();
+    }
+}
+
 // ---------------------------------------------------------- batch ≡ loop
 
-/// Statements a list is drawn from: two that take the partial-aggregate
-/// plan, a grouped window, raw rows, a listing, two empty answers (one
-/// with a `;` in a string) and two that fail.
+/// Statements a list is drawn from: two aggregates, a grouped window, raw
+/// rows, a listing, two empty answers (one with a `;` in a string) and two
+/// that fail.
 const STATEMENT_POOL: [&str; 9] = [
     "SELECT mean(v) FROM m",
     "SELECT mean(v), max(v), count(v) FROM m WHERE time >= 0 AND time < 3600000000000 GROUP BY time(10m), hostname",
