@@ -16,22 +16,33 @@
 //! WAL replay included: [`Database::write_parsed_batch`] stages them in the
 //! shard's append buffer, and whichever writer finds the shard backlogged
 //! and free drains it (the `staging` submodule owns the buffer and that
-//! decision). Read paths, flush and retention drain before they look, so
-//! every caller observes its own completed writes.
+//! decision).
+//!
+//! A series is registered in `meta` — its measurement's list and the tag
+//! postings — before any of its points is staged, and retention, the one
+//! path that removes series, excludes staging (the retention gate). So
+//! `meta` names the series of every completed write, and a read finds its
+//! series there and drains only the shards they live in before it looks:
+//! every caller observes its own completed writes. Whole-database readers
+//! (flush, integrity digests, counts) drain every shard.
 //!
 //! Lock order is `meta` → shard `data` → staging buffer, established in
 //! `series_slot`'s callers and [`Database::enforce_retention`]; the hot
-//! path takes a single shard lock and nothing else. Series are stored as
+//! path takes a single shard lock and nothing else. The retention gate
+//! sits outside them all: staging holds it shared, retention exclusively,
+//! and neither takes it while holding another lock. Series are stored as
 //! `Arc<Series>` so queries snapshot cheaply (clone the `Arc`s under a
 //! shard read lock) while writers mutate in place through `Arc::make_mut`
 //! — the copy-on-write clone only triggers when a query holds the same
 //! series concurrently.
 
+mod index;
 mod staging;
 
 use crate::exec::{self, QueryResult};
-use crate::query::{Select, Statement};
+use crate::query::{Condition, Select, Statement};
 use crate::storage::{lww_dedup, Series};
+use index::{shrink_sparse_map, MeasurementIndex};
 use lms_lineproto::{parse_batch, FieldValue, Point, Precision};
 use lms_rollup::{align_down, align_up, is_rollup_db, rollup_db_name, Tier, TIERS};
 use lms_tsm::{
@@ -278,7 +289,7 @@ fn series_slot<'a>(
         Entry::Occupied(slot) => slot.into_mut(),
         Entry::Vacant(slot) => {
             let id = id();
-            meta.measurements.entry(id.measurement.clone()).or_default().push(id.clone());
+            meta.measurements.entry(id.measurement.clone()).or_default().add(id.clone());
             slot.insert(Arc::new(Series::new(id)))
         }
     }
@@ -288,11 +299,8 @@ fn series_slot<'a>(
 /// lock — see the module docs for the lock order).
 #[derive(Debug, Default)]
 struct Meta {
-    /// measurement → its series in first-write order (each identity is
-    /// the one its `Series` holds). Raw query results key rows by
-    /// `(timestamp, series index)`, so preserving this order keeps results
-    /// byte-identical to the single-lock engine.
-    measurements: FxHashMap<String, Vec<Arc<SeriesId>>>,
+    /// measurement → its series and tag postings.
+    measurements: FxHashMap<String, MeasurementIndex>,
     retention: Option<Duration>,
 }
 
@@ -322,6 +330,10 @@ pub struct Database {
     /// The stripes; length is a power of two so shard selection is a mask.
     shards: Box<[ShardSlot]>,
     meta: RwLock<Meta>,
+    /// Held shared by a batch from its series' registration through the
+    /// staging of their points, and exclusively by retention, which removes
+    /// series: every staged point's series exists when its shard drains.
+    retention_gate: RwLock<()>,
     /// Persistence, when configured. The in-memory layer is always the
     /// source of truth for reads; the engine makes it durable.
     engine: Option<Arc<TsmEngine>>,
@@ -380,6 +392,7 @@ impl Database {
         Database {
             shards: (0..n).map(|_| ShardSlot::default()).collect(),
             meta: RwLock::new(Meta::default()),
+            retention_gate: RwLock::new(()),
             engine: None,
             unflushed: Mutex::new(Vec::new()),
             unsealed: AtomicUsize::new(0),
@@ -497,24 +510,38 @@ impl Database {
         self.raw_drop_cutoff.load(Ordering::Acquire)
     }
 
-    /// Snapshots all series of a measurement, in first-write order.
+    /// Snapshots the series of `measurement` that the tag predicates among
+    /// `conditions` admit (time bounds are the executor's), in first-write
+    /// order. Candidates come from the tag postings and are filtered under
+    /// the `meta` read lock; the shards the matches live in are drained, so
+    /// the snapshot holds every write completed before the call, and only
+    /// then are the matches fetched.
     ///
     /// The returned `Arc`s are consistent point-in-time views: a writer
     /// updating the same series afterwards copies it (`Arc::make_mut`)
-    /// instead of mutating the snapshot.
-    pub fn series_of(&self, measurement: &str) -> Vec<Arc<Series>> {
-        // Drain before locking meta so the snapshot includes every staged
-        // point (and because draining may itself need the meta lock).
-        self.drain_all_pending();
+    /// instead of mutating the snapshot — which is why every drain comes
+    /// before the first fetch: a drain must not copy a series this very
+    /// snapshot holds.
+    pub fn series_where(&self, measurement: &str, conditions: &[Condition]) -> Vec<Arc<Series>> {
         let meta = self.meta.read();
-        let Some(ids) = meta.measurements.get(measurement) else {
+        let Some(index) = meta.measurements.get(measurement) else {
             return Vec::new();
         };
-        ids.iter()
+        for id in index.matching(conditions) {
+            self.drain_shard(self.shard_index(&id.series_key));
+        }
+        index
+            .matching(conditions)
             .filter_map(|id| {
                 self.shard_of(&id.series_key).data.read().series.get(&id.series_key).cloned()
             })
             .collect()
+    }
+
+    /// Snapshots all series of a measurement, in first-write order (see
+    /// [`Self::series_where`]).
+    pub fn series_of(&self, measurement: &str) -> Vec<Arc<Series>> {
+        self.series_where(measurement, &[])
     }
 
     /// All measurement names, sorted.
@@ -525,18 +552,26 @@ impl Database {
         names
     }
 
-    /// Sorted, deduplicated tag keys across all series of a measurement
-    /// (the label set of a metric, in Prometheus terms). Empty when the
-    /// measurement is unknown.
+    /// Sorted tag keys across all series of a measurement (the label set
+    /// of a metric, in Prometheus terms), from the tag postings alone.
+    /// Empty when the measurement is unknown.
     pub fn tag_keys(&self, measurement: &str) -> Vec<String> {
-        let mut keys: Vec<String> = self
-            .series_of(measurement)
-            .iter()
-            .flat_map(|s| s.tags().iter().map(|(k, _)| k.clone()))
-            .collect();
+        let meta = self.meta.read();
+        let index = meta.measurements.get(measurement);
+        let mut keys: Vec<String> = index.into_iter().flat_map(|i| i.tag_keys()).cloned().collect();
         keys.sort_unstable();
-        keys.dedup();
         keys
+    }
+
+    /// Sorted values of tag `key` across all series of a measurement, from
+    /// the tag postings alone.
+    pub fn tag_values(&self, measurement: &str, key: &str) -> Vec<String> {
+        let meta = self.meta.read();
+        let index = meta.measurements.get(measurement);
+        let mut values: Vec<String> =
+            index.into_iter().flat_map(|i| i.tag_values(key)).cloned().collect();
+        values.sort_unstable();
+        values
     }
 
     /// Total series count. Exact without draining: series are registered
@@ -581,7 +616,7 @@ impl Database {
         let meta = self.meta.read();
         let mut names: Vec<&String> = meta.measurements.keys().collect();
         names.sort_unstable();
-        names.iter().flat_map(|m| meta.measurements[*m].iter().cloned()).collect()
+        names.iter().flat_map(|m| meta.measurements[*m].series().iter().cloned()).collect()
     }
 
     /// Flushes every mutable head to disk: seals heads into compressed
@@ -938,12 +973,14 @@ impl Database {
     /// Applies the retention policy relative to `now_ns`; returns evicted
     /// point count. Emptied series and measurements are garbage-collected.
     ///
-    /// Holds the `meta` write lock across the sweep (lock order `meta` →
-    /// shards ascending) so no series can be registered concurrently;
-    /// writes to *existing* series proceed shard by shard.
+    /// Holds the retention gate and the `meta` write lock across the sweep
+    /// (then shards ascending): no batch stages points meanwhile, so every
+    /// staged point is drained into a series the sweep sees, and none is
+    /// staged for a series the sweep removes.
     pub fn enforce_retention(&self, now_ns: i64) -> usize {
+        let Some(retention) = self.meta.read().retention else { return 0 };
+        let _gate = self.retention_gate.write();
         let mut meta = self.meta.write();
-        let Some(retention) = meta.retention else { return 0 };
         // The rollup layer clamps the cutoff to the last tier-complete
         // boundary: points past the clamp are either not yet rolled up or
         // sit in a tier window that would be recomputed partially if its
@@ -958,10 +995,9 @@ impl Database {
         let mut evicted = 0;
         let mut removed: FxHashSet<String> = FxHashSet::default();
         for idx in 0..self.shards.len() {
-            // Drain staged writes first (with the already-held meta for
-            // leftover re-creation) so the sweep sees them — otherwise a
-            // stale staged point could resurrect a series just evicted.
-            self.drain_shard(idx, Some(&mut meta));
+            // Drain staged writes first so the sweep sees them: a fresh
+            // staged point keeps its series, a stale one is evicted with it.
+            self.drain_shard(idx);
             let mut shard = self.shards[idx].data.write();
             shard.series.retain(|key, series| {
                 let series = Arc::make_mut(series);
@@ -973,30 +1009,11 @@ impl Database {
                     true
                 }
             });
-            // Under churning tag sets (ephemeral pods, rotating batch job
-            // ids) series are created and fully evicted continuously; give
-            // the capacity back so the map stays bounded by the *live*
-            // series count, not the historical peak.
-            if shard.series.capacity() > 64 && shard.series.capacity() > 4 * shard.series.len()
-            {
-                shard.series.shrink_to_fit();
-            }
+            shrink_sparse_map(&mut shard.series);
         }
         if !removed.is_empty() {
-            meta.measurements.retain(|_, ids| {
-                ids.retain(|id| !removed.contains(&id.series_key));
-                !ids.is_empty()
-            });
-            for keys in meta.measurements.values_mut() {
-                if keys.capacity() > 64 && keys.capacity() > 4 * keys.len() {
-                    keys.shrink_to_fit();
-                }
-            }
-            if meta.measurements.capacity() > 64
-                && meta.measurements.capacity() > 4 * meta.measurements.len()
-            {
-                meta.measurements.shrink_to_fit();
-            }
+            meta.measurements.retain(|_, index| index.remove(&removed));
+            shrink_sparse_map(&mut meta.measurements);
         }
         self.raw_drop_cutoff.fetch_max(cutoff, Ordering::AcqRel);
         if let Some(engine) = &self.engine {

@@ -13,13 +13,14 @@
 //! instead of queueing on the series map.
 //!
 //! The rest of `db` sees four operations: stage a batch, drain a shard
-//! ([`Database::drain_shard`] / [`Database::drain_all_pending`], which read
-//! paths, flush and retention call before they look), the staged depth
-//! ([`Staged::depth`], for gauges) and the count of values staged since the
-//! last flush ([`Database::unsealed_values`], the flush trigger). The
-//! buffers themselves are private.
+//! ([`Database::drain_shard`], which a read calls for the shard of every
+//! series it reads, and [`Database::drain_all_pending`], which flush and
+//! whole-database readers call), the staged depth ([`Staged::depth`], for
+//! gauges) and the count of values staged since the last flush
+//! ([`Database::unsealed_values`], the flush trigger). The buffers
+//! themselves are private.
 
-use super::{series_slot, Database, Meta, Shard, WriteOptions};
+use super::{series_slot, Database, Shard, WriteOptions};
 use lms_lineproto::{FieldValue, ParsedLine};
 use lms_tsm::SeriesId;
 use parking_lot::Mutex;
@@ -35,9 +36,9 @@ use std::sync::Arc;
 /// that tail splice hundreds of times. Draining only once a shard holds a
 /// few thousand points pays it once per big combined run instead, bounding
 /// write amplification to O(1) splices per `DRAIN_BATCH_POINTS` points.
-/// Reads are unaffected: every read path drains all shards first, so the
-/// threshold trades only a bounded slice of staging memory (on the order
-/// of a megabyte per backlogged shard), never visibility.
+/// Reads are unaffected: a read drains the shard of every series it reads
+/// first, so the threshold trades only a bounded slice of staging memory
+/// (on the order of a megabyte per backlogged shard), never visibility.
 const DRAIN_BATCH_POINTS: usize = 8192;
 
 /// One staged point: a field-name range into the arena, timestamp, value.
@@ -112,18 +113,10 @@ impl PendingBuf {
     }
 }
 
-/// A staged point whose series vanished between staging and drain (a
-/// retention sweep GC'd it). Re-created under the `meta` lock.
-struct Leftover {
-    key: String,
-    field: String,
-    ts: i64,
-    value: FieldValue,
-}
-
 /// One shard's staging buffer. Points left here when no drainer is running
-/// are folded in by the next drain, and every read path drains first, so
-/// reads always observe their own completed writes.
+/// are folded in by the next drain, and a read drains the shards of the
+/// series it reads first, so reads always observe their own completed
+/// writes.
 #[derive(Debug, Default)]
 pub(super) struct Staged {
     pending: Mutex<PendingBuf>,
@@ -142,8 +135,7 @@ impl Staged {
     /// caller holds. Loops until the buffer is observed empty, so points
     /// staged *while* this drainer was applying a previous swap are folded
     /// in before the lock is released.
-    fn drain_into(&self, shard: &mut Shard) -> Vec<Leftover> {
-        let mut leftovers = Vec::new();
+    fn drain_into(&self, shard: &mut Shard) {
         let mut work = PendingBuf::default();
         loop {
             {
@@ -158,10 +150,9 @@ impl Staged {
                 self.points.fetch_sub(pending.points.len(), Ordering::Release);
                 std::mem::swap(&mut *pending, &mut work);
             }
-            apply_pending(shard, &work, &mut leftovers);
+            apply_pending(shard, &work);
             work.clear();
         }
-        leftovers
     }
 }
 
@@ -191,7 +182,7 @@ fn series_id(key: &str, line: &ParsedLine<'_>) -> Arc<SeriesId> {
 
 /// Applies one swapped-out staging buffer to the shard: consecutive
 /// same-series runs share a single map lookup and copy-on-write clone.
-fn apply_pending(shard: &mut Shard, buf: &PendingBuf, leftovers: &mut Vec<Leftover>) {
+fn apply_pending(shard: &mut Shard, buf: &PendingBuf) {
     let text = buf.text.as_str();
     let key_of = |r: &((u32, u32), (u32, u32))| &text[r.0 .0 as usize..r.0 .1 as usize];
     let mut i = 0;
@@ -202,34 +193,24 @@ fn apply_pending(shard: &mut Shard, buf: &PendingBuf, leftovers: &mut Vec<Leftov
             j += 1;
         }
         let points = &buf.points[buf.runs[i].1 .0 as usize..buf.runs[j - 1].1 .1 as usize];
-        let field_of = |p: &PendingPoint| &text[p.field.0 as usize..p.field.1 as usize];
-        match shard.series.get_mut(key) {
-            Some(series) => {
-                // Group per field, sort by timestamp (stable, so staging
-                // order breaks ties — last write wins), merge each column
-                // in one pass.
-                let mut per_field: Vec<(&str, Vec<(i64, FieldValue)>)> = Vec::new();
-                for p in points {
-                    let field = field_of(p);
-                    match per_field.iter_mut().find(|(f, _)| *f == field) {
-                        Some((_, v)) => v.push((p.ts, p.value.clone())),
-                        None => per_field.push((field, vec![(p.ts, p.value.clone())])),
-                    }
-                }
-                let series = Arc::make_mut(series);
-                for (field, mut run) in per_field {
-                    run.sort_by_key(|&(t, _)| t);
-                    series.field_mut_or_create(field).insert_many(&run);
-                }
+        let series = shard
+            .series
+            .get_mut(key)
+            .expect("a staged point's series exists: retention excludes staging");
+        // Group per field, sort by timestamp (stable, so staging order
+        // breaks ties — last write wins), merge each column in one pass.
+        let mut per_field: Vec<(&str, Vec<(i64, FieldValue)>)> = Vec::new();
+        for p in points {
+            let field = &text[p.field.0 as usize..p.field.1 as usize];
+            match per_field.iter_mut().find(|(f, _)| *f == field) {
+                Some((_, v)) => v.push((p.ts, p.value.clone())),
+                None => per_field.push((field, vec![(p.ts, p.value.clone())])),
             }
-            // Retention GC'd the series after staging: carry the points
-            // out; the caller re-creates it under `meta`.
-            None => leftovers.extend(points.iter().map(|p| Leftover {
-                key: key.to_string(),
-                field: field_of(p).to_string(),
-                ts: p.ts,
-                value: p.value.clone(),
-            })),
+        }
+        let series = Arc::make_mut(series);
+        for (field, mut run) in per_field {
+            run.sort_by_key(|&(t, _)| t);
+            series.field_mut_or_create(field).insert_many(&run);
         }
         i = j;
     }
@@ -245,8 +226,9 @@ impl Database {
     /// lock. Returns the number of points written.
     ///
     /// Visibility: a point may remain staged briefly after this returns,
-    /// but every read path drains before reading, so callers always see
-    /// their own completed writes.
+    /// but its series is registered in `meta` before it is staged, and a
+    /// read drains the shard of every series it reads, so callers always
+    /// see their own completed writes.
     pub fn write_parsed_batch(
         &self,
         lines: &[ParsedLine<'_>],
@@ -256,6 +238,9 @@ impl Database {
         if lines.is_empty() {
             return 0;
         }
+        // From the series' registration through their points' staging: no
+        // retention sweep removes a series in between.
+        let _gate = self.retention_gate.read();
         INGEST_SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
             if scratch.stages.len() < self.shards.len() {
@@ -305,9 +290,7 @@ impl Database {
                 // the current lock holder or the next reader picks this up.
                 if slot.staged.depth() >= DRAIN_BATCH_POINTS {
                     if let Some(mut shard) = slot.data.try_write() {
-                        let leftovers = slot.staged.drain_into(&mut shard);
-                        drop(shard);
-                        self.install_leftovers(idx, leftovers, None);
+                        slot.staged.drain_into(&mut shard);
                     }
                 }
             }
@@ -329,9 +312,9 @@ impl Database {
         self.unsealed.load(Ordering::Acquire)
     }
 
-    /// Makes sure the series behind `key` exists (so the drain path almost
-    /// never sees a missing series, and `series_count` is exact without a
-    /// drain).
+    /// Makes sure the series behind `key` exists and is registered in
+    /// `meta` before its points are staged (so reads find it without a
+    /// drain, and `series_count` is exact).
     fn ensure_series(&self, idx: usize, key: &str, line: &ParsedLine<'_>) {
         if self.shards[idx].data.read().series.contains_key(key) {
             return;
@@ -341,55 +324,20 @@ impl Database {
         series_slot(&mut meta, &mut shard, key, || series_id(key, line));
     }
 
-    /// Re-creates series that were GC'd while their points sat staged. The
-    /// series key is by construction a valid line-protocol series prefix,
-    /// so it round-trips through the parser to recover measurement and
-    /// canonical tags. `meta` is the caller's write guard when it already
-    /// holds one; otherwise the lock is taken here (order `meta` → shard).
-    fn install_leftovers(&self, idx: usize, leftovers: Vec<Leftover>, meta: Option<&mut Meta>) {
-        if leftovers.is_empty() {
-            return;
-        }
-        let mut guard;
-        let meta = match meta {
-            Some(held) => held,
-            None => {
-                guard = self.meta.write();
-                &mut *guard
-            }
-        };
-        // Carried out of the buffer and not yet in a head, these values were
-        // out of a flush's sight; one that ran meanwhile has settled the
-        // gauge for them all the same. Count them again (at worst twice,
-        // until the next flush).
-        self.unsealed.fetch_add(leftovers.len(), Ordering::Release);
-        let mut shard = self.shards[idx].data.write();
-        for l in leftovers {
-            let probe = format!("{} x=0", l.key);
-            let Ok(line) = lms_lineproto::parse_line(&probe) else { continue };
-            let series = series_slot(meta, &mut shard, &l.key, || series_id(&l.key, &line));
-            Arc::make_mut(series).insert(&l.field, l.ts, l.value);
-        }
-    }
-
-    /// Drains one shard's staged points, if any, into its series map.
-    /// `held_meta` is the caller's `meta` write guard when it holds one
-    /// (retention); without it `meta` is taken only to re-create GC'd
-    /// series, so the caller must hold neither `meta` nor a shard lock.
-    pub(super) fn drain_shard(&self, idx: usize, held_meta: Option<&mut Meta>) {
+    /// Drains one shard's staged points, if any, into its series map. The
+    /// caller may hold `meta` but no shard lock.
+    pub(super) fn drain_shard(&self, idx: usize) {
         let slot = &self.shards[idx];
-        if slot.staged.depth() == 0 {
-            return;
+        if slot.staged.depth() > 0 {
+            slot.staged.drain_into(&mut slot.data.write());
         }
-        let leftovers = slot.staged.drain_into(&mut slot.data.write());
-        self.install_leftovers(idx, leftovers, held_meta);
     }
 
-    /// Drains every shard's staged points: called by read paths before
-    /// they take `meta`, so reads observe all completed writes.
+    /// Drains every shard's staged points: flush and whole-database
+    /// readers call it before they look.
     pub(super) fn drain_all_pending(&self) {
         for idx in 0..self.shards.len() {
-            self.drain_shard(idx, None);
+            self.drain_shard(idx);
         }
     }
 }
@@ -498,6 +446,48 @@ mod tests {
         assert_eq!(db.unsealed_values(), 0);
         assert_eq!(ix.storage_stats().sealed_points, 4 * 200 * 8 * 2);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_point_staged_for_a_gcd_series_is_visible_to_the_next_select() {
+        let ix = Influx::new(Clock::simulated(Timestamp::from_secs(1000)));
+        ix.set_retention("lms", Some(std::time::Duration::from_secs(100)));
+        let staged = |ix: &Influx| ix.storage_stats().shard_buffer_depth;
+        let rows = |ix: &Influx, host: &str| {
+            let r = ix.query("lms", &format!("SELECT v FROM m WHERE host = '{host}'")).unwrap();
+            let values = r.series.first().map(|s| s.values.clone()).unwrap_or_default();
+            let row = |row: &Vec<lms_util::Json>| (row[0].as_i64().unwrap(), row[1].as_f64().unwrap());
+            values.iter().map(row).collect::<Vec<_>>()
+        };
+        let show = |ix: &Influx| {
+            let r = ix.query("lms", "SHOW TAG VALUES FROM m WITH KEY = host").unwrap();
+            let values = r.series.first().map(|s| s.values.clone()).unwrap_or_default();
+            values.iter().map(|row| row[1].as_str().unwrap().to_string()).collect::<Vec<_>>()
+        };
+
+        // GC first, then a staged point: h1's only point is stale, so
+        // retention removes the series; a fresh point re-registers it
+        // before it is staged.
+        ix.write_lines("lms", "m,host=h1 v=1 1\nm,host=h2 v=2 950000000000", Default::default())
+            .unwrap();
+        assert_eq!(ix.enforce_retention(), 1);
+        assert_eq!(ix.series_count("lms"), 1, "h1 is GC'd");
+        ix.write_lines("lms", "m,host=h1 v=3 960000000000", Default::default()).unwrap();
+        assert_eq!(staged(&ix), 1, "the point sits staged");
+        assert_eq!(show(&ix), ["h1", "h2"], "SHOW reads meta, without a drain");
+        assert_eq!(staged(&ix), 1);
+        assert_eq!(rows(&ix, "h1"), [(960_000_000_000, 3.0)]);
+        assert_eq!(staged(&ix), 0, "the SELECT drained h1's shard");
+
+        // A staged point, then GC: h3 holds only a stale point when a fresh
+        // one is staged; retention drains it first and keeps the series.
+        ix.write_lines("lms", "m,host=h3 v=4 2", Default::default()).unwrap();
+        assert_eq!(rows(&ix, "h3"), [(2, 4.0)]);
+        ix.write_lines("lms", "m,host=h3 v=5 970000000000", Default::default()).unwrap();
+        assert_eq!(staged(&ix), 1);
+        assert_eq!(ix.enforce_retention(), 1);
+        assert_eq!(rows(&ix, "h3"), [(970_000_000_000, 5.0)]);
+        assert_eq!(show(&ix), ["h1", "h2", "h3"]);
     }
 
     #[test]

@@ -291,28 +291,19 @@ pub fn execute_tiered(
                 partial: false,
             })
         }
-        Statement::ShowTagValues { measurement, key } => {
-            let mut values: Vec<String> = db
-                .series_of(measurement)
-                .iter()
-                .filter_map(|s| s.tag(key))
-                .map(str::to_string)
-                .collect();
-            values.sort_unstable();
-            values.dedup();
-            Ok(QueryResult {
-                series: vec![ResultSeries {
-                    name: measurement.clone(),
-                    tags: Vec::new(),
-                    columns: vec!["key".into(), "value".into()],
-                    values: values
-                        .into_iter()
-                        .map(|v| vec![Json::str(key.as_str()), Json::str(v)])
-                        .collect(),
-                }],
-                partial: false,
-            })
-        }
+        Statement::ShowTagValues { measurement, key } => Ok(QueryResult {
+            series: vec![ResultSeries {
+                name: measurement.clone(),
+                tags: Vec::new(),
+                columns: vec!["key".into(), "value".into()],
+                values: db
+                    .tag_values(measurement, key)
+                    .into_iter()
+                    .map(|v| vec![Json::str(key.as_str()), Json::str(v)])
+                    .collect(),
+            }],
+            partial: false,
+        }),
         Statement::ShowFieldKeys { measurement } => {
             let snapshot = db.series_of(measurement);
             let mut fields: Vec<&str> =
@@ -335,14 +326,6 @@ pub fn execute_tiered(
     }
 }
 
-fn series_matches(series: &Series, sel: &Select) -> bool {
-    sel.conditions.iter().all(|c| match c {
-        Condition::TagEq(k, v) => series.tag(k) == Some(v.as_str()),
-        Condition::TagNe(k, v) => series.tag(k) != Some(v.as_str()),
-        _ => true,
-    })
-}
-
 fn select(
     sel: &Select,
     db: &Database,
@@ -353,14 +336,14 @@ fn select(
     if plan.start >= plan.end {
         return Ok(QueryResult::empty());
     }
-    let snapshot = db.series_of(&sel.measurement);
+    let snapshot = db.series_where(&sel.measurement, &sel.conditions);
     // Only aggregates can be answered from rollups, and an output window
     // must be a whole multiple of the tier window. The first (coarsest)
     // eligible tier wins.
     let tier = tiers.filter(|_| !plan.aggs.is_empty()).and_then(|ctx| {
         let (w, tdb) =
             ctx.tiers.iter().find(|(w, _)| sel.group_time.is_none_or(|g| g % *w == 0))?;
-        Some((*w, tdb.series_of(&sel.measurement), ctx.watermark))
+        Some((*w, tdb.series_where(&sel.measurement, &sel.conditions), ctx.watermark))
     });
     let series = plan.sources(&snapshot, tier.as_ref(), db.query_tuning());
     Ok(if sel.partial { plan.partial_answer(series) } else { plan.fold(series) })
@@ -523,8 +506,8 @@ impl Plan {
         sel.render()
     }
 
-    /// The sources: every series of the measurement that the tag
-    /// predicates match, in tag-set order, with what it holds in range. A
+    /// The sources: every series of the snapshots (those the tag
+    /// predicates match), in tag-set order, with what it holds in range. A
     /// raw select reads the series' rows. An aggregate reads, per field,
     /// window aggregates from block summaries and decoded points — and,
     /// where `tier` (its window, series and the base watermark) covers
@@ -536,7 +519,6 @@ impl Plan {
         tier: Option<&'a (i64, Vec<Arc<Series>>, i64)>,
         tuning: QueryTuning,
     ) -> Vec<(TagSet<'a>, SeriesData)> {
-        let sel = &self.sel;
         // Base and tier series, sorted by tag set, a base series before
         // the tier series that carries its tag set. A series may survive
         // only in a tier (raw evicted by retention). The sort is the stable
@@ -547,7 +529,6 @@ impl Plan {
             .iter()
             .map(|s| (s.as_ref(), false))
             .chain(tier_series.iter().map(|s| (s.as_ref(), true)))
-            .filter(|(s, _)| series_matches(s, sel))
             .collect();
         all.sort_by(|(a, a_tier), (b, b_tier)| {
             a.tags().cmp(b.tags()).then(a_tier.cmp(b_tier))
