@@ -1,37 +1,11 @@
-//! Claim C2 — "router tagging adds negligible overhead": enrichment cost
-//! with 0–8 job tags per host, tag-store hit vs miss, and the ablation
-//! enrichment-on vs enrichment-off (untagged hosts).
+//! The router's tag store: lookup hit and miss, and a job's start+end
+//! signal pair. What enrichment costs a written line is measured end to
+//! end by `benchmark/` (`stack_cpu_us_per_point` on `app_burst` and
+//! `fleet_saturate`; EXPERIMENTS.md § C2).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use lms_influx::{Influx, InfluxServer};
-use lms_lineproto::{BatchBuilder, Point};
-use lms_router::{JobSignal, Router, RouterConfig, TagStore};
-use lms_util::{Clock, Timestamp};
+use criterion::{criterion_group, criterion_main, Criterion};
+use lms_router::{JobSignal, TagStore};
 use std::hint::black_box;
-
-fn batch_for_hosts(hosts: usize, lines_per_host: usize) -> String {
-    let mut builder = BatchBuilder::new();
-    for h in 0..hosts {
-        for i in 0..lines_per_host {
-            let mut p = Point::new("cpu_total");
-            p.add_tag("hostname", format!("h{h}"))
-                .add_field("busy", 0.9)
-                .set_timestamp(i as i64);
-            builder.push(&p);
-        }
-    }
-    builder.take()
-}
-
-/// A router in front of a live in-process database server.
-fn router() -> (InfluxServer, Router) {
-    let clock = Clock::simulated(Timestamp::from_secs(1_000));
-    let influx = Influx::new(clock.clone());
-    let server = InfluxServer::start("127.0.0.1:0", influx).expect("db");
-    let config = RouterConfig { queue_capacity: 1 << 14, ..Default::default() };
-    let r = Router::new(server.addr(), config, clock, None).expect("router");
-    (server, r)
-}
 
 fn bench_tagstore(c: &mut Criterion) {
     let mut group = c.benchmark_group("router/tagstore");
@@ -45,10 +19,10 @@ fn bench_tagstore(c: &mut Criterion) {
         });
     }
     group.bench_function("lookup_hit", |b| {
-        b.iter(|| black_box(store.tags_of(black_box("h200")).len()))
+        b.iter(|| black_box(store.job_tags(black_box("h200")).is_some()))
     });
     group.bench_function("lookup_miss", |b| {
-        b.iter(|| black_box(store.tags_of(black_box("unknown-host")).len()))
+        b.iter(|| black_box(store.job_tags(black_box("unknown-host")).is_some()))
     });
     group.bench_function("signal_start_end", |b| {
         let signal = JobSignal {
@@ -65,40 +39,5 @@ fn bench_tagstore(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_enrichment(c: &mut Criterion) {
-    let mut group = c.benchmark_group("router/enrich");
-    group.sample_size(30);
-    let batch = batch_for_hosts(16, 16); // 256 lines
-    group.throughput(Throughput::Elements(256));
-
-    // Ablation: no jobs registered → no line is enriched.
-    {
-        let (server, router) = router();
-        group.bench_function("tags_off", |b| {
-            b.iter(|| black_box(router.handle_write(None, black_box(&batch))))
-        });
-        router.flush(std::time::Duration::from_secs(10));
-        server.shutdown();
-    }
-    // 2, 4 and 8 job tags attached to every host's lines.
-    for extra in [0usize, 2, 6] {
-        let (server, router) = router();
-        router.handle_job_start(JobSignal {
-            job_id: "42".into(),
-            user: "alice".into(),
-            hosts: (0..16).map(|h| format!("h{h}")).collect(),
-            extra_tags: (0..extra).map(|i| (format!("tag{i}"), format!("v{i}"))).collect(),
-        });
-        group.bench_with_input(
-            BenchmarkId::new("tags_on", 2 + extra),
-            &batch,
-            |b, batch| b.iter(|| black_box(router.handle_write(None, black_box(batch)))),
-        );
-        router.flush(std::time::Duration::from_secs(10));
-        server.shutdown();
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_tagstore, bench_enrichment);
+criterion_group!(benches, bench_tagstore);
 criterion_main!(benches);

@@ -11,34 +11,34 @@
 //! Escapes always use a single backslash. Unknown escape sequences are kept
 //! verbatim on unescape (matching InfluxDB's permissive behaviour).
 
+/// Appends `s` to `out` with a backslash before every byte of `special`.
+/// The runs between escapes are copied whole: every special byte is ASCII,
+/// so each split falls on a character boundary.
+fn escape_into(s: &str, special: &[u8], out: &mut String) {
+    let mut start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if special.contains(&b) {
+            out.push_str(&s[start..i]);
+            out.push('\\');
+            start = i;
+        }
+    }
+    out.push_str(&s[start..]);
+}
+
 /// Appends `s` to `out`, escaping `,` and space (measurement context).
 pub fn escape_measurement_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        if c == ',' || c == ' ' {
-            out.push('\\');
-        }
-        out.push(c);
-    }
+    escape_into(s, b", ", out);
 }
 
 /// Appends `s` to `out`, escaping `,`, `=` and space (tag/field-key context).
 pub fn escape_tag_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        if c == ',' || c == '=' || c == ' ' {
-            out.push('\\');
-        }
-        out.push(c);
-    }
+    escape_into(s, b",= ", out);
 }
 
 /// Appends `s` to `out`, escaping `"` and `\` (string field value context).
 pub fn escape_string_field_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        if c == '"' || c == '\\' {
-            out.push('\\');
-        }
-        out.push(c);
-    }
+    escape_into(s, b"\"\\", out);
 }
 
 /// Allocating convenience wrapper around [`escape_measurement_into`].

@@ -4,7 +4,7 @@
 //! Monitoring Stack. The paper (Sec. III-A) chooses it because it separates
 //! metric values from metric tags, concatenates into batches, and stays
 //! human-readable for debugging. Every LMS component speaks it: host agents
-//! emit it, the router parses/enriches/re-serializes it, the database ingests
+//! emit it, the router parses, enriches and forwards it, the database ingests
 //! it, and `libusermetric` buffers it.
 //!
 //! A line looks like:

@@ -3,8 +3,8 @@
 //! [`parse_line`] borrows the input: tag keys/values and field keys are
 //! `&str` slices of the original line when they contain no escapes, and only
 //! unescaped into owned strings on [`ParsedLine::to_point`]. The router's hot
-//! path (parse → look up hostname → append tags → re-emit) therefore touches
-//! the allocator only for lines that actually need enrichment.
+//! path (parse → look up hostname → splice tags into the received bytes,
+//! [`ParsedLine::fields_raw`]) therefore never materialises a line.
 //!
 //! [`parse_batch`] parses a newline-separated batch, *collecting* rather than
 //! propagating per-line errors: one malformed line must not poison a batch
@@ -43,9 +43,11 @@ pub struct ParsedLine<'a> {
     /// newline). Lets forwarders re-emit unmodified lines without
     /// re-serializing.
     pub raw: &'a str,
+    /// Where the field section starts in `raw`.
+    fields_at: usize,
 }
 
-impl ParsedLine<'_> {
+impl<'a> ParsedLine<'a> {
     /// Tag lookup by key.
     pub fn tag(&self, key: &str) -> Option<&str> {
         self.tags.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_ref())
@@ -78,17 +80,18 @@ impl ParsedLine<'_> {
         p
     }
 
+    /// The field section and timestamp exactly as received: `raw` after
+    /// the space that ends the tag section.
+    pub fn fields_raw(&self) -> &'a str {
+        &self.raw[self.fields_at..]
+    }
+
     /// Tags in canonical form: sorted by key, duplicate keys collapsed with
     /// the last occurrence winning — exactly the tag set
     /// [`to_point`](Self::to_point) would produce.
     pub fn canonical_tags(&self) -> Vec<(String, String)> {
-        let mut tags: Vec<(String, String)> = Vec::with_capacity(self.tags.len());
-        for (k, v) in &self.tags {
-            match tags.binary_search_by(|(existing, _)| existing.as_str().cmp(k.as_ref())) {
-                Ok(i) => tags[i].1 = v.as_ref().to_string(),
-                Err(i) => tags.insert(i, (k.as_ref().to_string(), v.as_ref().to_string())),
-            }
-        }
+        let mut tags = Vec::with_capacity(self.tags.len());
+        self.for_each_canonical_tag(|k, v| tags.push((k.to_string(), v.to_string())));
         tags
     }
 
@@ -101,6 +104,17 @@ impl ParsedLine<'_> {
     /// lines it has seen the series of before.
     pub fn series_key_into(&self, out: &mut String) {
         escape_measurement_into(self.measurement.as_ref(), out);
+        self.for_each_canonical_tag(|k, v| {
+            out.push(',');
+            escape_tag_into(k, out);
+            out.push('=');
+            escape_tag_into(v, out);
+        });
+    }
+
+    /// Calls `f` with each tag of the [canonical form](Self::canonical_tags),
+    /// in key order, unescaped. Allocates only for more than 16 tags.
+    pub fn for_each_canonical_tag(&self, mut f: impl FnMut(&str, &str)) {
         let n = self.tags.len();
         if n == 0 {
             return;
@@ -126,10 +140,7 @@ impl ParsedLine<'_> {
             if pos + 1 < n && self.tags[order[pos + 1]].0 == *k {
                 continue;
             }
-            out.push(',');
-            escape_tag_into(k.as_ref(), out);
-            out.push('=');
-            escape_tag_into(v.as_ref(), out);
+            f(k, v);
         }
     }
 }
@@ -235,6 +246,7 @@ fn parse_line_hinted(line: &str, tag_hint: usize, field_hint: usize) -> Result<P
         return Err(Error::protocol("missing field section"));
     }
     pos += 1;
+    let fields_at = pos;
 
     // --- fields ---
     let mut fields = Vec::with_capacity(field_hint);
@@ -297,7 +309,7 @@ fn parse_line_hinted(line: &str, tag_hint: usize, field_hint: usize) -> Result<P
         None
     };
 
-    Ok(ParsedLine { measurement, tags, fields, timestamp, raw: line })
+    Ok(ParsedLine { measurement, tags, fields, timestamp, raw: line, fields_at })
 }
 
 /// Result of parsing a batch: the good lines and the per-line errors.
@@ -490,6 +502,18 @@ mod tests {
         let p = parse_line("m,a=1,a=2 v=1").unwrap();
         assert_eq!(p.tags.len(), 2); // wire form preserved
         assert_eq!(p.to_point().tag("a"), Some("2")); // canonical form deduped
+    }
+
+    #[test]
+    fn fields_raw_is_the_received_field_section() {
+        for (line, fields) in [
+            ("m v=1", "v=1"),
+            ("m v=1 ", "v=1 "),
+            ("cpu,b=2,a=1 v=1.50,n=3i 77", "v=1.50,n=3i 77"),
+            (r#"my\ m,k\ x=a\ b s="x y, z=1",f\ k=t"#, r#"s="x y, z=1",f\ k=t"#),
+        ] {
+            assert_eq!(parse_line(line).unwrap().fields_raw(), fields, "{line}");
+        }
     }
 
     #[test]

@@ -11,6 +11,10 @@ pub(crate) const CTRL_UNSUB: &str = "\u{1}UNSUB";
 /// Frames larger than this are rejected (corrupt length guard).
 const MAX_FRAME: usize = 16 * 1024 * 1024;
 
+/// Buffer size of both ends of a connection: a burst of small frames
+/// crosses the socket in few system calls.
+pub(crate) const IO_BUFFER: usize = 64 * 1024;
+
 /// One pub/sub message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Message {
@@ -57,8 +61,16 @@ pub(crate) fn read_frame(r: &mut impl Read) -> Result<Option<Message>> {
         .position(|&b| b == 0)
         .ok_or_else(|| Error::protocol("frame missing topic separator"))?;
     let topic = std::str::from_utf8(&body[..sep])?.to_string();
-    let payload = body[sep + 1..].to_vec();
-    Ok(Some(Message { topic, payload }))
+    body.drain(..=sep);
+    Ok(Some(Message { topic, payload: body }))
+}
+
+/// True when `buf` starts with a whole frame.
+pub(crate) fn holds_frame(buf: &[u8]) -> bool {
+    match buf {
+        [a, b, c, d, body @ ..] => body.len() >= u32::from_be_bytes([*a, *b, *c, *d]) as usize,
+        _ => false,
+    }
 }
 
 /// Writes a pre-encoded frame.
@@ -80,6 +92,15 @@ mod tests {
         assert_eq!(m.topic, "job.start");
         assert_eq!(m.payload, b"payload bytes");
         assert!(read_frame(&mut cur).unwrap().is_none());
+    }
+
+    #[test]
+    fn holds_frame_needs_the_whole_frame() {
+        let frame = encode("t", b"payload").unwrap();
+        assert!(holds_frame(&frame));
+        assert!(!holds_frame(&frame[..frame.len() - 1]));
+        assert!(!holds_frame(&frame[..3]));
+        assert!(!holds_frame(&[]));
     }
 
     #[test]

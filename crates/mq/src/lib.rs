@@ -153,6 +153,30 @@ mod tests {
     }
 
     #[test]
+    fn burst_published_while_the_writer_is_blocked_arrives_complete_and_in_order() {
+        const FRAMES: usize = 10_000;
+        let p = Publisher::bind_with_hwm("127.0.0.1:0", FRAMES).unwrap();
+        let mut sub = Subscriber::connect(p.addr()).unwrap();
+        sub.subscribe("t").unwrap();
+        p.wait_for_subscribers(1, WAIT).unwrap();
+        // ≈ 20 MiB: more than the socket buffers hold, so with the
+        // subscriber not reading yet the writer blocks part-way through
+        // and the rest of the burst waits in its queue.
+        let filler = "x".repeat(2048);
+        for i in 0..FRAMES {
+            p.publish("t", format!("{i:05}{filler}").as_bytes());
+        }
+        assert_eq!(p.stats(), PublisherStats { published: FRAMES as u64, dropped: 0 });
+        for i in 0..FRAMES {
+            let m = sub.recv_timeout(WAIT).unwrap().expect("every frame of the burst");
+            assert_eq!(m.topic, "t");
+            assert_eq!(m.payload.len(), 5 + filler.len());
+            assert_eq!(&m.payload[..5], format!("{i:05}").as_bytes(), "frame {i} out of order");
+        }
+        assert!(sub.recv_timeout(Duration::from_millis(200)).unwrap().is_none());
+    }
+
+    #[test]
     fn binary_payloads_survive() {
         let p = Publisher::bind("127.0.0.1:0").unwrap();
         let mut sub = Subscriber::connect(p.addr()).unwrap();

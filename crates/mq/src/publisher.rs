@@ -1,6 +1,6 @@
 //! The PUB side: accept subscribers, fan out with per-subscriber queues.
 
-use crate::frame::{self, CTRL_SUB, CTRL_UNSUB};
+use crate::frame::{self, CTRL_SUB, CTRL_UNSUB, IO_BUFFER};
 use crossbeam_channel::{bounded, Sender, TrySendError};
 use lms_util::Result;
 use parking_lot::Mutex;
@@ -75,15 +75,14 @@ impl Publisher {
         self.addr
     }
 
-    /// Publishes one message: encode once, fan out to matching subscribers,
-    /// never block. Encoding errors (NUL in topic) are returned; delivery
+    /// Publishes one message: fan out to matching subscribers, never block.
+    /// The frame is encoded once, and only when some subscriber wants the
+    /// topic: a message nobody wants is counted and allocates nothing.
+    /// A topic that cannot be framed (NUL in it) is not sent; delivery
     /// failures are not errors, they are drops.
     pub fn publish(&self, topic: &str, payload: &[u8]) {
         self.shared.published.fetch_add(1, Ordering::Relaxed);
-        let frame = match frame::encode(topic, payload) {
-            Ok(f) => Arc::new(f),
-            Err(_) => return, // NUL in topic: cannot happen for LMS topics
-        };
+        let mut encoded: Option<Arc<Vec<u8>>> = None;
         let mut subs = self.shared.subscribers.lock();
         subs.retain(|s| !s.dead.load(Ordering::Acquire));
         for sub in subs.iter() {
@@ -91,7 +90,14 @@ impl Publisher {
             if !wants {
                 continue;
             }
-            match sub.queue.try_send(frame.clone()) {
+            let frame = match &encoded {
+                Some(frame) => Arc::clone(frame),
+                None => match frame::encode(topic, payload) {
+                    Ok(frame) => Arc::clone(encoded.insert(Arc::new(frame))),
+                    Err(_) => return, // NUL in topic: cannot happen for LMS topics
+                },
+            };
+            match sub.queue.try_send(frame) {
                 Ok(()) => {}
                 Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
                     self.shared.dropped.fetch_add(1, Ordering::Relaxed);
@@ -162,7 +168,9 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         let dead = Arc::new(AtomicBool::new(false));
         let (tx, rx) = bounded::<Arc<Vec<u8>>>(shared.hwm);
 
-        // Writer thread: drain the queue onto the socket.
+        // Writer thread: drain the queue onto the socket. Every frame
+        // already queued is written before the one flush, so a burst costs
+        // a write per buffer, not per frame.
         {
             let stream = match stream.try_clone() {
                 Ok(s) => s,
@@ -172,10 +180,13 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             std::thread::Builder::new()
                 .name("lms-mq-writer".into())
                 .spawn(move || {
-                    let mut w = std::io::BufWriter::new(stream);
-                    while let Ok(f) = rx.recv() {
-                        use std::io::Write as _;
-                        if frame::write_all(&mut w, &f).is_err() || w.flush().is_err() {
+                    use std::io::Write as _;
+                    let mut w = std::io::BufWriter::with_capacity(IO_BUFFER, stream);
+                    while let Ok(first) = rx.recv() {
+                        let written = std::iter::once(first)
+                            .chain(rx.try_iter())
+                            .try_for_each(|f| frame::write_all(&mut w, &f));
+                        if written.is_err() || w.flush().is_err() {
                             dead.store(true, Ordering::Release);
                             return;
                         }

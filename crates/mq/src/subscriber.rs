@@ -1,10 +1,14 @@
 //! The SUB side: connect, declare topic prefixes, receive.
 
-use crate::frame::{self, Message, CTRL_SUB, CTRL_UNSUB};
+use crate::frame::{self, Message, CTRL_SUB, CTRL_UNSUB, IO_BUFFER};
 use lms_util::{Error, Result};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
+
+/// How long the rest of a frame may take once its first byte arrived
+/// (frames are small; the publisher writes them whole).
+const FRAME_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// A subscriber connection to one [`Publisher`](crate::Publisher).
 ///
@@ -14,6 +18,9 @@ use std::time::Duration;
 pub struct Subscriber {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    /// The read timeout the socket has now, so a receive changes it only
+    /// when it differs.
+    timeout: Option<Duration>,
 }
 
 impl Subscriber {
@@ -25,8 +32,16 @@ impl Subscriber {
             .ok_or_else(|| Error::config("address resolved to nothing"))?;
         let stream = TcpStream::connect_timeout(&addr, Duration::from_secs(5))?;
         stream.set_nodelay(true)?;
-        let reader = BufReader::new(stream.try_clone()?);
-        Ok(Subscriber { reader, writer: stream })
+        let reader = BufReader::with_capacity(IO_BUFFER, stream.try_clone()?);
+        Ok(Subscriber { reader, writer: stream, timeout: None })
+    }
+
+    fn set_timeout(&mut self, timeout: Option<Duration>) -> Result<()> {
+        if self.timeout != timeout {
+            self.reader.get_ref().set_read_timeout(timeout)?;
+            self.timeout = timeout;
+        }
+        Ok(())
     }
 
     /// Subscribes to a topic prefix. The empty string matches everything.
@@ -52,24 +67,30 @@ impl Subscriber {
     /// Returns `Ok(None)` on timeout; `Err` when the publisher went away.
     pub fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Message>> {
         use std::io::BufRead as _;
-        // Peek (without consuming) so a timeout cannot strand us mid-frame.
-        self.reader.get_ref().set_read_timeout(Some(timeout))?;
-        match self.reader.fill_buf() {
-            Ok([]) => return Err(Error::protocol("publisher closed the connection")),
-            Ok(_) => {}
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                return Ok(None)
+        // Wait only when nothing is buffered: frames that arrived in one
+        // read are then taken one by one without a socket call.
+        if self.reader.buffer().is_empty() {
+            // Peek (without consuming) so a timeout cannot strand us mid-frame.
+            self.set_timeout(Some(timeout))?;
+            match self.reader.fill_buf() {
+                Ok([]) => return Err(Error::protocol("publisher closed the connection")),
+                Ok(_) => {}
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    ) =>
+                {
+                    return Ok(None)
+                }
+                Err(e) => return Err(e.into()),
             }
-            Err(e) => return Err(e.into()),
         }
-        // A frame has started arriving: finish reading it with a generous
-        // timeout (frames are small; the publisher writes them atomically).
-        self.reader.get_ref().set_read_timeout(Some(Duration::from_secs(30)))?;
+        // A frame has started arriving: the socket is read again only if
+        // part of it is still on its way.
+        if !frame::holds_frame(self.reader.buffer()) {
+            self.set_timeout(Some(FRAME_TIMEOUT))?;
+        }
         match frame::read_frame(&mut self.reader)? {
             Some(m) => Ok(Some(m)),
             None => Err(Error::protocol("publisher closed the connection")),
@@ -78,7 +99,7 @@ impl Subscriber {
 
     /// Receives, blocking indefinitely.
     pub fn recv(&mut self) -> Result<Message> {
-        self.reader.get_ref().set_read_timeout(None)?;
+        self.set_timeout(None)?;
         match frame::read_frame(&mut self.reader)? {
             Some(m) => Ok(m),
             None => Err(Error::protocol("publisher closed the connection")),

@@ -108,12 +108,16 @@ impl ClusterForwarder {
 
     /// A fresh per-db batch accumulator routed over this cluster.
     pub fn batch(&self, db: &str) -> RoutedBatch<'_> {
+        // A lone node owns every line; with more, `place` sets the owners
+        // before each push.
+        let mut owners = Vec::with_capacity(self.replication);
+        owners.push(0);
         RoutedBatch {
             cluster: self,
             db: db.to_string(),
             builders: (0..self.nodes.len()).map(|_| BatchBuilder::new()).collect(),
-            owners: Vec::with_capacity(self.replication),
-            key: String::with_capacity(64),
+            owners,
+            key: String::new(),
         }
     }
 
@@ -230,6 +234,7 @@ impl ClusterForwarder {
 /// Per-db, per-node batch accumulator: lines are pushed once and copied
 /// into the builder of each of their R owners; `submit` enqueues every
 /// non-empty node-batch and reports whether the write quorum was met.
+/// A lone node owns every line, so there no series key is built or hashed.
 pub struct RoutedBatch<'a> {
     cluster: &'a ClusterForwarder,
     db: String,
@@ -239,34 +244,50 @@ pub struct RoutedBatch<'a> {
 }
 
 impl RoutedBatch<'_> {
-    /// Resolves `self.owners` for the line whose series key `write_key`
-    /// appends. A lone node owns every line, so there the key is neither
-    /// built nor hashed.
-    fn place(&mut self, write_key: impl FnOnce(&mut String)) {
-        if self.builders.len() == 1 {
-            self.owners.clear();
-            self.owners.push(0);
-            return;
-        }
-        self.key.clear();
-        write_key(&mut self.key);
-        let hash = fx_hash(&(self.db.as_str(), self.key.as_str()));
+    fn single(&self) -> bool {
+        self.builders.len() == 1
+    }
+
+    /// Sets `self.owners` to the owners of the series `key`.
+    fn place(&mut self, key: &str) {
+        let hash = fx_hash(&(self.db.as_str(), key));
         self.cluster.ring.owners_into(hash, self.cluster.replication, &mut self.owners);
     }
 
-    /// Routes a parsed line verbatim (the enrichment-free fast path).
+    /// Routes a parsed line verbatim.
     pub fn push_raw(&mut self, line: &ParsedLine) {
-        self.place(|key| line.series_key_into(key));
-        for i in 0..self.owners.len() {
-            self.builders[self.owners[i]].push_raw(line.raw);
+        if !self.single() {
+            let mut key = std::mem::take(&mut self.key);
+            key.clear();
+            line.series_key_into(&mut key);
+            self.place(&key);
+            self.key = key;
+        }
+        self.push_line_to_owners(line.raw);
+    }
+
+    /// Routes `line`, whose canonical series key is `key` (enriched and
+    /// re-stamped lines, spliced by the router).
+    pub fn push_line(&mut self, line: &str, key: &str) {
+        if !self.single() {
+            self.place(key);
+        }
+        self.push_line_to_owners(line);
+    }
+
+    fn push_line_to_owners(&mut self, line: &str) {
+        for &i in &self.owners {
+            self.builders[i].push_raw(line);
         }
     }
 
-    /// Routes a materialized point (enriched / re-stamped lines, events).
+    /// Routes a materialized point (signal events).
     pub fn push_point(&mut self, point: &Point) {
-        self.place(|key| key.push_str(&point.series_key()));
-        for i in 0..self.owners.len() {
-            self.builders[self.owners[i]].push(point);
+        if !self.single() {
+            self.place(&point.series_key());
+        }
+        for &i in &self.owners {
+            self.builders[i].push(point);
         }
     }
 

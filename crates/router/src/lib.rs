@@ -45,4 +45,4 @@ pub use lms_cluster::ClusterConfig;
 pub use repair::RepairOutcome;
 pub use router::{Router, RouterConfig, RouterStats, WriteOutcome};
 pub use server::RouterServer;
-pub use tagstore::{JobSignal, TagStore};
+pub use tagstore::{JobSignal, JobTags, TagStore};

@@ -3,16 +3,19 @@
 use crate::breaker::{BreakerConfig, BreakerState};
 use crate::delivery::{ClusterForwarder, DestinationStats, RoutedBatch};
 use crate::forward::{ForwardConfig, ForwardStats};
-use crate::tagstore::{JobSignal, TagStore};
+use crate::tagstore::{JobSignal, JobTags, TagStore};
 use lms_cluster::{merge_results, ClusterConfig, PartialPlan};
 use lms_http::{Request, Response};
 use lms_influx::query::Select;
 use lms_influx::{InfluxClient, QueryResult};
-use lms_lineproto::{parse_batch, Point};
+use lms_lineproto::escape::{escape_measurement_into, escape_tag_into};
+use lms_lineproto::{parse_batch, ParsedLine, Point};
 use lms_mq::Publisher;
+use lms_rollup::Tier;
 use lms_spool::SpoolConfig;
 use lms_util::{Clock, Error, FxHashMap, Result};
 use parking_lot::RwLock;
+use std::fmt::Write as _;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -221,104 +224,85 @@ impl Router {
 
     /// Handles an incoming line-protocol batch (the `/write` endpoint).
     ///
-    /// Each line is enriched with its host's job tags, stamped with the
-    /// router clock when it carries no timestamp, routed to its series'
-    /// owner node(s), duplicated per user when enabled, and published on
-    /// the queue. Malformed lines are skipped and counted.
+    /// Each line is handled once. A line whose host runs a job, that
+    /// carries no timestamp, or whose tag keys are out of order or repeat,
+    /// is rewritten (spliced): tags in key order with the job's
+    /// merged in, the router clock's time appended when it has none. Any
+    /// other line stays the received bytes. That one text is routed to its
+    /// series' owner node(s), duplicated into its user's database when
+    /// enabled, and published on the queue. Malformed lines are skipped
+    /// and counted.
     pub fn handle_write(&self, db: Option<&str>, body: &str) -> WriteOutcome {
         let parsed = parse_batch(body);
         let rejected = parsed.errors.len();
         self.lines_rejected.fetch_add(rejected as u64, Ordering::Relaxed);
-        if parsed.lines.is_empty() {
-            return WriteOutcome { accepted: 0, rejected, acked: true };
+        let accepted = parsed.lines.len();
+        if accepted == 0 {
+            return WriteOutcome { accepted, rejected, acked: true };
         }
-        self.lines_in.fetch_add(parsed.lines.len() as u64, Ordering::Relaxed);
+        self.lines_in.fetch_add(accepted as u64, Ordering::Relaxed);
 
         let default_ts = self.clock.now().nanos();
-        let global_db = db.unwrap_or(&self.config.global_db).to_string();
-        let mut accepted = 0usize;
-        let mut global = self.delivery.batch(&global_db);
-        let mut per_user: FxHashMap<String, RoutedBatch<'_>> = FxHashMap::default();
+        let global_db = db.unwrap_or(&self.config.global_db);
+        let mut global = self.delivery.batch(global_db);
         // Per-user duplication follows the tier: rollup rows bound for
         // `X__rollup_1m` land in `user_<name>__rollup_1m`, keeping each
         // user slice's raw and tier databases as clean siblings.
-        let user_tier = lms_rollup::base_db_of(&global_db).map(|(_, tier)| tier);
-        let mut enriched_count = 0u64;
-
-        {
+        let user_tier = lms_rollup::base_db_of(global_db).map(|(_, tier)| tier);
+        let mut spliced = String::new();
+        let mut topic = String::new();
+        let mut enriched = 0u64;
+        let per_user: Vec<RoutedBatch<'_>> = {
             let tags = self.tags.read();
+            let mut per_user: FxHashMap<&str, RoutedBatch<'_>> = FxHashMap::default();
             for line in &parsed.lines {
-                // Pass-through fast path: a line that already carries a
-                // timestamp, whose host has no job entry, and that per-user
-                // duplication would not touch is forwarded byte-for-byte —
-                // no Point materialization, no re-serialization. (With
-                // more than one node the series key is still hashed for
-                // placement, but the raw bytes are never re-serialized.)
-                if line.timestamp.is_some()
-                    && !self.config.per_user
-                    && line.hostname().is_none_or(|host| tags.tags_of(host).is_empty())
-                {
+                let job = line.hostname().and_then(|host| tags.job_tags(host));
+                // Agents send their tags sorted; strictly ascending keys
+                // also means no key repeats.
+                let canonical = line.tags.windows(2).all(|pair| pair[0].0 < pair[1].0);
+                if job.is_none() && line.timestamp.is_some() && canonical {
                     global.push_raw(line);
-                    accepted += 1;
-                    if let Some(publisher) = &self.publisher {
-                        publisher.publish(
-                            &format!("metrics.{}", line.measurement),
-                            line.raw.as_bytes(),
-                        );
-                    }
+                    self.publish_metric(&mut topic, &line.measurement, line.raw);
                     continue;
                 }
-                let mut point: Point = line.to_point();
-                if point.timestamp().is_none() {
-                    point.set_timestamp(default_ts);
-                }
-                let mut user: Option<String> = None;
-                if let Some(host) = line.hostname() {
-                    let job_tags = tags.tags_of(host);
-                    if !job_tags.is_empty() {
-                        enriched_count += 1;
-                        for (k, v) in job_tags {
-                            point.add_tag(k.as_str(), v.as_str());
-                            if k == "user" {
-                                user = Some(v.clone());
-                            }
-                        }
-                    }
-                }
-                global.push_point(&point);
-                accepted += 1;
-                if self.config.per_user {
-                    if let Some(user) = user {
-                        let user_db = match user_tier {
-                            Some(tier) => {
-                                lms_rollup::rollup_db_name(&format!("user_{user}"), tier)
-                            }
-                            None => format!("user_{user}"),
-                        };
+                spliced.clear();
+                let key_len = splice_line(line, job, default_ts, &mut spliced);
+                let key = &spliced[..key_len];
+                global.push_line(&spliced, key);
+                if let Some(job) = job {
+                    enriched += 1;
+                    if let Some(user) = job.user().filter(|_| self.config.per_user) {
                         per_user
-                            .entry(user_db)
-                            .or_insert_with_key(|user_db| self.delivery.batch(user_db))
-                            .push_point(&point);
+                            .entry(user)
+                            .or_insert_with(|| self.delivery.batch(&user_db(user, user_tier)))
+                            .push_line(&spliced, key);
                     }
                 }
-                if let Some(publisher) = &self.publisher {
-                    publisher.publish(
-                        &format!("metrics.{}", point.measurement()),
-                        point.to_line().as_bytes(),
-                    );
-                }
+                self.publish_metric(&mut topic, &line.measurement, &spliced);
             }
-        }
-        self.lines_enriched.fetch_add(enriched_count, Ordering::Relaxed);
+            per_user.into_values().collect()
+        };
+        self.lines_enriched.fetch_add(enriched, Ordering::Relaxed);
 
         let mut acked = global.submit();
-        for (_, batch) in per_user {
+        for batch in per_user {
             acked &= batch.submit();
         }
         if !acked {
             self.quorum_failures.fetch_add(1, Ordering::Relaxed);
         }
         WriteOutcome { accepted, rejected, acked }
+    }
+
+    /// Publishes one routed line under `metrics.<measurement>`; the topic
+    /// is written into `topic`, one buffer per request.
+    fn publish_metric(&self, topic: &mut String, measurement: &str, line: &str) {
+        if let Some(publisher) = &self.publisher {
+            topic.clear();
+            topic.push_str("metrics.");
+            topic.push_str(measurement);
+            publisher.publish(topic, line.as_bytes());
+        }
     }
 
     /// Scatter-gather read over the cluster (the `/query` endpoint).
@@ -524,12 +508,8 @@ impl Router {
             let mut tags = self.tags.write();
             let hosts = tags.hosts_of(job_id).map(<[String]>::to_vec);
             let user = hosts.as_ref().and_then(|h| {
-                h.first().and_then(|host| {
-                    tags.tags_of(host)
-                        .iter()
-                        .find(|(k, _)| k == "user")
-                        .map(|(_, v)| v.clone())
-                })
+                let job = tags.job_tags(h.first()?)?;
+                job.user().map(str::to_string)
             });
             tags.job_end(job_id);
             hosts.map(|h| (h, user.unwrap_or_default()))
@@ -604,6 +584,60 @@ impl Router {
     /// In-flight replays are always waited for.
     pub fn flush_or_hinted(&self, timeout: std::time::Duration) -> bool {
         self.delivery.flush_or_hinted(timeout)
+    }
+}
+
+/// Writes `line` as the router forwards it and returns the length of its
+/// canonical series key, which is what the text begins with: the
+/// measurement, then the line's tags merged in key order with the job's (a
+/// job tag replaces a line tag of the same key, and of a repeated line key
+/// the last wins), then the received fields and timestamp verbatim, with
+/// ` <default_ts>` appended when the line carries no timestamp.
+fn splice_line(
+    line: &ParsedLine<'_>,
+    job: Option<&JobTags>,
+    default_ts: i64,
+    out: &mut String,
+) -> usize {
+    let (job_tags, job_wire) = job.map_or((&[][..], &[][..]), |j| (j.pairs(), j.wire()));
+    escape_measurement_into(&line.measurement, out);
+    let mut next = 0;
+    line.for_each_canonical_tag(|k, v| {
+        while next < job_tags.len() && job_tags[next].0.as_str() <= k {
+            out.push_str(&job_wire[next]);
+            next += 1;
+            if job_tags[next - 1].0 == k {
+                return;
+            }
+        }
+        out.push(',');
+        escape_tag_into(k, out);
+        out.push('=');
+        escape_tag_into(v, out);
+    });
+    for wire in &job_wire[next..] {
+        out.push_str(wire);
+    }
+    let key_len = out.len();
+    out.push(' ');
+    let fields = line.fields_raw();
+    match line.timestamp {
+        Some(_) => out.push_str(fields),
+        None => {
+            // A line without a timestamp may end in the space before it.
+            let _ = write!(out, "{} {default_ts}", fields.trim_end());
+        }
+    }
+    key_len
+}
+
+/// The per-user database a job's line is duplicated into: `user_<name>`,
+/// or its tier sibling for a write bound for a rollup tier.
+fn user_db(user: &str, tier: Option<Tier>) -> String {
+    let db = format!("user_{user}");
+    match tier {
+        Some(tier) => lms_rollup::rollup_db_name(&db, tier),
+        None => db,
     }
 }
 

@@ -11,7 +11,9 @@
 //! an occupied host replaces the mapping and the stale job's end signal
 //! then leaves the newer mapping alone.
 
+use lms_lineproto::escape::escape_tag_into;
 use lms_util::FxHashMap;
+use std::sync::Arc;
 
 /// A parsed job lifecycle signal.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,11 +28,70 @@ pub struct JobSignal {
     pub extra_tags: Vec<(String, String)>,
 }
 
+/// One job's tags as the router attaches them: one value per key, sorted by
+/// key, each also pre-rendered as the `,key=value` text (wire-escaped) the
+/// write path splices into a line.
+#[derive(Debug)]
+pub struct JobTags {
+    pairs: Vec<(String, String)>,
+    wire: Vec<String>,
+}
+
+impl JobTags {
+    /// `jobid`, `user` and the signal's extra tags. An extra tag cannot
+    /// replace `jobid`, `user` or `hostname`; of repeated extra keys the
+    /// last wins.
+    fn of(signal: &JobSignal) -> Self {
+        let extras = signal
+            .extra_tags
+            .iter()
+            .filter(|(k, _)| !matches!(k.as_str(), "jobid" | "user" | "hostname"))
+            .map(|(k, v)| (k.as_str(), v));
+        let reserved = [("jobid", &signal.job_id), ("user", &signal.user)];
+        let mut pairs: Vec<(String, String)> = Vec::with_capacity(2 + signal.extra_tags.len());
+        for (k, v) in reserved.into_iter().chain(extras) {
+            match pairs.binary_search_by(|(key, _)| key.as_str().cmp(k)) {
+                Ok(i) => pairs[i].1.clone_from(v),
+                Err(i) => pairs.insert(i, (k.to_string(), v.clone())),
+            }
+        }
+        let wire = pairs
+            .iter()
+            .map(|(k, v)| {
+                let mut w = String::with_capacity(k.len() + v.len() + 2);
+                w.push(',');
+                escape_tag_into(k, &mut w);
+                w.push('=');
+                escape_tag_into(v, &mut w);
+                w
+            })
+            .collect();
+        JobTags { pairs, wire }
+    }
+
+    /// `(key, value)` pairs, ascending by key.
+    pub fn pairs(&self) -> &[(String, String)] {
+        &self.pairs
+    }
+
+    /// Each pair as `,key=value` with wire escaping, in the order of
+    /// [`pairs`](Self::pairs).
+    pub fn wire(&self) -> &[String] {
+        &self.wire
+    }
+
+    /// The job's `user` tag.
+    pub fn user(&self) -> Option<&str> {
+        let i = self.pairs.binary_search_by(|(k, _)| k.as_str().cmp("user")).ok()?;
+        Some(&self.pairs[i].1)
+    }
+}
+
 #[derive(Debug, Clone)]
 struct HostEntry {
     job_id: String,
-    /// Fully materialized tag set for this host (jobid, user, extras).
-    tags: Vec<(String, String)>,
+    /// The job's tag set, shared by all its hosts.
+    tags: Arc<JobTags>,
 }
 
 /// Hostname-keyed tag store.
@@ -53,18 +114,11 @@ impl TagStore {
     /// clears the previous host mapping so no stale host keeps the tags.
     pub fn job_start(&mut self, signal: &JobSignal) {
         self.job_end(&signal.job_id);
-        let mut tags = Vec::with_capacity(2 + signal.extra_tags.len());
-        tags.push(("jobid".to_string(), signal.job_id.clone()));
-        tags.push(("user".to_string(), signal.user.clone()));
-        for (k, v) in &signal.extra_tags {
-            if k != "jobid" && k != "user" && k != "hostname" {
-                tags.push((k.clone(), v.clone()));
-            }
-        }
+        let tags = Arc::new(JobTags::of(signal));
         for host in &signal.hosts {
             self.hosts.insert(
                 host.clone(),
-                HostEntry { job_id: signal.job_id.clone(), tags: tags.clone() },
+                HostEntry { job_id: signal.job_id.clone(), tags: Arc::clone(&tags) },
             );
         }
         self.jobs.insert(signal.job_id.clone(), signal.hosts.clone());
@@ -82,9 +136,15 @@ impl TagStore {
         }
     }
 
-    /// The tags of a host (empty slice when no job runs there).
+    /// The tags of a host, sorted by key (empty slice when no job runs
+    /// there).
     pub fn tags_of(&self, hostname: &str) -> &[(String, String)] {
-        self.hosts.get(hostname).map(|e| e.tags.as_slice()).unwrap_or(&[])
+        self.job_tags(hostname).map_or(&[], JobTags::pairs)
+    }
+
+    /// The job tags of a host, `None` when no job runs there.
+    pub fn job_tags(&self, hostname: &str) -> Option<&JobTags> {
+        self.hosts.get(hostname).map(|e| &*e.tags)
     }
 
     /// The job currently on a host.
@@ -136,6 +196,25 @@ mod tests {
         assert!(ts.tags_of("h3").is_empty());
         assert_eq!(ts.job_of("h1"), Some("42"));
         assert_eq!(ts.hosts_of("42").unwrap().len(), 2);
+    }
+
+    #[test]
+    fn job_tags_are_sorted_unique_and_pre_escaped() {
+        let mut s = signal("42", "alice", &["h1"]);
+        s.extra_tags = vec![
+            ("queue".into(), "a b".into()),
+            ("acct".into(), "x=1,y".into()),
+            ("queue".into(), "c".into()),
+        ];
+        let mut ts = TagStore::new();
+        ts.job_start(&s);
+        let job = ts.job_tags("h1").unwrap();
+        let pairs: Vec<(&str, &str)> =
+            job.pairs().iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
+        assert_eq!(pairs, [("acct", "x=1,y"), ("jobid", "42"), ("queue", "c"), ("user", "alice")]);
+        assert_eq!(job.wire(), [r",acct=x\=1\,y", ",jobid=42", ",queue=c", ",user=alice"]);
+        assert_eq!(job.user(), Some("alice"));
+        assert!(ts.job_tags("h2").is_none());
     }
 
     #[test]
