@@ -6,7 +6,7 @@
 //! point of loss. Cluster mode spreads series across N database nodes with
 //! R-way replication: the router hashes each line's **series key** (db +
 //! measurement + canonical tag set) onto a seeded rendezvous ring
-//! ([`ring::HashRing`]) and fans the line to its R owners. Writes ack at a
+//! ([`HashRing`]) and fans the line to its R owners. Writes ack at a
 //! configurable write quorum W; a down replica's share lands in that
 //! replica's on-disk spool as a *hinted handoff* and replays once the node
 //! answers `/ping` again. A SELECT scatters in its partial form: every node
@@ -23,7 +23,6 @@
 
 pub mod merge;
 pub mod partial;
-pub mod ring;
 
 /// Anti-entropy digest vocabulary — lives in `lms-util` (so storage nodes
 /// can compute digests without a cluster dependency), re-exported here
@@ -33,7 +32,7 @@ pub use lms_util::digest;
 pub use digest::{diff_digests, BucketDigest, RepairTask, DIGEST_BUCKET_NS};
 pub use merge::merge_results;
 pub use partial::{partial_plan, PartialPlan};
-pub use ring::HashRing;
+pub use lms_util::ring::HashRing;
 
 use lms_util::{Error, Result};
 use std::net::SocketAddr;

@@ -589,7 +589,7 @@ impl LmsStack {
             }
         }
         self.ticks += 1;
-        // Retention sweep once per simulated hour (cheap; see bench influx).
+        // Retention sweep once per simulated hour (cheap: whole-file drops).
         if (self.config.retention.is_some() || self.config.rollup.is_some())
             && self.ticks.is_multiple_of(60)
         {

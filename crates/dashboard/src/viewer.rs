@@ -46,11 +46,6 @@ impl ViewerAgent {
         ViewerAgent { db: db.to_string(), store, peaks }
     }
 
-    /// The template store (for registering site templates).
-    pub fn templates_mut(&mut self) -> &mut TemplateStore {
-        &mut self.store
-    }
-
     /// Generates the dashboard for one job: evaluation header (Fig. 2) +
     /// one templated row per available metric family + generic panels for
     /// application-level measurements (Sec. IV) discovered in the database.

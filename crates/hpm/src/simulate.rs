@@ -275,7 +275,7 @@ impl WorkloadModel {
     }
 }
 
-/// Ready-made workload shapes used by examples, tests and benches.
+/// Ready-made workload shapes used by examples, tests and `benchmark/`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkloadPreset {
     /// DGEMM-like: near-peak FLOP/s, low bandwidth.

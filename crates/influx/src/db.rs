@@ -45,6 +45,7 @@ use crate::storage::{lww_dedup, Series};
 use index::{shrink_sparse_map, MeasurementIndex};
 use lms_lineproto::{parse_batch, FieldValue, Point, Precision};
 use lms_rollup::{align_down, align_up, is_rollup_db, rollup_db_name, Tier, TIERS};
+use lms_tsm::wal::MAX_BATCH_BYTES;
 use lms_tsm::{
     Agg, BlockEntry, Recovered, ScrubOutcome, Scrubber, SealedBlock, SeriesId, TsmConfig, TsmEngine,
 };
@@ -1069,8 +1070,9 @@ struct Inner {
     /// Downsampling policy; `None` disables the rollup pipeline entirely.
     rollup: Option<RollupPolicy>,
     /// Which tiers queries may read from: `None` = every available tier
-    /// (the default); `Some(vec![])` forces raw-only. Tests and benches
-    /// flip this to compare tier-served against raw-decoded answers.
+    /// (the default); `Some(vec![])` forces raw-only. Tests and
+    /// `benchmark/` flip this to compare tier-served against raw-decoded
+    /// answers.
     query_tiers: Option<Vec<Tier>>,
 }
 
@@ -1257,7 +1259,7 @@ impl Influx {
 
     /// Restricts which rollup tiers queries may consult: `None` = every
     /// available tier (the default), `Some(vec![])` = raw only. Tests and
-    /// benches flip this to compare tier-served against raw answers.
+    /// `benchmark/` flip this to compare tier-served against raw answers.
     pub fn set_query_tiers(&self, tiers: Option<Vec<Tier>>) {
         self.inner.write().query_tiers = tiers;
     }
@@ -1495,8 +1497,10 @@ impl Influx {
 
     /// Writes a line-protocol batch. Malformed lines are counted and
     /// skipped, not fatal (the paper's stack must survive a misbehaving
-    /// collector). Fails only when the database does not exist and
-    /// auto-create is off.
+    /// collector). Fails when the database does not exist and auto-create
+    /// is off, and with `Error::Invalid` when the batch, each line given its
+    /// timestamp, is too large for one WAL record; a refused batch leaves
+    /// nothing in memory.
     ///
     /// The whole batch goes through [`Database::write_parsed_batch`], and
     /// the WAL append joins a group commit shared with concurrent batches.
@@ -1524,32 +1528,38 @@ impl Influx {
                 .first()
                 .map(|(line, e)| (*line, e.to_string())),
         };
-        outcome.written = database.write_parsed_batch(&parsed.lines, opts, default_ts);
         // Durability: the batch is applied in memory first, then logged.
         // The WAL batch is normalized — every line carries its resolved
         // nanosecond timestamp — so replay after a crash is deterministic
         // and idempotent (re-applying overwrites with identical values).
-        if let Some(engine) = database.engine() {
-            if !parsed.lines.is_empty() && !degraded {
-                let mut wal_batch = String::with_capacity(batch.len() + 16);
-                for line in &parsed.lines {
-                    if line.timestamp.is_some()
-                        && matches!(opts.precision, Precision::Nanoseconds)
-                    {
-                        wal_batch.push_str(line.raw);
-                    } else {
-                        let ts = line
-                            .timestamp
-                            .map(|t| opts.precision.to_nanos(t))
-                            .unwrap_or(default_ts);
-                        let mut point = line.to_point();
-                        point.set_timestamp(ts);
-                        wal_batch.push_str(&point.to_line());
-                    }
-                    wal_batch.push('\n');
+        // It is built before the batch is applied, so one that cannot be
+        // logged is refused whole.
+        let mut wal_batch = String::new();
+        if database.engine().is_some() && !parsed.lines.is_empty() && !degraded {
+            wal_batch.reserve(batch.len() + 16);
+            for line in &parsed.lines {
+                if line.timestamp.is_some() && matches!(opts.precision, Precision::Nanoseconds) {
+                    wal_batch.push_str(line.raw);
+                } else {
+                    let ts =
+                        line.timestamp.map(|t| opts.precision.to_nanos(t)).unwrap_or(default_ts);
+                    let mut point = line.to_point();
+                    point.set_timestamp(ts);
+                    wal_batch.push_str(&point.to_line());
                 }
-                engine.append_wal(&wal_batch, parsed.lines.len() as u64)?;
+                wal_batch.push('\n');
             }
+            if wal_batch.len() > MAX_BATCH_BYTES {
+                return Err(Error::invalid(format!(
+                    "the batch takes {} bytes with its timestamps, over the \
+                     {MAX_BATCH_BYTES}-byte WAL record limit: split it",
+                    wal_batch.len()
+                )));
+            }
+        }
+        outcome.written = database.write_parsed_batch(&parsed.lines, opts, default_ts);
+        if let Some(engine) = database.engine().filter(|_| !wal_batch.is_empty()) {
+            engine.append_wal(&wal_batch, parsed.lines.len() as u64)?;
         }
         Ok(outcome)
     }

@@ -54,8 +54,8 @@ pub use query::Statement;
 pub use storage::Scan;
 pub use server::InfluxServer;
 
-/// The persistent storage engine (re-exported for direct use in tests,
-/// benches, and tooling).
+/// The persistent storage engine (re-exported for direct use in tests and
+/// tooling).
 pub use lms_tsm as tsm;
 
 /// The downsampling tier vocabulary (re-exported so callers configuring

@@ -158,6 +158,10 @@ fn handle(influx: &Influx, req: Request) -> Response {
                 Err(e @ lms_util::Error::Unavailable(_)) => {
                     Response::service_unavailable(&e.to_string(), 5)
                 }
+                // Too large for one WAL record: refused whole.
+                Err(e @ lms_util::Error::Invalid(_)) => {
+                    Response::json(413, error_json(&e.to_string()))
+                }
                 Err(e) => Response::json(404, error_json(&e.to_string())),
             }
         }
@@ -678,6 +682,32 @@ mod tests {
         assert_eq!(c.get("/metrics?db=ghost").unwrap().status, 404);
         assert_eq!(c.get("/labels/cpu?db=ghost").unwrap().status, 404);
         server.shutdown();
+    }
+
+    /// Untimestamped lines whose body fits the HTTP cap, but which pass the
+    /// WAL record limit once each line carries its ` <ns>` timestamp. The
+    /// batch is refused whole, and the database keeps taking writes.
+    #[test]
+    fn a_write_too_large_for_one_wal_record_is_refused_whole_with_413() {
+        let dir = std::env::temp_dir().join(format!("lms-influx-oversized-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let clock = Clock::simulated(Timestamp::from_secs(1_700_000_000));
+        let influx = Influx::open(clock, 4, crate::StorageConfig::new(&dir)).unwrap();
+        let line = format!("m v=\"{}\"\n", "x".repeat(1000));
+        let lines = ServerConfig::default().max_body_bytes / line.len();
+        let mut write = Request::new("POST", "/write?db=lms");
+        write.body = line.repeat(lines).into_bytes();
+        let r = handle(&influx, write);
+        assert_eq!(r.status, 413, "{}", r.body_str());
+
+        let mut write = Request::new("POST", "/write?db=lms");
+        write.body = b"m v=\"small\" 5".to_vec();
+        assert_eq!(handle(&influx, write).status, 204);
+        let r = handle(&influx, Request::new("GET", "/query?db=lms&q=SELECT%20v%20FROM%20m"));
+        let json = Json::parse(&r.body_str()).unwrap();
+        let values = json.get("results").unwrap().idx(0).unwrap().get("series").unwrap().idx(0);
+        assert_eq!(values.unwrap().get("values").unwrap().to_string(), r#"[[5,"small"]]"#);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -410,7 +410,7 @@ impl Column {
         std::mem::take(&mut self.head)
     }
 
-    /// The mutable head contents (bench/test introspection).
+    /// The mutable head contents.
     pub fn head(&self) -> &[(i64, FieldValue)] {
         &self.head
     }

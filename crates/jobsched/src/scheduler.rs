@@ -143,7 +143,7 @@ pub struct Scheduler {
     next_id: JobId,
     clock: Clock,
     hooks: Vec<Box<dyn SchedulerHook>>,
-    /// Enable backfill (on by default; the ablation bench toggles it).
+    /// Enable backfill (on by default).
     backfill: bool,
 }
 
@@ -173,7 +173,7 @@ impl Scheduler {
         self.hooks.push(hook);
     }
 
-    /// Disables backfill (pure FCFS).
+    /// Turns backfill on or off (off = pure FCFS).
     pub fn set_backfill(&mut self, enabled: bool) {
         self.backfill = enabled;
     }

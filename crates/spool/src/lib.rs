@@ -34,7 +34,7 @@ pub mod frame;
 
 pub use frame::Record;
 
-use lms_util::Result;
+use lms_util::{Error, Result};
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -213,8 +213,18 @@ impl Spool {
         })
     }
 
-    /// Durably appends one batch. Rotates and evicts as configured.
+    /// Durably appends one batch. Rotates and evicts as configured. A
+    /// record one frame cannot hold — a payload over [`frame::MAX_PAYLOAD`]
+    /// or a db name over `u16::MAX` bytes — is refused with
+    /// `Error::Invalid`.
     pub fn append(&self, db: &str, body: &str) -> Result<()> {
+        let payload = frame::encoded_len(db, body) - frame::HEADER_LEN;
+        if payload > frame::MAX_PAYLOAD || db.len() > u16::MAX as usize {
+            return Err(Error::invalid(format!(
+                "a record of {payload} bytes (db name {} bytes) does not fit one spool frame",
+                db.len()
+            )));
+        }
         let inner = &mut *self.inner.lock().expect("spool lock");
         if inner.active.is_none() {
             let seq = inner.next_seq;
@@ -419,6 +429,21 @@ mod tests {
 
     fn small(dir: &PathBuf) -> SpoolConfig {
         SpoolConfig { segment_bytes: 0, max_bytes: 0, ..SpoolConfig::new(dir) }
+    }
+
+    #[test]
+    fn a_record_over_max_payload_is_refused_and_the_spool_keeps_working() {
+        let dir = tmpdir("oversized");
+        let spool = Spool::open(SpoolConfig::new(&dir)).unwrap();
+        let err = spool.append("lms", &"x".repeat(frame::MAX_PAYLOAD)).unwrap_err();
+        assert!(matches!(err, Error::Invalid(_)), "{err}");
+        assert_eq!(spool.pending(), 0);
+        spool.append("lms", "m v=1 1").unwrap();
+        let e = spool.peek().unwrap();
+        assert_eq!((e.db.as_str(), e.body.as_str()), ("lms", "m v=1 1"));
+        spool.ack(&e);
+        assert!(spool.peek().is_none());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -43,7 +43,6 @@ pub struct HostAgent {
     rollup_sink: Option<RollupSink>,
     ticks: u64,
     points_sent: u64,
-    rollup_rows: u64,
     send_errors: u64,
 }
 
@@ -60,7 +59,6 @@ impl HostAgent {
             rollup_sink: None,
             ticks: 0,
             points_sent: 0,
-            rollup_rows: 0,
             send_errors: 0,
         }
     }
@@ -156,7 +154,6 @@ impl HostAgent {
                     batch.push_str(&p.to_line());
                     batch.push('\n');
                 }
-                self.rollup_rows += closed.len() as u64;
                 self.ship_rollups(&batch);
             }
         }
@@ -176,7 +173,6 @@ impl HostAgent {
             batch.push_str(&p.to_line());
             batch.push('\n');
         }
-        self.rollup_rows += open.len() as u64;
         self.ship_rollups(&batch);
     }
 
@@ -200,11 +196,6 @@ impl HostAgent {
     /// `(ticks, points, send errors)` counters.
     pub fn stats(&self) -> (u64, u64, u64) {
         (self.ticks, self.points_sent, self.send_errors)
-    }
-
-    /// 1m pre-aggregated rollup rows shipped so far.
-    pub fn rollup_rows_sent(&self) -> u64 {
-        self.rollup_rows
     }
 }
 

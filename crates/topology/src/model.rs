@@ -101,7 +101,7 @@ impl Topology {
     }
 
     /// The "Ivy Bridge EP"-like preset used throughout the examples and
-    /// benches: 2 sockets × 10 cores × 2 SMT threads — a typical commodity
+    /// tests: 2 sockets × 10 cores × 2 SMT threads — a typical commodity
     /// cluster node of the paper's era.
     pub fn preset_dual_socket_10c() -> Self {
         let mut t = Topology::new("ivybridge-ep-2s10c2t", 2, 10, 2).unwrap();

@@ -41,6 +41,6 @@ pub use engine::{
     DamagedRange, FlushSession, QuarantineReport, Recovered, RewriteSession, TsmConfig, TsmEngine,
     TsmStats,
 };
-pub use scrub::{ScrubConfig, ScrubOutcome, Scrubber};
+pub use scrub::{ScrubOutcome, Scrubber};
 pub use segment::{BlockEntry, SegmentScan, SeriesId};
 pub use wal::{Wal, WalConfig, WalRecord, WalRecovery};

@@ -25,34 +25,6 @@ use lms_util::rng::XorShift64;
 use lms_util::{Error, Result};
 use std::path::{Path, PathBuf};
 
-/// Scrub pacing configuration, carried by the storage layer that drives
-/// the worker loop (the scrubber itself is budget-driven per call).
-#[derive(Debug, Clone)]
-pub struct ScrubConfig {
-    /// Seconds between scrub passes. `0` disables the scrubber.
-    pub interval_secs: u64,
-    /// Byte budget per pass: one pass verifies roughly this many bytes
-    /// before yielding, bounding the I/O rate to
-    /// `rate_bytes / interval_secs` per second.
-    pub rate_bytes: u64,
-}
-
-impl Default for ScrubConfig {
-    /// Defaults: one pass per minute, 8 MiB per pass (~136 KiB/s steady
-    /// state — invisible next to ingest, yet a full cycle over a 10 GiB
-    /// node completes in under a day).
-    fn default() -> Self {
-        ScrubConfig { interval_secs: 60, rate_bytes: 8 * 1024 * 1024 }
-    }
-}
-
-impl ScrubConfig {
-    /// True when the scrubber should run at all.
-    pub fn enabled(&self) -> bool {
-        self.interval_secs > 0 && self.rate_bytes > 0
-    }
-}
-
 /// What one scrub pass did.
 #[derive(Debug, Default)]
 pub struct ScrubOutcome {

@@ -67,6 +67,10 @@ const HEADER_LEN: usize = 8;
 /// Upper bound on one payload; larger lengths read as corruption.
 const MAX_PAYLOAD: usize = 64 * 1024 * 1024;
 
+/// The largest batch one record holds: the payload less its sequence
+/// number. [`Wal::append`] refuses a larger one.
+pub const MAX_BATCH_BYTES: usize = MAX_PAYLOAD - 8;
+
 /// WAL configuration.
 #[derive(Debug, Clone)]
 pub struct WalConfig {
@@ -197,7 +201,7 @@ fn segment_path(dir: &Path, seq: u64) -> PathBuf {
 
 fn encode_record(seq: u64, batch: &str, out: &mut Vec<u8>) {
     let payload_len = 8 + batch.len();
-    assert!(payload_len <= MAX_PAYLOAD, "batch too large for one WAL record");
+    debug_assert!(payload_len <= MAX_PAYLOAD, "`Wal::append` refuses larger batches");
     out.reserve(HEADER_LEN + payload_len);
     let payload_start = out.len() + HEADER_LEN;
     out.extend_from_slice(&(payload_len as u32).to_le_bytes());
@@ -331,8 +335,15 @@ impl Wal {
 
     /// Appends one batch of `points` points; returns once the record's
     /// group is written to the OS (and fsynced, when configured). The
-    /// record survives any subsequent process crash.
+    /// record survives any subsequent process crash. A batch over
+    /// [`MAX_BATCH_BYTES`] is refused with `Error::Invalid` and logs nothing.
     pub fn append(&self, batch: &str, points: u64) -> Result<u64> {
+        if batch.len() > MAX_BATCH_BYTES {
+            return Err(Error::invalid(format!(
+                "a batch of {} bytes exceeds the {MAX_BATCH_BYTES}-byte WAL record limit",
+                batch.len()
+            )));
+        }
         let mut st = self.state.lock().unwrap();
         let seq = st.next_record_seq;
         st.next_record_seq += 1;
@@ -567,6 +578,21 @@ mod tests {
         assert_eq!(batches, vec!["m v=1 1", "m v=2 2\nm v=3 3"]);
         assert_eq!(rec.records[0].seq, 0);
         assert_eq!(rec.records[1].seq, 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_oversized_batch_is_refused_and_the_wal_keeps_working() {
+        let dir = tmp("oversized");
+        {
+            let (wal, _) = Wal::open(WalConfig::new(&dir)).unwrap();
+            let err = wal.append(&"x".repeat(MAX_BATCH_BYTES + 1), 1).unwrap_err();
+            assert!(matches!(err, Error::Invalid(_)), "{err}");
+            assert_eq!(wal.append("m v=1 1", 1).unwrap(), 0, "the refused batch took no seq");
+        }
+        let (_, rec) = Wal::open(WalConfig::new(&dir)).unwrap();
+        let batches: Vec<&str> = rec.records.iter().map(|r| r.batch.as_str()).collect();
+        assert_eq!(batches, vec!["m v=1 1"]);
         let _ = fs::remove_dir_all(&dir);
     }
 

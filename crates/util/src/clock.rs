@@ -51,12 +51,6 @@ impl Timestamp {
         self.0.div_euclid(1_000_000)
     }
 
-    /// Seconds since the epoch as a float (used by derived-metric formulas).
-    #[inline]
-    pub fn secs_f64(self) -> f64 {
-        self.0 as f64 / 1e9
-    }
-
     /// `self + d`, saturating at the numeric limits (unlike `ops::Add`,
     /// which a `Duration` operand cannot express losslessly anyway).
     #[must_use]

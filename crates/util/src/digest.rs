@@ -66,13 +66,6 @@ pub struct BucketDigest {
     pub hash: u64,
 }
 
-impl BucketDigest {
-    /// End of the bucket (exclusive), saturating at the i64 horizon.
-    pub fn bucket_end(&self) -> i64 {
-        self.bucket_start.saturating_add(DIGEST_BUCKET_NS)
-    }
-}
-
 /// Serialises a digest list in the wire form used by `/integrity`.
 pub fn digests_to_json(digests: &[BucketDigest]) -> Json {
     Json::Arr(

@@ -6,7 +6,7 @@
 //! from the site's own infrastructure — and costs real time on short keys.
 //! `rustc-hash` is not in the offline dependency set, so this module
 //! reimplements the same multiply-rotate construction (the one used inside
-//! rustc). `bench/hash.rs` quantifies the win over the default hasher.
+//! rustc).
 
 use std::hash::{BuildHasherDefault, Hasher};
 

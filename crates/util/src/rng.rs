@@ -80,12 +80,6 @@ impl XorShift64 {
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
     }
 
-    /// Gaussian noise with the given mean and standard deviation.
-    #[inline]
-    pub fn gauss(&mut self, mean: f64, sigma: f64) -> f64 {
-        mean + sigma * self.normal()
-    }
-
     /// Multiplicative jitter: `value * (1 ± rel)` uniformly.
     #[inline]
     pub fn jitter(&mut self, value: f64, rel: f64) -> f64 {

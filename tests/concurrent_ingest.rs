@@ -52,7 +52,7 @@ fn concurrent_writers_lose_no_points() {
     assert_eq!(ix.series_count("lms"), THREADS + POINTS / 2);
 }
 
-/// The pathological hot-series workload from `BENCH_ingest.json`: every
+/// The pathological hot-series workload (`app_burst` in `benchmark/`): every
 /// writer hammers the SAME series. The staged append buffers turn the
 /// old per-series write-lock convoy into briefly-locked pushes, but the
 /// contract is unchanged — all-unique timestamps in, exactly that set
