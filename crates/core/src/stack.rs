@@ -44,7 +44,8 @@ pub struct StackConfig {
     pub topology: Topology,
     /// HPM performance groups the node collectors rotate through.
     pub hpm_groups: Vec<String>,
-    /// Duplicate tagged metrics into per-user databases.
+    /// Serve each user's view of `lms` through the router as
+    /// `user_<name>` (see [`lms_router::RouterConfig::per_user`]).
     pub per_user: bool,
     /// Publish metrics/signals on the message queue.
     pub publish: bool,
@@ -369,7 +370,6 @@ impl LmsStack {
 
         // Router.
         let router_config = RouterConfig {
-            global_db: "lms".into(),
             per_user: config.per_user,
             ..Default::default()
         };
@@ -532,7 +532,7 @@ impl LmsStack {
     /// Deployments set `integrity.repair_interval_secs` to run this on a
     /// cadence; in-process stacks call it explicitly.
     pub fn run_repair_pass(&self) -> lms_router::RepairOutcome {
-        self.router.run_repair_pass(&[self.router.config().global_db.as_str()])
+        self.router.run_repair_pass(&[lms_influx::GLOBAL_DB])
     }
 
     /// The node topology.
@@ -948,7 +948,15 @@ mod tests {
         let mut stack = LmsStack::start(config).unwrap();
         stack.submit_job("dave", "x", 1, Duration::from_secs(600), AppProfile::Stream);
         stack.run_for(Duration::from_secs(300), Duration::from_secs(60));
-        assert!(stack.influx().point_count("user_dave") > 0);
+        // dave's points are stored once, in lms; user_dave is their view.
+        let names = stack.influx().database_names();
+        assert!(names.iter().all(|d| !d.starts_with("user_")), "{names:?}");
+        let count = |r: lms_influx::QueryResult| r.series[0].values[0][1].as_i64().unwrap();
+        let q = "SELECT count(busy) FROM cpu_total";
+        let viewed = count(stack.router().handle_query("user_dave", q).unwrap());
+        let direct = stack.influx().query("lms", &format!("{q} WHERE user = 'dave'")).unwrap();
+        assert!(viewed > 0);
+        assert_eq!(viewed, count(direct));
     }
 
     #[test]
@@ -1045,21 +1053,26 @@ mod tests {
         stack.submit_job("dave", "x", 1, Duration::from_secs(900), AppProfile::Stream);
         stack.run_for(Duration::from_secs(600), Duration::from_secs(60));
         stack.influx().flush_storage().unwrap();
-
-        // The user's raw slice exists and its tier siblings materialize —
-        // fed by the router's tier-aware duplication (agent 1m stream) and
-        // the database-side rollup pass over the raw slice.
-        assert!(stack.influx().point_count("user_dave") > 0);
-        assert!(
-            stack.influx().point_count("user_dave__rollup_1m") > 0,
-            "per-user 1m slice empty: {:?}",
-            stack.influx().database_names()
-        );
-        // The raw slice holds no stat-field rows (tier rows must not leak).
+        // Tier rows carry the job tags, so the view reads lms's tiers under
+        // its user predicate: tier-served windows equal the raw decode.
+        let r = stack
+            .influx()
+            .query("lms__rollup_1m", "SHOW TAG VALUES FROM cpu_total WITH KEY = user")
+            .unwrap();
+        assert_eq!(r.series[0].values[0][1].as_str(), Some("dave"));
+        let q = "SELECT mean(busy), count(busy) FROM cpu_total \
+                 WHERE time >= 0 GROUP BY time(1m), hostname";
+        stack.influx().set_query_tiers(Some(vec![]));
+        let raw = stack.influx().query("user_dave", q).unwrap();
+        stack.influx().set_query_tiers(None);
+        let tiered = stack.influx().query("user_dave", q).unwrap();
+        assert!(!tiered.series.is_empty());
+        assert_eq!(tiered, raw);
+        // No tier row shows as a measurement of the view.
         let r = stack.influx().query("user_dave", "SHOW MEASUREMENTS").unwrap();
         for row in &r.series[0].values {
             let m = row[0].as_str().unwrap();
-            assert!(!m.starts_with("__rollup"), "tier row leaked into raw slice: {m}");
+            assert!(!m.starts_with("__rollup"), "tier row listed in the view: {m}");
         }
     }
 

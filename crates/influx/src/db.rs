@@ -1,10 +1,10 @@
 //! Databases and the embedded [`Influx`] handle.
 //!
 //! A [`Database`] owns the series of one logical database (the paper's
-//! global database, plus optional per-user databases created by the
-//! router's duplication feature). [`Influx`] bundles multiple databases
-//! behind one thread-safe handle — the same object backs the embedded API
-//! and the HTTP server.
+//! global database, its rollup tiers, any other a client writes to).
+//! [`Influx`] bundles multiple databases behind one thread-safe handle —
+//! the same object backs the embedded API and the HTTP server — and serves
+//! each user's view of the global database (see [`crate::user_view`]).
 //!
 //! # Ingest concurrency
 //!
@@ -539,38 +539,39 @@ impl Database {
             .collect()
     }
 
-    /// Snapshots all series of a measurement, in first-write order (see
-    /// [`Self::series_where`]).
-    pub fn series_of(&self, measurement: &str) -> Vec<Arc<Series>> {
-        self.series_where(measurement, &[])
-    }
-
-    /// All measurement names, sorted.
-    pub fn measurement_names(&self) -> Vec<String> {
+    /// Sorted names of the measurements holding a series the tag
+    /// predicates among `conditions` admit (every measurement for none).
+    pub fn measurement_names(&self, conditions: &[Condition]) -> Vec<String> {
         let meta = self.meta.read();
-        let mut names: Vec<String> = meta.measurements.keys().cloned().collect();
+        let mut names: Vec<String> = meta
+            .measurements
+            .iter()
+            .filter(|(_, index)| index.matching(conditions).next().is_some())
+            .map(|(name, _)| name.clone())
+            .collect();
         names.sort_unstable();
         names
     }
 
-    /// Sorted tag keys across all series of a measurement (the label set
-    /// of a metric, in Prometheus terms), from the tag postings alone.
-    /// Empty when the measurement is unknown.
-    pub fn tag_keys(&self, measurement: &str) -> Vec<String> {
+    /// Sorted tag keys across the series of a measurement that
+    /// `conditions` admit (the label set of a metric, in Prometheus terms),
+    /// from the tag postings alone. Empty when the measurement is unknown.
+    pub fn tag_keys(&self, measurement: &str, conditions: &[Condition]) -> Vec<String> {
         let meta = self.meta.read();
         let index = meta.measurements.get(measurement);
-        let mut keys: Vec<String> = index.into_iter().flat_map(|i| i.tag_keys()).cloned().collect();
+        let mut keys: Vec<String> =
+            index.into_iter().flat_map(|i| i.tag_keys(conditions)).cloned().collect();
         keys.sort_unstable();
         keys
     }
 
-    /// Sorted values of tag `key` across all series of a measurement, from
-    /// the tag postings alone.
-    pub fn tag_values(&self, measurement: &str, key: &str) -> Vec<String> {
+    /// Sorted values of tag `key` across the series of a measurement that
+    /// `conditions` admit, from the tag postings alone.
+    pub fn tag_values(&self, measurement: &str, key: &str, conditions: &[Condition]) -> Vec<String> {
         let meta = self.meta.read();
         let index = meta.measurements.get(measurement);
         let mut values: Vec<String> =
-            index.into_iter().flat_map(|i| i.tag_values(key)).cloned().collect();
+            index.into_iter().flat_map(|i| i.tag_values(key, conditions)).cloned().collect();
         values.sort_unstable();
         values
     }
@@ -1089,23 +1090,24 @@ impl Inner {
             _ => Arc::new(Database::with_shards(self.shard_count)),
         };
         if let Some(policy) = &self.rollup {
-            match lms_rollup::base_db_of(name) {
-                // A tier sibling created after enable_rollups (e.g. for a
-                // per-user slice) inherits the per-tier retention.
-                Some((_, tier)) => {
-                    if policy.tier_retention(tier).is_some() {
-                        db.set_retention(policy.tier_retention(tier));
-                    }
-                }
-                None => {
-                    db.set_rollup_tracked(true);
-                    if policy.retention_raw.is_some() {
-                        db.set_retention(policy.retention_raw);
-                    }
-                }
-            }
+            apply_rollup_policy(name, &db, policy);
         }
         Ok(db)
+    }
+}
+
+/// Applies `policy` to database `name`: a tier sibling takes its tier's
+/// retention; a base database is rollup-tracked and takes the raw one.
+fn apply_rollup_policy(name: &str, db: &Database, policy: &RollupPolicy) {
+    let retention = match lms_rollup::base_db_of(name) {
+        Some((_, tier)) => policy.tier_retention(tier),
+        None => {
+            db.set_rollup_tracked(true);
+            policy.retention_raw
+        }
+    };
+    if retention.is_some() {
+        db.set_retention(retention);
     }
 }
 
@@ -1217,18 +1219,10 @@ impl Influx {
     pub fn enable_rollups(&self, policy: RollupPolicy) -> Result<()> {
         self.inner.write().rollup = Some(policy.clone());
         for name in self.database_names() {
-            if let Some((_, tier)) = lms_rollup::base_db_of(&name) {
-                if let Some(db) = self.database(&name) {
-                    if policy.tier_retention(tier).is_some() {
-                        db.set_retention(policy.tier_retention(tier));
-                    }
-                }
-                continue;
-            }
             let Some(db) = self.database(&name) else { continue };
-            db.set_rollup_tracked(true);
-            if policy.retention_raw.is_some() {
-                db.set_retention(policy.retention_raw);
+            apply_rollup_policy(&name, &db, &policy);
+            if is_rollup_db(&name) {
+                continue;
             }
             // Watermark recovery: the newest `__rollup_watermark` point in
             // the 1m tier database carries the pre-restart watermark as its
@@ -1237,7 +1231,7 @@ impl Influx {
             // after a crash merely rewrites identical rows.
             if let Some(tier_db) = self.database(&rollup_db_name(&name, Tier::Minute)) {
                 if let Some(series) =
-                    tier_db.series_of(lms_rollup::WATERMARK_MEASUREMENT).first()
+                    tier_db.series_where(lms_rollup::WATERMARK_MEASUREMENT, &[]).first()
                 {
                     if let Some(ts) = series
                         .field(lms_rollup::WATERMARK_FIELD)
@@ -1314,12 +1308,12 @@ impl Influx {
         dirty: &[(i64, i64)],
     ) -> Result<u64> {
         // Snapshot every series (drains staged writes) and the data extent.
-        let measurements = db.measurement_names();
+        let measurements = db.measurement_names(&[]);
         let mut snapshots: Vec<Vec<Arc<Series>>> = Vec::with_capacity(measurements.len());
         let mut data_lo = i64::MAX;
         let mut data_hi = i64::MIN;
         for m in &measurements {
-            let series = db.series_of(m);
+            let series = db.series_where(m, &[]);
             for s in &series {
                 for col in s.field_names().filter_map(|f| s.field(f)) {
                     if let Some(t) = col.first_ts() {
@@ -1490,6 +1484,10 @@ impl Influx {
         if !inner.auto_create {
             return Err(Error::not_found(format!("database `{db}`")));
         }
+        if crate::user_view(db).is_some() {
+            let global = crate::GLOBAL_DB;
+            return Err(Error::not_found(format!("database `{db}` (a view of `{global}`)")));
+        }
         let created = inner.make_database(db)?;
         inner.databases.insert(db.to_string(), created.clone());
         Ok(created)
@@ -1564,7 +1562,8 @@ impl Influx {
         Ok(outcome)
     }
 
-    /// Runs a query statement string against a database.
+    /// Runs a query statement string against a database or a user view
+    /// (see [`crate::user_view`]).
     pub fn query(&self, db: &str, q: &str) -> Result<QueryResult> {
         let stmt = Statement::parse(q)?;
         match stmt {
@@ -1572,27 +1571,19 @@ impl Influx {
                 self.create_database(&name);
                 Ok(QueryResult::empty())
             }
-            Statement::ShowDatabases => Ok(QueryResult {
-                series: vec![crate::exec::ResultSeries {
-                    name: "databases".into(),
-                    tags: Vec::new(),
-                    columns: vec!["name".into()],
-                    values: self
-                        .database_names()
-                        .into_iter()
-                        .map(|n| vec![lms_util::Json::str(n)])
-                        .collect(),
-                }],
-                partial: false,
-            }),
-            other => {
-                let now = self.clock.now().nanos();
-                let database = self
-                    .database(db)
-                    .ok_or_else(|| Error::not_found(format!("database `{db}`")))?;
-                let tiers = self.tier_ctx(db);
-                exec::execute_tiered(&other, &database, tiers.as_ref(), now)
+            Statement::ShowDatabases => {
+                let mut names = self.database_names();
+                if let Some(global) = self.database(crate::GLOBAL_DB) {
+                    for m in global.measurement_names(&[]) {
+                        let users = global.tag_values(&m, "user", &[]);
+                        names.extend(users.into_iter().map(|u| format!("user_{u}")));
+                    }
+                }
+                names.sort_unstable();
+                names.dedup();
+                Ok(QueryResult::listing("databases", &["name"], names.into_iter().map(|n| [n])))
             }
+            other => self.execute(db, &other),
         }
     }
 
@@ -1612,29 +1603,41 @@ impl Influx {
         end: i64,
         step: Option<i64>,
     ) -> Result<QueryResult> {
-        let sel = Select::for_range(q, start, end, step)?;
-        let now = self.clock.now().nanos();
-        let database = self
-            .database(db)
-            .ok_or_else(|| Error::not_found(format!("database `{db}`")))?;
-        let tiers = self.tier_ctx(db);
-        exec::execute_tiered(&Statement::Select(sel), &database, tiers.as_ref(), now)
+        self.execute(db, &Statement::Select(Select::for_range(q, start, end, step)?))
     }
 
     /// Sorted measurement names of a database (the `/metrics` listing).
     pub fn measurements(&self, db: &str) -> Result<Vec<String>> {
-        let database = self
-            .database(db)
-            .ok_or_else(|| Error::not_found(format!("database `{db}`")))?;
-        Ok(database.measurement_names())
+        let (database, _, scope) = self.source(db)?;
+        Ok(database.measurement_names(&scope))
     }
 
     /// Sorted tag keys of one measurement (the `/labels/{m}` listing).
     pub fn tag_keys(&self, db: &str, measurement: &str) -> Result<Vec<String>> {
+        let (database, _, scope) = self.source(db)?;
+        Ok(database.tag_keys(measurement, &scope))
+    }
+
+    /// Runs a data statement against `db`, resolved by [`Self::source`].
+    fn execute(&self, db: &str, stmt: &Statement) -> Result<QueryResult> {
+        let (database, tiers, scope) = self.source(db)?;
+        exec::execute(stmt, &database, tiers.as_ref(), &scope, self.clock.now().nanos())
+    }
+
+    /// What a statement against `db` reads: the database, its tier
+    /// context, and the tag predicates it is scoped to. A user view reads
+    /// [`crate::GLOBAL_DB`] under `user = '<name>'`, before any database of
+    /// its name, and exists while some series carries that tag.
+    fn source(&self, db: &str) -> Result<(Arc<Database>, Option<exec::TierCtx>, Vec<Condition>)> {
+        let (name, scope) = match crate::user_view(db) {
+            Some(user) => (crate::GLOBAL_DB, vec![Condition::TagEq("user".into(), user.into())]),
+            None => (db, Vec::new()),
+        };
         let database = self
-            .database(db)
+            .database(name)
+            .filter(|d| scope.is_empty() || !d.measurement_names(&scope).is_empty())
             .ok_or_else(|| Error::not_found(format!("database `{db}`")))?;
-        Ok(database.tag_keys(measurement))
+        Ok((database, self.tier_ctx(name), scope))
     }
 
     /// Applies retention across all databases; returns evicted point count.
@@ -1986,6 +1989,26 @@ mod tests {
     }
 
     #[test]
+    fn a_user_view_reads_the_global_database_under_its_user() {
+        let ix = influx();
+        let lines = "cpu,hostname=h1,user=j.doe v=1 1\ncpu,hostname=h2,user=bob v=2 1\ncpu,hostname=h3 v=4 1";
+        ix.write_lines("lms", lines, Default::default()).unwrap();
+        let sum = |db: &str, q: &str| ix.query(db, q).unwrap().series[0].values[0][1].as_f64();
+        assert_eq!(sum("user_j.doe", "SELECT sum(v) FROM cpu"), Some(1.0));
+        assert_eq!(sum("lms", "SELECT sum(v) FROM cpu"), Some(7.0));
+        let r = ix.query("user_j.doe", "SELECT v FROM cpu WHERE user = 'bob'").unwrap();
+        assert_eq!(r, QueryResult::empty());
+        assert_eq!(ix.tag_keys("user_bob", "cpu").unwrap(), vec!["hostname", "user"]);
+        // A user without series has no view, and a view takes no writes.
+        assert!(matches!(ix.query("user_eve", "SHOW MEASUREMENTS"), Err(Error::NotFound(_))));
+        let refused = ix.write_lines("user_eve", "cpu v=1 1", Default::default());
+        assert!(matches!(refused, Err(Error::NotFound(_))));
+        let r = ix.query("", "SHOW DATABASES").unwrap();
+        let names: Vec<&str> = r.series[0].values.iter().map(|v| v[0].as_str().unwrap()).collect();
+        assert_eq!(names, vec!["lms", "user_bob", "user_j.doe"]);
+    }
+
+    #[test]
     fn retention_evicts_old_points() {
         let ix = influx();
         ix.set_retention("lms", Some(Duration::from_secs(100)));
@@ -2065,25 +2088,6 @@ mod tests {
     }
 
     #[test]
-    fn per_user_slice_gets_tier_siblings() {
-        // A base database created *after* enable_rollups (the per-user
-        // materialized slice case) is tracked and rolled like any other.
-        let ix = influx();
-        ix.enable_rollups(RollupPolicy::default()).unwrap();
-        let body: String = (0..180i64)
-            .map(|s| format!("m v={} {}\n", s % 10, s * 1_000_000_000))
-            .collect();
-        ix.write_lines("user_dave", &body, Default::default()).unwrap();
-        ix.flush_storage().unwrap();
-        assert!(ix.point_count("user_dave__rollup_1m") > 0, "per-user 1m tier missing");
-        ix.set_query_tiers(Some(vec![]));
-        let raw = ix.query("user_dave", "SELECT mean(v), count(v) FROM m GROUP BY time(60s)").unwrap();
-        ix.set_query_tiers(None);
-        let tiered = ix.query("user_dave", "SELECT mean(v), count(v) FROM m GROUP BY time(60s)").unwrap();
-        assert_eq!(tiered, raw);
-    }
-
-    #[test]
     fn duplicate_point_overwrites() {
         let ix = influx();
         ix.write_lines("lms", "m,host=a v=1 5\nm,host=a v=2 5", Default::default()).unwrap();
@@ -2158,6 +2162,42 @@ mod tests {
         let ix = persistent(&dir);
         for (q, expect) in queries.iter().zip(before) {
             assert_eq!(ix.query("lms", q).unwrap(), expect, "query {q} diverged after restart");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_user_copy_stored_before_views_answers_the_same_through_the_view() {
+        // A data directory from when the router copied each job line into
+        // `user_<name>`: it opens, and the view answers what the copy did.
+        let dir = tmp_dir("user-copy");
+        let mine = "cpu,hostname=h1,jobid=7,user=alice v=1 1\n\
+                    cpu,hostname=h1,jobid=7,user=alice v=2 2\n\
+                    mem,hostname=h1,jobid=7,user=alice used=3i 3";
+        let queries = [
+            "SELECT v FROM cpu",
+            "SELECT sum(v), count(v) FROM cpu GROUP BY hostname",
+            "SHOW MEASUREMENTS",
+            "SHOW TAG VALUES FROM cpu WITH KEY = hostname",
+            "SHOW FIELD KEYS FROM mem",
+        ];
+        let copied: Vec<QueryResult> = {
+            let ix = persistent(&dir);
+            let all = format!("{mine}\ncpu,hostname=h2 v=9 1");
+            ix.write_lines("lms", &all, Default::default()).unwrap();
+            ix.create_database("user_alice");
+            ix.write_lines("user_alice", mine, Default::default()).unwrap();
+            ix.flush_storage().unwrap();
+            let copy = ix.database("user_alice").unwrap();
+            let run = |q: &str| Statement::parse(q).and_then(|stmt| {
+                exec::execute(&stmt, &copy, None, &[], 0)
+            });
+            queries.iter().map(|q| run(q).unwrap()).collect()
+        };
+        let ix = persistent(&dir);
+        assert!(ix.database_names().contains(&"user_alice".to_string()));
+        for (q, want) in queries.iter().zip(copied) {
+            assert_eq!(ix.query("user_alice", q).unwrap(), want, "{q}");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -2406,7 +2446,7 @@ mod tests {
             assert_eq!(files(partition).len(), 1, "{partition}: merged into one file");
         }
         let engine = db.engine().unwrap();
-        for series in db.series_of("m") {
+        for series in db.series_where("m", &[]) {
             for (field, col) in series.fields() {
                 let mut spans: Vec<i64> =
                     col.sealed().iter().map(|b| engine.span_of(b.min_ts)).collect();

@@ -62,14 +62,23 @@ impl MeasurementIndex {
         candidates.iter().filter(|id| admits(conditions, &id.tags))
     }
 
-    /// The tag keys any series carries, unordered.
-    pub(super) fn tag_keys(&self) -> impl Iterator<Item = &String> {
-        self.postings.keys()
+    /// The tag keys a series `conditions` admit carries, unordered.
+    pub(super) fn tag_keys<'a>(
+        &'a self,
+        conditions: &'a [Condition],
+    ) -> impl Iterator<Item = &'a String> + 'a {
+        self.postings.keys().filter(|key| self.tag_values(key, conditions).next().is_some())
     }
 
-    /// The values tag `key` takes, unordered.
-    pub(super) fn tag_values(&self, key: &str) -> impl Iterator<Item = &String> {
-        self.postings.get(key).into_iter().flat_map(|values| values.keys())
+    /// The values tag `key` takes on the series `conditions` admit,
+    /// unordered.
+    pub(super) fn tag_values<'a>(
+        &'a self,
+        key: &str,
+        conditions: &'a [Condition],
+    ) -> impl Iterator<Item = &'a String> + 'a {
+        let values = self.postings.get(key).into_iter().flatten();
+        values.filter(|(_, ids)| ids.iter().any(|id| admits(conditions, &id.tags))).map(|(v, _)| v)
     }
 
     /// Drops the series whose keys are in `gone`, and the postings left
@@ -206,33 +215,37 @@ mod tests {
     }
 
     /// Every lookup answers what a scan of the whole measurement answers,
-    /// in first-write order (`written`, the model's), and so do the tag
-    /// keys and values.
+    /// in first-write order (`written`, the model's), and so do the
+    /// measurement names, tag keys and values, scoped to each list and
+    /// unscoped.
     fn check(
         db: &Database,
         written: &[Tags],
         lists: &[Vec<Condition>],
     ) -> Result<(), TestCaseError> {
-        let all = db.series_of("m");
+        let all = db.series_where("m", &[]);
         prop_assert_eq!(tag_sets(&all), written.to_vec());
-        for conditions in lists {
+        for conditions in lists.iter().map(Vec::as_slice).chain([&[][..]]) {
             let scanned: Vec<Arc<Series>> =
                 all.iter().filter(|s| old_filter(s, conditions)).cloned().collect();
             let looked_up = db.series_where("m", conditions);
             prop_assert_eq!(tag_sets(&looked_up), tag_sets(&scanned), "{:?}", conditions);
+            let names: Vec<String> = scanned.first().map(|_| "m".to_string()).into_iter().collect();
+            prop_assert_eq!(db.measurement_names(conditions), names, "{:?}", conditions);
+            for key in KEYS {
+                let mut values: Vec<String> =
+                    scanned.iter().filter_map(|s| s.tag(key)).map(str::to_string).collect();
+                values.sort_unstable();
+                values.dedup();
+                let got = db.tag_values("m", key, conditions);
+                prop_assert_eq!(got, values, "values of {} under {:?}", key, conditions);
+            }
+            let mut keys: Vec<String> =
+                scanned.iter().flat_map(|s| s.tags().iter().map(|(k, _)| k.clone())).collect();
+            keys.sort_unstable();
+            keys.dedup();
+            prop_assert_eq!(db.tag_keys("m", conditions), keys, "{:?}", conditions);
         }
-        for key in KEYS {
-            let mut values: Vec<String> =
-                all.iter().filter_map(|s| s.tag(key)).map(str::to_string).collect();
-            values.sort_unstable();
-            values.dedup();
-            prop_assert_eq!(db.tag_values("m", key), values, "values of {}", key);
-        }
-        let mut keys: Vec<String> =
-            all.iter().flat_map(|s| s.tags().iter().map(|(k, _)| k.clone())).collect();
-        keys.sort_unstable();
-        keys.dedup();
-        prop_assert_eq!(db.tag_keys("m"), keys);
         Ok(())
     }
 

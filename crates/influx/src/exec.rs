@@ -66,6 +66,18 @@ impl QueryResult {
         Self::default()
     }
 
+    /// A `SHOW` answer: one series `name` of string rows under `columns`.
+    pub(crate) fn listing<R: IntoIterator<Item = String>>(
+        name: &str,
+        columns: &[&str],
+        rows: impl IntoIterator<Item = R>,
+    ) -> Self {
+        let values = rows.into_iter().map(|row| row.into_iter().map(Json::str).collect()).collect();
+        let columns = columns.iter().map(|c| c.to_string()).collect();
+        let series = vec![ResultSeries { name: name.into(), tags: Vec::new(), columns, values }];
+        QueryResult { series, partial: false }
+    }
+
     /// This result as one element of the response's `results` array.
     /// Consumes the result: its cells move into the tree.
     fn into_statement_json(self, statement_id: usize) -> Json {
@@ -263,62 +275,41 @@ fn json_of(v: &FieldValue) -> Json {
 }
 
 /// Executes a statement against one database. `now_ns` anchors `now()`.
-pub fn execute(stmt: &Statement, db: &Database, now_ns: i64) -> Result<QueryResult> {
-    execute_tiered(stmt, db, None, now_ns)
-}
-
-/// [`execute`] with an optional rollup tier context: aggregate SELECTs
-/// transparently resolve each time range to the coarsest tier that
-/// satisfies the requested window and stitch raw edges around it.
-pub fn execute_tiered(
+/// `scope` holds tag predicates every statement is read under, as if each
+/// named them (a user view's `user = '<name>'`; none for a database). With
+/// a rollup tier context, aggregate SELECTs transparently resolve each time
+/// range to the coarsest tier that satisfies the requested window and
+/// stitch raw edges around it.
+pub fn execute(
     stmt: &Statement,
     db: &Database,
     tiers: Option<&TierCtx>,
+    scope: &[Condition],
     now_ns: i64,
 ) -> Result<QueryResult> {
     match stmt {
-        Statement::Select(sel) => select(sel, db, tiers, now_ns),
-        Statement::ShowMeasurements => {
-            let values: Vec<Vec<Json>> =
-                db.measurement_names().iter().map(|m| vec![Json::str(m.as_str())]).collect();
-            Ok(QueryResult {
-                series: vec![ResultSeries {
-                    name: "measurements".into(),
-                    tags: Vec::new(),
-                    columns: vec!["name".into()],
-                    values,
-                }],
-                partial: false,
-            })
+        Statement::Select(sel) if scope.is_empty() => select(sel, db, tiers, now_ns),
+        Statement::Select(sel) => {
+            let mut sel = sel.clone();
+            sel.conditions.extend_from_slice(scope);
+            select(&sel, db, tiers, now_ns)
         }
-        Statement::ShowTagValues { measurement, key } => Ok(QueryResult {
-            series: vec![ResultSeries {
-                name: measurement.clone(),
-                tags: Vec::new(),
-                columns: vec!["key".into(), "value".into()],
-                values: db
-                    .tag_values(measurement, key)
-                    .into_iter()
-                    .map(|v| vec![Json::str(key.as_str()), Json::str(v)])
-                    .collect(),
-            }],
-            partial: false,
-        }),
+        Statement::ShowMeasurements => {
+            let names = db.measurement_names(scope).into_iter().map(|m| [m]);
+            Ok(QueryResult::listing("measurements", &["name"], names))
+        }
+        Statement::ShowTagValues { measurement, key } => {
+            let values = db.tag_values(measurement, key, scope);
+            let rows = values.into_iter().map(|v| [key.clone(), v]);
+            Ok(QueryResult::listing(measurement, &["key", "value"], rows))
+        }
         Statement::ShowFieldKeys { measurement } => {
-            let snapshot = db.series_of(measurement);
-            let mut fields: Vec<&str> =
-                snapshot.iter().flat_map(|s| s.field_names()).collect();
+            let snapshot = db.series_where(measurement, scope);
+            let mut fields: Vec<&str> = snapshot.iter().flat_map(|s| s.field_names()).collect();
             fields.sort_unstable();
             fields.dedup();
-            Ok(QueryResult {
-                series: vec![ResultSeries {
-                    name: measurement.clone(),
-                    tags: Vec::new(),
-                    columns: vec!["fieldKey".into()],
-                    values: fields.into_iter().map(|f| vec![Json::str(f)]).collect(),
-                }],
-                partial: false,
-            })
+            let rows = fields.into_iter().map(|f| [f.to_string()]);
+            Ok(QueryResult::listing(measurement, &["fieldKey"], rows))
         }
         // Storage-level statements are handled by `Influx::query` before
         // execution reaches a single database.

@@ -63,6 +63,16 @@ pub use lms_tsm as tsm;
 pub use lms_rollup as rollup;
 pub use lms_rollup::Tier;
 
+/// The global database every metric lands in (the paper's "lms").
+pub const GLOBAL_DB: &str = "lms";
+
+/// The user `db` is the view of, if any: `user_<name>` reads [`GLOBAL_DB`]
+/// with `user = '<name>'` added to every statement — a user's own
+/// database, without their points stored twice.
+pub fn user_view(db: &str) -> Option<&str> {
+    db.strip_prefix("user_").filter(|name| !name.is_empty())
+}
+
 /// Anything that can answer InfluxQL queries: the embedded [`Influx`]
 /// handle (in-process stack) or an [`InfluxClient`] (remote database).
 /// The analysis layer and the dashboard agent are generic over this, so

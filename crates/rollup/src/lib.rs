@@ -3,10 +3,10 @@
 //! Downsampling and tiered retention: the continuous rollup pipeline that
 //! turns "drop expired segment files" into a storage hierarchy.
 //!
-//! The paper's per-user database duplication keeps long-horizon,
-//! job-specific views cheap while raw data ages out; PerSyst and the MPCDF
-//! monitoring system survive production scale the same way — aggregate
-//! near the source, retain summaries long-term. This crate holds the
+//! Tiers keep long-horizon, job-specific views (a user's view reads them
+//! under its `user` predicate) cheap while raw data ages out; PerSyst and
+//! the MPCDF monitoring system survive production scale the same way —
+//! aggregate near the source, retain summaries long-term. This crate holds the
 //! pieces every layer of that pipeline shares:
 //!
 //! - [`Tier`] — the rollup resolutions (1 minute, 1 hour) and their

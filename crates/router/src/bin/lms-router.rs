@@ -13,6 +13,8 @@
 //!
 //! Accepts InfluxDB-style writes on `--listen`, enriches them with job
 //! tags from `/signal/start|end`, and forwards to the database at `--db`.
+//! With `--per-user`, clients may read `user_<name>` databases: each is the
+//! database nodes' view of `lms` restricted to that user's job data.
 //! With `--spool-dir`, batches the database cannot accept spill to a
 //! durable on-disk spool and are replayed once it recovers; without it,
 //! overflow is dropped (and counted). With `--publish`, metrics and
@@ -156,7 +158,8 @@ fn run() -> Result<()> {
                      [--gmond addr --gmond-interval secs]\n       \
                      lms-router --cluster-node host:port [--cluster-node ...] \
                      [--replication R] [--write-quorum W] \
-                     [--repair-interval-secs N] [...]"
+                     [--repair-interval-secs N] [...]\n\
+                     --per-user: serve user_<name>, the view of lms under user = '<name>'"
                 );
                 return Ok(());
             }
@@ -231,8 +234,7 @@ fn run() -> Result<()> {
         if let Some(interval) = repair_interval {
             if last_repair.elapsed() >= interval {
                 last_repair = std::time::Instant::now();
-                let db = router.config().global_db.clone();
-                let o = router.run_repair_pass(&[db.as_str()]);
+                let o = router.run_repair_pass(&[lms_influx::GLOBAL_DB]);
                 if o.divergent > 0 || o.errors > 0 {
                     println!(
                         "repair: {} divergent, {} repaired, {} lines, {} errors",

@@ -13,7 +13,8 @@
 //!   host before forwarding to the database,
 //! - forwards signals into the database as events ("to be used later as
 //!   annotations in the graphs"),
-//! - optionally **duplicates** metrics into per-user databases,
+//! - optionally serves **per-user databases** (`user_<name>`): the
+//!   database nodes' views of the one stored copy, scoped to a user,
 //! - optionally **publishes** metrics and meta information via the message
 //!   queue for stream analyzers.
 //!

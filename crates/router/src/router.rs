@@ -1,19 +1,18 @@
-//! The enrichment core: parse → tag → forward → duplicate → publish.
+//! The enrichment core: parse → tag → forward → publish.
 
 use crate::breaker::{BreakerConfig, BreakerState};
-use crate::delivery::{ClusterForwarder, DestinationStats, RoutedBatch};
+use crate::delivery::{ClusterForwarder, DestinationStats};
 use crate::forward::{ForwardConfig, ForwardStats};
 use crate::tagstore::{JobSignal, JobTags, TagStore};
 use lms_cluster::{merge_results, ClusterConfig, PartialPlan};
 use lms_http::{Request, Response};
 use lms_influx::query::Select;
-use lms_influx::{InfluxClient, QueryResult};
+use lms_influx::{user_view, InfluxClient, QueryResult, GLOBAL_DB};
 use lms_lineproto::escape::{escape_measurement_into, escape_tag_into};
 use lms_lineproto::{parse_batch, ParsedLine, Point};
 use lms_mq::Publisher;
-use lms_rollup::Tier;
 use lms_spool::SpoolConfig;
-use lms_util::{Clock, Error, FxHashMap, Result};
+use lms_util::{Clock, Error, Result};
 use parking_lot::RwLock;
 use std::fmt::Write as _;
 use std::net::SocketAddr;
@@ -22,11 +21,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Router configuration.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
-    /// The global database all metrics land in.
-    pub global_db: String,
-    /// Duplicate metrics of tagged hosts into `user_<name>` databases
-    /// (paper: "the router duplicates the metrics and store them in another
-    /// storage location, e.g., a per-user database").
+    /// Serve clients each user's database `user_<name>` (paper: "the router
+    /// duplicates the metrics and store them in another storage location"),
+    /// a view the nodes answer from `lms` ([`lms_influx::user_view`]).
+    /// Off, those names are not found.
     pub per_user: bool,
     /// Forwarding queue capacity (batches).
     pub queue_capacity: usize,
@@ -49,7 +47,6 @@ pub struct RouterConfig {
 impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
-            global_db: "lms".into(),
             per_user: false,
             queue_capacity: 1024,
             max_retries: 3,
@@ -229,9 +226,8 @@ impl Router {
     /// is rewritten (spliced): tags in key order with the job's
     /// merged in, the router clock's time appended when it has none. Any
     /// other line stays the received bytes. That one text is routed to its
-    /// series' owner node(s), duplicated into its user's database when
-    /// enabled, and published on the queue. Malformed lines are skipped
-    /// and counted.
+    /// series' owner node(s), once, and published on the queue. Malformed
+    /// lines are skipped and counted.
     pub fn handle_write(&self, db: Option<&str>, body: &str) -> WriteOutcome {
         let parsed = parse_batch(body);
         let rejected = parsed.errors.len();
@@ -243,51 +239,32 @@ impl Router {
         self.lines_in.fetch_add(accepted as u64, Ordering::Relaxed);
 
         let default_ts = self.clock.now().nanos();
-        let global_db = db.unwrap_or(&self.config.global_db);
-        let mut global = self.delivery.batch(global_db);
-        // Per-user duplication follows the tier: rollup rows bound for
-        // `X__rollup_1m` land in `user_<name>__rollup_1m`, keeping each
-        // user slice's raw and tier databases as clean siblings.
-        let user_tier = lms_rollup::base_db_of(global_db).map(|(_, tier)| tier);
+        let mut batch = self.delivery.batch(db.unwrap_or(GLOBAL_DB));
         let mut spliced = String::new();
         let mut topic = String::new();
         let mut enriched = 0u64;
-        let per_user: Vec<RoutedBatch<'_>> = {
+        {
             let tags = self.tags.read();
-            let mut per_user: FxHashMap<&str, RoutedBatch<'_>> = FxHashMap::default();
             for line in &parsed.lines {
                 let job = line.hostname().and_then(|host| tags.job_tags(host));
                 // Agents send their tags sorted; strictly ascending keys
                 // also means no key repeats.
                 let canonical = line.tags.windows(2).all(|pair| pair[0].0 < pair[1].0);
                 if job.is_none() && line.timestamp.is_some() && canonical {
-                    global.push_raw(line);
+                    batch.push_raw(line);
                     self.publish_metric(&mut topic, &line.measurement, line.raw);
                     continue;
                 }
                 spliced.clear();
                 let key_len = splice_line(line, job, default_ts, &mut spliced);
-                let key = &spliced[..key_len];
-                global.push_line(&spliced, key);
-                if let Some(job) = job {
-                    enriched += 1;
-                    if let Some(user) = job.user().filter(|_| self.config.per_user) {
-                        per_user
-                            .entry(user)
-                            .or_insert_with(|| self.delivery.batch(&user_db(user, user_tier)))
-                            .push_line(&spliced, key);
-                    }
-                }
+                batch.push_line(&spliced, &spliced[..key_len]);
+                enriched += u64::from(job.is_some());
                 self.publish_metric(&mut topic, &line.measurement, &spliced);
             }
-            per_user.into_values().collect()
-        };
+        }
         self.lines_enriched.fetch_add(enriched, Ordering::Relaxed);
 
-        let mut acked = global.submit();
-        for batch in per_user {
-            acked &= batch.submit();
-        }
+        let acked = batch.submit();
         if !acked {
             self.quorum_failures.fetch_add(1, Ordering::Relaxed);
         }
@@ -426,6 +403,9 @@ impl Router {
         req: &Request,
         parse: impl Fn(&Response) -> Result<T>,
     ) -> Result<(Vec<T>, bool)> {
+        if !self.config.per_user && user_view(db).is_some() {
+            return Err(missing_db_error(db));
+        }
         let nodes = self.delivery.node_count();
         let mut partial = false;
         let mut last_transient: Option<Error> = None;
@@ -480,12 +460,20 @@ impl Router {
     }
 
     /// Combines per-node answers — folded through `plan` for a SELECT,
-    /// unioned otherwise — and counts partials.
+    /// unioned otherwise — and counts partials. With `per_user` off, a
+    /// `SHOW DATABASES` answer (the one `databases` listing of `name`s)
+    /// keeps no user view.
     fn merge(&self, plan: Option<PartialPlan>, parts: Vec<QueryResult>, partial: bool) -> QueryResult {
         let mut merged = match plan {
             Some(plan) => plan.merge(parts),
             None => merge_results(parts),
         };
+        if !self.config.per_user {
+            let listings = merged.series.iter_mut();
+            for s in listings.filter(|s| s.name == "databases" && s.columns == ["name"]) {
+                s.values.retain(|row| row[0].as_str().and_then(user_view).is_none());
+            }
+        }
         merged.partial |= partial;
         if merged.partial {
             self.partial_queries.fetch_add(1, Ordering::Relaxed);
@@ -522,7 +510,7 @@ impl Router {
     /// Writes the annotation events for a signal and publishes it.
     fn record_signal_event(&self, kind: &str, job_id: &str, user: &str, hosts: &[String]) {
         let ts = self.clock.now().nanos();
-        let mut batch = self.delivery.batch(&self.config.global_db);
+        let mut batch = self.delivery.batch(GLOBAL_DB);
         for host in hosts {
             let mut ev = Point::new("events");
             ev.add_tag("hostname", host.as_str())
@@ -631,16 +619,6 @@ fn splice_line(
     key_len
 }
 
-/// The per-user database a job's line is duplicated into: `user_<name>`,
-/// or its tier sibling for a write bound for a rollup tier.
-fn user_db(user: &str, tier: Option<Tier>) -> String {
-    let db = format!("user_{user}");
-    match tier {
-        Some(tier) => lms_rollup::rollup_db_name(&db, tier),
-        None => db,
-    }
-}
-
 /// What the single-node stack answers for a database no node holds.
 fn missing_db_error(db: &str) -> Error {
     Error::Remote { status: 404, message: format!("database {db:?} not found") }
@@ -736,18 +714,42 @@ mod tests {
         server.shutdown();
     }
 
+    /// The names `SHOW DATABASES` lists through `router`.
+    fn listed_databases(router: &Router) -> Vec<String> {
+        let r = router.handle_query("lms", "SHOW DATABASES").unwrap();
+        r.series[0].values.iter().map(|row| row[0].as_str().unwrap().to_string()).collect()
+    }
+
     #[test]
     fn per_user_duplication() {
+        // alice's line is stored once, in lms; user_alice is the node's
+        // view of it.
         let config = RouterConfig { per_user: true, ..Default::default() };
         let (server, influx, router) = setup(config);
         router.handle_job_start(signal("42", "alice", &["h1"]));
         router.handle_write(None, "m,hostname=h1 v=1 100\nm,hostname=h9 v=9 100");
         assert!(router.flush(Duration::from_secs(5)));
-        // Global DB holds both; user DB holds only alice's.
         assert_eq!(influx.point_count("lms"), 2 + 1 /* start event */);
-        assert_eq!(influx.point_count("user_alice"), 1);
-        let r = influx.query("user_alice", "SELECT v FROM m").unwrap();
+        assert_eq!(influx.database_names(), vec!["lms"]);
+        let r = router.handle_query("user_alice", "SELECT v FROM m").unwrap();
+        assert_eq!(r.series[0].values.len(), 1);
         assert_eq!(r.series[0].values[0][1].as_f64(), Some(1.0));
+        assert_eq!(router.handle_metrics("user_alice").unwrap(), vec!["m"]);
+        assert_eq!(listed_databases(&router), vec!["lms", "user_alice"]);
+        server.shutdown();
+    }
+
+    #[test]
+    fn user_views_are_not_found_with_per_user_off() {
+        let (server, _influx, router) = setup(RouterConfig::default());
+        router.handle_job_start(signal("42", "alice", &["h1"]));
+        router.handle_write(None, "m,hostname=h1 v=1 100");
+        assert!(router.flush(Duration::from_secs(5)));
+        let not_found = |r: Result<_>| matches!(r, Err(Error::Remote { status: 404, .. }));
+        assert!(not_found(router.handle_query("user_alice", "SELECT v FROM m").map(drop)));
+        assert!(not_found(router.handle_metrics("user_alice").map(drop)));
+        assert!(not_found(router.handle_labels("user_alice", "m").map(drop)));
+        assert_eq!(listed_databases(&router), vec!["lms"]);
         server.shutdown();
     }
 

@@ -1,13 +1,15 @@
 //! The router writes an enriched line once, splicing its job's tags into the
 //! received bytes. This checks that against materialising the line as a
 //! `Point`, adding the job's tags with `add_tag` and serialising it again:
-//! every copy forwarded to an owner node, the copy in the user's database
-//! and the queue's payload parse to the same canonical point, placement
-//! picks the same owners, and the enriched count agrees — on one node and
-//! on three with R = 2. No forwarded line may repeat a tag key.
+//! every copy forwarded to an owner node and the queue's payload parse to
+//! the same canonical point, placement picks the same owners, no line is
+//! addressed to a user's database (with per-user views on, a user's
+//! database is a view the nodes serve), and the enriched count agrees — on
+//! one node and on three with R = 2. No forwarded line may repeat a tag key.
 
 use lms_cluster::ClusterConfig;
 use lms_http::{Request, Response, Server};
+use lms_influx::user_view;
 use lms_lineproto::escape::{escape_measurement, escape_string_field_into, escape_tag};
 use lms_lineproto::{parse_batch, parse_line, ParsedLine, Point};
 use lms_mq::{Publisher, Subscriber};
@@ -166,14 +168,14 @@ impl Recorder {
 }
 
 /// Writes `body` through an N-node router with replication R, per-user
-/// duplication and a subscriber on every metric, after starting `jobs`,
+/// views and a subscriber on every metric, after starting `jobs`,
 /// and checks every destination against `expected`.
 fn check(
     nodes: usize,
     replication: usize,
     jobs: &[JobSignal],
     body: &str,
-    expected: &[(Point, Option<&str>)],
+    expected: &[Point],
 ) -> Result<(), TestCaseError> {
     let recorders: Vec<Recorder> = (0..nodes).map(|_| Recorder::start()).collect();
     let cluster = ClusterConfig {
@@ -204,26 +206,27 @@ fn check(
     prop_assert_eq!(router.stats().lines_enriched, jobs.len() as u64);
 
     // Placement: each copy lands exactly on the owners of the reference
-    // point's series, in the global and in the user's database.
+    // point's series in the global database, and in no user's database.
     let mut want: Vec<Vec<(String, String)>> = vec![Vec::new(); nodes];
     let mut owners = Vec::new();
-    for (point, user) in expected {
+    for point in expected {
         let key = point.series_key();
-        let dbs = std::iter::once("lms".to_string()).chain(user.map(|u| format!("user_{u}")));
-        for db in dbs {
-            ring.owners_into(fx_hash(&(db.as_str(), key.as_str())), replication, &mut owners);
-            for &o in &owners {
-                want[o].push((db.clone(), point.to_line()));
-            }
+        ring.owners_into(fx_hash(&("lms", key.as_str())), replication, &mut owners);
+        for &o in &owners {
+            want[o].push(("lms".to_string(), point.to_line()));
         }
     }
     for (node, (recorder, want)) in recorders.iter().zip(&mut want).enumerate() {
         want.sort();
-        prop_assert_eq!(&recorder.received()?, &*want, "node {} of {}", node, nodes);
+        let received = recorder.received()?;
+        let to_users: Vec<&String> =
+            received.iter().map(|(db, _)| db).filter(|db| user_view(db).is_some()).collect();
+        prop_assert!(to_users.is_empty(), "node {}: lines addressed to {:?}", node, to_users);
+        prop_assert_eq!(&received, &*want, "node {} of {}", node, nodes);
     }
 
     // The queue carries every line once, in order, under its measurement.
-    for (point, _) in expected {
+    for point in expected {
         let m = sub.recv_timeout(WAIT).unwrap();
         let m = m.ok_or_else(|| TestCaseError::fail("a metric was not published"))?;
         prop_assert_eq!(m.topic, format!("metrics.{}", point.measurement()));
@@ -247,13 +250,10 @@ proptest! {
         let body = lines.join("\n");
         let jobs: Vec<Option<JobSignal>> =
             specs.iter().enumerate().map(|(i, s)| job_signal(i, s)).collect();
-        let expected: Vec<(Point, Option<&str>)> = lines
+        let expected: Vec<Point> = lines
             .iter()
             .zip(&jobs)
-            .map(|(line, job)| {
-                let parsed = parse_line(line).unwrap();
-                (reference(&parsed, job.as_ref()), job.as_ref().map(|j| j.user.as_str()))
-            })
+            .map(|(line, job)| reference(&parse_line(line).unwrap(), job.as_ref()))
             .collect();
         let started: Vec<JobSignal> = jobs.iter().flatten().cloned().collect();
         check(1, 1, &started, &body, &expected)?;

@@ -3,13 +3,14 @@
 //!
 //! The request is the per-user, published shape of an instrumented
 //! application: every line comes from a host that runs a job, so each one
-//! is enriched, duplicated into its user's database and offered to the
-//! queue. The router writes each line once — job tags spliced into the
-//! received bytes — and hands that one text to every destination, so what
-//! a line may allocate is its parse, its share of the growing batch
-//! buffers and, for the quarter of lines a subscriber wants, one frame.
+//! is enriched and offered to the queue, and its user reads it through
+//! their view. The router writes each line once — job tags spliced into
+//! the received bytes — and hands that one text to every destination, so
+//! what a line may allocate is its parse, its share of the growing batch
+//! buffer and, for the quarter of lines a subscriber wants, one frame.
 //! Only the calling thread is counted: the forwarder's workers and the
-//! queue's writer run on their own.
+//! queue's writer run on their own. The node then holds each point once:
+//! in `lms`, and in no `user_*` database.
 
 use lms_influx::{Influx, InfluxServer};
 use lms_mq::{Publisher, Subscriber};
@@ -87,7 +88,8 @@ fn body(round: i64) -> String {
 #[test]
 fn enriched_published_per_user_write_allocations_per_line_stay_bounded() {
     let clock = Clock::simulated(Timestamp::from_secs(5_000));
-    let server = InfluxServer::start("127.0.0.1:0", Influx::new(clock.clone())).unwrap();
+    let influx = Influx::new(clock.clone());
+    let server = InfluxServer::start("127.0.0.1:0", influx.clone()).unwrap();
     let publisher = Publisher::bind("127.0.0.1:0").unwrap();
     let mut subscriber = Subscriber::connect(publisher.addr()).unwrap();
     subscriber.subscribe("metrics.app_pressure").unwrap();
@@ -123,6 +125,10 @@ fn enriched_published_per_user_write_allocations_per_line_stay_bounded() {
         assert!(router.flush(Duration::from_secs(10)));
     }
     assert_eq!(router.stats().lines_enriched, 2_000);
+    let names = influx.database_names();
+    let held: usize = names.iter().map(|db| influx.point_count(db)).sum();
+    assert_eq!(held, influx.point_count("lms"), "points held outside lms: {names:?}");
+    assert!(names.iter().all(|db| !db.starts_with("user_")), "{names:?}");
     drop(subscriber);
     server.shutdown();
 }

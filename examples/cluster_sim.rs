@@ -1,6 +1,6 @@
 //! A fuller cluster simulation: queueing with backfill, the ZeroMQ-style
 //! stream analyzer attached to the router's publisher, per-user database
-//! duplication, and the Ganglia pull-proxy integration path.
+//! views, and the Ganglia pull-proxy integration path.
 //!
 //! This exercises the loose-coupling claims of the paper's Sec. II/III:
 //! legacy sources (gmond) integrate through a proxy, stream analyzers
@@ -128,15 +128,18 @@ fn main() {
     println!("\nganglia-proxied samples stored: {n} (pulled {proxied_points} points total)");
     assert!(n > 0);
 
-    // Per-user duplication created user databases (on the nodes owning
-    // that user's series, in cluster mode).
-    let mut dbs: Vec<String> = (0..stack.db_node_count())
-        .flat_map(|i| stack.influx_node(i).database_names())
-        .collect();
-    dbs.sort();
-    dbs.dedup();
+    // Each user's view of lms is listed and read through the router (with
+    // several nodes, scattered and folded like lms itself).
+    let r = stack.router().handle_query("lms", "SHOW DATABASES").expect("query");
+    let dbs: Vec<&str> = r.series[0].values.iter().filter_map(|v| v[0].as_str()).collect();
     println!("databases: {dbs:?}");
-    assert!(dbs.iter().any(|d| d == "user_anna"));
+    assert!(dbs.contains(&"user_anna"));
+    let count = |db, q: &str| {
+        stack.router().handle_query(db, q).expect("query").series[0].values[0][1].as_i64()
+    };
+    let anna = count("user_anna", "SELECT count(busy) FROM cpu_total");
+    println!("user_anna: {anna:?} cpu_total samples");
+    assert_eq!(anna, count("lms", "SELECT count(busy) FROM cpu_total WHERE user = 'anna'"));
 
     // Final accounting.
     let stats = stack.stats();
