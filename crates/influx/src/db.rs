@@ -42,7 +42,7 @@ mod staging;
 use crate::exec::{self, QueryResult};
 use crate::query::{Condition, Select, Statement};
 use crate::storage::{lww_dedup, Series};
-use index::{shrink_sparse_map, MeasurementIndex};
+use index::{shrink_sparse_map, shrink_sparse_vec, MeasurementIndex};
 use lms_lineproto::{parse_batch, FieldValue, Point, Precision};
 use lms_rollup::{align_down, align_up, is_rollup_db, rollup_db_name, Tier, TIERS};
 use lms_tsm::wal::MAX_BATCH_BYTES;
@@ -263,10 +263,40 @@ pub struct WriteOutcome {
     pub first_error: Option<(usize, String)>,
 }
 
-/// One lock stripe: a slice of the series keyed by canonical series key.
+/// One lock stripe: a slab of series and the slot of each series key. A
+/// slot holds until retention (which drains the shard first) removes a
+/// series, so a staged point names its series by slot.
 #[derive(Debug, Default)]
 struct Shard {
-    series: FxHashMap<String, Arc<Series>>,
+    slots: FxHashMap<String, u32>,
+    series: Vec<Arc<Series>>,
+}
+
+impl Shard {
+    fn get(&self, key: &str) -> Option<&Arc<Series>> {
+        self.slots.get(key).map(|&slot| &self.series[slot as usize])
+    }
+
+    fn get_mut(&mut self, key: &str) -> Option<&mut Arc<Series>> {
+        self.slots.get(key).map(|&slot| &mut self.series[slot as usize])
+    }
+
+    /// Keeps the series `keep` accepts, in order, and renumbers the slots.
+    fn retain(&mut self, mut keep: impl FnMut(&mut Arc<Series>) -> bool) {
+        let (mut moved_to, mut next) = (Vec::with_capacity(self.series.len()), 0);
+        self.series.retain_mut(|series| {
+            let kept = keep(series);
+            moved_to.push(if kept { next } else { u32::MAX });
+            next += kept as u32;
+            kept
+        });
+        self.slots.retain(|_, slot| {
+            *slot = moved_to[*slot as usize];
+            *slot != u32::MAX
+        });
+        shrink_sparse_map(&mut self.slots);
+        shrink_sparse_vec(&mut self.series);
+    }
 }
 
 /// One lock stripe plus the staging buffer writes reach it through (see
@@ -286,14 +316,16 @@ fn series_slot<'a>(
     key: &str,
     id: impl FnOnce() -> Arc<SeriesId>,
 ) -> &'a mut Arc<Series> {
-    match shard.series.entry(key.to_string()) {
-        Entry::Occupied(slot) => slot.into_mut(),
+    let slot = match shard.slots.entry(key.to_string()) {
+        Entry::Occupied(slot) => *slot.get(),
         Entry::Vacant(slot) => {
             let id = id();
             meta.measurements.entry(id.measurement.clone()).or_default().add(id.clone());
-            slot.insert(Arc::new(Series::new(id)))
+            shard.series.push(Arc::new(Series::new(id)));
+            *slot.insert(shard.series.len() as u32 - 1)
         }
-    }
+    };
+    &mut shard.series[slot as usize]
 }
 
 /// Cross-shard metadata, guarded by its own lock (taken *before* any shard
@@ -534,7 +566,7 @@ impl Database {
         index
             .matching(conditions)
             .filter_map(|id| {
-                self.shard_of(&id.series_key).data.read().series.get(&id.series_key).cloned()
+                self.shard_of(&id.series_key).data.read().get(&id.series_key).cloned()
             })
             .collect()
     }
@@ -587,7 +619,7 @@ impl Database {
         self.drain_all_pending();
         self.shards
             .iter()
-            .map(|s| s.data.read().series.values().map(|s| s.point_count()).sum::<usize>())
+            .map(|s| s.data.read().series.iter().map(|s| s.point_count()).sum::<usize>())
             .sum()
     }
 
@@ -602,7 +634,7 @@ impl Database {
                 s.data
                     .read()
                     .series
-                    .values()
+                    .iter()
                     .map(|series| series.fields().map(|(_, c)| c.head_len()).sum::<usize>())
                     .sum::<usize>()
             })
@@ -645,7 +677,7 @@ impl Database {
         let mut entries = std::mem::take(&mut *self.unflushed.lock());
         for id in self.series_in_flush_order() {
             let mut shard = self.shard_of(&id.series_key).data.write();
-            let Some(series) = shard.series.get_mut(&id.series_key) else { continue };
+            let Some(series) = shard.get_mut(&id.series_key) else { continue };
             if series.fields().all(|(_, col)| col.head().is_empty()) {
                 continue; // nothing to seal: leave a shared snapshot shared
             }
@@ -730,7 +762,7 @@ impl Database {
         let mut installs: Vec<Install> = Vec::new();
         for id in self.series_in_flush_order() {
             let shard = self.shard_of(&id.series_key).data.read();
-            let Some(series) = shard.series.get(&id.series_key) else { continue };
+            let Some(series) = shard.get(&id.series_key) else { continue };
             for (field, col) in series.fields() {
                 let partition_pure = |b: &SealedBlock| {
                     engine.partition_of(b.min_ts) == engine.partition_of(b.max_ts)
@@ -786,7 +818,7 @@ impl Database {
         // last-write-wins hides at the next open.
         for (id, field, merged_away, layer) in installs {
             let mut shard = self.shard_of(&id.series_key).data.write();
-            let Some(series) = shard.series.get_mut(&id.series_key) else { continue };
+            let Some(series) = shard.get_mut(&id.series_key) else { continue };
             let col = Arc::make_mut(series).field_mut_or_create(&field);
             let mut sealed: Vec<Arc<SealedBlock>> = col
                 .sealed()
@@ -832,8 +864,9 @@ impl Database {
         }
         for idx in 0..self.shards.len() {
             let mut shard = self.shards[idx].data.write();
-            for (key, series) in shard.series.iter_mut() {
+            for series in shard.series.iter_mut() {
                 let series = Arc::make_mut(series);
+                let key = series.key().to_string();
                 for (field, col) in series.fields_mut() {
                     let in_range =
                         |b: &Arc<SealedBlock>| b.min_ts >= start_ns && b.min_ts < end_ns;
@@ -880,8 +913,9 @@ impl Database {
         let mut groups: std::collections::BTreeMap<(i64, u64), (u64, u64)> = Default::default();
         for shard in self.shards.iter() {
             let shard = shard.data.read();
-            for (key, series) in shard.series.iter() {
-                let mask = owner_mask(ring, replication, fx_hash(&(db_name, key.as_str())));
+            for series in shard.series.iter() {
+                let key = series.key();
+                let mask = owner_mask(ring, replication, fx_hash(&(db_name, key)));
                 for field in series.field_names() {
                     let Some(col) = series.field(field) else { continue };
                     for (ts, v) in col.points_in(i64::MIN, i64::MAX) {
@@ -912,7 +946,7 @@ impl Database {
         let mut out = String::new();
         for shard in self.shards.iter() {
             let shard = shard.data.read();
-            for series in shard.series.values() {
+            for series in shard.series.iter() {
                 for field in series.field_names() {
                     let Some(col) = series.field(field) else { continue };
                     let mut point = Point::new(series.measurement());
@@ -958,7 +992,7 @@ impl Database {
         }
         for shard in self.shards.iter() {
             let shard = shard.data.read();
-            for series in shard.series.values() {
+            for series in shard.series.iter() {
                 for field in series.field_names() {
                     let Some(col) = series.field(field) else { continue };
                     stats.head_points += col.head_len() as u64;
@@ -1001,17 +1035,14 @@ impl Database {
             // staged point keeps its series, a stale one is evicted with it.
             self.drain_shard(idx);
             let mut shard = self.shards[idx].data.write();
-            shard.series.retain(|key, series| {
+            shard.retain(|series| {
                 let series = Arc::make_mut(series);
                 evicted += series.evict_before(cutoff);
                 if series.is_empty() {
-                    removed.insert(key.clone());
-                    false
-                } else {
-                    true
+                    removed.insert(series.key().to_string());
                 }
+                !series.is_empty()
             });
-            shrink_sparse_map(&mut shard.series);
         }
         if !removed.is_empty() {
             meta.measurements.retain(|_, index| index.remove(&removed));

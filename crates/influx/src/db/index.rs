@@ -125,7 +125,7 @@ fn is_sparse(len: usize, capacity: usize) -> bool {
     capacity > 64 && capacity > 4 * len
 }
 
-fn shrink_sparse_vec<T>(v: &mut Vec<T>) {
+pub(super) fn shrink_sparse_vec<T>(v: &mut Vec<T>) {
     if is_sparse(v.len(), v.capacity()) {
         v.shrink_to_fit();
     }
@@ -197,7 +197,7 @@ mod tests {
             Arc::new(SeriesId { series_key: key.clone(), measurement: "m".into(), tags: tags.clone() })
         };
         let series = series_slot(&mut meta, &mut shard, &key, id);
-        Arc::make_mut(series).insert("v", ts, FieldValue::Float(1.0));
+        Arc::make_mut(series).field_mut_or_create("v").insert(ts, FieldValue::Float(1.0));
     }
 
     /// The filter the executor ran over every series of the measurement

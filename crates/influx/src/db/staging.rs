@@ -1,5 +1,5 @@
 //! The ingest path: thread-local stage → per-shard staging buffer → drain
-//! → [`Column::insert_many`](crate::storage::Column::insert_many).
+//! → each value appended to its [`Column`](crate::storage::Column).
 //!
 //! [`Database::write_parsed_batch`] is the only way points enter the series
 //! maps (WAL replay included). It stages a parsed batch per shard in
@@ -49,18 +49,21 @@ struct PendingPoint {
     value: FieldValue,
 }
 
-/// A staging buffer of parsed points bound for one shard. Series keys and
-/// field names live in a single string arena (`text`), so staging a point
-/// for a known series allocates nothing in steady state — buffers are
-/// recycled with their capacity intact.
+/// A staging buffer of parsed points bound for one shard. Field names live
+/// in a single string arena (`text`) and series are named by their slot in
+/// the shard, so staging a point allocates nothing in steady state —
+/// buffers are recycled with their capacity intact.
 #[derive(Debug, Default)]
 struct PendingBuf {
-    /// Arena holding series keys and field names back to back.
+    /// Arena holding field names back to back.
     text: String,
-    /// `((key range in text), (point range in points))`: one run per
-    /// maximal stretch of consecutive same-series lines.
-    runs: Vec<((u32, u32), (u32, u32))>,
+    /// `(series slot, end of its points)` per stretch of consecutive
+    /// same-series lines; a run's points follow the previous run's.
+    runs: Vec<(u32, u32)>,
     points: Vec<PendingPoint>,
+    /// Apply's scratch: `(column slot, point index)` of the values that
+    /// do not extend their column.
+    deferred: Vec<(u32, u32)>,
 }
 
 impl PendingBuf {
@@ -74,25 +77,16 @@ impl PendingBuf {
         self.points.clear();
     }
 
-    /// Stages one field point of `key`; consecutive pushes for the same
-    /// series share one run (and one copy of the key).
-    fn push(&mut self, key: &str, field: &str, ts: i64, value: FieldValue) {
-        let same_key = self
-            .runs
-            .last()
-            .is_some_and(|((ks, ke), _)| &self.text[*ks as usize..*ke as usize] == key);
-        if !same_key {
-            let ks = self.text.len() as u32;
-            self.text.push_str(key);
-            let ke = self.text.len() as u32;
-            let ps = self.points.len() as u32;
-            self.runs.push(((ks, ke), (ps, ps)));
+    /// Stages one field point of the series in `slot`; consecutive pushes
+    /// for the same series share one run.
+    fn push(&mut self, slot: u32, field: &str, ts: i64, value: FieldValue) {
+        if self.runs.last().is_none_or(|run| run.0 != slot) {
+            self.runs.push((slot, 0));
         }
         let fs = self.text.len() as u32;
         self.text.push_str(field);
-        let fe = self.text.len() as u32;
-        self.points.push(PendingPoint { field: (fs, fe), ts, value });
-        self.runs.last_mut().unwrap().1 .1 = self.points.len() as u32;
+        self.points.push(PendingPoint { field: (fs, self.text.len() as u32), ts, value });
+        self.runs.last_mut().unwrap().1 = self.points.len() as u32;
     }
 
     /// Moves every staged point from `other` into `self`, rebasing arena
@@ -106,9 +100,7 @@ impl PendingBuf {
             ts: p.ts,
             value: p.value,
         }));
-        self.runs.extend(other.runs.drain(..).map(|((ks, ke), (ps, pe))| {
-            ((ks + text_base, ke + text_base), (ps + points_base, pe + points_base))
-        }));
+        self.runs.extend(other.runs.drain(..).map(|(slot, end)| (slot, end + points_base)));
         other.text.clear();
     }
 }
@@ -150,7 +142,7 @@ impl Staged {
                 self.points.fetch_sub(pending.points.len(), Ordering::Release);
                 std::mem::swap(&mut *pending, &mut work);
             }
-            apply_pending(shard, &work);
+            apply_pending(shard, &mut work);
             work.clear();
         }
     }
@@ -168,6 +160,7 @@ thread_local! {
 struct IngestScratch {
     key_buf: String,
     prev_key: String,
+    prev_slot: u32,
     stages: Vec<PendingBuf>,
     touched: Vec<usize>,
 }
@@ -180,39 +173,46 @@ fn series_id(key: &str, line: &ParsedLine<'_>) -> Arc<SeriesId> {
     })
 }
 
-/// Applies one swapped-out staging buffer to the shard: consecutive
-/// same-series runs share a single map lookup and copy-on-write clone.
-fn apply_pending(shard: &mut Shard, buf: &PendingBuf) {
-    let text = buf.text.as_str();
-    let key_of = |r: &((u32, u32), (u32, u32))| &text[r.0 .0 as usize..r.0 .1 as usize];
-    let mut i = 0;
-    while i < buf.runs.len() {
-        let key = key_of(&buf.runs[i]);
+/// Applies one swapped-out staging buffer to the shard. Each value goes
+/// straight to its column when it lies past the head (live data); the rest
+/// (backfill, interleaved writers) are merged per column in timestamp
+/// order after their run. Either way a column ends as if its points were
+/// inserted one by one in staging order: of one timestamp, the last wins.
+fn apply_pending(shard: &mut Shard, buf: &mut PendingBuf) {
+    let PendingBuf { text, runs, points, deferred } = buf;
+    let take = |p: &mut PendingPoint| std::mem::replace(&mut p.value, FieldValue::Boolean(false));
+    let (mut i, mut start) = (0, 0);
+    while i < runs.len() {
         let mut j = i + 1;
-        while j < buf.runs.len() && key_of(&buf.runs[j]) == key {
+        while j < runs.len() && runs[j].0 == runs[i].0 {
             j += 1;
         }
-        let points = &buf.points[buf.runs[i].1 .0 as usize..buf.runs[j - 1].1 .1 as usize];
-        let series = shard
-            .series
-            .get_mut(key)
-            .expect("a staged point's series exists: retention excludes staging");
-        // Group per field, sort by timestamp (stable, so staging order
-        // breaks ties — last write wins), merge each column in one pass.
-        let mut per_field: Vec<(&str, Vec<(i64, FieldValue)>)> = Vec::new();
-        for p in points {
-            let field = &text[p.field.0 as usize..p.field.1 as usize];
-            match per_field.iter_mut().find(|(f, _)| *f == field) {
-                Some((_, v)) => v.push((p.ts, p.value.clone())),
-                None => per_field.push((field, vec![(p.ts, p.value.clone())])),
+        let end = runs[j - 1].1 as usize;
+        let series = Arc::make_mut(&mut shard.series[runs[i].0 as usize]);
+        // Lines repeat their field order: the slot after the last one is
+        // the first guess.
+        let mut slot = 0;
+        for (at, p) in (start..).zip(&mut points[start..end]) {
+            slot = series.field_slot(&text[p.field.0 as usize..p.field.1 as usize], slot);
+            let column = series.column_mut(slot);
+            if column.appends(p.ts) {
+                column.insert(p.ts, take(p));
+            } else {
+                deferred.push((slot as u32, at as u32));
             }
+            slot += 1;
         }
-        let series = Arc::make_mut(series);
-        for (field, mut run) in per_field {
-            run.sort_by_key(|&(t, _)| t);
-            series.field_mut_or_create(field).insert_many(&run);
+        // The point index breaks timestamp ties in staging order.
+        deferred.sort_unstable_by_key(|&(slot, at)| (slot, points[at as usize].ts, at));
+        for same in deferred.chunk_by(|a, b| a.0 == b.0) {
+            let run = same.iter().map(|&(_, at)| {
+                let p = &mut points[at as usize];
+                (p.ts, take(p))
+            });
+            series.column_mut(same[0].0 as usize).insert_many(run);
         }
-        i = j;
+        deferred.clear();
+        (i, start) = (j, end);
     }
 }
 
@@ -251,25 +251,21 @@ impl Database {
             for line in lines {
                 let ts =
                     line.timestamp.map(|t| opts.precision.to_nanos(t)).unwrap_or(default_ts);
-                scratch.key_buf.clear();
-                line.series_key_into(&mut scratch.key_buf);
+                let key = line.series_key(&mut scratch.key_buf);
                 // Hot-series batches repeat one key: skip the rehash and
                 // existence check for consecutive identical keys.
-                let idx = if prev_idx != usize::MAX && scratch.key_buf == scratch.prev_key {
-                    prev_idx
-                } else {
-                    let idx = self.shard_index(&scratch.key_buf);
-                    self.ensure_series(idx, &scratch.key_buf, line);
-                    std::mem::swap(&mut scratch.prev_key, &mut scratch.key_buf);
-                    prev_idx = idx;
-                    idx
-                };
-                let stage = &mut scratch.stages[idx];
+                if prev_idx == usize::MAX || key != scratch.prev_key {
+                    prev_idx = self.shard_index(key);
+                    scratch.prev_slot = self.series_slot_of(prev_idx, key, line);
+                    scratch.prev_key.clear();
+                    scratch.prev_key.push_str(key);
+                }
+                let stage = &mut scratch.stages[prev_idx];
                 if stage.is_empty() {
-                    scratch.touched.push(idx);
+                    scratch.touched.push(prev_idx);
                 }
                 for (field, value) in &line.fields {
-                    stage.push(&scratch.prev_key, field.as_ref(), ts, value.clone());
+                    stage.push(scratch.prev_slot, field.as_ref(), ts, value.clone());
                 }
             }
             for &idx in &scratch.touched {
@@ -312,16 +308,17 @@ impl Database {
         self.unsealed.load(Ordering::Acquire)
     }
 
-    /// Makes sure the series behind `key` exists and is registered in
-    /// `meta` before its points are staged (so reads find it without a
-    /// drain, and `series_count` is exact).
-    fn ensure_series(&self, idx: usize, key: &str, line: &ParsedLine<'_>) {
-        if self.shards[idx].data.read().series.contains_key(key) {
-            return;
+    /// The slot of the series behind `key` in shard `idx`, which exists
+    /// and is registered in `meta` before its points are staged (so reads
+    /// find it without a drain, and `series_count` is exact).
+    fn series_slot_of(&self, idx: usize, key: &str, line: &ParsedLine<'_>) -> u32 {
+        if let Some(&slot) = self.shards[idx].data.read().slots.get(key) {
+            return slot;
         }
         let mut meta = self.meta.write();
         let mut shard = self.shards[idx].data.write();
         series_slot(&mut meta, &mut shard, key, || series_id(key, line));
+        shard.slots[key]
     }
 
     /// Drains one shard's staged points, if any, into its series map. The
@@ -345,7 +342,11 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use crate::{Influx, StorageConfig};
+    use lms_lineproto::FieldValue;
     use lms_util::rng::XorShift64;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
     use lms_util::{Clock, Timestamp};
 
     #[test]
@@ -488,6 +489,56 @@ mod tests {
         assert_eq!(ix.enforce_retention(), 1);
         assert_eq!(rows(&ix, "h3"), [(970_000_000_000, 5.0)]);
         assert_eq!(show(&ix), ["h1", "h2", "h3"]);
+    }
+
+    proptest! {
+        /// Applying staged points leaves every column as inserting them one
+        /// by one in staging order would: of one timestamp the last write
+        /// wins — within a line (a repeated field), across lines, runs and
+        /// batches — whether a value extends its column or backfills it,
+        /// and whatever order a line lists its fields in.
+        #[test]
+        fn apply_equals_inserting_point_by_point(
+            batches in vec(
+                vec((0u8..3, 0i64..24, vec((0u8..4, -99i64..99), 1..6)), 1..40),
+                1..6,
+            ),
+            read_between in any::<bool>(),
+        ) {
+            let ix = Influx::new(Clock::simulated(Timestamp::from_secs(1000)));
+            let mut want: BTreeMap<(String, String), BTreeMap<i64, i64>> = BTreeMap::new();
+            for batch in &batches {
+                let mut body = String::new();
+                for (host, ts, fields) in batch {
+                    let fields: Vec<String> =
+                        fields.iter().map(|(f, v)| format!("f{f}={v}i")).collect();
+                    body.push_str(&format!("m,host=h{host} {} {ts}\n", fields.join(",")));
+                }
+                ix.write_lines("lms", &body, Default::default()).unwrap();
+                for (host, ts, fields) in batch {
+                    for (f, v) in fields {
+                        let column = (format!("h{host}"), format!("f{f}"));
+                        want.entry(column).or_default().insert(*ts, *v);
+                    }
+                }
+                if read_between {
+                    ix.point_count("lms"); // drains: later batches land on heads
+                }
+            }
+            let db = ix.database("lms").unwrap();
+            let mut got: BTreeMap<(String, String), BTreeMap<i64, i64>> = BTreeMap::new();
+            for series in db.series_where("m", &[]) {
+                for (field, column) in series.fields() {
+                    let points = column.iter_all().map(|(ts, v)| match v {
+                        FieldValue::Integer(v) => (ts, v),
+                        other => panic!("not an integer: {other:?}"),
+                    });
+                    let column = (series.tag("host").unwrap().to_string(), field.to_string());
+                    got.insert(column, points.collect());
+                }
+            }
+            prop_assert_eq!(got, want);
+        }
     }
 
     #[test]

@@ -182,6 +182,11 @@ impl Column {
         }
     }
 
+    /// True when [`insert`](Column::insert) appends `ts` after the head.
+    pub fn appends(&self, ts: i64) -> bool {
+        self.head.last().is_none_or(|&(last, _)| last < ts)
+    }
+
     /// Inserts a run of points sorted ascending by timestamp (duplicates
     /// allowed; later entries win, as do run entries over existing head
     /// values — the run is "newer"). Equivalent to per-point [`insert`]
@@ -190,54 +195,34 @@ impl Column {
     /// than O(run · log head).
     ///
     /// [`insert`]: Column::insert
-    pub fn insert_many(&mut self, run: &[(i64, FieldValue)]) {
-        debug_assert!(run.windows(2).all(|w| w[0].0 <= w[1].0), "run must be sorted");
-        let Some(&(first, _)) = run.first() else { return };
+    pub fn insert_many(&mut self, run: impl IntoIterator<Item = (i64, FieldValue)>) {
+        let mut ri = run.into_iter().peekable();
+        let Some(&(first, _)) = ri.peek() else { return };
         fn push_lww(head: &mut Vec<(i64, FieldValue)>, ts: i64, value: FieldValue) {
             match head.last_mut() {
                 Some(last) if last.0 == ts => last.1 = value,
                 _ => head.push((ts, value)),
             }
         }
-        if self.head.last().is_none_or(|&(last, _)| last < first) {
-            // Live-append fast path: the whole run lands after the head.
-            self.head.reserve(run.len());
-            for (ts, v) in run {
-                push_lww(&mut self.head, *ts, v.clone());
-            }
-            return;
-        }
-        // Backfill: merge the run with the overlapping head tail. The
-        // prefix below the run's first timestamp is untouched.
+        // Merge the run with the head's tail from the run's first
+        // timestamp on; the prefix below it is untouched.
         let split = self.head.partition_point(|&(t, _)| t < first);
         let tail = self.head.split_off(split);
-        self.head.reserve(tail.len() + run.len());
+        self.head.reserve(tail.len() + ri.size_hint().0);
         let mut ti = tail.into_iter().peekable();
-        let mut ri = run.iter().peekable();
         loop {
-            match (ti.peek(), ri.peek()) {
-                (Some(&(t, _)), Some(&&(r, _))) => {
-                    if t < r {
-                        let p = ti.next().unwrap();
-                        push_lww(&mut self.head, p.0, p.1);
-                    } else {
-                        if t == r {
-                            ti.next(); // run outranks the existing value
-                        }
-                        let p = ri.next().unwrap();
-                        push_lww(&mut self.head, p.0, p.1.clone());
-                    }
-                }
-                (Some(_), None) => {
-                    let p = ti.next().unwrap();
-                    push_lww(&mut self.head, p.0, p.1);
-                }
-                (None, Some(_)) => {
-                    let p = ri.next().unwrap();
-                    push_lww(&mut self.head, p.0, p.1.clone());
-                }
+            let from_run = match (ti.peek(), ri.peek()) {
                 (None, None) => break,
-            }
+                (Some(&(t, _)), Some(&(r, _))) => {
+                    if t == r {
+                        ti.next(); // run outranks the existing value
+                    }
+                    t >= r
+                }
+                (tail_next, _) => tail_next.is_none(),
+            };
+            let (ts, v) = if from_run { ri.next() } else { ti.next() }.unwrap();
+            push_lww(&mut self.head, ts, v);
         }
     }
 
@@ -469,6 +454,11 @@ impl Series {
         Series { id, fields: Vec::new() }
     }
 
+    /// The canonical series key.
+    pub fn key(&self) -> &str {
+        &self.id.series_key
+    }
+
     /// The measurement name.
     pub fn measurement(&self) -> &str {
         &self.id.measurement
@@ -485,11 +475,6 @@ impl Series {
         tags.binary_search_by(|(k, _)| k.as_str().cmp(key)).ok().map(|i| tags[i].1.as_str())
     }
 
-    /// Inserts one field value.
-    pub fn insert(&mut self, field: &str, ts: i64, value: FieldValue) {
-        self.field_mut_or_create(field).insert(ts, value);
-    }
-
     /// The column of a field.
     pub fn field(&self, name: &str) -> Option<&Column> {
         self.fields.iter().find(|(f, _)| &**f == name).map(|(_, c)| c)
@@ -498,11 +483,26 @@ impl Series {
     /// Mutable access to a field's column, creating it if missing
     /// (sealed-block install during recovery).
     pub fn field_mut_or_create(&mut self, name: &str) -> &mut Column {
-        if let Some(i) = self.fields.iter().position(|(f, _)| &**f == name) {
-            return &mut self.fields[i].1;
+        let slot = self.field_slot(name, 0);
+        self.column_mut(slot)
+    }
+
+    /// The slot of a field's column, created if missing. Slot `hint` is
+    /// tried first: lines repeat their field order.
+    pub fn field_slot(&mut self, name: &str, hint: usize) -> usize {
+        if self.fields.get(hint).is_some_and(|(f, _)| &**f == name) {
+            return hint;
+        }
+        if let Some(slot) = self.fields.iter().position(|(f, _)| &**f == name) {
+            return slot;
         }
         self.fields.push((name.into(), Column::default()));
-        &mut self.fields.last_mut().unwrap().1
+        self.fields.len() - 1
+    }
+
+    /// The column in a slot [`field_slot`](Self::field_slot) returned.
+    pub fn column_mut(&mut self, slot: usize) -> &mut Column {
+        &mut self.fields[slot].1
     }
 
     /// Iterates `(field name, column)`, insertion order (compaction).
@@ -605,7 +605,7 @@ mod tests {
         c.insert(1, f(1.0));
         // Run lands entirely after the head; in-run duplicate resolves to
         // the later value.
-        c.insert_many(&[(2, f(2.0)), (3, f(3.0)), (3, f(33.0)), (4, f(4.0))]);
+        c.insert_many([(2, f(2.0)), (3, f(3.0)), (3, f(33.0)), (4, f(4.0))]);
         assert_eq!(
             collect(c.iter_all()),
             vec![(1, f(1.0)), (2, f(2.0)), (3, f(33.0)), (4, f(4.0))]
@@ -620,7 +620,7 @@ mod tests {
         }
         // Overlapping backfill: ts 20 collides (run wins), 15/35 interleave,
         // 50 extends.
-        c.insert_many(&[(15, f(1.5)), (20, f(99.0)), (35, f(3.5)), (50, f(5.0))]);
+        c.insert_many([(15, f(1.5)), (20, f(99.0)), (35, f(3.5)), (50, f(5.0))]);
         assert_eq!(
             collect(c.iter_all()),
             vec![
@@ -647,7 +647,7 @@ mod tests {
         let mut batched = Column::default();
         let mut single = Column::default();
         for run in &runs {
-            batched.insert_many(run);
+            batched.insert_many(run.iter().cloned());
             for (ts, v) in run {
                 single.insert(*ts, v.clone());
             }
@@ -888,9 +888,9 @@ mod tests {
     #[test]
     fn series_fields_and_tags() {
         let mut s = series("cpu", &[("hostname", "h1")]);
-        s.insert("value", 1, f(0.5));
-        s.insert("count", 1, FieldValue::Integer(3));
-        s.insert("value", 2, f(0.7));
+        s.field_mut_or_create("value").insert(1, f(0.5));
+        s.field_mut_or_create("count").insert(1, FieldValue::Integer(3));
+        s.field_mut_or_create("value").insert(2, f(0.7));
         assert_eq!(s.measurement(), "cpu");
         assert_eq!(s.tag("hostname"), Some("h1"));
         assert_eq!(s.tag("missing"), None);
@@ -902,8 +902,8 @@ mod tests {
     #[test]
     fn series_eviction_drops_empty_fields() {
         let mut s = series("m", &[]);
-        s.insert("old", 1, f(0.0));
-        s.insert("fresh", 100, f(0.0));
+        s.field_mut_or_create("old").insert(1, f(0.0));
+        s.field_mut_or_create("fresh").insert(100, f(0.0));
         assert_eq!(s.evict_before(50), 1);
         assert!(s.field("old").is_none());
         assert!(s.field("fresh").is_some());

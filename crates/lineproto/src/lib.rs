@@ -73,6 +73,10 @@ mod proptests {
             })
     }
 
+    /// Pieces of a raw tag value: plain text first, then an unescaped `=`
+    /// (accepted, escaped in the key) and escape sequences.
+    const VALUE_TOKENS: [&str; 7] = ["a", "b7", "é", "=", r"\ ", r"\,", r"\="];
+
     fn field_value_strategy() -> impl Strategy<Value = FieldValue> {
         prop_oneof![
             proptest::num::f64::NORMAL.prop_map(FieldValue::Float),
@@ -107,6 +111,43 @@ mod proptests {
             let parsed = parse_line(&line).unwrap();
             let back = parsed.to_point();
             prop_assert_eq!(p, back, "line was: {}", line);
+        }
+
+        /// The key read in place is the key `series_key_into` builds, on
+        /// lines with escapes, unescaped `=` in tag values, repeated and
+        /// unordered keys, and more than 16 tags; sorted lines without
+        /// any of those are read in place.
+        #[test]
+        fn series_key_equals_the_built_key(
+            measurement in 0usize..3,
+            tags in proptest::collection::vec(
+                (0usize..24, proptest::collection::vec(0usize..VALUE_TOKENS.len(), 1..4)),
+                0..22,
+            ),
+            sort in any::<bool>(),
+        ) {
+            let mut tags = tags;
+            if sort {
+                tags.sort_by_key(|t| t.0);
+                tags.dedup_by_key(|t| t.0);
+            }
+            let mut line = String::from(["cpu", r"my\ m", "m=x"][measurement]);
+            for (key, value) in &tags {
+                let key = if key % 7 == 6 { format!(r"k\ {key:02}") } else { format!("k{key:02}") };
+                let value: String = value.iter().map(|&t| VALUE_TOKENS[t]).collect();
+                line.push_str(&format!(",{key}={value}"));
+            }
+            line.push_str(" v=1 5");
+            let parsed = parse_line(&line).unwrap();
+            let (mut buf, mut built) = (String::new(), String::new());
+            parsed.series_key_into(&mut built);
+            let key = parsed.series_key(&mut buf);
+            prop_assert_eq!(key, built.as_str(), "line was: {}", line);
+            // `=` needs no escape in a measurement.
+            let plain = measurement != 1
+                && tags.windows(2).all(|pair| pair[0].0 < pair[1].0)
+                && tags.iter().all(|(k, v)| k % 7 != 6 && v.iter().all(|&t| t < 3));
+            prop_assert_eq!(buf.is_empty(), plain, "read in place: {}", line);
         }
 
         /// Batches of points survive serialize+parse with order preserved.

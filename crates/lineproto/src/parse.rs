@@ -112,6 +112,23 @@ impl<'a> ParsedLine<'a> {
         });
     }
 
+    /// The canonical series key ([`series_key_into`](Self::series_key_into)),
+    /// read in place when the line's key section already is it — nothing
+    /// unescaped, tag keys strictly ascending, no `=` in a tag value (the
+    /// key escapes it) — and otherwise built into `buf`.
+    pub fn series_key<'s>(&'s self, buf: &'s mut String) -> &'s str {
+        let verbatim = |c: &Cow<'_, str>| matches!(c, Cow::Borrowed(_));
+        let in_place = verbatim(&self.measurement)
+            && self.tags.iter().all(|(k, v)| verbatim(k) && verbatim(v) && !v.contains('='))
+            && self.tags.windows(2).all(|pair| pair[0].0 < pair[1].0);
+        if in_place {
+            return &self.raw[..self.fields_at - 1];
+        }
+        buf.clear();
+        self.series_key_into(buf);
+        buf
+    }
+
     /// Calls `f` with each tag of the [canonical form](Self::canonical_tags),
     /// in key order, unescaped. Allocates only for more than 16 tags.
     pub fn for_each_canonical_tag(&self, mut f: impl FnMut(&str, &str)) {

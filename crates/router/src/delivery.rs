@@ -257,11 +257,9 @@ impl RoutedBatch<'_> {
     /// Routes a parsed line verbatim.
     pub fn push_raw(&mut self, line: &ParsedLine) {
         if !self.single() {
-            let mut key = std::mem::take(&mut self.key);
-            key.clear();
-            line.series_key_into(&mut key);
-            self.place(&key);
-            self.key = key;
+            let mut buf = std::mem::take(&mut self.key);
+            self.place(line.series_key(&mut buf));
+            self.key = buf;
         }
         self.push_line_to_owners(line.raw);
     }

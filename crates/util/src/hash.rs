@@ -88,8 +88,11 @@ pub fn fx_hash<T: std::hash::Hash + ?Sized>(value: &T) -> u64 {
     h.finish()
 }
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables of the IEEE CRC-32: `T[0]` is the classic bytewise
+/// table, and `T[k][b]` is the CRC of byte `b` followed by `k` zero bytes,
+/// so eight table loads fold a whole 8-byte word into the register.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -98,21 +101,46 @@ const fn crc32_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
-static CRC32_TABLE: [u32; 256] = crc32_table();
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// IEEE CRC-32 (the zlib/PNG polynomial) — the integrity check used by
 /// every on-disk frame in the stack (spool segments, WAL records, TSM
-/// segment blocks).
+/// segment blocks). Eight bytes per step (slicing-by-8); the result is
+/// the bytewise algorithm's, bit for bit.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut c = !0u32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -125,6 +153,31 @@ mod tests {
     fn deterministic() {
         assert_eq!(fx_hash("host042"), fx_hash("host042"));
         assert_eq!(fx_hash(&12345u64), fx_hash(&12345u64));
+    }
+
+    /// The bytewise table CRC that every frame on disk was written with.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for &b in bytes {
+            c = CRC32_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    #[test]
+    fn crc32_equals_the_bytewise_reference() {
+        let mut rng = crate::rng::XorShift64::new(0x5eed);
+        let data: Vec<u8> = (0..4096).map(|_| rng.next_u64() as u8).collect();
+        for len in 0..=257 {
+            assert_eq!(crc32(&data[..len]), crc32_bytewise(&data[..len]), "length {len}");
+        }
+        // Unaligned starts and lengths across the 8-byte steps.
+        for _ in 0..2000 {
+            let start = rng.below(2048) as usize;
+            let len = rng.below(2048) as usize;
+            let slice = &data[start..start + len];
+            assert_eq!(crc32(slice), crc32_bytewise(slice), "{start}+{len}");
+        }
     }
 
     #[test]
