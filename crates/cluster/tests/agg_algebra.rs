@@ -8,10 +8,10 @@
 use lms_cluster::partial_plan;
 use lms_influx::exec::{finalize, Plan, SeriesData};
 use lms_influx::query::{AggFunc, Statement};
-use lms_influx::rollup::{agg_of_row, append_fields};
+use lms_influx::rollup::{agg_of_row, write_row};
 use lms_influx::tsm::Agg;
 use lms_influx::QueryResult;
-use lms_lineproto::FieldValue;
+use lms_lineproto::{parse_line, FieldValue};
 use lms_util::Json;
 use proptest::prelude::*;
 
@@ -56,9 +56,11 @@ fn cut<'a>(run: &'a [(i64, FieldValue)], cuts: &[usize]) -> Vec<&'a [(i64, Field
 
 /// The aggregate of one sub-run written as a tier row and read back.
 fn through_tier_row(agg: &Agg, window_start: i64) -> Agg {
-    let mut fields = Vec::new();
-    append_fields("v", agg, &mut fields);
-    let stats = fields.iter().map(|(name, value)| {
+    let mut row = String::new();
+    assert!(write_row("m", window_start, [("v", agg)], &mut row, |_, _| {}));
+    let line = parse_line(row.trim_end()).expect("a tier row parses");
+    assert_eq!(line.timestamp, Some(window_start));
+    let stats = line.fields.iter().map(|(name, value)| {
         (name.strip_prefix("v__").expect("a stat field of `v`"), value.clone())
     });
     agg_of_row(window_start, stats)

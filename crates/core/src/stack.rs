@@ -579,13 +579,9 @@ impl LmsStack {
                     let _ = node.hpm_client.post_text("/write?db=lms", batch.as_str());
                 }
             }
-            let rollups = node.hpm.take_rollups();
-            if !rollups.is_empty() {
-                let mut batch = BatchBuilder::with_capacity(512);
-                for p in &rollups {
-                    batch.push(p);
-                }
-                let _ = node.hpm_client.post_text("/write?db=lms&tier=1m", batch.as_str());
+            let mut rollups = String::new();
+            if node.hpm.write_rollups(&mut rollups) > 0 {
+                let _ = node.hpm_client.post_text("/write?db=lms&tier=1m", &rollups);
             }
         }
         self.ticks += 1;

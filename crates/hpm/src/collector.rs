@@ -10,7 +10,7 @@
 use crate::groups::builtin;
 use crate::perfmon::Perfmon;
 use crate::simulate::Simulator;
-use lms_lineproto::Point;
+use lms_lineproto::{parse_batch, ParsedLine, Point};
 use lms_rollup::WindowAggregator;
 use lms_topology::Topology;
 use lms_util::{Clock, Result};
@@ -42,7 +42,7 @@ pub struct HpmCollector {
     clock: Clock,
     started: bool,
     /// 60s pre-aggregation over collected points; closed windows are
-    /// drained by [`HpmCollector::take_rollups`] and bound for the 1m
+    /// written by [`HpmCollector::write_rollups`] and bound for the 1m
     /// rollup tier.
     pre_agg: Option<WindowAggregator>,
 }
@@ -60,19 +60,28 @@ impl HpmCollector {
     }
 
     /// Enables the 1-minute pre-aggregation stream: every collected point
-    /// also feeds a per-series 60s window; [`HpmCollector::take_rollups`]
-    /// drains closed windows as rollup rows for direct 1m-tier ingestion.
+    /// also feeds a per-series 60s window; [`HpmCollector::write_rollups`]
+    /// writes closed windows as rollup rows for direct 1m-tier ingestion.
     pub fn enable_pre_aggregation(&mut self) {
         self.pre_agg = Some(WindowAggregator::minute());
     }
 
-    /// Drains every closed 1-minute window as rollup rows (stat fields,
-    /// window-start timestamps). Empty when pre-aggregation is off.
-    pub fn take_rollups(&mut self) -> Vec<Point> {
+    /// Writes every closed 1-minute window as a rollup row (stat fields,
+    /// window-start timestamp) onto `out`; returns the rows written, none
+    /// when pre-aggregation is off.
+    pub fn write_rollups(&mut self, out: &mut String) -> usize {
         match &mut self.pre_agg {
-            Some(agg) => agg.close_before(self.clock.now().nanos()),
-            None => Vec::new(),
+            Some(agg) => agg.close_before(self.clock.now().nanos(), out),
+            None => 0,
         }
+    }
+
+    /// [`Self::write_rollups`]' rows read back as points, for callers that
+    /// batch points (`benchmark/` renders its agent streams this way).
+    pub fn take_rollups(&mut self) -> Vec<Point> {
+        let mut rows = String::new();
+        self.write_rollups(&mut rows);
+        parse_batch(&rows).lines.iter().map(ParsedLine::to_point).collect()
     }
 
     /// Adds a built-in performance group by name.

@@ -43,8 +43,9 @@ use crate::exec::{self, QueryResult};
 use crate::query::{Condition, Select, Statement};
 use crate::storage::{lww_dedup, Series};
 use index::{shrink_sparse_map, shrink_sparse_vec, MeasurementIndex};
-use lms_lineproto::{parse_batch, FieldValue, Point, Precision};
+use lms_lineproto::{parse_batch, FieldValue, ParsedLine, Point, Precision};
 use lms_rollup::{align_down, align_up, is_rollup_db, rollup_db_name, Tier, TIERS};
+use lms_rollup::{WATERMARK_FIELD, WATERMARK_MEASUREMENT};
 use lms_tsm::wal::MAX_BATCH_BYTES;
 use lms_tsm::{
     Agg, BlockEntry, Recovered, ScrubOutcome, Scrubber, SealedBlock, SeriesId, TsmConfig, TsmEngine,
@@ -1062,6 +1063,42 @@ impl Database {
     }
 }
 
+/// The tier rows a rollup pass writes into one tier database. Each row is
+/// formatted once ([`lms_rollup::write_row`]) and recorded as the values it
+/// was formatted from, so it is staged without a parse and logged as its
+/// text, one batch per [`TIER_CHUNK_BYTES`] of text.
+#[derive(Default)]
+struct TierRows<'s> {
+    text: String,
+    /// Per row: its series, window start, length with the newline, values.
+    rows: Vec<(&'s Series, i64, usize, usize)>,
+    /// Per stat field: its key's byte range in the row, its value.
+    values: Vec<(std::ops::Range<usize>, FieldValue)>,
+}
+
+/// The most text one rollup batch holds unless one row is longer: small
+/// enough to stay in cache from formatting to staging (1 MiB cost ~12 %).
+const TIER_CHUNK_BYTES: usize = 256 << 10;
+
+impl<'s> TierRows<'s> {
+    /// Stages and logs the first `n` rows; returns `n`.
+    fn stage(&mut self, ix: &Influx, db: &Database, n: usize) -> Result<usize> {
+        let held: usize = self.rows[..n].iter().map(|row| row.3).sum();
+        let (mut values, mut at) = (self.values.drain(..held), 0);
+        let lines: Vec<ParsedLine<'_>> = (self.rows.drain(..n))
+            .map(|(series, ws, len, held)| {
+                at += len;
+                let (raw, fields) = (&self.text[at - len..at - 1], values.by_ref().take(held));
+                ParsedLine::canonical(raw, series.measurement(), series.tags(), fields, ws)
+            })
+            .collect();
+        ix.stage_and_log(db, &lines, &self.text[..at], WriteOptions::default(), 0)?;
+        drop(lines);
+        self.text.drain(..at);
+        Ok(n)
+    }
+}
+
 /// Tiered-retention policy: how long each resolution tier keeps data.
 /// Raw retention applies to every base (non-rollup) database; the 1m/1h
 /// retentions apply to the corresponding tier databases. `None` keeps a
@@ -1260,17 +1297,13 @@ impl Influx {
             // timestamp. Everything above it is re-rolled by the catch-up
             // pass below; recomputation is idempotent, so overshooting
             // after a crash merely rewrites identical rows.
-            if let Some(tier_db) = self.database(&rollup_db_name(&name, Tier::Minute)) {
-                if let Some(series) =
-                    tier_db.series_where(lms_rollup::WATERMARK_MEASUREMENT, &[]).first()
-                {
-                    if let Some(ts) = series
-                        .field(lms_rollup::WATERMARK_FIELD)
-                        .and_then(|c| c.last_ts())
-                    {
-                        db.set_rollup_watermark(ts);
-                    }
-                }
+            let tier_db = self.database(&rollup_db_name(&name, Tier::Minute));
+            let marks = tier_db.map(|t| t.series_where(WATERMARK_MEASUREMENT, &[]));
+            let mark = marks.unwrap_or_default().first().and_then(|series| {
+                series.field(WATERMARK_FIELD).and_then(|c| c.last_ts())
+            });
+            if let Some(ts) = mark {
+                db.set_rollup_watermark(ts);
             }
             self.rollup_pass(&name)?;
         }
@@ -1339,42 +1372,27 @@ impl Influx {
         dirty: &[(i64, i64)],
     ) -> Result<u64> {
         // Snapshot every series (drains staged writes) and the data extent.
-        let measurements = db.measurement_names(&[]);
-        let mut snapshots: Vec<Vec<Arc<Series>>> = Vec::with_capacity(measurements.len());
-        let mut data_lo = i64::MAX;
-        let mut data_hi = i64::MIN;
-        for m in &measurements {
-            let series = db.series_where(m, &[]);
-            for s in &series {
-                for col in s.field_names().filter_map(|f| s.field(f)) {
-                    if let Some(t) = col.first_ts() {
-                        data_lo = data_lo.min(t);
-                    }
-                    if let Some(t) = col.last_ts() {
-                        data_hi = data_hi.max(t);
-                    }
-                }
-            }
-            snapshots.push(series);
-        }
+        let snapshot: Vec<Arc<Series>> =
+            db.measurement_names(&[]).iter().flat_map(|m| db.series_where(m, &[])).collect();
+        let columns = || snapshot.iter().flat_map(|s| s.fields().map(|(_, col)| col));
+        let data_lo = columns().filter_map(|col| col.first_ts()).min().unwrap_or(i64::MAX);
+        let data_hi = columns().filter_map(|col| col.last_ts()).max().unwrap_or(i64::MIN);
         let wm = db.rollup_watermark().unwrap_or(i64::MIN);
         let mut ranges: Vec<(i64, i64)> =
             dirty.iter().map(|&(lo, hi)| (lo, hi.saturating_add(1))).collect();
-        if data_hi != i64::MIN {
-            // Catch-up: everything between the watermark and the newest
-            // point — covers crash-lost dirty ranges, first-enable
-            // backlogs, and head points rolled ahead of their flush.
-            let lo = if wm == i64::MIN { data_lo } else { wm };
-            let hi = data_hi.saturating_add(1);
-            if lo < hi {
-                ranges.push((lo, hi));
-            }
+        // Catch-up: everything between the watermark and the newest point
+        // (none without data) — covers crash-lost dirty ranges, first-enable
+        // backlogs, and head points rolled ahead of their flush.
+        let (lo, hi) = (if wm == i64::MIN { data_lo } else { wm }, data_hi.saturating_add(1));
+        if lo < hi {
+            ranges.push((lo, hi));
         }
         if ranges.is_empty() {
             return Ok(0);
         }
         let floor = db.raw_drop_cutoff();
         let mut rows_written = 0u64;
+        let mut windows: Vec<(i64, &str, Agg)> = Vec::new();
         for tier in TIERS {
             let w = tier.window_ns();
             // Align each range out to whole windows, then coalesce so no
@@ -1391,65 +1409,57 @@ impl Influx {
             }
             let tier_name = rollup_db_name(base, tier);
             self.create_database(&tier_name);
-            if policy.tier_retention(tier).is_some() {
-                if let Some(t) = self.database(&tier_name) {
-                    t.set_retention(policy.tier_retention(tier));
-                }
+            let tier_db = self.database_or_create(&tier_name)?;
+            if let Some(retention) = policy.tier_retention(tier) {
+                tier_db.set_retention(Some(retention));
             }
-            for (m, series_list) in measurements.iter().zip(&snapshots) {
-                for series in series_list {
-                    // window start → (field, aggregate) rows.
-                    let mut windows: std::collections::BTreeMap<i64, Vec<(&str, Agg)>> =
-                        std::collections::BTreeMap::new();
-                    for (field, col) in series.fields() {
-                        for &(lo, hi) in &merged {
-                            let mut cur: Option<(i64, Agg)> = None;
-                            for (ts, value) in col.points_in(lo, hi) {
-                                let ws = align_down(ts, w);
-                                if ws < floor {
-                                    // Raw below the drop cutoff is gone: a
-                                    // recompute would be partial, so the
-                                    // existing tier row stays authoritative.
-                                    continue;
-                                }
-                                if let Some((s, agg)) = cur.take_if(|(s, _)| *s != ws) {
-                                    windows.entry(s).or_default().push((field, agg));
-                                }
-                                cur.get_or_insert_with(|| (ws, Agg::default())).1.add(ts, &value);
-                            }
-                            if let Some((s, agg)) = cur {
-                                windows.entry(s).or_default().push((field, agg));
-                            }
+            let mut rows = TierRows::default();
+            for series in &snapshot {
+                // (window start, field, aggregate), sorted by window start
+                // and stably so, keeping each row's fields in column order.
+                windows.clear();
+                for (field, col) in series.fields() {
+                    let from = windows.len();
+                    for (ts, value) in merged.iter().flat_map(|&(lo, hi)| col.points_in(lo, hi)) {
+                        let ws = align_down(ts, w);
+                        if ws < floor {
+                            // Raw below the drop cutoff is gone: a recompute
+                            // would be partial, so the existing tier row
+                            // stays authoritative.
+                            continue;
                         }
-                    }
-                    let mut batch = String::new();
-                    for (ws, aggs) in windows {
-                        if let Some(point) =
-                            lms_rollup::rollup_fields(m, series.tags(), ws, &aggs)
-                        {
-                            batch.push_str(&point.to_line());
-                            batch.push('\n');
-                            rows_written += 1;
+                        if windows[from..].last().is_none_or(|window| window.0 != ws) {
+                            windows.push((ws, &**field, Agg::default()));
                         }
+                        windows.last_mut().expect("this field's window").2.add(ts, &value);
                     }
-                    if !batch.is_empty() {
-                        self.write_lines(&tier_name, &batch, WriteOptions::default())?;
+                }
+                windows.sort_by_key(|&(ws, _, _)| ws);
+                for row in windows.chunk_by(|a, b| a.0 == b.0) {
+                    let (ws, start, held) = (row[0].0, rows.text.len(), rows.values.len());
+                    let aggs = row.iter().map(|(_, field, agg)| (*field, agg));
+                    let values = &mut rows.values;
+                    let record = |key, value| values.push((key, value));
+                    if lms_rollup::write_row(series.key(), ws, aggs, &mut rows.text, record) {
+                        let len = rows.text.len() - start;
+                        rows.rows.push((&**series, ws, len, rows.values.len() - held));
+                    }
+                    // A row that takes the text past the chunk bound goes
+                    // into the next batch.
+                    if rows.text.len() > TIER_CHUNK_BYTES && rows.rows.len() > 1 {
+                        rows_written += rows.stage(self, &tier_db, rows.rows.len() - 1)? as u64;
                     }
                 }
             }
+            rows_written += rows.stage(self, &tier_db, rows.rows.len())? as u64;
         }
         // Advance and persist the watermark (a point whose *timestamp* is
         // the watermark, in the 1m tier database — recovered at startup).
         let new_wm = data_hi.saturating_add(1).max(wm);
         if new_wm > wm && new_wm != i64::MIN {
-            let tier_name = rollup_db_name(base, Tier::Minute);
-            self.create_database(&tier_name);
-            let line = format!(
-                "{} {}=1i {new_wm}\n",
-                lms_rollup::WATERMARK_MEASUREMENT,
-                lms_rollup::WATERMARK_FIELD
-            );
-            self.write_lines(&tier_name, &line, WriteOptions::default())?;
+            // The pass above created the 1m tier database.
+            let line = format!("{WATERMARK_MEASUREMENT} {WATERMARK_FIELD}=1i {new_wm}\n");
+            self.write_lines(&rollup_db_name(base, Tier::Minute), &line, WriteOptions::default())?;
             db.set_rollup_watermark(new_wm);
         }
         Ok(rows_written)
@@ -1467,20 +1477,21 @@ impl Influx {
         }
         let db = inner.databases.get(db_name)?;
         let watermark = db.rollup_watermark()?;
-        let allowed = inner.query_tiers.clone();
-        let mut tiers = Vec::new();
-        for tier in [Tier::Hour, Tier::Minute] {
-            if allowed.as_ref().is_some_and(|a| !a.contains(&tier)) {
-                continue;
-            }
-            if let Some(t) = inner.databases.get(&rollup_db_name(db_name, tier)) {
-                tiers.push((tier.window_ns(), t.clone()));
-            }
-        }
-        if tiers.is_empty() {
-            return None;
-        }
-        Some(exec::TierCtx { tiers, watermark })
+        let allowed = |tier: &Tier| inner.query_tiers.as_ref().is_none_or(|a| a.contains(tier));
+        let tiers: Vec<_> = [Tier::Hour, Tier::Minute]
+            .into_iter()
+            .filter(allowed)
+            .filter_map(|tier| {
+                let db = inner.databases.get(&rollup_db_name(db_name, tier))?;
+                Some((tier.window_ns(), db.clone()))
+            })
+            .collect();
+        (!tiers.is_empty()).then_some(exec::TierCtx { tiers, watermark })
+    }
+
+    /// Every database with its name, read under the map's lock once.
+    fn databases(&self) -> Vec<(String, Arc<Database>)> {
+        self.inner.read().databases.iter().map(|(n, d)| (n.clone(), d.clone())).collect()
     }
 
     /// Names of all databases, sorted.
@@ -1537,34 +1548,11 @@ impl Influx {
         let parsed = parse_batch(batch);
         let default_ts = self.clock.now().nanos();
         let database = self.database_or_create(db)?;
-        // Priority-aware degraded mode: with the disk full, bulk metric
-        // writes are refused up front (transient — the router keeps them
-        // spooled), but job annotation events stay admitted to the
-        // in-memory layer so job context remains live. They skip the WAL,
-        // which is the documented trade-off: events written while degraded
-        // do not survive a restart, but they are never silently shed.
-        let degraded = database.engine().is_some_and(|e| e.is_degraded());
-        if degraded && !parsed.lines.iter().all(|l| l.measurement == "events") {
-            return Err(Error::unavailable(
-                "storage degraded (disk full): bulk writes refused, events only",
-            ));
-        }
-        let mut outcome = WriteOutcome {
-            written: 0,
-            rejected: parsed.errors.len(),
-            first_error: parsed
-                .errors
-                .first()
-                .map(|(line, e)| (*line, e.to_string())),
-        };
-        // Durability: the batch is applied in memory first, then logged.
         // The WAL batch is normalized — every line carries its resolved
         // nanosecond timestamp — so replay after a crash is deterministic
         // and idempotent (re-applying overwrites with identical values).
-        // It is built before the batch is applied, so one that cannot be
-        // logged is refused whole.
         let mut wal_batch = String::new();
-        if database.engine().is_some() && !parsed.lines.is_empty() && !degraded {
+        if database.engine().is_some() {
             wal_batch.reserve(batch.len() + 16);
             for line in &parsed.lines {
                 if line.timestamp.is_some() && matches!(opts.precision, Precision::Nanoseconds) {
@@ -1578,19 +1566,52 @@ impl Influx {
                 }
                 wal_batch.push('\n');
             }
-            if wal_batch.len() > MAX_BATCH_BYTES {
-                return Err(Error::invalid(format!(
-                    "the batch takes {} bytes with its timestamps, over the \
-                     {MAX_BATCH_BYTES}-byte WAL record limit: split it",
-                    wal_batch.len()
-                )));
+        }
+        let written = self.stage_and_log(&database, &parsed.lines, &wal_batch, opts, default_ts)?;
+        Ok(WriteOutcome {
+            written,
+            rejected: parsed.errors.len(),
+            first_error: parsed.errors.first().map(|(line, e)| (*line, e.to_string())),
+        })
+    }
+
+    /// Stages `lines` in `database`, then logs `wal_batch`, their text with
+    /// every timestamp resolved: the one way points enter a database, after
+    /// [`Self::write_lines`]' parse or from a rollup pass's row writer. A
+    /// batch that cannot be logged is refused whole.
+    fn stage_and_log(
+        &self,
+        database: &Database,
+        lines: &[ParsedLine<'_>],
+        wal_batch: &str,
+        opts: WriteOptions,
+        default_ts: i64,
+    ) -> Result<usize> {
+        // Priority-aware degraded mode: with the disk full, bulk metric
+        // writes are refused up front (transient — the router keeps them
+        // spooled), but job annotation events stay admitted to the
+        // in-memory layer so job context remains live. They skip the WAL,
+        // which is the documented trade-off: events written while degraded
+        // do not survive a restart, but they are never silently shed.
+        let engine = database.engine().filter(|e| !e.is_degraded());
+        if engine.is_none() && database.engine().is_some() {
+            if lines.iter().any(|l| l.measurement != "events") {
+                return Err(Error::unavailable(
+                    "storage degraded (disk full): bulk writes refused, events only",
+                ));
             }
+        } else if wal_batch.len() > MAX_BATCH_BYTES {
+            return Err(Error::invalid(format!(
+                "the batch takes {} bytes with its timestamps, over the \
+                 {MAX_BATCH_BYTES}-byte WAL record limit: split it",
+                wal_batch.len()
+            )));
         }
-        outcome.written = database.write_parsed_batch(&parsed.lines, opts, default_ts);
-        if let Some(engine) = database.engine().filter(|_| !wal_batch.is_empty()) {
-            engine.append_wal(&wal_batch, parsed.lines.len() as u64)?;
+        let written = database.write_parsed_batch(lines, opts, default_ts);
+        if let Some(engine) = engine.filter(|_| !lines.is_empty()) {
+            engine.append_wal(wal_batch, lines.len() as u64)?;
         }
-        Ok(outcome)
+        Ok(written)
     }
 
     /// Runs a query statement string against a database or a user view
@@ -1679,15 +1700,8 @@ impl Influx {
     pub fn enforce_retention(&self) -> usize {
         let now = self.clock.now().nanos();
         let rollup_on = self.inner.read().rollup.is_some();
-        let databases: Vec<(String, Arc<Database>)> = self
-            .inner
-            .read()
-            .databases
-            .iter()
-            .map(|(n, d)| (n.clone(), d.clone()))
-            .collect();
         let mut evicted = 0;
-        for (name, db) in databases {
+        for (name, db) in self.databases() {
             if rollup_on && !is_rollup_db(&name) {
                 let clamp = match db.rollup_watermark() {
                     Some(wm) => align_down(wm, Tier::Hour.window_ns()),
@@ -1705,15 +1719,8 @@ impl Influx {
     /// each base flush is followed by a rollup pass over the sealed
     /// ranges, keeping the tiers continuously current.
     pub fn flush_storage(&self) -> Result<usize> {
-        let databases: Vec<(String, Arc<Database>)> = self
-            .inner
-            .read()
-            .databases
-            .iter()
-            .map(|(n, d)| (n.clone(), d.clone()))
-            .collect();
         let mut sealed = 0;
-        for (name, db) in databases {
+        for (name, db) in self.databases() {
             sealed += db.flush_storage()?;
             self.rollup_pass(&name)?;
         }
@@ -1725,10 +1732,8 @@ impl Influx {
     /// [`Database::compact_due_partitions`]); returns blocks written — 0
     /// once no partition of any database is due.
     pub fn compact_storage(&self) -> Result<usize> {
-        let databases: Vec<Arc<Database>> =
-            self.inner.read().databases.values().cloned().collect();
         let mut written = 0;
-        for db in databases {
+        for (_, db) in self.databases() {
             written += db.compact_due_partitions()?;
         }
         Ok(written)
@@ -1738,10 +1743,8 @@ impl Influx {
     /// returns the aggregated outcome. Each database gets the full byte
     /// budget (the budget bounds per-pass I/O burst, not total work).
     pub fn scrub_storage(&self, budget_bytes: u64) -> Result<ScrubOutcome> {
-        let databases: Vec<Arc<Database>> =
-            self.inner.read().databases.values().cloned().collect();
         let mut total = ScrubOutcome::default();
-        for db in databases {
+        for (_, db) in self.databases() {
             let outcome = db.scrub_storage(budget_bytes)?;
             total.scrubbed_bytes += outcome.scrubbed_bytes;
             total.files_verified += outcome.files_verified;
@@ -1781,10 +1784,8 @@ impl Influx {
 
     /// Aggregate storage gauges across all databases.
     pub fn storage_stats(&self) -> StorageStats {
-        let databases: Vec<Arc<Database>> =
-            self.inner.read().databases.values().cloned().collect();
         let mut stats = StorageStats::default();
-        for db in databases {
+        for (_, db) in self.databases() {
             stats.add(db.storage_stats());
         }
         stats
@@ -1825,14 +1826,7 @@ impl Influx {
                 {
                     panic!("injected storage worker panic");
                 }
-                let databases: Vec<(String, Arc<Database>)> = ix
-                    .inner
-                    .read()
-                    .databases
-                    .iter()
-                    .map(|(n, d)| (n.clone(), d.clone()))
-                    .collect();
-                for (name, db) in databases {
+                for (name, db) in ix.databases() {
                     let Some(engine) = db.engine() else { continue };
                     // Degraded (disk full): flushing or compacting would
                     // just hit ENOSPC again — park until an operator
@@ -1887,9 +1881,7 @@ impl Influx {
 
     /// True when any database's storage engine is degraded (disk full).
     pub fn storage_degraded(&self) -> bool {
-        let databases: Vec<Arc<Database>> =
-            self.inner.read().databases.values().cloned().collect();
-        databases.iter().any(|d| d.engine().is_some_and(|e| e.is_degraded()))
+        self.databases().iter().any(|(_, d)| d.engine().is_some_and(|e| e.is_degraded()))
     }
 
     /// Fault injection: make the storage worker panic on its next `n`
@@ -2168,6 +2160,25 @@ mod tests {
             StorageConfig::new(dir),
         )
         .unwrap()
+    }
+
+    #[test]
+    fn non_finite_floats_are_rejected_and_stay_out_across_a_restart() {
+        let dir = tmp_dir("non-finite");
+        let body = "m v=1\nm v=nan\nm v=-Infinity\nm w=inf 5\nm v=1e999\nm w=2 5";
+        let before = {
+            let ix = persistent(&dir);
+            let out = ix.write_lines("lms", body, Default::default()).unwrap();
+            assert_eq!((out.written, out.rejected), (2, 4));
+            assert_eq!(out.first_error.unwrap().0, 2);
+            ix.query("lms", "SELECT v, w FROM m").unwrap()
+        };
+        assert_eq!(before.series[0].values.len(), 2, "{before:?}");
+        // The WAL holds the accepted lines only: a replay answers the same.
+        let ix = persistent(&dir);
+        assert_eq!(ix.query("lms", "SELECT v, w FROM m").unwrap(), before);
+        drop(ix);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -129,6 +129,38 @@ impl<'a> ParsedLine<'a> {
         buf
     }
 
+    /// A line over text its writer already knows the parse of, so nothing is
+    /// scanned. `raw` must be the canonical series key of `measurement`
+    /// and `tags` (sorted, unique keys), a space, a field section whose
+    /// `fields` name each key by its byte range in `raw` with the value
+    /// parsing it reads, a space and `timestamp`. The line then equals
+    /// [`parse_line`]`(raw)`.
+    pub fn canonical(
+        raw: &'a str,
+        measurement: &'a str,
+        tags: &'a [(String, String)],
+        fields: impl Iterator<Item = (std::ops::Range<usize>, FieldValue)>,
+        timestamp: i64,
+    ) -> ParsedLine<'a> {
+        let mut fields_at = raw.len();
+        let fields = fields
+            .map(|(key, value)| {
+                fields_at = fields_at.min(key.start);
+                let escaped = raw[key.clone()].contains('\\');
+                (take(raw, key.start, key.end, escaped, TAG_ESCAPES), value)
+            })
+            .collect();
+        let tags = tags.iter().map(|(k, v)| (Cow::Borrowed(k.as_str()), Cow::Borrowed(v.as_str())));
+        ParsedLine {
+            measurement: Cow::Borrowed(measurement),
+            tags: tags.collect(),
+            fields,
+            fields_at,
+            timestamp: Some(timestamp),
+            raw,
+        }
+    }
+
     /// Calls `f` with each tag of the [canonical form](Self::canonical_tags),
     /// in key order, unescaped. Allocates only for more than 16 tags.
     pub fn for_each_canonical_tag(&self, mut f: impl FnMut(&str, &str)) {
@@ -205,10 +237,12 @@ fn parse_field_value(token: &str) -> Result<FieldValue> {
         "false" | "f" | "False" | "FALSE" => return Ok(FieldValue::Boolean(false)),
         _ => {}
     }
-    token
-        .parse::<f64>()
-        .map(FieldValue::Float)
-        .map_err(|_| Error::protocol(format!("invalid field value `{token}`")))
+    // `nan`, `inf`, `infinity` (any case, any sign) and literals past the
+    // f64 range parse as non-finite floats, which InfluxDB rejects.
+    match token.parse::<f64>() {
+        Ok(v) if v.is_finite() => Ok(FieldValue::Float(v)),
+        _ => Err(Error::protocol(format!("invalid field value `{token}`"))),
+    }
 }
 
 /// Parses one line of protocol text.
@@ -462,6 +496,23 @@ mod tests {
         ] {
             assert!(parse_line(bad).is_err(), "should reject: {bad:?}");
         }
+    }
+
+    #[test]
+    fn non_finite_floats_rejected() {
+        for token in [
+            "nan", "NaN", "NAN", "-nan", "inf", "Inf", "INF", "+inf", "-inf", "infinity",
+            "Infinity", "-Infinity", "INFINITY", "1e999", "-1e999",
+        ] {
+            let line = format!("m v={token}");
+            assert!(parse_line(&line).is_err(), "should reject: {line:?}");
+        }
+        // The quoted markers a non-finite value is written as stay text.
+        let p = parse_line(r#"m v="NaN",w="Inf""#).unwrap();
+        assert_eq!(p.field("v"), Some(&FieldValue::Text("NaN".into())));
+        assert_eq!(p.field("w"), Some(&FieldValue::Text("Inf".into())));
+        let out = parse_batch("m v=1\nm v=nan\nm v=-Infinity 5\nm v=2");
+        assert_eq!((out.lines.len(), out.errors.len()), (2, 2));
     }
 
     #[test]

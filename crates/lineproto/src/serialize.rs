@@ -10,23 +10,40 @@ use crate::escape::{escape_measurement_into, escape_string_field_into, escape_ta
 use crate::point::{FieldValue, Point};
 use std::fmt::Write as _;
 
+/// The quoted marker a non-finite float is written as: InfluxDB rejects
+/// nan/inf, so a marker keeps the line parseable rather than corrupt.
+fn non_finite_marker(f: f64) -> Option<&'static str> {
+    (!f.is_finite()).then_some(if f.is_nan() { "NaN" } else { "Inf" })
+}
+
+/// Writes one field value in wire form and returns the value parsing that
+/// text reads: `v` itself, except that a non-finite float reads back as
+/// the text of its marker. A writer that stages what it wrote records this
+/// instead of parsing its own text.
+pub fn write_field_value_read_back(v: FieldValue, out: &mut String) -> FieldValue {
+    write_field_value(&v, out);
+    match v {
+        FieldValue::Float(f) => non_finite_marker(f).map_or(v, FieldValue::from),
+        v => v,
+    }
+}
+
 /// Writes one field value in wire form.
 fn write_field_value(v: &FieldValue, out: &mut String) {
     match v {
-        FieldValue::Float(f) => {
+        FieldValue::Float(f) => match non_finite_marker(*f) {
             // `{}` on f64 produces the shortest string that parses back to
             // the same bits, and cannot be mistaken for an `i`-suffixed int
             // because bare numbers without `i` are floats by protocol rule.
-            if f.is_finite() {
+            None => {
                 let _ = write!(out, "{f}");
-            } else {
-                // InfluxDB rejects nan/inf; we serialize a quoted marker to
-                // stay parseable rather than producing a corrupt line.
+            }
+            Some(marker) => {
                 out.push('"');
-                out.push_str(if f.is_nan() { "NaN" } else { "Inf" });
+                out.push_str(marker);
                 out.push('"');
             }
-        }
+        },
         FieldValue::Integer(i) => {
             let _ = write!(out, "{i}i");
         }

@@ -11,10 +11,10 @@
 //!
 //! - [`Tier`] — the rollup resolutions (1 minute, 1 hour) and their
 //!   window math,
-//! - the **tier row codec** ([`stat_value`], [`append_fields`], their
-//!   inverse [`agg_of_row`], and [`rollup_fields`]) — a tier row is the
+//! - the **tier row codec** ([`stat_value`], the one row writer
+//!   [`write_row`] and its inverse [`agg_of_row`]) — a tier row is the
 //!   serialisation of one window's [`Agg`] per raw field, laid out as
-//!   suffixed fields (`v` → `v__count`, `v__sum`, …) of an ordinary point
+//!   suffixed fields (`v` → `v__count`, `v__sum`, …) of an ordinary line
 //!   whose timestamp is the window start, so rollup tiers are plain
 //!   databases served by the unmodified write/query machinery,
 //! - **tier database naming** ([`rollup_db_name`], [`is_rollup_db`],
@@ -30,8 +30,11 @@
 //! schema, and last-write-wins converges them to the exact value computed
 //! from the full raw column.
 
+use lms_lineproto::{escape::escape_tag_into, serialize::write_field_value_read_back};
 use lms_lineproto::{FieldValue, Point};
 use lms_tsm::Agg;
+use std::fmt::Write as _;
+use std::ops::Range;
 
 /// The measurement holding the per-database rollup watermark. One point is
 /// written into the 1 m tier database per completed rollup pass, with the
@@ -161,18 +164,68 @@ pub fn stat_value(agg: &Agg, stat: &str) -> Option<FieldValue> {
     }
 }
 
-/// Appends the tier-row fields of `agg` for raw field `field` onto `out`:
-/// each [`stat_value`] the row holds, `first` and `last` each followed by
-/// its timestamp.
-pub fn append_fields(field: &str, agg: &Agg, out: &mut Vec<(String, FieldValue)>) {
-    for stat in ["count", "sum", "sumsq", "min", "max", "first", "first_ts", "last", "last_ts"] {
-        if let Some(value) = stat_value(agg, stat) {
-            out.push((stat_field(field, stat), value));
+/// Writes one tier row onto `out`: the canonical series `key`, each raw
+/// field's [`stat_value`]s in a fixed order (`count`, `sum`, `sumsq`,
+/// `min`, `max`, then `first` and `last`, each followed by its timestamp),
+/// the window start and a newline — byte for byte what serialising the
+/// row as a point writes. `record` gets each stat field's name, as its
+/// byte range within the row, and the value parsing the row reads there.
+/// Writes nothing and returns `false` when no aggregate counted anything.
+pub fn write_row<'f>(
+    key: &str,
+    window_start: i64,
+    aggs: impl IntoIterator<Item = (&'f str, &'f Agg)>,
+    out: &mut String,
+    mut record: impl FnMut(Range<usize>, FieldValue),
+) -> bool {
+    let start = out.len();
+    out.push_str(key);
+    let mut sep = ' ';
+    for (field, agg) in aggs {
+        // A one-point window's sum, min, max, first and last are one value
+        // and its two timestamps one integer: a number already written in
+        // this field is copied, not formatted again.
+        let (mut written, mut slot) = ([(None, 0, 0); 4], 0);
+        for stat in [
+            "count", "sum", "sumsq", "min", "max", "first", "first_ts", "last", "last_ts",
+        ] {
+            let Some(mut value) = stat_value(agg, stat) else { continue };
+            out.push(sep);
+            sep = ',';
+            let name = out.len() - start;
+            escape_tag_into(field, out);
+            out.push_str(FIELD_SEP);
+            out.push_str(stat);
+            let name = name..out.len() - start;
+            out.push('=');
+            let number = match value {
+                FieldValue::Float(x) if x.is_finite() => Some((true, x.to_bits())),
+                FieldValue::Integer(n) => Some((false, n as u64)),
+                _ => None,
+            };
+            let at = out.len();
+            match written.iter().find(|w| number.is_some() && w.0 == number) {
+                // SAFETY: `from..to` holds a number written above, ASCII
+                // text on char boundaries, so the copy is valid UTF-8.
+                Some(&(_, from, to)) => unsafe { out.as_mut_vec().extend_from_within(from..to) },
+                None => {
+                    value = write_field_value_read_back(value, out);
+                    written[slot % 4] = (number, at, out.len());
+                    slot += 1;
+                }
+            }
+            record(name, value);
         }
     }
+    if sep == ' ' {
+        out.truncate(start);
+        return false;
+    }
+    let _ = writeln!(out, " {window_start}");
+    true
 }
 
-/// The inverse of [`append_fields`]: the [`Agg`] of a tier row at window
+/// The inverse of [`write_row`]: the [`Agg`] of a tier row at window
 /// start `ts`, from whichever of its `(stat, value)` fields were read.
 /// Stats left out keep their empty value — a row read without `count`
 /// counts nothing — and `first`/`last` without their `_ts` stand at `ts`.
@@ -210,54 +263,24 @@ pub fn agg_of_row<'a>(ts: i64, stats: impl IntoIterator<Item = (&'a str, FieldVa
     agg
 }
 
-/// Renders one tier row: the rollup fields of `aggs` (raw field name →
-/// window aggregate) as a [`Point`] on the *same* measurement and tag set
-/// as the raw series, timestamped at the window start.
-pub fn rollup_fields<F: AsRef<str>>(
-    measurement: &str,
-    tags: &[(String, String)],
-    window_start: i64,
-    aggs: &[(F, Agg)],
-) -> Option<Point> {
-    let mut fields = Vec::new();
-    for (field, agg) in aggs {
-        append_fields(field.as_ref(), agg, &mut fields);
-    }
-    if fields.is_empty() {
-        return None;
-    }
-    let mut point = Point::new(measurement);
-    for (k, v) in tags {
-        point.add_tag(k.clone(), v.clone());
-    }
-    for (k, v) in fields {
-        point.add_field_value(k, v);
-    }
-    point.set_timestamp(window_start);
-    Some(point)
-}
-
 /// Agent-side pre-aggregation: an open set of windows per
 /// `(series key, field)`, fed one collected point at a time. Windows close
 /// when the clock passes their end (plus nothing arrives out of order on
-/// an agent — collectors stamp one tick time), and closing emits tier rows
-/// ready to POST at the 1 m tier ingest endpoint.
+/// an agent — collectors stamp one tick time), and closing writes tier
+/// rows ready to POST at the 1 m tier ingest endpoint.
 ///
 /// This gives a node the paper-prescribed two streams: the 1 s raw batch
 /// and a 60 s aggregate batch that lands directly in the 1 m tier.
 #[derive(Debug, Default)]
 pub struct WindowAggregator {
     window_ns: i64,
-    /// Open windows: (series key, window start) → per-field aggregates,
-    /// plus the measurement/tags needed to re-emit the row.
+    /// Open windows: (series key, window start) → per-field aggregates.
     open: Vec<OpenWindow>,
 }
 
 #[derive(Debug)]
 struct OpenWindow {
     series_key: String,
-    measurement: String,
-    tags: Vec<(String, String)>,
     window_start: i64,
     aggs: Vec<(String, Agg)>,
 }
@@ -286,13 +309,7 @@ impl WindowAggregator {
         {
             Some(w) => w,
             None => {
-                self.open.push(OpenWindow {
-                    series_key: key,
-                    measurement: point.measurement().to_string(),
-                    tags: point.tags().to_vec(),
-                    window_start: w_start,
-                    aggs: Vec::new(),
-                });
+                self.open.push(OpenWindow { series_key: key, window_start: w_start, aggs: vec![] });
                 self.open.last_mut().expect("just pushed")
             }
         };
@@ -308,35 +325,26 @@ impl WindowAggregator {
         }
     }
 
-    /// Closes every window whose end is `<= now_ns` and returns their tier
-    /// rows. Call once per tick with the tick's timestamp.
-    pub fn close_before(&mut self, now_ns: i64) -> Vec<Point> {
-        let mut out = Vec::new();
+    /// Closes every window whose end is `<= now_ns` and writes their tier
+    /// rows onto `out` ([`write_row`]). Returns the rows written. Call once
+    /// per tick with the tick's timestamp.
+    pub fn close_before(&mut self, now_ns: i64, out: &mut String) -> usize {
         let window_ns = self.window_ns;
-        let mut kept = Vec::with_capacity(self.open.len());
-        for w in self.open.drain(..) {
-            if w.window_start.saturating_add(window_ns) <= now_ns {
-                if let Some(p) =
-                    rollup_fields(&w.measurement, &w.tags, w.window_start, &w.aggs)
-                {
-                    out.push(p);
-                }
-            } else {
-                kept.push(w);
+        let mut rows = 0;
+        self.open.retain(|w| {
+            let open = w.window_start.saturating_add(window_ns) > now_ns;
+            if !open {
+                let aggs = w.aggs.iter().map(|(field, agg)| (field.as_str(), agg));
+                rows += write_row(&w.series_key, w.window_start, aggs, out, |_, _| {}) as usize;
             }
-        }
-        self.open = kept;
-        out
+            open
+        });
+        rows
     }
 
-    /// Flushes every open window regardless of the clock (agent shutdown).
-    pub fn flush(&mut self) -> Vec<Point> {
-        self.close_before(i64::MAX)
-    }
-
-    /// Number of currently open windows.
-    pub fn open_windows(&self) -> usize {
-        self.open.len()
+    /// Closes every open window regardless of the clock (agent shutdown).
+    pub fn flush(&mut self, out: &mut String) -> usize {
+        self.close_before(i64::MAX, out)
     }
 }
 
@@ -372,9 +380,9 @@ mod tests {
         let mut agg = Agg::default();
         agg.add(1, &FieldValue::Text("a".into()));
         agg.add(2, &FieldValue::Text("b".into()));
-        let mut fields = Vec::new();
-        append_fields("msg", &agg, &mut fields);
-        let names: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        let (mut row, mut fields) = (String::new(), Vec::new());
+        assert!(write_row("ev", 0, [("msg", &agg)], &mut row, |name, v| fields.push((name, v))));
+        let names: Vec<&str> = fields.iter().map(|(name, _)| &row[name.clone()]).collect();
         assert_eq!(
             names,
             vec!["msg__count", "msg__first", "msg__first_ts", "msg__last", "msg__last_ts"]
@@ -382,6 +390,9 @@ mod tests {
         assert_eq!(fields[0].1, FieldValue::Integer(2));
         assert_eq!(fields[3].1, FieldValue::Text("b".into()));
         assert_eq!(fields[4].1, FieldValue::Integer(2));
+        // An empty aggregate writes no row at all.
+        assert!(!write_row("ev", 0, [("msg", &Agg::default())], &mut row, |_, _| panic!()));
+        assert_eq!(row.lines().count(), 1);
     }
 
     #[test]
@@ -395,22 +406,22 @@ mod tests {
         let mut p2 = Point::new("cpu");
         p2.add_tag("hostname", "h1").add_field("busy", 30.0);
         agg.push(&p2, w + 1_000_000_000);
-        assert_eq!(agg.open_windows(), 2);
 
         // Nothing closes before the first window's end.
-        assert!(agg.close_before(w - 1).is_empty());
-        let rows = agg.close_before(w);
-        assert_eq!(rows.len(), 1);
-        let row = &rows[0];
-        assert_eq!(row.measurement(), "cpu");
+        let mut rows = String::new();
+        assert_eq!(agg.close_before(w - 1, &mut rows), 0);
+        assert!(rows.is_empty());
+        assert_eq!(agg.close_before(w, &mut rows), 1);
+        let row = lms_lineproto::parse_line(rows.trim_end()).unwrap();
+        assert_eq!(row.measurement, "cpu");
         assert_eq!(row.tag("hostname"), Some("h1"));
-        assert_eq!(row.timestamp(), Some(0));
+        assert_eq!(row.timestamp, Some(0));
         assert_eq!(row.field("busy__count"), Some(&FieldValue::Integer(2)));
         assert_eq!(row.field("busy__sum"), Some(&FieldValue::Float(20.0)));
         assert_eq!(row.field("busy__min"), Some(&FieldValue::Float(10.0)));
         assert_eq!(row.field("busy__first"), Some(&FieldValue::Float(10.0)));
-        assert_eq!(agg.open_windows(), 1);
-        assert_eq!(agg.flush().len(), 1);
-        assert_eq!(agg.open_windows(), 0);
+        assert_eq!(agg.flush(&mut rows), 1);
+        assert_eq!(rows.lines().count(), 2);
+        assert_eq!(agg.flush(&mut rows), 0, "nothing is left open");
     }
 }

@@ -24,7 +24,9 @@ fn numeric_and_text_windows_render_the_golden_lines() {
         p.add_tag("host", "h1").add_field("msg", msg);
         agg.push(&p, t * S);
     }
-    let lines: Vec<String> = agg.flush().iter().map(Point::to_line).collect();
+    let mut rows = String::new();
+    assert_eq!(agg.flush(&mut rows), 2);
+    let lines: Vec<&str> = rows.lines().collect();
     assert_eq!(lines, GOLDEN);
 }
 

@@ -147,13 +147,8 @@ impl HostAgent {
             }
         }
         if let Some(agg) = &mut self.pre_agg {
-            let closed = agg.close_before(ts.nanos());
-            if !closed.is_empty() {
-                let mut batch = String::new();
-                for p in &closed {
-                    batch.push_str(&p.to_line());
-                    batch.push('\n');
-                }
+            let mut batch = String::new();
+            if agg.close_before(ts.nanos(), &mut batch) > 0 {
                 self.ship_rollups(&batch);
             }
         }
@@ -164,16 +159,10 @@ impl HostAgent {
     /// (agent shutdown: a partial window beats a lost one).
     pub fn flush_pre_aggregation(&mut self) {
         let Some(agg) = &mut self.pre_agg else { return };
-        let open = agg.flush();
-        if open.is_empty() {
-            return;
-        }
         let mut batch = String::new();
-        for p in &open {
-            batch.push_str(&p.to_line());
-            batch.push('\n');
+        if agg.flush(&mut batch) > 0 {
+            self.ship_rollups(&batch);
         }
-        self.ship_rollups(&batch);
     }
 
     fn ship_rollups(&mut self, batch: &str) {
