@@ -1,28 +1,18 @@
-//! Record framing for spool segments.
+//! The spool's record codec.
 //!
-//! Each record is one length+CRC frame:
+//! Each record is one [`lms_util::seglog`] frame whose payload is
 //!
 //! ```text
-//! [payload_len: u32 LE][crc32(payload): u32 LE][payload]
-//! payload = [db_len: u16 LE][db: UTF-8][body: UTF-8]
+//! [db_len: u16 LE][db: UTF-8][body: UTF-8]
 //! ```
 //!
-//! The CRC covers the payload only; the length field is validated by bounds
-//! checks (a corrupt length either exceeds [`MAX_PAYLOAD`] or runs past the
-//! buffer, both of which read as a torn tail). [`decode_all`] distinguishes
-//! the two failure modes:
-//!
-//! - a **torn tail** (short or length-implausible frame — a crash
-//!   mid-append) stops the scan; `clean_len` marks the last intact byte so
-//!   recovery can truncate the segment there;
-//! - a **corrupt frame** (bounds-valid length but the CRC or payload
-//!   encoding does not verify — a bit flip at rest) is counted in
-//!   `corrupt_records`, skipped by its declared length, and the scan
-//!   resynchronizes at the next frame, so one damaged record does not take
-//!   the rest of the segment with it.
+//! [`decode_segment`] applies the spool's corruption policy: a *corrupt*
+//! frame (its CRC or its payload does not verify — a bit flip at rest)
+//! is counted in `corrupt_records` and loses only its own record, and the
+//! scan goes on at the next frame; the *torn tail* (a crash mid-append)
+//! ends it, and `clean_len` marks where, so recovery can truncate there.
 
-/// Frame header size: payload length + CRC.
-pub const HEADER_LEN: usize = 8;
+use lms_util::seglog::{frames, put_frame, FRAME_HEADER};
 
 /// Upper bound on one payload (db + body); larger lengths are treated as
 /// corruption. 64 MiB is far above any realistic forwarder batch.
@@ -37,13 +27,9 @@ pub struct Record {
     pub body: String,
 }
 
-/// IEEE CRC-32 (the zlib/PNG polynomial) — shared with the TSM storage
-/// engine via `lms-util`.
-pub use lms_util::hash::crc32;
-
 /// Bytes one record occupies on disk.
 pub fn encoded_len(db: &str, body: &str) -> usize {
-    HEADER_LEN + 2 + db.len() + body.len()
+    FRAME_HEADER + 2 + db.len() + body.len()
 }
 
 /// Appends the framed record to `out`. Panics if `db` exceeds `u16::MAX`
@@ -51,27 +37,22 @@ pub fn encoded_len(db: &str, body: &str) -> usize {
 /// and forwarder batches, both far smaller).
 pub fn encode_record(db: &str, body: &str, out: &mut Vec<u8>) {
     assert!(db.len() <= u16::MAX as usize, "db name too long to spool");
-    let payload_len = 2 + db.len() + body.len();
-    assert!(payload_len <= MAX_PAYLOAD, "record too large to spool");
-    out.reserve(HEADER_LEN + payload_len);
-    let payload_start = out.len() + HEADER_LEN;
-    out.extend_from_slice(&(payload_len as u32).to_le_bytes());
-    out.extend_from_slice(&[0; 4]); // CRC back-patched below
-    out.extend_from_slice(&(db.len() as u16).to_le_bytes());
-    out.extend_from_slice(db.as_bytes());
-    out.extend_from_slice(body.as_bytes());
-    let crc = crc32(&out[payload_start..]);
-    out[payload_start - 4..payload_start].copy_from_slice(&crc.to_le_bytes());
+    out.reserve(encoded_len(db, body));
+    put_frame(out, MAX_PAYLOAD, |out| {
+        out.extend_from_slice(&(db.len() as u16).to_le_bytes());
+        out.extend_from_slice(db.as_bytes());
+        out.extend_from_slice(body.as_bytes());
+    });
 }
 
-/// Result of scanning a segment's bytes.
+/// The records of one segment's bytes.
 #[derive(Debug, Default, PartialEq, Eq)]
-pub struct DecodeOutcome {
+pub struct Decoded {
     /// Cleanly decoded records, in append order.
     pub records: Vec<Record>,
-    /// Bounds-valid frames skipped because their CRC (or payload encoding)
-    /// did not verify. Each one loses exactly its own record; the frames
-    /// around it still decode.
+    /// Frames skipped because their CRC (or payload encoding) did not
+    /// verify. Each one loses exactly its own record; the frames around it
+    /// still decode.
     pub corrupt_records: u64,
     /// Bytes scanned (decoded or skipped-as-corrupt) — everything past this
     /// offset is a torn tail (crash mid-append) and must be discarded.
@@ -79,74 +60,34 @@ pub struct DecodeOutcome {
 }
 
 /// Decodes every intact record from `buf`, skipping (and counting) corrupt
-/// frames and stopping at the first torn one.
-pub fn decode_all(buf: &[u8]) -> DecodeOutcome {
-    let mut out = DecodeOutcome::default();
-    let mut off = 0;
-    loop {
-        match decode_one(buf, off) {
-            Frame::Intact(record, next) => {
-                out.records.push(record);
-                off = next;
-            }
-            Frame::Corrupt(next) => {
-                out.corrupt_records += 1;
-                off = next;
-            }
-            Frame::Torn => {
-                out.clean_len = off;
-                return out;
-            }
+/// frames and stopping at the torn tail.
+pub fn decode_segment(buf: &[u8]) -> Decoded {
+    let mut out = Decoded::default();
+    let mut scan = frames(buf, 2..=MAX_PAYLOAD);
+    for (_, payload) in scan.by_ref() {
+        match payload.and_then(decode_payload) {
+            Some(record) => out.records.push(record),
+            None => out.corrupt_records += 1,
         }
     }
+    out.clean_len = scan.offset();
+    out
 }
 
-/// Classification of the frame at one offset.
-enum Frame {
-    /// A verified record; the scan continues at the contained offset.
-    Intact(Record, usize),
-    /// A bounds-valid frame whose CRC or payload encoding failed; the scan
-    /// resynchronizes at the contained offset (the frame's declared end).
-    Corrupt(usize),
-    /// Short or length-implausible — a torn tail (or clean EOF); stop.
-    Torn,
-}
-
-/// Decodes the frame at `off`.
-fn decode_one(buf: &[u8], off: usize) -> Frame {
-    let rest = &buf[off.min(buf.len())..];
-    if rest.len() < HEADER_LEN {
-        return Frame::Torn;
-    }
-    let payload_len = u32::from_le_bytes(rest[0..4].try_into().unwrap()) as usize;
-    let crc = u32::from_le_bytes(rest[4..8].try_into().unwrap());
-    if !(2..=MAX_PAYLOAD).contains(&payload_len) || rest.len() < HEADER_LEN + payload_len {
-        return Frame::Torn;
-    }
-    let next = off + HEADER_LEN + payload_len;
-    let payload = &rest[HEADER_LEN..HEADER_LEN + payload_len];
-    if crc32(payload) != crc {
-        return Frame::Corrupt(next);
-    }
-    // CRC verified: a malformed payload here means corruption that
-    // collided with the checksum (or an encoder bug) — still one frame,
-    // still skippable.
-    let db_len = u16::from_le_bytes(payload[0..2].try_into().unwrap()) as usize;
-    if 2 + db_len > payload.len() {
-        return Frame::Corrupt(next);
-    }
-    let (Ok(db), Ok(body)) = (
-        std::str::from_utf8(&payload[2..2 + db_len]),
-        std::str::from_utf8(&payload[2 + db_len..]),
-    ) else {
-        return Frame::Corrupt(next);
-    };
-    Frame::Intact(Record { db: db.to_string(), body: body.to_string() }, next)
+/// A CRC-clean payload that does not decode is corruption that collided
+/// with the checksum (or an encoder bug): still one frame, still skipped.
+fn decode_payload(payload: &[u8]) -> Option<Record> {
+    let (db_len, rest) = payload.split_at(2);
+    let db_len = u16::from_le_bytes(db_len.try_into().unwrap()) as usize;
+    let db = std::str::from_utf8(rest.get(..db_len)?).ok()?;
+    let body = std::str::from_utf8(&rest[db_len..]).ok()?;
+    Some(Record { db: db.to_string(), body: body.to_string() })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lms_util::hash::crc32;
 
     fn encode(records: &[(&str, &str)]) -> Vec<u8> {
         let mut buf = Vec::new();
@@ -167,7 +108,7 @@ mod tests {
     #[test]
     fn round_trip_multiple_records() {
         let buf = encode(&[("lms", "m v=1 1\nm v=2 2"), ("user_alice", ""), ("lms", "x y=3 3")]);
-        let out = decode_all(&buf);
+        let out = decode_segment(&buf);
         assert_eq!(out.clean_len, buf.len());
         assert_eq!(out.records.len(), 3);
         assert_eq!(out.records[0].db, "lms");
@@ -183,12 +124,12 @@ mod tests {
         let buf = encode(&[("lms", "a v=1 1"), ("lms", "b v=2 2")]);
         let first_len = encoded_len("lms", "a v=1 1");
         for cut in first_len..buf.len() {
-            let out = decode_all(&buf[..cut]);
+            let out = decode_segment(&buf[..cut]);
             assert_eq!(out.records.len(), 1, "cut at {cut}");
             assert_eq!(out.clean_len, first_len);
         }
         // Cutting inside the first record loses everything.
-        let out = decode_all(&buf[..first_len - 1]);
+        let out = decode_segment(&buf[..first_len - 1]);
         assert_eq!(out.records.len(), 0);
         assert_eq!(out.clean_len, 0);
     }
@@ -197,8 +138,8 @@ mod tests {
     fn corrupt_frame_is_skipped_and_counted() {
         let mut buf = encode(&[("lms", "a v=1 1"), ("lms", "b v=2 2"), ("lms", "c v=3 3")]);
         let first_len = encoded_len("lms", "a v=1 1");
-        buf[first_len + HEADER_LEN + 3] ^= 0xFF; // flip a payload byte of record 2
-        let out = decode_all(&buf);
+        buf[first_len + FRAME_HEADER + 3] ^= 0xFF; // flip a payload byte of record 2
+        let out = decode_segment(&buf);
         // The damaged frame loses only itself: its neighbors survive.
         assert_eq!(out.records.len(), 2);
         assert_eq!(out.records[0].body, "a v=1 1");
@@ -211,7 +152,7 @@ mod tests {
     fn corrupt_crc_field_skips_only_its_frame() {
         let mut buf = encode(&[("lms", "a v=1 1"), ("lms", "b v=2 2")]);
         buf[4] ^= 0x01; // flip a CRC byte of record 1
-        let out = decode_all(&buf);
+        let out = decode_segment(&buf);
         assert_eq!(out.records.len(), 1);
         assert_eq!(out.records[0].body, "b v=2 2");
         assert_eq!(out.corrupt_records, 1);
@@ -222,13 +163,13 @@ mod tests {
     fn corrupt_length_is_not_trusted() {
         let mut buf = encode(&[("lms", "a v=1 1")]);
         buf[0..4].copy_from_slice(&u32::MAX.to_le_bytes()); // absurd length
-        let out = decode_all(&buf);
+        let out = decode_segment(&buf);
         assert_eq!(out.records.len(), 0);
         assert_eq!(out.clean_len, 0);
     }
 
     #[test]
     fn empty_buffer_is_clean() {
-        assert_eq!(decode_all(&[]), DecodeOutcome::default());
+        assert_eq!(decode_segment(&[]), Decoded::default());
     }
 }

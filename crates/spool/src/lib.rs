@@ -10,34 +10,35 @@
 //!
 //! ## On-disk format
 //!
-//! The spool directory holds segment files named `<seq:016x>.seg` with a
-//! strictly increasing sequence number (hex-padded so lexicographic order
-//! is replay order). Each segment is a run of length+CRC frames (see
-//! [`frame`]); segments rotate at a configurable size and the directory is
-//! bounded by a byte cap enforced by evicting whole oldest segments.
+//! The spool directory is a [`SegmentLog`]: segment files named
+//! `<seq:016x>.seg`, each a run of length+CRC frames holding one record
+//! apiece (see [`frame`]). Segments rotate at a configurable size, with an
+//! fsync, and the directory is bounded by a byte cap enforced by evicting
+//! whole oldest segments.
 //!
 //! ## Crash recovery
 //!
-//! [`Spool::open`] scans the directory, decodes every segment, truncates
-//! torn tails (a crash mid-append leaves a half-written frame) and deletes
-//! empty segments. A mid-segment frame that fails its CRC (a bit flip at
-//! rest) is skipped and counted in [`SpoolStats::corrupt_records`] rather
-//! than truncated: the records around it still replay, mirroring the
-//! storage engine's segment-quarantine behavior of never amplifying one
-//! damaged record into losing a whole file. Replay progress within the
-//! head segment is *not*
-//! persisted, so a crash between delivery and acknowledgement re-delivers
-//! that segment: the spool is an **at-least-once** buffer (idempotent for
-//! LMS because a re-written point overwrites the same series+timestamp).
+//! [`Spool::open`] decodes every segment, truncates torn tails (a crash
+//! mid-append leaves a half-written frame) and deletes segments left with
+//! no record. A mid-segment frame that fails its CRC (a bit flip at rest)
+//! is skipped and counted in [`SpoolStats::corrupt_records`] rather than
+//! truncated: the records around it still replay, mirroring the storage
+//! engine's segment-quarantine behavior of never amplifying one damaged
+//! record into losing a whole file. An append whose write fails leaves
+//! the segment's tail dirty, and the next append starts a new segment, so
+//! no later record lands behind the torn frame. Replay progress within
+//! the head segment is *not* persisted, so a crash between delivery and
+//! acknowledgement re-delivers that segment: the spool is an
+//! **at-least-once** buffer (idempotent for LMS because a re-written point
+//! overwrites the same series+timestamp).
 
 pub mod frame;
 
 pub use frame::Record;
 
+use lms_util::seglog::SegmentLog;
 use lms_util::{Error, Result};
-use std::collections::VecDeque;
-use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::Mutex;
 
@@ -51,19 +52,15 @@ pub struct SpoolConfig {
     /// Total on-disk cap; exceeding it evicts whole oldest segments
     /// (clamped to at least two segments' worth).
     pub max_bytes: u64,
-    /// `fsync` segment data on rotation (durability/throughput trade-off;
-    /// appends are always flushed to the OS).
-    pub sync_on_rotate: bool,
 }
 
 impl SpoolConfig {
-    /// Defaults: 4 MiB segments, 256 MiB cap, fsync on rotate.
+    /// Defaults: 4 MiB segments, 256 MiB cap.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         SpoolConfig {
             dir: dir.into(),
             segment_bytes: 4 * 1024 * 1024,
             max_bytes: 256 * 1024 * 1024,
-            sync_on_rotate: true,
         }
     }
 }
@@ -84,9 +81,9 @@ pub struct SpoolStats {
     /// flip at rest). Each skip loses one record; the records around it
     /// keep replaying.
     pub corrupt_records: u64,
-    /// Rotation fsyncs that failed (the segment stays replayable — its
-    /// frames were already flushed to the OS — but its durability across
-    /// a power loss is no longer guaranteed).
+    /// Segment fsyncs that failed (the segment stays replayable — its
+    /// frames were already handed to the OS — but its durability across a
+    /// power loss is no longer guaranteed).
     pub sync_failures: u64,
     /// Records currently on disk awaiting replay.
     pub pending: u64,
@@ -107,44 +104,34 @@ pub struct Entry {
     gen: u64,
 }
 
-#[derive(Debug)]
-struct SegMeta {
-    seq: u64,
-    path: PathBuf,
-    bytes: u64,
+/// What the spool knows of a segment awaiting replay.
+#[derive(Debug, Default)]
+struct SegRecords {
     records: u64,
     /// Corrupt frames already counted for this segment — the head decode
     /// re-scans the file, so only *new* corruption increments the counter.
     corrupt: u64,
 }
 
-struct Active {
-    meta: SegMeta,
-    file: File,
-}
-
+/// The oldest segment, decoded for replay.
 struct Head {
-    meta: SegMeta,
+    seq: u64,
     records: VecDeque<Record>,
     gen: u64,
 }
 
 struct Inner {
-    cfg: SpoolConfig,
-    /// Closed segments awaiting replay, oldest first (excludes `head`).
-    closed: VecDeque<SegMeta>,
-    /// The oldest segment, decoded for replay.
+    max_bytes: u64,
+    log: SegmentLog,
+    /// Every segment awaiting replay except the head, by sequence number.
+    waiting: BTreeMap<u64, SegRecords>,
     head: Option<Head>,
-    /// The segment currently being appended to.
-    active: Option<Active>,
-    next_seq: u64,
     next_gen: u64,
     appended: u64,
     replayed: u64,
     evicted: u64,
     torn_bytes: u64,
     corrupt_records: u64,
-    sync_failures: u64,
     scratch: Vec<u8>,
 }
 
@@ -159,55 +146,32 @@ impl Spool {
     /// Opens (or creates) the spool at `cfg.dir`, recovering existing
     /// segments: torn tails are truncated away, empty segments deleted.
     pub fn open(cfg: SpoolConfig) -> Result<Spool> {
-        let mut cfg = cfg;
-        cfg.segment_bytes = cfg.segment_bytes.max(4 * 1024);
-        cfg.max_bytes = cfg.max_bytes.max(cfg.segment_bytes as u64 * 2);
-        std::fs::create_dir_all(&cfg.dir)?;
-
-        let mut segments: Vec<SegMeta> = Vec::new();
-        let mut torn_bytes = 0u64;
-        let mut corrupt_records = 0u64;
-        for entry in std::fs::read_dir(&cfg.dir)? {
-            let entry = entry?;
-            let path = entry.path();
-            let Some(seq) = segment_seq(&path) else { continue };
-            let data = std::fs::read(&path)?;
-            let out = frame::decode_all(&data);
+        let segment_bytes = cfg.segment_bytes.max(4 * 1024) as u64;
+        let mut waiting = BTreeMap::new();
+        let (mut torn_bytes, mut corrupt_records) = (0, 0);
+        let log = SegmentLog::open(cfg.dir, "seg", segment_bytes, |seq, data| {
+            let out = frame::decode_segment(data);
+            torn_bytes += (data.len() - out.clean_len) as u64;
             corrupt_records += out.corrupt_records;
-            if out.clean_len < data.len() {
-                torn_bytes += (data.len() - out.clean_len) as u64;
-                let f = OpenOptions::new().write(true).open(&path)?;
-                f.set_len(out.clean_len as u64)?;
-                f.sync_data()?;
-            }
             if out.records.is_empty() {
-                std::fs::remove_file(&path)?;
-                continue;
+                return 0;
             }
-            segments.push(SegMeta {
-                seq,
-                path,
-                bytes: out.clean_len as u64,
-                records: out.records.len() as u64,
-                corrupt: out.corrupt_records,
-            });
-        }
-        segments.sort_by_key(|s| s.seq);
-        let next_seq = segments.last().map_or(0, |s| s.seq + 1);
+            let records = out.records.len() as u64;
+            waiting.insert(seq, SegRecords { records, corrupt: out.corrupt_records });
+            out.clean_len
+        })?;
         Ok(Spool {
             inner: Mutex::new(Inner {
-                cfg,
-                closed: segments.into(),
+                max_bytes: cfg.max_bytes.max(segment_bytes * 2),
+                log,
+                waiting,
                 head: None,
-                active: None,
-                next_seq,
                 next_gen: 0,
                 appended: 0,
                 replayed: 0,
                 evicted: 0,
                 torn_bytes,
                 corrupt_records,
-                sync_failures: 0,
                 scratch: Vec::new(),
             }),
         })
@@ -218,7 +182,7 @@ impl Spool {
     /// or a db name over `u16::MAX` bytes — is refused with
     /// `Error::Invalid`.
     pub fn append(&self, db: &str, body: &str) -> Result<()> {
-        let payload = frame::encoded_len(db, body) - frame::HEADER_LEN;
+        let payload = 2 + db.len() + body.len();
         if payload > frame::MAX_PAYLOAD || db.len() > u16::MAX as usize {
             return Err(Error::invalid(format!(
                 "a record of {payload} bytes (db name {} bytes) does not fit one spool frame",
@@ -226,33 +190,13 @@ impl Spool {
             )));
         }
         let inner = &mut *self.inner.lock().expect("spool lock");
-        if inner.active.is_none() {
-            let seq = inner.next_seq;
-            inner.next_seq += 1;
-            let path = inner.cfg.dir.join(format!("{seq:016x}.seg"));
-            let file = OpenOptions::new().create(true).append(true).open(&path)?;
-            inner.active = Some(Active {
-                meta: SegMeta { seq, path, bytes: 0, records: 0, corrupt: 0 },
-                file,
-            });
-        }
         let mut buf = std::mem::take(&mut inner.scratch);
         buf.clear();
         frame::encode_record(db, body, &mut buf);
-        let active = inner.active.as_mut().expect("just ensured");
-        active.file.write_all(&buf)?;
-        active.file.flush()?;
-        active.meta.bytes += buf.len() as u64;
-        active.meta.records += 1;
+        let written = inner.log.append(&buf);
         inner.scratch = buf;
+        inner.waiting.entry(written?).or_default().records += 1;
         inner.appended += 1;
-        if active.meta.bytes >= inner.cfg.segment_bytes as u64 {
-            // The record is already framed and flushed: a rotation fsync
-            // failure must not fail the append, or the caller would count
-            // a replayable record as dropped. rotate() keeps the segment
-            // accounted and bumps `sync_failures` on error.
-            let _ = inner.rotate();
-        }
         inner.enforce_cap();
         Ok(())
     }
@@ -276,14 +220,14 @@ impl Spool {
     pub fn ack(&self, entry: &Entry) {
         let inner = &mut *self.inner.lock().expect("spool lock");
         let Some(head) = inner.head.as_mut() else { return };
-        if head.gen != entry.gen || head.records.is_empty() {
+        if head.gen != entry.gen || head.records.pop_front().is_none() {
             return;
         }
-        head.records.pop_front();
         inner.replayed += 1;
-        if inner.head.as_ref().is_some_and(|h| h.records.is_empty()) {
-            let head = inner.head.take().expect("just checked");
-            let _ = std::fs::remove_file(&head.meta.path);
+        if head.records.is_empty() {
+            let seq = head.seq;
+            inner.head = None;
+            let _ = inner.log.remove(seq);
         }
     }
 
@@ -301,118 +245,77 @@ impl Spool {
     pub fn stats(&self) -> SpoolStats {
         let inner = &*self.inner.lock().expect("spool lock");
         let head_records = inner.head.as_ref().map_or(0, |h| h.records.len() as u64);
-        let head_bytes = inner.head.as_ref().map_or(0, |h| h.meta.bytes);
-        let closed_records: u64 = inner.closed.iter().map(|s| s.records).sum();
-        let closed_bytes: u64 = inner.closed.iter().map(|s| s.bytes).sum();
-        let active_records = inner.active.as_ref().map_or(0, |a| a.meta.records);
-        let active_bytes = inner.active.as_ref().map_or(0, |a| a.meta.bytes);
         SpoolStats {
             appended: inner.appended,
             replayed: inner.replayed,
             evicted: inner.evicted,
             torn_bytes: inner.torn_bytes,
             corrupt_records: inner.corrupt_records,
-            sync_failures: inner.sync_failures,
-            pending: head_records + closed_records + active_records,
-            segments: inner.head.is_some() as u64
-                + inner.closed.len() as u64
-                + inner.active.is_some() as u64,
-            bytes: head_bytes + closed_bytes + active_bytes,
+            sync_failures: inner.log.sync_failures(),
+            pending: head_records + inner.waiting.values().map(|s| s.records).sum::<u64>(),
+            segments: (inner.log.frozen().len() + inner.log.active().is_some() as usize) as u64,
+            bytes: inner.log.bytes(),
         }
     }
 }
 
 impl Inner {
-    /// Closes the active segment, making it available to the reader. The
-    /// segment stays accounted (pushed to `closed`) even when the
-    /// rotation fsync fails: its frames are already flushed to the OS and
-    /// remain replayable now and recoverable after a restart, so dropping
-    /// the meta would desynchronize in-memory accounting from the disk.
-    fn rotate(&mut self) -> Result<()> {
-        let Some(active) = self.active.take() else { return Ok(()) };
-        if active.meta.records == 0 {
-            let _ = std::fs::remove_file(&active.meta.path);
-            return Ok(());
-        }
-        let synced =
-            if self.cfg.sync_on_rotate { active.file.sync_data() } else { Ok(()) };
-        self.closed.push_back(active.meta);
-        if synced.is_err() {
-            self.sync_failures += 1;
-        }
-        synced.map_err(Into::into)
-    }
-
-    /// Loads the oldest segment into `head` for replay.
+    /// Loads the oldest segment into `head` for replay. A segment that
+    /// cannot be read right now stays queued for the next poll.
     fn ensure_head(&mut self) {
-        if self.head.is_some() {
-            return;
-        }
-        if self.closed.is_empty() {
-            // Reader caught up with the writer: rotate the active segment
-            // (if it holds records) so they become replayable. Even a
-            // failed rotation fsync leaves the segment in `closed`.
-            if self.active.as_ref().is_some_and(|a| a.meta.records > 0) {
-                let _ = self.rotate();
+        while self.head.is_none() {
+            if self.log.frozen().is_empty() && self.log.active().is_some_and(|a| a.bytes > 0) {
+                // Reader caught up with the writer: rotate the active
+                // segment so its records become replayable. A failed
+                // rotation fsync still freezes it (and is counted).
+                let _ = self.log.rotate();
             }
+            let Some(seq) = self.log.frozen().first().map(|s| s.seq) else { return };
+            let data = match self.log.read(seq) {
+                Ok(data) => data,
+                // The file is gone: its records are lost, not pending.
+                Err(Error::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+                // Anything else may pass (out of descriptors, say).
+                Err(_) => return,
+            };
+            let out = frame::decode_segment(&data);
+            // Decoding short means on-disk damage since the segment was
+            // written; surface what survives and account the loss. Corrupt
+            // frames are counted as a delta against what this segment
+            // already reported, so a re-scan does not double-bill them.
+            let known = self.waiting.remove(&seq).unwrap_or_default();
+            self.torn_bytes += (data.len() - out.clean_len) as u64;
+            self.corrupt_records += out.corrupt_records.saturating_sub(known.corrupt);
+            self.evicted += known.records.saturating_sub(out.records.len() as u64);
+            if out.records.is_empty() {
+                // Try the next segment rather than reporting empty.
+                let _ = self.log.remove(seq);
+                continue;
+            }
+            self.next_gen += 1;
+            self.head = Some(Head { seq, records: out.records.into(), gen: self.next_gen });
         }
-        let Some(mut meta) = self.closed.pop_front() else { return };
-        let data = std::fs::read(&meta.path).unwrap_or_default();
-        let out = frame::decode_all(&data);
-        // Decoding short means on-disk damage since the segment was
-        // written; surface what survives and account the loss. Corrupt
-        // frames are counted as a delta against what this segment already
-        // reported at open, so a re-scan does not double-bill them.
-        self.torn_bytes += (data.len() as u64).saturating_sub(out.clean_len as u64);
-        self.corrupt_records += out.corrupt_records.saturating_sub(meta.corrupt);
-        meta.corrupt = out.corrupt_records;
-        self.evicted += meta.records.saturating_sub(out.records.len() as u64);
-        meta.records = out.records.len() as u64;
-        if out.records.is_empty() {
-            let _ = std::fs::remove_file(&meta.path);
-            // Try the next segment rather than reporting empty.
-            return self.ensure_head();
-        }
-        self.next_gen += 1;
-        self.head = Some(Head { meta, records: out.records.into(), gen: self.next_gen });
     }
 
     /// Evicts whole oldest segments until the cap holds. The active
     /// segment is never evicted (the cap is clamped to ≥ 2 segments).
     fn enforce_cap(&mut self) {
-        loop {
-            let total = self.head.as_ref().map_or(0, |h| h.meta.bytes)
-                + self.closed.iter().map(|s| s.bytes).sum::<u64>()
-                + self.active.as_ref().map_or(0, |a| a.meta.bytes);
-            if total <= self.cfg.max_bytes {
-                return;
-            }
-            if let Some(head) = self.head.take() {
-                self.evicted += head.records.len() as u64;
-                let _ = std::fs::remove_file(&head.meta.path);
-            } else if let Some(meta) = self.closed.pop_front() {
-                self.evicted += meta.records;
-                let _ = std::fs::remove_file(&meta.path);
-            } else {
-                return;
-            }
+        while self.log.bytes() > self.max_bytes {
+            let Some(seq) = self.log.frozen().first().map(|s| s.seq) else { return };
+            self.evicted += match self.head.take_if(|h| h.seq == seq) {
+                Some(head) => head.records.len() as u64,
+                None => self.waiting.remove(&seq).map_or(0, |s| s.records),
+            };
+            let _ = self.log.remove(seq);
         }
     }
-}
-
-/// Parses `<seq:016x>.seg` file names; `None` for anything else.
-fn segment_seq(path: &std::path::Path) -> Option<u64> {
-    let name = path.file_name()?.to_str()?;
-    let stem = name.strip_suffix(".seg")?;
-    if stem.len() != 16 {
-        return None;
-    }
-    u64::from_str_radix(stem, 16).ok()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::OpenOptions;
+    use std::io::Write;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -526,7 +429,7 @@ mod tests {
             let spool = Spool::open(SpoolConfig::new(&dir)).unwrap();
             spool.append("db", "good v=1 1").unwrap();
             let inner = spool.inner.lock().unwrap();
-            path = inner.active.as_ref().unwrap().meta.path.clone();
+            path = inner.log.path(inner.log.active().unwrap().seq);
         }
         // Simulate a crash mid-append: garbage half-frame at the tail.
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
@@ -553,12 +456,12 @@ mod tests {
             spool.append("db", "b v=2 2").unwrap();
             spool.append("db", "c v=3 3").unwrap();
             let inner = spool.inner.lock().unwrap();
-            path = inner.active.as_ref().unwrap().meta.path.clone();
+            path = inner.log.path(inner.log.active().unwrap().seq);
         }
         // A bit flip at rest inside the middle record's payload.
         let mut data = std::fs::read(&path).unwrap();
         let first_len = frame::encoded_len("db", "a v=1 1");
-        data[first_len + frame::HEADER_LEN + 3] ^= 0x01;
+        data[first_len + lms_util::seglog::FRAME_HEADER + 3] ^= 0x01;
         std::fs::write(&path, &data).unwrap();
 
         let spool = Spool::open(SpoolConfig::new(&dir)).unwrap();
@@ -588,6 +491,21 @@ mod tests {
         assert_eq!(spool.stats().torn_bytes, 64);
         // The empty (post-truncation) segment is removed.
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_deleted_head_segment_counts_as_lost_and_replay_moves_on() {
+        let dir = tmpdir("deleted");
+        Spool::open(SpoolConfig::new(&dir)).unwrap().append("lms", "a").unwrap();
+        let spool = Spool::open(SpoolConfig::new(&dir)).unwrap();
+        spool.append("lms", "b").unwrap();
+        std::fs::remove_file(dir.join("0000000000000000.seg")).unwrap();
+        let e = spool.peek().unwrap();
+        assert_eq!(e.body, "b");
+        spool.ack(&e);
+        let s = spool.stats();
+        assert_eq!((s.pending, s.evicted, s.replayed), (0, 1, 1), "{s:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -634,7 +552,7 @@ mod tests {
 
     mod properties {
         use super::*;
-        use crate::frame::{decode_all, encode_record, encoded_len};
+        use crate::frame::{decode_segment, encode_record, encoded_len};
         use proptest::prelude::*;
 
         fn record_strategy() -> impl Strategy<Value = (String, String)> {
@@ -652,7 +570,7 @@ mod tests {
                 for (db, body) in &records {
                     encode_record(db, body, &mut buf);
                 }
-                let out = decode_all(&buf);
+                let out = decode_segment(&buf);
                 prop_assert_eq!(out.clean_len, buf.len());
                 prop_assert_eq!(out.records.len(), records.len());
                 for (rec, (db, body)) in out.records.iter().zip(&records) {
@@ -675,7 +593,7 @@ mod tests {
                     boundaries.push(boundaries.last().unwrap() + encoded_len(db, body));
                 }
                 let cut = (buf.len() as f64 * cut_frac) as usize;
-                let out = decode_all(&buf[..cut]);
+                let out = decode_segment(&buf[..cut]);
                 // clean_len is the largest record boundary ≤ cut.
                 let expect_n = boundaries.iter().filter(|&&b| b <= cut).count() - 1;
                 prop_assert_eq!(out.records.len(), expect_n);
@@ -700,7 +618,7 @@ mod tests {
                 }
                 let pos = ((buf.len() - 1) as f64 * pos_frac) as usize;
                 buf[pos] ^= flip;
-                let out = decode_all(&buf);
+                let out = decode_segment(&buf);
                 prop_assert!(out.clean_len <= buf.len());
                 // Frames entirely before the flip decode untouched, in order.
                 let intact = boundaries[1..].iter().filter(|&&b| b <= pos).count();

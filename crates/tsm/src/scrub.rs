@@ -22,6 +22,7 @@
 use crate::engine::{list_segment_files, QuarantineReport, TsmEngine};
 use crate::segment;
 use lms_util::rng::XorShift64;
+use lms_util::seglog;
 use lms_util::{Error, Result};
 use std::path::{Path, PathBuf};
 
@@ -189,15 +190,9 @@ pub fn inject_bit_flip(dir: &Path, rng: &mut XorShift64) -> Option<(PathBuf, u64
     }
     let path = files[rng.below(files.len() as u64) as usize].clone();
     let mut bytes = std::fs::read(&path).ok()?;
-    // [magic 8][len u32][crc u32][payload...]
-    if bytes.len() < 17 {
-        return None;
-    }
-    let payload_len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
-    if payload_len == 0 || 16 + payload_len > bytes.len() {
-        return None;
-    }
-    let off = 16 + rng.below(payload_len as u64) as usize;
+    let (_, payload) = seglog::frames(bytes.get(segment::MAGIC.len()..)?, 1..=usize::MAX).next()?;
+    let payload_len = payload?.len() as u64;
+    let off = segment::MAGIC.len() + seglog::FRAME_HEADER + rng.below(payload_len) as usize;
     bytes[off] ^= 1u8 << rng.below(8);
     std::fs::write(&path, &bytes).ok()?;
     Some((path, off as u64))

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! [magic: b"LMSTSM2\n"]
-//! repeated frames: [payload_len: u32 LE][crc32(payload): u32 LE][payload]
+//! repeated lms_util::seglog frames: [payload_len: u32 LE][crc32(payload): u32 LE][payload]
 //! ```
 //!
 //! Each frame payload is one [`BlockEntry`] — enough metadata to rebuild
@@ -49,7 +49,7 @@ use crate::agg::Agg;
 use crate::block::SealedBlock;
 use crate::encode::{get_uvarint, put_uvarint, unzigzag, zigzag};
 use lms_lineproto::FieldValue;
-use lms_util::hash::crc32;
+use lms_util::seglog;
 use lms_util::{Error, Result};
 use std::fs::{self, OpenOptions};
 use std::io::Write;
@@ -59,7 +59,6 @@ use std::sync::Arc;
 /// File magic: identifies format + version.
 pub const MAGIC: &[u8; 8] = b"LMSTSM2\n";
 
-const HEADER_LEN: usize = 8;
 const MAX_PAYLOAD: usize = 256 * 1024 * 1024;
 
 /// The identity of one series: what a segment frame records so the owning
@@ -136,8 +135,6 @@ fn put_summary(out: &mut Vec<u8>, summary: Option<&Agg>) {
 }
 
 fn encode_entry(entry: &BlockEntry, out: &mut Vec<u8>) {
-    let payload_start = out.len() + HEADER_LEN;
-    out.extend_from_slice(&[0; HEADER_LEN]); // length + CRC back-patched
     let b = &entry.block;
     out.extend_from_slice(&b.gen.to_le_bytes());
     out.extend_from_slice(&b.min_ts.to_le_bytes());
@@ -156,12 +153,6 @@ fn encode_entry(entry: &BlockEntry, out: &mut Vec<u8>) {
     out.extend_from_slice(&(b.bytes().len() as u32).to_le_bytes());
     out.extend_from_slice(b.bytes());
     put_summary(out, b.summary());
-    let payload_len = out.len() - payload_start;
-    assert!(payload_len <= MAX_PAYLOAD, "block entry too large for one frame");
-    let crc = crc32(&out[payload_start..]);
-    out[payload_start - HEADER_LEN..payload_start - 4]
-        .copy_from_slice(&(payload_len as u32).to_le_bytes());
-    out[payload_start - 4..payload_start].copy_from_slice(&crc.to_le_bytes());
 }
 
 struct Cursor<'a> {
@@ -288,7 +279,7 @@ pub fn write_segment(
     let mut buf = Vec::with_capacity(4096);
     buf.extend_from_slice(MAGIC);
     for &e in entries {
-        encode_entry(e, &mut buf);
+        seglog::put_frame(&mut buf, MAX_PAYLOAD, |out| encode_entry(e, out));
     }
     let tmp = path.with_extension("tmp");
     {
@@ -343,34 +334,22 @@ fn scan_segment_impl(path: &Path, decode: bool) -> Result<SegmentScan> {
         return Err(Error::invalid(format!("{}: bad segment magic", path.display())));
     }
     let mut scan = SegmentScan { bytes_scanned: buf.len() as u64, ..SegmentScan::default() };
-    let mut off = MAGIC.len();
-    loop {
-        let rest = &buf[off..];
-        if rest.len() < HEADER_LEN {
-            scan.torn_bytes = rest.len() as u64;
-            return Ok(scan);
-        }
-        let payload_len = u32::from_le_bytes(rest[0..4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(rest[4..8].try_into().unwrap());
-        if payload_len > MAX_PAYLOAD || rest.len() < HEADER_LEN + payload_len {
-            scan.torn_bytes = rest.len() as u64;
-            return Ok(scan);
-        }
-        let payload = &rest[HEADER_LEN..HEADER_LEN + payload_len];
-        if crc32(payload) != crc {
-            scan.corrupt_frames += 1;
-            scan.corrupt_offsets.push(off as u64);
-        } else if decode {
-            match decode_entry(payload) {
-                Some(entry) => scan.entries.push(entry),
-                None => {
-                    scan.corrupt_frames += 1;
-                    scan.corrupt_offsets.push(off as u64);
-                }
+    let mut frames = seglog::frames(&buf[MAGIC.len()..], 0..=MAX_PAYLOAD);
+    for (at, payload) in frames.by_ref() {
+        let intact = match payload {
+            Some(payload) if decode => {
+                decode_entry(payload).map(|e| scan.entries.push(e)).is_some()
             }
+            Some(_) => true,
+            None => false,
+        };
+        if !intact {
+            scan.corrupt_frames += 1;
+            scan.corrupt_offsets.push((MAGIC.len() + at) as u64);
         }
-        off += HEADER_LEN + payload_len;
     }
+    scan.torn_bytes = (buf.len() - MAGIC.len() - frames.offset()) as u64;
+    Ok(scan)
 }
 
 /// Scans a segment file, decoding every intact entry and counting what
@@ -484,8 +463,8 @@ mod tests {
         let mut bytes = fs::read(&path).unwrap();
         // Locate the middle frame and flip a payload byte inside it.
         let first_len =
-            u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize + HEADER_LEN;
-        let mid = 8 + first_len + HEADER_LEN + 4;
+            u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize + seglog::FRAME_HEADER;
+        let mid = 8 + first_len + seglog::FRAME_HEADER + 4;
         bytes[mid] ^= 0x01;
         fs::write(&path, &bytes).unwrap();
         let scan = scan_segment(&path).unwrap();

@@ -2,9 +2,9 @@
 //!
 //! Every acknowledged write batch is appended to the WAL before the write
 //! call returns; the in-memory head can then be rebuilt after a crash by
-//! replaying the log. The WAL is segmented (`<seq:016x>.wal`, hex-padded so
-//! lexicographic order is append order) and each record is one length+CRC
-//! frame — the same framing idiom proven by `lms-spool`:
+//! replaying the log. The WAL is a [`SegmentLog`] (`<seq:016x>.wal`
+//! segments, the log the router's spool also runs on) and each record is
+//! one length+CRC frame:
 //!
 //! ```text
 //! [payload_len: u32 LE][crc32(payload): u32 LE][payload]
@@ -35,11 +35,13 @@
 //! [`Wal::open`] scans segments in order, decodes every intact record, and
 //! truncates the first torn or corrupt frame and everything after it in
 //! that file (a crash mid-append leaves a half-written frame; only records
-//! of the unacknowledged tail group can be affected). Recovery therefore
-//! yields exactly the acknowledged prefix — zero silent loss, no torn
-//! records. Symmetrically, a group write that *fails* marks the active
-//! segment's tail dirty: the next commit rotates to a fresh segment first,
-//! so later acknowledged records are never stranded behind a torn middle.
+//! of the unacknowledged tail group can be affected). Unlike the spool,
+//! which skips a corrupt frame, the WAL stops at it: the records after it
+//! may depend on ordering. Recovery therefore yields exactly the
+//! acknowledged prefix — zero silent loss, no torn records. Symmetrically,
+//! a group write that *fails* leaves the active segment's tail dirty: the
+//! log rotates to a fresh segment before the next commit, so later
+//! acknowledged records are never stranded behind a torn middle.
 //!
 //! ## Checkpointing
 //!
@@ -52,17 +54,13 @@
 //! idempotent (last-write-wins on series+timestamp), so over-persisting is
 //! safe; only under-persisting would lose data.
 
-use lms_util::hash::crc32;
+use lms_util::seglog::{self, SegmentLog};
 use lms_util::{Error, Result};
-use std::fs::{self, File, OpenOptions};
-use std::io::Write;
+use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-
-/// Frame header size: payload length + CRC.
-const HEADER_LEN: usize = 8;
 
 /// Upper bound on one payload; larger lengths read as corruption.
 const MAX_PAYLOAD: usize = 64 * 1024 * 1024;
@@ -139,12 +137,6 @@ pub struct WalGroupStats {
     pub points_per_commit: f64,
 }
 
-struct Frozen {
-    seq: u64,
-    path: PathBuf,
-    bytes: u64,
-}
-
 /// Record staging and sequencing; guarded by `Wal::state` and never held
 /// across file I/O by the commit leader.
 struct GroupState {
@@ -170,46 +162,26 @@ struct GroupState {
     failed: Vec<(u64, u64, std::io::ErrorKind, String)>,
 }
 
-/// The active segment file; guarded by `Wal::file`, acquired after (never
-/// before) releasing `Wal::state`.
-struct FileState {
-    active: File,
-    active_seq: u64,
-    active_bytes: u64,
-    frozen: Vec<Frozen>,
-    /// A write to the active segment failed partway: recovery stops at the
-    /// torn frame, so nothing more may be appended to this file — the next
-    /// commit rotates first.
-    dirty_tail: bool,
-}
-
 /// A segmented, CRC-framed write-ahead log with group commit.
 pub struct Wal {
     cfg: WalConfig,
     state: Mutex<GroupState>,
     cv: Condvar,
-    file: Mutex<FileState>,
+    /// The segment files; acquired after (never before) releasing `state`.
+    log: Mutex<SegmentLog>,
+    /// The log's fsync count, mirrored for lock-free gauges.
     fsyncs: AtomicU64,
     group_commits: AtomicU64,
     /// f64 bits of the points-per-commit EWMA.
     ewma_bits: AtomicU64,
 }
 
-fn segment_path(dir: &Path, seq: u64) -> PathBuf {
-    dir.join(format!("{seq:016x}.wal"))
-}
-
 fn encode_record(seq: u64, batch: &str, out: &mut Vec<u8>) {
-    let payload_len = 8 + batch.len();
-    debug_assert!(payload_len <= MAX_PAYLOAD, "`Wal::append` refuses larger batches");
-    out.reserve(HEADER_LEN + payload_len);
-    let payload_start = out.len() + HEADER_LEN;
-    out.extend_from_slice(&(payload_len as u32).to_le_bytes());
-    out.extend_from_slice(&[0; 4]); // CRC back-patched below
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(batch.as_bytes());
-    let crc = crc32(&out[payload_start..]);
-    out[payload_start - 4..payload_start].copy_from_slice(&crc.to_le_bytes());
+    out.reserve(seglog::FRAME_HEADER + 8 + batch.len());
+    seglog::put_frame(out, MAX_PAYLOAD, |out| {
+        out.extend_from_slice(&seq.to_le_bytes());
+        out.extend_from_slice(batch.as_bytes());
+    });
 }
 
 /// Decodes intact records until the first torn/corrupt frame; returns the
@@ -221,28 +193,20 @@ fn encode_record(seq: u64, batch: &str, out: &mut Vec<u8>) {
 /// complete frame is the disk flipping bits under acknowledged data.
 fn decode_segment(buf: &[u8]) -> (Vec<WalRecord>, usize, Option<usize>) {
     let mut records = Vec::new();
-    let mut off = 0usize;
-    loop {
-        let rest = &buf[off..];
-        if rest.len() < HEADER_LEN {
-            return (records, off, None);
+    let mut frames = seglog::frames(buf, 8..=MAX_PAYLOAD);
+    for (at, payload) in frames.by_ref() {
+        match payload.and_then(decode_record) {
+            Some(record) => records.push(record),
+            None => return (records, at, Some(at)),
         }
-        let payload_len = u32::from_le_bytes(rest[0..4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(rest[4..8].try_into().unwrap());
-        if !(8..=MAX_PAYLOAD).contains(&payload_len) || rest.len() < HEADER_LEN + payload_len {
-            return (records, off, None);
-        }
-        let payload = &rest[HEADER_LEN..HEADER_LEN + payload_len];
-        if crc32(payload) != crc {
-            return (records, off, Some(off));
-        }
-        let seq = u64::from_le_bytes(payload[0..8].try_into().unwrap());
-        let Ok(batch) = std::str::from_utf8(&payload[8..]) else {
-            return (records, off, Some(off));
-        };
-        records.push(WalRecord { seq, batch: batch.to_string() });
-        off += HEADER_LEN + payload_len;
     }
+    (records, frames.offset(), None)
+}
+
+fn decode_record(payload: &[u8]) -> Option<WalRecord> {
+    let (seq, batch) = payload.split_at(8);
+    let batch = std::str::from_utf8(batch).ok()?.to_string();
+    Some(WalRecord { seq: u64::from_le_bytes(seq.try_into().unwrap()), batch })
 }
 
 /// CRC-verifies every frame of one WAL segment file without materializing
@@ -260,51 +224,23 @@ impl Wal {
     /// so recovery never re-reads replayed records after the next
     /// checkpoint.
     pub fn open(cfg: WalConfig) -> Result<(Wal, WalRecovery)> {
-        fs::create_dir_all(&cfg.dir)?;
-        let mut seqs: Vec<u64> = fs::read_dir(&cfg.dir)?
-            .filter_map(|e| e.ok())
-            .filter_map(|e| {
-                let name = e.file_name().into_string().ok()?;
-                let stem = name.strip_suffix(".wal")?;
-                u64::from_str_radix(stem, 16).ok()
-            })
-            .collect();
-        seqs.sort_unstable();
-
         let mut recovery = WalRecovery::default();
-        let mut frozen = Vec::new();
-        for &seq in &seqs {
-            let path = segment_path(&cfg.dir, seq);
-            let buf = fs::read(&path)?;
-            let (records, clean_len, corrupt_at) = decode_segment(&buf);
+        let log = SegmentLog::open(&cfg.dir, "wal", cfg.segment_bytes as u64, |seq, buf| {
+            let (records, clean_len, corrupt_at) = decode_segment(buf);
             if let Some(off) = corrupt_at {
                 recovery.corrupt_frames += 1;
                 eprintln!(
-                    "lms-tsm: warning: WAL corruption: CRC-failed frame at {}:{off} \
+                    "lms-tsm: warning: WAL corruption: CRC-failed frame at {}/{seq:016x}.wal:{off} \
                      (not a torn tail — acknowledged data may be lost); \
                      truncating to the clean prefix",
-                    path.display()
+                    cfg.dir.display()
                 );
             }
-            if clean_len < buf.len() {
-                recovery.torn_bytes += (buf.len() - clean_len) as u64;
-                let f = OpenOptions::new().write(true).open(&path)?;
-                f.set_len(clean_len as u64)?;
-            }
-            if clean_len == 0 {
-                fs::remove_file(&path)?;
-            } else {
-                frozen.push(Frozen { seq, path, bytes: clean_len as u64 });
-            }
+            recovery.torn_bytes += (buf.len() - clean_len) as u64;
             recovery.records.extend(records);
-        }
-
+            clean_len
+        })?;
         let next_record_seq = recovery.records.last().map(|r| r.seq + 1).unwrap_or(0);
-        let active_seq = seqs.last().map(|s| s + 1).unwrap_or(0);
-        let active = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(segment_path(&cfg.dir, active_seq))?;
         let wal = Wal {
             cfg,
             state: Mutex::new(GroupState {
@@ -319,13 +255,7 @@ impl Wal {
                 failed: Vec::new(),
             }),
             cv: Condvar::new(),
-            file: Mutex::new(FileState {
-                active,
-                active_seq,
-                active_bytes: 0,
-                frozen,
-                dirty_tail: false,
-            }),
+            log: Mutex::new(log),
             fsyncs: AtomicU64::new(0),
             group_commits: AtomicU64::new(0),
             ewma_bits: AtomicU64::new(0),
@@ -441,106 +371,59 @@ impl Wal {
         st
     }
 
-    /// Writes one encoded group to the active segment.
+    /// Writes one encoded group to the active segment (the log rotates
+    /// first when it is full or its tail is dirty).
     fn write_group(&self, group: &[u8]) -> Result<()> {
-        let mut file = self.file.lock().unwrap();
-        if file.dirty_tail || file.active_bytes >= self.cfg.segment_bytes as u64 {
-            self.rotate_file_locked(&mut file)?;
-        }
-        if let Err(e) = file.active.write_all(group) {
-            file.dirty_tail = true;
-            return Err(e.into());
-        }
-        file.active_bytes += group.len() as u64;
-        if self.cfg.fsync_every_append {
-            if let Err(e) = file.active.sync_data() {
-                // The kernel may have dropped dirty pages: nothing after
-                // this point in the file can be trusted.
-                file.dirty_tail = true;
-                return Err(e.into());
+        self.with_log(|log| {
+            log.append(group)?;
+            if self.cfg.fsync_every_append {
+                log.sync()?;
             }
-            self.fsyncs.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
-    fn rotate_file_locked(&self, file: &mut FileState) -> Result<u64> {
-        // Freeze the active segment (fsync so a checkpoint can trust it
-        // existed) and start a new one.
-        if let Err(e) = file.active.sync_data() {
-            file.dirty_tail = true;
-            return Err(e.into());
-        }
-        self.fsyncs.fetch_add(1, Ordering::Relaxed);
-        let old_seq = file.active_seq;
-        let old_bytes = file.active_bytes;
-        let new_seq = old_seq + 1;
-        file.active = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(segment_path(&self.cfg.dir, new_seq))?;
-        if old_bytes > 0 || file.dirty_tail {
-            // A dirty tail may hold a clean prefix worth replaying even
-            // when the byte counter says zero; recovery sorts it out.
-            file.frozen.push(Frozen {
-                seq: old_seq,
-                path: segment_path(&self.cfg.dir, old_seq),
-                bytes: old_bytes,
-            });
-        } else {
-            // Empty segment: nothing to replay, delete it eagerly.
-            let _ = fs::remove_file(segment_path(&self.cfg.dir, old_seq));
-        }
-        file.active_seq = new_seq;
-        file.active_bytes = 0;
-        file.dirty_tail = false;
-        Ok(new_seq)
+    /// Runs `f` on the segment log and mirrors its fsync count.
+    fn with_log<R>(&self, f: impl FnOnce(&mut SegmentLog) -> R) -> R {
+        let mut log = self.log.lock().expect("no panic while holding the WAL log");
+        let r = f(&mut log);
+        self.fsyncs.store(log.fsyncs(), Ordering::Relaxed);
+        r
     }
 
     /// Rotates to a fresh active segment and returns the checkpoint
     /// boundary: every record in segments `< boundary` is in memory now
     /// and may be deleted once sealed blocks covering them are durable.
     pub fn rotate(&self) -> Result<u64> {
-        let mut file = self.file.lock().unwrap();
-        self.rotate_file_locked(&mut file)
+        self.with_log(SegmentLog::rotate)
     }
 
     /// Deletes frozen segments below `boundary` (returned by
     /// [`rotate`](Self::rotate)) after their contents were durably sealed.
     pub fn remove_frozen(&self, boundary: u64) -> Result<()> {
-        let mut file = self.file.lock().unwrap();
-        let mut kept = Vec::new();
-        for f in file.frozen.drain(..) {
-            if f.seq < boundary {
-                fs::remove_file(&f.path)?;
-            } else {
-                kept.push(f);
-            }
+        let mut log = self.log.lock().expect("no panic while holding the WAL log");
+        while let Some(seq) = log.frozen().first().map(|s| s.seq).filter(|&s| s < boundary) {
+            log.remove(seq)?;
         }
-        file.frozen = kept;
         Ok(())
     }
 
     /// Total bytes currently on disk (frozen + active).
     pub fn bytes(&self) -> u64 {
-        let file = self.file.lock().unwrap();
-        file.active_bytes + file.frozen.iter().map(|f| f.bytes).sum::<u64>()
+        self.log.lock().expect("no panic while holding the WAL log").bytes()
     }
 
     /// Paths of the frozen (immutable, pre-checkpoint) segments. The
     /// scrubber verifies these — never the active segment, whose tail is
     /// legitimately mid-write under group commit.
     pub(crate) fn frozen_paths(&self) -> Vec<PathBuf> {
-        let file = self.file.lock().unwrap();
-        file.frozen.iter().map(|f| f.path.clone()).collect()
+        let log = self.log.lock().expect("no panic while holding the WAL log");
+        log.frozen().iter().map(|s| log.path(s.seq)).collect()
     }
 
     /// Fsyncs the active segment (graceful-shutdown hook).
     pub fn sync(&self) -> Result<()> {
-        let file = self.file.lock().unwrap();
-        file.active.sync_data()?;
-        self.fsyncs.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        self.with_log(SegmentLog::sync)
     }
 
     /// Group-commit gauges.
@@ -655,7 +538,7 @@ mod tests {
             .unwrap();
         let mut bytes = fs::read(&seg).unwrap();
         let record_len = bytes.len() / 3;
-        bytes[record_len + HEADER_LEN + 9] ^= 0xFF; // flip a byte of record 2
+        bytes[record_len + seglog::FRAME_HEADER + 9] ^= 0xFF; // flip a byte of record 2
         fs::write(&seg, &bytes).unwrap();
         let (_, rec) = Wal::open(WalConfig::new(&dir)).unwrap();
         assert_eq!(rec.records.len(), 1);

@@ -17,6 +17,8 @@
 //!   logic and the storage nodes' integrity digests,
 //! - [`digest`]: Merkle-style range digests and their diff, the vocabulary
 //!   of the anti-entropy repair protocol,
+//! - [`seglog`]: the segmented, CRC-framed append-only log under the
+//!   storage engine's WAL and segment files and the router's spool,
 //! - [`fmt`]: human-readable byte/duration/number formatting for reports,
 //! - [`supervisor`]: panic-capturing restart supervision for background
 //!   worker threads.
@@ -30,6 +32,7 @@ pub mod hash;
 pub mod json;
 pub mod ring;
 pub mod rng;
+pub mod seglog;
 pub mod supervisor;
 
 pub use clock::{Clock, Timestamp};
