@@ -12,7 +12,9 @@ use parking_lot::RwLock;
 use lms_hpm::collector::HpmCollector;
 use lms_hpm::simulate::Simulator;
 use lms_http::HttpClient;
-use lms_influx::{Influx, InfluxServer, RollupPolicy, StorageConfig, StorageWorker};
+use lms_influx::{
+    Influx, InfluxClient, InfluxServer, RollupPolicy, StorageConfig, StorageWorker,
+};
 use lms_jobsched::{HttpSignaler, JobId, JobSpec, JobState, Scheduler};
 use lms_lineproto::BatchBuilder;
 use lms_mq::Publisher;
@@ -438,9 +440,11 @@ impl LmsStack {
             return Ok(vs.addr());
         }
         let agent = Arc::new(self.viewer());
-        let influx = self.influx().clone();
-        let factory: SourceFactory =
-            Arc::new(move || Box::new(influx.clone()) as Box<dyn QuerySource + Send>);
+        let router_addr = self.router_addr();
+        let factory: SourceFactory = Arc::new(move || {
+            Box::new(InfluxClient::connect(router_addr).expect("loopback address resolves"))
+                as Box<dyn QuerySource + Send>
+        });
         let server = ViewerServer::start(
             "127.0.0.1:0",
             agent,
@@ -740,6 +744,12 @@ impl LmsStack {
         }
     }
 
+    /// A client of the router's read API, where a dashboard reads: it
+    /// sees the series of every database node, not only node 0's.
+    fn reader(&self) -> Result<InfluxClient> {
+        InfluxClient::connect(self.router_addr())
+    }
+
     /// A viewer agent bound to this stack's database.
     pub fn viewer(&self) -> ViewerAgent {
         ViewerAgent::new("lms", TemplateStore::builtin(), self.peaks())
@@ -750,14 +760,14 @@ impl LmsStack {
         let info = self.job_info(id)?;
         let now = self.clock.now();
         let viewer = self.viewer();
-        viewer.job_dashboard(&mut self.influx().clone(), &info, now)
+        viewer.job_dashboard(&mut self.reader()?, &info, now)
     }
 
     /// Renders a job's dashboard to text (headless Grafana).
     pub fn render_job_dashboard(&mut self, id: JobId) -> Result<String> {
         let dashboard = self.job_dashboard(id)?;
         let viewer = self.viewer();
-        viewer.render_dashboard(&mut self.influx().clone(), &dashboard, RenderOptions::default())
+        viewer.render_dashboard(&mut self.reader()?, &dashboard, RenderOptions::default())
     }
 
     /// Runs the online evaluation of a job (the Fig. 2 header data).
@@ -765,7 +775,7 @@ impl LmsStack {
         let info = self.job_info(id)?;
         let end = info.end.unwrap_or_else(|| self.clock.now());
         JobEvaluation::evaluate(
-            &mut self.influx().clone(),
+            &mut self.reader()?,
             "lms",
             &info.jobid,
             &info.hosts,
@@ -796,7 +806,7 @@ impl LmsStack {
             })
             .collect();
         lms_analysis::UsageReport::build(
-            &mut self.influx().clone(),
+            &mut self.reader()?,
             "lms",
             &completed,
             self.peaks(),
@@ -810,7 +820,7 @@ impl LmsStack {
             ids.iter().map(|&id| self.job_info(id)).collect::<Result<_>>()?;
         let now = self.clock.now();
         let viewer = self.viewer();
-        viewer.admin_view(&mut self.influx().clone(), &jobs, now)
+        viewer.admin_view(&mut self.reader()?, &jobs, now)
     }
 
     /// Direct access to the scheduler (inspection in tests/examples).
@@ -1004,6 +1014,36 @@ mod tests {
         assert!(single > 0);
         assert_eq!(clustered, single, "cluster read path lost or duplicated samples");
         assert!(stack.shutdown(), "cluster drain completes");
+    }
+
+    #[test]
+    fn a_multi_node_stack_evaluates_a_job_over_every_node() {
+        // R = 1 over three nodes: each node holds only the series the ring
+        // gives it, so a read of any one node misses hosts.
+        let mut config = small_config();
+        config.nodes = 4;
+        config.db_nodes = 3;
+        let mut stack = LmsStack::start(config).unwrap();
+        let job = stack.submit_job("erin", "gemm", 4, Duration::from_secs(1200), AppProfile::Dgemm);
+        stack.run_for(Duration::from_secs(600), Duration::from_secs(60));
+
+        let ev = stack.evaluate_job(job).unwrap();
+        let info = stack.job_info(job).unwrap();
+        let reference = JobEvaluation::evaluate(
+            &mut InfluxClient::connect(stack.router_addr()).unwrap(),
+            "lms",
+            &info.jobid,
+            &info.hosts,
+            info.start,
+            stack.clock().now(),
+            stack.peaks(),
+        )
+        .unwrap();
+        assert_eq!(format!("{:?}", ev.nodes), format!("{:?}", reference.nodes));
+        assert_eq!(ev.nodes.len(), 4);
+        for node in &ev.nodes {
+            assert!(node.cpu_busy > 0.0, "{node:?}");
+        }
     }
 
     #[test]

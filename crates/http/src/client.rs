@@ -75,7 +75,7 @@ impl HttpClient {
 
     fn write_request(&mut self, req: &Request) -> Result<()> {
         let conn = self.ensure_conn()?;
-        req.write_to(&mut conn.writer, None)?;
+        req.write_to(&mut conn.writer)?;
         conn.writer.flush()?;
         Ok(())
     }

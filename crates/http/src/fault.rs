@@ -282,7 +282,7 @@ fn forward(
         }
         let stream = upstream.as_mut().expect("just set");
         let attempt = (|| {
-            req.write_to(stream, None)?;
+            req.write_to(stream)?;
             let mut r = BufReader::new(stream.try_clone()?);
             Response::read_from(&mut r)
         })();

@@ -105,20 +105,14 @@ impl Request {
     }
 
     /// Serializes to a writer (adds `Content-Length`, keeps other headers).
-    pub fn write_to(&self, w: &mut impl Write, target_override: Option<&str>) -> Result<()> {
-        let target = match target_override {
-            Some(t) => t.to_string(),
-            None => {
-                let mut t = self.path.clone();
-                if !self.query.is_empty() {
-                    let pairs: Vec<(&str, &str)> =
-                        self.query.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
-                    t.push('?');
-                    t.push_str(&crate::url::build_query(&pairs));
-                }
-                t
-            }
-        };
+    pub fn write_to(&self, w: &mut impl Write) -> Result<()> {
+        let mut target = self.path.clone();
+        if !self.query.is_empty() {
+            let pairs: Vec<(&str, &str)> =
+                self.query.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
+            target.push('?');
+            target.push_str(&crate::url::build_query(&pairs));
+        }
         write!(w, "{} {} HTTP/1.1\r\n", self.method, target)?;
         for (k, v) in &self.headers {
             if k != "content-length" {
@@ -339,7 +333,7 @@ mod tests {
         req.body = b"cpu v=1".to_vec();
         req.headers.push(("x-custom".into(), "yes".into()));
         let mut wire = Vec::new();
-        req.write_to(&mut wire, None).unwrap();
+        req.write_to(&mut wire).unwrap();
 
         let mut reader = BufReader::new(Cursor::new(wire));
         let parsed = Request::read_from(&mut reader).unwrap().unwrap();
@@ -368,8 +362,8 @@ mod tests {
     #[test]
     fn keep_alive_reads_two_requests() {
         let mut wire = Vec::new();
-        Request::new("GET", "/a").write_to(&mut wire, None).unwrap();
-        Request::new("GET", "/b").write_to(&mut wire, None).unwrap();
+        Request::new("GET", "/a").write_to(&mut wire).unwrap();
+        Request::new("GET", "/b").write_to(&mut wire).unwrap();
         let mut reader = BufReader::new(Cursor::new(wire));
         assert_eq!(Request::read_from(&mut reader).unwrap().unwrap().path, "/a");
         assert_eq!(Request::read_from(&mut reader).unwrap().unwrap().path, "/b");

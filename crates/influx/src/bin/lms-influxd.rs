@@ -9,9 +9,12 @@
 //!             [--max-connections N] [--max-body-bytes N]
 //! ```
 //!
-//! Serves the InfluxDB-compatible `/ping`, `/write`, `/query` and `/stats`
-//! endpoints until interrupted. Any existing collector that can speak to
-//! InfluxDB can point at it (the paper's integration premise).
+//! Serves the InfluxDB-compatible HTTP API until interrupted: `/ping`,
+//! `/write`, `/query`, `/query_range`, `/metrics`, `/labels/{m}`,
+//! `/health/live`, `/health/ready`, `/stats` and the repair pass's
+//! `/integrity` and `/integrity/export` (see `lms_influx::server`). Any
+//! existing collector that can speak to InfluxDB can point at it (the
+//! paper's integration premise).
 //!
 //! Without `--data-dir` the daemon is memory-only. With it, every write is
 //! appended to a write-ahead log and periodically sealed into compressed

@@ -125,8 +125,8 @@ impl QueryResult {
     /// `outcomes` keeps one statement's result and JSON tree alive at
     /// once, not the whole list's. A failed statement's element carries
     /// `error` and — so that a client can raise exactly what the statement
-    /// sent alone would have — the HTTP `status` of that lone answer (404
-    /// for a missing database, 400 otherwise, a remote error's own).
+    /// sent alone would have — the HTTP `status` of that lone answer, as
+    /// [`crate::server::error_response`] maps the error.
     /// `partial` is per request: every statement rode the same scatter.
     pub fn batch_body(outcomes: impl IntoIterator<Item = Result<QueryResult>>) -> (String, bool) {
         use std::fmt::Write as _;
@@ -139,11 +139,7 @@ impl QueryResult {
                     result.into_statement_json(id)
                 }
                 Err(e) => {
-                    let (status, message) = match e {
-                        Error::Remote { status, message } => (status, message),
-                        Error::NotFound(_) => (404, e.to_string()),
-                        e => (400, e.to_string()),
-                    };
+                    let (status, message) = crate::server::error_parts(e);
                     Json::obj([
                         ("statement_id", Json::from(id as i64)),
                         ("error", Json::Str(message)),

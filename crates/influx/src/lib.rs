@@ -19,8 +19,9 @@
 //!   `PARTIAL` marker of a cluster read,
 //! - [`exec`] — query execution (per-series sources, one fold) and
 //!   InfluxDB-shaped JSON results,
-//! - [`server`] — `/ping`, `/write`, `/query` (one statement or a `;`-separated
-//!   list) endpoints over `lms-http`,
+//! - [`server`] — the HTTP API over `lms-http`: the read routes and health
+//!   probes written once over [`server::ReadApi`], which the router serves
+//!   too, and the node's own `/write`, `/stats` and `/integrity*`,
 //! - [`client`] — a typed client for the same API (used by the router,
 //!   dashboard agent and analysis).
 //!

@@ -1,28 +1,292 @@
-//! The InfluxDB-compatible HTTP endpoints.
+//! The InfluxDB-compatible HTTP API. The read routes and the health
+//! probes exist once, here, over [`ReadApi`]: a database node
+//! ([`InfluxServer`], over [`Influx`]) and the metrics router
+//! (`lms_router::RouterServer`) each match only their own routes and hand
+//! every other request to [`serve`], so a collector or a dashboard can
+//! point at either and get the same answers.
 //!
 //! | endpoint | behaviour |
 //! |---|---|
 //! | `GET /ping` | `204` with `X-Influxdb-Version` header |
-//! | `POST /write?db=<db>&precision=<p>` | line-protocol batch → `204`; `400` with a JSON error when every line failed or the db is missing |
-//! | `GET/POST /query?db=<db>&q=<stmt>` | InfluxDB-shaped JSON result; `q` may instead be a form field of a POST body |
+//! | `GET/POST /query?db=<db>&q=<stmt>` | InfluxDB-shaped JSON result; `q` may instead be a form field of a POST body; `db` may be left out where the statement needs none (`SHOW DATABASES`, `CREATE DATABASE`) |
 //! | `POST /query?db=<db>` body `q=<stmt>;<stmt>;…` | each statement run in order, answered as `results[]` by `statement_id`; a failed one carries `error` + `status` in its element and the rest still answer (`200`) |
-//! | `GET/POST /query_range?db=<db>&q=<stmt>&start=<ns>&end=<ns>&step=<dur>` | SELECT over an explicit `[start, end)` range, bucketed to `step` |
+//! | `GET/POST /query_range?db=<db>&q=<stmt>&start=<ns>&end=<ns>&step=<dur>` | SELECT over an explicit `[start, end)` range, bucketed to `step`; times are nanoseconds or durations (`90s`, `15m`) |
 //! | `GET /metrics?db=<db>` | sorted measurement names |
 //! | `GET /labels/<measurement>?db=<db>` | sorted tag keys of one measurement |
-//! | `GET /stats` | storage-engine gauges (WAL bytes, sealed blocks, compression ratio, …) |
-//! | `GET /integrity?db=<db>&nodes=<n>&replication=<r>&seed=<s>` | per-(hour bucket, owner set) range digests for anti-entropy repair |
-//! | `GET /integrity/export?db=<db>&start=<ns>&end=<ns>` | canonical line-protocol dump of the range, replayed by the repair pass |
-//! | `GET /health/live` | `204` while the process runs |
-//! | `GET /health/ready` | `204` when workers are healthy and storage is not degraded; `503` otherwise |
+//! | `GET /health/live` | `204` while the process serves |
+//! | `GET /health/ready` | `204` when ready; otherwise `503` with `{"ready": false, "storage_degraded": …, "workers": [{"name", "health", "restarts"}]}`, `storage_degraded` only where the backend has storage |
+//!
+//! An answer read from fewer replicas than hold its series carries
+//! `X-Lms-Partial: true` (and `"partial": true` in its JSON). Every error
+//! is `{"error": …}` under one mapping, [`error_response`]: a missing
+//! database is `404`, a remote node's status passes through, a transient
+//! failure is `503` with `Retry-After`, and anything else (a malformed
+//! statement or parameter, a missing `db`) is `400`.
 
 use crate::db::{Influx, WriteOptions};
 use crate::exec::QueryResult;
 use lms_http::{Request, Response, Server, ServerConfig};
 use lms_lineproto::Precision;
-use lms_util::{Json, Result};
+use lms_util::{Error, Json, Result, WorkerReport};
+use std::borrow::Cow;
 use std::net::{SocketAddr, ToSocketAddrs};
 
-/// A running database server wrapping an [`Influx`] handle.
+/// What the shared routes read: a database node ([`Influx`]) or the
+/// metrics router, which scatter-gathers the same calls across its nodes.
+pub trait ReadApi {
+    /// Runs `stmts` against `db`: one outcome per statement, in order,
+    /// which may be computed as they are taken. A result some replica
+    /// could not contribute to is flagged [`QueryResult::partial`]; the
+    /// outer error fails the whole request.
+    fn statements<'a>(
+        &'a self,
+        db: &'a str,
+        stmts: &'a [&'a str],
+    ) -> Result<impl Iterator<Item = Result<QueryResult>> + 'a>;
+
+    /// A SELECT over the half-open `[start, end)` ns range, bucketed to
+    /// `step` ns windows.
+    fn query_range(
+        &self,
+        db: &str,
+        q: &str,
+        start: i64,
+        end: i64,
+        step: Option<i64>,
+    ) -> Result<QueryResult>;
+
+    /// Sorted measurement names of `db`.
+    fn metrics(&self, db: &str) -> Result<Vec<String>>;
+
+    /// Sorted tag keys of one measurement of `db`.
+    fn labels(&self, db: &str, measurement: &str) -> Result<Vec<String>>;
+
+    /// What `/health/ready` reports.
+    fn readiness(&self) -> Readiness;
+}
+
+/// A backend's readiness, with the detail a `503` reports.
+pub struct Readiness {
+    /// Every supervised worker is healthy or cleanly stopped.
+    pub workers_ready: bool,
+    /// The supervised workers' reports.
+    pub workers: Vec<WorkerReport>,
+    /// Whether storage is degraded (disk full); `None` for a backend
+    /// without storage of its own.
+    pub storage_degraded: Option<bool>,
+}
+
+impl ReadApi for Influx {
+    fn statements<'a>(
+        &'a self,
+        db: &'a str,
+        stmts: &'a [&'a str],
+    ) -> Result<impl Iterator<Item = Result<QueryResult>> + 'a> {
+        Ok(stmts.iter().map(move |stmt| self.query(db, stmt)))
+    }
+
+    fn query_range(
+        &self,
+        db: &str,
+        q: &str,
+        start: i64,
+        end: i64,
+        step: Option<i64>,
+    ) -> Result<QueryResult> {
+        Influx::query_range(self, db, q, start, end, step)
+    }
+
+    fn metrics(&self, db: &str) -> Result<Vec<String>> {
+        self.measurements(db)
+    }
+
+    fn labels(&self, db: &str, measurement: &str) -> Result<Vec<String>> {
+        self.tag_keys(db, measurement)
+    }
+
+    fn readiness(&self) -> Readiness {
+        Readiness {
+            workers_ready: self.workers_ready(),
+            workers: self.worker_reports(),
+            storage_degraded: Some(self.storage_degraded()),
+        }
+    }
+}
+
+/// Answers a request to one of the shared routes from `api`, and any
+/// other request with `404`.
+pub fn serve(api: &impl ReadApi, req: &Request) -> Response {
+    let answer = match (req.method.as_str(), req.path.as_str()) {
+        ("GET" | "HEAD", "/ping") => {
+            let mut r = Response::no_content();
+            r.headers.push(("x-influxdb-version".into(), "lms-influx-0.1".into()));
+            return r;
+        }
+        ("GET" | "POST", "/query") => query(api, req),
+        ("GET" | "POST", "/query_range") => query_range(api, req),
+        ("GET", "/metrics") => {
+            db_param(req).and_then(|db| api.metrics(db)).map(|names| listing("metrics", names))
+        }
+        ("GET", path) if path.starts_with("/labels/") => {
+            let measurement = &path["/labels/".len()..];
+            db_param(req)
+                .and_then(|db| api.labels(db, measurement))
+                .map(|keys| listing("labels", keys))
+        }
+        ("GET" | "HEAD", "/health/live") => return Response::no_content(),
+        ("GET" | "HEAD", "/health/ready") => return ready(api.readiness()),
+        _ => return Response::not_found("unknown endpoint"),
+    };
+    answer.unwrap_or_else(error_response)
+}
+
+fn query(api: &impl ReadApi, req: &Request) -> Result<Response> {
+    let q = query_text(req).ok_or_else(|| Error::protocol("missing `q` parameter"))?;
+    let db = req.query_param("db").unwrap_or("");
+    let stmts = crate::query::split_statements(&q);
+    if stmts.len() > 1 {
+        let (body, partial) = QueryResult::batch_body(api.statements(db, &stmts)?);
+        return Ok(query_answer(body, partial));
+    }
+    let result = api.statements(db, &[&*q])?.next().expect("one outcome per statement")?;
+    let partial = result.partial;
+    Ok(query_answer(result.into_json().to_string(), partial))
+}
+
+fn query_range(api: &impl ReadApi, req: &Request) -> Result<Response> {
+    let q = query_text(req).ok_or_else(|| Error::protocol("missing `q` parameter"))?;
+    let db = db_param(req)?;
+    let (start, end) = time_range(req)?;
+    let result = api.query_range(db, &q, start, end, parse_ns(req, "step")?)?;
+    let partial = result.partial;
+    Ok(query_answer(result.into_json().to_string(), partial))
+}
+
+/// A `200` query answer, flagged `X-Lms-Partial` when some replica could
+/// not contribute to it.
+fn query_answer(body: String, partial: bool) -> Response {
+    let mut resp = Response::json(200, body);
+    if partial {
+        resp.headers.push(("x-lms-partial".into(), "true".into()));
+    }
+    resp
+}
+
+fn listing(key: &str, names: Vec<String>) -> Response {
+    let names = Json::Arr(names.into_iter().map(Json::Str).collect());
+    Response::json(200, Json::obj([(key, names)]).to_string())
+}
+
+fn ready(readiness: Readiness) -> Response {
+    let Readiness { workers_ready, workers, storage_degraded } = readiness;
+    if workers_ready && storage_degraded != Some(true) {
+        return Response::no_content();
+    }
+    let workers = Json::arr(workers.into_iter().map(|w| {
+        Json::obj([
+            ("name", Json::Str(w.name)),
+            ("health", Json::str(w.health.as_str())),
+            ("restarts", Json::from(w.restarts as i64)),
+        ])
+    }));
+    let mut body = vec![("ready".to_string(), Json::Bool(false))];
+    body.extend(storage_degraded.map(|d| ("storage_degraded".to_string(), Json::Bool(d))));
+    body.push(("workers".to_string(), workers));
+    Response::json(503, Json::Obj(body).to_string())
+}
+
+/// The one error → response mapping of every route: a missing database is
+/// `404`, a remote answer keeps its status, a transient failure is `503`
+/// with `Retry-After`, and anything else is `400`; the body is always
+/// `{"error": …}`.
+pub fn error_response(e: Error) -> Response {
+    let (status, message) = error_parts(e);
+    let mut resp = Response::json(status, error_json(&message));
+    if status == 503 {
+        resp.headers.push(("retry-after".into(), "1".into()));
+    }
+    resp
+}
+
+/// The status and message [`error_response`] answers `e` with; a failed
+/// statement's element in a statement list carries them too.
+pub(crate) fn error_parts(e: Error) -> (u16, String) {
+    match e {
+        Error::NotFound(_) => (404, e.to_string()),
+        Error::Remote { status, message } => (status, message),
+        e if e.is_transient() => (503, e.to_string()),
+        e => (400, e.to_string()),
+    }
+}
+
+fn error_json(msg: &str) -> String {
+    Json::obj([("error", Json::str(msg))]).to_string()
+}
+
+/// The required `db` parameter.
+fn db_param(req: &Request) -> Result<&str> {
+    let db = req.query_param("db").filter(|db| !db.is_empty());
+    db.ok_or_else(|| Error::protocol("missing `db` parameter"))
+}
+
+/// Parses a nanosecond time parameter: a plain integer, or a duration
+/// like `30s`/`5m`. `Ok(None)` when the parameter is absent.
+fn parse_ns(req: &Request, name: &str) -> Result<Option<i64>> {
+    let Some(raw) = req.query_param(name) else { return Ok(None) };
+    match raw.parse::<i64>() {
+        Ok(n) => Ok(Some(n)),
+        Err(_) => crate::query::parse_duration_ns(raw).map(Some).map_err(|_| {
+            Error::protocol(format!("bad `{name}` parameter `{raw}`: expected ns or duration"))
+        }),
+    }
+}
+
+/// The required `start` and `end` parameters.
+fn time_range(req: &Request) -> Result<(i64, i64)> {
+    match (parse_ns(req, "start")?, parse_ns(req, "end")?) {
+        (Some(start), Some(end)) => Ok((start, end)),
+        _ => Err(Error::protocol("missing `start`/`end` parameter")),
+    }
+}
+
+/// The text of a `/query` request: the `q` URL parameter, or the `q` field
+/// of a form-encoded POST body (how InfluxDB takes statement lists too
+/// long for a request line).
+fn query_text(req: &Request) -> Option<Cow<'_, str>> {
+    if let Some(q) = req.query_param("q") {
+        return Some(q.into());
+    }
+    if req.method != "POST" {
+        return None;
+    }
+    lms_http::url::parse_query(&req.body_str())
+        .into_iter()
+        .find_map(|(k, v)| (k == "q").then_some(v.into()))
+}
+
+/// The database a `/write` lands in: `db`, or with `tier=1m`/`tier=1h`
+/// the rollup tier sibling of `db` — where an agent-side pre-aggregated
+/// batch (rollup stat fields, window-start timestamps) goes, skipping raw
+/// ingestion. `None` when the request names no database.
+pub fn write_db(req: &Request) -> Result<Option<Cow<'_, str>>> {
+    let db = req.query_param("db");
+    let Some(raw) = req.query_param("tier") else { return Ok(db.map(Cow::Borrowed)) };
+    let tier = lms_rollup::Tier::parse(raw).ok_or_else(|| {
+        Error::protocol(format!("bad `tier` parameter `{raw}`: expected 1m or 1h"))
+    })?;
+    let db = db.ok_or_else(|| Error::protocol("`tier` requires `db`"))?;
+    Ok(Some(lms_rollup::rollup_db_name(db, tier).into()))
+}
+
+/// A running database server wrapping an [`Influx`] handle. Besides the
+/// shared routes of this module it serves the node's own:
+///
+/// | endpoint | behaviour |
+/// |---|---|
+/// | `POST /write?db=<db>&precision=<p>&tier=<1m\|1h>` | line-protocol batch → `204`; `400` with a JSON error when every line failed or the db is missing; `503` + `Retry-After` while storage is degraded; `413` for a batch too large for one WAL record |
+/// | `GET /stats` | storage-engine gauges (WAL bytes, sealed blocks, compression ratio, …) |
+/// | `GET /integrity?db=<db>&nodes=<n>&replication=<r>&seed=<s>` | per-(hour bucket, owner set) range digests for anti-entropy repair |
+/// | `GET /integrity/export?db=<db>&start=<ns>&end=<ns>` | canonical line-protocol dump of the range, replayed by the repair pass |
 pub struct InfluxServer {
     server: Server,
 }
@@ -71,213 +335,63 @@ impl InfluxServer {
     }
 }
 
-fn error_json(msg: &str) -> String {
-    Json::obj([("error", Json::str(msg))]).to_string()
-}
-
-/// Parses a nanosecond time parameter: a plain integer, or a duration
-/// like `30s`/`5m`. `Ok(None)` when the parameter is absent; an error
-/// response when present but malformed.
-fn parse_ns(req: &Request, name: &str) -> std::result::Result<Option<i64>, Response> {
-    let Some(raw) = req.query_param(name) else { return Ok(None) };
-    if let Ok(n) = raw.parse::<i64>() {
-        return Ok(Some(n));
-    }
-    match crate::query::parse_duration_ns(raw) {
-        Ok(n) => Ok(Some(n)),
-        Err(_) => Err(Response::json(
-            400,
-            error_json(&format!("bad `{name}` parameter `{raw}`: expected ns or duration")),
-        )),
-    }
-}
-
-/// The text of a `/query` request: the `q` URL parameter, or the `q` field
-/// of a form-encoded POST body (how InfluxDB takes statement lists too
-/// long for a request line).
-pub fn query_text(req: &Request) -> Option<std::borrow::Cow<'_, str>> {
-    if let Some(q) = req.query_param("q") {
-        return Some(q.into());
-    }
-    if req.method != "POST" {
-        return None;
-    }
-    lms_http::url::parse_query(&req.body_str())
-        .into_iter()
-        .find_map(|(k, v)| (k == "q").then_some(v.into()))
-}
-
 fn handle(influx: &Influx, req: Request) -> Response {
+    route(influx, &req).unwrap_or_else(error_response)
+}
+
+fn route(influx: &Influx, req: &Request) -> Result<Response> {
     match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/ping") | ("HEAD", "/ping") => {
-            let mut r = Response::no_content();
-            r.headers.push(("x-influxdb-version".into(), "lms-influx-0.1".into()));
-            r
-        }
         ("POST", "/write") => {
-            let Some(db) = req.query_param("db") else {
-                return Response::json(400, error_json("missing `db` parameter"));
-            };
-            // `tier=1m`/`tier=1h` routes a pre-aggregated batch (rollup
-            // stat fields, window-start timestamps) straight into the
-            // database's rollup tier sibling — the agent-side
-            // pre-aggregation path that skips raw ingestion entirely.
-            let db = match req.query_param("tier") {
-                None => db.to_string(),
-                Some(raw) => match lms_rollup::Tier::parse(raw) {
-                    Some(tier) => lms_rollup::rollup_db_name(db, tier),
-                    None => {
-                        return Response::json(
-                            400,
-                            error_json(&format!("bad `tier` parameter `{raw}`: expected 1m or 1h")),
-                        )
-                    }
-                },
-            };
-            let precision = match req.query_param("precision").map(Precision::parse) {
+            let db = write_db(req)?.ok_or_else(|| Error::protocol("missing `db` parameter"))?;
+            let precision = match req.query_param("precision") {
                 None => Precision::Nanoseconds,
-                Some(Ok(p)) => p,
-                Some(Err(e)) => return Response::json(400, error_json(&e.to_string())),
+                Some(p) => Precision::parse(p)?,
             };
-            let body = req.body_str();
-            match influx.write_lines(&db, &body, WriteOptions { precision }) {
+            match influx.write_lines(&db, &req.body_str(), WriteOptions { precision }) {
                 Ok(outcome) if outcome.written > 0 || outcome.rejected == 0 => {
                     // Partial success still answers 204 (matching InfluxDB's
                     // lenient handling); full failure reports the first error.
-                    Response::no_content()
+                    Ok(Response::no_content())
                 }
                 Ok(outcome) => {
                     let (line, msg) = outcome
                         .first_error
                         .unwrap_or((0, "empty write body".to_string()));
-                    Response::json(400, error_json(&format!("line {line}: {msg}")))
+                    Ok(Response::json(400, error_json(&format!("line {line}: {msg}"))))
                 }
                 // Degraded storage sheds the write as retryable: the
                 // router's forwarder sees a transient 503 and keeps the
                 // batch queued/spooled until the disk recovers.
-                Err(e @ lms_util::Error::Unavailable(_)) => {
-                    Response::service_unavailable(&e.to_string(), 5)
+                Err(e @ Error::Unavailable(_)) => {
+                    Ok(Response::service_unavailable(&e.to_string(), 5))
                 }
                 // Too large for one WAL record: refused whole.
-                Err(e @ lms_util::Error::Invalid(_)) => {
-                    Response::json(413, error_json(&e.to_string()))
-                }
-                Err(e) => Response::json(404, error_json(&e.to_string())),
-            }
-        }
-        ("GET", "/query") | ("POST", "/query") => {
-            let Some(q) = query_text(&req) else {
-                return Response::json(400, error_json("missing `q` parameter"));
-            };
-            // CREATE DATABASE has no db param; data queries need one.
-            let db = req.query_param("db").unwrap_or("");
-            let stmts = crate::query::split_statements(&q);
-            if stmts.len() > 1 {
-                let outcomes = stmts.iter().map(|stmt| influx.query(db, stmt));
-                return Response::json(200, QueryResult::batch_body(outcomes).0);
-            }
-            match influx.query(db, &q) {
-                Ok(result) => Response::json(200, result.into_json().to_string()),
-                // A missing database is 404, not 400: cluster routers
-                // fan queries to every node and rely on the status to
-                // tell "this node does not hold that database" (an
-                // empty answer) apart from a malformed query.
-                Err(e @ lms_util::Error::NotFound(_)) => {
-                    Response::json(404, error_json(&e.to_string()))
-                }
-                Err(e) => Response::json(400, error_json(&e.to_string())),
-            }
-        }
-        ("GET", "/query_range") | ("POST", "/query_range") => {
-            let Some(q) = req.query_param("q") else {
-                return Response::json(400, error_json("missing `q` parameter"));
-            };
-            let db = req.query_param("db").unwrap_or("");
-            let (start, end) = match (parse_ns(&req, "start"), parse_ns(&req, "end")) {
-                (Ok(Some(s)), Ok(Some(e))) => (s, e),
-                (Ok(None), _) | (_, Ok(None)) => {
-                    return Response::json(400, error_json("missing `start`/`end` parameter"))
-                }
-                (Err(r), _) | (_, Err(r)) => return r,
-            };
-            let step = match parse_ns(&req, "step") {
-                Ok(step) => step,
-                Err(r) => return r,
-            };
-            match influx.query_range(db, q, start, end, step) {
-                Ok(result) => Response::json(200, result.into_json().to_string()),
-                Err(e @ lms_util::Error::NotFound(_)) => {
-                    Response::json(404, error_json(&e.to_string()))
-                }
-                Err(e) => Response::json(400, error_json(&e.to_string())),
-            }
-        }
-        ("GET", "/metrics") => {
-            let db = req.query_param("db").unwrap_or("");
-            match influx.measurements(db) {
-                Ok(names) => {
-                    let body = Json::obj([(
-                        "metrics",
-                        Json::Arr(names.into_iter().map(Json::str).collect()),
-                    )]);
-                    Response::json(200, body.to_string())
-                }
-                Err(e) => Response::json(404, error_json(&e.to_string())),
-            }
-        }
-        ("GET", path) if path.starts_with("/labels/") => {
-            let measurement = &path["/labels/".len()..];
-            let db = req.query_param("db").unwrap_or("");
-            match influx.tag_keys(db, measurement) {
-                Ok(keys) => {
-                    let body = Json::obj([(
-                        "labels",
-                        Json::Arr(keys.into_iter().map(Json::str).collect()),
-                    )]);
-                    Response::json(200, body.to_string())
-                }
-                Err(e) => Response::json(404, error_json(&e.to_string())),
+                Err(e @ Error::Invalid(_)) => Ok(Response::json(413, error_json(&e.to_string()))),
+                Err(e) => Ok(Response::json(404, error_json(&e.to_string()))),
             }
         }
         ("GET", "/integrity") => {
-            let Some(db) = req.query_param("db") else {
-                return Response::json(400, error_json("missing `db` parameter"));
-            };
+            let db = db_param(req)?;
             let int_param = |name: &str, default: u64| {
                 req.query_param(name).and_then(|v| v.parse::<u64>().ok()).unwrap_or(default)
             };
             let nodes = int_param("nodes", 1) as usize;
             let replication = int_param("replication", 1) as usize;
             let seed = int_param("seed", 0);
-            match influx.integrity_digests(db, nodes, replication, seed) {
-                Ok(digests) => {
-                    let body = Json::obj([
-                        ("db", Json::str(db)),
-                        ("digests", lms_util::digest::digests_to_json(&digests)),
-                    ]);
-                    Response::json(200, body.to_string())
-                }
-                // Missing database is 404 for the same reason as /query:
-                // the router's repair pass reads it as "this replica holds
-                // nothing" (a zero-count divergence), not as an error.
-                Err(e) => Response::json(404, error_json(&e.to_string())),
-            }
+            // A missing database is 404, which the router's repair pass
+            // reads as "this replica holds nothing" (a zero-count
+            // divergence), not as an error.
+            let digests = influx.integrity_digests(db, nodes, replication, seed)?;
+            let body = Json::obj([
+                ("db", Json::str(db)),
+                ("digests", lms_util::digest::digests_to_json(&digests)),
+            ]);
+            Ok(Response::json(200, body.to_string()))
         }
         ("GET", "/integrity/export") => {
-            let Some(db) = req.query_param("db") else {
-                return Response::json(400, error_json("missing `db` parameter"));
-            };
-            let (start, end) = match (parse_ns(&req, "start"), parse_ns(&req, "end")) {
-                (Ok(Some(s)), Ok(Some(e))) => (s, e),
-                (Ok(None), _) | (_, Ok(None)) => {
-                    return Response::json(400, error_json("missing `start`/`end` parameter"))
-                }
-                (Err(r), _) | (_, Err(r)) => return r,
-            };
-            match influx.integrity_export(db, start, end) {
-                Ok(lines) => Response::text(200, lines),
-                Err(e) => Response::json(404, error_json(&e.to_string())),
-            }
+            let db = db_param(req)?;
+            let (start, end) = time_range(req)?;
+            Ok(Response::text(200, influx.integrity_export(db, start, end)?))
         }
         ("GET", "/stats") => {
             let s = influx.storage_stats();
@@ -307,36 +421,9 @@ fn handle(influx: &Influx, req: Request) -> Response {
                 ("storage_degraded", Json::Bool(s.degraded)),
                 ("workers_ready", Json::Bool(influx.workers_ready())),
             ]);
-            Response::json(200, body.to_string())
+            Ok(Response::json(200, body.to_string()))
         }
-        ("GET", "/health/live") | ("HEAD", "/health/live") => Response::no_content(),
-        ("GET", "/health/ready") | ("HEAD", "/health/ready") => {
-            let degraded = influx.storage_degraded();
-            let workers_ready = influx.workers_ready();
-            if !degraded && workers_ready {
-                return Response::no_content();
-            }
-            let workers = Json::Arr(
-                influx
-                    .worker_reports()
-                    .into_iter()
-                    .map(|w| {
-                        Json::obj([
-                            ("name", Json::str(w.name)),
-                            ("health", Json::str(w.health.as_str())),
-                            ("restarts", Json::Int(w.restarts as i64)),
-                        ])
-                    })
-                    .collect(),
-            );
-            let body = Json::obj([
-                ("storage_degraded", Json::Bool(degraded)),
-                ("workers_ready", Json::Bool(workers_ready)),
-                ("workers", workers),
-            ]);
-            Response::json(503, body.to_string())
-        }
-        _ => Response::not_found("unknown endpoint"),
+        _ => Ok(serve(influx, req)),
     }
 }
 
@@ -708,6 +795,29 @@ mod tests {
         let values = json.get("results").unwrap().idx(0).unwrap().get("series").unwrap().idx(0);
         assert_eq!(values.unwrap().get("values").unwrap().to_string(), r#"[[5,"small"]]"#);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn not_ready_answers_one_body_shape_with_storage_only_where_there_is_storage() {
+        let worker = lms_util::WorkerReport {
+            name: "spool-drainer".into(),
+            health: lms_util::WorkerHealth::Failed,
+            restarts: 3,
+            last_panic: Some("boom".into()),
+        };
+        let workers = r#""workers":[{"name":"spool-drainer","health":"failed","restarts":3}]"#;
+        let router_like =
+            Readiness { workers_ready: false, workers: vec![worker.clone()], storage_degraded: None };
+        let r = ready(router_like);
+        assert_eq!(r.status, 503);
+        assert_eq!(r.body_str(), format!(r#"{{"ready":false,{workers}}}"#));
+        let degraded_node =
+            Readiness { workers_ready: true, workers: vec![worker], storage_degraded: Some(true) };
+        let r = ready(degraded_node);
+        assert_eq!(r.status, 503);
+        assert_eq!(r.body_str(), format!(r#"{{"ready":false,"storage_degraded":true,{workers}}}"#));
+        let healthy = Readiness { workers_ready: true, workers: vec![], storage_degraded: Some(false) };
+        assert_eq!(ready(healthy).status, 204);
     }
 
     #[test]

@@ -25,7 +25,8 @@
 //! connections to one node that all of those share), [`breaker`] (the
 //! per-destination circuit breaker), [`repair`] (anti-entropy read-repair:
 //! digest diffing and divergent-range replay), [`router`] (the enrichment
-//! core), [`server`] (HTTP endpoints), [`proxy`] (the Ganglia gmond pull
+//! core), [`server`] (its own HTTP endpoints, and the database's read API
+//! over the router), [`proxy`] (the Ganglia gmond pull
 //! proxy).
 
 pub mod breaker;

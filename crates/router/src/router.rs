@@ -619,9 +619,10 @@ fn splice_line(
     key_len
 }
 
-/// What the single-node stack answers for a database no node holds.
+/// What a node answers for a database it does not hold, word for word.
 fn missing_db_error(db: &str) -> Error {
-    Error::Remote { status: 404, message: format!("database {db:?} not found") }
+    let message = Error::not_found(format!("database `{db}`")).to_string();
+    Error::Remote { status: 404, message }
 }
 
 /// Union of per-node name listings, sorted and deduplicated.

@@ -1,31 +1,30 @@
-//! The router's HTTP endpoints.
+//! The router's HTTP endpoints. The router mimics the InfluxDB HTTP API:
+//! every route but its own below — `/ping`, `/query`, `/query_range`,
+//! `/metrics`, `/labels/{m}`, `/health/*` — is the database's, served by
+//! the same handler ([`lms_influx::server::serve`]) over a [`Router`],
+//! which scatter-gathers each read across the cluster's nodes and folds
+//! the answers (one node: a plain proxy).
 //!
 //! | endpoint | behaviour |
 //! |---|---|
-//! | `GET /ping` | liveness, like the database it mimics |
-//! | `POST /write?db=<db>` | line-protocol batch → enrich → forward (`204`) |
+//! | `POST /write?db=<db>&tier=<1m\|1h>` | line-protocol batch → enrich → forward (`204`) |
 //! | `POST /signal/start?job=<id>&user=<u>&hosts=<h1,h2>&<k>=<v>…` | job-start signal; extra query params become job tags |
 //! | `POST /signal/end?job=<id>` | job-end signal |
-//! | `GET/POST /query?db=<db>&q=<stmt>` | scatter-gather read, merged; `q` may instead be a form field of a POST body |
-//! | `POST /query?db=<db>` body `q=<stmt>;<stmt>;…` | the list costs one scatter (one request per node); answered as `results[]` by `statement_id`, a failed statement carrying `error` + `status` in its element |
-//! | `GET/POST /query_range?db=&q=&start=&end=&step=` | bounded, bucketed scatter-gather read |
-//! | `GET /metrics?db=<db>` | union of the cluster's measurement names |
-//! | `GET /labels/<measurement>?db=<db>` | union of a measurement's tag keys |
 //! | `GET /jobs` | running jobs with hosts (admin view source) |
 //! | `GET /stats` | router counters as JSON |
-//! | `GET /health/live` | process liveness (`204` while serving) |
-//! | `GET /health/ready` | readiness: supervised workers healthy (`204`/`503`) |
 //!
 //! Overload behaviour: when the delivery pipeline is saturated, `POST
 //! /write` is shed with `503` + `Retry-After` — job signals are *always*
 //! admitted (they are tiny, rare, and losing one corrupts enrichment for a
-//! job's whole lifetime).
+//! job's whole lifetime). Errors answer `{"error": …}` under the database's
+//! mapping ([`lms_influx::server::error_response`]).
 
 use crate::router::{parse_hosts, Router};
 use crate::tagstore::JobSignal;
 use lms_http::{Request, Response, Server, ServerConfig};
+use lms_influx::server::{error_response, serve, write_db, ReadApi, Readiness};
 use lms_influx::QueryResult;
-use lms_util::{Json, Result};
+use lms_util::{Error, Json, Result};
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
 
@@ -73,115 +72,80 @@ impl RouterServer {
     }
 }
 
+/// The database's read API, read across the cluster: a partial answer
+/// (replica down) is flagged on its result instead of failing the read.
+impl ReadApi for Router {
+    fn statements<'a>(
+        &'a self,
+        db: &'a str,
+        stmts: &'a [&'a str],
+    ) -> Result<impl Iterator<Item = Result<QueryResult>> + 'a> {
+        let stmts: Vec<String> = stmts.iter().map(|stmt| stmt.to_string()).collect();
+        Ok(self.handle_statements(db, &stmts)?.into_iter())
+    }
+
+    fn query_range(
+        &self,
+        db: &str,
+        q: &str,
+        start: i64,
+        end: i64,
+        step: Option<i64>,
+    ) -> Result<QueryResult> {
+        self.handle_query_range(db, q, start, end, step)
+    }
+
+    fn metrics(&self, db: &str) -> Result<Vec<String>> {
+        self.handle_metrics(db)
+    }
+
+    fn labels(&self, db: &str, measurement: &str) -> Result<Vec<String>> {
+        self.handle_labels(db, measurement)
+    }
+
+    /// Every supervised forwarder/drainer thread healthy (or cleanly
+    /// stopped); the router keeps no storage of its own.
+    fn readiness(&self) -> Readiness {
+        Readiness {
+            workers_ready: self.workers_ready(),
+            workers: self.worker_reports(),
+            storage_degraded: None,
+        }
+    }
+}
+
 fn handle(router: &Router, req: Request) -> Response {
+    route(router, &req).unwrap_or_else(error_response)
+}
+
+fn route(router: &Router, req: &Request) -> Result<Response> {
     match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/ping") | ("HEAD", "/ping") => Response::no_content(),
         ("POST", "/write") => {
             // Priority-aware shedding: bulk metric writes are refused when
             // the delivery pipeline is saturated; signals (below) never are.
             if !router.try_admit_write() {
-                return Response::service_unavailable("delivery pipeline saturated", 1);
+                return Err(Error::unavailable("delivery pipeline saturated"));
             }
-            let db = req.query_param("db");
-            // `tier=1m`/`tier=1h`: an agent-side pre-aggregated batch bound
-            // for the database's rollup tier sibling. Rewriting the target
-            // name here reuses the whole enrich/forward pipeline — tier
-            // rows carry the same tags, so job enrichment applies equally.
-            let tier_db = match req.query_param("tier") {
-                None => None,
-                Some(raw) => match (lms_rollup::Tier::parse(raw), db) {
-                    (Some(tier), Some(db)) => Some(lms_rollup::rollup_db_name(db, tier)),
-                    (Some(_), None) => return Response::bad_request("`tier` requires `db`"),
-                    (None, _) => {
-                        return Response::bad_request("bad `tier`: expected 1m or 1h")
-                    }
-                },
-            };
-            let outcome = router.handle_write(tier_db.as_deref().or(db), &req.body_str());
+            // A `tier` write names the rollup tier sibling as its target,
+            // which reuses the whole enrich/forward pipeline — tier rows
+            // carry the same tags, so job enrichment applies equally.
+            let outcome = router.handle_write(write_db(req)?.as_deref(), &req.body_str());
             if outcome.accepted == 0 && outcome.rejected > 0 {
-                Response::bad_request("all lines malformed")
+                Err(Error::protocol("all lines malformed"))
             } else if !outcome.acked {
                 // The write quorum was missed: too many owner nodes could
                 // neither queue nor durably spool their share. The data
                 // was *not* acknowledged — the collector must retry.
-                Response::service_unavailable("write quorum not met", 1)
+                Err(Error::unavailable("write quorum not met"))
             } else {
-                Response::no_content()
+                Ok(Response::no_content())
             }
-        }
-        // Scatter-gather read across the cluster (one node: plain proxy).
-        // Dashboards point here exactly like at the database; a partial
-        // answer (replica down) is flagged in the JSON and the
-        // `X-Lms-Partial` header instead of failing the query.
-        ("GET", "/query") | ("POST", "/query") => {
-            let Some(q) = lms_influx::server::query_text(&req) else {
-                return Response::bad_request("missing `q`");
-            };
-            let db = req.query_param("db").unwrap_or("");
-            if db.is_empty() {
-                return Response::bad_request("missing `db`");
-            }
-            let stmts = lms_influx::query::split_statements(&q);
-            if stmts.len() > 1 {
-                let stmts: Vec<String> = stmts.into_iter().map(String::from).collect();
-                return match router.handle_statements(db, &stmts) {
-                    Ok(results) => {
-                        let (body, partial) = QueryResult::batch_body(results);
-                        query_json(body, partial)
-                    }
-                    Err(e) => error_response(e),
-                };
-            }
-            query_response(router.handle_query(db, &q))
-        }
-        // Bounded, bucketed read: `start`/`end` (required) and `step`
-        // (optional) are nanosecond integers or duration literals that
-        // bound the statement as a node would, and the read is the same
-        // as `/query` — including the cluster fold and the
-        // `X-Lms-Partial` degradation flag.
-        ("GET", "/query_range") | ("POST", "/query_range") => {
-            let Some(q) = req.query_param("q") else {
-                return Response::bad_request("missing `q`");
-            };
-            let db = req.query_param("db").unwrap_or("");
-            if db.is_empty() {
-                return Response::bad_request("missing `db`");
-            }
-            let (start, end) = match (parse_ns(&req, "start"), parse_ns(&req, "end")) {
-                (Ok(Some(s)), Ok(Some(e))) => (s, e),
-                (Ok(None), _) | (_, Ok(None)) => {
-                    return Response::bad_request("missing `start` or `end`")
-                }
-                (Err(resp), _) | (_, Err(resp)) => return resp,
-            };
-            let step = match parse_ns(&req, "step") {
-                Ok(step) => step,
-                Err(resp) => return resp,
-            };
-            query_response(router.handle_query_range(db, q, start, end, step))
-        }
-        ("GET", "/metrics") => {
-            let db = req.query_param("db").unwrap_or("");
-            if db.is_empty() {
-                return Response::bad_request("missing `db`");
-            }
-            listing_response(router.handle_metrics(db), "metrics")
-        }
-        ("GET", path) if path.starts_with("/labels/") => {
-            let db = req.query_param("db").unwrap_or("");
-            if db.is_empty() {
-                return Response::bad_request("missing `db`");
-            }
-            let measurement = &path["/labels/".len()..];
-            listing_response(router.handle_labels(db, measurement), "labels")
         }
         ("POST", "/signal/start") => {
-            let Some(job) = req.query_param("job") else {
-                return Response::bad_request("missing `job`");
-            };
+            let job = req.query_param("job").ok_or_else(|| Error::protocol("missing `job`"))?;
             let hosts = parse_hosts(req.query_param("hosts").unwrap_or(""));
             if hosts.is_empty() {
-                return Response::bad_request("missing `hosts`");
+                return Err(Error::protocol("missing `hosts`"));
             }
             let user = req.query_param("user").unwrap_or("unknown").to_string();
             let extra_tags: Vec<(String, String)> = req
@@ -196,14 +160,12 @@ fn handle(router: &Router, req: Request) -> Response {
                 hosts,
                 extra_tags,
             });
-            Response::no_content()
+            Ok(Response::no_content())
         }
         ("POST", "/signal/end") => {
-            let Some(job) = req.query_param("job") else {
-                return Response::bad_request("missing `job`");
-            };
+            let job = req.query_param("job").ok_or_else(|| Error::protocol("missing `job`"))?;
             router.handle_job_end(job);
-            Response::no_content()
+            Ok(Response::no_content())
         }
         ("GET", "/jobs") => {
             let json = router.with_tags(|tags| {
@@ -230,7 +192,7 @@ fn handle(router: &Router, req: Request) -> Response {
                     ])
                 }))
             });
-            Response::json(200, json.to_string())
+            Ok(Response::json(200, json.to_string()))
         }
         ("GET", "/stats") => {
             let s = router.stats();
@@ -251,7 +213,7 @@ fn handle(router: &Router, req: Request) -> Response {
                     ("retries", Json::from(d.stats.retries as i64)),
                 ])
             }));
-            Response::json(
+            Ok(Response::json(
                 200,
                 Json::obj([
                     ("lines_in", Json::from(s.lines_in as i64)),
@@ -276,96 +238,9 @@ fn handle(router: &Router, req: Request) -> Response {
                     ("destinations", destinations),
                 ])
                 .to_string(),
-            )
+            ))
         }
-        // Liveness: the process accepts and answers requests.
-        ("GET", "/health/live") | ("HEAD", "/health/live") => Response::no_content(),
-        // Readiness: every supervised forwarder/drainer thread is healthy
-        // (or cleanly stopped). While one is mid-restart or has exhausted
-        // its restart budget, report 503 with the per-worker detail.
-        ("GET", "/health/ready") | ("HEAD", "/health/ready") => {
-            if router.workers_ready() {
-                Response::no_content()
-            } else {
-                let workers = Json::arr(router.worker_reports().into_iter().map(|w| {
-                    Json::obj([
-                        ("name", Json::str(w.name)),
-                        ("health", Json::str(w.health.as_str())),
-                        ("restarts", Json::from(w.restarts as i64)),
-                    ])
-                }));
-                Response::json(
-                    503,
-                    Json::obj([("ready", Json::Bool(false)), ("workers", workers)]).to_string(),
-                )
-            }
-        }
-        _ => Response::not_found("unknown endpoint"),
-    }
-}
-
-/// A scatter-gather query outcome as an HTTP response: partial answers
-/// carry the `X-Lms-Partial` header, errors map as [`error_response`] does.
-fn query_response(result: lms_util::Result<QueryResult>) -> Response {
-    match result {
-        Ok(result) => {
-            let partial = result.partial;
-            query_json(result.into_json().to_string(), partial)
-        }
-        Err(e) => error_response(e),
-    }
-}
-
-/// A `200` query answer, flagged `X-Lms-Partial` when a replica was
-/// unreachable.
-fn query_json(body: String, partial: bool) -> Response {
-    let mut resp = Response::json(200, body);
-    if partial {
-        resp.headers.push(("x-lms-partial".into(), "true".into()));
-    }
-    resp
-}
-
-/// A failed read as an HTTP response: node-side errors keep their real
-/// status, transient cluster failures answer 503 + Retry-After.
-fn error_response(e: lms_util::Error) -> Response {
-    match e {
-        lms_util::Error::Remote { status, message } => {
-            Response::json(status, Json::obj([("error", Json::str(message))]).to_string())
-        }
-        e if e.is_transient() => {
-            Response::service_unavailable(&format!("cluster unreachable: {e}"), 1)
-        }
-        e => Response::bad_request(&format!("{e}")),
-    }
-}
-
-/// A name-listing outcome as `{"<key>": [...]}` with the same error
-/// mapping as [`query_response`].
-fn listing_response(result: lms_util::Result<Vec<String>>, key: &str) -> Response {
-    match result {
-        Ok(names) => Response::json(
-            200,
-            Json::obj([(key, Json::arr(names.iter().map(|n| Json::str(n.as_str()))))])
-                .to_string(),
-        ),
-        Err(e) => error_response(e),
-    }
-}
-
-/// Parses a nanosecond query parameter: a plain integer or a duration
-/// literal (`15m`, `1h`). Absent → `Ok(None)`; malformed → the 400 to
-/// answer with.
-fn parse_ns(req: &Request, name: &str) -> std::result::Result<Option<i64>, Response> {
-    let Some(raw) = req.query_param(name) else {
-        return Ok(None);
-    };
-    if let Ok(ns) = raw.parse::<i64>() {
-        return Ok(Some(ns));
-    }
-    match lms_influx::query::parse_duration_ns(raw) {
-        Ok(ns) => Ok(Some(ns)),
-        Err(_) => Err(Response::bad_request(&format!("bad `{name}`: {raw:?}"))),
+        _ => Ok(serve(router, req)),
     }
 }
 
