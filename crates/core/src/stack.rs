@@ -75,10 +75,6 @@ pub struct StackConfig {
     pub scrub_interval: Duration,
     /// Byte budget per scrub cycle (`0` disables scrubbing).
     pub scrub_rate_bytes: u64,
-    /// Anti-entropy repair cadence for the router (None = disabled; only
-    /// meaningful with `db_nodes ≥ 2` and `replication ≥ 2`). The stack
-    /// exposes [`LmsStack::run_repair_pass`] for manual passes either way.
-    pub repair_interval: Option<Duration>,
 }
 
 impl Default for StackConfig {
@@ -101,7 +97,6 @@ impl Default for StackConfig {
             drain_timeout: Duration::from_secs(10),
             scrub_interval: Duration::from_secs(60),
             scrub_rate_bytes: 8 * 1024 * 1024,
-            repair_interval: None,
         }
     }
 }
@@ -135,7 +130,6 @@ impl StackConfig {
     /// [integrity]
     /// scrub_interval_secs = 60      ; CRC-scrub cadence (0 = off)
     /// scrub_rate_bytes = 8388608    ; scrub byte budget per cycle (0 = off)
-    /// repair_interval_secs = 300    ; anti-entropy repair cadence (0 = off)
     /// ```
     pub fn from_ini(text: &str) -> Result<Self> {
         let ini = lms_util::config::Config::parse(text)?;
@@ -240,12 +234,6 @@ impl StackConfig {
             }
             config.scrub_rate_bytes = b as u64;
         }
-        if let Some(s) = ini.get_i64("integrity", "repair_interval_secs")? {
-            if s < 0 {
-                return Err(Error::config("integrity.repair_interval_secs must be >= 0"));
-            }
-            config.repair_interval = (s > 0).then(|| Duration::from_secs(s as u64));
-        }
         Ok(config)
     }
 }
@@ -297,6 +285,8 @@ pub struct LmsStack {
     active: FxHashMap<JobId, (AppProfile, Timestamp)>,
     profiles: FxHashMap<JobId, AppProfile>,
     ticks: u64,
+    /// Stack time of the last retention sweep.
+    last_retention: Timestamp,
     /// Job snapshot shared with the webviewer (refreshed every tick).
     directory: Arc<SnapshotDirectory>,
     viewer_server: Option<ViewerServer>,
@@ -417,6 +407,7 @@ impl LmsStack {
         }
 
         Ok(LmsStack {
+            last_retention: clock.now(),
             config,
             clock,
             db,
@@ -533,8 +524,8 @@ impl LmsStack {
     /// One anti-entropy repair pass over the global database: diffs the
     /// database nodes' integrity digests and replays divergent hours from
     /// their healthiest replica (a no-op below two nodes or two replicas).
-    /// Deployments set `integrity.repair_interval_secs` to run this on a
-    /// cadence; in-process stacks call it explicitly.
+    /// In-process stacks call it explicitly; deployments run the router
+    /// with `--repair-interval-secs`.
     pub fn run_repair_pass(&self) -> lms_router::RepairOutcome {
         self.router.run_repair_pass(&[lms_influx::GLOBAL_DB])
     }
@@ -589,10 +580,13 @@ impl LmsStack {
             }
         }
         self.ticks += 1;
-        // Retention sweep once per simulated hour (cheap: whole-file drops).
+        // Retention sweep once an hour of stack time has passed since the
+        // last one (cheap: whole-file drops).
+        let now = self.clock.now();
         if (self.config.retention.is_some() || self.config.rollup.is_some())
-            && self.ticks.is_multiple_of(60)
+            && now.since(self.last_retention) >= Duration::from_secs(3600)
         {
+            self.last_retention = now;
             for node in &self.db {
                 node.influx.enforce_retention();
             }
@@ -1155,23 +1149,19 @@ mod tests {
         assert_eq!(policy.retention_1h, Some(Duration::from_secs(52 * 7 * 24 * 3600)));
         assert!(StackConfig::from_ini("").unwrap().rollup.is_none());
         assert!(StackConfig::from_ini("[retention]\nraw = bogus\n").is_err());
-        // Integrity section: scrub knobs and the repair cadence.
+        // Integrity section: the scrub knobs.
         let i = StackConfig::from_ini(
-            "[integrity]\nscrub_interval_secs = 30\nscrub_rate_bytes = 1048576\n\
-             repair_interval_secs = 300\n",
+            "[integrity]\nscrub_interval_secs = 30\nscrub_rate_bytes = 1048576\n",
         )
         .unwrap();
         assert_eq!(i.scrub_interval, Duration::from_secs(30));
         assert_eq!(i.scrub_rate_bytes, 1024 * 1024);
-        assert_eq!(i.repair_interval, Some(Duration::from_secs(300)));
-        // Zeros disable; defaults hold when the section is absent.
-        let z = StackConfig::from_ini("[integrity]\nrepair_interval_secs = 0\n").unwrap();
-        assert_eq!(z.repair_interval, None);
+        // Defaults hold when the section is absent.
+        let z = StackConfig::from_ini("").unwrap();
         assert_eq!(z.scrub_interval, Duration::from_secs(60));
         assert_eq!(z.scrub_rate_bytes, 8 * 1024 * 1024);
         assert!(StackConfig::from_ini("[integrity]\nscrub_interval_secs = -1\n").is_err());
         assert!(StackConfig::from_ini("[integrity]\nscrub_rate_bytes = -1\n").is_err());
-        assert!(StackConfig::from_ini("[integrity]\nrepair_interval_secs = -1\n").is_err());
     }
 
     #[test]
@@ -1231,6 +1221,21 @@ mod tests {
         assert_eq!(r.series[0].values[0][1].as_i64().unwrap(), measured);
         drop(stack);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn retention_is_swept_once_an_hour_of_stack_time_has_passed() {
+        // Hour-long ticks: each one passes an hour of stack time, so each
+        // sweeps, and the third drops what the first wrote.
+        let mut config = small_config();
+        config.retention = Some(Duration::from_secs(3600));
+        let mut stack = LmsStack::start(config).unwrap();
+        for _ in 0..3 {
+            stack.tick(Duration::from_secs(3600));
+            assert!(stack.router().flush(Duration::from_secs(10)));
+        }
+        assert!(stack.influx().point_count("lms") > 0);
+        assert_eq!(stack.influx().enforce_retention(), 0, "the tick has swept already");
     }
 
     #[test]

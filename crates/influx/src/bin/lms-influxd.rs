@@ -55,15 +55,9 @@ fn run() -> Result<()> {
     let mut retention: Option<Duration> = None;
     let mut rollup: Option<RollupPolicy> = None;
     let mut data_dir: Option<String> = None;
-    let mut flush_points: Option<usize> = None;
-    let mut flush_interval: Option<u64> = None;
-    let mut partition_hours: Option<u64> = None;
-    let mut compact_min_files: Option<usize> = None;
-    let mut wal_fsync = false;
-    let mut wal_group_commit_ms: Option<u64> = None;
-    let mut wal_group_commit_bytes: Option<usize> = None;
-    let mut scrub_interval_secs: Option<u64> = None;
-    let mut scrub_rate_bytes: Option<u64> = None;
+    // The persistence flags set their field over the defaults; the
+    // directory comes with `--data-dir`.
+    let mut storage = StorageConfig::new("");
     let mut server_config = ServerConfig::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -95,27 +89,33 @@ fn run() -> Result<()> {
                 data_dir =
                     Some(it.next().ok_or_else(|| Error::config("--data-dir needs a path"))?.clone())
             }
-            "--flush-points" => flush_points = Some(parse_num(&mut it, "--flush-points")?),
+            "--flush-points" => storage.flush_points = parse_num(&mut it, "--flush-points")?,
             "--flush-interval-secs" => {
-                flush_interval = Some(parse_num(&mut it, "--flush-interval-secs")?)
+                storage.flush_interval =
+                    Duration::from_secs(parse_num(&mut it, "--flush-interval-secs")?)
             }
-            "--partition-hours" => partition_hours = Some(parse_num(&mut it, "--partition-hours")?),
+            "--partition-hours" => {
+                let h: u64 = parse_num(&mut it, "--partition-hours")?;
+                storage.partition = Duration::from_secs(h * 3600);
+            }
             "--compact-min-files" => {
-                compact_min_files = Some(parse_num(&mut it, "--compact-min-files")?)
+                storage.compact_min_files = parse_num(&mut it, "--compact-min-files")?
             }
-            "--wal-fsync" => wal_fsync = true,
+            "--wal-fsync" => storage.wal_fsync = true,
             "--wal-group-commit-ms" => {
-                wal_group_commit_ms = Some(parse_num(&mut it, "--wal-group-commit-ms")?)
+                storage.wal_group_commit =
+                    Duration::from_millis(parse_num(&mut it, "--wal-group-commit-ms")?)
             }
             "--wal-group-commit-bytes" => {
-                wal_group_commit_bytes = Some(parse_num(&mut it, "--wal-group-commit-bytes")?)
+                storage.wal_group_commit_bytes = parse_num(&mut it, "--wal-group-commit-bytes")?
             }
             // Background CRC scrub cadence and byte budget (0 disables).
             "--scrub-interval-secs" => {
-                scrub_interval_secs = Some(parse_num(&mut it, "--scrub-interval-secs")?)
+                storage.scrub_interval =
+                    Duration::from_secs(parse_num(&mut it, "--scrub-interval-secs")?)
             }
             "--scrub-rate-bytes" => {
-                scrub_rate_bytes = Some(parse_num(&mut it, "--scrub-rate-bytes")?)
+                storage.scrub_rate_bytes = parse_num(&mut it, "--scrub-rate-bytes")?
             }
             "--max-connections" => {
                 server_config.max_connections = parse_num(&mut it, "--max-connections")?
@@ -148,33 +148,8 @@ fn run() -> Result<()> {
 
     let influx = match &data_dir {
         Some(dir) => {
-            let mut cfg = StorageConfig::new(dir);
-            if let Some(n) = flush_points {
-                cfg.flush_points = n;
-            }
-            if let Some(s) = flush_interval {
-                cfg.flush_interval = Duration::from_secs(s);
-            }
-            if let Some(h) = partition_hours {
-                cfg.partition = Duration::from_secs(h * 3600);
-            }
-            if let Some(n) = compact_min_files {
-                cfg.compact_min_files = n;
-            }
-            cfg.wal_fsync = wal_fsync;
-            if let Some(ms) = wal_group_commit_ms {
-                cfg.wal_group_commit = Duration::from_millis(ms);
-            }
-            if let Some(b) = wal_group_commit_bytes {
-                cfg.wal_group_commit_bytes = b;
-            }
-            if let Some(s) = scrub_interval_secs {
-                cfg.scrub_interval = Duration::from_secs(s);
-            }
-            if let Some(b) = scrub_rate_bytes {
-                cfg.scrub_rate_bytes = b;
-            }
-            Influx::open(Clock::system(), 8, cfg)?
+            storage.data_dir = dir.into();
+            Influx::open(Clock::system(), 8, storage)?
         }
         None => Influx::new(Clock::system()),
     };

@@ -275,7 +275,7 @@ mod tests {
             }
             check(&db, &written, &lists)?;
 
-            db.enforce_retention(NOW);
+            db.enforce_retention(NOW, i64::MAX);
             written.retain(|tags| kept.contains(tags));
             check(&db, &written, &lists)?;
 

@@ -10,8 +10,9 @@
 //!
 //! - [`storage`] — series (measurement + tag set) holding per-field,
 //!   time-sorted columns of typed values,
-//! - [`db`] — databases with optional retention, and the [`Influx`] embedded
-//!   handle (thread-safe, usable without any server),
+//! - [`db`] — databases and the [`Influx`] embedded handle (thread-safe,
+//!   usable without any server), with one module each for sealing,
+//!   retention, rollups, integrity and the storage worker,
 //! - [`query`] — an InfluxQL-subset parser: `SELECT` with aggregations,
 //!   time-range and tag predicates, `GROUP BY time(...)` and tags, `ORDER BY
 //!   time DESC`, `LIMIT`, plus `SHOW MEASUREMENTS` / `SHOW TAG VALUES` /

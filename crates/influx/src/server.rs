@@ -367,7 +367,9 @@ fn route(influx: &Influx, req: &Request) -> Result<Response> {
                 }
                 // Too large for one WAL record: refused whole.
                 Err(e @ Error::Invalid(_)) => Ok(Response::json(413, error_json(&e.to_string()))),
-                Err(e) => Ok(Response::json(404, error_json(&e.to_string()))),
+                // A missing database is 404; an I/O error (the WAL append
+                // failed) is a transient 503 the forwarder retries.
+                Err(e) => Ok(error_response(e)),
             }
         }
         ("GET", "/integrity") => {
@@ -666,9 +668,9 @@ mod tests {
         let db = influx.database("lms").unwrap();
         let engine = db.engine().unwrap();
         engine.inject_wal_append_failure(true);
-        // First write surfaces the ENOSPC (400/500 class); after that the
-        // engine is degraded and sheds with 503 + Retry-After.
-        let _ = c.post_text("/write?db=lms", "cpu v=2 900000000001").unwrap();
+        // The first write surfaces the ENOSPC as a transient 503; after that
+        // the engine is degraded and sheds with 503 + Retry-After.
+        assert_eq!(c.post_text("/write?db=lms", "cpu v=2 900000000001").unwrap().status, 503);
         let r = c.post_text("/write?db=lms", "cpu v=3 900000000002").unwrap();
         assert_eq!(r.status, 503);
         assert!(r.header("retry-after").is_some());

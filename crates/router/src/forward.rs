@@ -80,9 +80,9 @@ pub struct ForwardConfig {
 }
 
 impl ForwardConfig {
-    /// Defaults matching the router's: 1024-batch queue, 3 retries,
-    /// one worker per core, no spool, 5-failure/1 s breaker,
-    /// 50 ms → 2 s backoff, 10 s I/O timeout.
+    /// Defaults, which `RouterConfig::default` reads too: 1024-batch
+    /// queue, 3 retries, one worker per core, no spool, 5-failure/1 s
+    /// breaker, 50 ms → 2 s backoff, 10 s I/O timeout.
     pub fn new(db_addr: SocketAddr) -> Self {
         ForwardConfig {
             db_addr,

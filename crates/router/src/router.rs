@@ -45,15 +45,18 @@ pub struct RouterConfig {
 }
 
 impl Default for RouterConfig {
+    /// The forwarder's own defaults ([`ForwardConfig::new`]) for the
+    /// delivery fields; per-user views off.
     fn default() -> Self {
+        let forward = ForwardConfig::new(SocketAddr::from(([127, 0, 0, 1], 0)));
         RouterConfig {
             per_user: false,
-            queue_capacity: 1024,
-            max_retries: 3,
-            forward_workers: crate::forward::default_workers(),
-            spool: None,
-            breaker: BreakerConfig::default(),
-            coalesce_bytes: 256 * 1024,
+            queue_capacity: forward.queue_capacity,
+            max_retries: forward.max_retries,
+            forward_workers: forward.workers,
+            spool: forward.spool,
+            breaker: forward.breaker,
+            coalesce_bytes: forward.coalesce_bytes,
         }
     }
 }

@@ -3,12 +3,12 @@
 //! paper raises for continuous system-wide monitoring.
 
 use lms::http::HttpClient;
-use lms::influx::{Influx, InfluxServer};
+use lms::influx::{Influx, InfluxServer, StorageConfig};
 use lms::router::{Router, RouterConfig, RouterServer};
 use lms::spool::SpoolConfig;
 use lms::util::{Clock, Timestamp};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn clock() -> Clock {
     Clock::simulated(Timestamp::from_secs(1_000_000))
@@ -58,6 +58,47 @@ fn router_buffers_through_database_outage() {
     assert_eq!(f.dropped, 0, "{f:?}");
     rs.shutdown();
     db2.shutdown();
+}
+
+#[test]
+fn a_wal_append_error_on_the_node_is_retried_not_rejected() {
+    // The node stages a batch, then fails to log it. Its answer must be
+    // transient: a 4xx would make the forwarder throw the batch away, and
+    // the points, never logged, would be lost at the next restart.
+    let dir = std::env::temp_dir().join(format!("lms-fi-{}-wal-fault-data", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let clock = clock();
+    let open = || Influx::open(clock.clone(), 4, StorageConfig::new(&dir)).unwrap();
+    let influx = open();
+    influx.create_database("lms");
+    let db = InfluxServer::start("127.0.0.1:0", influx.clone()).unwrap();
+    let config = RouterConfig { spool: Some(tmp_spool("wal-fault")), ..Default::default() };
+    let router = Router::new(db.addr(), config, clock.clone(), None).unwrap();
+    let engine = influx.database("lms").unwrap().engine().unwrap().clone();
+    engine.inject_wal_append_failure(true);
+    for i in 0..5 {
+        let line = format!("m,hostname=h{i} v={i} {}", 1_000_000 + i);
+        assert!(router.handle_write(Some("lms"), &line).acked);
+    }
+    // Clear the fault only once the forwarder has met it.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let met = |f: lms::router::ForwardStats| f.retries + f.spooled + f.rejected > 0;
+    while !met(router.stats().forward) && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(met(router.stats().forward), "{:?}", router.stats().forward);
+    engine.inject_wal_append_failure(false);
+    engine.clear_degraded();
+    assert!(router.flush(Duration::from_secs(20)), "{:?}", router.stats().forward);
+    let f = router.stats().forward;
+    assert_eq!((f.rejected, f.dropped), (0, 0), "{f:?}");
+    assert_eq!(influx.point_count("lms"), 5);
+    drop(router);
+    db.shutdown();
+    drop(influx);
+    // Every point was logged once the disk recovered: a restart reads all.
+    assert_eq!(open().point_count("lms"), 5);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
