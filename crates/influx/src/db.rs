@@ -636,7 +636,9 @@ impl Influx {
     /// Stages `lines` in `database`, then logs `wal_batch`, their text with
     /// every timestamp resolved: the one way points enter a database, after
     /// [`Self::write_lines`]' parse or from a rollup pass's row writer. A
-    /// batch that cannot be logged is refused whole.
+    /// batch is acknowledged only once logged; one that cannot be logged is
+    /// refused whole, and while the storage is degraded every batch is
+    /// refused before it is staged.
     fn stage_and_log(
         &self,
         database: &Database,
@@ -645,20 +647,10 @@ impl Influx {
         opts: WriteOptions,
         default_ts: i64,
     ) -> Result<usize> {
-        // Priority-aware degraded mode: with the disk full, bulk metric
-        // writes are refused up front (transient — the router keeps them
-        // spooled), but job annotation events stay admitted to the
-        // in-memory layer so job context remains live. They skip the WAL,
-        // which is the documented trade-off: events written while degraded
-        // do not survive a restart, but they are never silently shed.
-        let engine = database.engine().filter(|e| !e.is_degraded());
-        if engine.is_none() && database.engine().is_some() {
-            if lines.iter().any(|l| l.measurement != "events") {
-                return Err(Error::unavailable(
-                    "storage degraded (disk full): bulk writes refused, events only",
-                ));
-            }
-        } else if wal_batch.len() > MAX_BATCH_BYTES {
+        if let Some(engine) = database.engine() {
+            engine.writable()?;
+        }
+        if wal_batch.len() > MAX_BATCH_BYTES {
             return Err(Error::invalid(format!(
                 "the batch takes {} bytes with its timestamps, over the \
                  {MAX_BATCH_BYTES}-byte WAL record limit: split it",
@@ -666,7 +658,7 @@ impl Influx {
             )));
         }
         let written = database.write_parsed_batch(lines, opts, default_ts);
-        if let Some(engine) = engine.filter(|_| !lines.is_empty()) {
+        if let Some(engine) = database.engine().filter(|_| !lines.is_empty()) {
             engine.append_wal(wal_batch, lines.len() as u64)?;
         }
         Ok(written)

@@ -489,8 +489,10 @@ fn flush_fault_injection_keeps_data_and_recovers() {
         let ix = persistent(&dir);
         ix.write_lines("lms", "m v=1 1\nm v=2 2", Default::default()).unwrap();
         let db = ix.database("lms").unwrap();
-        db.engine().unwrap().inject_segment_write_failure(4);
-        assert!(db.flush_storage().is_err(), "injected fault surfaces");
+        // A full disk (`/dev/full`) at the first segment's temp path.
+        let tmp = dir.join("lms").join("seg-0-0000000000000000.tmp");
+        std::os::unix::fs::symlink("/dev/full", tmp).unwrap();
+        assert!(db.flush_storage().is_err(), "the ENOSPC surfaces");
         // Reads still serve everything from memory.
         let r = ix.query("lms", "SELECT v FROM m").unwrap();
         assert_eq!(r.series[0].values.len(), 2);
@@ -671,13 +673,22 @@ fn a_failed_rollup_pass_hands_its_ranges_back() {
         ix.flush_storage().unwrap();
         ix.write_lines("lms", &backfill, Default::default()).unwrap();
         ix.database("lms").unwrap().flush_storage().unwrap();
+        // The 1m tier's log rotates, so its next append opens a new file.
+        let minute = ix.database("lms__rollup_1m").unwrap();
+        minute.flush_storage().unwrap();
         if fail {
-            let minute = ix.database("lms__rollup_1m").unwrap();
-            let engine = minute.engine().unwrap();
-            engine.inject_wal_append_failure(true);
+            // A full disk (`/dev/full`) under the tier log's next files.
+            let wal = dir.join("lms__rollup_1m").join("wal");
+            let full: Vec<PathBuf> =
+                (0..64).map(|seq| wal.join(format!("{seq:016x}.wal"))).filter(|p| !p.exists()).collect();
+            for p in &full {
+                std::os::unix::fs::symlink("/dev/full", p).unwrap();
+            }
             assert!(ix.rollup_pass("lms").is_err(), "the 1m tier's log refuses the rows");
-            engine.inject_wal_append_failure(false);
-            engine.clear_degraded();
+            for p in &full {
+                let _ = std::fs::remove_file(p);
+            }
+            assert!(minute.engine().unwrap().probe(), "the freed disk heals the tier");
         }
         assert!(ix.rollup_pass("lms").unwrap() > 0, "the backfill's windows are recomputed");
         let rows = tiers(&ix);

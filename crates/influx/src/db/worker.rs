@@ -3,7 +3,7 @@
 
 use super::{Database, Influx};
 use lms_lineproto::FieldValue;
-use lms_tsm::TsmConfig;
+use lms_tsm::{Health, TsmConfig};
 use lms_util::{FxHashMap, Supervisor, SupervisorConfig, WorkerReport};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
@@ -109,8 +109,8 @@ pub struct StorageStats {
     pub compactions: u64,
     /// WAL records replayed at the last open.
     pub recovered_records: u64,
-    /// True when any database's engine is in degraded read-only mode
-    /// (`ENOSPC` on WAL append or segment write).
+    /// True when any database's engine is degraded (see
+    /// [`Influx::storage_health`]).
     pub degraded: bool,
     /// WAL record groups committed since open.
     pub group_commits: u64,
@@ -255,10 +255,9 @@ impl Influx {
                 }
                 for (name, db) in ix.databases() {
                     let Some(engine) = db.engine() else { continue };
-                    // Degraded (disk full): flushing or compacting would
-                    // just hit ENOSPC again — park until an operator
-                    // clears the condition instead of retrying unbounded.
-                    if engine.is_degraded() {
+                    // A degraded engine is probed, not flushed: one trial
+                    // WAL append heals it once its storage works again.
+                    if !engine.probe() {
                         continue;
                     }
                     let now = Instant::now();
@@ -306,9 +305,17 @@ impl Influx {
         self.inner.read().supervisor.as_ref().map(|s| s.reports()).unwrap_or_default()
     }
 
-    /// True when any database's storage engine is degraded (disk full).
-    pub fn storage_degraded(&self) -> bool {
-        self.databases().iter().any(|(_, d)| d.engine().is_some_and(|e| e.is_degraded()))
+    /// The storage health of the node: the first degraded database's
+    /// [`Health`], its reason prefixed with the database's name, or
+    /// [`Health::Ok`].
+    pub fn storage_health(&self) -> Health {
+        let degraded = self.databases().into_iter().find_map(|(name, db)| {
+            match db.engine()?.health() {
+                Health::Ok => None,
+                Health::Degraded { reason } => Some(format!("{name}: {reason}")),
+            }
+        });
+        degraded.map_or(Health::Ok, |reason| Health::Degraded { reason })
     }
 
     /// Fault injection: make the storage worker panic on its next `n`

@@ -14,7 +14,7 @@
 //! | `GET /metrics?db=<db>` | sorted measurement names |
 //! | `GET /labels/<measurement>?db=<db>` | sorted tag keys of one measurement |
 //! | `GET /health/live` | `204` while the process serves |
-//! | `GET /health/ready` | `204` when ready; otherwise `503` with `{"ready": false, "storage_degraded": …, "workers": [{"name", "health", "restarts"}]}`, `storage_degraded` only where the backend has storage |
+//! | `GET /health/ready` | `204` when ready; otherwise `503` with `{"ready": false, "storage_degraded": …, "storage_reason": …, "workers": [{"name", "health", "restarts"}]}`: `storage_degraded` only where the backend has storage, `storage_reason` (the failed I/O's text) only while it is degraded; a degraded node is ready again once the storage worker's heal probe succeeds |
 //!
 //! An answer read from fewer replicas than hold its series carries
 //! `X-Lms-Partial: true` (and `"partial": true` in its JSON). Every error
@@ -27,6 +27,7 @@ use crate::db::{Influx, WriteOptions};
 use crate::exec::QueryResult;
 use lms_http::{Request, Response, Server, ServerConfig};
 use lms_lineproto::Precision;
+use lms_tsm::Health;
 use lms_util::{Error, Json, Result, WorkerReport};
 use std::borrow::Cow;
 use std::net::{SocketAddr, ToSocketAddrs};
@@ -71,9 +72,9 @@ pub struct Readiness {
     pub workers_ready: bool,
     /// The supervised workers' reports.
     pub workers: Vec<WorkerReport>,
-    /// Whether storage is degraded (disk full); `None` for a backend
-    /// without storage of its own.
-    pub storage_degraded: Option<bool>,
+    /// The storage health; `None` for a backend without storage of its
+    /// own.
+    pub storage: Option<Health>,
 }
 
 impl ReadApi for Influx {
@@ -108,7 +109,7 @@ impl ReadApi for Influx {
         Readiness {
             workers_ready: self.workers_ready(),
             workers: self.worker_reports(),
-            storage_degraded: Some(self.storage_degraded()),
+            storage: Some(self.storage_health()),
         }
     }
 }
@@ -178,8 +179,8 @@ fn listing(key: &str, names: Vec<String>) -> Response {
 }
 
 fn ready(readiness: Readiness) -> Response {
-    let Readiness { workers_ready, workers, storage_degraded } = readiness;
-    if workers_ready && storage_degraded != Some(true) {
+    let Readiness { workers_ready, workers, storage } = readiness;
+    if workers_ready && storage.as_ref().is_none_or(|h| *h == Health::Ok) {
         return Response::no_content();
     }
     let workers = Json::arr(workers.into_iter().map(|w| {
@@ -190,9 +191,21 @@ fn ready(readiness: Readiness) -> Response {
         ])
     }));
     let mut body = vec![("ready".to_string(), Json::Bool(false))];
-    body.extend(storage_degraded.map(|d| ("storage_degraded".to_string(), Json::Bool(d))));
+    body.extend(storage.map(storage_fields).into_iter().flatten());
     body.push(("workers".to_string(), workers));
     Response::json(503, Json::Obj(body).to_string())
+}
+
+/// `storage_degraded`, and with a degraded one `storage_reason`: the
+/// fields `/health/ready` and `/stats` report storage health in.
+fn storage_fields(health: Health) -> Vec<(String, Json)> {
+    match health {
+        Health::Ok => vec![("storage_degraded".into(), Json::Bool(false))],
+        Health::Degraded { reason } => vec![
+            ("storage_degraded".into(), Json::Bool(true)),
+            ("storage_reason".into(), Json::Str(reason)),
+        ],
+    }
 }
 
 /// The one error → response mapping of every route: a missing database is
@@ -283,8 +296,8 @@ pub fn write_db(req: &Request) -> Result<Option<Cow<'_, str>>> {
 ///
 /// | endpoint | behaviour |
 /// |---|---|
-/// | `POST /write?db=<db>&precision=<p>&tier=<1m\|1h>` | line-protocol batch → `204`; `400` with a JSON error when every line failed or the db is missing; `503` + `Retry-After` while storage is degraded; `413` for a batch too large for one WAL record |
-/// | `GET /stats` | storage-engine gauges (WAL bytes, sealed blocks, compression ratio, …) |
+/// | `POST /write?db=<db>&precision=<p>&tier=<1m\|1h>` | line-protocol batch → `204` once logged; `400` with a JSON error when every line failed or the db is missing; `503` + `Retry-After` when the WAL append fails and, for every batch, while storage is degraded; `413` for a batch too large for one WAL record |
+/// | `GET /stats` | storage-engine gauges (WAL bytes, sealed blocks, compression ratio, …) and storage health (`storage_degraded`, `storage_reason`) |
 /// | `GET /integrity?db=<db>&nodes=<n>&replication=<r>&seed=<s>` | per-(hour bucket, owner set) range digests for anti-entropy repair |
 /// | `GET /integrity/export?db=<db>&start=<ns>&end=<ns>` | canonical line-protocol dump of the range, replayed by the repair pass |
 pub struct InfluxServer {
@@ -361,7 +374,8 @@ fn route(influx: &Influx, req: &Request) -> Result<Response> {
                 }
                 // Degraded storage sheds the write as retryable: the
                 // router's forwarder sees a transient 503 and keeps the
-                // batch queued/spooled until the disk recovers.
+                // batch queued/spooled until the storage worker's probe
+                // heals the node.
                 Err(e @ Error::Unavailable(_)) => {
                     Ok(Response::service_unavailable(&e.to_string(), 5))
                 }
@@ -398,7 +412,7 @@ fn route(influx: &Influx, req: &Request) -> Result<Response> {
         ("GET", "/stats") => {
             let s = influx.storage_stats();
             let (rollup_passes, rollup_rows) = influx.rollup_counters();
-            let body = Json::obj([
+            let gauges = [
                 ("rollups_enabled", Json::Bool(influx.rollups_enabled())),
                 ("rollup_passes", Json::Int(rollup_passes as i64)),
                 ("rollup_rows", Json::Int(rollup_rows as i64)),
@@ -420,9 +434,10 @@ fn route(influx: &Influx, req: &Request) -> Result<Response> {
                 ("corrupt_frames", Json::Int(s.corrupt_frames as i64)),
                 ("quarantined_segments", Json::Int(s.quarantined_segments as i64)),
                 ("damaged_ranges", Json::Int(s.damaged_ranges as i64)),
-                ("storage_degraded", Json::Bool(s.degraded)),
                 ("workers_ready", Json::Bool(influx.workers_ready())),
-            ]);
+            ];
+            let gauges = gauges.into_iter().map(|(k, v)| (k.to_string(), v));
+            let body = Json::obj(gauges.chain(storage_fields(influx.storage_health())));
             Ok(Response::json(200, body.to_string()))
         }
         _ => Ok(serve(influx, req)),
@@ -664,33 +679,47 @@ mod tests {
         let mut c = HttpClient::connect(server.addr()).unwrap();
         assert_eq!(c.post_text("/write?db=lms", "cpu v=1 900000000000").unwrap().status, 204);
 
-        // Simulate the disk filling up mid-run.
-        let db = influx.database("lms").unwrap();
-        let engine = db.engine().unwrap();
-        engine.inject_wal_append_failure(true);
+        // The disk fills up under the next WAL segments (`/dev/full` fails
+        // every write with ENOSPC); a flush's rotation moves the log there.
+        let wal = dir.join("lms").join("wal");
+        let full: Vec<std::path::PathBuf> =
+            (0..16).map(|seq| wal.join(format!("{seq:016x}.wal"))).filter(|p| !p.exists()).collect();
+        for p in &full {
+            std::os::unix::fs::symlink("/dev/full", p).unwrap();
+        }
+        influx.flush_storage().unwrap();
         // The first write surfaces the ENOSPC as a transient 503; after that
         // the engine is degraded and sheds with 503 + Retry-After.
         assert_eq!(c.post_text("/write?db=lms", "cpu v=2 900000000001").unwrap().status, 503);
         let r = c.post_text("/write?db=lms", "cpu v=3 900000000002").unwrap();
         assert_eq!(r.status, 503);
         assert!(r.header("retry-after").is_some());
-        // Events are still admitted (priority traffic).
-        let r = c
-            .post_text("/write?db=lms", "events,jobid=7 text=\"start\" 900000000003")
-            .unwrap();
-        assert_eq!(r.status, 204);
+        // Events too: a batch is acknowledged only once it is logged.
+        let events = "events,jobid=7 text=\"start\" 900000000003";
+        assert_eq!(c.post_text("/write?db=lms", events).unwrap().status, 503);
 
         let r = c.get("/stats").unwrap();
         let json = Json::parse(&r.body_str()).unwrap();
         assert_eq!(json.get("storage_degraded").unwrap().as_bool(), Some(true));
+        let reason = json.get("storage_reason").and_then(Json::as_str).unwrap().to_string();
+        assert!(reason.starts_with("lms: ") && reason.contains("No space left"), "{reason}");
         let r = c.get("/health/ready").unwrap();
         assert_eq!(r.status, 503);
+        assert!(r.body_str().contains(&reason), "{}", r.body_str());
 
-        // Operator frees space: readiness returns.
-        engine.inject_wal_append_failure(false);
-        engine.clear_degraded();
-        assert_eq!(c.get("/health/ready").unwrap().status, 204);
+        // Space is freed: the storage worker's probe heals the node.
+        for p in &full {
+            let _ = std::fs::remove_file(p);
+        }
+        let worker = influx.spawn_storage_worker().unwrap();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while c.get("/health/ready").unwrap().status != 204 {
+            assert!(std::time::Instant::now() < deadline, "the node did not heal");
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        }
+        assert_eq!(c.post_text("/write?db=lms", events).unwrap().status, 204);
         assert_eq!(c.post_text("/write?db=lms", "cpu v=4 900000000004").unwrap().status, 204);
+        worker.stop();
         server.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -809,16 +838,24 @@ mod tests {
         };
         let workers = r#""workers":[{"name":"spool-drainer","health":"failed","restarts":3}]"#;
         let router_like =
-            Readiness { workers_ready: false, workers: vec![worker.clone()], storage_degraded: None };
+            Readiness { workers_ready: false, workers: vec![worker.clone()], storage: None };
         let r = ready(router_like);
         assert_eq!(r.status, 503);
         assert_eq!(r.body_str(), format!(r#"{{"ready":false,{workers}}}"#));
+        let degraded = Health::Degraded { reason: "lms: disk full".into() };
         let degraded_node =
-            Readiness { workers_ready: true, workers: vec![worker], storage_degraded: Some(true) };
+            Readiness { workers_ready: true, workers: vec![worker.clone()], storage: Some(degraded) };
         let r = ready(degraded_node);
         assert_eq!(r.status, 503);
-        assert_eq!(r.body_str(), format!(r#"{{"ready":false,"storage_degraded":true,{workers}}}"#));
-        let healthy = Readiness { workers_ready: true, workers: vec![], storage_degraded: Some(false) };
+        assert_eq!(
+            r.body_str(),
+            format!(r#"{{"ready":false,"storage_degraded":true,"storage_reason":"lms: disk full",{workers}}}"#)
+        );
+        let failed_worker =
+            Readiness { workers_ready: false, workers: vec![worker], storage: Some(Health::Ok) };
+        let r = ready(failed_worker);
+        assert_eq!(r.body_str(), format!(r#"{{"ready":false,"storage_degraded":false,{workers}}}"#));
+        let healthy = Readiness { workers_ready: true, workers: vec![], storage: Some(Health::Ok) };
         assert_eq!(ready(healthy).status, 204);
     }
 

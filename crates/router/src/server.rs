@@ -109,7 +109,7 @@ impl ReadApi for Router {
         Readiness {
             workers_ready: self.workers_ready(),
             workers: self.worker_reports(),
-            storage_degraded: None,
+            storage: None,
         }
     }
 }

@@ -288,8 +288,11 @@ impl Inner {
             self.corrupt_records += out.corrupt_records.saturating_sub(known.corrupt);
             self.evicted += known.records.saturating_sub(out.records.len() as u64);
             if out.records.is_empty() {
-                // Try the next segment rather than reporting empty.
-                let _ = self.log.remove(seq);
+                // Try the next segment rather than reporting empty; one
+                // that cannot be deleted right now waits for the next poll.
+                if self.log.remove(seq).is_err() {
+                    return;
+                }
                 continue;
             }
             self.next_gen += 1;
@@ -302,11 +305,13 @@ impl Inner {
     fn enforce_cap(&mut self) {
         while self.log.bytes() > self.max_bytes {
             let Some(seq) = self.log.frozen().first().map(|s| s.seq) else { return };
+            if self.log.remove(seq).is_err() {
+                return;
+            }
             self.evicted += match self.head.take_if(|h| h.seq == seq) {
                 Some(head) => head.records.len() as u64,
                 None => self.waiting.remove(&seq).map_or(0, |s| s.records),
             };
-            let _ = self.log.remove(seq);
         }
     }
 }

@@ -32,17 +32,27 @@
 //!   last-write-wins hides the stale versions until the next compaction
 //!   removes them.
 //!
-//! Fault-injection hooks (`inject_segment_write_failure`,
-//! `set_fail_wal_remove`) let crash tests abort these protocols at their
-//! two interesting points deterministically.
+//! ## Storage health
+//!
+//! One value, [`Health`], says whether the engine's writers work. Any I/O
+//! error from one — WAL append, sync or rotation, segment write, the
+//! unlinks of a checkpoint, a compaction, a retention drop or a
+//! quarantine — sets it to [`Health::Degraded`] with the error's text.
+//! While degraded, [`TsmEngine::append_wal`] refuses every batch up front
+//! with the transient `Error::Unavailable`, so a caller keeps it for a
+//! retry; reads and sealed data stay available. [`TsmEngine::probe`], run
+//! by the storage worker on its tick, makes one trial append through the
+//! WAL and clears the value when it succeeds. A failed probe leaves no
+//! file behind (see `lms_util::seglog`).
 
 use crate::segment::{self, BlockEntry};
 use crate::wal::{Wal, WalConfig, WalRecord};
+use lms_util::seglog::unlink;
 use lms_util::{Error, Result};
 use parking_lot::Mutex;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 /// Storage engine configuration.
 #[derive(Debug, Clone)]
@@ -119,8 +129,7 @@ pub struct TsmStats {
     pub compactions: u64,
     /// WAL records replayed at the last open.
     pub recovered_records: u64,
-    /// True once the engine hit `ENOSPC` (WAL append or segment write)
-    /// and dropped to degraded read-only mode.
+    /// The engine's [`Health`] is degraded: writes are refused.
     pub degraded: bool,
     /// WAL record groups committed since open.
     pub wal_group_commits: u64,
@@ -137,6 +146,19 @@ pub struct TsmStats {
     /// Time ranges currently marked damaged (quarantined, awaiting
     /// anti-entropy repair from a replica).
     pub damaged_ranges: u64,
+}
+
+/// Whether the engine's storage writers work (see the module docs).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub enum Health {
+    /// No storage write has failed since open or the last heal.
+    #[default]
+    Ok,
+    /// A storage write failed; writes are refused until a probe heals.
+    Degraded {
+        /// The text of the I/O error that failed it.
+        reason: String,
+    },
 }
 
 /// A per-partition time range lost to a quarantined segment. The points it
@@ -185,17 +207,6 @@ struct SegFile {
     bytes: u64,
 }
 
-struct Faults {
-    /// One-shot: abort the next segment write after this many bytes.
-    segment_write_after: Option<u64>,
-    /// Sticky: skip WAL checkpoint removal (simulates a crash between
-    /// segment fsync and WAL delete).
-    skip_wal_remove: bool,
-    /// Sticky: every WAL append fails as if the disk were full
-    /// (`ErrorKind::StorageFull`), driving the degraded-mode transition.
-    fail_wal_append: bool,
-}
-
 /// Persistent storage engine for one database. See the module docs.
 pub struct TsmEngine {
     cfg: TsmConfig,
@@ -207,11 +218,7 @@ pub struct TsmEngine {
     next_seg_seq: AtomicU64,
     compactions: AtomicU64,
     recovered_records: u64,
-    /// Set on `ENOSPC` from WAL append or segment write: the engine stops
-    /// accepting writes ([`TsmEngine::append_wal`] returns
-    /// `Error::Unavailable`) instead of retrying a full disk forever.
-    /// Reads and already-sealed data stay available.
-    degraded: AtomicBool,
+    health: Mutex<Health>,
     /// Hard ceiling on retention cutoffs ([`TsmEngine::set_drop_floor`]):
     /// `drop_expired` never unlinks a partition reaching at or past this
     /// timestamp, whatever cutoff the caller computed. `i64::MAX` = no
@@ -225,13 +232,6 @@ pub struct TsmEngine {
     quarantined: AtomicU64,
     /// Time ranges lost to quarantine, pending anti-entropy repair.
     damaged: Mutex<Vec<DamagedRange>>,
-    faults: Mutex<Faults>,
-}
-
-/// True for I/O errors that mean "the disk is full": retrying cannot help
-/// until an operator frees space, so the engine degrades instead.
-fn is_storage_full(e: &Error) -> bool {
-    matches!(e, Error::Io(io) if io.kind() == std::io::ErrorKind::StorageFull)
 }
 
 fn segment_file_name(partition: i64, seq: u64) -> String {
@@ -349,17 +349,12 @@ impl TsmEngine {
             next_seg_seq: AtomicU64::new(next_seg_seq),
             compactions: AtomicU64::new(0),
             recovered_records: recovered.wal_records.len() as u64,
-            degraded: AtomicBool::new(false),
+            health: Mutex::new(Health::Ok),
             drop_floor: AtomicI64::new(i64::MAX),
             scrubbed_bytes: AtomicU64::new(0),
             corrupt_frames: AtomicU64::new(corrupt_frames),
             quarantined: AtomicU64::new(0),
             damaged: Mutex::new(Vec::new()),
-            faults: Mutex::new(Faults {
-                segment_write_after: None,
-                skip_wal_remove: false,
-                fail_wal_append: false,
-            }),
         };
         Ok((engine, recovered))
     }
@@ -367,39 +362,50 @@ impl TsmEngine {
     /// Appends one acknowledged write batch of `points` points to the WAL
     /// (the count only feeds the points-per-commit gauge). The call
     /// returns once the record's commit group is durable; concurrent
-    /// appends share one write (and fsync) per group. In degraded
-    /// read-only mode (after `ENOSPC`) the append is refused up front with
-    /// `Error::Unavailable` — transient, so the delivery pipeline keeps
-    /// the data spooled instead of dropping it.
+    /// appends share one write (and fsync) per group. Refused up front
+    /// while degraded (see [`TsmEngine::writable`]).
     pub fn append_wal(&self, batch: &str, points: u64) -> Result<u64> {
-        if self.degraded.load(Ordering::Acquire) {
-            return Err(Error::unavailable("storage degraded (disk full): writes refused"));
-        }
-        let result = if self.faults.lock().fail_wal_append {
-            Err(Error::Io(std::io::Error::new(
-                std::io::ErrorKind::StorageFull,
-                "fault injection: no space left on device",
-            )))
-        } else {
-            self.wal.append(batch, points)
-        };
-        if let Err(e) = &result {
-            if is_storage_full(e) {
-                self.degraded.store(true, Ordering::Release);
+        self.writable()?;
+        self.degrade_on(self.wal.append(batch, points))
+    }
+
+    /// The write gate: `Error::Unavailable` with the reason while the
+    /// engine is degraded — transient, so the delivery pipeline keeps the
+    /// data spooled instead of dropping it.
+    pub fn writable(&self) -> Result<()> {
+        match &*self.health.lock() {
+            Health::Ok => Ok(()),
+            Health::Degraded { reason } => {
+                Err(Error::unavailable(format!("storage degraded ({reason}): writes refused")))
             }
         }
+    }
+
+    /// The engine's storage health.
+    pub fn health(&self) -> Health {
+        self.health.lock().clone()
+    }
+
+    /// The heal probe: while degraded, one trial append (an empty batch,
+    /// which replays as nothing) through the WAL; success clears the
+    /// health value. Returns whether the engine is healthy afterwards.
+    pub fn probe(&self) -> bool {
+        if self.writable().is_ok() {
+            return true;
+        }
+        let healed = self.degrade_on(self.wal.append("", 0)).is_ok();
+        if healed {
+            *self.health.lock() = Health::Ok;
+        }
+        healed
+    }
+
+    /// Passes `result` through; an I/O error degrades the engine first.
+    fn degrade_on<T>(&self, result: Result<T>) -> Result<T> {
+        if let Err(Error::Io(e)) = &result {
+            *self.health.lock() = Health::Degraded { reason: e.to_string() };
+        }
         result
-    }
-
-    /// True once the engine dropped to degraded read-only mode.
-    pub fn is_degraded(&self) -> bool {
-        self.degraded.load(Ordering::Acquire)
-    }
-
-    /// Clears degraded mode (operator freed disk space). Subsequent writes
-    /// are attempted again; another `ENOSPC` re-degrades.
-    pub fn clear_degraded(&self) {
-        self.degraded.store(false, Ordering::Release);
     }
 
     /// Allocates the next seal generation (monotonic across restarts).
@@ -423,7 +429,7 @@ impl TsmEngine {
     /// sealed heads through. Blocks while another maintenance session runs.
     pub fn begin_flush(&self) -> Result<FlushSession<'_>> {
         let guard = self.maint.lock();
-        let boundary = self.wal.rotate()?;
+        let boundary = self.degrade_on(self.wal.rotate())?;
         Ok(FlushSession { engine: self, _guard: guard, boundary })
     }
 
@@ -460,16 +466,7 @@ impl TsmEngine {
         for (partition, group) in by_partition {
             let seq = self.next_seg_seq.fetch_add(1, Ordering::Relaxed);
             let path = self.cfg.dir.join(segment_file_name(partition, seq));
-            let fail_after = self.faults.lock().segment_write_after.take();
-            let bytes = match segment::write_segment(&path, &group, fail_after) {
-                Ok(b) => b,
-                Err(e) => {
-                    if is_storage_full(&e) {
-                        self.degraded.store(true, Ordering::Release);
-                    }
-                    return Err(e);
-                }
-            };
+            let bytes = self.degrade_on(segment::write_segment(&path, &group))?;
             written.push(SegFile { partition, seq, path, bytes });
         }
         Ok(written)
@@ -485,25 +482,26 @@ impl TsmEngine {
 
     /// Deletes every segment file whose partition is entirely older than
     /// `cutoff_ns` (clamped to the drop floor, see
-    /// [`TsmEngine::set_drop_floor`]). Returns the number of files removed.
+    /// [`TsmEngine::set_drop_floor`]). Returns the number of files removed;
+    /// a file stays registered until its unlink succeeds, and the first
+    /// failure ends the sweep.
     pub fn drop_expired(&self, cutoff_ns: i64) -> Result<usize> {
         let cutoff_ns = cutoff_ns.min(self.drop_floor.load(Ordering::Acquire));
         let _g = self.maint.lock();
         let mut files = self.files.lock();
-        let mut kept = Vec::new();
         let mut dropped = 0;
-        for f in files.drain(..) {
+        let mut result = Ok(());
+        files.retain(|f| {
             // All points in the file satisfy ts <= max_ts < (p+1)*width.
             let partition_end = (f.partition + 1).saturating_mul(self.cfg.partition_ns);
-            if partition_end <= cutoff_ns {
-                fs::remove_file(&f.path)?;
-                dropped += 1;
-            } else {
-                kept.push(f);
+            if result.is_err() || partition_end > cutoff_ns {
+                return true;
             }
-        }
-        *files = kept;
-        Ok(dropped)
+            result = unlink(&f.path);
+            dropped += result.is_ok() as usize;
+            result.is_err()
+        });
+        self.degrade_on(result.map(|()| dropped))
     }
 
     /// The partitions that have accumulated `compact_min_files` segment
@@ -539,7 +537,7 @@ impl TsmEngine {
             segment_bytes,
             compactions: self.compactions.load(Ordering::Relaxed),
             recovered_records: self.recovered_records,
-            degraded: self.degraded.load(Ordering::Acquire),
+            degraded: *self.health.lock() != Health::Ok,
             wal_group_commits: group.group_commits,
             wal_fsyncs: group.fsyncs,
             wal_points_per_commit: group.points_per_commit,
@@ -587,40 +585,41 @@ impl TsmEngine {
     /// Quarantines a corrupt segment file: atomically renames it to
     /// `<name>.quarantine`, writes a `<name>.quarantine.json` sidecar
     /// (offsets + affected time range + surviving series), unregisters the
-    /// file, and marks the partition's time range damaged. The caller then
-    /// rebuilds its in-memory state for the partition from the surviving
-    /// files ([`TsmEngine::reload_partition`]) and relies on anti-entropy
-    /// repair to restore the lost points from a replica.
+    /// file once it is renamed, and marks the partition's time range
+    /// damaged. The caller then rebuilds its in-memory state for the
+    /// partition from the surviving files ([`TsmEngine::reload_partition`])
+    /// and relies on anti-entropy repair to restore the lost points from a
+    /// replica.
     pub fn quarantine_segment(&self, path: &Path, corrupt_offsets: &[u64]) -> Result<QuarantineReport> {
         let _g = self.maint.lock();
-        let seg = {
-            let mut files = self.files.lock();
-            let idx = files
-                .iter()
-                .position(|f| f.path == path)
-                .ok_or_else(|| Error::invalid(format!("{}: not a registered segment", path.display())))?;
-            files.remove(idx)
-        };
+        let partition = self
+            .files
+            .lock()
+            .iter()
+            .find(|f| f.path == path)
+            .map(|f| f.partition)
+            .ok_or_else(|| Error::invalid(format!("{}: not a registered segment", path.display())))?;
         // The corrupt frames' contents are unreadable, so the damage is
         // bounded only by the file's partition.
-        let start_ns = seg.partition.saturating_mul(self.cfg.partition_ns);
-        let end_ns = (seg.partition + 1).saturating_mul(self.cfg.partition_ns);
+        let start_ns = partition.saturating_mul(self.cfg.partition_ns);
+        let end_ns = (partition + 1).saturating_mul(self.cfg.partition_ns);
         let intact_series: Vec<String> = {
-            let mut keys: Vec<String> = segment::scan_segment(&seg.path)
+            let mut keys: Vec<String> = segment::scan_segment(path)
                 .map(|s| s.entries.iter().map(|e| e.series.series_key.clone()).collect())
                 .unwrap_or_default();
             keys.sort();
             keys.dedup();
             keys
         };
-        let quarantined = quarantine_path(&seg.path);
+        let quarantined = quarantine_path(path);
         let sidecar = sidecar_path(&quarantined);
-        fs::rename(&seg.path, &quarantined)?;
+        self.degrade_on(fs::rename(path, &quarantined).map_err(Error::from))?;
+        self.files.lock().retain(|f| f.path != path);
         let report = QuarantineReport {
-            original: seg.path.clone(),
+            original: path.to_path_buf(),
             quarantined,
             sidecar: sidecar.clone(),
-            partition: seg.partition,
+            partition,
             start_ns,
             end_ns,
             corrupt_offsets: corrupt_offsets.to_vec(),
@@ -630,7 +629,7 @@ impl TsmEngine {
         let _ = fs::write(&sidecar, quarantine_sidecar_json(&report));
         self.quarantined.fetch_add(1, Ordering::Relaxed);
         self.damaged.lock().push(DamagedRange {
-            partition: seg.partition,
+            partition,
             start_ns,
             end_ns,
             file: report.quarantined.clone(),
@@ -640,7 +639,7 @@ impl TsmEngine {
              [{start_ns}, {end_ns}) ns); awaiting anti-entropy repair",
             report.quarantined.display(),
             corrupt_offsets.len(),
-            seg.partition
+            partition
         );
         Ok(report)
     }
@@ -671,29 +670,7 @@ impl TsmEngine {
 
     /// Fsyncs the active WAL segment (graceful shutdown).
     pub fn sync(&self) -> Result<()> {
-        self.wal.sync()
-    }
-
-    /// Fault injection: abort the next segment-file write after roughly
-    /// `after_bytes` bytes (one-shot).
-    pub fn inject_segment_write_failure(&self, after_bytes: u64) {
-        self.faults.lock().segment_write_after = Some(after_bytes);
-    }
-
-    /// Fault injection: when set, flush commits skip WAL checkpoint
-    /// removal, as if the process died between segment fsync and delete.
-    pub fn set_fail_wal_remove(&self, on: bool) {
-        self.faults.lock().skip_wal_remove = on;
-    }
-
-    /// Fault injection: when set, every WAL append fails with a simulated
-    /// `ENOSPC`, driving the engine into degraded read-only mode (sticky;
-    /// clear with `inject_wal_append_failure(false)` + [`clear_degraded`]
-    /// to simulate an operator freeing space).
-    ///
-    /// [`clear_degraded`]: TsmEngine::clear_degraded
-    pub fn inject_wal_append_failure(&self, on: bool) {
-        self.faults.lock().fail_wal_append = on;
+        self.degrade_on(self.wal.sync())
     }
 }
 
@@ -725,10 +702,7 @@ impl FlushSession<'_> {
     /// Completes the flush: the sealed data is durable, so the frozen WAL
     /// segments below the checkpoint boundary are deleted.
     pub fn commit(self) -> Result<()> {
-        if self.engine.faults.lock().skip_wal_remove {
-            return Err(Error::invalid("fault injection: wal checkpoint removal skipped"));
-        }
-        self.engine.wal.remove_frozen(self.boundary)
+        self.engine.degrade_on(self.engine.wal.remove_frozen(self.boundary))
     }
 }
 
@@ -751,17 +725,16 @@ impl RewriteSession<'_> {
     }
 
     /// Installs the rewritten files and deletes the pre-session files of
-    /// the session's partitions.
+    /// the session's partitions; each stays registered until its unlink
+    /// succeeds, and the first failure ends the commit.
     pub fn commit(self) -> Result<()> {
-        {
-            let mut files = self.engine.files.lock();
-            files.retain(|f| !self.old.contains(&f.path));
-            files.extend(self.new);
-        }
+        let engine = self.engine;
+        engine.files.lock().extend(self.new);
         for path in &self.old {
-            fs::remove_file(path)?;
+            engine.degrade_on(unlink(path))?;
+            engine.files.lock().retain(|f| &f.path != path);
         }
-        self.engine.compactions.fetch_add(1, Ordering::Relaxed);
+        engine.compactions.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 }
@@ -864,16 +837,30 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Plants a full disk (`/dev/full`, every write fails `ENOSPC`) at
+    /// each of `paths`.
+    fn plant_full_disk(paths: &[PathBuf]) {
+        for p in paths {
+            std::os::unix::fs::symlink("/dev/full", p).unwrap();
+        }
+    }
+
+    fn listing(dir: &Path) -> Vec<PathBuf> {
+        fs::read_dir(dir).unwrap().map(|e| e.unwrap().path()).collect()
+    }
+
     #[test]
     fn segment_write_fault_aborts_flush_without_data_loss() {
         let dir = tmp("fault");
         {
             let (engine, _) = TsmEngine::open(cfg(&dir)).unwrap();
             engine.append_wal("m v=1 500", 1).unwrap();
-            engine.inject_segment_write_failure(4);
+            let next = dir.join(segment_file_name(0, 0)).with_extension("tmp");
+            plant_full_disk(&[next]);
             let gen = engine.next_gen();
             let mut flush = engine.begin_flush().unwrap();
             assert!(flush.write(&[entry("m", gen, 500..501)]).is_err());
+            assert!(engine.stats().degraded, "a failed segment write degrades");
         }
         let (engine, rec) = TsmEngine::open(cfg(&dir)).unwrap();
         assert_eq!(rec.blocks.len(), 0, "aborted segment never became visible");
@@ -887,25 +874,48 @@ mod tests {
         let dir = tmp("enospc");
         let (engine, _) = TsmEngine::open(cfg(&dir)).unwrap();
         engine.append_wal("m v=1 500", 1).unwrap();
-        assert!(!engine.is_degraded());
+        assert_eq!(engine.health(), Health::Ok);
 
-        engine.inject_wal_append_failure(true);
+        // The disk fills up under the next WAL segments; a flush's rotation
+        // moves the log onto them.
+        let wal_dir = dir.join("wal");
+        let full: Vec<PathBuf> = (1..4).map(|seq| wal_dir.join(format!("{seq:016x}.wal"))).collect();
+        plant_full_disk(&full);
+        drop(engine.begin_flush().unwrap());
         let err = engine.append_wal("m v=2 501", 1).unwrap_err();
-        assert!(matches!(err, Error::Io(_)), "first failure surfaces the ENOSPC: {err}");
-        assert!(engine.is_degraded());
+        assert!(
+            matches!(&err, Error::Io(e) if e.kind() == std::io::ErrorKind::StorageFull),
+            "first failure surfaces the ENOSPC: {err}"
+        );
+        let Health::Degraded { reason } = engine.health() else { panic!("not degraded") };
+        assert!(reason.contains("No space left on device"), "{reason}");
         assert!(engine.stats().degraded);
 
         // Degraded mode refuses up front — no disk I/O, transient error.
         let err = engine.append_wal("m v=3 502", 1).unwrap_err();
         assert!(matches!(err, Error::Unavailable(_)), "{err}");
         assert!(err.is_transient(), "callers must keep the data spooled, not drop it");
+        assert!(err.to_string().contains(&reason), "the refusal names the reason: {err}");
 
-        // Operator frees space: clear the fault and degraded flag, writes
-        // resume.
-        engine.inject_wal_append_failure(false);
-        engine.clear_degraded();
+        // A probe while the disk is still full fails and leaves no file.
+        let before = listing(&wal_dir);
+        assert!(!engine.probe());
+        assert!(engine.stats().degraded);
+        assert!(listing(&wal_dir).iter().all(|f| before.contains(f)), "the probe left a file");
+
+        // Space is freed: the next probe heals, with no other call, and
+        // writes resume.
+        for p in &full {
+            let _ = fs::remove_file(p);
+        }
+        assert!(engine.probe());
+        assert_eq!(engine.health(), Health::Ok);
         engine.append_wal("m v=4 503", 1).unwrap();
-        assert!(!engine.is_degraded());
+        drop(engine);
+        let (_, rec) = TsmEngine::open(cfg(&dir)).unwrap();
+        let batches: Vec<&str> =
+            rec.wal_records.iter().map(|r| r.batch.as_str()).filter(|b| !b.is_empty()).collect();
+        assert_eq!(batches, ["m v=1 500", "m v=4 503"], "every acknowledged batch replays");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -924,6 +934,38 @@ mod tests {
         assert_eq!(engine.drop_expired(1999).unwrap(), 0, "partition 1 ends at 2000");
         assert_eq!(engine.drop_expired(2000).unwrap(), 1);
         assert_eq!(engine.segment_file_count(), 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_segment_stays_registered_until_its_unlink_succeeds() {
+        let dir = tmp("unlink");
+        let (engine, _) = TsmEngine::open(cfg(&dir)).unwrap();
+        let mut flush = engine.begin_flush().unwrap();
+        flush.write(&[entry("a", 0, 0..10), entry("b", 1, 1500..1510), entry("c", 2, 2500..2510)])
+            .unwrap();
+        flush.commit().unwrap();
+        let files = list_segment_files(&dir);
+        assert_eq!(files.len(), 3);
+
+        // Deleted by hand: retention counts it as gone and keeps the rest.
+        fs::remove_file(&files[0]).unwrap();
+        assert_eq!(engine.drop_expired(1000).unwrap(), 1);
+        assert_eq!(engine.segment_file_count(), 2, "the live files stay registered");
+        assert_eq!(engine.health(), Health::Ok);
+
+        // An unlink that fails (a directory in the file's place) keeps the
+        // file registered and degrades; once it can go, it goes.
+        fs::remove_file(&files[1]).unwrap();
+        fs::create_dir(&files[1]).unwrap();
+        assert!(engine.drop_expired(2000).is_err());
+        assert_eq!(engine.segment_file_count(), 2);
+        assert!(engine.stats().degraded);
+        fs::remove_dir(&files[1]).unwrap();
+        assert!(engine.probe());
+        assert_eq!(engine.drop_expired(2000).unwrap(), 1);
+        assert_eq!(engine.segment_file_count(), 1);
+        assert!(files[2].exists());
         let _ = fs::remove_dir_all(&dir);
     }
 

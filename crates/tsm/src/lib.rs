@@ -38,8 +38,8 @@ pub mod wal;
 pub use agg::Agg;
 pub use block::SealedBlock;
 pub use engine::{
-    DamagedRange, FlushSession, QuarantineReport, Recovered, RewriteSession, TsmConfig, TsmEngine,
-    TsmStats,
+    DamagedRange, FlushSession, Health, QuarantineReport, Recovered, RewriteSession, TsmConfig,
+    TsmEngine, TsmStats,
 };
 pub use scrub::{ScrubOutcome, Scrubber};
 pub use segment::{BlockEntry, SegmentScan, SeriesId};

@@ -266,16 +266,9 @@ fn decode_entry(payload: &[u8]) -> Option<BlockEntry> {
 }
 
 /// Writes `entries` to `path` atomically (tmp + fsync + rename). Returns the
-/// file size in bytes.
-///
-/// `fail_after_bytes` is a fault-injection hook for crash tests: when set,
-/// the write stops (with an error) after roughly that many bytes reach the
-/// temp file, simulating a crash mid-flush — the `.tsm` file never appears.
-pub fn write_segment(
-    path: &Path,
-    entries: &[&BlockEntry],
-    fail_after_bytes: Option<u64>,
-) -> Result<u64> {
+/// file size in bytes. A write that fails leaves at most the `.tmp` file,
+/// which the next open deletes: the `.tsm` file never appears half-written.
+pub fn write_segment(path: &Path, entries: &[&BlockEntry]) -> Result<u64> {
     let mut buf = Vec::with_capacity(4096);
     buf.extend_from_slice(MAGIC);
     for &e in entries {
@@ -284,14 +277,6 @@ pub fn write_segment(
     let tmp = path.with_extension("tmp");
     {
         let mut f = OpenOptions::new().create(true).write(true).truncate(true).open(&tmp)?;
-        if let Some(limit) = fail_after_bytes {
-            let n = (limit as usize).min(buf.len());
-            f.write_all(&buf[..n])?;
-            f.sync_data()?;
-            return Err(Error::invalid(format!(
-                "fault injection: segment write aborted after {n} bytes"
-            )));
-        }
         f.write_all(&buf)?;
         f.sync_data()?;
     }
@@ -400,8 +385,8 @@ mod tests {
     }
 
     /// Writes owned entries (the writer takes them by reference).
-    fn write(path: &Path, entries: &[BlockEntry], fail_after: Option<u64>) -> Result<u64> {
-        write_segment(path, &entries.iter().collect::<Vec<_>>(), fail_after)
+    fn write(path: &Path, entries: &[BlockEntry]) -> Result<u64> {
+        write_segment(path, &entries.iter().collect::<Vec<_>>())
     }
 
     #[test]
@@ -410,7 +395,7 @@ mod tests {
         let path = dir.join("seg-0-0000000000000000.tsm");
         let entries =
             vec![entry("cpu,host=n01", "usage", 1, 0..100), entry("cpu,host=n01", "temp", 2, 50..80)];
-        let bytes = write(&path, &entries, None).unwrap();
+        let bytes = write(&path, &entries).unwrap();
         assert_eq!(bytes, fs::metadata(&path).unwrap().len());
         let back = read_segment(&path).unwrap();
         assert_eq!(back.len(), 2);
@@ -425,9 +410,14 @@ mod tests {
     #[test]
     fn fault_injection_leaves_no_visible_segment() {
         let dir = tmp("fault");
+        fs::create_dir_all(&dir).unwrap();
         let path = dir.join("seg-0-0000000000000001.tsm");
-        let err = write(&path, &[entry("k", "f", 0, 0..10)], Some(12));
-        assert!(err.is_err());
+        // A full disk at the temp file's path: every write fails ENOSPC.
+        std::os::unix::fs::symlink("/dev/full", path.with_extension("tmp")).unwrap();
+        match write(&path, &[entry("k", "f", 0, 0..10)]) {
+            Err(Error::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::StorageFull, "{e}"),
+            other => panic!("the write must fail with ENOSPC, got {other:?}"),
+        }
         assert!(!path.exists(), "aborted write must not surface a .tsm file");
         assert!(path.with_extension("tmp").exists());
         let _ = fs::remove_dir_all(&dir);
@@ -438,7 +428,7 @@ mod tests {
         let dir = tmp("corrupt");
         let path = dir.join("seg-0-0000000000000002.tsm");
         let entries = vec![entry("a", "f", 0, 0..10), entry("b", "f", 1, 0..10)];
-        write(&path, &entries, None).unwrap();
+        write(&path, &entries).unwrap();
         let mut bytes = fs::read(&path).unwrap();
         let n = bytes.len();
         bytes[n - 4] ^= 0xFF; // clobber the last entry's block bytes
@@ -459,7 +449,7 @@ mod tests {
         let path = dir.join("seg-0-0000000000000007.tsm");
         let entries =
             vec![entry("a", "f", 0, 0..10), entry("b", "f", 1, 0..10), entry("c", "f", 2, 0..10)];
-        write(&path, &entries, None).unwrap();
+        write(&path, &entries).unwrap();
         let mut bytes = fs::read(&path).unwrap();
         // Locate the middle frame and flip a payload byte inside it.
         let first_len =
@@ -484,7 +474,7 @@ mod tests {
         let dir = tmp("torn");
         let path = dir.join("seg-0-0000000000000008.tsm");
         let entries = vec![entry("a", "f", 0, 0..10), entry("b", "f", 1, 0..10)];
-        write(&path, &entries, None).unwrap();
+        write(&path, &entries).unwrap();
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..bytes.len() - 7]).unwrap();
         let scan = scan_segment(&path).unwrap();
@@ -499,7 +489,7 @@ mod tests {
         let dir = tmp("sum");
         let path = dir.join("seg-0-0000000000000004.tsm");
         let entries = vec![entry("cpu,host=n01", "usage", 1, 0..100)];
-        write(&path, &entries, None).unwrap();
+        write(&path, &entries).unwrap();
         let back = read_segment(&path).unwrap();
         let s = back[0].block.summary().expect("footer carries a summary");
         assert_eq!(s, entries[0].block.summary().unwrap());
@@ -531,7 +521,7 @@ mod tests {
             field: "text".into(),
             block: Arc::new(SealedBlock::seal(3, &points)),
         };
-        write(&path, std::slice::from_ref(&e), None).unwrap();
+        write(&path, std::slice::from_ref(&e)).unwrap();
         let back = read_segment(&path).unwrap();
         let s = back[0].block.summary().unwrap();
         assert_eq!(s.first, Some((10, FieldValue::Text("job start".into()))));

@@ -158,7 +158,7 @@ struct GroupState {
     leader: bool,
     /// Seq ranges `[start, end)` whose group write failed, with the error
     /// to report to their waiters (bounded; disk faults are rare and the
-    /// engine degrades on `ENOSPC` anyway).
+    /// engine degrades on the first of them anyway).
     failed: Vec<(u64, u64, std::io::ErrorKind, String)>,
 }
 

@@ -78,7 +78,7 @@ fn hex(bytes: &[u8]) -> String {
 }
 
 fn write(path: &PathBuf, entries: &[BlockEntry]) -> Vec<u8> {
-    write_segment(path, &entries.iter().collect::<Vec<_>>(), None).unwrap();
+    write_segment(path, &entries.iter().collect::<Vec<_>>()).unwrap();
     std::fs::read(path).unwrap()
 }
 

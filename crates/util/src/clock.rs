@@ -45,12 +45,6 @@ impl Timestamp {
         self.0.div_euclid(1_000_000_000)
     }
 
-    /// Whole milliseconds since the epoch (truncating).
-    #[inline]
-    pub fn millis(self) -> i64 {
-        self.0.div_euclid(1_000_000)
-    }
-
     /// `self + d`, saturating at the numeric limits (unlike `ops::Add`,
     /// which a `Duration` operand cannot express losslessly anyway).
     #[must_use]
@@ -155,11 +149,6 @@ impl Clock {
         }
     }
 
-    /// Whether this clock is simulated (never calls the OS).
-    pub fn is_simulated(&self) -> bool {
-        matches!(&*self.source, Source::Simulated(_))
-    }
-
     /// Advances a simulated clock by `d` and returns the new time.
     ///
     /// # Panics
@@ -205,15 +194,14 @@ mod tests {
     fn timestamp_conversions_round_trip() {
         let t = Timestamp::from_secs(1_500_000_000);
         assert_eq!(t.secs(), 1_500_000_000);
-        assert_eq!(t.millis(), 1_500_000_000_000);
-        assert_eq!(Timestamp::from_millis(t.millis()), t);
+        assert_eq!(Timestamp::from_millis(1_500_000_000_000), t);
     }
 
     #[test]
     fn timestamp_arithmetic() {
         let t = Timestamp::from_secs(100);
         let later = t.add(Duration::from_millis(2500));
-        assert_eq!(later.millis(), 102_500);
+        assert_eq!(later, Timestamp::from_millis(102_500));
         assert_eq!(later.since(t), Duration::from_millis(2500));
         assert_eq!(t.since(later), Duration::ZERO);
         assert_eq!(later.sub(Duration::from_millis(2500)), t);
@@ -223,7 +211,6 @@ mod tests {
     fn negative_timestamps_truncate_toward_minus_infinity() {
         let t = Timestamp(-1); // 1ns before the epoch
         assert_eq!(t.secs(), -1);
-        assert_eq!(t.millis(), -1);
     }
 
     #[test]
@@ -232,14 +219,12 @@ mod tests {
         let a = c.now();
         let b = c.now();
         assert!(b >= a);
-        assert!(!c.is_simulated());
     }
 
     #[test]
     fn simulated_clock_is_shared_across_clones() {
         let c = Clock::simulated(Timestamp::from_secs(1000));
         let c2 = c.clone();
-        assert!(c.is_simulated());
         c.advance(Duration::from_secs(60));
         assert_eq!(c2.now(), Timestamp::from_secs(1060));
         c2.set(Timestamp::from_secs(2000));

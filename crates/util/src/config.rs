@@ -77,29 +77,12 @@ impl Config {
         self.get(section, key).unwrap_or(default)
     }
 
-    /// Required string lookup.
-    pub fn require(&self, section: &str, key: &str) -> Result<&str> {
-        self.get(section, key)
-            .ok_or_else(|| Error::config(format!("missing key `{key}` in section `[{section}]`")))
-    }
-
     /// Typed lookup: integers.
     pub fn get_i64(&self, section: &str, key: &str) -> Result<Option<i64>> {
         self.get(section, key)
             .map(|v| {
                 v.parse().map_err(|_| {
                     Error::config(format!("key `{key}` in `[{section}]`: `{v}` is not an integer"))
-                })
-            })
-            .transpose()
-    }
-
-    /// Typed lookup: floats.
-    pub fn get_f64(&self, section: &str, key: &str) -> Result<Option<f64>> {
-        self.get(section, key)
-            .map(|v| {
-                v.parse().map_err(|_| {
-                    Error::config(format!("key `{key}` in `[{section}]`: `{v}` is not a number"))
                 })
             })
             .transpose()
@@ -143,34 +126,6 @@ impl Config {
             .into_iter()
             .flat_map(|m| m.iter().map(|(k, v)| (k.as_str(), v.as_str())))
     }
-
-    /// Serializes back to INI text (deterministic order).
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        if let Some(root) = self.sections.get("") {
-            for (k, v) in root {
-                out.push_str(k);
-                out.push_str(" = ");
-                out.push_str(v);
-                out.push('\n');
-            }
-        }
-        for (name, map) in &self.sections {
-            if name.is_empty() {
-                continue;
-            }
-            out.push('[');
-            out.push_str(name);
-            out.push_str("]\n");
-            for (k, v) in map {
-                out.push_str(k);
-                out.push_str(" = ");
-                out.push_str(v);
-                out.push('\n');
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -197,7 +152,6 @@ enabled = off
         assert_eq!(c.get("", "listen"), Some("0.0.0.0:8086"));
         assert_eq!(c.get("database", "name"), Some("lms"));
         assert_eq!(c.get_i64("database", "batch").unwrap(), Some(500));
-        assert_eq!(c.get_f64("database", "timeout").unwrap(), Some(2.5));
         assert_eq!(c.get_bool("database", "per_user").unwrap(), Some(true));
         assert_eq!(c.get_bool("publish", "enabled").unwrap(), Some(false));
         assert_eq!(c.get_list("database", "users"), vec!["alice", "bob", "carol"]);
@@ -208,7 +162,6 @@ enabled = off
         let c = Config::parse(SAMPLE).unwrap();
         assert_eq!(c.get("database", "nope"), None);
         assert_eq!(c.get_or("database", "nope", "dflt"), "dflt");
-        assert!(c.require("database", "nope").is_err());
         assert!(c.get_list("x", "y").is_empty());
     }
 
@@ -229,15 +182,7 @@ enabled = off
     fn typed_errors() {
         let c = Config::parse("[s]\nn = abc\nb = maybe\n").unwrap();
         assert!(c.get_i64("s", "n").is_err());
-        assert!(c.get_f64("s", "n").is_err());
         assert!(c.get_bool("s", "b").is_err());
-    }
-
-    #[test]
-    fn round_trips_through_text() {
-        let c = Config::parse(SAMPLE).unwrap();
-        let c2 = Config::parse(&c.to_text()).unwrap();
-        assert_eq!(c, c2);
     }
 
     #[test]

@@ -99,11 +99,6 @@ impl Error {
     pub fn is_transient(&self) -> bool {
         self.class() == ErrorClass::Transient
     }
-
-    /// True when retrying can never succeed.
-    pub fn is_permanent(&self) -> bool {
-        self.class() == ErrorClass::Permanent
-    }
 }
 
 impl fmt::Display for Error {
@@ -192,7 +187,6 @@ mod tests {
             Error::unavailable("x"),
         ];
         for e in &errors {
-            assert_ne!(e.is_transient(), e.is_permanent(), "{e}");
             assert_eq!(e.is_transient(), e.class() == ErrorClass::Transient);
         }
     }

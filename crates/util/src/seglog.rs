@@ -24,17 +24,20 @@
 //! so name order is append order). Opening it hands each file to the
 //! caller's decoder, truncates the file to the clean length the decoder
 //! returns and deletes the file when that length is zero. Appends go to
-//! the active file, created on the first append after a rotation. A full
-//! active file rotates before the next append, with an fsync. So does one
-//! whose last write or fsync failed (its *dirty tail*): recovery stops at
-//! the torn frame such a failure leaves, so nothing may land behind it.
+//! the active file, created on the first append after a rotation; when the
+//! directory has vanished, the log creates it again. A full active file
+//! rotates before the next append, with an fsync. So does one whose last
+//! write or fsync failed (its *dirty tail*): recovery stops at the torn
+//! frame such a failure leaves, so nothing may land behind it. A file
+//! whose first write fails holds nothing and is deleted at once, so an
+//! append that keeps failing leaves no file behind.
 
 use crate::hash::crc32;
 use crate::Result;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::ops::RangeInclusive;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Frame header size: payload length + CRC.
 pub const FRAME_HEADER: usize = 8;
@@ -94,6 +97,14 @@ impl<'a> Iterator for Frames<'a> {
         let at = self.off;
         self.off += FRAME_HEADER + len;
         Some((at, (crc32(payload) == crc).then_some(payload)))
+    }
+}
+
+/// Deletes the file at `path`; one that is already gone counts as deleted.
+pub fn unlink(path: &Path) -> Result<()> {
+    match fs::remove_file(path) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e.into()),
+        _ => Ok(()),
     }
 }
 
@@ -185,7 +196,8 @@ impl SegmentLog {
 
     /// Appends `bytes` (whole frames) to the active segment and returns its
     /// sequence number. Rotates first when the active segment is full or
-    /// its tail is dirty. A failed write leaves the tail dirty.
+    /// its tail is dirty. A failed write leaves the tail dirty, or deletes
+    /// the segment when nothing was appended to it yet.
     pub fn append(&mut self, bytes: &[u8]) -> Result<u64> {
         if self.active.as_ref().is_some_and(|a| a.dirty || a.seg.bytes >= self.segment_bytes) {
             self.rotate()?;
@@ -194,13 +206,27 @@ impl SegmentLog {
             Some(active) => active,
             None => {
                 let seq = self.next_seq;
-                let file = OpenOptions::new().create(true).append(true).open(self.path(seq))?;
+                let path = self.path(seq);
+                let open = || OpenOptions::new().create(true).append(true).open(&path);
+                let file = match open() {
+                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                        fs::create_dir_all(&self.dir)?;
+                        open()?
+                    }
+                    file => file?,
+                };
                 self.next_seq += 1;
                 self.active.insert(Active { file, seg: Segment { seq, bytes: 0 }, dirty: false })
             }
         };
         if let Err(e) = active.file.write_all(bytes) {
-            active.dirty = true;
+            if active.seg.bytes == 0 {
+                let seq = active.seg.seq;
+                self.active = None;
+                let _ = fs::remove_file(self.path(seq));
+            } else {
+                active.dirty = true;
+            }
             return Err(e.into());
         }
         active.seg.bytes += bytes.len() as u64;
@@ -227,11 +253,9 @@ impl SegmentLog {
     /// the error is returned.
     pub fn rotate(&mut self) -> Result<u64> {
         if let Some(active) = self.active.take() {
-            if active.seg.bytes == 0 && !active.dirty {
+            if active.seg.bytes == 0 {
                 let _ = fs::remove_file(self.path(active.seg.seq));
             } else {
-                // A dirty segment is frozen even when it counts no bytes:
-                // recovery keeps whatever clean prefix it holds.
                 self.frozen.push(active.seg);
                 if let Err(e) = active.file.sync_data() {
                     self.sync_failures += 1;
@@ -243,11 +267,11 @@ impl SegmentLog {
         Ok(self.next_seq)
     }
 
-    /// Deletes frozen segment `seq`; the log forgets it even when the
-    /// delete fails.
+    /// Deletes frozen segment `seq` (see [`unlink`]); the log forgets it
+    /// only once it is gone.
     pub fn remove(&mut self, seq: u64) -> Result<()> {
+        unlink(&self.path(seq))?;
         self.frozen.retain(|s| s.seq != seq);
-        fs::remove_file(self.path(seq))?;
         Ok(())
     }
 
@@ -391,6 +415,35 @@ mod tests {
         log.remove(4).unwrap();
         assert_eq!(log.frozen().iter().map(|s| s.seq).collect::<Vec<_>>(), [3, 5]);
         assert_eq!(log.read(5).unwrap(), b"f");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_vanished_directory_is_created_again() {
+        let dir = tmp("vanished");
+        let mut log = SegmentLog::open(&dir, "log", 1024, |_, data| data.len()).unwrap();
+        log.append(b"abc").unwrap();
+        log.rotate().unwrap();
+        fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(log.append(b"de").unwrap(), 1);
+        assert_eq!(fs::read(log.path(1)).unwrap(), b"de");
+        // A frozen segment that went with the directory is gone already.
+        log.remove(0).unwrap();
+        assert!(log.frozen().is_empty());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_first_write_leaves_no_file_behind() {
+        let dir = tmp("full");
+        let mut log = SegmentLog::open(&dir, "log", 1024, |_, data| data.len()).unwrap();
+        // A full disk at the next segment's path.
+        std::os::unix::fs::symlink("/dev/full", log.path(0)).unwrap();
+        let err = log.append(b"abc").unwrap_err();
+        assert!(matches!(&err, crate::Error::Io(e) if e.kind() == std::io::ErrorKind::StorageFull));
+        assert!(fs::read_dir(&dir).unwrap().next().is_none(), "the failed segment is deleted");
+        assert_eq!(log.active(), None);
+        assert_eq!(log.append(b"abc").unwrap(), 1, "the next append takes a fresh file");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -71,11 +71,19 @@ fn a_wal_append_error_on_the_node_is_retried_not_rejected() {
     let open = || Influx::open(clock.clone(), 4, StorageConfig::new(&dir)).unwrap();
     let influx = open();
     influx.create_database("lms");
+    let worker = influx.spawn_storage_worker().unwrap();
     let db = InfluxServer::start("127.0.0.1:0", influx.clone()).unwrap();
     let config = RouterConfig { spool: Some(tmp_spool("wal-fault")), ..Default::default() };
     let router = Router::new(db.addr(), config, clock.clone(), None).unwrap();
-    let engine = influx.database("lms").unwrap().engine().unwrap().clone();
-    engine.inject_wal_append_failure(true);
+    // The disk fills up under the next WAL segments (`/dev/full` fails
+    // every write with ENOSPC); a flush's rotation moves the log there.
+    let wal = dir.join("lms").join("wal");
+    let full: Vec<std::path::PathBuf> =
+        (0..64).map(|seq| wal.join(format!("{seq:016x}.wal"))).filter(|p| !p.exists()).collect();
+    for p in &full {
+        std::os::unix::fs::symlink("/dev/full", p).unwrap();
+    }
+    influx.flush_storage().unwrap();
     for i in 0..5 {
         let line = format!("m,hostname=h{i} v={i} {}", 1_000_000 + i);
         assert!(router.handle_write(Some("lms"), &line).acked);
@@ -87,12 +95,18 @@ fn a_wal_append_error_on_the_node_is_retried_not_rejected() {
         std::thread::sleep(Duration::from_millis(10));
     }
     assert!(met(router.stats().forward), "{:?}", router.stats().forward);
-    engine.inject_wal_append_failure(false);
-    engine.clear_degraded();
+    assert_ne!(influx.storage_health(), lms::influx::tsm::Health::Ok);
+    // Space is freed. No operator call: the storage worker's probe heals
+    // the node, and the router delivers what it kept.
+    for p in &full {
+        let _ = std::fs::remove_file(p);
+    }
     assert!(router.flush(Duration::from_secs(20)), "{:?}", router.stats().forward);
+    assert_eq!(influx.storage_health(), lms::influx::tsm::Health::Ok);
     let f = router.stats().forward;
     assert_eq!((f.rejected, f.dropped), (0, 0), "{f:?}");
     assert_eq!(influx.point_count("lms"), 5);
+    worker.stop();
     drop(router);
     db.shutdown();
     drop(influx);

@@ -183,9 +183,11 @@ fn torn_group_commit_recovers_exact_prefix_of_acked_batches() {
     }
 }
 
-/// Kill mid-seal: the segment write dies after a random byte count. The
-/// flush must fail without losing anything — all points stay queryable,
-/// survive a reopen (WAL not checkpointed), and the next flush succeeds.
+/// Kill mid-seal: the segment write fails (`/dev/full` at its temp path,
+/// so every write is `ENOSPC`), and the crash leaves a temp file holding a
+/// prefix of random length of the segment being written. The flush must
+/// fail without losing anything — all points stay queryable, survive a
+/// reopen (WAL not checkpointed), and the next flush succeeds.
 #[test]
 fn seal_crash_at_arbitrary_offset_loses_nothing() {
     let mut rng = XorShift64::new(chaos_seed() ^ 0xabcd);
@@ -193,15 +195,27 @@ fn seal_crash_at_arbitrary_offset_loses_nothing() {
         let dir = tmp_dir(&format!("seal-{round}"));
         let n = 10 + rng.below(50) as usize;
         let expect_sum = (n as i64) * (n as i64 + 1) / 2;
+        // The segment the flush would write: the same points, sealed in a
+        // scratch database.
+        let scratch = tmp_dir(&format!("seal-{round}-whole"));
+        let whole = {
+            let ix = open(&scratch);
+            write_points(&ix, n);
+            ix.flush_storage().expect("flush");
+            std::fs::read(scratch.join("lms").join("seg-0-0000000000000000.tsm")).expect("segment")
+        };
+        let _ = std::fs::remove_dir_all(&scratch);
+        let tmp = dir.join("lms").join("seg-0-0000000000000000.tmp");
         {
             let ix = open(&dir);
             write_points(&ix, n);
-            let engine = ix.database("lms").unwrap().engine().unwrap().clone();
-            engine.inject_segment_write_failure(rng.below(256));
-            assert!(ix.flush_storage().is_err(), "injected seal fault must surface");
+            std::os::unix::fs::symlink("/dev/full", &tmp).unwrap();
+            assert!(ix.flush_storage().is_err(), "the seal fault must surface");
             // Nothing lost in the running instance...
             assert_eq!(count_and_sum(&ix), (n as i64, expect_sum));
         }
+        std::fs::remove_file(&tmp).unwrap();
+        std::fs::write(&tmp, &whole[..rng.below(whole.len() as u64) as usize]).unwrap();
         // ...nor across the simulated crash (WAL was not checkpointed).
         {
             let ix = open(&dir);
@@ -217,7 +231,8 @@ fn seal_crash_at_arbitrary_offset_loses_nothing() {
 }
 
 /// Kill between segment write and WAL checkpoint: both the segments and
-/// the stale WAL survive. Replay over sealed blocks must deduplicate
+/// the stale WAL survive (the WAL is copied aside before the flush and put
+/// back after it). Replay over sealed blocks must deduplicate
 /// (last-write-wins), not double-count.
 #[test]
 fn crash_between_seal_and_checkpoint_does_not_duplicate() {
@@ -225,13 +240,21 @@ fn crash_between_seal_and_checkpoint_does_not_duplicate() {
     let dir = tmp_dir("dup");
     let n = 10 + rng.below(50) as usize;
     let expect_sum = (n as i64) * (n as i64 + 1) / 2;
+    let wal = dir.join("lms").join("wal");
+    let mut aside = Vec::new();
     {
         let ix = open(&dir);
         write_points(&ix, n);
-        let engine = ix.database("lms").unwrap().engine().unwrap().clone();
-        engine.set_fail_wal_remove(true);
-        assert!(ix.flush_storage().is_err(), "checkpoint fault must surface");
+        for entry in std::fs::read_dir(&wal).expect("wal dir") {
+            let path = entry.expect("wal entry").path();
+            aside.push((path.clone(), std::fs::read(&path).expect("wal segment")));
+        }
+        ix.flush_storage().expect("flush");
         assert_eq!(count_and_sum(&ix), (n as i64, expect_sum));
+    }
+    assert!(!aside.is_empty());
+    for (path, bytes) in &aside {
+        std::fs::write(path, bytes).expect("restore wal segment");
     }
     let ix = open(&dir);
     // Segments AND the un-removed WAL both hold the points; LWW replay
