@@ -224,7 +224,7 @@ mod tests {
     use lms_util::Clock;
 
     fn fixture() -> (Influx, Vec<String>) {
-        let ix = Influx::new(Clock::simulated(Timestamp::from_secs(4000)));
+        let ix = Influx::new(Clock::simulated(Timestamp::from_secs(4000))).unwrap();
         let mut batch = String::new();
         for s in (0..3600).step_by(60) {
             let ts = s as i64 * 1_000_000_000;
@@ -348,7 +348,7 @@ mod tests {
 
     #[test]
     fn missing_data_defaults_to_zero_and_flags_idle() {
-        let mut ix = Influx::new(Clock::simulated(Timestamp::from_secs(10)));
+        let mut ix = Influx::new(Clock::simulated(Timestamp::from_secs(10))).unwrap();
         ix.create_database("lms");
         let ev = JobEvaluation::evaluate(
             &mut ix,

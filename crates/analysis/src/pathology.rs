@@ -224,7 +224,7 @@ mod tests {
     fn fixture() -> (Influx, Vec<String>, Timestamp, Timestamp) {
         let start = Timestamp::from_secs(0);
         let end = Timestamp::from_secs(3600);
-        let ix = Influx::new(Clock::simulated(end));
+        let ix = Influx::new(Clock::simulated(end)).unwrap();
         let mut batch = String::new();
         for minute in 0..60i64 {
             let ts = minute * 60 * 1_000_000_000;
@@ -286,7 +286,7 @@ mod tests {
 
     #[test]
     fn detects_idle_job() {
-        let ix = Influx::new(Clock::simulated(Timestamp::from_secs(1000)));
+        let ix = Influx::new(Clock::simulated(Timestamp::from_secs(1000))).unwrap();
         let mut batch = String::new();
         for s in (0..1000).step_by(60) {
             batch.push_str(&format!(
@@ -304,7 +304,7 @@ mod tests {
 
     #[test]
     fn detects_load_imbalance() {
-        let ix = Influx::new(Clock::simulated(Timestamp::from_secs(1000)));
+        let ix = Influx::new(Clock::simulated(Timestamp::from_secs(1000))).unwrap();
         let mut batch = String::new();
         for s in (0..1000).step_by(60) {
             let ts = s * 1_000_000_000i64;
@@ -326,7 +326,7 @@ mod tests {
 
     #[test]
     fn empty_database_no_findings() {
-        let mut ix = Influx::new(Clock::simulated(Timestamp::from_secs(10)));
+        let mut ix = Influx::new(Clock::simulated(Timestamp::from_secs(10))).unwrap();
         ix.create_database("lms");
         let findings = PathologyDetector::new("lms")
             .detect(&mut ix, &["h1".to_string()], Timestamp::from_secs(0), Timestamp::from_secs(10))

@@ -96,7 +96,7 @@ mod tests {
     use lms_util::Clock;
 
     fn fixture() -> Influx {
-        let ix = Influx::new(Clock::simulated(Timestamp::from_secs(100)));
+        let ix = Influx::new(Clock::simulated(Timestamp::from_secs(100))).unwrap();
         ix.write_lines(
             "lms",
             "m,hostname=h1 v=1 10000000000\n\

@@ -169,7 +169,7 @@ mod tests {
 
     /// Two users: anna runs two compute jobs, bert one idle job.
     fn fixture() -> (Influx, Vec<CompletedJob>) {
-        let ix = Influx::new(Clock::simulated(Timestamp::from_secs(20_000)));
+        let ix = Influx::new(Clock::simulated(Timestamp::from_secs(20_000))).unwrap();
         let mut batch = String::new();
         // Job 1: h1+h2, 0..3600s, busy.
         // Job 2: h1, 4000..5800s, busy.
@@ -257,7 +257,7 @@ mod tests {
 
     #[test]
     fn empty_input_is_empty_report() {
-        let mut ix = Influx::new(Clock::simulated(Timestamp::from_secs(1)));
+        let mut ix = Influx::new(Clock::simulated(Timestamp::from_secs(1))).unwrap();
         ix.create_database("lms");
         let report = UsageReport::build(&mut ix, "lms", &[], peaks()).unwrap();
         assert_eq!(report.total_node_hours, 0.0);

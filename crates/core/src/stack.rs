@@ -21,6 +21,7 @@ use lms_mq::Publisher;
 use lms_router::{ClusterConfig, Router, RouterConfig, RouterServer, RouterStats};
 use lms_sysmon::{HostAgent, SimProc};
 use lms_topology::Topology;
+use lms_util::scratch::ScratchDir;
 use lms_util::{Clock, Error, FxHashMap, Result, Timestamp};
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -58,9 +59,9 @@ pub struct StackConfig {
     /// own retention) and the agents emit a second, pre-aggregated 60s
     /// stream alongside the 1s raw stream.
     pub rollup: Option<RollupPolicy>,
-    /// Persist the database under this directory (WAL + compressed
-    /// segment files); a stack restarted on the same directory serves
-    /// its pre-restart history. None = memory-only.
+    /// Store the database under this directory (WAL + compressed segment
+    /// files); a stack restarted on the same directory serves its
+    /// pre-restart history. None = a scratch directory, removed on drop.
     pub data_dir: Option<PathBuf>,
     /// Virtual start time.
     pub start_time: Timestamp,
@@ -119,7 +120,7 @@ impl StackConfig {
     /// per_user = yes
     /// publish = on
     /// retention_hours = 48
-    /// data_dir = /var/lib/lms    ; persist the database (omit = memory-only)
+    /// data_dir = /var/lib/lms    ; the database's home (omit = a scratch dir)
     /// drain_timeout_secs = 10    ; graceful-drain budget on shutdown
     ///
     /// [retention]
@@ -263,7 +264,7 @@ struct NodeSim {
 }
 
 /// One database node: the embedded engine, its HTTP server, and its
-/// background storage worker (persistent configurations only).
+/// background storage worker.
 struct DbNode {
     influx: Influx,
     server: Option<InfluxServer>,
@@ -290,6 +291,8 @@ pub struct LmsStack {
     /// Job snapshot shared with the webviewer (refreshed every tick).
     directory: Arc<SnapshotDirectory>,
     viewer_server: Option<ViewerServer>,
+    /// The data directory without `data_dir`, removed after the nodes.
+    _scratch: Option<ScratchDir>,
 }
 
 /// A [`JobDirectory`] backed by a per-tick snapshot of the scheduler.
@@ -313,27 +316,30 @@ impl LmsStack {
     pub fn start(config: StackConfig) -> Result<Self> {
         let clock = Clock::simulated(config.start_time);
 
-        // Database nodes: persistent (WAL + segment files, replaying any
-        // prior history) when `data_dir` is set, memory-only otherwise.
-        // Multi-node stacks split `data_dir` into `node-<i>` subtrees so a
-        // restart on the same directory rehydrates every node.
+        // Database nodes (WAL + segment files, replaying any prior history)
+        // under `data_dir`, or under a scratch directory without one.
+        // Multi-node stacks split the directory into `node-<i>` subtrees so
+        // a restart on the same directory rehydrates every node.
         if config.db_nodes < 1 {
             return Err(Error::config("db_nodes must be >= 1"));
         }
+        let (root, scratch) = match &config.data_dir {
+            Some(dir) => (dir.clone(), None),
+            None => {
+                let scratch = ScratchDir::new("lms-stack")?;
+                (scratch.path().to_path_buf(), Some(scratch))
+            }
+        };
         let mut db = Vec::with_capacity(config.db_nodes);
         for i in 0..config.db_nodes {
-            let influx = match &config.data_dir {
-                Some(dir) => {
-                    let dir =
-                        if config.db_nodes == 1 { dir.clone() } else { dir.join(format!("node-{i}")) };
-                    let mut storage = StorageConfig::new(dir);
-                    storage.scrub_interval = config.scrub_interval;
-                    storage.scrub_rate_bytes = config.scrub_rate_bytes;
-                    Influx::open(clock.clone(), 8, storage)?
-                }
-                None => Influx::new(clock.clone()),
-            };
-            influx.create_database("lms");
+            let dir =
+                if config.db_nodes == 1 { root.clone() } else { root.join(format!("node-{i}")) };
+            let mut storage = StorageConfig::new(dir);
+            storage.scrub_interval = config.scrub_interval;
+            storage.scrub_rate_bytes = config.scrub_rate_bytes;
+            let influx = Influx::open(clock.clone(), 8, storage)?;
+            // `CREATE DATABASE` answers the open's error, which fails `start`.
+            influx.query("lms", "CREATE DATABASE lms")?;
             if let Some(retention) = config.retention {
                 influx.set_retention("lms", Some(retention));
             }
@@ -421,6 +427,7 @@ impl LmsStack {
             ticks: 0,
             directory: Arc::new(SnapshotDirectory::default()),
             viewer_server: None,
+            _scratch: scratch,
         })
     }
 

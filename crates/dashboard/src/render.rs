@@ -354,7 +354,7 @@ mod tests {
     use lms_util::Clock;
 
     fn fixture() -> Influx {
-        let ix = Influx::new(Clock::simulated(Timestamp::from_secs(1000)));
+        let ix = Influx::new(Clock::simulated(Timestamp::from_secs(1000))).unwrap();
         let mut batch = String::new();
         for s in 0..60 {
             let v = (s as f64 / 10.0).sin() * 50.0 + 100.0;
@@ -416,7 +416,7 @@ mod tests {
 
     #[test]
     fn group_by_hostname_renders_multiple_series() {
-        let ix = Influx::new(Clock::simulated(Timestamp::from_secs(100)));
+        let ix = Influx::new(Clock::simulated(Timestamp::from_secs(100))).unwrap();
         ix.write_lines(
             "lms",
             "m,hostname=h1 value=1 1000000000\nm,hostname=h2 value=2 1000000000\n\

@@ -149,7 +149,7 @@ mod tests {
     }
 
     fn fixture() -> (Influx, JobInfo) {
-        let ix = Influx::new(Clock::simulated(Timestamp::from_secs(4000)));
+        let ix = Influx::new(Clock::simulated(Timestamp::from_secs(4000))).unwrap();
         let mut batch = String::new();
         for s in (0..1800).step_by(60) {
             let ts = s as i64 * 1_000_000_000;

@@ -218,7 +218,7 @@ mod tests {
     use lms_util::Clock;
 
     fn fixture() -> (Influx, JobInfo) {
-        let ix = Influx::new(Clock::simulated(Timestamp::from_secs(4000)));
+        let ix = Influx::new(Clock::simulated(Timestamp::from_secs(4000))).unwrap();
         let mut batch = String::new();
         for s in (0..3600).step_by(60) {
             let ts = s as i64 * 1_000_000_000;
@@ -329,7 +329,7 @@ mod tests {
 
     #[test]
     fn empty_database_still_builds_a_dashboard() {
-        let mut ix = Influx::new(Clock::simulated(Timestamp::from_secs(10)));
+        let mut ix = Influx::new(Clock::simulated(Timestamp::from_secs(10))).unwrap();
         ix.create_database("lms");
         let job = JobInfo {
             jobid: "7".into(),

@@ -1,8 +1,8 @@
 //! `lms-influxd` — the time-series database as a standalone daemon.
 //!
 //! ```text
-//! lms-influxd [--listen 127.0.0.1:8086] [--db lms]... [--retention-hours N]
-//!             [--data-dir DIR] [--flush-points N] [--flush-interval-secs N]
+//! lms-influxd --data-dir DIR [--listen 127.0.0.1:8086] [--db lms]...
+//!             [--retention-hours N] [--flush-points N] [--flush-interval-secs N]
 //!             [--partition-hours N] [--compact-min-files N] [--wal-fsync]
 //!             [--wal-group-commit-ms N] [--wal-group-commit-bytes N]
 //!             [--scrub-interval-secs N] [--scrub-rate-bytes N]
@@ -16,10 +16,13 @@
 //! existing collector that can speak to InfluxDB can point at it (the
 //! paper's integration premise).
 //!
-//! Without `--data-dir` the daemon is memory-only. With it, every write is
-//! appended to a write-ahead log and periodically sealed into compressed
-//! segment files; a restarted daemon replays both and serves the same
-//! queries as before the restart. A database is sealed once its oldest
+//! `--data-dir` is required: every database the daemon holds lives under
+//! it, one directory each, named after it (a name that cannot be a
+//! directory name — `/`, `.` or anything else but ASCII letters, digits,
+//! `_` and `-` — is refused with `400`). Every write is appended to a
+//! write-ahead log and periodically sealed into compressed segment files;
+//! a restarted daemon replays both and serves the same queries as before
+//! the restart. A database is sealed once its oldest
 //! un-sealed value is `--flush-interval-secs` old, or earlier when it holds
 //! `--flush-points` un-sealed field values — a bound on head memory and WAL
 //! replay length, not a block size.
@@ -54,9 +57,8 @@ fn run() -> Result<()> {
     let mut databases: Vec<String> = Vec::new();
     let mut retention: Option<Duration> = None;
     let mut rollup: Option<RollupPolicy> = None;
-    let mut data_dir: Option<String> = None;
-    // The persistence flags set their field over the defaults; the
-    // directory comes with `--data-dir`.
+    // The storage flags set their field over the defaults; the directory
+    // comes with `--data-dir`, which is required.
     let mut storage = StorageConfig::new("");
     let mut server_config = ServerConfig::default();
     let mut it = args.iter();
@@ -86,8 +88,8 @@ fn run() -> Result<()> {
                     Some(parse_retention(&mut it, "--retention-1h")?);
             }
             "--data-dir" => {
-                data_dir =
-                    Some(it.next().ok_or_else(|| Error::config("--data-dir needs a path"))?.clone())
+                let dir = it.next().ok_or_else(|| Error::config("--data-dir needs a path"))?;
+                storage.data_dir = dir.into();
             }
             "--flush-points" => storage.flush_points = parse_num(&mut it, "--flush-points")?,
             "--flush-interval-secs" => {
@@ -125,9 +127,10 @@ fn run() -> Result<()> {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: lms-influxd [--listen addr:port] [--db name]... [--retention-hours N]\n\
+                    "usage: lms-influxd --data-dir DIR [--listen addr:port] [--db name]...\n\
+                     \x20                 [--retention-hours N]\n\
                      \x20                 [--retention-raw DUR] [--retention-1m DUR] [--retention-1h DUR]\n\
-                     \x20                 [--data-dir DIR] [--flush-points N] [--flush-interval-secs N]\n\
+                     \x20                 [--flush-points N] [--flush-interval-secs N]\n\
                      \x20                 [--partition-hours N] [--compact-min-files N] [--wal-fsync]\n\
                      \x20                 [--wal-group-commit-ms N] [--wal-group-commit-bytes N]\n\
                      \x20                 [--scrub-interval-secs N] [--scrub-rate-bytes N]\n\
@@ -146,13 +149,12 @@ fn run() -> Result<()> {
         }
     }
 
-    let influx = match &data_dir {
-        Some(dir) => {
-            storage.data_dir = dir.into();
-            Influx::open(Clock::system(), 8, storage)?
-        }
-        None => Influx::new(Clock::system()),
-    };
+    // No scratch default: a killed daemon never runs the drop that would
+    // remove it, so every run would leak a directory.
+    if storage.data_dir.as_os_str().is_empty() {
+        return Err(Error::config("--data-dir DIR is required: every database is stored under it"));
+    }
+    let influx = Influx::open(Clock::system(), 8, storage.clone())?;
     if databases.is_empty() {
         databases.push("lms".to_string());
     }
@@ -166,22 +168,19 @@ fn run() -> Result<()> {
         influx.enable_rollups(policy.clone())?;
         println!("rollups: raw={:?} 1m={:?} 1h={:?}", policy.retention_raw, policy.retention_1m, policy.retention_1h);
     }
-    // Held for the daemon's lifetime: flushes and compacts in the
-    // background when persistence is enabled.
+    // Held for the daemon's lifetime: flushes and compacts in the background.
     let _worker = influx.spawn_storage_worker();
     let server = InfluxServer::start_with(listen.as_str(), server_config, influx.clone())?;
     println!("lms-influxd listening on http://{}", server.addr());
     println!("databases: {:?}", influx.database_names());
-    if let Some(dir) = &data_dir {
-        let s = influx.storage_stats();
-        println!(
-            "persistence: {dir} ({} segment files, {} WAL records replayed)",
-            s.segment_files, s.recovered_records
-        );
-    }
+    let s = influx.storage_stats();
+    println!(
+        "persistence: {} ({} segment files, {} WAL records replayed)",
+        storage.data_dir.display(), s.segment_files, s.recovered_records
+    );
 
-    // Retention sweep loop; runs until killed. The storage worker (when
-    // persistent) flushes and compacts on its own cadence.
+    // Retention sweep loop; runs until killed. The storage worker flushes
+    // and compacts on its own cadence.
     loop {
         std::thread::sleep(Duration::from_secs(60));
         if retention.is_some() || rollup.is_some() {

@@ -242,7 +242,7 @@ mod tests {
     use lms_util::{Clock, Timestamp};
 
     fn start() -> (InfluxServer, InfluxClient) {
-        let influx = Influx::new(Clock::simulated(Timestamp::from_secs(1000)));
+        let influx = Influx::new(Clock::simulated(Timestamp::from_secs(1000))).unwrap();
         let server = InfluxServer::start("127.0.0.1:0", influx).unwrap();
         let client = InfluxClient::connect(server.addr()).unwrap();
         (server, client)

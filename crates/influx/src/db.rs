@@ -27,7 +27,7 @@
 //! [`Arc<Database>`] map: writes only when a database is created), and each
 //! database partitions its series across [`DEFAULT_SHARDS`] lock-striped
 //! shards selected by series-key hash. Points enter a shard one way only,
-//! WAL replay included: [`Database::write_parsed_batch`] stages them in the
+//! WAL replay included: `Database::write_parsed_batch` stages them in the
 //! shard's append buffer, and whichever writer finds the shard backlogged
 //! and free drains it (the `staging` submodule owns the buffer and that
 //! decision).
@@ -43,8 +43,10 @@
 //! Lock order is `meta` → shard `data` → staging buffer, established in
 //! `series_slot`'s callers and the retention sweep; the hot
 //! path takes a single shard lock and nothing else. The retention gate
-//! sits outside them all: staging holds it shared, retention exclusively,
-//! and neither takes it while holding another lock. Series are stored as
+//! sits outside them all: a batch holds it shared from its WAL append
+//! through its staging, retention and a flush's WAL rotation (so a frozen
+//! segment holds only staged records) exclusively, none of them while
+//! holding another lock. Series are stored as
 //! `Arc<Series>` so queries snapshot cheaply (clone the `Arc`s under a
 //! shard read lock) while writers mutate in place through `Arc::make_mut`
 //! — the copy-on-write clone only triggers when a query holds the same
@@ -68,8 +70,8 @@ use index::{shrink_sparse_map, shrink_sparse_vec, MeasurementIndex};
 use lms_lineproto::{parse_batch, ParsedLine, Precision};
 use lms_rollup::Tier;
 use lms_tsm::wal::MAX_BATCH_BYTES;
-use lms_tsm::{BlockEntry, Recovered, Scrubber, SeriesId, TsmConfig, TsmEngine};
-use lms_util::{hash::fx_hash, Clock, Error, FxHashMap, Result, Supervisor};
+use lms_tsm::{BlockEntry, Scrubber, SeriesId, TsmConfig, TsmEngine};
+use lms_util::{hash::fx_hash, scratch::ScratchDir, Clock, Error, FxHashMap, Result, Supervisor};
 use parking_lot::{Mutex, RwLock};
 use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicU64, AtomicUsize};
@@ -80,8 +82,8 @@ use std::time::Duration;
 pub const DEFAULT_SHARDS: usize = 16;
 
 /// A database name that is safe to use verbatim as a directory name (and
-/// to round-trip back from one at startup). Other names fall back to
-/// memory-only storage.
+/// to round-trip back from one at startup). A database of any other name is
+/// refused, as InfluxDB 1.x refuses path-like names.
 fn is_safe_db_name(name: &str) -> bool {
     !name.is_empty()
         && name.len() <= 128
@@ -200,20 +202,19 @@ impl Default for QueryTuning {
     }
 }
 
-/// One logical database with lock-striped series storage and an optional
-/// persistent engine beneath it.
+/// One logical database: lock-striped series storage with its persistent
+/// engine beneath it.
 #[derive(Debug)]
 pub struct Database {
     /// The stripes; length is a power of two so shard selection is a mask.
     shards: Box<[ShardSlot]>,
     meta: RwLock<Meta>,
-    /// Held shared by a batch from its series' registration through the
-    /// staging of their points, and exclusively by retention, which removes
-    /// series: every staged point's series exists when its shard drains.
+    /// Held shared by a batch from its WAL append through its staging, and
+    /// exclusively by retention, which removes series, and by a flush while
+    /// it rotates the WAL: see the module docs.
     retention_gate: RwLock<()>,
-    /// Persistence, when configured. The in-memory layer is always the
-    /// source of truth for reads; the engine makes it durable.
-    engine: Option<Arc<TsmEngine>>,
+    /// The WAL and segment files that make the in-memory layer durable.
+    engine: Arc<TsmEngine>,
     /// Blocks sealed in memory whose segment write failed: retried by the
     /// next flush so the on-disk state catches up (the WAL still covers
     /// them in the meantime).
@@ -230,21 +231,40 @@ pub struct Database {
 }
 
 impl Database {
-    /// An empty database with `shards` lock stripes (rounded up to a power
-    /// of two).
-    fn with_shards(shards: usize) -> Self {
-        let n = shards.max(1).next_power_of_two();
-        Database {
-            shards: (0..n).map(|_| ShardSlot::default()).collect(),
+    /// Opens (or creates) a database with `shards` lock stripes (a power of
+    /// two) and installs what its engine recovered: sealed blocks first
+    /// (ascending generation, which re-creates series in their pre-crash
+    /// first-write order), then the WAL replay on top (its newer values win
+    /// over sealed duplicates because the head outranks every block). The
+    /// result serves the same queries as the pre-restart instance.
+    fn open(shards: usize, cfg: TsmConfig) -> Result<Database> {
+        let (engine, recovered) = TsmEngine::open(cfg)?;
+        let db = Database {
+            shards: (0..shards).map(|_| ShardSlot::default()).collect(),
             meta: RwLock::new(Meta::default()),
             retention_gate: RwLock::new(()),
-            engine: None,
+            engine: Arc::new(engine),
             unflushed: Mutex::new(Vec::new()),
             unsealed: AtomicUsize::new(0),
             tuning: RwLock::new(QueryTuning::default()),
             rollup: rollup::RollupState::default(),
             scrubber: Mutex::new(Scrubber::new()),
+        };
+        for BlockEntry { series: id, field, block } in recovered.blocks {
+            let mut meta = db.meta.write();
+            let mut shard = db.shard_of(&id.series_key).data.write();
+            let series = series_slot(&mut meta, &mut shard, &id.series_key, || id.clone());
+            Arc::make_mut(series).field_mut_or_create(&field).push_sealed(block);
         }
+        for record in &recovered.wal_records {
+            // WAL batches are normalized at append time: every line carries
+            // an explicit nanosecond timestamp, so replay is deterministic.
+            // Records stage in log order, so overwrites resolve as they did
+            // before the crash.
+            let _gate = db.retention_gate.read();
+            db.write_parsed_batch(&parse_batch(&record.batch).lines, WriteOptions::default(), 0);
+        }
+        Ok(db)
     }
 
     /// The executor tuning knobs currently in effect.
@@ -257,41 +277,9 @@ impl Database {
         *self.tuning.write() = tuning;
     }
 
-    /// Opens (or creates) a persistent database: sealed blocks are loaded
-    /// from segment files and acknowledged-but-unflushed batches are
-    /// replayed from the WAL, so the result serves the same queries as the
-    /// pre-restart instance.
-    fn open_persistent(shards: usize, cfg: TsmConfig) -> Result<Database> {
-        let (engine, recovered) = TsmEngine::open(cfg)?;
-        let mut db = Database::with_shards(shards);
-        db.engine = Some(Arc::new(engine));
-        db.install_recovered(recovered);
-        Ok(db)
-    }
-
-    /// The persistent engine, when this database has one.
-    pub fn engine(&self) -> Option<&Arc<TsmEngine>> {
-        self.engine.as_ref()
-    }
-
-    /// Installs recovered state: sealed blocks first (ascending generation,
-    /// which re-creates series in their pre-crash first-write order), then
-    /// the WAL replay on top (its newer values win over sealed duplicates
-    /// because the head outranks every block).
-    fn install_recovered(&self, recovered: Recovered) {
-        for BlockEntry { series: id, field, block } in recovered.blocks {
-            let mut meta = self.meta.write();
-            let mut shard = self.shard_of(&id.series_key).data.write();
-            let series = series_slot(&mut meta, &mut shard, &id.series_key, || id.clone());
-            Arc::make_mut(series).field_mut_or_create(&field).push_sealed(block);
-        }
-        for record in &recovered.wal_records {
-            // WAL batches are normalized at append time: every line carries
-            // an explicit nanosecond timestamp, so replay is deterministic.
-            // Records stage in log order, so overwrites resolve as they did
-            // before the crash.
-            self.write_parsed_batch(&parse_batch(&record.batch).lines, WriteOptions::default(), 0);
-        }
+    /// The storage engine.
+    pub fn engine(&self) -> &Arc<TsmEngine> {
+        &self.engine
     }
 
     fn shard_index(&self, key: &str) -> usize {
@@ -414,9 +402,8 @@ struct Inner {
     auto_create: bool,
     /// Stripe count for newly created databases.
     shard_count: usize,
-    /// Persistence configuration; `None` keeps the pre-PR memory-only
-    /// behaviour.
-    storage: Option<StorageConfig>,
+    /// Where and how every database is stored.
+    storage: StorageConfig,
     /// Supervisor of the background storage worker, installed by
     /// [`Influx::spawn_storage_worker`]; drives `/health/ready`.
     supervisor: Option<Supervisor>,
@@ -427,25 +414,8 @@ struct Inner {
     /// `benchmark/` flip this to compare tier-served against raw-decoded
     /// answers.
     query_tiers: Option<Vec<Tier>>,
-}
-
-impl Inner {
-    /// Builds a database, persistent when storage is configured and the
-    /// name is directory-safe (other names stay memory-only — they cannot
-    /// round-trip through a path).
-    fn make_database(&self, name: &str) -> Result<Arc<Database>> {
-        let db = match &self.storage {
-            Some(cfg) if is_safe_db_name(name) => Arc::new(Database::open_persistent(
-                self.shard_count,
-                cfg.tsm_config(name),
-            )?),
-            _ => Arc::new(Database::with_shards(self.shard_count)),
-        };
-        if let Some(policy) = &self.rollup {
-            rollup::apply_rollup_policy(name, &db, policy);
-        }
-        Ok(db)
-    }
+    /// An [`Influx::new`] node's data directory, removed after the above.
+    scratch: Option<ScratchDir>,
 }
 
 /// Thread-safe embedded handle to the whole storage.
@@ -464,57 +434,55 @@ pub struct Influx {
 
 impl Influx {
     /// Creates an empty storage with auto-create enabled and the default
-    /// shard count.
-    pub fn new(clock: Clock) -> Self {
+    /// shard count (see [`Self::with_shards`]).
+    pub fn new(clock: Clock) -> Result<Influx> {
         Self::with_shards(clock, DEFAULT_SHARDS)
     }
 
-    /// Creates an empty storage whose databases use `shards` lock stripes.
-    pub fn with_shards(clock: Clock, shards: usize) -> Self {
-        Influx {
+    /// Creates an empty storage whose databases use `shards` lock stripes,
+    /// stored as [`Self::open`] stores them, on a fresh scratch directory
+    /// under [`std::env::temp_dir`] removed when the last handle drops.
+    pub fn with_shards(clock: Clock, shards: usize) -> Result<Influx> {
+        let scratch = ScratchDir::new("lms-influx")?;
+        let ix = Influx::open(clock, shards, StorageConfig::new(scratch.path()))?;
+        ix.inner.write().scratch = Some(scratch);
+        Ok(ix)
+    }
+
+    /// Opens the storage rooted at `storage.data_dir`: every database found
+    /// on disk is recovered immediately (sealed segments + WAL replay), and
+    /// databases created later persist under the same root. Queries served
+    /// after a restart match the pre-restart state up to the last
+    /// acknowledged write.
+    pub fn open(clock: Clock, shards: usize, storage: StorageConfig) -> Result<Influx> {
+        std::fs::create_dir_all(&storage.data_dir)?;
+        let mut names = Vec::new();
+        for entry in std::fs::read_dir(&storage.data_dir)? {
+            let entry = entry?;
+            let name = entry.file_name().into_string().unwrap_or_default();
+            if entry.file_type()?.is_dir() && is_safe_db_name(&name) {
+                names.push(name);
+            }
+        }
+        names.sort_unstable();
+        let ix = Influx {
             inner: Arc::new(RwLock::new(Inner {
                 databases: FxHashMap::default(),
                 auto_create: true,
                 shard_count: shards.max(1).next_power_of_two(),
-                storage: None,
+                storage,
                 supervisor: None,
                 rollup: None,
                 query_tiers: None,
+                scratch: None,
             })),
             clock,
             worker_panics: Arc::new(AtomicU64::new(0)),
             rollup_passes: Arc::new(AtomicU64::new(0)),
             rollup_windows: Arc::new(AtomicU64::new(0)),
-        }
-    }
-
-    /// Opens a *persistent* storage rooted at `storage.data_dir`: every
-    /// database found on disk is recovered immediately (sealed segments +
-    /// WAL replay), and databases created later persist under the same
-    /// root. Queries served after a restart match the pre-restart state up
-    /// to the last acknowledged write.
-    pub fn open(clock: Clock, shards: usize, storage: StorageConfig) -> Result<Influx> {
-        let ix = Influx::with_shards(clock, shards);
-        std::fs::create_dir_all(&storage.data_dir)?;
-        let dir = storage.data_dir.clone();
-        ix.inner.write().storage = Some(storage);
-        let mut names = Vec::new();
-        for entry in std::fs::read_dir(&dir)? {
-            let entry = entry?;
-            if !entry.file_type()?.is_dir() {
-                continue;
-            }
-            if let Ok(name) = entry.file_name().into_string() {
-                if is_safe_db_name(&name) {
-                    names.push(name);
-                }
-            }
-        }
-        names.sort_unstable();
+        };
         for name in names {
-            let mut inner = ix.inner.write();
-            let db = inner.make_database(&name)?;
-            inner.databases.insert(name, db);
+            ix.open_database(&name)?;
         }
         Ok(ix)
     }
@@ -525,24 +493,38 @@ impl Influx {
         self.inner.write().auto_create = enabled;
     }
 
-    /// Creates a database (idempotent). If persistence is configured but
-    /// the on-disk open fails, the database degrades to memory-only rather
-    /// than failing creation.
+    /// Creates a database (idempotent). One that cannot be opened — its
+    /// name is not directory-safe, or the open fails — is not registered:
+    /// a write to it then answers the error, and `CREATE DATABASE` does.
     pub fn create_database(&self, name: &str) {
+        let _ = self.open_database(name);
+    }
+
+    /// The database `name`, opened under the data directory and registered
+    /// when new. A name that cannot round-trip through a path is refused
+    /// (`400`), as is one whose open fails (its I/O error): nothing is kept
+    /// in memory only.
+    fn open_database(&self, name: &str) -> Result<Arc<Database>> {
         let mut inner = self.inner.write();
-        if inner.databases.contains_key(name) {
-            return;
+        if let Some(existing) = inner.databases.get(name) {
+            return Ok(existing.clone());
         }
-        let db = inner
-            .make_database(name)
-            .unwrap_or_else(|_| Arc::new(Database::with_shards(inner.shard_count)));
-        inner.databases.insert(name.to_string(), db);
+        if !is_safe_db_name(name) {
+            return Err(Error::protocol(format!(
+                "database name {name:?}: use 1 to 128 ASCII letters, digits, `_` or `-`"
+            )));
+        }
+        let db = Arc::new(Database::open(inner.shard_count, inner.storage.tsm_config(name))?);
+        if let Some(policy) = &inner.rollup {
+            rollup::apply_rollup_policy(name, &db, policy);
+        }
+        inner.databases.insert(name.to_string(), db.clone());
+        Ok(db)
     }
 
     /// Sets the retention window of a database (creating it if needed).
     pub fn set_retention(&self, db: &str, retention: Option<Duration>) {
-        self.create_database(db);
-        if let Some(found) = self.database(db) {
+        if let Ok(found) = self.open_database(db) {
             found.set_retention(retention);
         }
     }
@@ -577,31 +559,26 @@ impl Influx {
         if let Some(found) = self.database(db) {
             return Ok(found);
         }
-        let mut inner = self.inner.write();
-        if let Some(existing) = inner.databases.get(db) {
-            return Ok(existing.clone());
-        }
-        if !inner.auto_create {
+        if !self.inner.read().auto_create {
             return Err(Error::not_found(format!("database `{db}`")));
         }
         if crate::user_view(db).is_some() {
             let global = crate::GLOBAL_DB;
             return Err(Error::not_found(format!("database `{db}` (a view of `{global}`)")));
         }
-        let created = inner.make_database(db)?;
-        inner.databases.insert(db.to_string(), created.clone());
-        Ok(created)
+        self.open_database(db)
     }
 
     /// Writes a line-protocol batch. Malformed lines are counted and
     /// skipped, not fatal (the paper's stack must survive a misbehaving
     /// collector). Fails when the database does not exist and auto-create
-    /// is off, and with `Error::Invalid` when the batch, each line given its
-    /// timestamp, is too large for one WAL record; a refused batch leaves
-    /// nothing in memory.
+    /// is off, when it cannot be created (see [`Self::create_database`]),
+    /// with `Error::Invalid` when the batch, each line given its timestamp,
+    /// is too large for one WAL record, and with the append's error when it
+    /// cannot be logged; a refused batch leaves nothing behind.
     ///
-    /// The whole batch goes through [`Database::write_parsed_batch`], and
-    /// the WAL append joins a group commit shared with concurrent batches.
+    /// The batch is logged, joining a WAL group commit shared with
+    /// concurrent batches, and then staged (see `log_and_stage`).
     pub fn write_lines(&self, db: &str, batch: &str, opts: WriteOptions) -> Result<WriteOutcome> {
         let parsed = parse_batch(batch);
         let default_ts = self.clock.now().nanos();
@@ -609,23 +586,19 @@ impl Influx {
         // The WAL batch is normalized — every line carries its resolved
         // nanosecond timestamp — so replay after a crash is deterministic
         // and idempotent (re-applying overwrites with identical values).
-        let mut wal_batch = String::new();
-        if database.engine().is_some() {
-            wal_batch.reserve(batch.len() + 16);
-            for line in &parsed.lines {
-                if line.timestamp.is_some() && matches!(opts.precision, Precision::Nanoseconds) {
-                    wal_batch.push_str(line.raw);
-                } else {
-                    let ts =
-                        line.timestamp.map(|t| opts.precision.to_nanos(t)).unwrap_or(default_ts);
-                    let mut point = line.to_point();
-                    point.set_timestamp(ts);
-                    wal_batch.push_str(&point.to_line());
-                }
-                wal_batch.push('\n');
+        let mut wal_batch = String::with_capacity(batch.len() + 16);
+        for line in &parsed.lines {
+            if line.timestamp.is_some() && matches!(opts.precision, Precision::Nanoseconds) {
+                wal_batch.push_str(line.raw);
+            } else {
+                let ts = line.timestamp.map(|t| opts.precision.to_nanos(t)).unwrap_or(default_ts);
+                let mut point = line.to_point();
+                point.set_timestamp(ts);
+                wal_batch.push_str(&point.to_line());
             }
+            wal_batch.push('\n');
         }
-        let written = self.stage_and_log(&database, &parsed.lines, &wal_batch, opts, default_ts)?;
+        let written = self.log_and_stage(&database, &parsed.lines, &wal_batch, opts, default_ts)?;
         Ok(WriteOutcome {
             written,
             rejected: parsed.errors.len(),
@@ -633,13 +606,15 @@ impl Influx {
         })
     }
 
-    /// Stages `lines` in `database`, then logs `wal_batch`, their text with
-    /// every timestamp resolved: the one way points enter a database, after
-    /// [`Self::write_lines`]' parse or from a rollup pass's row writer. A
-    /// batch is acknowledged only once logged; one that cannot be logged is
-    /// refused whole, and while the storage is degraded every batch is
-    /// refused before it is staged.
-    fn stage_and_log(
+    /// Logs `wal_batch`, the text of `lines` with every timestamp resolved,
+    /// then stages `lines` in `database`: the one way points enter a
+    /// database, after [`Self::write_lines`]' parse or from a rollup pass's
+    /// row writer. A batch that cannot be logged is refused whole and never
+    /// staged, and while the storage is degraded every batch is refused up
+    /// front. The retention gate is held shared from the append through the
+    /// staging, so a flush, which rotates the WAL under the gate held
+    /// exclusively, finds every record of a frozen segment staged.
+    fn log_and_stage(
         &self,
         database: &Database,
         lines: &[ParsedLine<'_>],
@@ -647,9 +622,7 @@ impl Influx {
         opts: WriteOptions,
         default_ts: i64,
     ) -> Result<usize> {
-        if let Some(engine) = database.engine() {
-            engine.writable()?;
-        }
+        database.engine.writable()?;
         if wal_batch.len() > MAX_BATCH_BYTES {
             return Err(Error::invalid(format!(
                 "the batch takes {} bytes with its timestamps, over the \
@@ -657,11 +630,12 @@ impl Influx {
                 wal_batch.len()
             )));
         }
-        let written = database.write_parsed_batch(lines, opts, default_ts);
-        if let Some(engine) = database.engine().filter(|_| !lines.is_empty()) {
-            engine.append_wal(wal_batch, lines.len() as u64)?;
+        if lines.is_empty() {
+            return Ok(0);
         }
-        Ok(written)
+        let _gate = database.retention_gate.read();
+        database.engine.append_wal(wal_batch, lines.len() as u64)?;
+        Ok(database.write_parsed_batch(lines, opts, default_ts))
     }
 
     /// Runs a query statement string against a database or a user view
@@ -670,7 +644,7 @@ impl Influx {
         let stmt = Statement::parse(q)?;
         match stmt {
             Statement::CreateDatabase(name) => {
-                self.create_database(&name);
+                self.open_database(&name)?;
                 Ok(QueryResult::empty())
             }
             Statement::ShowDatabases => {

@@ -258,7 +258,8 @@ mod tests {
             lists in proptest::collection::vec(conditions(), 1..8),
             recreate in proptest::collection::vec(any::<bool>(), 40),
         ) {
-            let db = Database::with_shards(4);
+            let scratch = lms_util::scratch::ScratchDir::new("lms-index").unwrap();
+            let db = Database::open(4, lms_tsm::TsmConfig::new(scratch.path())).unwrap();
             db.set_retention(Some(Duration::from_secs(100)));
             // The model: tag sets in first-write order, and which of them
             // hold a point retention keeps.

@@ -28,12 +28,10 @@ impl Database {
     /// the quarantined partitions' in-memory sealed blocks with whatever
     /// the surviving files still hold — so reads stop serving data whose
     /// backing file is gone, and the damaged range is visible for repair.
-    /// No-op without a persistent engine.
     pub fn scrub_storage(&self, budget_bytes: u64) -> Result<ScrubOutcome> {
-        let Some(engine) = &self.engine else { return Ok(ScrubOutcome::default()) };
-        let outcome = self.scrubber.lock().run(engine, budget_bytes)?;
+        let outcome = self.scrubber.lock().run(&self.engine, budget_bytes)?;
         for report in &outcome.quarantined {
-            let reloaded = engine.reload_partition(report.partition).unwrap_or_default();
+            let reloaded = self.engine.reload_partition(report.partition).unwrap_or_default();
             self.replace_partition_blocks(report.start_ns, report.end_ns, reloaded);
         }
         Ok(outcome)

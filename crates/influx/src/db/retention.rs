@@ -49,15 +49,13 @@ impl Database {
             super::index::shrink_sparse_map(&mut meta.measurements);
         }
         self.rollup.note_cutoff(cutoff);
-        if let Some(engine) = &self.engine {
-            // Defense in depth: the engine refuses to unlink partitions
-            // reaching past the rollup clamp even if a future caller passes
-            // a miscomputed cutoff.
-            engine.set_drop_floor(clamp);
-            // Best-effort: whole expired segment files are unlinked without
-            // scanning; a failed unlink retries next sweep.
-            let _ = engine.drop_expired(cutoff);
-        }
+        // Defense in depth: the engine refuses to unlink partitions reaching
+        // past the rollup clamp even if a future caller passes a
+        // miscomputed cutoff.
+        self.engine.set_drop_floor(clamp);
+        // Best-effort: whole expired segment files are unlinked without
+        // scanning; a failed unlink retries next sweep.
+        let _ = self.engine.drop_expired(cutoff);
         evicted
     }
 }

@@ -115,8 +115,8 @@ pub(super) fn apply_rollup_policy(name: &str, db: &Database, policy: &RollupPoli
 
 /// The tier rows a rollup pass writes into one tier database. Each row is
 /// formatted once ([`lms_rollup::write_row`]) and recorded as the values it
-/// was formatted from, so it is staged without a parse and logged as its
-/// text, one batch per [`TIER_CHUNK_BYTES`] of text.
+/// was formatted from, so it is logged as its text and staged without a
+/// parse, one batch per [`TIER_CHUNK_BYTES`] of text.
 #[derive(Default)]
 struct TierRows<'s> {
     text: String,
@@ -131,7 +131,7 @@ struct TierRows<'s> {
 const TIER_CHUNK_BYTES: usize = 256 << 10;
 
 impl<'s> TierRows<'s> {
-    /// Stages and logs the first `n` rows; returns `n`.
+    /// Logs and stages the first `n` rows; returns `n`.
     fn stage(&mut self, ix: &Influx, db: &Database, n: usize) -> Result<usize> {
         let held: usize = self.rows[..n].iter().map(|row| row.3).sum();
         let (mut values, mut at) = (self.values.drain(..held), 0);
@@ -142,7 +142,7 @@ impl<'s> TierRows<'s> {
                 ParsedLine::canonical(raw, series.measurement(), series.tags(), fields, ws)
             })
             .collect();
-        ix.stage_and_log(db, &lines, &self.text[..at], WriteOptions::default(), 0)?;
+        ix.log_and_stage(db, &lines, &self.text[..at], WriteOptions::default(), 0)?;
         drop(lines);
         self.text.drain(..at);
         Ok(n)
@@ -273,8 +273,7 @@ impl Influx {
             }
             // Created under the policy, which gave it its tier's retention.
             let tier_name = rollup_db_name(base, tier);
-            self.create_database(&tier_name);
-            let tier_db = self.database_or_create(&tier_name)?;
+            let tier_db = self.open_database(&tier_name)?;
             let mut rows = TierRows::default();
             for series in &snapshot {
                 // (window start, field, aggregate), sorted by window start

@@ -47,17 +47,18 @@ impl Database {
     /// already sealed in memory are kept in `unflushed` and
     /// re-written by the next flush.
     pub fn flush_storage(&self) -> Result<usize> {
-        let Some(engine) = &self.engine else { return Ok(0) };
-        let mut session = engine.begin_flush()?;
+        // Rotate under the retention gate, which a batch holds shared from
+        // its WAL append through its staging: every record in a now-frozen
+        // segment is staged, so the drain below applies (and the sweep
+        // seals) it. Points whose records land in the new active segment
+        // may be sealed *and* replayed — replay is idempotent.
+        let gate = self.retention_gate.write();
+        let mut session = self.engine.begin_flush()?;
+        drop(gate);
         // Every value the gauge has counted by now is staged or in a head
         // (see `unsealed_values`), so the drain and the sweep below seal it
         // and a successful flush may settle the gauge by this much.
         let claimed = self.unsealed.load(Ordering::Acquire);
-        // Drain AFTER rotating the WAL: any point staged before its WAL
-        // record landed in a now-frozen segment is applied (and sealed)
-        // below, so checkpointing those segments loses nothing. Points
-        // whose records land in the new active segment may be sealed *and*
-        // replayed — replay is idempotent.
         self.drain_all_pending();
         let mut entries = std::mem::take(&mut *self.unflushed.lock());
         for id in self.series_in_flush_order() {
@@ -75,8 +76,8 @@ impl Database {
                 // only one partition's data and retention can unlink them
                 // whole.
                 let head = col.take_head();
-                for run in partition_runs(engine, &head) {
-                    let block = Arc::new(SealedBlock::seal(engine.next_gen(), run));
+                for run in partition_runs(&self.engine, &head) {
+                    let block = Arc::new(SealedBlock::seal(self.engine.next_gen(), run));
                     col.push_sealed(block.clone());
                     entries.push(BlockEntry { series: id.clone(), field: field.clone(), block });
                 }
@@ -107,8 +108,7 @@ impl Database {
     /// its files untouched. Returns the number of blocks written (0 when no
     /// partition is due).
     pub(super) fn compact_due_partitions(&self) -> Result<usize> {
-        let Some(engine) = &self.engine else { return Ok(0) };
-        let due = engine.partitions_to_compact();
+        let due = self.engine.partitions_to_compact();
         if due.is_empty() {
             return Ok(0);
         }
@@ -118,7 +118,7 @@ impl Database {
     /// Merges, per column, the sealed blocks living in `partitions` (`None`
     /// = every block) and replaces those partitions' segment files.
     fn compact_partitions(&self, partitions: Option<&[i64]>) -> Result<usize> {
-        let Some(engine) = &self.engine else { return Ok(0) };
+        let engine = &self.engine;
         let mut session = engine.begin_rewrite(partitions);
         let mut entries: Vec<BlockEntry> = Vec::new();
         // (series, field, blocks merged away, their replacement) to install
@@ -203,7 +203,7 @@ impl Database {
 
 impl Influx {
     /// Flushes every database's mutable heads to disk; returns total
-    /// blocks sealed. No-op (0) without persistence. With rollups enabled,
+    /// blocks sealed. With rollups enabled,
     /// each base flush is followed by a rollup pass over the sealed
     /// ranges, keeping the tiers continuously current.
     pub fn flush_storage(&self) -> Result<usize> {

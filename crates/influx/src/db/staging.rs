@@ -1,10 +1,11 @@
 //! The ingest path: thread-local stage → per-shard staging buffer → drain
 //! → each value appended to its [`Column`](crate::storage::Column).
 //!
-//! [`Database::write_parsed_batch`] is the only way points enter the series
-//! maps (WAL replay included). It stages a parsed batch per shard in
-//! thread-local scratch, hands each touched shard's share to that shard's
-//! [`Staged`] buffer under a brief mutex, and then decides — here and
+//! `Database::write_parsed_batch` is the only way points enter the series
+//! maps: after the batch's WAL append, or from WAL replay. It stages a
+//! parsed batch per shard in thread-local scratch, hands each touched
+//! shard's share to that shard's [`Staged`] buffer under a brief mutex,
+//! and then decides — here and
 //! nowhere else — whether to apply now or leave the points staged: a shard
 //! is drained only once its backlog is worth a splice
 //! ([`DRAIN_BATCH_POINTS`]) and its `data` lock is free. Whoever wins that
@@ -228,19 +229,14 @@ impl Database {
     /// Visibility: a point may remain staged briefly after this returns,
     /// but its series is registered in `meta` before it is staged, and a
     /// read drains the shard of every series it reads, so callers always
-    /// see their own completed writes.
-    pub fn write_parsed_batch(
+    /// see their own completed writes. The caller holds the retention gate
+    /// shared: no sweep removes a series before its points are staged.
+    pub(super) fn write_parsed_batch(
         &self,
         lines: &[ParsedLine<'_>],
         opts: WriteOptions,
         default_ts: i64,
     ) -> usize {
-        if lines.is_empty() {
-            return 0;
-        }
-        // From the series' registration through their points' staging: no
-        // retention sweep removes a series in between.
-        let _gate = self.retention_gate.read();
         INGEST_SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
             if scratch.stages.len() < self.shards.len() {
@@ -451,7 +447,7 @@ mod tests {
 
     #[test]
     fn a_point_staged_for_a_gcd_series_is_visible_to_the_next_select() {
-        let ix = Influx::new(Clock::simulated(Timestamp::from_secs(1000)));
+        let ix = Influx::new(Clock::simulated(Timestamp::from_secs(1000))).unwrap();
         ix.set_retention("lms", Some(std::time::Duration::from_secs(100)));
         let staged = |ix: &Influx| ix.storage_stats().shard_buffer_depth;
         let rows = |ix: &Influx, host: &str| {
@@ -505,7 +501,7 @@ mod tests {
             ),
             read_between in any::<bool>(),
         ) {
-            let ix = Influx::new(Clock::simulated(Timestamp::from_secs(1000)));
+            let ix = Influx::new(Clock::simulated(Timestamp::from_secs(1000))).unwrap();
             let mut want: BTreeMap<(String, String), BTreeMap<i64, i64>> = BTreeMap::new();
             for batch in &batches {
                 let mut body = String::new();
@@ -543,7 +539,7 @@ mod tests {
 
     #[test]
     fn storage_stats_reads_without_draining() {
-        let ix = Influx::new(Clock::simulated(Timestamp::from_secs(1000)));
+        let ix = Influx::new(Clock::simulated(Timestamp::from_secs(1000))).unwrap();
         let body: String = (0..100).map(|i| format!("m,host=h{} v={i} {i}\n", i % 4)).collect();
         ix.write_lines("lms", &body, Default::default()).unwrap();
         for _ in 0..2 {

@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 // Writes, queries, views and reopening (`db.rs`).
 
 fn influx() -> Influx {
-    Influx::new(Clock::simulated(Timestamp::from_secs(1000)))
+    Influx::new(Clock::simulated(Timestamp::from_secs(1000))).unwrap()
 }
 
 #[test]
@@ -120,7 +120,11 @@ fn duplicate_point_overwrites() {
 
 #[test]
 fn shard_count_is_power_of_two() {
-    let shards = |n| Database::with_shards(n).shards.len();
+    let shards = |n| {
+        let ix = Influx::with_shards(Clock::simulated(Timestamp::from_secs(1000)), n).unwrap();
+        ix.create_database("lms");
+        ix.database("lms").unwrap().shards.len()
+    };
     assert_eq!((shards(1), shards(3), shards(16)), (1, 4, 16));
     let ix = influx();
     ix.create_database("lms");
@@ -133,7 +137,7 @@ fn single_shard_engine_behaves_identically() {
     // sharded engine exactly.
     let batch = "cpu,hostname=h1 v=1 1\ncpu,hostname=h2 v=2 2\nmem,hostname=h1 v=3 3";
     let sharded = influx();
-    let single = Influx::with_shards(Clock::simulated(Timestamp::from_secs(1000)), 1);
+    let single = Influx::with_shards(Clock::simulated(Timestamp::from_secs(1000)), 1).unwrap();
     sharded.write_lines("lms", batch, Default::default()).unwrap();
     single.write_lines("lms", batch, Default::default()).unwrap();
     for q in ["SELECT v FROM cpu", "SHOW MEASUREMENTS", "SELECT mean(v) FROM cpu"] {
@@ -314,14 +318,72 @@ fn find_segments(dir: &std::path::Path, prefix: &str) -> Vec<PathBuf> {
 }
 
 #[test]
-fn unsafe_db_names_stay_memory_only() {
+fn unsafe_db_names_are_refused() {
     let dir = tmp_dir("unsafe-name");
     let ix = persistent(&dir);
-    ix.write_lines("weird/../name", "m v=1 1", Default::default()).unwrap();
-    let db = ix.database("weird/../name").unwrap();
-    assert!(db.engine().is_none(), "path-unsafe names must not touch the filesystem");
-    assert!(!dir.join("weird").exists());
+    let refused = ix.write_lines("weird/../name", "m v=1 1", Default::default());
+    assert!(matches!(refused, Err(Error::Protocol(_))), "{refused:?}");
+    let created = ix.query("", "CREATE DATABASE \"a.b\"");
+    assert!(matches!(created, Err(Error::Protocol(_))), "{created:?}");
+    ix.create_database("weird/../name");
+    assert_eq!(ix.database_names(), Vec::<String>::new(), "nothing registered");
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "nothing on disk");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_write_whose_wal_append_fails_never_lands() {
+    let dir = tmp_dir("refused-write");
+    let count = |ix: &Influx| {
+        let r = ix.query("lms", "SELECT count(v) FROM d").unwrap();
+        r.series.first().map_or(0, |s| s.values[0][1].as_i64().unwrap())
+    };
+    {
+        let ix = persistent(&dir);
+        ix.create_database("lms");
+        let db = ix.database("lms").unwrap();
+        // A flush closes the active WAL segment; a full disk (`/dev/full`)
+        // then waits under the log's next files.
+        db.flush_storage().unwrap();
+        let wal = dir.join("lms").join("wal");
+        let full: Vec<PathBuf> = (0..64)
+            .map(|seq| wal.join(format!("{seq:016x}.wal")))
+            .filter(|p| !p.exists())
+            .collect();
+        for p in &full {
+            std::os::unix::fs::symlink("/dev/full", p).unwrap();
+        }
+        assert!(ix.write_lines("lms", "d v=1 5", Default::default()).is_err());
+        assert_eq!(count(&ix), 0, "a refused write is not read");
+        for p in &full {
+            let _ = std::fs::remove_file(p);
+        }
+        assert!(db.engine().probe(), "the freed disk heals the node");
+        ix.flush_storage().unwrap();
+        assert_eq!(count(&ix), 0, "nor sealed by the next flush");
+    }
+    assert_eq!(count(&persistent(&dir)), 0, "nor found after a reopen");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn the_last_handle_of_a_scratch_node_removes_its_directory() {
+    for worker in [false, true] {
+        let ix = influx();
+        let dir = ix.inner.read().storage.data_dir.clone();
+        let worker = worker.then(|| ix.spawn_storage_worker().unwrap());
+        ix.write_lines("lms", "m v=1 1", Default::default()).unwrap();
+        ix.flush_storage().unwrap();
+        assert!(dir.join("lms").is_dir());
+        let clone = ix.clone();
+        drop(ix);
+        assert!(dir.is_dir(), "a handle is left");
+        drop(clone);
+        // The worker holds a handle of its own until it stops.
+        let stopped = worker.is_some();
+        drop(worker);
+        assert!(!dir.exists(), "worker {stopped}: the directory outlived every handle");
+    }
 }
 
 #[test]
@@ -466,7 +528,7 @@ fn background_compaction_rewrites_only_due_partitions() {
     for partition in ["seg-0-", "seg-1-", "seg-2-"] {
         assert_eq!(files(partition).len(), 1, "{partition}: merged into one file");
     }
-    let engine = db.engine().unwrap();
+    let engine = db.engine();
     for series in db.series_where("m", &[]) {
         for (field, col) in series.fields() {
             let mut spans: Vec<i64> =
@@ -561,7 +623,7 @@ fn retention_churn_keeps_shard_maps_bounded() {
     // clock advances past retention and the sweep must fully remove
     // them — both the entries and (eventually) the map capacity.
     let clock = Clock::simulated(Timestamp::from_secs(1000));
-    let ix = Influx::new(clock.clone());
+    let ix = Influx::new(clock.clone()).unwrap();
     ix.set_retention("lms", Some(Duration::from_secs(10)));
     for round in 0..30 {
         let mut batch = String::new();
@@ -596,7 +658,7 @@ fn retention_clamps_at_the_tier_boundary() {
     // cutoff straddling a tier window must not strand a partially
     // rolled hour. Aggressive raw retention (100s, now = 36000s)
     // would otherwise evict everything.
-    let ix = Influx::new(Clock::simulated(Timestamp::from_secs(36_000)));
+    let ix = Influx::new(Clock::simulated(Timestamp::from_secs(36_000))).unwrap();
     let body: String = (0..7000i64)
         .map(|s| format!("m v={} {}\n", s % 10, s * 1_000_000_000))
         .collect();
@@ -621,7 +683,7 @@ fn unrolled_points_survive_retention() {
     // Rollups enabled but no pass has run yet (no watermark): raw
     // eviction must hold off entirely rather than drop points no
     // tier covers.
-    let ix = Influx::new(Clock::simulated(Timestamp::from_secs(36_000)));
+    let ix = Influx::new(Clock::simulated(Timestamp::from_secs(36_000))).unwrap();
     ix.enable_rollups(RollupPolicy {
         retention_raw: Some(Duration::from_secs(100)),
         ..Default::default()
@@ -688,7 +750,7 @@ fn a_failed_rollup_pass_hands_its_ranges_back() {
             for p in &full {
                 let _ = std::fs::remove_file(p);
             }
-            assert!(minute.engine().unwrap().probe(), "the freed disk heals the tier");
+            assert!(minute.engine().probe(), "the freed disk heals the tier");
         }
         assert!(ix.rollup_pass("lms").unwrap() > 0, "the backfill's windows are recomputed");
         let rows = tiers(&ix);
@@ -748,7 +810,7 @@ fn scrub_quarantines_damage_and_replica_replay_heals_it() {
 
     // Anti-entropy in miniature: replay the healthy replica's export of
     // the damaged range through the normal write path.
-    let damaged = db_a.engine().unwrap().damaged_ranges();
+    let damaged = db_a.engine().damaged_ranges();
     assert_eq!(damaged.len(), 1);
     let lines = ix_b.integrity_export("lms", damaged[0].start_ns, damaged[0].end_ns).unwrap();
     assert!(lines.contains("v=2"), "{lines}");

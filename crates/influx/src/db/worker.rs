@@ -9,9 +9,9 @@ use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
-/// Configuration of the persistent storage layer (one `lms-tsm` engine per
-/// database, rooted at `data_dir/<db name>`). Absent entirely for the
-/// memory-only mode that predates persistence.
+/// Configuration of the one storage mode: every database a node holds is
+/// an `lms-tsm` engine (WAL and sealed segment files) rooted at
+/// `data_dir/<db name>`; a name that cannot be a directory name is refused.
 #[derive(Debug, Clone)]
 pub struct StorageConfig {
     /// Root directory; each database gets a subdirectory named after it.
@@ -109,9 +109,6 @@ pub struct StorageStats {
     pub compactions: u64,
     /// WAL records replayed at the last open.
     pub recovered_records: u64,
-    /// True when any database's engine is degraded (see
-    /// [`Influx::storage_health`]).
-    pub degraded: bool,
     /// WAL record groups committed since open.
     pub group_commits: u64,
     /// WAL fsync calls since open.
@@ -152,7 +149,6 @@ impl StorageStats {
         self.segment_bytes += other.segment_bytes;
         self.compactions += other.compactions;
         self.recovered_records += other.recovered_records;
-        self.degraded |= other.degraded;
         self.group_commits += other.group_commits;
         self.wal_fsyncs += other.wal_fsyncs;
         // An EWMA does not sum meaningfully; report the busiest database.
@@ -176,22 +172,19 @@ impl Database {
         let staged = self.shards.iter().map(|s| s.staged.depth() as u64).sum();
         let mut stats =
             StorageStats { shard_buffer_depth: staged, head_points: staged, ..Default::default() };
-        if let Some(engine) = &self.engine {
-            let e = engine.stats();
-            stats.wal_bytes = e.wal_bytes;
-            stats.segment_files = e.segment_files;
-            stats.segment_bytes = e.segment_bytes;
-            stats.compactions = e.compactions;
-            stats.recovered_records = e.recovered_records;
-            stats.degraded = e.degraded;
-            stats.group_commits = e.wal_group_commits;
-            stats.wal_fsyncs = e.wal_fsyncs;
-            stats.batched_points_per_commit = e.wal_points_per_commit;
-            stats.scrubbed_bytes = e.scrubbed_bytes;
-            stats.corrupt_frames = e.corrupt_frames;
-            stats.quarantined_segments = e.quarantined_segments;
-            stats.damaged_ranges = e.damaged_ranges;
-        }
+        let e = self.engine.stats();
+        stats.wal_bytes = e.wal_bytes;
+        stats.segment_files = e.segment_files;
+        stats.segment_bytes = e.segment_bytes;
+        stats.compactions = e.compactions;
+        stats.recovered_records = e.recovered_records;
+        stats.group_commits = e.wal_group_commits;
+        stats.wal_fsyncs = e.wal_fsyncs;
+        stats.batched_points_per_commit = e.wal_points_per_commit;
+        stats.scrubbed_bytes = e.scrubbed_bytes;
+        stats.corrupt_frames = e.corrupt_frames;
+        stats.quarantined_segments = e.quarantined_segments;
+        stats.damaged_ranges = e.damaged_ranges;
         for shard in self.shards.iter() {
             let shard = shard.data.read();
             for series in shard.series.iter() {
@@ -219,7 +212,7 @@ impl Influx {
     }
 
     /// Spawns the background flush/compaction worker under a supervisor.
-    /// Returns `None` when persistence is not configured. The worker
+    /// Returns `None` when the thread cannot be spawned. The worker
     /// flushes a database once its oldest un-sealed value is
     /// `flush_interval` old or it holds `flush_points` un-sealed field
     /// values, and compacts the partitions that are due after flushing;
@@ -232,7 +225,7 @@ impl Influx {
     /// [`Influx::spawn_storage_worker`] with an explicit restart policy
     /// (tests shrink the backoff and budget).
     pub fn spawn_storage_worker_with(&self, sup_cfg: SupervisorConfig) -> Option<StorageWorker> {
-        let cfg = self.inner.read().storage.clone()?;
+        let cfg = self.inner.read().storage.clone();
         let supervisor = Supervisor::new(sup_cfg);
         let ix = self.clone();
         let panics = self.worker_panics.clone();
@@ -254,10 +247,9 @@ impl Influx {
                     panic!("injected storage worker panic");
                 }
                 for (name, db) in ix.databases() {
-                    let Some(engine) = db.engine() else { continue };
                     // A degraded engine is probed, not flushed: one trial
                     // WAL append heals it once its storage works again.
-                    if !engine.probe() {
+                    if !db.engine.probe() {
                         continue;
                     }
                     let now = Instant::now();
@@ -286,16 +278,14 @@ impl Influx {
             }
             let _ = ix.flush_storage();
         });
-        if spawned.is_err() {
-            return None;
-        }
+        spawned.ok()?;
         self.inner.write().supervisor = Some(supervisor.clone());
         Some(StorageWorker { supervisor })
     }
 
     /// Readiness of the supervised background workers: `true` when no
     /// worker is mid-restart or permanently failed (also `true` before the
-    /// worker is spawned, and in memory-only mode).
+    /// worker is spawned).
     pub fn workers_ready(&self) -> bool {
         self.inner.read().supervisor.as_ref().map(|s| s.is_ready()).unwrap_or(true)
     }
@@ -310,7 +300,7 @@ impl Influx {
     /// [`Health::Ok`].
     pub fn storage_health(&self) -> Health {
         let degraded = self.databases().into_iter().find_map(|(name, db)| {
-            match db.engine()?.health() {
+            match db.engine.health() {
                 Health::Ok => None,
                 Health::Degraded { reason } => Some(format!("{name}: {reason}")),
             }

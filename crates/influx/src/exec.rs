@@ -1051,7 +1051,7 @@ mod tests {
 
     /// now = 1000s. Two hosts, 10 points each at 1s spacing starting t=900s.
     fn fixture() -> Influx {
-        let ix = Influx::new(Clock::simulated(Timestamp::from_secs(1000)));
+        let ix = Influx::new(Clock::simulated(Timestamp::from_secs(1000))).unwrap();
         let mut batch = String::new();
         for host in ["h1", "h2"] {
             for i in 0..10i64 {

@@ -30,7 +30,8 @@
 //! use lms_influx::Influx;
 //! use lms_util::{Clock, Timestamp};
 //!
-//! let influx = Influx::new(Clock::simulated(Timestamp::from_secs(100)));
+//! // A node on a scratch data directory, removed when `influx` drops.
+//! let influx = Influx::new(Clock::simulated(Timestamp::from_secs(100))).unwrap();
 //! influx.write_lines("lms", "cpu,hostname=h1 value=0.5 99000000000", Default::default()).unwrap();
 //! influx.write_lines("lms", "cpu,hostname=h1 value=0.7 100000000000", Default::default()).unwrap();
 //!
@@ -131,7 +132,7 @@ mod proptests {
     }
 
     fn load(points: &[(i64, f64)]) -> Influx {
-        let ix = Influx::new(Clock::simulated(Timestamp::from_secs(10_000)));
+        let ix = Influx::new(Clock::simulated(Timestamp::from_secs(10_000))).unwrap();
         let mut batch = String::new();
         for &(t, v) in points {
             batch.push_str(&format!("m,hostname=h1 v={v} {}\n", t * 1_000_000_000));

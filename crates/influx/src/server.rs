@@ -296,7 +296,7 @@ pub fn write_db(req: &Request) -> Result<Option<Cow<'_, str>>> {
 ///
 /// | endpoint | behaviour |
 /// |---|---|
-/// | `POST /write?db=<db>&precision=<p>&tier=<1m\|1h>` | line-protocol batch → `204` once logged; `400` with a JSON error when every line failed or the db is missing; `503` + `Retry-After` when the WAL append fails and, for every batch, while storage is degraded; `413` for a batch too large for one WAL record |
+/// | `POST /write?db=<db>&precision=<p>&tier=<1m\|1h>` | line-protocol batch → `204` once logged; `400` with a JSON error when every line failed, the db is missing or its name is not 1–128 ASCII letters, digits, `_` or `-`; `503` + `Retry-After` when the WAL append or the new database's open fails and, for every batch, while storage is degraded; `413` for a batch too large for one WAL record |
 /// | `GET /stats` | storage-engine gauges (WAL bytes, sealed blocks, compression ratio, …) and storage health (`storage_degraded`, `storage_reason`) |
 /// | `GET /integrity?db=<db>&nodes=<n>&replication=<r>&seed=<s>` | per-(hour bucket, owner set) range digests for anti-entropy repair |
 /// | `GET /integrity/export?db=<db>&start=<ns>&end=<ns>` | canonical line-protocol dump of the range, replayed by the repair pass |
@@ -451,7 +451,7 @@ mod tests {
     use lms_util::{Clock, Timestamp};
 
     fn start() -> (InfluxServer, Influx, HttpClient) {
-        let influx = Influx::new(Clock::simulated(Timestamp::from_secs(1000)));
+        let influx = Influx::new(Clock::simulated(Timestamp::from_secs(1000))).unwrap();
         let server = InfluxServer::start("127.0.0.1:0", influx.clone()).unwrap();
         let client = HttpClient::connect(server.addr()).unwrap();
         (server, influx, client)
@@ -660,7 +660,7 @@ mod tests {
     fn health_endpoints() {
         let (server, _ix, mut c) = start();
         assert_eq!(c.get("/health/live").unwrap().status, 204);
-        // Memory-only, no worker: ready.
+        // No worker spawned yet: ready.
         assert_eq!(c.get("/health/ready").unwrap().status, 204);
         server.shutdown();
     }

@@ -139,7 +139,7 @@ const STATEMENT: &str = "SELECT mean(v) FROM m WHERE hostname = 'h7'";
 /// A measurement `m` of `hosts` series, ten points each, every one applied
 /// (nothing left staged).
 fn fleet(hosts: usize) -> Influx {
-    let ix = Influx::new(Clock::simulated(Timestamp::from_secs(1000)));
+    let ix = Influx::new(Clock::simulated(Timestamp::from_secs(1000))).unwrap();
     for chunk in (0..hosts).collect::<Vec<_>>().chunks(1_000) {
         let body: String = chunk
             .iter()
@@ -182,7 +182,7 @@ fn summary_covered_aggregates_decode_no_block_and_answer_as_the_head() {
     let _turn = take_turn();
     let dir = TempDir::new("summaries");
     let sealed = sealed_scrape(&dir);
-    let head = Influx::new(Clock::simulated(Timestamp::from_secs(60_000)));
+    let head = Influx::new(Clock::simulated(Timestamp::from_secs(60_000))).unwrap();
     load_busy(&head, SERIES, POINTS_PER_SERIES, STEP_NS);
 
     let stats = sealed.storage_stats();

@@ -99,7 +99,7 @@ mod tests {
     use lms_util::{Clock, Timestamp};
 
     fn node() -> (InfluxServer, Influx) {
-        let influx = Influx::new(Clock::simulated(Timestamp::from_secs(1000)));
+        let influx = Influx::new(Clock::simulated(Timestamp::from_secs(1000))).unwrap();
         influx.write_lines("lms", "a v=1 1\nb v=2 2", Default::default()).unwrap();
         (InfluxServer::start("127.0.0.1:0", influx.clone()).unwrap(), influx)
     }

@@ -656,7 +656,7 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
     fn db() -> (InfluxServer, Influx) {
-        let influx = Influx::new(Clock::simulated(Timestamp::from_secs(1000)));
+        let influx = Influx::new(Clock::simulated(Timestamp::from_secs(1000))).unwrap();
         let server = InfluxServer::start("127.0.0.1:0", influx.clone()).unwrap();
         (server, influx)
     }
@@ -732,7 +732,7 @@ mod tests {
         // picks it up through the drainer — flush() alone proves it.
         f.enqueue("lms", "m v=2 2".to_string());
         std::thread::sleep(Duration::from_millis(100));
-        let influx2 = Influx::new(Clock::simulated(Timestamp::from_secs(2000)));
+        let influx2 = Influx::new(Clock::simulated(Timestamp::from_secs(2000))).unwrap();
         let server2 = InfluxServer::start(addr, influx2.clone()).unwrap();
         assert!(f.flush(Duration::from_secs(10)));
         assert_eq!(influx2.point_count("lms"), 1);
@@ -777,7 +777,7 @@ mod tests {
         assert_eq!(s.spooled, 50, "{s:?}");
 
         // Bring the DB back: the drainer replays every spooled batch.
-        let influx2 = Influx::new(Clock::simulated(Timestamp::from_secs(3000)));
+        let influx2 = Influx::new(Clock::simulated(Timestamp::from_secs(3000))).unwrap();
         let server2 = InfluxServer::start(addr, influx2.clone()).unwrap();
         assert!(f.flush(Duration::from_secs(15)));
         assert_eq!(influx2.point_count("lms"), 50);
@@ -874,7 +874,7 @@ mod tests {
         // and gets a permanent 400. The breaker must be released (not
         // stay wedged HalfOpen with the probe claimed) so the good batch
         // still replays — flush() alone proves it.
-        let influx2 = Influx::new(Clock::simulated(Timestamp::from_secs(4000)));
+        let influx2 = Influx::new(Clock::simulated(Timestamp::from_secs(4000))).unwrap();
         let server2 = InfluxServer::start(addr, influx2.clone()).unwrap();
         assert!(f.flush(Duration::from_secs(10)));
         let s = f.stats();
@@ -922,7 +922,7 @@ mod tests {
             assert_eq!(f.stats().spooled, 5);
         } // forwarder drops — simulated crash/restart
 
-        let influx2 = Influx::new(Clock::simulated(Timestamp::from_secs(2000)));
+        let influx2 = Influx::new(Clock::simulated(Timestamp::from_secs(2000))).unwrap();
         let server2 = InfluxServer::start(addr, influx2.clone()).unwrap();
         let f = Forwarder::start(ForwardConfig {
             spool: Some(spool_cfg),
@@ -954,7 +954,7 @@ mod tests {
         }
         // Bring the database back: the worker delivers the first batch,
         // then picks up the whole queued backlog as merged runs.
-        let influx2 = Influx::new(Clock::simulated(Timestamp::from_secs(5000)));
+        let influx2 = Influx::new(Clock::simulated(Timestamp::from_secs(5000))).unwrap();
         let server2 = InfluxServer::start(addr, influx2.clone()).unwrap();
         assert!(f.flush(Duration::from_secs(15)));
         let s = f.stats();

@@ -271,7 +271,7 @@ mod tests {
         });
 
         let clock = Clock::simulated(Timestamp::from_secs(2_000_000_000));
-        let influx = Influx::new(clock.clone());
+        let influx = Influx::new(clock.clone()).unwrap();
         let db = InfluxServer::start("127.0.0.1:0", influx.clone()).unwrap();
         let router = Router::new(db.addr(), Default::default(), clock, None).unwrap();
 

@@ -134,7 +134,7 @@ mod tests {
         let mut servers = Vec::new();
         let mut handles = Vec::new();
         for _ in 0..n {
-            let ix = Influx::new(Clock::simulated(Timestamp::from_secs(1000)));
+            let ix = Influx::new(Clock::simulated(Timestamp::from_secs(1000))).unwrap();
             servers.push(InfluxServer::start("127.0.0.1:0", ix.clone()).unwrap());
             handles.push(ix);
         }

@@ -650,7 +650,7 @@ mod tests {
 
     fn setup(config: RouterConfig) -> (InfluxServer, Influx, Router) {
         let clock = Clock::simulated(Timestamp::from_secs(5000));
-        let influx = Influx::new(clock.clone());
+        let influx = Influx::new(clock.clone()).unwrap();
         let server = InfluxServer::start("127.0.0.1:0", influx.clone()).unwrap();
         let router = Router::new(server.addr(), config, clock, None).unwrap();
         (server, influx, router)
@@ -804,7 +804,7 @@ mod tests {
         let mut servers = Vec::new();
         let mut handles = Vec::new();
         for _ in 0..2 {
-            let ix = Influx::new(clock.clone());
+            let ix = Influx::new(clock.clone()).unwrap();
             servers.push(InfluxServer::start("127.0.0.1:0", ix.clone()).unwrap());
             handles.push(ix);
         }
@@ -845,7 +845,7 @@ mod tests {
     fn cluster_with(n: usize, replication: usize, body: &str) -> (Vec<InfluxServer>, Router) {
         let clock = Clock::simulated(Timestamp::from_secs(5000));
         let servers: Vec<InfluxServer> = (0..n)
-            .map(|_| InfluxServer::start("127.0.0.1:0", Influx::new(clock.clone())).unwrap())
+            .map(|_| InfluxServer::start("127.0.0.1:0", Influx::new(clock.clone()).unwrap()).unwrap())
             .collect();
         let cluster = ClusterConfig {
             nodes: servers.iter().map(|s| s.addr()).collect(),
@@ -862,7 +862,7 @@ mod tests {
 
     /// One node holding every point of `body`, at the clusters' clock.
     fn one_node(body: &str) -> Influx {
-        let one = Influx::new(Clock::simulated(Timestamp::from_secs(5000)));
+        let one = Influx::new(Clock::simulated(Timestamp::from_secs(5000))).unwrap();
         one.write_lines("lms", body, Default::default()).unwrap();
         one
     }
@@ -1073,7 +1073,7 @@ mod tests {
         let publisher = Publisher::bind("127.0.0.1:0").unwrap();
         let pub_addr = publisher.addr();
         let clock = Clock::simulated(Timestamp::from_secs(5000));
-        let influx = Influx::new(clock.clone());
+        let influx = Influx::new(clock.clone()).unwrap();
         let server = InfluxServer::start("127.0.0.1:0", influx).unwrap();
         let router =
             Router::new(server.addr(), RouterConfig::default(), clock, Some(publisher)).unwrap();

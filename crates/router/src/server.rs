@@ -255,7 +255,7 @@ mod tests {
 
     fn stack() -> (InfluxServer, Influx, RouterServer, HttpClient) {
         let clock = Clock::simulated(Timestamp::from_secs(9000));
-        let influx = Influx::new(clock.clone());
+        let influx = Influx::new(clock.clone()).unwrap();
         let db = InfluxServer::start("127.0.0.1:0", influx.clone()).unwrap();
         let router =
             Arc::new(Router::new(db.addr(), RouterConfig::default(), clock, None).unwrap());
@@ -328,7 +328,7 @@ mod tests {
         // Dead DB + 1-batch queue + single worker: batches pile up and the
         // admission gate trips.
         let clock = Clock::simulated(Timestamp::from_secs(9000));
-        let influx = Influx::new(clock.clone());
+        let influx = Influx::new(clock.clone()).unwrap();
         let db = InfluxServer::start("127.0.0.1:0", influx).unwrap();
         let dead = db.addr();
         db.shutdown();

@@ -23,7 +23,7 @@ fn clock() -> Clock {
 }
 
 fn node() -> (Influx, InfluxServer) {
-    let influx = Influx::new(clock());
+    let influx = Influx::new(clock()).unwrap();
     influx.write_lines("lms", DATA, Default::default()).unwrap();
     let server = InfluxServer::start("127.0.0.1:0", influx.clone()).unwrap();
     (influx, server)
@@ -121,7 +121,7 @@ fn node_and_router_answer_every_read_alike() {
 #[test]
 fn a_cluster_answers_partial_with_a_node_down_and_503_with_all_down() {
     let mut nodes: Vec<Option<InfluxServer>> = (0..3)
-        .map(|_| Some(InfluxServer::start("127.0.0.1:0", Influx::new(clock())).unwrap()))
+        .map(|_| Some(InfluxServer::start("127.0.0.1:0", Influx::new(clock()).unwrap()).unwrap()))
         .collect();
     let cluster = ClusterConfig {
         nodes: nodes.iter().map(|n| n.as_ref().unwrap().addr()).collect(),

@@ -33,8 +33,8 @@ fn quoted(s: &str) -> String {
 
 #[test]
 fn a_view_survives_a_restart_of_its_node() {
-    // `j.doe` cannot name a directory: a per-user copy under that name
-    // lived in memory only. The view reads `lms`, which persists.
+    // `j.doe` cannot name a directory, so no per-user copy under that
+    // name can be stored. The view reads `lms`, which persists.
     const N: i64 = 50;
     let dir = std::env::temp_dir().join(format!("lms-user-view-restart-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -114,7 +114,7 @@ fn cluster(
     body: &str,
 ) -> (Vec<InfluxServer>, Router) {
     let servers: Vec<InfluxServer> =
-        (0..n).map(|_| InfluxServer::start("127.0.0.1:0", Influx::new(clock())).unwrap()).collect();
+        (0..n).map(|_| InfluxServer::start("127.0.0.1:0", Influx::new(clock()).unwrap()).unwrap()).collect();
     let cluster = ClusterConfig {
         nodes: servers.iter().map(|s| s.addr()).collect(),
         replication,
@@ -153,7 +153,7 @@ proptest! {
         // What a per-user copy received: the user's lines, job tags spliced in.
         let references: Vec<Influx> = (0..USERS.len())
             .map(|u| {
-                let reference = Influx::new(clock());
+                let reference = Influx::new(clock()).unwrap();
                 let tags = format!(",jobid={},user={}", 40 + u, USERS[u]);
                 let mine: String =
                     lines.iter().filter(|l| owners[l.0] == Some(u)).map(|l| render(l, &tags)).collect();

@@ -88,7 +88,7 @@ fn body(round: i64) -> String {
 #[test]
 fn enriched_published_per_user_write_allocations_per_line_stay_bounded() {
     let clock = Clock::simulated(Timestamp::from_secs(5_000));
-    let influx = Influx::new(clock.clone());
+    let influx = Influx::new(clock.clone()).unwrap();
     let server = InfluxServer::start("127.0.0.1:0", influx.clone()).unwrap();
     let publisher = Publisher::bind("127.0.0.1:0").unwrap();
     let mut subscriber = Subscriber::connect(publisher.addr()).unwrap();

@@ -1,8 +1,8 @@
 //! `lms-tsm`: the persistent time-series storage engine.
 //!
-//! Until this crate, `lms-influx` was memory-only: a restart lost every
-//! point. `lms-tsm` adds an LSM-flavored persistence layer beneath the
-//! in-memory index, sized for the monitoring workload (append-mostly,
+//! Every database `lms-influx` holds stands on one `lms-tsm` engine; there
+//! is no memory-only mode. It is an LSM-flavored persistence layer beneath
+//! the in-memory index, sized for the monitoring workload (append-mostly,
 //! time-ordered, per-series reads):
 //!
 //! * **Durability** — every acknowledged write batch lands in a CRC-framed

@@ -45,11 +45,11 @@
 //!
 //! ## Checkpointing
 //!
-//! A flush calls [`Wal::rotate`] *before* sealing the head: every record in
-//! the now-frozen segments is already applied in memory (writers insert
-//! into memory before appending to the WAL), so once the sealed blocks are
-//! durably in a segment file the frozen WAL segments are deleted with
-//! [`Wal::remove_frozen`]. Records landing in the new active segment during
+//! A flush calls [`Wal::rotate`] *before* sealing the head. Writers append
+//! to the WAL before they apply the batch in memory, and the caller rotates
+//! only between the two steps of no writer, so every record in the frozen
+//! segments is applied in memory; once the sealed blocks are durably in a
+//! segment file those segments are deleted with [`Wal::remove_frozen`]. Records landing in the new active segment during
 //! the flush may be sealed *and* replayed after a crash — replay is
 //! idempotent (last-write-wins on series+timestamp), so over-persisting is
 //! safe; only under-persisting would lose data.

@@ -17,6 +17,7 @@
 //!   logic and the storage nodes' integrity digests,
 //! - [`digest`]: Merkle-style range digests and their diff, the vocabulary
 //!   of the anti-entropy repair protocol,
+//! - [`scratch`]: a temporary directory removed when dropped,
 //! - [`seglog`]: the segmented, CRC-framed append-only log under the
 //!   storage engine's WAL and segment files and the router's spool,
 //! - [`fmt`]: human-readable byte/duration/number formatting for reports,
@@ -32,6 +33,7 @@ pub mod hash;
 pub mod json;
 pub mod ring;
 pub mod rng;
+pub mod scratch;
 pub mod seglog;
 pub mod supervisor;
 

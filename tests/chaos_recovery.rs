@@ -45,7 +45,7 @@ struct Rig {
 
 fn rig(tag: &str, fault: FaultConfig) -> Rig {
     let clock = clock();
-    let influx = Influx::new(clock.clone());
+    let influx = Influx::new(clock.clone()).unwrap();
     let db = InfluxServer::start("127.0.0.1:0", influx.clone()).unwrap();
     let proxy = FaultProxy::start(db.addr(), fault).unwrap();
     let config = RouterConfig {
@@ -141,7 +141,7 @@ fn flapping_database_delivers_every_point() {
 fn spool_survives_router_restart() {
     let spool_cfg = tmp_spool("restart");
     let clk = clock();
-    let influx = Influx::new(clk.clone());
+    let influx = Influx::new(clk.clone()).unwrap();
     let db = InfluxServer::start("127.0.0.1:0", influx.clone()).unwrap();
     let proxy = FaultProxy::start(db.addr(), FaultConfig { seed: chaos_seed(), ..Default::default() })
         .unwrap();

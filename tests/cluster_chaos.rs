@@ -50,7 +50,7 @@ fn rig(tag: &str, fault: FaultConfig) -> Rig {
     let clk = clock();
     let mut nodes = Vec::new();
     for _ in 0..3 {
-        let influx = Influx::new(clk.clone());
+        let influx = Influx::new(clk.clone()).unwrap();
         let server = InfluxServer::start("127.0.0.1:0", influx.clone()).unwrap();
         nodes.push((influx, server));
     }

@@ -10,7 +10,7 @@ use lms_util::{Clock, Timestamp};
 use std::time::Duration;
 
 fn engine(shards: usize) -> Influx {
-    Influx::with_shards(Clock::simulated(Timestamp::from_secs(1000)), shards)
+    Influx::with_shards(Clock::simulated(Timestamp::from_secs(1000)), shards).unwrap()
 }
 
 /// N writer threads × M batches × P points each: every point is counted

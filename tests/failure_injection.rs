@@ -23,7 +23,7 @@ fn tmp_spool(tag: &str) -> SpoolConfig {
 #[test]
 fn router_buffers_through_database_outage() {
     let clock = clock();
-    let influx = Influx::new(clock.clone());
+    let influx = Influx::new(clock.clone()).unwrap();
     let db = InfluxServer::start("127.0.0.1:0", influx.clone()).unwrap();
     let db_addr = db.addr();
     let config = RouterConfig {
@@ -49,7 +49,7 @@ fn router_buffers_through_database_outage() {
     // Database returns on the same port. flush() blocks until the queue,
     // every in-flight batch, AND the spool have drained — no poll loop.
     std::thread::sleep(Duration::from_millis(150));
-    let influx2 = Influx::new(clock.clone());
+    let influx2 = Influx::new(clock.clone()).unwrap();
     let db2 = InfluxServer::start(db_addr, influx2.clone()).unwrap();
     assert!(router.flush(Duration::from_secs(10)), "{:?}", router.stats().forward);
     assert_eq!(influx2.point_count("lms"), 1, "buffered point delivered after recovery");
@@ -115,10 +115,84 @@ fn a_wal_append_error_on_the_node_is_retried_not_rejected() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// What a persistent node acknowledges, by how its database comes to be:
+/// each write answered `204` (and each batch the router delivers) must
+/// read back after a reopen, and a database the node cannot hold on disk
+/// is refused, never kept in memory only.
+#[test]
+fn a_persistent_node_acks_only_what_it_stores() {
+    struct Row {
+        label: &'static str,
+        db: &'static str,
+        /// Created by `create_database` before the first write.
+        created: bool,
+        /// A regular file where the database's directory goes.
+        blocked: bool,
+        /// The status of the first write.
+        status: u16,
+    }
+    let rows = [
+        Row { label: "created by a write", db: "by_write", created: false, blocked: false, status: 204 },
+        Row { label: "created by create_database", db: "by_create", created: true, blocked: false, status: 204 },
+        Row { label: "unsafe name", db: "weird/../name", created: false, blocked: false, status: 400 },
+        Row { label: "failed open", db: "blocked", created: true, blocked: true, status: 503 },
+    ];
+    for row in rows {
+        let dir = std::env::temp_dir()
+            .join(format!("lms-fi-{}-acks-{}", std::process::id(), row.db.replace('/', "_")));
+        let _ = std::fs::remove_dir_all(&dir);
+        let clock = clock();
+        let open = || Influx::open(clock.clone(), 4, StorageConfig::new(&dir)).unwrap();
+        let influx = open();
+        let node = InfluxServer::start("127.0.0.1:0", influx.clone()).unwrap();
+        let router = Router::new(node.addr(), Default::default(), clock.clone(), None).unwrap();
+        let mut client = HttpClient::connect(node.addr()).unwrap();
+        let target = format!("/write?db={}", lms::http::url::percent_encode(row.db));
+        let label = row.label;
+        if row.blocked {
+            std::fs::write(dir.join(row.db), b"not a directory").unwrap();
+        }
+        if row.created {
+            influx.create_database(row.db);
+            assert_eq!(dir.join(row.db).is_dir(), !row.blocked, "{label}");
+        }
+        let mut acked = 0;
+        let status = client.post_text(&target, "m v=1 1").unwrap().status;
+        assert_eq!(status, row.status, "{label}: first write");
+        acked += (status == 204) as i64;
+        if row.blocked {
+            assert_eq!(influx.database(row.db).map(|_| ()), None, "{label}: nothing registered");
+            std::fs::remove_file(dir.join(row.db)).unwrap();
+            assert_eq!(client.post_text(&target, "m v=2 2").unwrap().status, 204, "{label}: retry");
+            acked += 1;
+        }
+        assert!(router.handle_write(Some(row.db), "m v=3 3").acked, "{label}");
+        assert!(router.flush(Duration::from_secs(10)), "{label}");
+        let f = router.stats().forward;
+        let refused = row.status == 400;
+        assert_eq!((f.rejected, f.dropped), (refused as u64, 0), "{label}: {f:?}");
+        acked += !refused as i64;
+        if refused {
+            assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "{label}: nothing on disk");
+            assert_eq!(influx.database_names(), Vec::<String>::new(), "{label}");
+        }
+        drop(router);
+        node.shutdown();
+        drop(influx);
+        let reopened = open();
+        let stored = reopened
+            .query(row.db, "SELECT count(v) FROM m")
+            .map_or(0, |r| r.series.first().map_or(0, |s| s.values[0][1].as_i64().unwrap()));
+        assert_eq!(stored, acked, "{label}: every acked point after a reopen");
+        drop(reopened);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 #[test]
 fn malformed_batches_never_poison_the_pipeline() {
     let clock = clock();
-    let influx = Influx::new(clock.clone());
+    let influx = Influx::new(clock.clone()).unwrap();
     let db = InfluxServer::start("127.0.0.1:0", influx.clone()).unwrap();
     let router = Arc::new(Router::new(db.addr(), Default::default(), clock, None).unwrap());
     let rs = RouterServer::start("127.0.0.1:0", router.clone()).unwrap();
@@ -149,7 +223,7 @@ fn malformed_batches_never_poison_the_pipeline() {
 fn binary_garbage_on_http_port_is_survivable() {
     use std::io::Write as _;
     let clock = clock();
-    let influx = Influx::new(clock.clone());
+    let influx = Influx::new(clock.clone()).unwrap();
     let db = InfluxServer::start("127.0.0.1:0", influx.clone()).unwrap();
 
     // Raw binary straight at the HTTP socket.
@@ -193,7 +267,7 @@ fn scheduler_signals_survive_router_outage() {
     use lms::jobsched::{HttpSignaler, JobSpec, Scheduler};
     let clock = clock();
     // Router exists only long enough to learn its port, then dies.
-    let influx = Influx::new(clock.clone());
+    let influx = Influx::new(clock.clone()).unwrap();
     let db = InfluxServer::start("127.0.0.1:0", influx).unwrap();
     let router = Arc::new(Router::new(db.addr(), Default::default(), clock.clone(), None).unwrap());
     let rs = RouterServer::start("127.0.0.1:0", router).unwrap();

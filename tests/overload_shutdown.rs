@@ -39,7 +39,7 @@ fn tmp_spool(tag: &str) -> SpoolConfig {
 #[test]
 fn overload_sheds_cleanly_and_acknowledged_points_survive_restart() {
     let clock = Clock::simulated(Timestamp::from_secs(7_500_000));
-    let influx = Influx::new(clock.clone());
+    let influx = Influx::new(clock.clone()).unwrap();
     let db = InfluxServer::start("127.0.0.1:0", influx.clone()).unwrap();
     let proxy = FaultProxy::start(
         db.addr(),
@@ -147,7 +147,7 @@ fn overload_sheds_cleanly_and_acknowledged_points_survive_restart() {
 #[test]
 fn shedding_recovers_once_load_subsides() {
     let clock = Clock::simulated(Timestamp::from_secs(7_600_000));
-    let influx = Influx::new(clock.clone());
+    let influx = Influx::new(clock.clone()).unwrap();
     let db = InfluxServer::start("127.0.0.1:0", influx.clone()).unwrap();
     let proxy = FaultProxy::start(
         db.addr(),

@@ -22,7 +22,7 @@ struct Pipeline {
 
 fn pipeline() -> Pipeline {
     let clock = Clock::simulated(Timestamp::from_secs(50_000));
-    let influx = Influx::new(clock.clone());
+    let influx = Influx::new(clock.clone()).unwrap();
     let db = InfluxServer::start("127.0.0.1:0", influx.clone()).unwrap();
     let router = Arc::new(Router::new(db.addr(), RouterConfig::default(), clock, None).unwrap());
     let rs = RouterServer::start("127.0.0.1:0", router.clone()).unwrap();

@@ -43,7 +43,7 @@ fn cluster_via(
 ) -> Cluster {
     let nodes: Vec<(Influx, InfluxServer)> = (0..n)
         .map(|_| {
-            let influx = Influx::new(clock());
+            let influx = Influx::new(clock()).unwrap();
             let server = InfluxServer::start("127.0.0.1:0", influx.clone()).unwrap();
             (influx, server)
         })
@@ -412,7 +412,7 @@ fn a_job_start_reads_back_once_per_host() {
         let c = cluster_via(n, replication, |_, addr| addr);
         c.router.handle_job_start(signal.clone());
         assert!(c.router.flush(Duration::from_secs(10)));
-        let influx = Influx::new(clock());
+        let influx = Influx::new(clock()).unwrap();
         let server = InfluxServer::start("127.0.0.1:0", influx).unwrap();
         let one = Router::new(server.addr(), RouterConfig::default(), clock(), None).unwrap();
         one.handle_job_start(signal);

@@ -17,7 +17,7 @@ use std::time::Duration;
 fn database_alone_serves_an_external_collector() {
     // A site keeps its database and just points a curl-style collector at
     // it — no router involved.
-    let influx = Influx::new(Clock::simulated(Timestamp::from_secs(500)));
+    let influx = Influx::new(Clock::simulated(Timestamp::from_secs(500))).unwrap();
     let server = InfluxServer::start("127.0.0.1:0", influx.clone()).unwrap();
     let mut curl = HttpClient::connect(server.addr()).unwrap();
     // "cronjobs sending metrics with curl" (paper Sec. III-A).
@@ -37,7 +37,7 @@ fn agent_plus_database_without_router() {
     // Direct agent → database wiring: the agent doesn't care that no
     // tagging happens (the interfaces are identical).
     let clock = Clock::simulated(Timestamp::from_secs(100));
-    let influx = Influx::new(clock.clone());
+    let influx = Influx::new(clock.clone()).unwrap();
     let server = InfluxServer::start("127.0.0.1:0", influx.clone()).unwrap();
 
     let mut agent = HostAgent::new("standalone1", clock.clone()).with_standard_collectors();
@@ -62,7 +62,7 @@ fn ganglia_to_router_to_database_integration_path() {
     // "existing monitoring solution" (gmond) → pull proxy → router → DB:
     // the legacy integration path of Fig. 1, assembled by hand.
     let clock = Clock::simulated(Timestamp::from_secs(2000));
-    let influx = Influx::new(clock.clone());
+    let influx = Influx::new(clock.clone()).unwrap();
     let db = InfluxServer::start("127.0.0.1:0", influx.clone()).unwrap();
     let router = Arc::new(Router::new(db.addr(), Default::default(), clock.clone(), None).unwrap());
 
@@ -90,7 +90,7 @@ fn router_in_front_of_existing_database_is_transparent() {
     // An agent written for InfluxDB talks to the router unchanged — the
     // router "mimics the HTTP interface of an InfluxDB database".
     let clock = Clock::simulated(Timestamp::from_secs(3000));
-    let influx = Influx::new(clock.clone());
+    let influx = Influx::new(clock.clone()).unwrap();
     let db = InfluxServer::start("127.0.0.1:0", influx.clone()).unwrap();
     let router = Arc::new(Router::new(db.addr(), Default::default(), clock.clone(), None).unwrap());
     let rs = RouterServer::start("127.0.0.1:0", router).unwrap();

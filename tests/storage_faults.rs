@@ -231,7 +231,7 @@ impl Cell {
 /// probes while the fault holds, then lifts every limit it set. Returns
 /// the writer's outcome and the files it planted.
 fn with_fault(cell: &Cell, fault: Fault, writer: Writer) -> (lms::util::Result<()>, Vec<PathBuf>) {
-    let engine = cell.influx.database(writer.db()).unwrap().engine().unwrap().clone();
+    let engine = cell.influx.database(writer.db()).unwrap().engine().clone();
     let probes = || {
         if writer.is_wal() {
             for _ in 0..10 {

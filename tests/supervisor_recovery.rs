@@ -107,7 +107,7 @@ fn storage_worker_panic_self_heals_and_budget_opens() {
 #[test]
 fn spool_drainer_panic_self_heals_and_budget_opens() {
     let clock = Clock::simulated(Timestamp::from_secs(8_100_000));
-    let influx = Influx::new(clock.clone());
+    let influx = Influx::new(clock.clone()).unwrap();
     let db = InfluxServer::start("127.0.0.1:0", influx.clone()).unwrap();
     let config = RouterConfig {
         spool: Some(SpoolConfig::new(tmp_dir("drainer"))),
