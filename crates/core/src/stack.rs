@@ -19,6 +19,7 @@ use lms_jobsched::{HttpSignaler, JobId, JobSpec, JobState, Scheduler};
 use lms_lineproto::BatchBuilder;
 use lms_mq::Publisher;
 use lms_router::{ClusterConfig, Router, RouterConfig, RouterServer, RouterStats};
+use lms_spool::SpoolConfig;
 use lms_sysmon::{HostAgent, SimProc};
 use lms_topology::Topology;
 use lms_util::scratch::ScratchDir;
@@ -366,9 +367,12 @@ impl LmsStack {
             (None, None)
         };
 
-        // Router.
+        // Router, spooling under the same root so a restart on the same
+        // `data_dir` replays its hints. The `.` keeps the directory out of
+        // the databases a single node opens from the root.
         let router_config = RouterConfig {
             per_user: config.per_user,
+            spool: Some(SpoolConfig::new(root.join("router.spool"))),
             ..Default::default()
         };
         let router =
@@ -1228,6 +1232,23 @@ mod tests {
         assert_eq!(r.series[0].values[0][1].as_i64().unwrap(), measured);
         drop(stack);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn restart_on_a_used_data_dir_lists_the_same_databases() {
+        // The router spools under the data directory too, and a restarted
+        // node must not take that directory for a database.
+        let dir = ScratchDir::new("lms-stack-restart").unwrap();
+        let mut config = small_config();
+        config.data_dir = Some(dir.path().to_path_buf());
+        let before = {
+            let mut stack = LmsStack::start(config.clone()).unwrap();
+            stack.run_for(Duration::from_secs(120), Duration::from_secs(60));
+            stack.influx().database_names()
+        };
+        assert!(dir.path().join("router.spool").is_dir());
+        let stack = LmsStack::start(config).unwrap();
+        assert_eq!(stack.influx().database_names(), before);
     }
 
     #[test]

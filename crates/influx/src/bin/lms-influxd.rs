@@ -159,7 +159,10 @@ fn run() -> Result<()> {
         databases.push("lms".to_string());
     }
     for db in &databases {
-        influx.create_database(db);
+        // `CREATE DATABASE` answers the refusal `create_database` drops.
+        influx
+            .query(db, &format!("CREATE DATABASE \"{db}\""))
+            .map_err(|e| Error::config(format!("--db `{db}`: {e}")))?;
         if retention.is_some() {
             influx.set_retention(db, retention);
         }

@@ -1,25 +1,24 @@
 //! `lms-router` — the metrics router as a standalone daemon.
 //!
 //! ```text
-//! lms-router --db <host:port> [--listen 127.0.0.1:8087]
-//!            [--per-user] [--publish 127.0.0.1:5556]
-//!            [--spool-dir <path>] [--coalesce-bytes N]
+//! lms-router --db <host:port> --spool-dir <path> [--listen 127.0.0.1:8087]
+//!            [--per-user] [--publish 127.0.0.1:5556] [--coalesce-bytes N]
 //!            [--max-connections N] [--max-body-bytes N]
 //!            [--gmond <host:port> --gmond-interval <secs>]
 //! lms-router --cluster-node <host:port> [--cluster-node <host:port> ...]
-//!            [--replication R] [--write-quorum W] [--repair-interval-secs N]
-//!            [...]
+//!            --spool-dir <path> [--replication R] [--write-quorum W]
+//!            [--repair-interval-secs N] [...]
 //! ```
 //!
 //! Accepts InfluxDB-style writes on `--listen`, enriches them with job
 //! tags from `/signal/start|end`, and forwards to the database at `--db`.
 //! With `--per-user`, clients may read `user_<name>` databases: each is the
 //! database nodes' view of `lms` restricted to that user's job data.
-//! With `--spool-dir`, batches the database cannot accept spill to a
-//! durable on-disk spool and are replayed once it recovers; without it,
-//! overflow is dropped (and counted). With `--publish`, metrics and
-//! signals fan out on the message queue; with `--gmond`, a pulling proxy
-//! polls a Ganglia gmond.
+//! `--spool-dir` is required: batches the database cannot accept spill to
+//! a durable on-disk spool under it and are replayed once it recovers, by
+//! this process or, after a restart, by the next one. With `--publish`,
+//! metrics and signals fan out on the message queue; with `--gmond`, a
+//! pulling proxy polls a Ganglia gmond.
 //!
 //! **Cluster mode:** pass `--cluster-node` once per database node instead
 //! of `--db`. Series are placed on `--replication R` nodes by a seeded
@@ -152,12 +151,12 @@ fn run() -> Result<()> {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: lms-router --db host:port [--listen addr] [--per-user] \
-                     [--spool-dir path] [--coalesce-bytes N] [--publish addr] \
+                    "usage: lms-router --db host:port --spool-dir path [--listen addr] [--per-user] \
+                     [--coalesce-bytes N] [--publish addr] \
                      [--max-connections N] [--max-body-bytes N] \
                      [--gmond addr --gmond-interval secs]\n       \
                      lms-router --cluster-node host:port [--cluster-node ...] \
-                     [--replication R] [--write-quorum W] \
+                     --spool-dir path [--replication R] [--write-quorum W] \
                      [--repair-interval-secs N] [...]\n\
                      --per-user: serve user_<name>, the view of lms under user = '<name>'"
                 );
@@ -178,6 +177,11 @@ fn run() -> Result<()> {
         }
         (None, true) => return Err(Error::config("--db or --cluster-node is required")),
     };
+    // No scratch default: a killed router never runs the drop that would
+    // remove it, and a restarted one would not find the hints in it.
+    let spool_dir = spool_dir.ok_or_else(|| {
+        Error::config("--spool-dir PATH is required: what the database cannot take is spooled there")
+    })?;
 
     let publisher = match publish {
         Some(addr) => {
@@ -189,7 +193,7 @@ fn run() -> Result<()> {
     };
     let mut config = RouterConfig {
         per_user,
-        spool: spool_dir.map(SpoolConfig::new),
+        spool: Some(SpoolConfig::new(spool_dir)),
         ..Default::default()
     };
     if let Some(b) = coalesce_bytes {

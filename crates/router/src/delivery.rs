@@ -56,11 +56,11 @@ pub struct ClusterForwarder {
 
 impl ClusterForwarder {
     /// Starts one forwarder per cluster node from the shared `template`
-    /// config. The template's `db_addr` is ignored; its spool directory
-    /// (when set) becomes the parent of per-node `node-<i>` spool
-    /// subdirectories, so each destination's hinted handoff is isolated
-    /// and replays only to its own node. Fails when the cluster config is
-    /// invalid or a spool directory is unusable.
+    /// config. The template's `db_addr` is ignored; with more than one
+    /// node its spool directory becomes the parent of per-node `node-<i>`
+    /// spool subdirectories, so each destination's hinted handoff is
+    /// isolated and replays only to its own node. Fails when the cluster
+    /// config is invalid or a spool directory is unusable.
     pub fn start(cluster: &ClusterConfig, template: &ForwardConfig) -> Result<Self> {
         cluster.validate()?;
         let multi = cluster.nodes.len() > 1;
@@ -71,9 +71,7 @@ impl ClusterForwarder {
             if multi {
                 // Decorrelate the per-node worker jitter streams.
                 config.seed = XorShift64::new(template.seed ^ (0xA0DE << 16 | i as u64)).next_u64();
-                if let Some(spool) = &mut config.spool {
-                    spool.dir = spool.dir.join(format!("node-{i}"));
-                }
+                config.spool.dir = template.spool.dir.join(format!("node-{i}"));
             }
             nodes.push(Node { addr, forwarder: Forwarder::start(config)? });
         }
@@ -323,9 +321,16 @@ mod tests {
     use super::*;
     use lms_influx::{Influx, InfluxServer};
     use lms_lineproto::parse_batch;
+    use lms_spool::SpoolConfig;
+    use lms_util::scratch::ScratchDir;
     use lms_util::{Clock, Timestamp};
 
-    fn cluster_of(n: usize, replication: usize) -> (Vec<InfluxServer>, Vec<Influx>, ClusterForwarder) {
+    /// An n-node cluster spooling under `spool`, which outlives it.
+    fn cluster_of(
+        spool: &ScratchDir,
+        n: usize,
+        replication: usize,
+    ) -> (Vec<InfluxServer>, Vec<Influx>, ClusterForwarder) {
         let mut servers = Vec::new();
         let mut handles = Vec::new();
         for _ in 0..n {
@@ -341,6 +346,7 @@ mod tests {
         };
         let template = ForwardConfig {
             io_timeout: Duration::from_secs(2),
+            spool: SpoolConfig::new(spool.path()),
             ..ForwardConfig::new(servers[0].addr())
         };
         let cf = ClusterForwarder::start(&cfg, &template).unwrap();
@@ -349,7 +355,8 @@ mod tests {
 
     #[test]
     fn replicated_lines_land_on_r_nodes() {
-        let (servers, handles, cf) = cluster_of(3, 2);
+        let spool = ScratchDir::new("lms-delivery").unwrap();
+        let (servers, handles, cf) = cluster_of(&spool, 3, 2);
         let mut batch = cf.batch("lms");
         let body: String =
             (0..50).map(|i| format!("m,hostname=h{i} v={i} {}\n", (i + 1) * 100)).collect();
@@ -371,21 +378,31 @@ mod tests {
 
     #[test]
     fn quorum_fails_only_when_too_many_node_batches_drop() {
-        // No spool, dead nodes, tiny queue: enqueue drops once full.
-        let (servers, _handles, _cf) = cluster_of(3, 2);
-        let addrs: Vec<_> = servers.iter().map(|s| s.addr()).collect();
-        for s in servers {
-            s.shutdown();
-        }
+        // Dead nodes and a tiny queue: the overflow spills, and the disk
+        // under every node's spool is full, so the spill fails and the
+        // node-batch is dropped.
+        let dead = || std::net::TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap();
+        let addrs: Vec<_> = (0..3).map(|_| dead()).collect();
+        let spool = ScratchDir::new("lms-delivery").unwrap();
         let cfg = ClusterConfig { nodes: addrs.clone(), replication: 2, write_quorum: 2, seed: 7 };
         let template = ForwardConfig {
             queue_capacity: 1,
             max_retries: 10,
             workers: 1,
             io_timeout: Duration::from_millis(200),
+            spool: SpoolConfig::new(spool.path()),
             ..ForwardConfig::new(addrs[0])
         };
         let cf = ClusterForwarder::start(&cfg, &template).unwrap();
+        // `/dev/full` (every write fails ENOSPC) at each spool's next few
+        // segment paths: a failed first write deletes its file and moves
+        // on to the next one.
+        for i in 0..addrs.len() {
+            for seq in 0..4u64 {
+                let path = spool.path().join(format!("node-{i}/{seq:016x}.seg"));
+                std::os::unix::fs::symlink("/dev/full", path).unwrap();
+            }
+        }
         // Saturate the queues; with W=R=2 a single dropped node-batch must
         // fail the request.
         let mut saw_nack = false;
@@ -402,11 +419,13 @@ mod tests {
             }
         }
         assert!(saw_nack, "over-capacity writes with W=R must eventually nack");
+        assert!(cf.stats().dropped > 0, "{:?}", cf.stats());
     }
 
     #[test]
     fn single_node_batch_emits_the_bytes_of_a_plain_builder() {
-        let (servers, handles, cf) = cluster_of(1, 1);
+        let spool = ScratchDir::new("lms-delivery").unwrap();
+        let (servers, handles, cf) = cluster_of(&spool, 1, 1);
         let body = "m,b=2,a=1 v=1 1\nm v=2 2\n";
         let mut point = Point::new("ev");
         point.add_tag("z", "9").add_tag("a", "1").add_field("text", "hi").set_timestamp(3);

@@ -15,22 +15,22 @@
 //! - a shared **circuit breaker** opens after N consecutive transient
 //!   failures so an extended outage stops burning per-batch retry budgets;
 //! - when the queue overflows, retries exhaust, or the breaker is open,
-//!   batches **spill to the on-disk spool** (when configured) instead of
-//!   being dropped; a background **drainer** probes the database and
-//!   replays the spool in order once it is healthy again;
+//!   batches **spill to the on-disk spool**; a background **drainer**
+//!   probes the database and replays the spool in order once it is
+//!   healthy again;
 //! - **permanent** errors (protocol violations, remote 4xx) are rejected
 //!   immediately — never retried, never spooled;
-//! - only when no spool is configured (or the spool itself fails/evicts)
-//!   is a batch dropped, and then it is counted.
+//! - only when a spool append fails or the spool's size cap evicts it is
+//!   a batch dropped, and then it is counted.
 
 use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 use crate::clients::NodeClients;
 use crossbeam_channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use lms_spool::{Spool, SpoolConfig};
 use lms_util::rng::XorShift64;
-use lms_util::{Result, Supervisor, SupervisorConfig, WorkerReport};
+use lms_util::{Result, Supervisor, SupervisorConfig, WorkerCtx, WorkerReport};
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -52,8 +52,9 @@ pub struct ForwardConfig {
     pub max_retries: u32,
     /// Worker threads draining the queue concurrently (clamped to ≥ 1).
     pub workers: usize,
-    /// Durable spill-to-disk spool; `None` reverts to drop-and-count.
-    pub spool: Option<SpoolConfig>,
+    /// The durable spill-to-disk spool: overflow, exhausted retries and
+    /// batches met by an open breaker land here for the drainer to replay.
+    pub spool: SpoolConfig,
     /// Circuit-breaker tuning for the destination.
     pub breaker: BreakerConfig,
     /// Base delay of the full-jitter exponential backoff.
@@ -81,15 +82,20 @@ pub struct ForwardConfig {
 
 impl ForwardConfig {
     /// Defaults, which `RouterConfig::default` reads too: 1024-batch
-    /// queue, 3 retries, one worker per core, no spool, 5-failure/1 s
-    /// breaker, 50 ms → 2 s backoff, 10 s I/O timeout.
+    /// queue, 3 retries, one worker per core, 5-failure/1 s breaker,
+    /// 50 ms → 2 s backoff, 10 s I/O timeout, and a spool at a fresh
+    /// `lms-spool-<pid>-<n>` path under [`std::env::temp_dir`] that
+    /// outlives the forwarder (set `spool` to choose where it lives).
     pub fn new(db_addr: SocketAddr) -> Self {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let spool = std::env::temp_dir().join(format!("lms-spool-{}-{n}", std::process::id()));
         ForwardConfig {
             db_addr,
             queue_capacity: 1024,
             max_retries: 3,
             workers: default_workers(),
-            spool: None,
+            spool: SpoolConfig::new(spool),
             breaker: BreakerConfig::default(),
             backoff_base: Duration::from_millis(50),
             backoff_cap: Duration::from_secs(2),
@@ -109,8 +115,7 @@ pub struct ForwardStats {
     pub delivered: u64,
     /// Batches rejected on permanent (protocol) errors — never retried.
     pub rejected: u64,
-    /// Batches lost: overflow/exhaustion with no spool configured, spool
-    /// append failures, and spool cap evictions.
+    /// Batches lost: spool append failures and spool cap evictions.
     pub dropped: u64,
     /// Batches spilled to the on-disk spool.
     pub spooled: u64,
@@ -155,8 +160,7 @@ struct Shared {
     breaker: CircuitBreaker,
     /// Kept connections to the destination, for every user of it.
     clients: NodeClients,
-    spool: Option<Spool>,
-    stop: AtomicBool,
+    spool: Spool,
     /// Queue capacity, for the saturation signal.
     capacity: u64,
     /// Fault injection: pending drainer panics (each iteration consumes
@@ -170,32 +174,15 @@ impl Shared {
         self.progress_cv.notify_all();
     }
 
-    fn spool_pending(&self) -> u64 {
-        self.spool.as_ref().map_or(0, Spool::pending)
-    }
-
-    /// Spills a batch to the spool, or counts it dropped when the spool
-    /// is absent or failing. Returns true when the batch is durably held
-    /// (spooled), false when it was dropped — the cluster write path uses
-    /// this to decide whether a node-batch still counts toward the write
-    /// quorum.
+    /// Spills a batch to the spool, or counts it dropped when the append
+    /// fails. Returns true when the batch is durably held (spooled), false
+    /// when it was dropped — the cluster write path uses this to decide
+    /// whether a node-batch still counts toward the write quorum.
     fn spill(&self, db: &str, body: &str) -> bool {
-        match &self.spool {
-            Some(spool) => match spool.append(db, body) {
-                Ok(()) => {
-                    self.spooled.fetch_add(1, Ordering::Relaxed);
-                    true
-                }
-                Err(_) => {
-                    self.dropped.fetch_add(1, Ordering::Relaxed);
-                    false
-                }
-            },
-            None => {
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-                false
-            }
-        }
+        let held = self.spool.append(db, body).is_ok();
+        let counter = if held { &self.spooled } else { &self.dropped };
+        counter.fetch_add(1, Ordering::Relaxed);
+        held
     }
 }
 
@@ -215,11 +202,11 @@ pub fn default_workers() -> usize {
 }
 
 impl Forwarder {
-    /// Starts the worker pool (and the spool drainer when a spool is
-    /// configured). Fails only when the spool directory is unusable.
+    /// Starts the worker pool and the spool drainer. Fails only when the
+    /// spool directory is unusable.
     pub fn start(config: ForwardConfig) -> Result<Self> {
         let (tx, rx): (Sender<Batch>, Receiver<Batch>) = bounded(config.queue_capacity.max(1));
-        let spool = config.spool.clone().map(Spool::open).transpose()?;
+        let spool = Spool::open(config.spool.clone())?;
         let shared = Arc::new(Shared {
             delivered: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
@@ -234,7 +221,6 @@ impl Forwarder {
             breaker: CircuitBreaker::new(config.breaker),
             clients: NodeClients::new(config.db_addr, config.io_timeout),
             spool,
-            stop: AtomicBool::new(false),
             capacity: config.queue_capacity.max(1) as u64,
             drainer_panics: AtomicU64::new(0),
         });
@@ -247,22 +233,19 @@ impl Forwarder {
                 worker_loop(&rx, &config, &shared, i as u64)
             })?;
         }
-        if shared.spool.is_some() {
-            let shared = shared.clone();
-            let config = config.clone();
-            supervisor.spawn("spool-drainer", move |_ctx| drainer_loop(&config, &shared))?;
-        }
+        let drainer = shared.clone();
+        supervisor.spawn("spool-drainer", move |ctx| drainer_loop(&config, &drainer, ctx))?;
         Ok(Forwarder { tx: Some(tx), supervisor, shared })
     }
 
     /// Enqueues a batch. On a full queue the **new** batch spills to the
     /// spool (back-pressure would stall the HTTP handler; collectors must
-    /// never block); without a spool it is dropped and counted.
+    /// never block).
     ///
     /// Returns true when the batch was **accepted** — queued for delivery
-    /// or durably spooled. False means it was dropped on the floor (full
-    /// queue and no working spool); the cluster write path counts such a
-    /// node-batch against the write quorum.
+    /// or durably spooled. False means it was dropped and counted (full
+    /// queue and a failed spool append); the cluster write path counts
+    /// such a node-batch against the write quorum.
     pub fn enqueue(&self, db: &str, body: String) -> bool {
         if body.is_empty() {
             return true;
@@ -289,8 +272,8 @@ impl Forwarder {
 
     /// True when the delivery pipeline is saturated: as many batches are
     /// queued or in flight as the queue can hold, so a new bulk batch
-    /// would overflow straight to the spool (or be dropped). The router
-    /// uses this as its load-shedding signal for low-priority writes.
+    /// would overflow straight to the spool. The router uses this as its
+    /// load-shedding signal for low-priority writes.
     pub fn saturated(&self) -> bool {
         self.shared.outstanding.load(Ordering::Acquire) >= self.shared.capacity
     }
@@ -315,7 +298,7 @@ impl Forwarder {
     /// Current statistics (queue, retry, spool and breaker counters in
     /// one consistent-enough snapshot).
     pub fn stats(&self) -> ForwardStats {
-        let spool = self.shared.spool.as_ref().map(Spool::stats).unwrap_or_default();
+        let spool = self.shared.spool.stats();
         ForwardStats {
             delivered: self.shared.delivered.load(Ordering::Relaxed),
             rejected: self.shared.rejected.load(Ordering::Relaxed),
@@ -339,7 +322,7 @@ impl Forwarder {
         self.flush_until(timeout, |s| {
             s.outstanding.load(Ordering::Acquire) == 0
                 && s.replaying.load(Ordering::Acquire) == 0
-                && s.spool_pending() == 0
+                && s.spool.is_empty()
         })
     }
 
@@ -354,7 +337,7 @@ impl Forwarder {
         self.flush_until(timeout, |s| {
             s.outstanding.load(Ordering::Acquire) == 0
                 && s.replaying.load(Ordering::Acquire) == 0
-                && (s.spool_pending() == 0 || s.breaker.state() == BreakerState::Open)
+                && (s.spool.is_empty() || s.breaker.state() == BreakerState::Open)
         })
     }
 
@@ -385,9 +368,8 @@ impl Forwarder {
 impl Drop for Forwarder {
     fn drop(&mut self) {
         self.tx.take(); // close the channel; workers drain and exit
-        self.shared.stop.store(true, Ordering::Release);
-        // Joins every supervised thread (workers finish draining the
-        // closed channel first, then return cleanly).
+        // Stops the drainer and joins every supervised thread (workers
+        // finish draining the closed channel first, then return cleanly).
         self.supervisor.shutdown();
     }
 }
@@ -467,11 +449,9 @@ fn process_run(
             shared.spill(&b.db, &b.body);
         }
     };
-    // Breaker already open and a spool available: spill immediately
-    // instead of burning a full retry/backoff budget per run. (Without
-    // a spool the worker still tries — dropping data because a breaker
-    // said so would be worse than a wasted retry.)
-    if shared.spool.is_some() && !shared.breaker.allow() {
+    // Breaker already open: spill immediately instead of burning a full
+    // retry/backoff budget per run.
+    if !shared.breaker.allow() {
         spill_all();
         return;
     }
@@ -494,7 +474,7 @@ fn process_run(
             // claim the single half-open probe slot, and holding it
             // through the sleep would block the drainer and every other
             // worker from delivering for the whole backoff.
-            if shared.spool.is_some() && !shared.breaker.allow() {
+            if !shared.breaker.allow() {
                 spill_all();
                 return;
             }
@@ -513,8 +493,8 @@ fn process_run(
                 attempt += 1;
                 // `state()` (not `allow()`): a plain read cannot claim
                 // the probe slot this arm would then never report on.
-                let give_up = attempt > config.max_retries
-                    || (shared.spool.is_some() && shared.breaker.state() == BreakerState::Open);
+                let give_up =
+                    attempt > config.max_retries || shared.breaker.state() == BreakerState::Open;
                 if give_up {
                     spill_all();
                     return;
@@ -541,14 +521,14 @@ fn process_run(
 /// drainer owns the half-open probe: after the breaker's cool-down it
 /// pings, and a healthy answer starts the replay (which closes the
 /// breaker for the workers too).
-fn drainer_loop(config: &ForwardConfig, shared: &Shared) {
-    let spool = shared.spool.as_ref().expect("drainer requires spool");
+fn drainer_loop(config: &ForwardConfig, shared: &Shared, ctx: &WorkerCtx) {
+    let spool = &shared.spool;
     let mut rng = XorShift64::new(config.seed ^ 0xD5A1_4E55);
     let mut failures: u32 = 0;
     // Health probe before replaying a backlog: at start and again after
     // every transient failure.
     let mut probe = true;
-    while !shared.stop.load(Ordering::Acquire) {
+    while !ctx.should_stop() {
         // Fault injection: consume one pending panic per iteration so
         // tests can exercise the supervisor's restart/budget path.
         if shared
@@ -560,11 +540,11 @@ fn drainer_loop(config: &ForwardConfig, shared: &Shared) {
         }
         let Some(entry) = spool.peek() else {
             shared.notify_progress();
-            sleep_unless_stopped(shared, config.drain_idle);
+            ctx.sleep(config.drain_idle);
             continue;
         };
         if !shared.breaker.allow() {
-            sleep_unless_stopped(shared, config.drain_idle);
+            ctx.sleep(config.drain_idle);
             continue;
         }
         // Mark the replay in flight for the whole deliver-and-ack window
@@ -614,7 +594,7 @@ fn drainer_loop(config: &ForwardConfig, shared: &Shared) {
             // must not count as "replay in flight".
         };
         if let Some(backoff) = backoff {
-            sleep_unless_stopped(shared, backoff);
+            ctx.sleep(backoff);
         }
     }
 }
@@ -640,20 +620,12 @@ impl Drop for ReplayGuard<'_> {
     }
 }
 
-/// Sleeps in slices so shutdown is prompt even mid-backoff.
-fn sleep_unless_stopped(shared: &Shared, total: Duration) {
-    let deadline = Instant::now() + total;
-    while Instant::now() < deadline && !shared.stop.load(Ordering::Acquire) {
-        std::thread::sleep((deadline - Instant::now()).min(Duration::from_millis(20)));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use lms_influx::{Influx, InfluxServer};
+    use lms_util::scratch::ScratchDir;
     use lms_util::{Clock, Timestamp};
-    use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
     fn db() -> (InfluxServer, Influx) {
         let influx = Influx::new(Clock::simulated(Timestamp::from_secs(1000))).unwrap();
@@ -661,20 +633,20 @@ mod tests {
         (server, influx)
     }
 
-    fn tmp_spool(tag: &str) -> SpoolConfig {
-        static N: AtomicU64 = AtomicU64::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "lms-fwd-{}-{}-{}",
-            std::process::id(),
-            tag,
-            N.fetch_add(1, AtomicOrdering::SeqCst)
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        SpoolConfig::new(dir)
+    /// A spool directory, removed after the forwarder that uses it.
+    fn spool_dir() -> ScratchDir {
+        ScratchDir::new("lms-fwd").unwrap()
     }
 
-    fn cfg(addr: SocketAddr, queue: usize, retries: u32, workers: usize) -> ForwardConfig {
+    fn cfg(
+        spool: &ScratchDir,
+        addr: SocketAddr,
+        queue: usize,
+        retries: u32,
+        workers: usize,
+    ) -> ForwardConfig {
         ForwardConfig {
+            spool: SpoolConfig::new(spool.path()),
             queue_capacity: queue,
             max_retries: retries,
             workers,
@@ -693,7 +665,8 @@ mod tests {
     #[test]
     fn delivers_batches() {
         let (server, influx) = db();
-        let f = Forwarder::start(cfg(server.addr(), 64, 2, 2)).unwrap();
+        let spool = spool_dir();
+        let f = Forwarder::start(cfg(&spool, server.addr(), 64, 2, 2)).unwrap();
         f.enqueue("lms", "m v=1 1\nm v=2 2".to_string());
         f.enqueue("lms", "m v=3 3".to_string());
         assert!(f.flush(Duration::from_secs(5)));
@@ -707,7 +680,8 @@ mod tests {
     #[test]
     fn empty_batches_are_skipped() {
         let (server, _influx) = db();
-        let f = Forwarder::start(cfg(server.addr(), 4, 0, 1)).unwrap();
+        let spool = spool_dir();
+        let f = Forwarder::start(cfg(&spool, server.addr(), 4, 0, 1)).unwrap();
         f.enqueue("lms", String::new());
         assert!(f.flush(Duration::from_secs(1)));
         assert_eq!(f.stats(), ForwardStats::default());
@@ -718,11 +692,8 @@ mod tests {
     fn survives_database_restart_via_spool() {
         let (server, _old) = db();
         let addr = server.addr();
-        let f = Forwarder::start(ForwardConfig {
-            spool: Some(tmp_spool("restart")),
-            ..cfg(addr, 64, 5, 2)
-        })
-        .unwrap();
+        let spool = spool_dir();
+        let f = Forwarder::start(cfg(&spool, addr, 64, 5, 2)).unwrap();
         f.enqueue("lms", "m v=1 1".to_string());
         assert!(f.flush(Duration::from_secs(5)));
         server.shutdown();
@@ -742,28 +713,12 @@ mod tests {
     }
 
     #[test]
-    fn overflow_drops_newest_and_counts_without_spool() {
-        // Point at a dead address: worker shall retry while queue fills.
-        let (server, _ix) = db();
-        let dead = server.addr();
-        server.shutdown();
-        let f = Forwarder::start(cfg(dead, 2, 10, 1)).unwrap();
-        for i in 0..50 {
-            f.enqueue("lms", format!("m v={i} {i}"));
-        }
-        assert!(f.stats().dropped > 0);
-    }
-
-    #[test]
     fn overflow_spills_to_spool_and_loses_nothing() {
         let (server, _ix) = db();
         let addr = server.addr();
         server.shutdown();
-        let f = Forwarder::start(ForwardConfig {
-            spool: Some(tmp_spool("overflow")),
-            ..cfg(addr, 2, 1, 1)
-        })
-        .unwrap();
+        let spool = spool_dir();
+        let f = Forwarder::start(cfg(&spool, addr, 2, 1, 1)).unwrap();
         for i in 0..50 {
             f.enqueue("lms", format!("m v={i} {i}"));
         }
@@ -790,13 +745,13 @@ mod tests {
         let (server, _ix) = db();
         let addr = server.addr();
         server.shutdown();
+        let spool = spool_dir();
         let f = Forwarder::start(ForwardConfig {
-            spool: Some(tmp_spool("breaker")),
             breaker: BreakerConfig {
                 failure_threshold: 2,
                 open_for: Duration::from_secs(60),
             },
-            ..cfg(addr, 64, 10, 1)
+            ..cfg(&spool, addr, 64, 10, 1)
         })
         .unwrap();
         f.enqueue("lms", "m v=1 1".to_string());
@@ -824,13 +779,13 @@ mod tests {
     #[test]
     fn permanent_errors_are_rejected_not_spooled() {
         let (server, influx) = db();
+        let spool = spool_dir();
         let f = Forwarder::start(ForwardConfig {
-            spool: Some(tmp_spool("reject")),
             // With one worker the two enqueues below could merge, and the
             // database partially accepts a mixed body — disable coalescing
             // so the malformed batch is refused on its own.
             coalesce_bytes: 0,
-            ..cfg(server.addr(), 64, 3, 1)
+            ..cfg(&spool, server.addr(), 64, 3, 1)
         })
         .unwrap();
         // The database answers 404 for a missing db only on query; for
@@ -852,13 +807,13 @@ mod tests {
         let (server, _ix) = db();
         let addr = server.addr();
         server.shutdown();
+        let spool = spool_dir();
         let config = ForwardConfig {
-            spool: Some(tmp_spool("probe-reject")),
             breaker: BreakerConfig {
                 failure_threshold: 1,
                 open_for: Duration::from_millis(50),
             },
-            ..cfg(addr, 64, 0, 1)
+            ..cfg(&spool, addr, 64, 0, 1)
         };
         let f = Forwarder::start(config.clone()).unwrap();
         // DB down: both batches spill, the malformed one at the spool head.
@@ -905,13 +860,9 @@ mod tests {
         let (server, _ix) = db();
         let addr = server.addr();
         server.shutdown();
-        let spool_cfg = tmp_spool("fwd-restart");
+        let spool = spool_dir();
         {
-            let f = Forwarder::start(ForwardConfig {
-                spool: Some(spool_cfg.clone()),
-                ..cfg(addr, 64, 1, 2)
-            })
-            .unwrap();
+            let f = Forwarder::start(cfg(&spool, addr, 64, 1, 2)).unwrap();
             for i in 0..5 {
                 f.enqueue("lms", format!("m v={i} {i}"));
             }
@@ -924,11 +875,7 @@ mod tests {
 
         let influx2 = Influx::new(Clock::simulated(Timestamp::from_secs(2000))).unwrap();
         let server2 = InfluxServer::start(addr, influx2.clone()).unwrap();
-        let f = Forwarder::start(ForwardConfig {
-            spool: Some(spool_cfg),
-            ..cfg(addr, 64, 1, 2)
-        })
-        .unwrap();
+        let f = Forwarder::start(cfg(&spool, addr, 64, 1, 2)).unwrap();
         assert!(f.flush(Duration::from_secs(10)));
         assert_eq!(influx2.point_count("lms"), 5);
         assert_eq!(f.stats().replayed, 5);
@@ -939,13 +886,16 @@ mod tests {
     fn coalesces_queued_backlog_into_fewer_deliveries() {
         // Reserve an address, then take the database down so the single
         // worker's first batch sits in retry backoff while the rest of
-        // the burst queues up behind it.
+        // the burst queues up behind it. The breaker never opens, so
+        // nothing spills to the spool and the drainer stays out of it.
         let (server, _ix) = db();
         let addr = server.addr();
         server.shutdown();
+        let spool = spool_dir();
         let f = Forwarder::start(ForwardConfig {
             backoff_base: Duration::from_millis(150),
-            ..cfg(addr, 64, 40, 1)
+            breaker: BreakerConfig { failure_threshold: u32::MAX, ..BreakerConfig::default() },
+            ..cfg(&spool, addr, 64, 40, 1)
         })
         .unwrap();
         f.enqueue("lms", "m v=0 100000000000".to_string());
@@ -969,7 +919,8 @@ mod tests {
     #[test]
     fn worker_pool_drains_concurrently() {
         let (server, influx) = db();
-        let f = Forwarder::start(cfg(server.addr(), 256, 2, 4)).unwrap();
+        let spool = spool_dir();
+        let f = Forwarder::start(cfg(&spool, server.addr(), 256, 2, 4)).unwrap();
         for i in 0..40 {
             f.enqueue("lms", format!("m,w=a v={i} {i}"));
         }

@@ -124,13 +124,19 @@ mod tests {
     use lms_cluster::ClusterConfig;
     use lms_influx::{Influx, InfluxServer};
     use lms_lineproto::parse_batch;
+    use lms_spool::SpoolConfig;
     use lms_util::hash::fx_hash;
     use lms_util::ring::HashRing;
+    use lms_util::scratch::ScratchDir;
     use lms_util::{Clock, Timestamp};
     use std::time::Duration;
 
-    fn cluster_of(n: usize, replication: usize) -> (Vec<InfluxServer>, Vec<Influx>, ClusterForwarder)
-    {
+    /// An n-node cluster spooling under `spool`, which outlives it.
+    fn cluster_of(
+        spool: &ScratchDir,
+        n: usize,
+        replication: usize,
+    ) -> (Vec<InfluxServer>, Vec<Influx>, ClusterForwarder) {
         let mut servers = Vec::new();
         let mut handles = Vec::new();
         for _ in 0..n {
@@ -146,6 +152,7 @@ mod tests {
         };
         let template = ForwardConfig {
             io_timeout: Duration::from_secs(2),
+            spool: SpoolConfig::new(spool.path()),
             ..ForwardConfig::new(servers[0].addr())
         };
         let cf = ClusterForwarder::start(&cfg, &template).unwrap();
@@ -154,7 +161,8 @@ mod tests {
 
     #[test]
     fn converged_cluster_finds_nothing_to_repair() {
-        let (servers, _handles, cf) = cluster_of(3, 2);
+        let spool = ScratchDir::new("lms-repair").unwrap();
+        let (servers, _handles, cf) = cluster_of(&spool, 3, 2);
         let mut batch = cf.batch("lms");
         let body: String =
             (0..20).map(|i| format!("m,hostname=h{i} v={i} {}\n", (i + 1) * 100)).collect();
@@ -175,7 +183,8 @@ mod tests {
 
     #[test]
     fn divergent_replica_is_healed_and_converges() {
-        let (servers, handles, cf) = cluster_of(3, 2);
+        let spool = ScratchDir::new("lms-repair").unwrap();
+        let (servers, handles, cf) = cluster_of(&spool, 3, 2);
         let mut batch = cf.batch("lms");
         let body: String =
             (0..20).map(|i| format!("m,hostname=h{i} v={i} {}\n", (i + 1) * 100)).collect();
@@ -219,7 +228,8 @@ mod tests {
 
     #[test]
     fn unreachable_node_is_skipped_not_repaired() {
-        let (mut servers, _handles, cf) = cluster_of(3, 2);
+        let spool = ScratchDir::new("lms-repair").unwrap();
+        let (mut servers, _handles, cf) = cluster_of(&spool, 3, 2);
         let mut batch = cf.batch("lms");
         for line in &parse_batch("m,hostname=h1 v=1 100\nm,hostname=h2 v=2 200").lines {
             batch.push_raw(line);
@@ -237,7 +247,8 @@ mod tests {
 
     #[test]
     fn single_replica_clusters_are_a_no_op() {
-        let (servers, _handles, cf) = cluster_of(2, 1);
+        let spool = ScratchDir::new("lms-repair").unwrap();
+        let (servers, _handles, cf) = cluster_of(&spool, 2, 1);
         assert_eq!(repair_database(&cf, "lms"), RepairOutcome::default());
         for s in servers {
             s.shutdown();

@@ -12,6 +12,7 @@ use lms_lineproto::escape::{escape_measurement_into, escape_tag_into};
 use lms_lineproto::{parse_batch, ParsedLine, Point};
 use lms_mq::Publisher;
 use lms_spool::SpoolConfig;
+use lms_util::scratch::ScratchDir;
 use lms_util::{Clock, Error, Result};
 use parking_lot::RwLock;
 use std::fmt::Write as _;
@@ -33,8 +34,11 @@ pub struct RouterConfig {
     /// Forwarder worker threads draining the queue concurrently
     /// (default: one per available core, at least two).
     pub forward_workers: usize,
-    /// Durable spill-to-disk spool for the delivery path. `None` (the
-    /// default) keeps the historical drop-and-count behaviour.
+    /// Where the delivery path spools what a node cannot take now:
+    /// overflow, exhausted retries and a down node's share (hinted
+    /// handoff), replayed in order once the node answers. `None` (the
+    /// default) spools in a scratch directory the router removes when it
+    /// drops, so a restarted router replays nothing from it.
     pub spool: Option<SpoolConfig>,
     /// Circuit-breaker tuning for the database destination.
     pub breaker: BreakerConfig,
@@ -46,7 +50,7 @@ pub struct RouterConfig {
 
 impl Default for RouterConfig {
     /// The forwarder's own defaults ([`ForwardConfig::new`]) for the
-    /// delivery fields; per-user views off.
+    /// delivery fields; a scratch spool; per-user views off.
     fn default() -> Self {
         let forward = ForwardConfig::new(SocketAddr::from(([127, 0, 0, 1], 0)));
         RouterConfig {
@@ -54,7 +58,7 @@ impl Default for RouterConfig {
             queue_capacity: forward.queue_capacity,
             max_retries: forward.max_retries,
             forward_workers: forward.workers,
-            spool: forward.spool,
+            spool: None,
             breaker: forward.breaker,
             coalesce_bytes: forward.coalesce_bytes,
         }
@@ -122,13 +126,16 @@ pub struct Router {
     partial_queries: AtomicU64,
     repair_passes: AtomicU64,
     repaired_ranges: AtomicU64,
+    /// The spool directory without `config.spool`, removed after the
+    /// forwarders.
+    _scratch: Option<ScratchDir>,
 }
 
 impl Router {
     /// Creates a router forwarding to the single database server at
     /// `db_addr` — the degenerate one-node cluster. `publisher` enables
-    /// the stream-analysis feed. Fails only when a configured spool
-    /// directory is unusable.
+    /// the stream-analysis feed. Fails only when the spool directory is
+    /// unusable.
     pub fn new(
         db_addr: SocketAddr,
         config: RouterConfig,
@@ -139,9 +146,8 @@ impl Router {
     }
 
     /// Creates a router spreading series over `cluster.nodes` with R-way
-    /// replication and hinted handoff (per-node spool subdirectories when
-    /// a spool is configured). Fails on invalid quorum arithmetic or an
-    /// unusable spool directory.
+    /// replication and hinted handoff (per-node spool subdirectories).
+    /// Fails on invalid quorum arithmetic or an unusable spool directory.
     pub fn new_cluster(
         cluster: ClusterConfig,
         config: RouterConfig,
@@ -149,11 +155,18 @@ impl Router {
         publisher: Option<Publisher>,
     ) -> Result<Self> {
         cluster.validate()?;
+        let (spool, scratch) = match &config.spool {
+            Some(spool) => (spool.clone(), None),
+            None => {
+                let scratch = ScratchDir::new("lms-router")?;
+                (SpoolConfig::new(scratch.path()), Some(scratch))
+            }
+        };
         let template = ForwardConfig {
             queue_capacity: config.queue_capacity,
             max_retries: config.max_retries,
             workers: config.forward_workers,
-            spool: config.spool.clone(),
+            spool,
             breaker: config.breaker,
             coalesce_bytes: config.coalesce_bytes,
             ..ForwardConfig::new(cluster.nodes[0])
@@ -174,6 +187,7 @@ impl Router {
             partial_queries: AtomicU64::new(0),
             repair_passes: AtomicU64::new(0),
             repaired_ranges: AtomicU64::new(0),
+            _scratch: scratch,
         })
     }
 
@@ -567,14 +581,6 @@ impl Router {
     /// completely (tests, shutdown of a healthy stack).
     pub fn flush(&self, timeout: std::time::Duration) -> bool {
         self.delivery.flush(timeout)
-    }
-
-    /// Graceful-drain flush: like [`flush`](Self::flush), but does not
-    /// block on the hinted-handoff spool of an unreachable node — those
-    /// hints are durable and replay after the node (or router) returns.
-    /// In-flight replays are always waited for.
-    pub fn flush_or_hinted(&self, timeout: std::time::Duration) -> bool {
-        self.delivery.flush_or_hinted(timeout)
     }
 }
 
@@ -1096,6 +1102,25 @@ mod tests {
         assert!(topics.contains(&"signal.job_start".to_string()), "{topics:?}");
         assert!(topics.contains(&"metrics.cpu".to_string()), "{topics:?}");
         server.shutdown();
+    }
+
+    #[test]
+    fn a_router_without_a_spool_removes_its_scratch_spool_when_it_drops() {
+        // A dead database and no retries: the write spills at once.
+        let dead = std::net::TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap();
+        let config = RouterConfig { max_retries: 0, ..Default::default() };
+        let clock = Clock::simulated(Timestamp::from_secs(5000));
+        let router = Router::new(dead, config, clock, None).unwrap();
+        let dir = router._scratch.as_ref().expect("no spool configured").path().to_path_buf();
+        assert!(router.handle_write(None, "m,hostname=h1 v=1 1").acked);
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while router.stats().forward.spooled == 0 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(router.stats().forward.spooled, 1);
+        assert!(std::fs::read_dir(&dir).unwrap().next().is_some(), "the batch is on disk");
+        drop(router);
+        assert!(!dir.exists());
     }
 
     #[test]

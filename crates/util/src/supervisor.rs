@@ -19,8 +19,8 @@
 use crate::error::{Error, Result};
 use crate::rng::XorShift64;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -104,34 +104,55 @@ pub struct WorkerReport {
 /// [`WorkerCtx::should_stop`] (or use [`WorkerCtx::sleep`]) so shutdown and
 /// restart cancellation stay prompt.
 pub struct WorkerCtx {
-    stop: Arc<AtomicBool>,
+    stop: Arc<Stop>,
 }
 
 impl WorkerCtx {
     /// True once the supervisor is shutting down; the body should return.
     pub fn should_stop(&self) -> bool {
-        self.stop.load(Ordering::Acquire)
+        self.stop.is_set()
     }
 
-    /// Sleeps up to `total` in short slices, returning early (false) when
-    /// shutdown is requested.
+    /// Sleeps up to `total`, returning early (false) when shutdown is
+    /// requested.
     pub fn sleep(&self, total: Duration) -> bool {
-        sleep_unless(&self.stop, total)
+        self.stop.sleep(total)
     }
 }
 
-fn sleep_unless(stop: &AtomicBool, total: Duration) -> bool {
-    let slice = Duration::from_millis(20);
-    let mut left = total;
-    while left > Duration::ZERO {
-        if stop.load(Ordering::Acquire) {
-            return false;
-        }
-        let step = left.min(slice);
-        std::thread::sleep(step);
-        left = left.saturating_sub(step);
+/// The stop flag a supervisor's workers share. Setting it wakes every
+/// sleeper at once, so a sleep is one wake-up however long it is, and an
+/// idle worker costs nothing between its own ticks.
+#[derive(Default)]
+struct Stop {
+    stopped: Mutex<bool>,
+    wake: Condvar,
+}
+
+impl Stop {
+    fn is_set(&self) -> bool {
+        *lock(&self.stopped)
     }
-    !stop.load(Ordering::Acquire)
+
+    fn set(&self) {
+        *lock(&self.stopped) = true;
+        self.wake.notify_all();
+    }
+
+    /// Sleeps up to `total`; false when the flag is (or becomes) set.
+    fn sleep(&self, total: Duration) -> bool {
+        let deadline = Instant::now() + total;
+        let mut stopped = lock(&self.stopped);
+        while !*stopped {
+            let now = Instant::now();
+            if now >= deadline {
+                return true;
+            }
+            let waited = self.wake.wait_timeout(stopped, deadline - now);
+            stopped = waited.unwrap_or_else(|e| e.into_inner()).0;
+        }
+        false
+    }
 }
 
 /// Linux keeps the first 15 bytes of a thread's name (`comm`): what
@@ -188,7 +209,7 @@ impl WorkerSlot {
 
 struct Inner {
     config: SupervisorConfig,
-    stop: Arc<AtomicBool>,
+    stop: Arc<Stop>,
     workers: Mutex<Vec<Arc<WorkerSlot>>>,
     monitors: Mutex<Vec<JoinHandle<()>>>,
     next_seed: AtomicU64,
@@ -208,7 +229,7 @@ impl Supervisor {
         Supervisor {
             inner: Arc::new(Inner {
                 config,
-                stop: Arc::new(AtomicBool::new(false)),
+                stop: Arc::default(),
                 workers: Mutex::new(Vec::new()),
                 monitors: Mutex::new(Vec::new()),
                 next_seed: AtomicU64::new(seed),
@@ -224,7 +245,7 @@ impl Supervisor {
     where
         F: FnMut(&WorkerCtx) + Send + 'static,
     {
-        if self.inner.stop.load(Ordering::Acquire) {
+        if self.inner.stop.is_set() {
             return Err(Error::invalid("supervisor is shut down"));
         }
         let slot = {
@@ -289,7 +310,7 @@ impl Supervisor {
     /// thread. Idempotent; clones of this supervisor see the stop flag
     /// immediately.
     pub fn shutdown(&self) {
-        self.inner.stop.store(true, Ordering::Release);
+        self.inner.stop.set();
         let monitors: Vec<JoinHandle<()>> = std::mem::take(&mut *lock(&self.inner.monitors));
         for m in monitors {
             let _ = m.join();
@@ -299,7 +320,7 @@ impl Supervisor {
 
 impl Drop for Inner {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
+        self.stop.set();
         for m in std::mem::take(&mut *lock(&self.monitors)) {
             let _ = m.join();
         }
@@ -320,7 +341,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 fn monitor_loop<F>(
     slot: Arc<WorkerSlot>,
     config: SupervisorConfig,
-    stop: Arc<AtomicBool>,
+    stop: Arc<Stop>,
     seed: u64,
     body: &mut F,
 ) where
@@ -344,7 +365,7 @@ fn monitor_loop<F>(
                 let msg = panic_message(payload.as_ref());
                 *lock(&slot.last_panic) = Some(msg);
                 slot.restarts.fetch_add(1, Ordering::Relaxed);
-                if stop.load(Ordering::Acquire) {
+                if stop.is_set() {
                     // Shutting down anyway; don't bother restarting.
                     slot.set_health(WorkerHealth::Stopped);
                     return;
@@ -360,7 +381,7 @@ fn monitor_loop<F>(
                 }
                 slot.set_health(WorkerHealth::Restarting);
                 let delay = rng.backoff(config.backoff_base, config.backoff_cap, consecutive - 1);
-                if !sleep_unless(&stop, delay) {
+                if !stop.sleep(delay) {
                     slot.set_health(WorkerHealth::Stopped);
                     return;
                 }
@@ -473,6 +494,26 @@ mod tests {
         sup.shutdown();
         assert!(start.elapsed() < Duration::from_secs(5), "shutdown must not wait out backoff");
         assert_eq!(sup.health_of("slowpoke"), Some(WorkerHealth::Stopped));
+    }
+
+    #[test]
+    fn shutdown_wakes_a_sleeping_worker() {
+        let sup = Supervisor::new(quick_config());
+        let rounds = Arc::new(AtomicU32::new(0));
+        let rounds2 = rounds.clone();
+        sup.spawn("sleeper", move |ctx| {
+            while !ctx.should_stop() {
+                rounds2.fetch_add(1, Ordering::SeqCst);
+                ctx.sleep(Duration::from_secs(60));
+            }
+        })
+        .unwrap();
+        assert!(wait_until(|| rounds.load(Ordering::SeqCst) == 1, Duration::from_secs(2)));
+        let start = Instant::now();
+        sup.shutdown();
+        assert!(start.elapsed() < Duration::from_secs(5), "shutdown must not wait out a sleep");
+        assert_eq!(rounds.load(Ordering::SeqCst), 1);
+        assert_eq!(sup.health_of("sleeper"), Some(WorkerHealth::Stopped));
     }
 
     #[test]

@@ -15,23 +15,14 @@ use lms::http::{FaultConfig, FaultProxy, HttpClient};
 use lms::influx::{Influx, InfluxServer};
 use lms::router::{Router, RouterConfig, RouterServer};
 use lms::spool::SpoolConfig;
-use lms::util::{Clock, Timestamp};
 use lms::util::rng::chaos_seed;
+use lms::util::scratch::ScratchDir;
+use lms::util::{Clock, Timestamp};
 use std::sync::Arc;
 use std::time::Duration;
 
 fn clock() -> Clock {
     Clock::simulated(Timestamp::from_secs(7_000_000))
-}
-
-fn tmp_spool(tag: &str) -> SpoolConfig {
-    let dir = std::env::temp_dir().join(format!(
-        "lms-chaos-{}-{tag}-{}",
-        std::process::id(),
-        chaos_seed()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    SpoolConfig::new(dir)
 }
 
 struct Rig {
@@ -43,16 +34,12 @@ struct Rig {
     agent: HttpClient,
 }
 
-fn rig(tag: &str, fault: FaultConfig) -> Rig {
+fn rig(fault: FaultConfig) -> Rig {
     let clock = clock();
     let influx = Influx::new(clock.clone()).unwrap();
     let db = InfluxServer::start("127.0.0.1:0", influx.clone()).unwrap();
     let proxy = FaultProxy::start(db.addr(), fault).unwrap();
-    let config = RouterConfig {
-        max_retries: 1,
-        spool: Some(tmp_spool(tag)),
-        ..Default::default()
-    };
+    let config = RouterConfig { max_retries: 1, ..Default::default() };
     let router = Arc::new(Router::new(proxy.addr(), config, clock, None).unwrap());
     let rs = RouterServer::start("127.0.0.1:0", router.clone()).unwrap();
     let agent = HttpClient::connect(rs.addr()).unwrap();
@@ -64,7 +51,7 @@ fn rig(tag: &str, fault: FaultConfig) -> Rig {
 /// the database once `flush()` returns — zero loss, no settling sleeps.
 #[test]
 fn hard_outage_mid_stream_loses_nothing() {
-    let mut r = rig("outage", FaultConfig { seed: chaos_seed(), ..FaultConfig::default() });
+    let mut r = rig(FaultConfig { seed: chaos_seed(), ..FaultConfig::default() });
     const N: usize = 150;
     for i in 1..=N {
         let resp = r
@@ -101,16 +88,13 @@ fn hard_outage_mid_stream_loses_nothing() {
 /// Retries, the breaker and the spool together must still deliver all.
 #[test]
 fn flapping_database_delivers_every_point() {
-    let mut r = rig(
-        "flap",
-        FaultConfig {
-            seed: chaos_seed(),
-            error_prob: 0.3,
-            drop_prob: 0.2,
-            delay_prob: 0.2,
-            delay: Duration::from_millis(20),
-        },
-    );
+    let mut r = rig(FaultConfig {
+        seed: chaos_seed(),
+        error_prob: 0.3,
+        drop_prob: 0.2,
+        delay_prob: 0.2,
+        delay: Duration::from_millis(20),
+    });
     const N: usize = 100;
     for i in 1..=N {
         let resp = r
@@ -139,7 +123,8 @@ fn flapping_database_delivers_every_point() {
 /// directory.
 #[test]
 fn spool_survives_router_restart() {
-    let spool_cfg = tmp_spool("restart");
+    let spool = ScratchDir::new("lms-chaos").unwrap();
+    let spool_cfg = SpoolConfig::new(spool.path());
     let clk = clock();
     let influx = Influx::new(clk.clone()).unwrap();
     let db = InfluxServer::start("127.0.0.1:0", influx.clone()).unwrap();
@@ -186,15 +171,12 @@ fn spool_survives_router_restart() {
 /// still only return once the point is in the database.
 #[test]
 fn flush_waits_for_in_flight_batches() {
-    let mut r = rig(
-        "inflight",
-        FaultConfig {
-            seed: chaos_seed(),
-            delay_prob: 1.0,
-            delay: Duration::from_millis(300),
-            ..FaultConfig::default()
-        },
-    );
+    let mut r = rig(FaultConfig {
+        seed: chaos_seed(),
+        delay_prob: 1.0,
+        delay: Duration::from_millis(300),
+        ..FaultConfig::default()
+    });
     for i in 1..=3u32 {
         assert_eq!(
             r.agent.post_text("/write", &format!("slow,hostname=h4 v={i} {i}")).unwrap().status,

@@ -16,7 +16,6 @@
 use lms::http::{FaultConfig, FaultProxy, HttpClient};
 use lms::influx::{Influx, InfluxServer};
 use lms::router::{ClusterConfig, Router, RouterConfig, RouterServer};
-use lms::spool::SpoolConfig;
 use lms::util::rng::chaos_seed;
 use lms::util::{Clock, Json, Timestamp};
 use std::sync::Arc;
@@ -24,16 +23,6 @@ use std::time::Duration;
 
 fn clock() -> Clock {
     Clock::simulated(Timestamp::from_secs(8_000_000))
-}
-
-fn tmp_spool(tag: &str) -> SpoolConfig {
-    let dir = std::env::temp_dir().join(format!(
-        "lms-cluster-chaos-{}-{tag}-{}",
-        std::process::id(),
-        chaos_seed()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    SpoolConfig::new(dir)
 }
 
 /// A 3-node database cluster with node 1 behind a fault proxy, fronted by
@@ -46,7 +35,7 @@ struct Rig {
     agent: HttpClient,
 }
 
-fn rig(tag: &str, fault: FaultConfig) -> Rig {
+fn rig(fault: FaultConfig) -> Rig {
     let clk = clock();
     let mut nodes = Vec::new();
     for _ in 0..3 {
@@ -61,11 +50,7 @@ fn rig(tag: &str, fault: FaultConfig) -> Rig {
         write_quorum: 1,
         seed: chaos_seed(),
     };
-    let config = RouterConfig {
-        max_retries: 1,
-        spool: Some(tmp_spool(tag)),
-        ..Default::default()
-    };
+    let config = RouterConfig { max_retries: 1, ..Default::default() };
     let router = Arc::new(Router::new_cluster(cluster, config, clk, None).unwrap());
     let rs = RouterServer::start("127.0.0.1:0", router.clone()).unwrap();
     let agent = HttpClient::connect(rs.addr()).unwrap();
@@ -93,7 +78,7 @@ impl Rig {
 /// returns the exact acknowledged set.
 #[test]
 fn node_kill_and_rejoin_mid_ingest_loses_nothing() {
-    let mut r = rig("rejoin", FaultConfig { seed: chaos_seed(), ..FaultConfig::default() });
+    let mut r = rig(FaultConfig { seed: chaos_seed(), ..FaultConfig::default() });
     const N: usize = 150;
     for i in 1..=N {
         // 16 hostnames spread series over the whole ring, so the killed
@@ -153,7 +138,7 @@ fn node_kill_and_rejoin_mid_ingest_loses_nothing() {
 /// same query is complete again.
 #[test]
 fn reads_degrade_to_partial_during_outage_and_heal_after() {
-    let mut r = rig("partial", FaultConfig { seed: chaos_seed(), ..FaultConfig::default() });
+    let mut r = rig(FaultConfig { seed: chaos_seed(), ..FaultConfig::default() });
     const N: usize = 30;
     for i in 1..=N {
         let line = format!("deg,hostname=h{} v={i} {i}", i % 8);
@@ -192,17 +177,14 @@ fn reads_degrade_to_partial_during_outage_and_heal_after() {
 /// replayed batch is still mid-flight.
 #[test]
 fn drain_waits_for_in_flight_handoff_replay() {
-    let mut r = rig(
-        "drain",
-        FaultConfig {
-            seed: chaos_seed(),
-            // Every proxied request crawls: replay of each hint takes
-            // ~300 ms, so a premature flush would win the race visibly.
-            delay_prob: 1.0,
-            delay: Duration::from_millis(300),
-            ..FaultConfig::default()
-        },
-    );
+    let mut r = rig(FaultConfig {
+        seed: chaos_seed(),
+        // Every proxied request crawls: replay of each hint takes
+        // ~300 ms, so a premature flush would win the race visibly.
+        delay_prob: 1.0,
+        delay: Duration::from_millis(300),
+        ..FaultConfig::default()
+    });
     r.proxy.set_down();
     const N: usize = 24;
     for i in 1..=N {
@@ -235,7 +217,7 @@ fn drain_waits_for_in_flight_handoff_replay() {
 /// exposes the per-destination breaker and spool depth while degraded.
 #[test]
 fn stats_expose_per_destination_state_during_outage() {
-    let mut r = rig("stats", FaultConfig { seed: chaos_seed(), ..FaultConfig::default() });
+    let mut r = rig(FaultConfig { seed: chaos_seed(), ..FaultConfig::default() });
     r.proxy.set_down();
     const N: usize = 20;
     for i in 1..=N {

@@ -5,7 +5,6 @@
 use lms::http::HttpClient;
 use lms::influx::{Influx, InfluxServer, StorageConfig};
 use lms::router::{Router, RouterConfig, RouterServer};
-use lms::spool::SpoolConfig;
 use lms::util::{Clock, Timestamp};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -14,23 +13,13 @@ fn clock() -> Clock {
     Clock::simulated(Timestamp::from_secs(1_000_000))
 }
 
-fn tmp_spool(tag: &str) -> SpoolConfig {
-    let dir = std::env::temp_dir().join(format!("lms-fi-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    SpoolConfig::new(dir)
-}
-
 #[test]
 fn router_buffers_through_database_outage() {
     let clock = clock();
     let influx = Influx::new(clock.clone()).unwrap();
     let db = InfluxServer::start("127.0.0.1:0", influx.clone()).unwrap();
     let db_addr = db.addr();
-    let config = RouterConfig {
-        max_retries: 8,
-        spool: Some(tmp_spool("outage")),
-        ..Default::default()
-    };
+    let config = RouterConfig { max_retries: 8, ..Default::default() };
     let router = Arc::new(Router::new(db_addr, config, clock.clone(), None).unwrap());
     let rs = RouterServer::start("127.0.0.1:0", router.clone()).unwrap();
     let mut agent = HttpClient::connect(rs.addr()).unwrap();
@@ -73,8 +62,7 @@ fn a_wal_append_error_on_the_node_is_retried_not_rejected() {
     influx.create_database("lms");
     let worker = influx.spawn_storage_worker().unwrap();
     let db = InfluxServer::start("127.0.0.1:0", influx.clone()).unwrap();
-    let config = RouterConfig { spool: Some(tmp_spool("wal-fault")), ..Default::default() };
-    let router = Router::new(db.addr(), config, clock.clone(), None).unwrap();
+    let router = Router::new(db.addr(), RouterConfig::default(), clock.clone(), None).unwrap();
     // The disk fills up under the next WAL segments (`/dev/full` fails
     // every write with ENOSPC); a flush's rotation moves the log there.
     let wal = dir.join("lms").join("wal");

@@ -17,20 +17,11 @@ use lms::http::{FaultConfig, FaultProxy, HttpClient};
 use lms::influx::{Influx, InfluxServer};
 use lms::router::{Router, RouterConfig, RouterServer};
 use lms::spool::SpoolConfig;
-use lms::util::{Clock, Timestamp};
 use lms::util::rng::chaos_seed;
+use lms::util::scratch::ScratchDir;
+use lms::util::{Clock, Timestamp};
 use std::sync::Arc;
 use std::time::Duration;
-
-fn tmp_spool(tag: &str) -> SpoolConfig {
-    let dir = std::env::temp_dir().join(format!(
-        "lms-overload-{}-{tag}-{}",
-        std::process::id(),
-        chaos_seed()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    SpoolConfig::new(dir)
-}
 
 /// 2x-capacity write load against a flapping database: writes are either
 /// acknowledged (204) or shed (503 + Retry-After); signals always land;
@@ -52,7 +43,8 @@ fn overload_sheds_cleanly_and_acknowledged_points_survive_restart() {
         },
     )
     .unwrap();
-    let spool_cfg = tmp_spool("shed");
+    let spool = ScratchDir::new("lms-overload").unwrap();
+    let spool_cfg = SpoolConfig::new(spool.path());
     // Tiny queue + single worker: the tight write loop below runs far
     // beyond delivery capacity, so the admission gate must trip.
     let config = RouterConfig {
@@ -162,7 +154,6 @@ fn shedding_recovers_once_load_subsides() {
     let config = RouterConfig {
         queue_capacity: 2,
         forward_workers: 1,
-        spool: Some(tmp_spool("recover")),
         ..Default::default()
     };
     let router = Arc::new(Router::new(proxy.addr(), config, clock, None).unwrap());

@@ -12,7 +12,6 @@
 use lms::http::HttpClient;
 use lms::influx::{Influx, InfluxServer, StorageConfig};
 use lms::router::{Router, RouterConfig, RouterServer};
-use lms::spool::SpoolConfig;
 use lms::util::{Clock, SupervisorConfig, Timestamp, WorkerHealth, WorkerReport};
 use lms::util::rng::chaos_seed;
 use std::sync::Arc;
@@ -109,11 +108,7 @@ fn spool_drainer_panic_self_heals_and_budget_opens() {
     let clock = Clock::simulated(Timestamp::from_secs(8_100_000));
     let influx = Influx::new(clock.clone()).unwrap();
     let db = InfluxServer::start("127.0.0.1:0", influx.clone()).unwrap();
-    let config = RouterConfig {
-        spool: Some(SpoolConfig::new(tmp_dir("drainer"))),
-        ..Default::default()
-    };
-    let router = Arc::new(Router::new(db.addr(), config, clock, None).unwrap());
+    let router = Arc::new(Router::new(db.addr(), RouterConfig::default(), clock, None).unwrap());
     let rs = RouterServer::start("127.0.0.1:0", router.clone()).unwrap();
     let mut c = HttpClient::connect(rs.addr()).unwrap();
 
