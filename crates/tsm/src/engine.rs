@@ -520,7 +520,8 @@ impl TsmEngine {
     }
 
     /// Number of live segment files.
-    pub fn segment_file_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn segment_file_count(&self) -> usize {
         self.files.lock().len()
     }
 

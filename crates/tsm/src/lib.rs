@@ -15,9 +15,12 @@
 //!   Regular scrapes compress well over 4x against the in-memory
 //!   representation.
 //! * **Bounded space** — sealed blocks live in time-partitioned
-//!   [segment files](segment); retention deletes whole expired files
-//!   without scanning, and background [compaction](engine) merges
-//!   accumulated flush files and drops overwritten point versions.
+//!   [segment files](segment) (format `LMSTSM3`), one CRC frame per series
+//!   per file, so a series' identity is written once per file, not once
+//!   per block; retention deletes whole expired files without scanning,
+//!   and background [compaction](engine) merges accumulated flush files
+//!   and drops overwritten point versions. Files of the previous format,
+//!   `LMSTSM2`, are still read, and compaction rewrites them as `LMSTSM3`.
 //!
 //! The crate is deliberately index-agnostic: it stores and recovers
 //! `(series identity, sealed block)` pairs and WAL batches. The database
