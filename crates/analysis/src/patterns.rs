@@ -81,11 +81,6 @@ impl Pattern {
             Pattern::Unremarkable => "no dominant pattern: profile in depth",
         }
     }
-
-    /// Whether the pattern marks significant optimization potential.
-    pub fn has_potential(self) -> bool {
-        !matches!(self, Pattern::ComputeBoundHealthy | Pattern::Unremarkable)
-    }
 }
 
 /// Tunable thresholds of the tree (defaults follow the FEPA-style rules of
@@ -187,7 +182,6 @@ mod tests {
     fn idle_wins_over_everything() {
         let sig = PerfSignature { cpu_busy: 0.02, membw_frac: 0.95, ..base() };
         assert_eq!(classify(&sig), Pattern::Idle);
-        assert!(Pattern::Idle.has_potential());
     }
 
     #[test]
@@ -207,7 +201,6 @@ mod tests {
     fn compute_bound_healthy() {
         let sig = PerfSignature { flops_frac: 0.7, ..base() };
         assert_eq!(classify(&sig), Pattern::ComputeBoundHealthy);
-        assert!(!classify(&sig).has_potential());
     }
 
     #[test]
@@ -242,7 +235,6 @@ mod tests {
     #[test]
     fn unremarkable_fallthrough() {
         assert_eq!(classify(&base()), Pattern::Unremarkable);
-        assert!(!Pattern::Unremarkable.has_potential());
     }
 
     #[test]

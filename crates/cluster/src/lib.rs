@@ -92,12 +92,6 @@ impl ClusterConfig {
         Ok(())
     }
 
-    /// Node-batch failures a write can absorb and still meet the quorum:
-    /// `R − W`.
-    pub fn tolerated_failures(&self) -> usize {
-        self.replication - self.write_quorum
-    }
-
     /// The placement ring for this configuration.
     pub fn ring(&self) -> HashRing {
         HashRing::new(self.nodes.len(), self.seed)
@@ -116,7 +110,6 @@ mod tests {
     fn single_node_config_is_valid() {
         let c = ClusterConfig::single(addr(8086));
         c.validate().unwrap();
-        assert_eq!(c.tolerated_failures(), 0);
     }
 
     #[test]
@@ -134,8 +127,7 @@ mod tests {
         assert!(c.validate().is_err());
         c.write_quorum = 2;
         c.validate().unwrap();
-        assert_eq!(c.tolerated_failures(), 0);
         c.write_quorum = 1;
-        assert_eq!(c.tolerated_failures(), 1);
+        c.validate().unwrap();
     }
 }

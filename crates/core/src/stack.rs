@@ -29,7 +29,9 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Configuration of a stack deployment.
+/// Configuration of a stack deployment. The `lms-stack` binary sets each
+/// field from the flag of its name; [`LmsStack::start`] refuses what does
+/// not fit together.
 #[derive(Debug, Clone)]
 pub struct StackConfig {
     /// Number of compute nodes to simulate (named `h1`, `h2`, …).
@@ -53,7 +55,8 @@ pub struct StackConfig {
     pub per_user: bool,
     /// Publish metrics/signals on the message queue.
     pub publish: bool,
-    /// Database retention window (None = keep everything).
+    /// Database retention window (None = keep everything; zero is
+    /// refused).
     pub retention: Option<Duration>,
     /// Tiered retention: when set, the database nodes run the continuous
     /// downsampling pipeline (raw → 1m → 1h rollup siblings, each with its
@@ -100,143 +103,6 @@ impl Default for StackConfig {
             scrub_interval: Duration::from_secs(60),
             scrub_rate_bytes: 8 * 1024 * 1024,
         }
-    }
-}
-
-impl StackConfig {
-    /// Loads a configuration from INI text (the deployment format every
-    /// LMS daemon uses; see `lms-util::config`):
-    ///
-    /// ```ini
-    /// [cluster]
-    /// nodes = 8
-    /// topology = dual_socket_10c   ; or desktop_4c
-    /// seed = 7
-    /// db_nodes = 3        ; database nodes behind the router (default 1)
-    /// replication = 2     ; copies of each series (R)
-    /// write_quorum = 1    ; node-batches required to ack a write (W)
-    ///
-    /// [monitoring]
-    /// hpm_groups = FLOPS_DP, MEM, ENERGY
-    /// per_user = yes
-    /// publish = on
-    /// retention_hours = 48
-    /// data_dir = /var/lib/lms    ; the database's home (omit = a scratch dir)
-    /// drain_timeout_secs = 10    ; graceful-drain budget on shutdown
-    ///
-    /// [retention]
-    /// raw = 7d      ; tiered retention: any key enables downsampling
-    /// 1m  = 90d     ; durations use the query literal grammar (90d, 6h, 30m)
-    /// 1h  = 52w
-    ///
-    /// [integrity]
-    /// scrub_interval_secs = 60      ; CRC-scrub cadence (0 = off)
-    /// scrub_rate_bytes = 8388608    ; scrub byte budget per cycle (0 = off)
-    /// ```
-    pub fn from_ini(text: &str) -> Result<Self> {
-        let ini = lms_util::config::Config::parse(text)?;
-        let mut config = StackConfig::default();
-        if let Some(n) = ini.get_i64("cluster", "nodes")? {
-            if n < 1 {
-                return Err(Error::config("cluster.nodes must be >= 1"));
-            }
-            config.nodes = n as usize;
-        }
-        match ini.get_or("cluster", "topology", "dual_socket_10c") {
-            "dual_socket_10c" => config.topology = Topology::preset_dual_socket_10c(),
-            "desktop_4c" => config.topology = Topology::preset_desktop_4c(),
-            other => {
-                return Err(Error::config(format!("unknown topology preset `{other}`")))
-            }
-        }
-        if let Some(seed) = ini.get_i64("cluster", "seed")? {
-            config.seed = seed as u64;
-        }
-        if let Some(n) = ini.get_i64("cluster", "db_nodes")? {
-            if n < 1 {
-                return Err(Error::config("cluster.db_nodes must be >= 1"));
-            }
-            config.db_nodes = n as usize;
-        }
-        if let Some(r) = ini.get_i64("cluster", "replication")? {
-            if r < 1 {
-                return Err(Error::config("cluster.replication must be >= 1"));
-            }
-            config.replication = r as usize;
-        }
-        if let Some(w) = ini.get_i64("cluster", "write_quorum")? {
-            if w < 1 {
-                return Err(Error::config("cluster.write_quorum must be >= 1"));
-            }
-            config.write_quorum = w as usize;
-        }
-        let groups = ini.get_list("monitoring", "hpm_groups");
-        if !groups.is_empty() {
-            for g in &groups {
-                if lms_hpm::groups::builtin_text(g).is_none() {
-                    return Err(Error::config(format!("unknown performance group `{g}`")));
-                }
-            }
-            config.hpm_groups = groups;
-        }
-        if let Some(v) = ini.get_bool("monitoring", "per_user")? {
-            config.per_user = v;
-        }
-        if let Some(v) = ini.get_bool("monitoring", "publish")? {
-            config.publish = v;
-        }
-        if let Some(h) = ini.get_i64("monitoring", "retention_hours")? {
-            if h < 1 {
-                return Err(Error::config("retention_hours must be >= 1"));
-            }
-            config.retention = Some(Duration::from_secs(h as u64 * 3600));
-        }
-        if let Some(dir) = ini.get("monitoring", "data_dir") {
-            config.data_dir = Some(PathBuf::from(dir));
-        }
-        if let Some(s) = ini.get_i64("monitoring", "drain_timeout_secs")? {
-            if s < 0 {
-                return Err(Error::config("drain_timeout_secs must be >= 0"));
-            }
-            config.drain_timeout = Duration::from_secs(s as u64);
-        }
-        // Tiered retention: any `[retention]` key turns the downsampling
-        // pipeline on; values use the query duration grammar (`90d`, `6h`).
-        let parse_tier_retention = |key: &str| -> Result<Option<Duration>> {
-            let Some(raw) = ini.get("retention", key) else { return Ok(None) };
-            let ns = lms_influx::query::parse_duration_ns(raw).map_err(|_| {
-                Error::config(format!("bad retention.{key} `{raw}`: expected e.g. 90d, 6h, 30m"))
-            })?;
-            if ns <= 0 {
-                return Err(Error::config(format!("retention.{key} must be positive")));
-            }
-            Ok(Some(Duration::from_nanos(ns as u64)))
-        };
-        let policy = RollupPolicy {
-            retention_raw: parse_tier_retention("raw")?,
-            retention_1m: parse_tier_retention("1m")?,
-            retention_1h: parse_tier_retention("1h")?,
-        };
-        if policy.retention_raw.is_some()
-            || policy.retention_1m.is_some()
-            || policy.retention_1h.is_some()
-        {
-            config.rollup = Some(policy);
-        }
-        // Self-healing knobs; zeros disable the corresponding loop.
-        if let Some(s) = ini.get_i64("integrity", "scrub_interval_secs")? {
-            if s < 0 {
-                return Err(Error::config("integrity.scrub_interval_secs must be >= 0"));
-            }
-            config.scrub_interval = Duration::from_secs(s as u64);
-        }
-        if let Some(b) = ini.get_i64("integrity", "scrub_rate_bytes")? {
-            if b < 0 {
-                return Err(Error::config("integrity.scrub_rate_bytes must be >= 0"));
-            }
-            config.scrub_rate_bytes = b as u64;
-        }
-        Ok(config)
     }
 }
 
@@ -317,13 +183,21 @@ impl LmsStack {
     pub fn start(config: StackConfig) -> Result<Self> {
         let clock = Clock::simulated(config.start_time);
 
+        // R and W are checked by `ClusterConfig::validate` as the router
+        // starts, and each HPM group as a collector adds it.
+        for (field, n) in [("nodes", config.nodes), ("db_nodes", config.db_nodes)] {
+            if n < 1 {
+                return Err(Error::config(format!("{field} must be >= 1")));
+            }
+        }
+        if config.retention == Some(Duration::ZERO) {
+            return Err(Error::config("retention must be positive"));
+        }
+
         // Database nodes (WAL + segment files, replaying any prior history)
         // under `data_dir`, or under a scratch directory without one.
         // Multi-node stacks split the directory into `node-<i>` subtrees so
         // a restart on the same directory rehydrates every node.
-        if config.db_nodes < 1 {
-            return Err(Error::config("db_nodes must be >= 1"));
-        }
         let (root, scratch) = match &config.data_dir {
             Some(dir) => (dir.clone(), None),
             None => {
@@ -397,7 +271,7 @@ impl LmsStack {
             agent.send_to(router_addr, "lms")?;
             let mut hpm = HpmCollector::new(config.topology.clone(), hostname.clone(), clock.clone());
             for group in &config.hpm_groups {
-                hpm.add_group(group)?;
+                hpm.add_group(group).map_err(|e| Error::config(format!("hpm_groups: {e}")))?;
             }
             if config.rollup.is_some() {
                 // Agent-side pre-aggregation: both collectors additionally
@@ -500,11 +374,6 @@ impl LmsStack {
     /// The embedded database handle of node `i` (panics out of range).
     pub fn influx_node(&self, i: usize) -> &Influx {
         &self.db[i].influx
-    }
-
-    /// Number of database nodes.
-    pub fn db_node_count(&self) -> usize {
-        self.db.len()
     }
 
     /// Database server address (node 0).
@@ -997,11 +866,10 @@ mod tests {
         stack.run_for(Duration::from_secs(300), Duration::from_secs(60));
 
         // The ring spreads series over every node, twice each.
-        for i in 0..stack.db_node_count() {
+        for i in 0..3 {
             assert!(stack.influx_node(i).point_count("lms") > 0, "node {i} owns no series");
         }
-        let per_node: usize =
-            (0..stack.db_node_count()).map(|i| stack.influx_node(i).point_count("lms")).sum();
+        let per_node: usize = (0..3).map(|i| stack.influx_node(i).point_count("lms")).sum();
         assert_eq!(per_node, stack.stats().db_points);
 
         // Scatter-gather through the router sees each raw sample exactly
@@ -1115,64 +983,6 @@ mod tests {
             let m = row[0].as_str().unwrap();
             assert!(!m.starts_with("__rollup"), "tier row listed in the view: {m}");
         }
-    }
-
-    #[test]
-    fn config_from_ini() {
-        let config = StackConfig::from_ini(
-            "[cluster]\nnodes = 8\ntopology = desktop_4c\nseed = 7\n\
-             db_nodes = 3\nreplication = 2\nwrite_quorum = 2\n\
-             [monitoring]\nhpm_groups = FLOPS_DP, MEM, ENERGY\nper_user = yes\n\
-             publish = on\nretention_hours = 48\ndata_dir = /var/lib/lms\n\
-             drain_timeout_secs = 3\n",
-        )
-        .unwrap();
-        assert_eq!(config.nodes, 8);
-        assert_eq!((config.db_nodes, config.replication, config.write_quorum), (3, 2, 2));
-        assert_eq!(config.topology.name(), "desktop-1s4c2t");
-        assert_eq!(config.seed, 7);
-        assert_eq!(config.hpm_groups, vec!["FLOPS_DP", "MEM", "ENERGY"]);
-        assert!(config.per_user && config.publish);
-        assert_eq!(config.retention, Some(Duration::from_secs(48 * 3600)));
-        assert_eq!(config.data_dir, Some(PathBuf::from("/var/lib/lms")));
-        assert_eq!(config.drain_timeout, Duration::from_secs(3));
-        // Defaults when empty.
-        let d = StackConfig::from_ini("").unwrap();
-        assert_eq!(d.nodes, 4);
-        // Validation.
-        assert!(StackConfig::from_ini("[cluster]\nnodes = 0\n").is_err());
-        assert!(StackConfig::from_ini("[cluster]\ndb_nodes = 0\n").is_err());
-        assert!(StackConfig::from_ini("[cluster]\nreplication = 0\n").is_err());
-        assert!(StackConfig::from_ini("[cluster]\nwrite_quorum = 0\n").is_err());
-        // R > db_nodes is rejected at stack start (ClusterConfig::validate).
-        let mut bad = StackConfig::from_ini("[cluster]\ndb_nodes = 2\nreplication = 3\n").unwrap();
-        bad.topology = Topology::preset_desktop_4c();
-        assert!(LmsStack::start(bad).is_err());
-        assert!(StackConfig::from_ini("[cluster]\ntopology = cray_xc40\n").is_err());
-        assert!(StackConfig::from_ini("[monitoring]\nhpm_groups = NOPE\n").is_err());
-        assert!(StackConfig::from_ini("[monitoring]\nretention_hours = 0\n").is_err());
-        assert!(StackConfig::from_ini("[monitoring]\ndrain_timeout_secs = -1\n").is_err());
-        // Tiered retention section (query duration grammar).
-        let t = StackConfig::from_ini("[retention]\nraw = 7d\n1m = 90d\n1h = 52w\n").unwrap();
-        let policy = t.rollup.unwrap();
-        assert_eq!(policy.retention_raw, Some(Duration::from_secs(7 * 24 * 3600)));
-        assert_eq!(policy.retention_1m, Some(Duration::from_secs(90 * 24 * 3600)));
-        assert_eq!(policy.retention_1h, Some(Duration::from_secs(52 * 7 * 24 * 3600)));
-        assert!(StackConfig::from_ini("").unwrap().rollup.is_none());
-        assert!(StackConfig::from_ini("[retention]\nraw = bogus\n").is_err());
-        // Integrity section: the scrub knobs.
-        let i = StackConfig::from_ini(
-            "[integrity]\nscrub_interval_secs = 30\nscrub_rate_bytes = 1048576\n",
-        )
-        .unwrap();
-        assert_eq!(i.scrub_interval, Duration::from_secs(30));
-        assert_eq!(i.scrub_rate_bytes, 1024 * 1024);
-        // Defaults hold when the section is absent.
-        let z = StackConfig::from_ini("").unwrap();
-        assert_eq!(z.scrub_interval, Duration::from_secs(60));
-        assert_eq!(z.scrub_rate_bytes, 8 * 1024 * 1024);
-        assert!(StackConfig::from_ini("[integrity]\nscrub_interval_secs = -1\n").is_err());
-        assert!(StackConfig::from_ini("[integrity]\nscrub_rate_bytes = -1\n").is_err());
     }
 
     #[test]

@@ -14,8 +14,12 @@ use lms_hpm::groups::{builtin, builtin_text, BUILTIN_GROUPS};
 use lms_hpm::perfmon::Perfmon;
 use lms_hpm::simulate::{Simulator, WorkloadPreset};
 use lms_topology::{CpuSet, Topology};
+use lms_util::args::Args;
 use lms_util::{Error, Result};
 use std::time::Duration;
+
+const USAGE: &str = "usage: likwid-sim <topology | groups | group NAME | perfctr [-g GROUP] \
+                     [-w dgemm|stream|balanced|idle] [-t SECONDS] [-c CPUSET]>";
 
 fn topology_cmd(topo: &Topology) {
     println!("--------------------------------------------------------------");
@@ -55,40 +59,28 @@ fn groups_cmd(topo: &Topology) {
     }
 }
 
-fn perfctr_cmd(topo: &Topology, args: &[String]) -> Result<()> {
+fn workload(name: &str) -> Result<WorkloadPreset, &'static str> {
+    Ok(match name {
+        "dgemm" => WorkloadPreset::ComputeBound,
+        "stream" => WorkloadPreset::MemoryBound,
+        "balanced" => WorkloadPreset::Balanced,
+        "idle" => WorkloadPreset::Idle,
+        _ => return Err("expected dgemm, stream, balanced or idle"),
+    })
+}
+
+fn perfctr_cmd(topo: &Topology, mut args: Args) -> Result<()> {
     let mut group_name = "FLOPS_DP".to_string();
     let mut preset = WorkloadPreset::Balanced;
     let mut seconds = 1.0f64;
     let mut cpuset: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
+    while let Some(arg) = args.next() {
         match arg.as_str() {
-            "-g" => {
-                group_name =
-                    it.next().ok_or_else(|| Error::config("-g needs a group"))?.clone()
-            }
-            "-w" => {
-                preset = match it
-                    .next()
-                    .ok_or_else(|| Error::config("-w needs a workload"))?
-                    .as_str()
-                {
-                    "dgemm" => WorkloadPreset::ComputeBound,
-                    "stream" => WorkloadPreset::MemoryBound,
-                    "balanced" => WorkloadPreset::Balanced,
-                    "idle" => WorkloadPreset::Idle,
-                    other => return Err(Error::config(format!("unknown workload `{other}`"))),
-                }
-            }
-            "-t" => {
-                seconds = it
-                    .next()
-                    .ok_or_else(|| Error::config("-t needs seconds"))?
-                    .parse()
-                    .map_err(|_| Error::config("bad -t value"))?
-            }
-            "-c" => cpuset = Some(it.next().ok_or_else(|| Error::config("-c needs a cpuset"))?.clone()),
-            other => return Err(Error::config(format!("unknown perfctr argument `{other}`"))),
+            "-g" => group_name = args.value()?,
+            "-w" => preset = args.parse_with(workload)?,
+            "-t" => seconds = args.parse()?,
+            "-c" => cpuset = Some(args.value()?),
+            _ => return Err(args.unknown()),
         }
     }
 
@@ -106,7 +98,10 @@ fn perfctr_cmd(topo: &Topology, args: &[String]) -> Result<()> {
     sim.advance(Duration::from_secs_f64(seconds));
     let m = pm.stop_and_read(&sim)?;
 
-    println!("Group {group_name}, workload {preset:?}, {seconds} s on cpus {}", threads.to_compact_string());
+    println!(
+        "Group {group_name}, workload {preset:?}, {seconds} s on cpus {}",
+        threads.to_compact_string()
+    );
     println!("{:-<72}", "");
     // Raw counters: first 4 measured threads (likwid's table gets wide fast).
     let shown = m.threads().iter().take(4).copied().collect::<Vec<_>>();
@@ -134,35 +129,30 @@ fn perfctr_cmd(topo: &Topology, args: &[String]) -> Result<()> {
 }
 
 fn run() -> Result<()> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = Args::from_env();
     let topo = Topology::preset_dual_socket_10c();
-    match args.first().map(String::as_str) {
-        Some("topology") => {
-            topology_cmd(&topo);
-            Ok(())
-        }
-        Some("groups") => {
-            groups_cmd(&topo);
-            Ok(())
-        }
-        Some("group") => {
-            let name = args.get(1).ok_or_else(|| Error::config("group needs a name"))?;
-            match builtin_text(name) {
-                Some(text) => {
-                    println!("{text}");
-                    Ok(())
-                }
-                None => Err(Error::not_found(format!("group `{name}`"))),
-            }
-        }
-        Some("perfctr") => perfctr_cmd(&topo, &args[1..]),
-        _ => {
-            println!(
-                "usage: likwid-sim <topology | groups | group NAME | perfctr [-g GROUP] [-w dgemm|stream|balanced|idle] [-t SECONDS] [-c CPUSET]>"
-            );
-            Ok(())
-        }
+    let command = args.next();
+    let group = match command.as_deref() {
+        Some("perfctr") => return perfctr_cmd(&topo, args),
+        Some("group") => Some(args.value()?),
+        Some("topology" | "groups" | "--help" | "-h") => None,
+        Some(_) => return Err(args.unknown()),
+        None => return Err(Error::config(format!("a command is needed\n{USAGE}"))),
+    };
+    if args.next().is_some() {
+        return Err(args.unknown());
     }
+    match (command.as_deref(), group) {
+        (_, Some(name)) => {
+            let text =
+                builtin_text(&name).ok_or_else(|| Error::not_found(format!("group `{name}`")))?;
+            println!("{text}");
+        }
+        (Some("topology"), _) => topology_cmd(&topo),
+        (Some("groups"), _) => groups_cmd(&topo),
+        _ => println!("{USAGE}"),
+    }
+    Ok(())
 }
 
 fn main() {

@@ -46,7 +46,11 @@
 //! sits outside them all: a batch holds it shared from its WAL append
 //! through its staging, retention and a flush's WAL rotation (so a frozen
 //! segment holds only staged records) exclusively, none of them while
-//! holding another lock. Series are stored as
+//! holding another lock. The storage engine's maintenance lock (one
+//! flush, compaction or file drop at a time) comes before the gate: a
+//! flush takes the gate only once its session holds that lock, and
+//! retention unlinks expired files after it releases the gate, so a
+//! compaction never stalls a writer. Series are stored as
 //! `Arc<Series>` so queries snapshot cheaply (clone the `Arc`s under a
 //! shard read lock) while writers mutate in place through `Arc::make_mut`
 //! — the copy-on-write clone only triggers when a query holds the same

@@ -13,11 +13,11 @@ impl Database {
     /// Holds the retention gate and the `meta` write lock across the sweep
     /// (then shards ascending): no batch stages points meanwhile, so every
     /// staged point is drained into a series the sweep sees, and none is
-    /// staged for a series the sweep removes.
+    /// staged for a series the sweep removes. The expired segment files go
+    /// after the gate is released: their unlink waits for any flush or
+    /// compaction of the engine, and no writer may wait with it.
     pub(super) fn enforce_retention(&self, now_ns: i64, clamp: i64) -> usize {
         let Some(retention) = self.meta.read().retention else { return 0 };
-        let _gate = self.retention_gate.write();
-        let mut meta = self.meta.write();
         // The rollup layer clamps the cutoff to the last tier-complete
         // boundary: points past the clamp are either not yet rolled up or
         // sit in a tier window that would be recomputed partially if its
@@ -28,6 +28,21 @@ impl Database {
         if cutoff == i64::MIN {
             return 0; // clamped to "nothing rolled up yet": keep everything
         }
+        let evicted = self.evict_before(cutoff);
+        // Defense in depth: the engine refuses to unlink partitions reaching
+        // past the rollup clamp even if a future caller passes a
+        // miscomputed cutoff.
+        self.engine.set_drop_floor(clamp);
+        // Best-effort: whole expired segment files are unlinked without
+        // scanning; a failed unlink retries next sweep.
+        let _ = self.engine.drop_expired(cutoff);
+        evicted
+    }
+
+    /// The in-memory sweep of [`Self::enforce_retention`], under the gate.
+    fn evict_before(&self, cutoff: i64) -> usize {
+        let _gate = self.retention_gate.write();
+        let mut meta = self.meta.write();
         let mut evicted = 0;
         let mut removed: FxHashSet<String> = FxHashSet::default();
         for idx in 0..self.shards.len() {
@@ -49,13 +64,6 @@ impl Database {
             super::index::shrink_sparse_map(&mut meta.measurements);
         }
         self.rollup.note_cutoff(cutoff);
-        // Defense in depth: the engine refuses to unlink partitions reaching
-        // past the rollup clamp even if a future caller passes a
-        // miscomputed cutoff.
-        self.engine.set_drop_floor(clamp);
-        // Best-effort: whole expired segment files are unlinked without
-        // scanning; a failed unlink retries next sweep.
-        let _ = self.engine.drop_expired(cutoff);
         evicted
     }
 }

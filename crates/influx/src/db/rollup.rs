@@ -30,6 +30,16 @@ pub struct RollupPolicy {
 }
 
 impl RollupPolicy {
+    /// Reads a tier retention as a command line gives it: a positive
+    /// duration in the query literal grammar (`90d`, `6h`, `30m`).
+    pub fn parse_retention(value: &str) -> Result<Duration, &'static str> {
+        match crate::query::parse_duration_ns(value) {
+            Ok(ns) if ns > 0 => Ok(Duration::from_nanos(ns as u64)),
+            Ok(_) => Err("must be positive"),
+            Err(_) => Err("expected e.g. 90d, 6h, 30m"),
+        }
+    }
+
     /// The retention of one tier database.
     fn tier_retention(&self, tier: Tier) -> Option<Duration> {
         match tier {

@@ -51,10 +51,10 @@ impl Database {
         // its WAL append through its staging: every record in a now-frozen
         // segment is staged, so the drain below applies (and the sweep
         // seals) it. Points whose records land in the new active segment
-        // may be sealed *and* replayed — replay is idempotent.
-        let gate = self.retention_gate.write();
-        let mut session = self.engine.begin_flush()?;
-        drop(gate);
+        // may be sealed *and* replayed — replay is idempotent. The session
+        // waits for a running compaction before it takes the gate, so
+        // writers never wait for that compaction.
+        let mut session = self.engine.begin_flush(|| self.retention_gate.write())?;
         // Every value the gauge has counted by now is staged or in a head
         // (see `unsealed_values`), so the drain and the sweep below seal it
         // and a successful flush may settle the gauge by this much.

@@ -649,6 +649,38 @@ fn retention_churn_keeps_shard_maps_bounded() {
     let _ = ix.query("lms", "SHOW MEASUREMENTS").unwrap();
 }
 
+#[test]
+fn no_writer_waits_for_a_compaction_behind_a_flush_or_a_sweep() {
+    // A compaction session holds the engine's maintenance lock; a flush,
+    // then a retention sweep, waits for it on a second thread. A batch
+    // written on a third thread meanwhile must not wait with them.
+    let ix = influx();
+    ix.set_retention("lms", Some(Duration::from_secs(100)));
+    ix.write_lines("lms", "m v=1 950000000000", Default::default()).unwrap();
+    let db = ix.database("lms").unwrap();
+    for (ts, maintenance) in [(960, "flush"), (970, "retention sweep")] {
+        let compaction = db.engine().begin_rewrite(None);
+        std::thread::scope(|s| {
+            let (ix, db) = (&ix, &db);
+            s.spawn(move || match maintenance {
+                "flush" => drop(db.flush_storage().unwrap()),
+                _ => drop(ix.enforce_retention()),
+            });
+            // Lets the maintenance thread reach the lock it waits for.
+            std::thread::sleep(Duration::from_millis(100));
+            let (tx, rx) = std::sync::mpsc::channel();
+            s.spawn(move || {
+                ix.write_lines("lms", &format!("m v=2 {ts}000000000"), Default::default()).unwrap();
+                tx.send(()).unwrap();
+            });
+            let returned = rx.recv_timeout(Duration::from_secs(1)).is_ok();
+            drop(compaction);
+            assert!(returned, "a write waited behind a {maintenance} waiting for a compaction");
+        });
+    }
+    assert_eq!(ix.point_count("lms"), 3);
+}
+
 // The rollup driver (`rollup`).
 
 #[test]

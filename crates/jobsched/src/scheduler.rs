@@ -37,18 +37,6 @@ impl JobSpec {
             tags: Vec::new(),
         }
     }
-
-    /// Sets an actual runtime shorter than the walltime.
-    pub fn with_runtime(mut self, runtime: Duration) -> Self {
-        self.runtime = runtime;
-        self
-    }
-
-    /// Adds an extra tag.
-    pub fn with_tag(mut self, key: &str, value: &str) -> Self {
-        self.tags.push((key.to_string(), value.to_string()));
-        self
-    }
 }
 
 /// Lifecycle state of a job.
@@ -68,7 +56,7 @@ pub enum JobState {
         /// Deallocation time.
         ended: Timestamp,
     },
-    /// Removed from the queue before it started.
+    /// Refused at submission: it asks for more nodes than the cluster has.
     Cancelled,
 }
 
@@ -102,11 +90,6 @@ impl Job {
     /// The allocated hostnames (empty while pending).
     pub fn hosts(&self) -> &[String] {
         &self.hosts
-    }
-
-    /// The `jobid` tag value.
-    pub fn jobid_tag(&self) -> String {
-        self.id.to_string()
     }
 }
 
@@ -143,8 +126,6 @@ pub struct Scheduler {
     next_id: JobId,
     clock: Clock,
     hooks: Vec<Box<dyn SchedulerHook>>,
-    /// Enable backfill (on by default).
-    backfill: bool,
 }
 
 impl Scheduler {
@@ -164,18 +145,12 @@ impl Scheduler {
             next_id: 1000,
             clock,
             hooks: Vec::new(),
-            backfill: true,
         }
     }
 
     /// Registers a lifecycle hook.
     pub fn add_hook(&mut self, hook: Box<dyn SchedulerHook>) {
         self.hooks.push(hook);
-    }
-
-    /// Turns backfill on or off (off = pure FCFS).
-    pub fn set_backfill(&mut self, enabled: bool) {
-        self.backfill = enabled;
     }
 
     /// Submits a job; returns its id. Jobs requesting more nodes than the
@@ -197,16 +172,6 @@ impl Scheduler {
             self.queue.push_back(id);
         }
         id
-    }
-
-    /// Cancels a pending job (running jobs finish normally).
-    pub fn cancel(&mut self, id: JobId) {
-        if let Some(job) = self.jobs.iter_mut().find(|j| j.id == id) {
-            if job.state == JobState::Pending {
-                job.state = JobState::Cancelled;
-                self.queue.retain(|&q| q != id);
-            }
-        }
     }
 
     /// Looks a job up by id.
@@ -281,9 +246,6 @@ impl Scheduler {
             // Head does not fit. Try conservative backfill: a later job may
             // run now iff it fits in the free nodes AND finishes before the
             // head's earliest possible start (so the head is never delayed).
-            if !self.backfill {
-                return;
-            }
             let Some(shadow) = self.earliest_start_for(head_nodes, now) else { return };
             let mut backfilled = false;
             let candidates: Vec<JobId> = self.queue.iter().copied().skip(1).collect();
@@ -425,18 +387,6 @@ mod tests {
     }
 
     #[test]
-    fn backfill_can_be_disabled() {
-        let (mut s, _clock) = sched(4);
-        s.set_backfill(false);
-        s.submit(JobSpec::new("u", "a", 2, Duration::from_secs(100)));
-        s.tick();
-        s.submit(JobSpec::new("u", "head", 4, Duration::from_secs(100)));
-        let d = s.submit(JobSpec::new("u", "d", 2, Duration::from_secs(10)));
-        s.tick();
-        assert_eq!(s.job(d).unwrap().state, JobState::Pending, "no backfill");
-    }
-
-    #[test]
     fn oversize_jobs_cancelled_and_cancel_works() {
         let (mut s, _clock) = sched(2);
         let big = s.submit(JobSpec::new("u", "big", 5, Duration::from_secs(10)));
@@ -444,10 +394,8 @@ mod tests {
         let a = s.submit(JobSpec::new("u", "a", 2, Duration::from_secs(10)));
         let b = s.submit(JobSpec::new("u", "b", 2, Duration::from_secs(10)));
         s.tick();
-        s.cancel(b);
-        assert_eq!(s.job(b).unwrap().state, JobState::Cancelled);
-        s.cancel(a); // running: no-op
         assert!(s.job(a).unwrap().state.is_running());
+        assert_eq!(s.job(b).unwrap().state, JobState::Pending, "a fitting job only waits");
     }
 
     #[test]
@@ -472,10 +420,10 @@ mod tests {
     #[test]
     fn runtime_shorter_than_walltime() {
         let (mut s, clock) = sched(1);
-        let id = s.submit(
-            JobSpec::new("u", "early", 1, Duration::from_secs(100))
-                .with_runtime(Duration::from_secs(10)),
-        );
+        let id = s.submit(JobSpec {
+            runtime: Duration::from_secs(10),
+            ..JobSpec::new("u", "early", 1, Duration::from_secs(100))
+        });
         s.tick();
         clock.advance(Duration::from_secs(11));
         s.tick();
@@ -488,8 +436,5 @@ mod tests {
         let a = s.submit(JobSpec::new("u", "a", 1, Duration::from_secs(1)));
         let b = s.submit(JobSpec::new("u", "b", 1, Duration::from_secs(1)));
         assert_eq!(b, a + 1);
-        assert_eq!(s.job(a).unwrap().jobid_tag(), a.to_string());
-        let spec = JobSpec::new("u", "x", 1, Duration::from_secs(1)).with_tag("queue", "devel");
-        assert_eq!(spec.tags, vec![("queue".to_string(), "devel".to_string())]);
     }
 }

@@ -94,9 +94,10 @@ mod tests {
         let mut sched = Scheduler::new(["n01", "n02"], clock.clone());
         sched.add_hook(Box::new(HttpSignaler::new(server.addr()).unwrap()));
 
-        let id = sched.submit(
-            JobSpec::new("alice", "md", 2, Duration::from_secs(10)).with_tag("queue", "devel"),
-        );
+        let id = sched.submit(JobSpec {
+            tags: vec![("queue".into(), "devel".into())],
+            ..JobSpec::new("alice", "md", 2, Duration::from_secs(10))
+        });
         sched.tick();
         clock.advance(Duration::from_secs(11));
         sched.tick();

@@ -41,20 +41,6 @@ pub fn escape_string_field_into(s: &str, out: &mut String) {
     escape_into(s, b"\"\\", out);
 }
 
-/// Allocating convenience wrapper around [`escape_measurement_into`].
-pub fn escape_measurement(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    escape_measurement_into(s, &mut out);
-    out
-}
-
-/// Allocating convenience wrapper around [`escape_tag_into`].
-pub fn escape_tag(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    escape_tag_into(s, &mut out);
-    out
-}
-
 /// Removes backslash escapes. Backslashes before characters that are never
 /// escaped are preserved verbatim (InfluxDB-compatible).
 ///
@@ -89,6 +75,18 @@ pub const STRING_ESCAPES: &[char] = &['"', '\\'];
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn escape_measurement(s: &str) -> String {
+        let mut out = String::new();
+        escape_measurement_into(s, &mut out);
+        out
+    }
+
+    fn escape_tag(s: &str) -> String {
+        let mut out = String::new();
+        escape_tag_into(s, &mut out);
+        out
+    }
 
     #[test]
     fn measurement_escaping() {

@@ -32,14 +32,6 @@ impl FieldValue {
             FieldValue::Text(_) => None,
         }
     }
-
-    /// String view (events).
-    pub fn as_text(&self) -> Option<&str> {
-        match self {
-            FieldValue::Text(s) => Some(s),
-            _ => None,
-        }
-    }
 }
 
 impl From<f64> for FieldValue {
@@ -162,12 +154,6 @@ impl Point {
         !self.measurement.is_empty() && !self.fields.is_empty()
     }
 
-    /// True if every field is a string — i.e. this point is an *event*.
-    pub fn is_event(&self) -> bool {
-        !self.fields.is_empty()
-            && self.fields.iter().all(|(_, v)| matches!(v, FieldValue::Text(_)))
-    }
-
     /// Serializes to a single protocol line (no trailing newline).
     pub fn to_line(&self) -> String {
         let mut out = String::with_capacity(64);
@@ -218,23 +204,11 @@ mod tests {
     }
 
     #[test]
-    fn event_detection() {
-        let mut ev = Point::new("events");
-        ev.add_field("text", "job start");
-        assert!(ev.is_event());
-        ev.add_field("severity", 2i64);
-        assert!(!ev.is_event());
-        assert!(!Point::new("empty").is_event());
-    }
-
-    #[test]
     fn field_value_views() {
         assert_eq!(FieldValue::Float(2.5).as_f64(), Some(2.5));
         assert_eq!(FieldValue::Integer(-3).as_f64(), Some(-3.0));
         assert_eq!(FieldValue::Boolean(true).as_f64(), Some(1.0));
         assert_eq!(FieldValue::Text("x".into()).as_f64(), None);
-        assert_eq!(FieldValue::Text("x".into()).as_text(), Some("x"));
-        assert_eq!(FieldValue::Float(1.0).as_text(), None);
     }
 
     #[test]

@@ -36,20 +36,27 @@ use lms_mq::Publisher;
 use lms_router::proxy::GangliaProxy;
 use lms_router::{ClusterConfig, Router, RouterConfig, RouterServer};
 use lms_spool::SpoolConfig;
+use lms_util::args::Args;
 use lms_util::{Clock, Error, Result};
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::Duration;
 
-fn resolve(value: &str, what: &str) -> Result<SocketAddr> {
-    value
-        .to_socket_addrs()?
-        .next()
-        .ok_or_else(|| Error::config(format!("{what} `{value}` resolved to nothing")))
+const USAGE: &str = "\
+usage: lms-router --db host:port --spool-dir path [--listen addr] [--per-user]
+                  [--coalesce-bytes N] [--publish addr]
+                  [--max-connections N] [--max-body-bytes N]
+                  [--gmond addr --gmond-interval secs]
+       lms-router --cluster-node host:port [--cluster-node ...] --spool-dir path
+                  [--replication R] [--write-quorum W] [--repair-interval-secs N] [...]
+--per-user: serve user_<name>, the view of lms under user = '<name>'";
+
+/// The first address `value` resolves to.
+fn resolve(value: &str) -> Result<SocketAddr> {
+    value.to_socket_addrs()?.next().ok_or_else(|| Error::config("resolved to nothing"))
 }
 
 fn run() -> Result<()> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut listen = "127.0.0.1:8087".to_string();
     let mut db: Option<SocketAddr> = None;
     let mut cluster_nodes: Vec<SocketAddr> = Vec::new();
@@ -63,106 +70,32 @@ fn run() -> Result<()> {
     let mut coalesce_bytes: Option<usize> = None;
     let mut repair_interval: Option<Duration> = None;
     let mut server_config = ServerConfig::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
+    let mut args = Args::from_env();
+    while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--listen" => {
-                listen = it.next().ok_or_else(|| Error::config("--listen needs an address"))?.clone()
-            }
-            "--db" => {
-                db = Some(resolve(
-                    it.next().ok_or_else(|| Error::config("--db needs an address"))?,
-                    "database",
-                )?)
-            }
-            "--cluster-node" => cluster_nodes.push(resolve(
-                it.next().ok_or_else(|| Error::config("--cluster-node needs an address"))?,
-                "cluster node",
-            )?),
-            "--replication" => {
-                replication = it
-                    .next()
-                    .ok_or_else(|| Error::config("--replication needs a value"))?
-                    .parse()
-                    .map_err(|_| Error::config("bad --replication"))?
-            }
-            "--write-quorum" => {
-                write_quorum = it
-                    .next()
-                    .ok_or_else(|| Error::config("--write-quorum needs a value"))?
-                    .parse()
-                    .map_err(|_| Error::config("bad --write-quorum"))?
-            }
+            "--listen" => listen = args.value()?,
+            "--db" => db = Some(args.parse_with(resolve)?),
+            "--cluster-node" => cluster_nodes.push(args.parse_with(resolve)?),
+            "--replication" => replication = args.parse()?,
+            "--write-quorum" => write_quorum = args.parse()?,
             "--per-user" => per_user = true,
-            "--max-connections" => {
-                server_config.max_connections = it
-                    .next()
-                    .ok_or_else(|| Error::config("--max-connections needs a value"))?
-                    .parse()
-                    .map_err(|_| Error::config("bad --max-connections"))?
-            }
-            "--max-body-bytes" => {
-                server_config.max_body_bytes = it
-                    .next()
-                    .ok_or_else(|| Error::config("--max-body-bytes needs a value"))?
-                    .parse()
-                    .map_err(|_| Error::config("bad --max-body-bytes"))?
-            }
-            "--spool-dir" => {
-                spool_dir =
-                    Some(it.next().ok_or_else(|| Error::config("--spool-dir needs a path"))?.clone())
-            }
+            "--max-connections" => server_config.max_connections = args.parse()?,
+            "--max-body-bytes" => server_config.max_body_bytes = args.parse()?,
+            "--spool-dir" => spool_dir = Some(args.value()?),
             // Anti-entropy repair cadence; 0 (the default) disables it.
             "--repair-interval-secs" => {
-                let s: u64 = it
-                    .next()
-                    .ok_or_else(|| Error::config("--repair-interval-secs needs seconds"))?
-                    .parse()
-                    .map_err(|_| Error::config("bad --repair-interval-secs"))?;
+                let s: u64 = args.parse()?;
                 repair_interval = (s > 0).then(|| Duration::from_secs(s));
             }
-            "--coalesce-bytes" => {
-                coalesce_bytes = Some(
-                    it.next()
-                        .ok_or_else(|| Error::config("--coalesce-bytes needs a value"))?
-                        .parse()
-                        .map_err(|_| Error::config("bad --coalesce-bytes"))?,
-                )
-            }
-            "--publish" => {
-                publish = Some(resolve(
-                    it.next().ok_or_else(|| Error::config("--publish needs an address"))?,
-                    "publisher",
-                )?)
-            }
-            "--gmond" => {
-                gmond = Some(resolve(
-                    it.next().ok_or_else(|| Error::config("--gmond needs an address"))?,
-                    "gmond",
-                )?)
-            }
-            "--gmond-interval" => {
-                let s: u64 = it
-                    .next()
-                    .ok_or_else(|| Error::config("--gmond-interval needs seconds"))?
-                    .parse()
-                    .map_err(|_| Error::config("bad --gmond-interval"))?;
-                gmond_interval = Duration::from_secs(s.max(1));
-            }
+            "--coalesce-bytes" => coalesce_bytes = Some(args.parse()?),
+            "--publish" => publish = Some(args.parse_with(resolve)?),
+            "--gmond" => gmond = Some(args.parse_with(resolve)?),
+            "--gmond-interval" => gmond_interval = Duration::from_secs(args.parse::<u64>()?.max(1)),
             "--help" | "-h" => {
-                println!(
-                    "usage: lms-router --db host:port --spool-dir path [--listen addr] [--per-user] \
-                     [--coalesce-bytes N] [--publish addr] \
-                     [--max-connections N] [--max-body-bytes N] \
-                     [--gmond addr --gmond-interval secs]\n       \
-                     lms-router --cluster-node host:port [--cluster-node ...] \
-                     --spool-dir path [--replication R] [--write-quorum W] \
-                     [--repair-interval-secs N] [...]\n\
-                     --per-user: serve user_<name>, the view of lms under user = '<name>'"
-                );
+                println!("{USAGE}");
                 return Ok(());
             }
-            other => return Err(Error::config(format!("unknown argument `{other}`"))),
+            _ => return Err(args.unknown()),
         }
     }
     let cluster = match (db, cluster_nodes.is_empty()) {
@@ -180,7 +113,9 @@ fn run() -> Result<()> {
     // No scratch default: a killed router never runs the drop that would
     // remove it, and a restarted one would not find the hints in it.
     let spool_dir = spool_dir.ok_or_else(|| {
-        Error::config("--spool-dir PATH is required: what the database cannot take is spooled there")
+        Error::config(
+            "--spool-dir PATH is required: what the database cannot take is spooled there",
+        )
     })?;
 
     let publisher = match publish {
@@ -191,11 +126,8 @@ fn run() -> Result<()> {
         }
         None => None,
     };
-    let mut config = RouterConfig {
-        per_user,
-        spool: Some(SpoolConfig::new(spool_dir)),
-        ..Default::default()
-    };
+    let mut config =
+        RouterConfig { per_user, spool: Some(SpoolConfig::new(spool_dir)), ..Default::default() };
     if let Some(b) = coalesce_bytes {
         config.coalesce_bytes = b;
     }

@@ -231,7 +231,7 @@ mod tests {
         assert_eq!(mem.field("value").unwrap().as_f64(), Some(1_048_576.0));
         // string metric with entity-decoded value
         let os = &points[2];
-        assert_eq!(os.field("value").unwrap().as_text(), Some(r#"4.4 "LTS""#));
+        assert_eq!(os.field("value"), Some(&lms_lineproto::FieldValue::Text(r#"4.4 "LTS""#.into())));
         // second host's report time differs
         assert_eq!(points[3].timestamp(), Some(1_501_804_860_000_000_000));
     }

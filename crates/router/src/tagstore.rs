@@ -147,11 +147,6 @@ impl TagStore {
         self.hosts.get(hostname).map(|e| &*e.tags)
     }
 
-    /// The job currently on a host.
-    pub fn job_of(&self, hostname: &str) -> Option<&str> {
-        self.hosts.get(hostname).map(|e| e.job_id.as_str())
-    }
-
     /// The hosts of a running job.
     pub fn hosts_of(&self, job_id: &str) -> Option<&[String]> {
         self.jobs.get(job_id).map(Vec::as_slice)
@@ -163,16 +158,16 @@ impl TagStore {
         ids.sort_unstable();
         ids
     }
-
-    /// Number of hosts currently tagged.
-    pub fn tagged_host_count(&self) -> usize {
-        self.hosts.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The `jobid` tag of the job on `host`.
+    fn job_of<'a>(ts: &'a TagStore, host: &str) -> Option<&'a str> {
+        ts.tags_of(host).iter().find(|(k, _)| k == "jobid").map(|(_, v)| v.as_str())
+    }
 
     fn signal(job: &str, user: &str, hosts: &[&str]) -> JobSignal {
         JobSignal {
@@ -194,7 +189,7 @@ mod tests {
             assert!(tags.contains(&("queue".into(), "batch".into())));
         }
         assert!(ts.tags_of("h3").is_empty());
-        assert_eq!(ts.job_of("h1"), Some("42"));
+        assert_eq!(job_of(&ts, "h1"), Some("42"));
         assert_eq!(ts.hosts_of("42").unwrap().len(), 2);
     }
 
@@ -225,9 +220,8 @@ mod tests {
         ts.job_end("42");
         assert!(ts.tags_of("h1").is_empty());
         assert!(ts.tags_of("h2").is_empty());
-        assert_eq!(ts.job_of("h3"), Some("43"));
+        assert_eq!(job_of(&ts, "h3"), Some("43"));
         assert_eq!(ts.running_jobs(), vec!["43"]);
-        assert_eq!(ts.tagged_host_count(), 1);
     }
 
     #[test]
@@ -237,7 +231,7 @@ mod tests {
         ts.job_end("42");
         ts.job_end("42");
         ts.job_end("never-existed");
-        assert_eq!(ts.tagged_host_count(), 0);
+        assert!(ts.tags_of("h1").is_empty() && ts.running_jobs().is_empty());
     }
 
     #[test]
@@ -246,10 +240,10 @@ mod tests {
         ts.job_start(&signal("42", "alice", &["h1"]));
         // Scheduler reuses the node before the old end signal arrived.
         ts.job_start(&signal("99", "bob", &["h1"]));
-        assert_eq!(ts.job_of("h1"), Some("99"));
+        assert_eq!(job_of(&ts, "h1"), Some("99"));
         // The stale end for 42 must NOT strip job 99's tags.
         ts.job_end("42");
-        assert_eq!(ts.job_of("h1"), Some("99"));
+        assert_eq!(job_of(&ts, "h1"), Some("99"));
         ts.job_end("99");
         assert!(ts.tags_of("h1").is_empty());
     }
@@ -298,10 +292,9 @@ mod tests {
                     }
                     // Invariant: every tagged host's job is in running_jobs.
                     for h in ["h0", "h1", "h2", "h3", "h4", "h5"] {
-                        if let Some(j) = ts.job_of(h) {
+                        if let Some(j) = job_of(&ts, h) {
                             prop_assert!(ts.running_jobs().contains(&j));
-                            let tags = ts.tags_of(h);
-                            prop_assert!(tags.iter().any(|(k, v)| k == "jobid" && v == j));
+                            prop_assert!(ts.hosts_of(j).unwrap().iter().any(|x| x == h));
                         }
                     }
                 }

@@ -10,7 +10,7 @@
 use lms_cluster::ClusterConfig;
 use lms_http::{Request, Response, Server};
 use lms_influx::user_view;
-use lms_lineproto::escape::{escape_measurement, escape_string_field_into, escape_tag};
+use lms_lineproto::escape::{escape_measurement_into, escape_string_field_into, escape_tag_into};
 use lms_lineproto::{parse_batch, parse_line, ParsedLine, Point};
 use lms_mq::{Publisher, Subscriber};
 use lms_router::{JobSignal, Router, RouterConfig};
@@ -67,13 +67,17 @@ fn render(i: usize, spec: &LineSpec) -> String {
     let mut tags: Vec<(String, String)> =
         tags.iter().map(|(k, v)| (TAG_KEYS[*k].to_string(), v.clone())).collect();
     tags.insert((*host_at).min(tags.len()), ("hostname".into(), format!("h{i}")));
-    let mut line = escape_measurement(measurement);
+    let mut line = String::new();
+    escape_measurement_into(measurement, &mut line);
     for (k, v) in &tags {
-        line.push_str(&format!(",{}={}", escape_tag(k), escape_tag(v)));
+        line.push(',');
+        escape_tag_into(k, &mut line);
+        line.push('=');
+        escape_tag_into(v, &mut line);
     }
     for (n, (k, kind, num, text)) in fields.iter().enumerate() {
         line.push(if n == 0 { ' ' } else { ',' });
-        line.push_str(&escape_tag(FIELD_KEYS[*k]));
+        escape_tag_into(FIELD_KEYS[*k], &mut line);
         line.push('=');
         match kind {
             0 => line.push_str(&format!("{num}.50")),

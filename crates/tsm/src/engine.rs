@@ -425,11 +425,15 @@ impl TsmEngine {
         ts.div_euclid(self.cfg.block_span_ns.max(1))
     }
 
-    /// Starts a flush: rotates the WAL and returns a session to write the
-    /// sealed heads through. Blocks while another maintenance session runs.
-    pub fn begin_flush(&self) -> Result<FlushSession<'_>> {
+    /// Starts a flush: waits for any other maintenance session, then
+    /// rotates the WAL while it holds what `hold` returns (the caller's
+    /// write gate, or `()`), and returns a session to write the sealed heads
+    /// through. The lock order is the maintenance lock, then the gate.
+    pub fn begin_flush<G>(&self, hold: impl FnOnce() -> G) -> Result<FlushSession<'_>> {
         let guard = self.maint.lock();
+        let gate = hold();
         let boundary = self.degrade_on(self.wal.rotate())?;
+        drop(gate);
         Ok(FlushSession { engine: self, _guard: guard, boundary })
     }
 
@@ -807,7 +811,7 @@ mod tests {
         assert!(rec.blocks.is_empty() && rec.wal_records.is_empty());
         engine.append_wal("m v=1 500", 1).unwrap();
         let gen = engine.next_gen();
-        let mut flush = engine.begin_flush().unwrap();
+        let mut flush = engine.begin_flush(|| ()).unwrap();
         flush.write(&[entry("m", gen, 500..501)]).unwrap();
         flush.commit().unwrap();
         assert_eq!(engine.segment_file_count(), 1);
@@ -827,7 +831,7 @@ mod tests {
             let (engine, _) = TsmEngine::open(cfg(&dir)).unwrap();
             engine.append_wal("m v=1 500", 1).unwrap();
             let gen = engine.next_gen();
-            let mut flush = engine.begin_flush().unwrap();
+            let mut flush = engine.begin_flush(|| ()).unwrap();
             flush.write(&[entry("m", gen, 500..501)]).unwrap();
             // No commit: simulated crash after segment write, before WAL delete.
         }
@@ -859,7 +863,7 @@ mod tests {
             let next = dir.join(segment_file_name(0, 0)).with_extension("tmp");
             plant_full_disk(&[next]);
             let gen = engine.next_gen();
-            let mut flush = engine.begin_flush().unwrap();
+            let mut flush = engine.begin_flush(|| ()).unwrap();
             assert!(flush.write(&[entry("m", gen, 500..501)]).is_err());
             assert!(engine.stats().degraded, "a failed segment write degrades");
         }
@@ -882,7 +886,7 @@ mod tests {
         let wal_dir = dir.join("wal");
         let full: Vec<PathBuf> = (1..4).map(|seq| wal_dir.join(format!("{seq:016x}.wal"))).collect();
         plant_full_disk(&full);
-        drop(engine.begin_flush().unwrap());
+        drop(engine.begin_flush(|| ()).unwrap());
         let err = engine.append_wal("m v=2 501", 1).unwrap_err();
         assert!(
             matches!(&err, Error::Io(e) if e.kind() == std::io::ErrorKind::StorageFull),
@@ -924,7 +928,7 @@ mod tests {
     fn partitioning_and_retention_drop() {
         let dir = tmp("retention");
         let (engine, _) = TsmEngine::open(cfg(&dir)).unwrap();
-        let mut flush = engine.begin_flush().unwrap();
+        let mut flush = engine.begin_flush(|| ()).unwrap();
         // Three partitions: [0,1000), [1000,2000), [2000,3000).
         flush.write(&[entry("a", 0, 0..10), entry("b", 1, 1500..1510), entry("c", 2, 2500..2510)])
             .unwrap();
@@ -942,7 +946,7 @@ mod tests {
     fn a_segment_stays_registered_until_its_unlink_succeeds() {
         let dir = tmp("unlink");
         let (engine, _) = TsmEngine::open(cfg(&dir)).unwrap();
-        let mut flush = engine.begin_flush().unwrap();
+        let mut flush = engine.begin_flush(|| ()).unwrap();
         flush.write(&[entry("a", 0, 0..10), entry("b", 1, 1500..1510), entry("c", 2, 2500..2510)])
             .unwrap();
         flush.commit().unwrap();
@@ -975,11 +979,11 @@ mod tests {
         let dir = tmp("rewrite");
         let (engine, _) = TsmEngine::open(cfg(&dir)).unwrap();
         for i in 0..4u64 {
-            let mut flush = engine.begin_flush().unwrap();
+            let mut flush = engine.begin_flush(|| ()).unwrap();
             flush.write(&[entry("a", i, 0..10)]).unwrap();
             flush.commit().unwrap();
         }
-        let mut flush = engine.begin_flush().unwrap();
+        let mut flush = engine.begin_flush(|| ()).unwrap();
         flush.write(&[entry("a", 4, 1500..1510)]).unwrap();
         flush.commit().unwrap();
         assert_eq!(engine.segment_file_count(), 5);

@@ -233,7 +233,7 @@ mod tests {
     }
 
     fn flush(engine: &TsmEngine, entries: &[BlockEntry]) {
-        let mut f = engine.begin_flush().unwrap();
+        let mut f = engine.begin_flush(|| ()).unwrap();
         f.write(entries).unwrap();
         f.commit().unwrap();
     }

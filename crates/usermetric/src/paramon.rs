@@ -123,13 +123,6 @@ impl MpiProfiler {
         }
     }
 
-    /// Total communication time across all classes.
-    pub fn total_comm_time(&self) -> Duration {
-        Duration::from_nanos(
-            self.counters.iter().map(|c| c.nanos.load(Ordering::Relaxed)).sum(),
-        )
-    }
-
     /// Emits one `mpi_comm` point per active call class, tagged with the
     /// rank (the "arbitrary tags … such as a thread identifier" pattern).
     pub fn report(&self, um: &UserMetric) {
@@ -284,7 +277,7 @@ mod tests {
         assert_eq!(s.bytes, 16_384);
         assert_eq!(s.time_nanos, 26_000);
         assert_eq!(p.stats(MpiCall::Barrier), MpiCallStats::default());
-        assert_eq!(p.total_comm_time(), Duration::from_micros(176));
+        assert_eq!(p.stats(MpiCall::Reduce).time_nanos, 150_000);
     }
 
     #[test]

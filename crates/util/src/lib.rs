@@ -10,7 +10,8 @@
 //! - [`hash`]: an Fx-style fast hasher for hot hash maps (tag stores, series
 //!   indexes) where HashDoS resistance is irrelevant,
 //! - [`error`]: the stack-wide error type,
-//! - [`config`]: an INI-style configuration parser used by the daemons,
+//! - [`args`]: the command-line reader every binary takes its flags
+//!   through,
 //! - [`rng`]: a tiny deterministic SplitMix64/XorShift generator for
 //!   simulator noise,
 //! - [`ring`]: seeded rendezvous hashing, shared by the router's placement
@@ -24,8 +25,8 @@
 //! - [`supervisor`]: panic-capturing restart supervision for background
 //!   worker threads.
 
+pub mod args;
 pub mod clock;
-pub mod config;
 pub mod digest;
 pub mod error;
 pub mod fmt;

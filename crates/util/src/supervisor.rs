@@ -301,11 +301,6 @@ impl Supervisor {
             .all(|s| matches!(s.get_health(), WorkerHealth::Healthy | WorkerHealth::Stopped))
     }
 
-    /// Total restarts across all workers (a monotone gauge for `/stats`).
-    pub fn total_restarts(&self) -> u64 {
-        lock(&self.inner.workers).iter().map(|s| s.restarts.load(Ordering::Relaxed)).sum()
-    }
-
     /// Requests shutdown and joins every monitor (and therefore worker)
     /// thread. Idempotent; clones of this supervisor see the stop flag
     /// immediately.
@@ -425,7 +420,6 @@ mod tests {
             Duration::from_secs(2),
         ));
         assert!(sup.is_ready());
-        assert_eq!(sup.total_restarts(), 0);
         sup.shutdown();
     }
 
