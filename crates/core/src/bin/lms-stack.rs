@@ -23,7 +23,7 @@ use lms_core::{LmsStack, StackConfig};
 use lms_influx::RollupPolicy;
 use lms_topology::Topology;
 use lms_util::args::Args;
-use lms_util::Result;
+use lms_util::{outln, Result};
 use std::time::Duration;
 
 const USAGE: &str = "\
@@ -131,14 +131,14 @@ fn parse_args(mut args: Args) -> Result<Option<Cli>> {
 
 fn run() -> Result<()> {
     let Some(Cli { config, minutes, jobs }) = parse_args(Args::from_env())? else {
-        println!("{USAGE}");
+        outln!("{USAGE}");
         return Ok(());
     };
     let mut stack = LmsStack::start(config)?;
     let viewer = stack.start_viewer_server()?;
-    println!("database : http://{}", stack.db_addr());
-    println!("router   : http://{}", stack.router_addr());
-    println!("webviewer: http://{}  (GET /jobs /admin /dashboard?job= /render?job=)", viewer);
+    outln!("database : http://{}", stack.db_addr());
+    outln!("router   : http://{}", stack.router_addr());
+    outln!("webviewer: http://{}  (GET /jobs /admin /dashboard?job= /render?job=)", viewer);
 
     let mut ids = Vec::new();
     for j in &jobs {
@@ -149,22 +149,22 @@ fn run() -> Result<()> {
             Duration::from_secs(j.minutes * 60),
             j.app,
         );
-        println!(
+        outln!(
             "submitted job {id}: {}:{} × {} nodes × {} min",
             j.user, j.app_name, j.nodes, j.minutes
         );
         ids.push(id);
     }
 
-    println!("\nsimulating {minutes} virtual minutes…");
+    outln!("\nsimulating {minutes} virtual minutes…");
     stack.run_for(Duration::from_secs(minutes * 60), Duration::from_secs(60));
 
-    println!("\n{}", stack.admin_view()?.text);
+    outln!("\n{}", stack.admin_view()?.text);
     for id in ids {
-        println!("{}", stack.evaluate_job(id)?.render_table());
+        outln!("{}", stack.evaluate_job(id)?.render_table());
     }
     let stats = stack.stats();
-    println!(
+    outln!(
         "stats: {} lines routed, {} enriched, {} db points, {} series",
         stats.router.lines_in, stats.router.lines_enriched, stats.db_points, stats.db_series
     );

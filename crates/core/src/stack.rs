@@ -11,11 +11,11 @@ use lms_influx::QuerySource;
 use parking_lot::RwLock;
 use lms_hpm::collector::HpmCollector;
 use lms_hpm::simulate::Simulator;
-use lms_http::HttpClient;
+use lms_http::Sender;
 use lms_influx::{
     Influx, InfluxClient, InfluxServer, RollupPolicy, StorageConfig, StorageWorker,
 };
-use lms_jobsched::{HttpSignaler, JobId, JobSpec, JobState, Scheduler};
+use lms_jobsched::{HttpSignaler, Job, JobId, JobSpec, JobState, Scheduler};
 use lms_lineproto::BatchBuilder;
 use lms_mq::Publisher;
 use lms_router::{ClusterConfig, Router, RouterConfig, RouterServer, RouterStats};
@@ -126,8 +126,8 @@ struct NodeSim {
     proc_fs: SimProc,
     agent: HostAgent,
     hpm: HpmCollector,
-    /// Connection used to POST HPM batches to the router.
-    hpm_client: HttpClient,
+    /// Ships HPM batches to the router.
+    hpm_sender: Sender,
 }
 
 /// One database node: the embedded engine, its HTTP server, and its
@@ -257,7 +257,7 @@ impl LmsStack {
         // Scheduler with signal hook into the router.
         let hostnames: Vec<String> = (1..=config.nodes).map(|i| format!("h{i}")).collect();
         let mut scheduler = Scheduler::new(hostnames.clone(), clock.clone());
-        scheduler.add_hook(Box::new(HttpSignaler::new(router_addr)?));
+        scheduler.add_hook(Box::new(HttpSignaler::new(router_addr, clock.clone())?));
 
         // Compute nodes.
         let ncpu = config.topology.num_hw_threads();
@@ -286,7 +286,7 @@ impl LmsStack {
                 proc_fs,
                 agent,
                 hpm,
-                hpm_client: HttpClient::connect(router_addr)?,
+                hpm_sender: Sender::http(router_addr, clock.clone())?,
             });
         }
 
@@ -336,26 +336,9 @@ impl LmsStack {
 
     /// Refreshes the webviewer's job snapshot from the scheduler.
     fn refresh_directory(&self) {
-        let jobs: Vec<JobInfo> = self
-            .scheduler
-            .jobs()
-            .iter()
-            .filter_map(|job| {
-                let (start, end) = match job.state {
-                    JobState::Running { started } => (started, None),
-                    JobState::Completed { started, ended } => (started, Some(ended)),
-                    _ => return None,
-                };
-                Some(JobInfo {
-                    jobid: job.id.to_string(),
-                    user: job.spec.user.clone(),
-                    hosts: job.hosts().to_vec(),
-                    start,
-                    end,
-                })
-            })
-            .collect();
-        *self.directory.jobs.write() = jobs;
+        let started = |j: &&Job| j.state.is_running() || j.state.is_completed();
+        *self.directory.jobs.write() =
+            self.scheduler.jobs().iter().filter(started).map(info).collect();
     }
 
     /// The virtual clock.
@@ -365,8 +348,7 @@ impl LmsStack {
 
     /// The embedded database handle (also reachable over HTTP at
     /// [`db_addr`](Self::db_addr)). In a multi-node stack this is node 0;
-    /// see [`influx_node`](Self::influx_node) and
-    /// [`db_addrs`](Self::db_addrs) for the rest.
+    /// see [`influx_node`](Self::influx_node) for the rest.
     pub fn influx(&self) -> &Influx {
         &self.db[0].influx
     }
@@ -379,11 +361,6 @@ impl LmsStack {
     /// Database server address (node 0).
     pub fn db_addr(&self) -> SocketAddr {
         self.db[0].server.as_ref().expect("running").addr()
-    }
-
-    /// Every database node's server address, in ring order.
-    pub fn db_addrs(&self) -> Vec<SocketAddr> {
-        self.db.iter().map(|n| n.server.as_ref().expect("running").addr()).collect()
     }
 
     /// Router server address (agents and `umetric` POST here).
@@ -451,12 +428,12 @@ impl LmsStack {
                     for p in &points {
                         batch.push(p);
                     }
-                    let _ = node.hpm_client.post_text("/write?db=lms", batch.as_str());
+                    node.hpm_sender.send("/write?db=lms", batch.as_str());
                 }
             }
             let mut rollups = String::new();
             if node.hpm.write_rollups(&mut rollups) > 0 {
-                let _ = node.hpm_client.post_text("/write?db=lms&tier=1m", &rollups);
+                node.hpm_sender.send("/write?db=lms&tier=1m", &rollups);
             }
         }
         self.ticks += 1;
@@ -497,10 +474,10 @@ impl LmsStack {
     /// fully emptied within the drain budget. Idempotent — `Drop` runs
     /// the same sequence for stacks that are simply dropped.
     fn drain(&mut self) -> bool {
-        // A partial pre-aggregation window beats a lost one; ship while
-        // the router is still accepting.
+        // Ship what the clients hold while the router is still accepting.
         for node in &mut self.nodes {
-            node.agent.flush_pre_aggregation();
+            node.agent.flush();
+            node.hpm_sender.flush();
         }
         if let Some(s) = self.viewer_server.take() {
             s.shutdown();
@@ -531,84 +508,48 @@ impl LmsStack {
     /// Applies job starts/ends to the node simulators.
     fn reconcile_workloads(&mut self) {
         let now = self.clock.now();
+        let running: Vec<(JobId, JobInfo)> =
+            self.scheduler.running().map(|j| (j.id, info(j))).collect();
         // Newly running jobs.
-        let running: Vec<(JobId, Vec<String>, Timestamp)> = self
-            .scheduler
-            .running()
-            .map(|j| {
-                let started = match j.state {
-                    JobState::Running { started } => started,
-                    _ => unreachable!("running() filters"),
-                };
-                (j.id, j.hosts().to_vec(), started)
-            })
-            .collect();
-        for (id, hosts, started) in &running {
-            if !self.active.contains_key(id) {
-                let profile = self.profiles.get(id).copied().unwrap_or(AppProfile::MiniMd);
-                for node in &mut self.nodes {
-                    if hosts.contains(&node.hostname) {
-                        let model = profile.hpm_model(node.sim.topology());
-                        // HPC jobs run one worker per physical core; SMT
-                        // siblings stay idle (assigning them too would
-                        // double-count the node's compute capability).
-                        node.sim.assign(node.sim.topology().primary_threads(), model);
-                    }
-                }
-                self.active.insert(*id, (profile, *started));
+        for (id, job) in &running {
+            if self.active.contains_key(id) {
+                continue;
             }
+            let profile = self.profiles.get(id).copied().unwrap_or(AppProfile::MiniMd);
+            for node in self.nodes.iter_mut().filter(|n| job.hosts.contains(&n.hostname)) {
+                let model = profile.hpm_model(node.sim.topology());
+                // HPC jobs run one worker per physical core; SMT siblings
+                // stay idle (assigning them too would double-count the
+                // node's compute capability).
+                node.sim.assign(node.sim.topology().primary_threads(), model);
+            }
+            self.active.insert(*id, (profile, job.start));
         }
         // Ended jobs.
-        let running_ids: Vec<JobId> = running.iter().map(|(id, _, _)| *id).collect();
-        let ended: Vec<JobId> =
-            self.active.keys().copied().filter(|id| !running_ids.contains(id)).collect();
+        let is_running = |id: &JobId| running.iter().any(|(r, _)| r == id);
+        let ended: Vec<JobId> = self.active.keys().copied().filter(|id| !is_running(id)).collect();
         for id in ended {
             self.active.remove(&id);
-            if let Some(job) = self.scheduler.job(id) {
-                let hosts = job.hosts().to_vec();
-                for node in &mut self.nodes {
-                    if hosts.contains(&node.hostname) {
-                        let threads: Vec<u32> =
-                            (0..node.sim.topology().num_hw_threads()).collect();
-                        node.sim.clear(threads);
-                        node.proc_fs.set_activity(lms_sysmon::NodeActivity::idle());
-                    }
-                }
+            let hosts = self.scheduler.job(id).map(|j| j.hosts().to_vec()).unwrap_or_default();
+            for node in self.nodes.iter_mut().filter(|n| hosts.contains(&n.hostname)) {
+                let threads: Vec<u32> = (0..node.sim.topology().num_hw_threads()).collect();
+                node.sim.clear(threads);
+                node.proc_fs.set_activity(lms_sysmon::NodeActivity::idle());
             }
         }
         // Phased sysmon activity for the jobs still running.
         let ncpu = self.config.topology.num_hw_threads();
         for (id, (profile, started)) in &self.active {
-            let at = now.since(*started);
-            if let Some(job) = self.scheduler.job(*id) {
-                let hosts = job.hosts();
-                for node in &mut self.nodes {
-                    if hosts.contains(&node.hostname) {
-                        node.proc_fs.set_activity(profile.activity(ncpu, at));
-                    }
-                }
+            let Some((_, job)) = running.iter().find(|(r, _)| r == id) else { continue };
+            for node in self.nodes.iter_mut().filter(|n| job.hosts.contains(&n.hostname)) {
+                node.proc_fs.set_activity(profile.activity(ncpu, now.since(*started)));
             }
         }
     }
 
     /// Job information in the viewer's shape.
     pub fn job_info(&self, id: JobId) -> Result<JobInfo> {
-        let job = self
-            .scheduler
-            .job(id)
-            .ok_or_else(|| Error::not_found(format!("job {id}")))?;
-        let (start, end) = match job.state {
-            JobState::Running { started } => (started, None),
-            JobState::Completed { started, ended } => (started, Some(ended)),
-            _ => (job.submitted, None),
-        };
-        Ok(JobInfo {
-            jobid: id.to_string(),
-            user: job.spec.user.clone(),
-            hosts: job.hosts().to_vec(),
-            start,
-            end,
-        })
+        self.scheduler.job(id).map(info).ok_or_else(|| Error::not_found(format!("job {id}")))
     }
 
     fn peaks(&self) -> NodePeaks {
@@ -712,6 +653,23 @@ impl LmsStack {
             db_series: self.db.iter().map(|n| n.influx.series_count("lms")).sum(),
             ticks: self.ticks,
         }
+    }
+}
+
+/// A job in the viewer's shape; a job not yet started starts at its
+/// submission.
+fn info(job: &Job) -> JobInfo {
+    let (start, end) = match job.state {
+        JobState::Running { started } => (started, None),
+        JobState::Completed { started, ended } => (started, Some(ended)),
+        _ => (job.submitted, None),
+    };
+    JobInfo {
+        jobid: job.id.to_string(),
+        user: job.spec.user.clone(),
+        hosts: job.hosts().to_vec(),
+        start,
+        end,
     }
 }
 

@@ -15,32 +15,32 @@ use lms_hpm::perfmon::Perfmon;
 use lms_hpm::simulate::{Simulator, WorkloadPreset};
 use lms_topology::{CpuSet, Topology};
 use lms_util::args::Args;
-use lms_util::{Error, Result};
+use lms_util::{outln, Error, Result};
 use std::time::Duration;
 
 const USAGE: &str = "usage: likwid-sim <topology | groups | group NAME | perfctr [-g GROUP] \
                      [-w dgemm|stream|balanced|idle] [-t SECONDS] [-c CPUSET]>";
 
 fn topology_cmd(topo: &Topology) {
-    println!("--------------------------------------------------------------");
-    println!("CPU name:\t{} (simulated)", topo.name());
-    println!("CPU clock:\t{:.2} GHz", topo.nominal_hz() / 1e9);
-    println!("Sockets:\t\t{}", topo.num_sockets());
-    println!("Cores per socket:\t{}", topo.cores_per_socket());
-    println!("Threads per core:\t{}", topo.threads_per_core());
-    println!("Hardware threads:\t{}", topo.num_hw_threads());
-    println!("NUMA domains:\t\t{}", topo.num_numa_domains());
-    println!("Peak DP:\t\t{:.1} GFLOP/s", topo.peak_flops_dp() / 1e9);
-    println!("Peak mem bw:\t\t{:.1} GB/s", topo.peak_mem_bw() / 1e9);
-    println!("--------------------------------------------------------------");
-    println!("{:<6} {:<8} {:<6} {:<5} {:<5}", "HWT", "socket", "core", "smt", "numa");
+    outln!("--------------------------------------------------------------");
+    outln!("CPU name:\t{} (simulated)", topo.name());
+    outln!("CPU clock:\t{:.2} GHz", topo.nominal_hz() / 1e9);
+    outln!("Sockets:\t\t{}", topo.num_sockets());
+    outln!("Cores per socket:\t{}", topo.cores_per_socket());
+    outln!("Threads per core:\t{}", topo.threads_per_core());
+    outln!("Hardware threads:\t{}", topo.num_hw_threads());
+    outln!("NUMA domains:\t\t{}", topo.num_numa_domains());
+    outln!("Peak DP:\t\t{:.1} GFLOP/s", topo.peak_flops_dp() / 1e9);
+    outln!("Peak mem bw:\t\t{:.1} GB/s", topo.peak_mem_bw() / 1e9);
+    outln!("--------------------------------------------------------------");
+    outln!("{:<6} {:<8} {:<6} {:<5} {:<5}", "HWT", "socket", "core", "smt", "numa");
     for t in topo.hw_threads() {
-        println!("{:<6} {:<8} {:<6} {:<5} {:<5}", t.id, t.socket, t.core, t.smt, t.numa);
+        outln!("{:<6} {:<8} {:<6} {:<5} {:<5}", t.id, t.socket, t.core, t.smt, t.numa);
     }
-    println!("--------------------------------------------------------------");
-    println!("Caches:");
+    outln!("--------------------------------------------------------------");
+    outln!("Caches:");
     for c in topo.caches() {
-        println!(
+        outln!(
             "  {:?}: {} per {} core(s), {}-byte lines",
             c.kind,
             lms_util::fmt::bytes(c.size_bytes),
@@ -51,11 +51,11 @@ fn topology_cmd(topo: &Topology) {
 }
 
 fn groups_cmd(topo: &Topology) {
-    println!("{:<14} Description", "Group");
-    println!("{:-<60}", "");
+    outln!("{:<14} Description", "Group");
+    outln!("{:-<60}", "");
     for name in BUILTIN_GROUPS {
         let g = builtin(name, topo).expect("builtin parses");
-        println!("{name:<14} {}", g.short());
+        outln!("{name:<14} {}", g.short());
     }
 }
 
@@ -98,32 +98,32 @@ fn perfctr_cmd(topo: &Topology, mut args: Args) -> Result<()> {
     sim.advance(Duration::from_secs_f64(seconds));
     let m = pm.stop_and_read(&sim)?;
 
-    println!(
+    outln!(
         "Group {group_name}, workload {preset:?}, {seconds} s on cpus {}",
         threads.to_compact_string()
     );
-    println!("{:-<72}", "");
+    outln!("{:-<72}", "");
     // Raw counters: first 4 measured threads (likwid's table gets wide fast).
     let shown = m.threads().iter().take(4).copied().collect::<Vec<_>>();
-    print!("{:<34}", "counter / event");
+    let mut header = format!("{:<34}", "counter / event");
     for t in &shown {
-        print!("{:>12}", format!("HWT {t}"));
+        header.push_str(&format!("{:>12}", format!("HWT {t}")));
     }
-    println!();
+    outln!("{header}");
     let group = builtin(&group_name, topo)?;
     for (counter, event) in group.events() {
         let values = m.counter_values(&counter.to_string()).expect("counter measured");
-        print!("{:<34}", format!("{counter} {event}"));
+        let mut row = format!("{:<34}", format!("{counter} {event}"));
         for (i, _) in shown.iter().enumerate() {
-            print!("{:>12.3e}", values[i]);
+            row.push_str(&format!("{:>12.3e}", values[i]));
         }
-        println!();
+        outln!("{row}");
     }
-    println!("{:-<72}", "");
-    println!("{:<44}{:>14}", "derived metric", "aggregate");
+    outln!("{:-<72}", "");
+    outln!("{:<44}{:>14}", "derived metric", "aggregate");
     for name in m.metric_names().map(str::to_string).collect::<Vec<_>>() {
         let v = m.metric_aggregate(&name)?;
-        println!("{name:<44}{v:>14.4}");
+        outln!("{name:<44}{v:>14.4}");
     }
     Ok(())
 }
@@ -146,11 +146,11 @@ fn run() -> Result<()> {
         (_, Some(name)) => {
             let text =
                 builtin_text(&name).ok_or_else(|| Error::not_found(format!("group `{name}`")))?;
-            println!("{text}");
+            outln!("{text}");
         }
         (Some("topology"), _) => topology_cmd(&topo),
         (Some("groups"), _) => groups_cmd(&topo),
-        _ => println!("{USAGE}"),
+        _ => outln!("{USAGE}"),
     }
     Ok(())
 }

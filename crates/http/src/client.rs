@@ -2,8 +2,8 @@
 //!
 //! Holds one TCP connection to a fixed peer and reuses it across requests
 //! (keep-alive); reconnects transparently once if the connection went away
-//! between requests. All LMS senders (host agents, the router's forwarder,
-//! libusermetric) push batches through this client.
+//! between requests. The router's forwarder and every client's
+//! [`Sender`](crate::Sender) push batches through this client.
 //!
 //! An exchange is two halves — [`HttpClient::start`] writes the request,
 //! [`HttpClient::finish`] reads the answer — so a caller holding clients

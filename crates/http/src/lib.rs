@@ -8,7 +8,9 @@
 //! enough of HTTP/1.1 for that: request/response with `Content-Length`
 //! bodies, query strings with percent-encoding, persistent connections, and
 //! a small thread-pool server — no external dependencies, no TLS, no
-//! chunked encoding (no LMS component needs it).
+//! chunked encoding (no LMS component needs it). [`Sender`] is the one
+//! way a client ships a batch or a signal to the router: it resends what
+//! the router sheds.
 //!
 //! ```
 //! use lms_http::{Server, Response, HttpClient};
@@ -27,10 +29,12 @@
 pub mod client;
 pub mod fault;
 pub mod message;
+pub mod sender;
 pub mod server;
 pub mod url;
 
 pub use client::HttpClient;
 pub use fault::{FaultConfig, FaultProxy};
 pub use message::{Request, Response};
+pub use sender::{Sender, SenderStats};
 pub use server::{Server, ServerConfig, MIN_CONNECTION_CAP};

@@ -30,7 +30,7 @@
 use lms_http::ServerConfig;
 use lms_influx::{Influx, InfluxServer, RollupPolicy, StorageConfig};
 use lms_util::args::Args;
-use lms_util::{Clock, Error, Result};
+use lms_util::{outln, Clock, Error, Result};
 use std::time::Duration;
 
 const USAGE: &str = "\
@@ -99,7 +99,7 @@ fn run() -> Result<()> {
             "--max-connections" => server_config.max_connections = args.parse()?,
             "--max-body-bytes" => server_config.max_body_bytes = args.parse()?,
             "--help" | "-h" => {
-                println!("{USAGE}");
+                outln!("{USAGE}");
                 return Ok(());
             }
             _ => return Err(args.unknown()),
@@ -126,7 +126,7 @@ fn run() -> Result<()> {
     }
     if let Some(policy) = &rollup {
         influx.enable_rollups(policy.clone())?;
-        println!(
+        outln!(
             "rollups: raw={:?} 1m={:?} 1h={:?}",
             policy.retention_raw, policy.retention_1m, policy.retention_1h
         );
@@ -134,10 +134,10 @@ fn run() -> Result<()> {
     // Held for the daemon's lifetime: flushes and compacts in the background.
     let _worker = influx.spawn_storage_worker();
     let server = InfluxServer::start_with(listen.as_str(), server_config, influx.clone())?;
-    println!("lms-influxd listening on http://{}", server.addr());
-    println!("databases: {:?}", influx.database_names());
+    outln!("lms-influxd listening on http://{}", server.addr());
+    outln!("databases: {:?}", influx.database_names());
     let s = influx.storage_stats();
-    println!(
+    outln!(
         "persistence: {} ({} segment files, {} WAL records replayed)",
         storage.data_dir.display(),
         s.segment_files,
@@ -151,7 +151,7 @@ fn run() -> Result<()> {
         if retention.is_some() || rollup.is_some() {
             let evicted = influx.enforce_retention();
             if evicted > 0 {
-                println!("retention: evicted {evicted} points");
+                outln!("retention: evicted {evicted} points");
             }
         }
     }

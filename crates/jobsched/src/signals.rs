@@ -6,65 +6,48 @@
 //! `/signal/end` with the job id, user, host list and extra tags.
 
 use crate::scheduler::{Job, SchedulerHook};
-use lms_http::HttpClient;
-use lms_util::Result;
-use std::net::{SocketAddr, ToSocketAddrs};
+use lms_http::{url::percent_encode, Sender, SenderStats};
+use lms_util::{Clock, Result};
+use std::net::ToSocketAddrs;
 
-/// A [`SchedulerHook`] delivering signals to a router over HTTP.
+/// A [`SchedulerHook`] delivering signals to a router over HTTP. One
+/// [`Sender`] carries them in order, so a job's end never overtakes its
+/// start, and a signal the router sheds is resent.
 pub struct HttpSignaler {
-    client: HttpClient,
-    errors: u64,
+    sender: Sender,
 }
 
 impl HttpSignaler {
-    /// Connects (lazily) to the router at `addr`.
-    pub fn new<A: ToSocketAddrs>(addr: A) -> Result<Self> {
-        Ok(HttpSignaler { client: HttpClient::connect(addr)?, errors: 0 })
+    /// Connects (lazily) to the router at `addr`; `clock` times resends.
+    pub fn new<A: ToSocketAddrs>(addr: A, clock: Clock) -> Result<Self> {
+        Ok(HttpSignaler { sender: Sender::http(addr, clock)? })
     }
 
-    /// The router address.
-    pub fn addr(&self) -> SocketAddr {
-        self.client.addr()
-    }
-
-    fn signal_start(&mut self, job: &Job) {
-        let mut target = format!(
-            "/signal/start?job={}&user={}&hosts={}",
-            job.id,
-            lms_http::url::percent_encode(&job.spec.user),
-            lms_http::url::percent_encode(&job.hosts().join(","))
-        );
-        for (k, v) in &job.spec.tags {
-            target.push('&');
-            target.push_str(&lms_http::url::percent_encode(k));
-            target.push('=');
-            target.push_str(&lms_http::url::percent_encode(v));
-        }
-        if self.client.post(&target, b"").map(|r| !r.is_success()).unwrap_or(true) {
-            self.errors += 1;
-        }
-    }
-
-    fn signal_end(&mut self, job: &Job) {
-        let target = format!("/signal/end?job={}", job.id);
-        if self.client.post(&target, b"").map(|r| !r.is_success()).unwrap_or(true) {
-            self.errors += 1;
-        }
-    }
-
-    /// Signals that failed to deliver.
-    pub fn errors(&self) -> u64 {
-        self.errors
+    /// The sender's counters.
+    pub fn stats(&self) -> SenderStats {
+        self.sender.stats()
     }
 }
 
 impl SchedulerHook for HttpSignaler {
     fn on_job_start(&mut self, job: &Job) {
-        self.signal_start(job);
+        let mut target = format!(
+            "/signal/start?job={}&user={}&hosts={}",
+            job.id,
+            percent_encode(&job.spec.user),
+            percent_encode(&job.hosts().join(","))
+        );
+        for (k, v) in &job.spec.tags {
+            target.push('&');
+            target.push_str(&percent_encode(k));
+            target.push('=');
+            target.push_str(&percent_encode(v));
+        }
+        self.sender.send(&target, "");
     }
 
     fn on_job_end(&mut self, job: &Job) {
-        self.signal_end(job);
+        self.sender.send(&format!("/signal/end?job={}", job.id), "");
     }
 }
 
@@ -72,7 +55,7 @@ impl SchedulerHook for HttpSignaler {
 mod tests {
     use super::*;
     use crate::scheduler::{JobSpec, Scheduler};
-    use lms_util::{Clock, Timestamp};
+    use lms_util::Timestamp;
     use parking_lot::Mutex;
     use std::sync::Arc;
     use std::time::Duration;
@@ -92,7 +75,7 @@ mod tests {
 
         let clock = Clock::simulated(Timestamp::from_secs(0));
         let mut sched = Scheduler::new(["n01", "n02"], clock.clone());
-        sched.add_hook(Box::new(HttpSignaler::new(server.addr()).unwrap()));
+        sched.add_hook(Box::new(HttpSignaler::new(server.addr(), clock.clone()).unwrap()));
 
         let id = sched.submit(JobSpec {
             tags: vec![("queue".into(), "devel".into())],
@@ -119,12 +102,43 @@ mod tests {
             l.local_addr().unwrap()
         };
         let clock = Clock::simulated(Timestamp::from_secs(0));
-        let mut signaler = HttpSignaler::new(dead).unwrap();
+        let mut signaler = HttpSignaler::new(dead, clock.clone()).unwrap();
         let mut sched = Scheduler::new(["n01"], clock.clone());
         let id = sched.submit(JobSpec::new("u", "x", 1, Duration::from_secs(1)));
         sched.tick();
         let job = sched.job(id).unwrap().clone();
         signaler.on_job_start(&job);
-        assert_eq!(signaler.errors(), 1);
+        // The signal is kept for a resend.
+        let stats = signaler.stats();
+        assert_eq!((stats.transport_errors, stats.queued), (1, 1));
+    }
+
+    #[test]
+    fn a_shed_start_is_resent_before_the_end() {
+        use lms_http::{Response, Server};
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let accepted: Arc<Mutex<Vec<String>>> = Arc::default();
+        let (sink, shed_once) = (accepted.clone(), AtomicBool::new(false));
+        let server = Server::bind("127.0.0.1:0", 1, move |req| {
+            if !shed_once.swap(true, Ordering::SeqCst) {
+                return Response::service_unavailable("shed", 0);
+            }
+            sink.lock().push(format!("{} {}", req.path, req.query_param("job").unwrap()));
+            Response::no_content()
+        })
+        .unwrap();
+        let clock = Clock::simulated(Timestamp::from_secs(0));
+        let mut sched = Scheduler::new(["n01"], clock.clone());
+        sched.add_hook(Box::new(HttpSignaler::new(server.addr(), clock.clone()).unwrap()));
+        let id = sched.submit(JobSpec::new("u", "x", 1, Duration::from_secs(10)));
+        sched.tick();
+        assert!(accepted.lock().is_empty(), "the start was shed");
+        clock.advance(Duration::from_secs(11));
+        sched.tick();
+        assert_eq!(
+            *accepted.lock(),
+            [format!("/signal/start {id}"), format!("/signal/end {id}")]
+        );
+        server.shutdown();
     }
 }

@@ -37,7 +37,7 @@ use lms_router::proxy::GangliaProxy;
 use lms_router::{ClusterConfig, Router, RouterConfig, RouterServer};
 use lms_spool::SpoolConfig;
 use lms_util::args::Args;
-use lms_util::{Clock, Error, Result};
+use lms_util::{outln, Clock, Error, Result};
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::Duration;
@@ -92,7 +92,7 @@ fn run() -> Result<()> {
             "--gmond" => gmond = Some(args.parse_with(resolve)?),
             "--gmond-interval" => gmond_interval = Duration::from_secs(args.parse::<u64>()?.max(1)),
             "--help" | "-h" => {
-                println!("{USAGE}");
+                outln!("{USAGE}");
                 return Ok(());
             }
             _ => return Err(args.unknown()),
@@ -121,7 +121,7 @@ fn run() -> Result<()> {
     let publisher = match publish {
         Some(addr) => {
             let p = Publisher::bind(addr)?;
-            println!("publishing on {}", p.addr());
+            outln!("publishing on {}", p.addr());
             Some(p)
         }
         None => None,
@@ -143,15 +143,15 @@ fn run() -> Result<()> {
     };
     let router = Arc::new(Router::new_cluster(cluster, config, Clock::system(), publisher)?);
     let server = RouterServer::start_with(listen.as_str(), server_config, router.clone())?;
-    println!("lms-router listening on http://{} → {describe}", server.addr());
+    outln!("lms-router listening on http://{} → {describe}", server.addr());
 
     let proxy = gmond.map(GangliaProxy::new).transpose()?;
     if let Some(addr) = gmond {
-        println!("pulling gmond at {addr} every {}s", gmond_interval.as_secs());
+        outln!("pulling gmond at {addr} every {}s", gmond_interval.as_secs());
     }
 
     if let Some(interval) = repair_interval {
-        println!("anti-entropy repair every {}s", interval.as_secs());
+        outln!("anti-entropy repair every {}s", interval.as_secs());
     }
     let tick = repair_interval.map_or(gmond_interval, |r| r.min(gmond_interval));
     let mut last_repair = std::time::Instant::now();
@@ -162,7 +162,7 @@ fn run() -> Result<()> {
             if last_pull.elapsed() >= gmond_interval {
                 last_pull = std::time::Instant::now();
                 match proxy.pull_once(&router) {
-                    Ok(n) => println!("gmond: pulled {n} points"),
+                    Ok(n) => outln!("gmond: pulled {n} points"),
                     Err(e) => eprintln!("gmond pull failed: {e}"),
                 }
             }
@@ -172,7 +172,7 @@ fn run() -> Result<()> {
                 last_repair = std::time::Instant::now();
                 let o = router.run_repair_pass(&[lms_influx::GLOBAL_DB]);
                 if o.divergent > 0 || o.errors > 0 {
-                    println!(
+                    outln!(
                         "repair: {} divergent, {} repaired, {} lines, {} errors",
                         o.divergent, o.repaired_ranges, o.lines_rewritten, o.errors
                     );
@@ -180,7 +180,7 @@ fn run() -> Result<()> {
             }
         }
         let s = router.stats();
-        println!(
+        outln!(
             "stats: in={} enriched={} rejected={} signals={} delivered={} dropped={} \
              spooled={} replayed={} pending={} breaker={}",
             s.lines_in,

@@ -9,24 +9,11 @@
 
 use crate::collectors::Collector;
 use crate::procfs::SimProc;
-use lms_http::HttpClient;
+use lms_http::{Sender, SenderStats};
 use lms_lineproto::BatchBuilder;
 use lms_rollup::WindowAggregator;
 use lms_util::{Clock, Result};
 use std::net::SocketAddr;
-
-/// Closure sink for 1m rollup-row batches (embedded stack, tests).
-type RollupSink = Box<dyn FnMut(&str) + Send>;
-
-/// Where a finished batch goes.
-enum Sink {
-    /// POST to a router/database `/write` endpoint.
-    Http { client: HttpClient, db: String },
-    /// Hand to a closure (embedded stack, tests).
-    Func(Box<dyn FnMut(&str) + Send>),
-    /// Discard (benchmarks of collection cost).
-    Null,
-}
 
 /// A per-node collection daemon.
 pub struct HostAgent {
@@ -34,16 +21,17 @@ pub struct HostAgent {
     clock: Clock,
     collectors: Vec<Box<dyn Collector>>,
     batch: BatchBuilder,
-    sink: Sink,
+    sender: Sender,
+    /// `/write?db=<db>` of the HTTP sender.
+    target: String,
     /// 60s pre-aggregation windows over the raw stream; closed windows
     /// ship as a second, rollup-row batch tagged for the 1m tier.
     pre_agg: Option<WindowAggregator>,
-    /// Where 1m batches go when the raw sink is a closure (the embedded
+    /// Where 1m batches go when the batch sink is a closure (the embedded
     /// stack routes them into the tier database itself).
-    rollup_sink: Option<RollupSink>,
+    rollup_sender: Option<Sender>,
     ticks: u64,
     points_sent: u64,
-    send_errors: u64,
 }
 
 impl HostAgent {
@@ -54,12 +42,12 @@ impl HostAgent {
             clock,
             collectors: Vec::new(),
             batch: BatchBuilder::with_capacity(4096),
-            sink: Sink::Null,
+            sender: Sender::null(),
+            target: String::new(),
             pre_agg: None,
-            rollup_sink: None,
+            rollup_sender: None,
             ticks: 0,
             points_sent: 0,
-            send_errors: 0,
         }
     }
 
@@ -81,35 +69,38 @@ impl HostAgent {
         self
     }
 
-    /// Sends batches to the router at `addr`, database `db`.
+    /// Sends batches to the router at `addr`, database `db`, through a
+    /// [`Sender`] that resends what the router sheds.
     pub fn send_to(&mut self, addr: SocketAddr, db: &str) -> Result<()> {
-        self.sink = Sink::Http { client: HttpClient::connect(addr)?, db: db.to_string() };
+        self.sender = Sender::http(addr, self.clock.clone())?;
+        self.target = format!("/write?db={db}");
         Ok(())
     }
 
     /// Sends batches to a closure (embedded mode).
     pub fn send_to_fn(&mut self, f: impl FnMut(&str) + Send + 'static) {
-        self.sink = Sink::Func(Box::new(f));
+        self.sender = Sender::func(f);
+        self.target.clear();
     }
 
     /// Enables the agent-side pre-aggregation stream: alongside the 1s raw
     /// batches, the agent folds every point into per-series 1-minute
     /// windows and ships each closed window as rollup rows (count / sum /
     /// min / max / first / last stat fields, window-start timestamps) for
-    /// direct ingestion into the 1m tier. The HTTP sink posts them to
-    /// `/write?db=...&tier=1m`; closure sinks receive them through
-    /// [`HostAgent::send_rollups_to_fn`].
+    /// direct ingestion into the 1m tier. The HTTP sender posts them to
+    /// `/write?db=...&tier=1m`; with a closure sink they go only to
+    /// [`HostAgent::send_rollups_to_fn`]'s closure, if there is one.
     ///
     /// The database-side rollup pass recomputes any window it also saw raw
-    /// points for (last-write-wins), so the two streams converge — the
-    /// pre-aggregated rows matter when raw ingestion is shed or sampled.
+    /// points for (last-write-wins), so the two streams converge. The rows
+    /// matter only past the sender's cap, since it resends what is shed.
     pub fn enable_pre_aggregation(&mut self) {
         self.pre_agg = Some(WindowAggregator::minute());
     }
 
     /// Sends 1m pre-aggregated batches to a closure (embedded mode).
     pub fn send_rollups_to_fn(&mut self, f: impl FnMut(&str) + Send + 'static) {
-        self.rollup_sink = Some(Box::new(f));
+        self.rollup_sender = Some(Sender::func(f));
     }
 
     /// The node's hostname.
@@ -134,17 +125,7 @@ impl HostAgent {
         let n = self.batch.len();
         if n > 0 {
             self.points_sent += n as u64;
-            match &mut self.sink {
-                Sink::Http { client, db } => {
-                    let target = format!("/write?db={db}");
-                    match client.post_text(&target, self.batch.as_str()) {
-                        Ok(resp) if resp.is_success() => {}
-                        _ => self.send_errors += 1,
-                    }
-                }
-                Sink::Func(f) => f(self.batch.as_str()),
-                Sink::Null => {}
-            }
+            self.sender.send(&self.target, self.batch.as_str());
         }
         if let Some(agg) = &mut self.pre_agg {
             let mut batch = String::new();
@@ -155,36 +136,33 @@ impl HostAgent {
         n
     }
 
-    /// Force-closes every open pre-aggregation window and ships the rows
-    /// (agent shutdown: a partial window beats a lost one).
-    pub fn flush_pre_aggregation(&mut self) {
-        let Some(agg) = &mut self.pre_agg else { return };
-        let mut batch = String::new();
-        if agg.flush(&mut batch) > 0 {
-            self.ship_rollups(&batch);
+    /// Ships what the agent holds (agent shutdown): force-closes every
+    /// open pre-aggregation window — a partial window beats a lost one —
+    /// and resends the batches the sender kept.
+    pub fn flush(&mut self) {
+        if let Some(agg) = &mut self.pre_agg {
+            let mut batch = String::new();
+            if agg.flush(&mut batch) > 0 {
+                self.ship_rollups(&batch);
+            }
         }
+        self.sender.flush();
     }
 
+    /// Over HTTP the 1m rows go to the tier endpoint; otherwise only a
+    /// rollup closure takes them, as a batch closure cannot tell them from
+    /// raw lines.
     fn ship_rollups(&mut self, batch: &str) {
-        match &mut self.sink {
-            Sink::Http { client, db } => {
-                let target = format!("/write?db={db}&tier=1m");
-                match client.post_text(&target, batch) {
-                    Ok(resp) if resp.is_success() => {}
-                    _ => self.send_errors += 1,
-                }
-            }
-            _ => {
-                if let Some(f) = &mut self.rollup_sink {
-                    f(batch);
-                }
-            }
+        if !self.target.is_empty() {
+            self.sender.send(&format!("{}&tier=1m", self.target), batch);
+        } else if let Some(sender) = &mut self.rollup_sender {
+            sender.send("", batch);
         }
     }
 
-    /// `(ticks, points, send errors)` counters.
-    pub fn stats(&self) -> (u64, u64, u64) {
-        (self.ticks, self.points_sent, self.send_errors)
+    /// `(ticks, points)` counters and the sender's.
+    pub fn stats(&self) -> (u64, u64, SenderStats) {
+        (self.ticks, self.points_sent, self.sender.stats())
     }
 }
 
@@ -254,8 +232,8 @@ mod tests {
         assert!(!got.is_empty());
         assert_eq!(got[0].0, "/write?db=lms");
         assert!(got.last().unwrap().1.contains("cpu_total,hostname=h1"));
-        let (_, _, errors) = agent.stats();
-        assert_eq!(errors, 0);
+        let (_, _, sent) = agent.stats();
+        assert_eq!((sent.acked, sent.transport_errors, sent.queued), (2, 0, 0));
         server.shutdown();
     }
 
@@ -274,8 +252,58 @@ mod tests {
         proc_fs.advance(Duration::from_secs(5));
         clock.advance(Duration::from_secs(5));
         agent.tick(&proc_fs);
-        let (ticks, _, errors) = agent.stats();
+        // Each tick tries the oldest kept batch once; both are kept.
+        let (ticks, _, sent) = agent.stats();
         assert_eq!(ticks, 2);
-        assert!(errors > 0);
+        assert_eq!((sent.transport_errors, sent.queued, sent.acked), (2, 2, 0));
+    }
+
+    #[test]
+    fn rollup_rows_never_reach_the_batch_closure() {
+        let clock = Clock::simulated(Timestamp::from_secs(0));
+        let mut agent = HostAgent::new("h1", clock.clone()).with_standard_collectors();
+        let batches: Arc<Mutex<Vec<String>>> = Arc::default();
+        let sink = batches.clone();
+        agent.send_to_fn(move |b| sink.lock().push(b.to_string()));
+        agent.enable_pre_aggregation();
+        let mut proc_fs = SimProc::new(2, 1 << 20, 4);
+        // Three minutes of sweeps close windows; the flush closes the rest.
+        for _ in 0..18 {
+            agent.tick(&proc_fs);
+            proc_fs.advance(Duration::from_secs(10));
+            clock.advance(Duration::from_secs(10));
+        }
+        agent.flush();
+        let batches = batches.lock();
+        assert_eq!(batches.len() as u64, agent.stats().0);
+        // Rollup rows carry `<field>__count` stat fields; raw lines never do.
+        assert!(batches.iter().all(|b| !b.contains("__count=")));
+    }
+
+    /// The outage the HTTP sender's cap outlasts, from measured batches: a
+    /// standard agent on 40 hardware threads (the stack's dual-socket
+    /// 10-core node), busy, sweeping every second with pre-aggregation on,
+    /// ships about 330 KB a minute, so the 8 MiB cap holds about 25 minutes.
+    #[test]
+    fn the_sender_cap_outlasts_twenty_minutes_of_a_forty_thread_agent() {
+        let clock = Clock::simulated(Timestamp::from_secs(0));
+        let mut agent = HostAgent::new("h1", clock.clone()).with_standard_collectors();
+        let bytes: Arc<Mutex<usize>> = Arc::default();
+        let (raw, rows) = (bytes.clone(), bytes.clone());
+        // The cap counts each request's target too.
+        agent.send_to_fn(move |b| *raw.lock() += "/write?db=lms".len() + b.len());
+        agent.enable_pre_aggregation();
+        agent.send_rollups_to_fn(move |b| *rows.lock() += "/write?db=lms&tier=1m".len() + b.len());
+        let mut proc_fs = SimProc::new(40, 64 << 20, 5);
+        proc_fs.set_activity(NodeActivity::busy_compute(40));
+        // Two whole minutes: 120 sweeps and the rows of two windows.
+        for _ in 0..120 {
+            proc_fs.advance(Duration::from_secs(1));
+            clock.advance(Duration::from_secs(1));
+            agent.tick(&proc_fs);
+        }
+        let per_minute = *bytes.lock() / 2;
+        assert!(per_minute > 250_000, "{per_minute} B/min");
+        assert!(lms_http::sender::QUEUE_CAP_BYTES >= 20 * per_minute, "{per_minute} B/min");
     }
 }

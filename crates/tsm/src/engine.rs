@@ -41,9 +41,10 @@
 //! While degraded, [`TsmEngine::append_wal`] refuses every batch up front
 //! with the transient `Error::Unavailable`, so a caller keeps it for a
 //! retry; reads and sealed data stay available. [`TsmEngine::probe`], run
-//! by the storage worker on its tick, makes one trial append through the
-//! WAL and clears the value when it succeeds. A failed probe leaves no
-//! file behind (see `lms_util::seglog`).
+//! by the storage worker on its tick, tries the store whose write failed —
+//! one trial append through the WAL, or a trial file at the next segment's
+//! tmp path, written, synced and unlinked — and clears the value when it
+//! succeeds. A probe leaves no file behind (see `lms_util::seglog`).
 
 use crate::segment::{self, BlockEntry};
 use crate::wal::{Wal, WalConfig, WalRecord};
@@ -51,6 +52,7 @@ use lms_util::seglog::unlink;
 use lms_util::{Error, Result};
 use parking_lot::Mutex;
 use std::fs;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
@@ -161,6 +163,14 @@ pub enum Health {
     },
 }
 
+/// The engine's two stores: what a failed write went to, and so what the
+/// heal probe tries.
+#[derive(Debug, Clone, Copy)]
+enum Store {
+    Wal,
+    Segments,
+}
+
 /// A per-partition time range lost to a quarantined segment. The points it
 /// covered are restored by the cluster's anti-entropy repair pass (or by a
 /// surviving overlapping generation); until then queries over the range
@@ -218,7 +228,8 @@ pub struct TsmEngine {
     next_seg_seq: AtomicU64,
     compactions: AtomicU64,
     recovered_records: u64,
-    health: Mutex<Health>,
+    /// The health value and the store whose failed write set it.
+    health: Mutex<(Health, Store)>,
     /// Hard ceiling on retention cutoffs ([`TsmEngine::set_drop_floor`]):
     /// `drop_expired` never unlinks a partition reaching at or past this
     /// timestamp, whatever cutoff the caller computed. `i64::MAX` = no
@@ -349,7 +360,7 @@ impl TsmEngine {
             next_seg_seq: AtomicU64::new(next_seg_seq),
             compactions: AtomicU64::new(0),
             recovered_records: recovered.wal_records.len() as u64,
-            health: Mutex::new(Health::Ok),
+            health: Mutex::new((Health::Ok, Store::Wal)),
             drop_floor: AtomicI64::new(i64::MAX),
             scrubbed_bytes: AtomicU64::new(0),
             corrupt_frames: AtomicU64::new(corrupt_frames),
@@ -366,14 +377,14 @@ impl TsmEngine {
     /// while degraded (see [`TsmEngine::writable`]).
     pub fn append_wal(&self, batch: &str, points: u64) -> Result<u64> {
         self.writable()?;
-        self.degrade_on(self.wal.append(batch, points))
+        self.degrade_on(Store::Wal, self.wal.append(batch, points))
     }
 
     /// The write gate: `Error::Unavailable` with the reason while the
     /// engine is degraded — transient, so the delivery pipeline keeps the
     /// data spooled instead of dropping it.
     pub fn writable(&self) -> Result<()> {
-        match &*self.health.lock() {
+        match &self.health.lock().0 {
             Health::Ok => Ok(()),
             Health::Degraded { reason } => {
                 Err(Error::unavailable(format!("storage degraded ({reason}): writes refused")))
@@ -383,27 +394,54 @@ impl TsmEngine {
 
     /// The engine's storage health.
     pub fn health(&self) -> Health {
-        self.health.lock().clone()
+        self.health.lock().0.clone()
     }
 
-    /// The heal probe: while degraded, one trial append (an empty batch,
-    /// which replays as nothing) through the WAL; success clears the
-    /// health value. Returns whether the engine is healthy afterwards.
+    /// The heal probe: while degraded, one trial write to the store whose
+    /// failed write degraded the engine — an empty WAL batch, which
+    /// replays as nothing, or a file at the next segment's tmp path,
+    /// written, synced and unlinked; success clears the health value.
+    /// Returns whether the engine is healthy afterwards.
     pub fn probe(&self) -> bool {
-        if self.writable().is_ok() {
-            return true;
-        }
-        let healed = self.degrade_on(self.wal.append("", 0)).is_ok();
+        let store = match &*self.health.lock() {
+            (Health::Ok, _) => return true,
+            (_, store) => *store,
+        };
+        let trial = match store {
+            Store::Wal => self.wal.append("", 0).map(drop),
+            Store::Segments => self.probe_segments(),
+        };
+        let healed = self.degrade_on(store, trial).is_ok();
         if healed {
-            *self.health.lock() = Health::Ok;
+            self.health.lock().0 = Health::Ok;
         }
         healed
     }
 
-    /// Passes `result` through; an I/O error degrades the engine first.
-    fn degrade_on<T>(&self, result: Result<T>) -> Result<T> {
+    /// The segment writer's trial: a file at the next segment's tmp path,
+    /// written, synced and unlinked, so that success or failure leaves no
+    /// file. A vanished database directory is made again first, but not a
+    /// vanished data root: a node whose whole tree is gone stays degraded.
+    fn probe_segments(&self) -> Result<()> {
+        let seq = self.next_seg_seq.fetch_add(1, Ordering::Relaxed);
+        let tmp = self.cfg.dir.join(segment_file_name(0, seq)).with_extension("tmp");
+        let dir = match fs::create_dir(&self.cfg.dir) {
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => Ok(()),
+            made => made,
+        };
+        let written = dir.and_then(|()| {
+            let mut f = fs::OpenOptions::new().create(true).write(true).truncate(true).open(&tmp)?;
+            f.write_all(b"probe")?;
+            f.sync_data()
+        });
+        written.map_err(Error::from).and(unlink(&tmp))
+    }
+
+    /// Passes `result` through; an I/O error degrades the engine first,
+    /// naming `store` for the probe.
+    fn degrade_on<T>(&self, store: Store, result: Result<T>) -> Result<T> {
         if let Err(Error::Io(e)) = &result {
-            *self.health.lock() = Health::Degraded { reason: e.to_string() };
+            *self.health.lock() = (Health::Degraded { reason: e.to_string() }, store);
         }
         result
     }
@@ -432,7 +470,7 @@ impl TsmEngine {
     pub fn begin_flush<G>(&self, hold: impl FnOnce() -> G) -> Result<FlushSession<'_>> {
         let guard = self.maint.lock();
         let gate = hold();
-        let boundary = self.degrade_on(self.wal.rotate())?;
+        let boundary = self.degrade_on(Store::Wal, self.wal.rotate())?;
         drop(gate);
         Ok(FlushSession { engine: self, _guard: guard, boundary })
     }
@@ -470,7 +508,7 @@ impl TsmEngine {
         for (partition, group) in by_partition {
             let seq = self.next_seg_seq.fetch_add(1, Ordering::Relaxed);
             let path = self.cfg.dir.join(segment_file_name(partition, seq));
-            let bytes = self.degrade_on(segment::write_segment(&path, &group))?;
+            let bytes = self.degrade_on(Store::Segments, segment::write_segment(&path, &group))?;
             written.push(SegFile { partition, seq, path, bytes });
         }
         Ok(written)
@@ -505,7 +543,7 @@ impl TsmEngine {
             dropped += result.is_ok() as usize;
             result.is_err()
         });
-        self.degrade_on(result.map(|()| dropped))
+        self.degrade_on(Store::Segments, result.map(|()| dropped))
     }
 
     /// The partitions that have accumulated `compact_min_files` segment
@@ -542,7 +580,7 @@ impl TsmEngine {
             segment_bytes,
             compactions: self.compactions.load(Ordering::Relaxed),
             recovered_records: self.recovered_records,
-            degraded: *self.health.lock() != Health::Ok,
+            degraded: self.health.lock().0 != Health::Ok,
             wal_group_commits: group.group_commits,
             wal_fsyncs: group.fsyncs,
             wal_points_per_commit: group.points_per_commit,
@@ -618,7 +656,7 @@ impl TsmEngine {
         };
         let quarantined = quarantine_path(path);
         let sidecar = sidecar_path(&quarantined);
-        self.degrade_on(fs::rename(path, &quarantined).map_err(Error::from))?;
+        self.degrade_on(Store::Segments, fs::rename(path, &quarantined).map_err(Error::from))?;
         self.files.lock().retain(|f| f.path != path);
         let report = QuarantineReport {
             original: path.to_path_buf(),
@@ -675,7 +713,7 @@ impl TsmEngine {
 
     /// Fsyncs the active WAL segment (graceful shutdown).
     pub fn sync(&self) -> Result<()> {
-        self.degrade_on(self.wal.sync())
+        self.degrade_on(Store::Wal, self.wal.sync())
     }
 }
 
@@ -707,7 +745,7 @@ impl FlushSession<'_> {
     /// Completes the flush: the sealed data is durable, so the frozen WAL
     /// segments below the checkpoint boundary are deleted.
     pub fn commit(self) -> Result<()> {
-        self.engine.degrade_on(self.engine.wal.remove_frozen(self.boundary))
+        self.engine.degrade_on(Store::Wal, self.engine.wal.remove_frozen(self.boundary))
     }
 }
 
@@ -736,7 +774,7 @@ impl RewriteSession<'_> {
         let engine = self.engine;
         engine.files.lock().extend(self.new);
         for path in &self.old {
-            engine.degrade_on(unlink(path))?;
+            engine.degrade_on(Store::Segments, unlink(path))?;
             engine.files.lock().retain(|f| &f.path != path);
         }
         engine.compactions.fetch_add(1, Ordering::Relaxed);
@@ -871,6 +909,40 @@ mod tests {
         assert_eq!(rec.blocks.len(), 0, "aborted segment never became visible");
         assert_eq!(rec.wal_records.len(), 1, "WAL covers the lost flush");
         assert_eq!(engine.segment_file_count(), 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_segment_write_is_probed_at_the_segment_writer() {
+        let dir = tmp("segprobe");
+        let (engine, _) = TsmEngine::open(cfg(&dir)).unwrap();
+        engine.append_wal("m v=1 500", 1).unwrap();
+        // The disk is full under the next segment files; the WAL works.
+        let full: Vec<PathBuf> =
+            (0..4).map(|seq| dir.join(segment_file_name(0, seq)).with_extension("tmp")).collect();
+        plant_full_disk(&full);
+        let gen = engine.next_gen();
+        let mut flush = engine.begin_flush(|| ()).unwrap();
+        assert!(flush.write(&[entry("m", gen, 500..501)]).is_err());
+        drop(flush);
+
+        // The probe tries the segment writer, not the WAL: it fails and
+        // leaves no file of its own.
+        let before = listing(&dir);
+        assert!(!engine.probe());
+        assert!(engine.stats().degraded);
+        assert!(listing(&dir).iter().all(|f| before.contains(f)), "the probe left a file");
+
+        for p in &full {
+            let _ = fs::remove_file(p);
+        }
+        assert!(engine.probe());
+        assert_eq!(engine.health(), Health::Ok);
+        assert!(listing(&dir).iter().all(|f| f.extension().is_none_or(|e| e != "tmp")));
+        let mut flush = engine.begin_flush(|| ()).unwrap();
+        flush.write(&[entry("m", gen, 500..501)]).unwrap();
+        flush.commit().unwrap();
+        assert_eq!(engine.segment_file_count(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 

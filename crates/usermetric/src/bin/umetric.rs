@@ -12,7 +12,7 @@
 use lms_http::url::percent_encode;
 use lms_lineproto::Point;
 use lms_util::args::Args;
-use lms_util::{Clock, Error, Result};
+use lms_util::{outln, Clock, Error, Result};
 
 const USAGE: &str =
     "usage: umetric --url <host:port> [--db <db>] [--tag k=v]... <metric|event> <name> <value|text...>";
@@ -90,7 +90,7 @@ fn build_point(args: &Cli, clock: &Clock) -> Result<Point> {
 fn run() -> Result<()> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some(args) = parse_args(&argv)? else {
-        println!("{USAGE}");
+        outln!("{USAGE}");
         return Ok(());
     };
     let clock = Clock::system();

@@ -1,6 +1,6 @@
 //! The buffered, batched metric/event client.
 
-use lms_http::HttpClient;
+use lms_http::{Sender, SenderStats};
 use lms_lineproto::{BatchBuilder, FieldValue, Point};
 use lms_util::{Clock, Result};
 use parking_lot::Mutex;
@@ -24,17 +24,11 @@ impl Default for UserMetricConfig {
     }
 }
 
-enum Sink {
-    Http { client: HttpClient, db: String },
-    Func(Box<dyn FnMut(&str) + Send>),
-    Null,
-}
-
 struct Inner {
     batch: BatchBuilder,
-    sink: Sink,
-    flushes: u64,
-    send_errors: u64,
+    sender: Sender,
+    /// `/write?db=<db>` of the HTTP sender.
+    target: String,
 }
 
 /// The libusermetric client. Cloneable; clones share one buffer, so all
@@ -48,18 +42,16 @@ pub struct UserMetric {
 }
 
 impl UserMetric {
-    /// A client POSTing batches to `/write?db=<db>` at `addr`.
+    /// A client POSTing batches to `/write?db=<db>` at `addr` through a
+    /// [`Sender`] that resends what the router sheds.
     pub fn to_http(
         config: UserMetricConfig,
         clock: Clock,
         addr: SocketAddr,
         db: &str,
     ) -> Result<Self> {
-        Ok(Self::build(
-            config,
-            clock,
-            Sink::Http { client: HttpClient::connect(addr)?, db: db.to_string() },
-        ))
+        let sender = Sender::http(addr, clock.clone())?;
+        Ok(Self::build(config, clock, sender, format!("/write?db={db}")))
     }
 
     /// A client handing batches to a closure (embedded mode, tests).
@@ -68,21 +60,20 @@ impl UserMetric {
         clock: Clock,
         f: impl FnMut(&str) + Send + 'static,
     ) -> Self {
-        Self::build(config, clock, Sink::Func(Box::new(f)))
+        Self::build(config, clock, Sender::func(f), String::new())
     }
 
     /// A client that discards batches (overhead benchmarking).
     pub fn to_null(config: UserMetricConfig, clock: Clock) -> Self {
-        Self::build(config, clock, Sink::Null)
+        Self::build(config, clock, Sender::null(), String::new())
     }
 
-    fn build(config: UserMetricConfig, clock: Clock, sink: Sink) -> Self {
+    fn build(config: UserMetricConfig, clock: Clock, sender: Sender, target: String) -> Self {
         UserMetric {
             inner: Arc::new(Mutex::new(Inner {
                 batch: BatchBuilder::with_capacity(4096),
-                sink,
-                flushes: 0,
-                send_errors: 0,
+                sender,
+                target,
             })),
             config: Arc::new(config),
             clock,
@@ -151,7 +142,7 @@ impl UserMetric {
         self.record(&p);
     }
 
-    /// Flushes the buffer to the sink now.
+    /// Flushes the buffer to the sender now, behind the batches it kept.
     pub fn flush(&self) {
         flush_locked(&mut self.inner.lock());
     }
@@ -161,29 +152,18 @@ impl UserMetric {
         self.inner.lock().batch.len()
     }
 
-    /// `(flushes, send errors)`.
-    pub fn stats(&self) -> (u64, u64) {
-        let inner = self.inner.lock();
-        (inner.flushes, inner.send_errors)
+    /// The sender's counters (`batches` counts the flushes).
+    pub fn stats(&self) -> SenderStats {
+        self.inner.lock().sender.stats()
     }
 }
 
 fn flush_locked(inner: &mut Inner) {
     if inner.batch.is_empty() {
-        return;
-    }
-    let body = inner.batch.take();
-    inner.flushes += 1;
-    match &mut inner.sink {
-        Sink::Http { client, db } => {
-            let target = format!("/write?db={db}");
-            match client.post_text(&target, &body) {
-                Ok(resp) if resp.is_success() => {}
-                _ => inner.send_errors += 1,
-            }
-        }
-        Sink::Func(f) => f(&body),
-        Sink::Null => {}
+        inner.sender.flush();
+    } else {
+        let body = inner.batch.take();
+        inner.sender.send(&inner.target, &body);
     }
 }
 
@@ -243,7 +223,7 @@ mod tests {
         let got = captured.lock();
         assert_eq!(got.len(), 2, "two auto-flushes at 5 and 10");
         assert_eq!(um.buffered(), 2);
-        assert_eq!(um.stats().0, 2);
+        assert_eq!(um.stats().batches, 2);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! The viewer agent and the job-evaluation header (paper Fig. 2) render
 //! bandwidths, byte counts, rates and durations; these helpers keep that
-//! rendering consistent across the stack.
+//! rendering consistent across the stack. The binaries print through
+//! [`outln!`](crate::outln), which ends a run whose stdout closed early.
 
 use std::time::Duration;
 
@@ -69,6 +70,30 @@ pub fn pad(s: &str, w: usize) -> String {
     } else {
         format!("{s:<w$}")
     }
+}
+
+/// Writes one line to stdout, for [`outln!`](crate::outln). A closed
+/// stdout (the reader went away, as `| head` does) ends the process
+/// quietly with status 0; any other write error ends it with status 1.
+pub fn stdout_line(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    let Err(e) = writeln!(std::io::stdout().lock(), "{args}") else { return };
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        std::process::exit(0);
+    }
+    eprintln!("stdout: {e}");
+    std::process::exit(1);
+}
+
+/// `println!` for the binaries, through [`fmt::stdout_line`](crate::fmt::stdout_line).
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::outln!("")
+    };
+    ($($arg:tt)*) => {
+        $crate::fmt::stdout_line(format_args!($($arg)*))
+    };
 }
 
 #[cfg(test)]

@@ -263,7 +263,7 @@ fn scheduler_signals_survive_router_outage() {
     rs.shutdown();
 
     let mut sched = Scheduler::new(["n1"], clock.clone());
-    sched.add_hook(Box::new(HttpSignaler::new(router_addr).unwrap()));
+    sched.add_hook(Box::new(HttpSignaler::new(router_addr, clock.clone()).unwrap()));
     let id = sched.submit(JobSpec::new("u", "x", 1, Duration::from_secs(10)));
     // tick() must not wedge even though every signal delivery fails.
     sched.tick();
@@ -285,7 +285,10 @@ fn usermetric_over_dead_router_degrades_to_error_counts() {
         um.metric("m", i as f64); // crosses the flush threshold twice
     }
     um.flush();
-    let (flushes, errors) = um.stats();
-    assert!(flushes >= 3);
-    assert_eq!(errors, flushes, "every flush failed, none panicked");
+    // Every flush failed, none panicked, and every batch is kept for a
+    // resend.
+    let stats = um.stats();
+    assert!(stats.batches >= 3);
+    assert_eq!(stats.transport_errors, stats.batches);
+    assert_eq!((stats.queued, stats.acked), (stats.batches, 0));
 }

@@ -227,16 +227,15 @@ impl Cell {
     }
 }
 
-/// Applies `fault` to `writer`, runs the writer and — for a log — ten heal
-/// probes while the fault holds, then lifts every limit it set. Returns
-/// the writer's outcome and the files it planted.
+/// Applies `fault` to `writer`, runs the writer and ten heal probes while
+/// the fault holds, then lifts every limit it set. Each probe tries the
+/// writer that failed, so none may heal. Returns the writer's outcome and
+/// the files it planted.
 fn with_fault(cell: &Cell, fault: Fault, writer: Writer) -> (lms::util::Result<()>, Vec<PathBuf>) {
     let engine = cell.influx.database(writer.db()).unwrap().engine().clone();
     let probes = || {
-        if writer.is_wal() {
-            for _ in 0..10 {
-                assert!(!engine.probe(), "{fault:?}/{writer:?}: a probe healed under the fault");
-            }
+        for _ in 0..10 {
+            assert!(!engine.probe(), "{fault:?}/{writer:?}: a probe healed under the fault");
         }
     };
     match fault {
