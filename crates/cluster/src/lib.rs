@@ -8,8 +8,8 @@
 //! measurement + canonical tag set) onto a seeded rendezvous ring
 //! ([`HashRing`]) and fans the line to its R owners. Writes ack at a
 //! configurable write quorum W; a down replica's share lands in that
-//! replica's on-disk spool as a *hinted handoff* and replays once the node
-//! answers `/ping` again. A SELECT scatters in its partial form: every node
+//! replica's on-disk spool as a *hinted handoff*, and the replay the node
+//! accepts brings it back. A SELECT scatters in its partial form: every node
 //! answers each matching series' own aggregate state or raw rows, and the
 //! router folds them with the executor's own fold, as one node holding
 //! every point would ([`partial::PartialPlan`]). Listings are unioned
@@ -17,7 +17,7 @@
 //! of failing when a replica is unreachable.
 //!
 //! The crate is deliberately mechanism-only — placement, quorum arithmetic
-//! and merging. The delivery machinery (queues, spools, breakers,
+//! and merging. The delivery machinery (queues, spools, down flags,
 //! drainers) lives in `lms-router`, which instantiates one forwarder per
 //! cluster node.
 

@@ -64,13 +64,6 @@ impl InfluxClient {
         self.http.get("/ping")?.into_result().map(drop)
     }
 
-    /// Boolean health probe: true when the server answers `/ping` with a
-    /// success status. Used by the spool drainer to confirm recovery
-    /// before replaying a backlog.
-    pub fn healthy(&mut self) -> bool {
-        self.ping().is_ok()
-    }
-
     /// Writes a line-protocol batch with nanosecond timestamps.
     pub fn write(&mut self, db: &str, batch: &str) -> Result<()> {
         self.write_with_precision(db, batch, Precision::Nanoseconds)
@@ -252,7 +245,6 @@ mod tests {
     fn end_to_end_typed_api() {
         let (server, mut c) = start();
         c.ping().unwrap();
-        assert!(c.healthy());
         c.write("lms", "cpu,hostname=h1 value=1 100\ncpu,hostname=h1 value=3 200").unwrap();
         let r = c.query("lms", "SELECT mean(value) FROM cpu").unwrap();
         assert_eq!(r.series[0].values[0][1].as_f64(), Some(2.0));
@@ -294,7 +286,7 @@ mod tests {
         let (server, mut c) = start();
         server.shutdown();
         c.set_timeout(std::time::Duration::from_millis(300));
-        assert!(!c.healthy());
+        assert!(c.ping().is_err());
     }
 
     #[test]

@@ -99,6 +99,9 @@ pub trait SchedulerHook: Send {
     fn on_job_start(&mut self, job: &Job);
     /// Called when a job completes.
     fn on_job_end(&mut self, job: &Job);
+    /// Called at every [`Scheduler::tick`], before its starts and ends:
+    /// a hook that holds undelivered signals resends them here.
+    fn flush(&mut self) {}
 }
 
 /// Blanket hook from a pair of closures.
@@ -199,9 +202,13 @@ impl Scheduler {
         self.queue.len()
     }
 
-    /// Advances the scheduler: completes due jobs, then allocates.
-    /// Call after every clock advance (or on a fixed cadence).
+    /// Advances the scheduler: flushes every hook, completes due jobs,
+    /// then allocates. Call after every clock advance (or on a fixed
+    /// cadence).
     pub fn tick(&mut self) {
+        for hook in &mut self.hooks {
+            hook.flush();
+        }
         let now = self.clock.now();
         self.complete_due(now);
         self.allocate(now);

@@ -49,6 +49,10 @@ impl SchedulerHook for HttpSignaler {
     fn on_job_end(&mut self, job: &Job) {
         self.sender.send(&format!("/signal/end?job={}", job.id), "");
     }
+
+    fn flush(&mut self) {
+        self.sender.flush();
+    }
 }
 
 #[cfg(test)]
@@ -134,6 +138,38 @@ mod tests {
         sched.tick();
         assert!(accepted.lock().is_empty(), "the start was shed");
         clock.advance(Duration::from_secs(11));
+        sched.tick();
+        assert_eq!(
+            *accepted.lock(),
+            [format!("/signal/start {id}"), format!("/signal/end {id}")]
+        );
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_shed_end_is_resent_at_the_next_tick() {
+        use lms_http::{Response, Server};
+        use std::sync::atomic::{AtomicU64, Ordering};
+        let accepted: Arc<Mutex<Vec<String>>> = Arc::default();
+        let (sink, requests) = (accepted.clone(), AtomicU64::new(0));
+        // The second request — the end signal — is shed once.
+        let server = Server::bind("127.0.0.1:0", 1, move |req| {
+            if requests.fetch_add(1, Ordering::SeqCst) == 1 {
+                return Response::service_unavailable("shed", 0);
+            }
+            sink.lock().push(format!("{} {}", req.path, req.query_param("job").unwrap()));
+            Response::no_content()
+        })
+        .unwrap();
+        let clock = Clock::simulated(Timestamp::from_secs(0));
+        let mut sched = Scheduler::new(["n01"], clock.clone());
+        sched.add_hook(Box::new(HttpSignaler::new(server.addr(), clock.clone()).unwrap()));
+        let id = sched.submit(JobSpec::new("u", "x", 1, Duration::from_secs(10)));
+        sched.tick();
+        clock.advance(Duration::from_secs(11));
+        sched.tick();
+        assert_eq!(*accepted.lock(), [format!("/signal/start {id}")], "the end was shed");
+        // No later job sends anything: the tick alone resends the end.
         sched.tick();
         assert_eq!(
             *accepted.lock(),

@@ -23,9 +23,9 @@
 //! **Cluster mode:** pass `--cluster-node` once per database node instead
 //! of `--db`. Series are placed on `--replication R` nodes by a seeded
 //! rendezvous hash ring; a write is acknowledged once `--write-quorum W`
-//! node-batches are queued or durably spooled. A node behind an open
-//! circuit breaker has its share spilled to a per-node spool as hinted
-//! handoff and replayed after recovery. Queries scatter-gather across all
+//! node-batches are queued or durably spooled. A node that a write has
+//! failed through every retry is down: its share spills to a per-node spool
+//! as hinted handoff, and the replay of that spool brings it back. Queries scatter-gather across all
 //! nodes and merge last-writer-wins, degrading to partial results. With
 //! `--repair-interval-secs` (and R ≥ 2) the router periodically runs an
 //! anti-entropy pass: it diffs the nodes' `/integrity` digests and replays
@@ -182,7 +182,7 @@ fn run() -> Result<()> {
         let s = router.stats();
         outln!(
             "stats: in={} enriched={} rejected={} signals={} delivered={} dropped={} \
-             spooled={} replayed={} pending={} breaker={}",
+             spooled={} replayed={} pending={} down={}",
             s.lines_in,
             s.lines_enriched,
             s.lines_rejected,
@@ -192,7 +192,7 @@ fn run() -> Result<()> {
             s.forward.spooled,
             s.forward.replayed,
             s.forward.spool_pending,
-            s.forward.breaker.as_str()
+            s.forward.down
         );
     }
 }

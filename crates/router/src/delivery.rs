@@ -6,11 +6,11 @@
 //! with one node every line goes to that node without its series key ever
 //! being built or hashed. With N nodes, every line's **series key** (db +
 //! measurement + canonical tags) places it on R owners; each owner gets its
-//! own bounded queue, worker pool, circuit breaker and — crucially — its
-//! own on-disk spool subdirectory, which is what turns the PR 2 durability
-//! machinery into **hinted handoff**: a down node's share spills to *that
-//! node's* spool and the drainer replays it, in order, once the node's
-//! `/ping` answers again.
+//! own bounded queue, worker pool, down flag and — crucially — its own
+//! on-disk spool subdirectory, which is what turns the forwarder's
+//! durability machinery into **hinted handoff**: a down node's share
+//! spills to *that node's* spool and its drainer replays it, in order,
+//! until a replayed write succeeds and the node is up again.
 //!
 //! Writes acknowledge at a configurable quorum W of the R owners; an
 //! "accepted" node-batch means queued for delivery or durably spooled.
@@ -18,7 +18,6 @@
 //! forwarders deliver on ([`crate::clients`]) and are folded by the router
 //! (see `lms-cluster`).
 
-use crate::breaker::BreakerState;
 use crate::clients::NodeClients;
 use crate::forward::{ForwardConfig, ForwardStats, Forwarder};
 use lms_cluster::{ClusterConfig, HashRing};
@@ -34,8 +33,8 @@ use std::time::{Duration, Instant};
 pub struct DestinationStats {
     /// The node's address.
     pub addr: SocketAddr,
-    /// Its forwarder's counters (breaker state, spool depth, replay
-    /// counters included).
+    /// Its forwarder's counters (down flag, spool depth, replay counters
+    /// included).
     pub stats: ForwardStats,
 }
 
@@ -59,7 +58,8 @@ impl ClusterForwarder {
     /// config. The template's `db_addr` is ignored; with more than one
     /// node its spool directory becomes the parent of per-node `node-<i>`
     /// spool subdirectories, so each destination's hinted handoff is
-    /// isolated and replays only to its own node. Fails when the cluster
+    /// isolated and replays only to its own node; without one, each node
+    /// spools in a scratch directory of its own. Fails when the cluster
     /// config is invalid or a spool directory is unusable.
     pub fn start(cluster: &ClusterConfig, template: &ForwardConfig) -> Result<Self> {
         cluster.validate()?;
@@ -71,7 +71,9 @@ impl ClusterForwarder {
             if multi {
                 // Decorrelate the per-node worker jitter streams.
                 config.seed = XorShift64::new(template.seed ^ (0xA0DE << 16 | i as u64)).next_u64();
-                config.spool.dir = template.spool.dir.join(format!("node-{i}"));
+                if let Some(spool) = &mut config.spool {
+                    spool.dir = spool.dir.join(format!("node-{i}"));
+                }
             }
             nodes.push(Node { addr, forwarder: Forwarder::start(config)? });
         }
@@ -143,9 +145,9 @@ impl ClusterForwarder {
         }
     }
 
-    /// Aggregate forwarder statistics (sums; breaker reports the worst
-    /// state across destinations so the flat `/stats` fields keep their
-    /// pre-cluster meaning).
+    /// Aggregate forwarder statistics: sums, and `down` when any
+    /// destination is down, so the flat `/stats` fields keep their
+    /// pre-cluster meaning.
     pub fn stats(&self) -> ForwardStats {
         let mut agg = ForwardStats::default();
         for node in &self.nodes {
@@ -159,12 +161,8 @@ impl ClusterForwarder {
             agg.coalesced += s.coalesced;
             agg.spool_pending += s.spool_pending;
             agg.replay_in_flight += s.replay_in_flight;
-            agg.breaker_opens += s.breaker_opens;
-            agg.breaker = match (agg.breaker, s.breaker) {
-                (BreakerState::Open, _) | (_, BreakerState::Open) => BreakerState::Open,
-                (BreakerState::HalfOpen, _) | (_, BreakerState::HalfOpen) => BreakerState::HalfOpen,
-                _ => BreakerState::Closed,
-            };
+            agg.downs += s.downs;
+            agg.down |= s.down;
         }
         agg
     }
@@ -177,9 +175,9 @@ impl ClusterForwarder {
             .collect()
     }
 
-    /// The breaker state of node `i`.
-    pub fn breaker_state(&self, i: usize) -> BreakerState {
-        self.nodes[i].forwarder.stats().breaker
+    /// True while node `i` is down: its share spills without being tried.
+    pub fn is_down(&self, i: usize) -> bool {
+        self.nodes[i].forwarder.is_down()
     }
 
     /// Node `i`'s kept connections — the one set its forwarder's workers,
@@ -218,9 +216,9 @@ impl ClusterForwarder {
     }
 
     /// Graceful-drain flush: waits for queues, in-flight batches and any
-    /// replay already started, but does not block on the spool of an
-    /// unreachable (breaker-open) node — its hinted handoff is durable and
-    /// replays after recovery or restart.
+    /// replay already started, but does not block on the spool of a down
+    /// node — its hinted handoff is durable and replays after recovery or
+    /// restart.
     pub fn flush_or_hinted(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         self.nodes.iter().all(|n| {
@@ -325,6 +323,13 @@ mod tests {
     use lms_util::scratch::ScratchDir;
     use lms_util::{Clock, Timestamp};
 
+    impl ClusterForwarder {
+        /// Node `i`'s forwarder.
+        pub(crate) fn forwarder(&self, i: usize) -> &Forwarder {
+            &self.nodes[i].forwarder
+        }
+    }
+
     /// An n-node cluster spooling under `spool`, which outlives it.
     fn cluster_of(
         spool: &ScratchDir,
@@ -346,7 +351,7 @@ mod tests {
         };
         let template = ForwardConfig {
             io_timeout: Duration::from_secs(2),
-            spool: SpoolConfig::new(spool.path()),
+            spool: Some(SpoolConfig::new(spool.path())),
             ..ForwardConfig::new(servers[0].addr())
         };
         let cf = ClusterForwarder::start(&cfg, &template).unwrap();
@@ -390,7 +395,7 @@ mod tests {
             max_retries: 10,
             workers: 1,
             io_timeout: Duration::from_millis(200),
-            spool: SpoolConfig::new(spool.path()),
+            spool: Some(SpoolConfig::new(spool.path())),
             ..ForwardConfig::new(addrs[0])
         };
         let cf = ClusterForwarder::start(&cfg, &template).unwrap();
@@ -420,6 +425,19 @@ mod tests {
         }
         assert!(saw_nack, "over-capacity writes with W=R must eventually nack");
         assert!(cf.stats().dropped > 0, "{:?}", cf.stats());
+    }
+
+    #[test]
+    fn a_fabric_without_a_spool_removes_its_scratch_spools_when_it_drops() {
+        let dead = || std::net::TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap();
+        let addrs: Vec<_> = (0..3).map(|_| dead()).collect();
+        let cfg = ClusterConfig { nodes: addrs.clone(), replication: 2, write_quorum: 1, seed: 7 };
+        let cf = ClusterForwarder::start(&cfg, &ForwardConfig::new(addrs[0])).unwrap();
+        let dirs: Vec<_> =
+            (0..3).map(|i| cf.forwarder(i).scratch_dir().unwrap().to_path_buf()).collect();
+        assert!(dirs.iter().all(|d| d.is_dir()), "{dirs:?}");
+        drop(cf);
+        assert!(dirs.iter().all(|d| !d.exists()), "{dirs:?}");
     }
 
     #[test]

@@ -12,25 +12,25 @@
 //! The failure model (see `DESIGN.md` §"Delivery durability"):
 //!
 //! - **transient** errors (I/O, remote 5xx/429) are retried with backoff;
-//! - a shared **circuit breaker** opens after N consecutive transient
-//!   failures so an extended outage stops burning per-batch retry budgets;
-//! - when the queue overflows, retries exhaust, or the breaker is open,
-//!   batches **spill to the on-disk spool**; a background **drainer**
-//!   probes the database and replays the spool in order once it is
-//!   healthy again;
+//! - a run that uses up its retries marks the node **down**: from then on
+//!   workers spill every run to the **on-disk spool** without trying the
+//!   node, as they spill queue overflow;
+//! - a background **drainer** replays the spool in order, one coalesced
+//!   run per write; that write is the only probe of a down node, and its
+//!   success brings the node back;
 //! - **permanent** errors (protocol violations, remote 4xx) are rejected
 //!   immediately — never retried, never spooled;
 //! - only when a spool append fails or the spool's size cap evicts it is
 //!   a batch dropped, and then it is counted.
 
-use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 use crate::clients::NodeClients;
 use crossbeam_channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
-use lms_spool::{Spool, SpoolConfig};
+use lms_spool::{Entry, Spool, SpoolConfig};
 use lms_util::rng::XorShift64;
+use lms_util::scratch::ScratchDir;
 use lms_util::{Result, Supervisor, SupervisorConfig, WorkerCtx, WorkerReport};
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -48,15 +48,16 @@ pub struct ForwardConfig {
     pub db_addr: SocketAddr,
     /// Bounded queue capacity (batches).
     pub queue_capacity: usize,
-    /// Retry attempts per batch after the first try.
+    /// Retry attempts per batch after the first try; the run that uses
+    /// them up marks the node down.
     pub max_retries: u32,
     /// Worker threads draining the queue concurrently (clamped to ≥ 1).
     pub workers: usize,
     /// The durable spill-to-disk spool: overflow, exhausted retries and
-    /// batches met by an open breaker land here for the drainer to replay.
-    pub spool: SpoolConfig,
-    /// Circuit-breaker tuning for the destination.
-    pub breaker: BreakerConfig,
+    /// the batches of a down node land here for the drainer to replay.
+    /// `None` spools in a scratch directory the forwarder removes when it
+    /// drops, so nothing spooled there outlives it.
+    pub spool: Option<SpoolConfig>,
     /// Base delay of the full-jitter exponential backoff.
     pub backoff_base: Duration,
     /// Backoff ceiling.
@@ -66,12 +67,13 @@ pub struct ForwardConfig {
     /// Coalescing cap: after receiving a batch, a worker opportunistically
     /// drains whatever else is already queued (up to this many body bytes)
     /// and delivers runs of consecutive same-db batches as **one** HTTP
-    /// write — and therefore one WAL group commit downstream. `0` disables
-    /// coalescing. Line-level errors inside a merged run behave exactly as
-    /// they do inside a single batch: the database skips bad lines and
+    /// write — and therefore one WAL group commit downstream; the drainer
+    /// replays spooled runs the same way. `0` disables coalescing.
+    /// Line-level errors inside a merged run behave exactly as they do
+    /// inside a single batch: the database skips bad lines and
     /// acknowledges the rest.
     pub coalesce_bytes: usize,
-    /// Drainer poll interval while the spool is empty or the breaker open.
+    /// Drainer poll interval while the spool is empty.
     pub drain_idle: Duration,
     /// Seed for the per-worker jitter RNGs (workers derive distinct
     /// streams from it; fixed seeds give reproducible chaos tests).
@@ -82,21 +84,15 @@ pub struct ForwardConfig {
 
 impl ForwardConfig {
     /// Defaults, which `RouterConfig::default` reads too: 1024-batch
-    /// queue, 3 retries, one worker per core, 5-failure/1 s breaker,
-    /// 50 ms → 2 s backoff, 10 s I/O timeout, and a spool at a fresh
-    /// `lms-spool-<pid>-<n>` path under [`std::env::temp_dir`] that
-    /// outlives the forwarder (set `spool` to choose where it lives).
+    /// queue, 3 retries, one worker per core, 50 ms → 2 s backoff, 10 s
+    /// I/O timeout, and a scratch spool.
     pub fn new(db_addr: SocketAddr) -> Self {
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        let n = NEXT.fetch_add(1, Ordering::Relaxed);
-        let spool = std::env::temp_dir().join(format!("lms-spool-{}-{n}", std::process::id()));
         ForwardConfig {
             db_addr,
             queue_capacity: 1024,
             max_retries: 3,
             workers: default_workers(),
-            spool: SpoolConfig::new(spool),
-            breaker: BreakerConfig::default(),
+            spool: None,
             backoff_base: Duration::from_millis(50),
             backoff_cap: Duration::from_secs(2),
             io_timeout: Duration::from_secs(10),
@@ -127,15 +123,17 @@ pub struct ForwardStats {
     pub coalesced: u64,
     /// Spooled batches still awaiting replay.
     pub spool_pending: u64,
-    /// Spooled batches the drainer is replaying *right now* (peeked and
+    /// Spooled runs the drainer is replaying *right now* (peeked and
     /// being written, not yet acknowledged). Graceful drain waits for this
     /// to reach zero so an in-flight hinted-handoff replay is never
     /// abandoned mid-write.
     pub replay_in_flight: u64,
-    /// Times the destination's circuit breaker has opened.
-    pub breaker_opens: u64,
-    /// Circuit-breaker state for the destination.
-    pub breaker: BreakerState,
+    /// True from the moment a run used up its retries until the drainer's
+    /// next successful write: workers spill without trying the node, and
+    /// reads skip it.
+    pub down: bool,
+    /// Times the destination has been marked down.
+    pub downs: u64,
 }
 
 struct Shared {
@@ -152,12 +150,14 @@ struct Shared {
     /// Spool entries the drainer has peeked and is currently delivering.
     /// Graceful drain waits on this too: `spool_pending` alone can reach
     /// zero via a permanent-error ack while the drainer is still mid-
-    /// iteration, and the cluster drain path skips the spool of an
-    /// unreachable node entirely — but never an actively replaying one.
+    /// iteration, and the cluster drain path skips the spool of a down
+    /// node entirely — but never an actively replaying one.
     replaying: AtomicU64,
     progress: Mutex<()>,
     progress_cv: Condvar,
-    breaker: CircuitBreaker,
+    /// The node is down ([`ForwardStats::down`]).
+    down: AtomicBool,
+    downs: AtomicU64,
     /// Kept connections to the destination, for every user of it.
     clients: NodeClients,
     spool: Spool,
@@ -184,6 +184,17 @@ impl Shared {
         counter.fetch_add(1, Ordering::Relaxed);
         held
     }
+
+    fn is_down(&self) -> bool {
+        self.down.load(Ordering::Acquire)
+    }
+
+    /// Marks the node down, counting each time it goes down.
+    fn mark_down(&self) {
+        if !self.down.swap(true, Ordering::AcqRel) {
+            self.downs.fetch_add(1, Ordering::Relaxed);
+        }
+    }
 }
 
 /// Handle to the forwarding worker pool and spool drainer, all supervised:
@@ -193,6 +204,9 @@ pub struct Forwarder {
     tx: Option<Sender<Batch>>,
     supervisor: Supervisor,
     shared: Arc<Shared>,
+    /// The spool directory without `ForwardConfig::spool`, removed after
+    /// the threads that use it are joined.
+    _scratch: Option<ScratchDir>,
 }
 
 /// The default worker-pool size: one per available core, at least two so
@@ -206,7 +220,13 @@ impl Forwarder {
     /// spool directory is unusable.
     pub fn start(config: ForwardConfig) -> Result<Self> {
         let (tx, rx): (Sender<Batch>, Receiver<Batch>) = bounded(config.queue_capacity.max(1));
-        let spool = Spool::open(config.spool.clone())?;
+        let (spool, scratch) = match &config.spool {
+            Some(spool) => (spool.clone(), None),
+            None => {
+                let scratch = ScratchDir::new("lms-spool")?;
+                (SpoolConfig::new(scratch.path()), Some(scratch))
+            }
+        };
         let shared = Arc::new(Shared {
             delivered: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
@@ -218,9 +238,10 @@ impl Forwarder {
             replaying: AtomicU64::new(0),
             progress: Mutex::new(()),
             progress_cv: Condvar::new(),
-            breaker: CircuitBreaker::new(config.breaker),
+            down: AtomicBool::new(false),
+            downs: AtomicU64::new(0),
             clients: NodeClients::new(config.db_addr, config.io_timeout),
-            spool,
+            spool: Spool::open(spool)?,
             capacity: config.queue_capacity.max(1) as u64,
             drainer_panics: AtomicU64::new(0),
         });
@@ -235,7 +256,7 @@ impl Forwarder {
         }
         let drainer = shared.clone();
         supervisor.spawn("spool-drainer", move |ctx| drainer_loop(&config, &drainer, ctx))?;
-        Ok(Forwarder { tx: Some(tx), supervisor, shared })
+        Ok(Forwarder { tx: Some(tx), supervisor, shared, _scratch: scratch })
     }
 
     /// Enqueues a batch. On a full queue the **new** batch spills to the
@@ -270,6 +291,11 @@ impl Forwarder {
         &self.shared.clients
     }
 
+    /// True while the node is down ([`ForwardStats::down`]).
+    pub fn is_down(&self) -> bool {
+        self.shared.is_down()
+    }
+
     /// True when the delivery pipeline is saturated: as many batches are
     /// queued or in flight as the queue can hold, so a new bulk batch
     /// would overflow straight to the spool. The router uses this as its
@@ -295,7 +321,7 @@ impl Forwarder {
         self.shared.drainer_panics.store(n, Ordering::SeqCst);
     }
 
-    /// Current statistics (queue, retry, spool and breaker counters in
+    /// Current statistics (queue, retry, spool and outage counters in
     /// one consistent-enough snapshot).
     pub fn stats(&self) -> ForwardStats {
         let spool = self.shared.spool.stats();
@@ -309,8 +335,8 @@ impl Forwarder {
             coalesced: self.shared.coalesced.load(Ordering::Relaxed),
             spool_pending: spool.pending,
             replay_in_flight: self.shared.replaying.load(Ordering::Acquire),
-            breaker_opens: self.shared.breaker.opens(),
-            breaker: self.shared.breaker.state(),
+            down: self.shared.is_down(),
+            downs: self.shared.downs.load(Ordering::Relaxed),
         }
     }
 
@@ -327,17 +353,16 @@ impl Forwarder {
     }
 
     /// Graceful-drain variant for cluster destinations: like [`Self::flush`],
-    /// but an **unreachable** destination (breaker open) does not block on
-    /// its spool — hinted handoff is durable on disk and replays after the
-    /// node recovers (or after a router restart). The drain still waits
-    /// for the queue, in-flight worker batches, and any replay the
-    /// drainer has already started, so no accepted batch is ever dropped
-    /// from memory.
+    /// but a **down** destination does not block on its spool — hinted
+    /// handoff is durable on disk and replays after the node recovers (or
+    /// after a router restart). The drain still waits for the queue,
+    /// in-flight worker batches, and any replay the drainer has already
+    /// started, so no accepted batch is ever dropped from memory.
     pub fn flush_or_hinted(&self, timeout: Duration) -> bool {
         self.flush_until(timeout, |s| {
             s.outstanding.load(Ordering::Acquire) == 0
                 && s.replaying.load(Ordering::Acquire) == 0
-                && (s.spool.is_empty() || s.breaker.state() == BreakerState::Open)
+                && (s.spool.is_empty() || s.is_down())
         })
     }
 
@@ -369,7 +394,8 @@ impl Drop for Forwarder {
     fn drop(&mut self) {
         self.tx.take(); // close the channel; workers drain and exit
         // Stops the drainer and joins every supervised thread (workers
-        // finish draining the closed channel first, then return cleanly).
+        // finish draining the closed channel first, then return cleanly);
+        // the scratch spool goes with the fields after this.
         self.supervisor.shutdown();
     }
 }
@@ -437,7 +463,8 @@ fn worker_loop(rx: &Receiver<Batch>, config: &ForwardConfig, shared: &Shared, in
 /// Delivers a run of same-db batches as one write (merged when the run
 /// holds more than one). Accounting stays per-batch: success counts every
 /// batch delivered (and marks merged ones `coalesced`); giving up spills
-/// each original body separately so spool replay granularity is unchanged.
+/// each original body separately. A down node is not tried: the run
+/// spills at once, and the run that uses up its retries marks it down.
 fn process_run(
     run: &[Batch],
     config: &ForwardConfig,
@@ -449,12 +476,6 @@ fn process_run(
             shared.spill(&b.db, &b.body);
         }
     };
-    // Breaker already open: spill immediately instead of burning a full
-    // retry/backoff budget per run.
-    if !shared.breaker.allow() {
-        spill_all();
-        return;
-    }
     let db = &run[0].db;
     let merged;
     let body = match run {
@@ -467,17 +488,12 @@ fn process_run(
     let n = run.len() as u64;
     let mut attempt = 0u32;
     loop {
+        if shared.is_down() {
+            spill_all();
+            return;
+        }
         if attempt > 0 {
             shared.retries.fetch_add(1, Ordering::Relaxed);
-            std::thread::sleep(rng.backoff(config.backoff_base, config.backoff_cap, attempt - 1));
-            // Consult the breaker only *after* the backoff: allow() may
-            // claim the single half-open probe slot, and holding it
-            // through the sleep would block the drainer and every other
-            // worker from delivering for the whole backoff.
-            if !shared.breaker.allow() {
-                spill_all();
-                return;
-            }
         }
         match shared.clients.with(|client| client.write(db, body)) {
             Ok(()) => {
@@ -485,31 +501,24 @@ fn process_run(
                 if n > 1 {
                     shared.coalesced.fetch_add(n, Ordering::Relaxed);
                 }
-                shared.breaker.record_success();
                 return;
             }
             Err(e) if e.is_transient() => {
-                shared.breaker.record_failure();
-                attempt += 1;
-                // `state()` (not `allow()`): a plain read cannot claim
-                // the probe slot this arm would then never report on.
-                let give_up =
-                    attempt > config.max_retries || shared.breaker.state() == BreakerState::Open;
-                if give_up {
+                if attempt == config.max_retries {
+                    shared.mark_down();
                     spill_all();
                     return;
                 }
+                attempt += 1;
+                let backoff = rng.backoff(config.backoff_base, config.backoff_cap, attempt - 1);
+                std::thread::sleep(backoff);
             }
             Err(_) => {
                 // Permanent (protocol) error: retrying or replaying the
                 // same bytes can never succeed. The database rejects a
                 // write only when *nothing* in it parses, so every batch
                 // in the run was malformed (mixed runs are partially
-                // accepted and land in Ok). The destination *did* answer,
-                // so report success: that releases a half-open probe
-                // claimed by allow() — left claimed it would wedge the
-                // breaker HalfOpen forever — and resets the failure streak.
-                shared.breaker.record_success();
+                // accepted and land in Ok).
                 shared.rejected.fetch_add(n, Ordering::Relaxed);
                 return;
             }
@@ -517,17 +526,13 @@ fn process_run(
     }
 }
 
-/// Replays spooled batches in order once the database is healthy. The
-/// drainer owns the half-open probe: after the breaker's cool-down it
-/// pings, and a healthy answer starts the replay (which closes the
-/// breaker for the workers too).
+/// Replays the spool in order, one coalesced run per write. That write
+/// is the probe of a down node, and its success brings the node back; only
+/// a down node with nothing spooled (its spill failed) is pinged instead.
+/// A failed attempt waits out the workers' jittered backoff.
 fn drainer_loop(config: &ForwardConfig, shared: &Shared, ctx: &WorkerCtx) {
-    let spool = &shared.spool;
     let mut rng = XorShift64::new(config.seed ^ 0xD5A1_4E55);
     let mut failures: u32 = 0;
-    // Health probe before replaying a backlog: at start and again after
-    // every transient failure.
-    let mut probe = true;
     while !ctx.should_stop() {
         // Fault injection: consume one pending panic per iteration so
         // tests can exercise the supervisor's restart/budget path.
@@ -538,65 +543,43 @@ fn drainer_loop(config: &ForwardConfig, shared: &Shared, ctx: &WorkerCtx) {
         {
             panic!("injected spool drainer panic");
         }
-        let Some(entry) = spool.peek() else {
-            shared.notify_progress();
-            ctx.sleep(config.drain_idle);
-            continue;
-        };
-        if !shared.breaker.allow() {
-            ctx.sleep(config.drain_idle);
-            continue;
-        }
-        // Mark the replay in flight for the whole deliver-and-ack window
-        // so a graceful drain never abandons a replay the destination may
-        // already be applying. The guard settles the gauge on every exit
-        // path, including a panic unwinding through the supervisor.
-        let backoff = {
-            let _replaying = ReplayGuard::enter(shared);
-            let result = shared.clients.with(|client| {
-                if probe {
-                    client.ping()?;
-                }
-                client.write(&entry.db, &entry.body)
-            });
-            probe = matches!(&result, Err(e) if e.is_transient());
-            match result {
-                Ok(()) => {
-                    spool.ack(&entry);
-                    shared.breaker.record_success();
-                    failures = 0;
-                    None
-                }
-                Err(e) if e.is_transient() => {
-                    shared.breaker.record_failure();
-                    failures += 1;
-                    Some(rng.backoff(
-                        config.backoff_base,
-                        config.backoff_cap,
-                        (failures - 1).min(16),
-                    ))
-                }
-                Err(_) => {
-                    // Permanent: this batch would wedge the spool head
-                    // forever; reject it and move on. The destination
-                    // answered, so report success to release the half-open
-                    // probe this delivery may hold — otherwise the breaker
-                    // stays wedged HalfOpen and the spool never drains.
-                    shared.breaker.record_success();
-                    spool.ack(&entry);
-                    shared.rejected.fetch_add(1, Ordering::Relaxed);
-                    failures = 0;
-                    None
-                }
+        let answered = match shared.spool.peek(config.coalesce_bytes) {
+            Some(entry) => replay(shared, &entry),
+            None if shared.is_down() => shared.clients.with(|client| client.ping()).is_ok(),
+            None => {
+                shared.notify_progress();
+                ctx.sleep(config.drain_idle);
+                continue;
             }
-            // Guard drops here: progress (incl. the gauge reaching zero)
-            // is notified by the guard itself, and the backoff sleep below
-            // must not count as "replay in flight".
         };
-        if let Some(backoff) = backoff {
-            ctx.sleep(backoff);
+        if answered {
+            shared.down.store(false, Ordering::Release);
+            failures = 0;
+        } else {
+            failures += 1;
+            let backoff = (failures - 1).min(16);
+            ctx.sleep(rng.backoff(config.backoff_base, config.backoff_cap, backoff));
         }
     }
+}
+
+/// Writes one spooled run and acks it unless the failure was transient:
+/// a permanently rejected run would wedge the spool head forever. Returns
+/// whether the node answered. The run counts as in flight for the whole
+/// deliver-and-ack window, so a graceful drain never abandons a replay
+/// the node may already be applying; the guard settles the gauge on every
+/// exit path, including a panic unwinding through the supervisor.
+fn replay(shared: &Shared, entry: &Entry) -> bool {
+    let _replaying = ReplayGuard::enter(shared);
+    match shared.clients.with(|client| client.write(&entry.db, &entry.body)) {
+        Err(e) if e.is_transient() => return false,
+        Ok(()) => {}
+        Err(_) => {
+            shared.rejected.fetch_add(entry.records, Ordering::Relaxed);
+        }
+    }
+    shared.spool.ack(entry);
+    true
 }
 
 /// RAII marker for a drainer replay in flight: increments the gauge on
@@ -623,9 +606,17 @@ impl Drop for ReplayGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lms_http::fault::{FaultConfig, FaultProxy};
     use lms_influx::{Influx, InfluxServer};
-    use lms_util::scratch::ScratchDir;
     use lms_util::{Clock, Timestamp};
+    use std::path::Path;
+
+    impl Forwarder {
+        /// The scratch spool directory, without a configured spool.
+        pub(crate) fn scratch_dir(&self) -> Option<&Path> {
+            self._scratch.as_ref().map(ScratchDir::path)
+        }
+    }
 
     fn db() -> (InfluxServer, Influx) {
         let influx = Influx::new(Clock::simulated(Timestamp::from_secs(1000))).unwrap();
@@ -646,16 +637,12 @@ mod tests {
         workers: usize,
     ) -> ForwardConfig {
         ForwardConfig {
-            spool: SpoolConfig::new(spool.path()),
+            spool: Some(SpoolConfig::new(spool.path())),
             queue_capacity: queue,
             max_retries: retries,
             workers,
             backoff_cap: Duration::from_millis(200),
             io_timeout: Duration::from_secs(2),
-            breaker: BreakerConfig {
-                failure_threshold: 3,
-                open_for: Duration::from_millis(100),
-            },
             drain_idle: Duration::from_millis(20),
             seed: 42,
             ..ForwardConfig::new(addr)
@@ -698,9 +685,9 @@ mod tests {
         assert!(f.flush(Duration::from_secs(5)));
         server.shutdown();
 
-        // DB is down: the next batch retries, trips the breaker or
-        // exhausts, and lands in the spool. A new DB on the same port
-        // picks it up through the drainer — flush() alone proves it.
+        // DB is down: the next batch retries, exhausts, marks the node
+        // down and lands in the spool. A new DB on the same port picks it
+        // up through the drainer — flush() alone proves it.
         f.enqueue("lms", "m v=2 2".to_string());
         std::thread::sleep(Duration::from_millis(100));
         let influx2 = Influx::new(Clock::simulated(Timestamp::from_secs(2000))).unwrap();
@@ -746,24 +733,20 @@ mod tests {
         let addr = server.addr();
         server.shutdown();
         let spool = spool_dir();
-        let f = Forwarder::start(ForwardConfig {
-            breaker: BreakerConfig {
-                failure_threshold: 2,
-                open_for: Duration::from_secs(60),
-            },
-            ..cfg(&spool, addr, 64, 10, 1)
-        })
-        .unwrap();
+        let f = Forwarder::start(cfg(&spool, addr, 64, 2, 1)).unwrap();
         f.enqueue("lms", "m v=1 1".to_string());
         let deadline = Instant::now() + Duration::from_secs(5);
-        while f.stats().breaker != BreakerState::Open && Instant::now() < deadline {
+        while !f.stats().down && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(10));
         }
-        assert_eq!(f.stats().breaker, BreakerState::Open);
-        let retries_when_open = f.stats().retries;
+        let s = f.stats();
+        assert!(s.down, "the run that used up its retries marks the node down: {s:?}");
+        assert_eq!((s.retries, s.downs), (2, 1), "{s:?}");
+        let retries_when_open = s.retries;
 
-        // With the breaker open, further batches go straight to the spool
-        // without new retry attempts.
+        // With the node down, further batches go straight to the spool
+        // without new retry attempts, and the drainer's failing replays
+        // leave it down.
         for i in 0..10 {
             f.enqueue("lms", format!("m v={i} {i}"));
         }
@@ -773,7 +756,9 @@ mod tests {
         }
         let s = f.stats();
         assert_eq!(s.spooled, 11, "{s:?}");
-        assert_eq!(s.retries, retries_when_open, "open breaker must not retry: {s:?}");
+        assert_eq!(s.retries, retries_when_open, "a down node must not be retried: {s:?}");
+        assert!(s.down, "{s:?}");
+        assert_eq!(s.downs, 1, "{s:?}");
     }
 
     #[test]
@@ -803,19 +788,15 @@ mod tests {
     }
 
     #[test]
-    fn permanent_error_on_half_open_probe_releases_breaker() {
+    fn a_permanent_error_at_the_spool_head_is_rejected_and_replay_goes_on() {
         let (server, _ix) = db();
         let addr = server.addr();
         server.shutdown();
         let spool = spool_dir();
-        let config = ForwardConfig {
-            breaker: BreakerConfig {
-                failure_threshold: 1,
-                open_for: Duration::from_millis(50),
-            },
-            ..cfg(&spool, addr, 64, 0, 1)
-        };
-        let f = Forwarder::start(config.clone()).unwrap();
+        // One record per replayed write, so the malformed batch is refused
+        // on its own (a mixed body is partially accepted).
+        let config = ForwardConfig { coalesce_bytes: 0, ..cfg(&spool, addr, 64, 0, 1) };
+        let f = Forwarder::start(config).unwrap();
         // DB down: both batches spill, the malformed one at the spool head.
         f.enqueue("lms", "completely broken line".to_string());
         f.enqueue("lms", "ok v=1 1".to_string());
@@ -824,11 +805,12 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
         assert_eq!(f.stats().spooled, 2);
+        assert!(f.stats().down);
 
-        // DB back: the drainer's half-open probe hits the malformed batch
-        // and gets a permanent 400. The breaker must be released (not
-        // stay wedged HalfOpen with the probe claimed) so the good batch
-        // still replays — flush() alone proves it.
+        // DB back: the drainer's replay of the malformed batch gets a
+        // permanent 400. It is acked and counted rejected, not left to
+        // wedge the spool head, so the good batch still replays — flush()
+        // alone proves it — and the node is up again.
         let influx2 = Influx::new(Clock::simulated(Timestamp::from_secs(4000))).unwrap();
         let server2 = InfluxServer::start(addr, influx2.clone()).unwrap();
         assert!(f.flush(Duration::from_secs(10)));
@@ -836,23 +818,39 @@ mod tests {
         assert_eq!(s.rejected, 1, "{s:?}");
         assert_eq!(s.replayed, 2, "{s:?}");
         assert_eq!(s.dropped, 0, "{s:?}");
+        assert!(!s.down, "{s:?}");
         assert_eq!(influx2.point_count("lms"), 1);
-
-        // A worker that claims the probe owes the same release, for a lone
-        // batch and for a coalesced run alike. The spool is empty now, so
-        // the drainer never touches the breaker: trip it, wait out the
-        // cool-down, and the run's own allow() is the half-open probe.
-        for bodies in [&["still broken"][..], &["broken again", "and again"]] {
-            f.shared.breaker.record_failure();
-            assert_eq!(f.shared.breaker.state(), BreakerState::Open);
-            std::thread::sleep(config.breaker.open_for * 2);
-            let batch = |body: &&str| Batch { db: "lms".into(), body: body.to_string() };
-            let run: Vec<Batch> = bodies.iter().map(batch).collect();
-            process_run(&run, &config, &f.shared, &mut XorShift64::new(1));
-            assert_eq!(f.shared.breaker.state(), BreakerState::Closed, "{bodies:?}");
-        }
-        assert_eq!(f.stats().rejected, 4, "one from the drainer, three from the runs");
         server2.shutdown();
+    }
+
+    #[test]
+    fn a_spooled_backlog_replays_in_coalesced_runs() {
+        let (server, influx) = db();
+        let proxy = FaultProxy::start(server.addr(), FaultConfig::default()).unwrap();
+        proxy.set_down();
+        let spool = spool_dir();
+        let f = Forwarder::start(cfg(&spool, proxy.addr(), 256, 0, 1)).unwrap();
+        for i in 0..200 {
+            f.enqueue("lms", format!("m,h=h{i} v={i} {}", i + 1));
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while f.stats().spooled < 200 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(f.stats().spooled, 200, "{:?}", f.stats());
+
+        // Back up: the drainer writes the backlog in runs of up to
+        // `coalesce_bytes`, one request per head segment at most, not one
+        // per spooled batch.
+        let (before, ..) = proxy.stats();
+        proxy.set_up();
+        assert!(f.flush(Duration::from_secs(10)), "{:?}", f.stats());
+        let (after, ..) = proxy.stats();
+        assert_eq!(influx.point_count("lms"), 200);
+        assert_eq!(f.stats().replayed, 200);
+        assert!(after - before <= 4, "{} requests replayed 200 batches", after - before);
+        proxy.shutdown();
+        server.shutdown();
     }
 
     #[test]
@@ -886,15 +884,15 @@ mod tests {
     fn coalesces_queued_backlog_into_fewer_deliveries() {
         // Reserve an address, then take the database down so the single
         // worker's first batch sits in retry backoff while the rest of
-        // the burst queues up behind it. The breaker never opens, so
-        // nothing spills to the spool and the drainer stays out of it.
+        // the burst queues up behind it. Its retries outlast the outage,
+        // so the node is never marked down, nothing spills to the spool
+        // and the drainer stays out of it.
         let (server, _ix) = db();
         let addr = server.addr();
         server.shutdown();
         let spool = spool_dir();
         let f = Forwarder::start(ForwardConfig {
             backoff_base: Duration::from_millis(150),
-            breaker: BreakerConfig { failure_threshold: u32::MAX, ..BreakerConfig::default() },
             ..cfg(&spool, addr, 64, 40, 1)
         })
         .unwrap();

@@ -19,17 +19,16 @@
 //!   queue for stream analyzers.
 //!
 //! Modules: [`tagstore`] (hostname → job tags), [`forward`] (buffered,
-//! durable, retrying delivery to one database), [`delivery`] (the cluster
-//! fabric: per-node forwarders behind a seeded rendezvous ring, quorum
-//! writes, hinted handoff, scatter-gather reads), [`clients`] (the kept
-//! connections to one node that all of those share), [`breaker`] (the
-//! per-destination circuit breaker), [`repair`] (anti-entropy read-repair:
+//! durable, retrying delivery to one database, which marks the node down
+//! when a run uses up its retries and replays the spool until it answers
+//! again), [`delivery`] (the cluster fabric: per-node forwarders behind a
+//! seeded rendezvous ring, quorum writes, hinted handoff, scatter-gather
+//! reads that skip a down node), [`clients`] (the kept connections to one
+//! node that all of those share), [`repair`] (anti-entropy read-repair:
 //! digest diffing and divergent-range replay), [`router`] (the enrichment
 //! core), [`server`] (its own HTTP endpoints, and the database's read API
-//! over the router), [`proxy`] (the Ganglia gmond pull
-//! proxy).
+//! over the router), [`proxy`] (the Ganglia gmond pull proxy).
 
-pub mod breaker;
 pub mod clients;
 pub mod delivery;
 pub mod forward;
@@ -39,7 +38,6 @@ pub mod router;
 pub mod server;
 pub mod tagstore;
 
-pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use clients::{NodeClients, MAX_IDLE_CLIENTS};
 pub use delivery::{ClusterForwarder, DestinationStats};
 pub use forward::{ForwardConfig, ForwardStats, Forwarder};

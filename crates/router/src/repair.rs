@@ -152,7 +152,7 @@ mod tests {
         };
         let template = ForwardConfig {
             io_timeout: Duration::from_secs(2),
-            spool: SpoolConfig::new(spool.path()),
+            spool: Some(SpoolConfig::new(spool.path())),
             ..ForwardConfig::new(servers[0].addr())
         };
         let cf = ClusterForwarder::start(&cfg, &template).unwrap();

@@ -1,6 +1,5 @@
 //! The enrichment core: parse → tag → forward → publish.
 
-use crate::breaker::{BreakerConfig, BreakerState};
 use crate::delivery::{ClusterForwarder, DestinationStats};
 use crate::forward::{ForwardConfig, ForwardStats};
 use crate::tagstore::{JobSignal, JobTags, TagStore};
@@ -12,7 +11,6 @@ use lms_lineproto::escape::{escape_measurement_into, escape_tag_into};
 use lms_lineproto::{parse_batch, ParsedLine, Point};
 use lms_mq::Publisher;
 use lms_spool::SpoolConfig;
-use lms_util::scratch::ScratchDir;
 use lms_util::{Clock, Error, Result};
 use parking_lot::RwLock;
 use std::fmt::Write as _;
@@ -37,11 +35,9 @@ pub struct RouterConfig {
     /// Where the delivery path spools what a node cannot take now:
     /// overflow, exhausted retries and a down node's share (hinted
     /// handoff), replayed in order once the node answers. `None` (the
-    /// default) spools in a scratch directory the router removes when it
-    /// drops, so a restarted router replays nothing from it.
+    /// default) spools in scratch directories the router removes when it
+    /// drops, so a restarted router replays nothing from them.
     pub spool: Option<SpoolConfig>,
-    /// Circuit-breaker tuning for the database destination.
-    pub breaker: BreakerConfig,
     /// Forwarder coalescing cap in body bytes: queued batches merge into
     /// one delivery (and one WAL group commit downstream) up to this
     /// size. `0` disables coalescing.
@@ -59,7 +55,6 @@ impl Default for RouterConfig {
             max_retries: forward.max_retries,
             forward_workers: forward.workers,
             spool: None,
-            breaker: forward.breaker,
             coalesce_bytes: forward.coalesce_bytes,
         }
     }
@@ -88,8 +83,8 @@ pub struct RouterStats {
     /// Divergent ranges re-fetched from a healthy replica and re-written
     /// through the write path.
     pub repaired_ranges: u64,
-    /// Aggregate forwarder statistics (summed across destinations; the
-    /// breaker field reports the worst state).
+    /// Aggregate forwarder statistics (summed across destinations; `down`
+    /// when any destination is down).
     pub forward: ForwardStats,
     /// Per-destination forwarder statistics, in ring order. One entry for
     /// the classic single-database stack.
@@ -126,9 +121,6 @@ pub struct Router {
     partial_queries: AtomicU64,
     repair_passes: AtomicU64,
     repaired_ranges: AtomicU64,
-    /// The spool directory without `config.spool`, removed after the
-    /// forwarders.
-    _scratch: Option<ScratchDir>,
 }
 
 impl Router {
@@ -155,19 +147,11 @@ impl Router {
         publisher: Option<Publisher>,
     ) -> Result<Self> {
         cluster.validate()?;
-        let (spool, scratch) = match &config.spool {
-            Some(spool) => (spool.clone(), None),
-            None => {
-                let scratch = ScratchDir::new("lms-router")?;
-                (SpoolConfig::new(scratch.path()), Some(scratch))
-            }
-        };
         let template = ForwardConfig {
             queue_capacity: config.queue_capacity,
             max_retries: config.max_retries,
             workers: config.forward_workers,
-            spool,
-            breaker: config.breaker,
+            spool: config.spool.clone(),
             coalesce_bytes: config.coalesce_bytes,
             ..ForwardConfig::new(cluster.nodes[0])
         };
@@ -187,7 +171,6 @@ impl Router {
             partial_queries: AtomicU64::new(0),
             repair_passes: AtomicU64::new(0),
             repaired_ranges: AtomicU64::new(0),
-            _scratch: scratch,
         })
     }
 
@@ -309,7 +292,7 @@ impl Router {
     /// the answer of one node holding every point, at any replication
     /// factor R ≤ N. Listings (`SHOW ...`) are unioned. Unreachable nodes
     /// degrade the result to `partial` instead of failing it: a
-    /// breaker-open node is skipped outright, a transient error is noted
+    /// down node is skipped outright, a transient error is noted
     /// and skipped, and only genuine query errors (or *zero* reachable
     /// nodes) surface as errors. A node
     /// that does not know the database counts as an empty answer — with
@@ -409,7 +392,7 @@ impl Router {
     /// node over a kept connection, and only then are the answers read
     /// (each through `parse`) — the nodes work at the same time, so the
     /// scatter costs the slowest node rather than the sum, with no thread
-    /// of its own. Breaker-open and transient nodes degrade to a partial
+    /// of its own. Down and transient nodes degrade to a partial
     /// answer, 404s count as empty answers, and zero reachable answers
     /// surface as the single-node stack's error. A client goes back to its
     /// node's set only once its answer is read in full; an early return
@@ -428,7 +411,7 @@ impl Router {
         let mut last_transient: Option<Error> = None;
         let mut in_flight = Vec::with_capacity(nodes);
         for i in 0..nodes {
-            if nodes > 1 && self.delivery.breaker_state(i) == BreakerState::Open {
+            if nodes > 1 && self.delivery.is_down(i) {
                 partial = true;
                 continue;
             }
@@ -1111,7 +1094,8 @@ mod tests {
         let config = RouterConfig { max_retries: 0, ..Default::default() };
         let clock = Clock::simulated(Timestamp::from_secs(5000));
         let router = Router::new(dead, config, clock, None).unwrap();
-        let dir = router._scratch.as_ref().expect("no spool configured").path().to_path_buf();
+        let forwarder = router.delivery.forwarder(0);
+        let dir = forwarder.scratch_dir().expect("no spool configured").to_path_buf();
         assert!(router.handle_write(None, "m,hostname=h1 v=1 1").acked);
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         while router.stats().forward.spooled == 0 && std::time::Instant::now() < deadline {

@@ -196,14 +196,14 @@ fn route(router: &Router, req: &Request) -> Result<Response> {
         }
         ("GET", "/stats") => {
             let s = router.stats();
-            // Per-destination detail: a stuck replica (breaker open, spool
-            // depth growing, replay counters flat) is diagnosable from
-            // this one endpoint.
+            // Per-destination detail: a stuck replica (down, spool depth
+            // growing, replay counters flat) is diagnosable from this one
+            // endpoint. `breaker` reads `open` while the node is down.
             let destinations = Json::arr(s.destinations.iter().map(|d| {
                 Json::obj([
                     ("addr", Json::str(d.addr.to_string())),
-                    ("breaker", Json::str(d.stats.breaker.as_str())),
-                    ("breaker_opens", Json::from(d.stats.breaker_opens as i64)),
+                    ("breaker", Json::str(breaker(d.stats.down))),
+                    ("breaker_opens", Json::from(d.stats.downs as i64)),
                     ("delivered", Json::from(d.stats.delivered as i64)),
                     ("spooled", Json::from(d.stats.spooled as i64)),
                     ("spool_pending", Json::from(d.stats.spool_pending as i64)),
@@ -234,7 +234,7 @@ fn route(router: &Router, req: &Request) -> Result<Response> {
                     ("forward_retries", Json::from(s.forward.retries as i64)),
                     ("spool_pending", Json::from(s.forward.spool_pending as i64)),
                     ("replay_in_flight", Json::from(s.forward.replay_in_flight as i64)),
-                    ("breaker", Json::str(s.forward.breaker.as_str())),
+                    ("breaker", Json::str(breaker(s.forward.down))),
                     ("destinations", destinations),
                 ])
                 .to_string(),
@@ -242,6 +242,11 @@ fn route(router: &Router, req: &Request) -> Result<Response> {
         }
         _ => Ok(serve(router, req)),
     }
+}
+
+/// The `/stats` name of a destination's state: `open` while it is down.
+fn breaker(down: bool) -> &'static str {
+    if down { "open" } else { "closed" }
 }
 
 #[cfg(test)]

@@ -93,14 +93,16 @@ pub struct SpoolStats {
     pub bytes: u64,
 }
 
-/// A record handed out by [`Spool::peek`]; pass it back to [`Spool::ack`]
-/// after successful delivery.
+/// A run of records handed out by [`Spool::peek`]; pass it back to
+/// [`Spool::ack`] after successful delivery.
 #[derive(Debug, Clone)]
 pub struct Entry {
-    /// Target database.
+    /// Target database of every record in the run.
     pub db: String,
-    /// Line-protocol batch.
+    /// The run's line-protocol batches, joined by newlines.
     pub body: String,
+    /// Records joined into `body`.
+    pub records: u64,
     gen: u64,
 }
 
@@ -201,29 +203,44 @@ impl Spool {
         Ok(())
     }
 
-    /// The oldest unreplayed record, if any. Does not remove it — call
-    /// [`ack`](Self::ack) after successful delivery. Rotates the active
-    /// segment when it is the only data left, so appends never starve the
-    /// reader.
-    pub fn peek(&self) -> Option<Entry> {
+    /// The oldest unreplayed records as one batch: the head segment's next
+    /// run of consecutive records for one database, joined while the body
+    /// stays within `max_bytes` (`0`: one record). Does not remove them —
+    /// call [`ack`](Self::ack) after successful delivery. Rotates the
+    /// active segment when it is the only data left, so appends never
+    /// starve the reader.
+    pub fn peek(&self, max_bytes: usize) -> Option<Entry> {
         let inner = &mut *self.inner.lock().expect("spool lock");
         inner.ensure_head();
         let head = inner.head.as_ref()?;
-        let rec = head.records.front()?;
-        Some(Entry { db: rec.db.clone(), body: rec.body.clone(), gen: head.gen })
+        let mut run = head.records.iter();
+        let first = run.next()?;
+        let (db, mut body) = (first.db.clone(), first.body.clone());
+        let mut records = 1;
+        for rec in run.take_while(|rec| rec.db == db) {
+            if body.len() + 1 + rec.body.len() > max_bytes {
+                break;
+            }
+            body.push('\n');
+            body.push_str(&rec.body);
+            records += 1;
+        }
+        Some(Entry { db, body, records, gen: head.gen })
     }
 
-    /// Acknowledges delivery of the record returned by the matching
+    /// Acknowledges delivery of the run returned by the matching
     /// [`peek`](Self::peek); deletes the head segment once fully replayed.
     /// Stale acknowledgements (the segment was evicted in between) are
     /// ignored.
     pub fn ack(&self, entry: &Entry) {
         let inner = &mut *self.inner.lock().expect("spool lock");
         let Some(head) = inner.head.as_mut() else { return };
-        if head.gen != entry.gen || head.records.pop_front().is_none() {
+        let n = entry.records as usize;
+        if head.gen != entry.gen || head.records.len() < n {
             return;
         }
-        inner.replayed += 1;
+        head.records.drain(..n);
+        inner.replayed += entry.records;
         if head.records.is_empty() {
             let seq = head.seq;
             inner.head = None;
@@ -347,10 +364,10 @@ mod tests {
         assert!(matches!(err, Error::Invalid(_)), "{err}");
         assert_eq!(spool.pending(), 0);
         spool.append("lms", "m v=1 1").unwrap();
-        let e = spool.peek().unwrap();
+        let e = spool.peek(0).unwrap();
         assert_eq!((e.db.as_str(), e.body.as_str()), ("lms", "m v=1 1"));
         spool.ack(&e);
-        assert!(spool.peek().is_none());
+        assert!(spool.peek(0).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -363,7 +380,7 @@ mod tests {
         }
         assert_eq!(spool.pending(), 5);
         for i in 0..5 {
-            let e = spool.peek().unwrap();
+            let e = spool.peek(0).unwrap();
             assert_eq!(e.body, format!("m v={i} {i}"));
             assert_eq!(e.db, "lms");
             spool.ack(&e);
@@ -376,13 +393,36 @@ mod tests {
     }
 
     #[test]
+    fn peek_joins_the_head_run_of_one_db_up_to_the_byte_cap() {
+        let dir = tmpdir("run");
+        let spool = Spool::open(SpoolConfig::new(&dir)).unwrap();
+        for (db, body) in [("a", "m v=1 1"), ("a", "m v=2 2"), ("a", "m v=3 3"), ("b", "m v=4 4")] {
+            spool.append(db, body).unwrap();
+        }
+        // Two 7-byte records and their newline fit 15 bytes; a third does not.
+        let e = spool.peek(15).unwrap();
+        assert_eq!((e.db.as_str(), e.body.as_str(), e.records), ("a", "m v=1 1\nm v=2 2", 2));
+        spool.ack(&e);
+        // The run ends where the database changes, whatever the cap.
+        let e = spool.peek(1 << 20).unwrap();
+        assert_eq!((e.body.as_str(), e.records), ("m v=3 3", 1));
+        spool.ack(&e);
+        let e = spool.peek(1 << 20).unwrap();
+        assert_eq!((e.db.as_str(), e.records), ("b", 1));
+        spool.ack(&e);
+        assert!(spool.is_empty());
+        assert_eq!(spool.stats().replayed, 4);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn peek_without_ack_repeats_same_record() {
         let dir = tmpdir("peek");
         let spool = Spool::open(SpoolConfig::new(&dir)).unwrap();
         spool.append("lms", "a v=1 1").unwrap();
         spool.append("lms", "b v=2 2").unwrap();
-        assert_eq!(spool.peek().unwrap().body, "a v=1 1");
-        assert_eq!(spool.peek().unwrap().body, "a v=1 1");
+        assert_eq!(spool.peek(0).unwrap().body, "a v=1 1");
+        assert_eq!(spool.peek(0).unwrap().body, "a v=1 1");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -399,7 +439,7 @@ mod tests {
         }
         assert!(spool.stats().segments >= 3, "{:?}", spool.stats());
         for i in 0..6 {
-            let e = spool.peek().unwrap();
+            let e = spool.peek(0).unwrap();
             assert!(e.body.starts_with(&format!("{i}:")), "record {i} out of order");
             spool.ack(&e);
         }
@@ -419,7 +459,7 @@ mod tests {
         let spool = Spool::open(SpoolConfig::new(&dir)).unwrap();
         assert_eq!(spool.pending(), 4);
         for i in 0..4 {
-            let e = spool.peek().unwrap();
+            let e = spool.peek(0).unwrap();
             assert_eq!(e.body, format!("m v={i} {i}"));
             spool.ack(&e);
         }
@@ -444,7 +484,7 @@ mod tests {
         let spool = Spool::open(SpoolConfig::new(&dir)).unwrap();
         assert_eq!(spool.stats().torn_bytes, 11);
         assert_eq!(spool.pending(), 1);
-        let e = spool.peek().unwrap();
+        let e = spool.peek(0).unwrap();
         assert_eq!(e.body, "good v=1 1");
         spool.ack(&e);
         assert!(spool.is_empty());
@@ -477,7 +517,7 @@ mod tests {
         // The neighbors replay in order; the re-scan at head load does not
         // double-count the already-reported corruption.
         for body in ["a v=1 1", "c v=3 3"] {
-            let e = spool.peek().unwrap();
+            let e = spool.peek(0).unwrap();
             assert_eq!(e.body, body);
             spool.ack(&e);
         }
@@ -506,7 +546,7 @@ mod tests {
         let spool = Spool::open(SpoolConfig::new(&dir)).unwrap();
         spool.append("lms", "b").unwrap();
         std::fs::remove_file(dir.join("0000000000000000.seg")).unwrap();
-        let e = spool.peek().unwrap();
+        let e = spool.peek(0).unwrap();
         assert_eq!(e.body, "b");
         spool.ack(&e);
         let s = spool.stats();
@@ -529,11 +569,11 @@ mod tests {
         assert!(s.bytes <= 8 * 1024, "{s:?}");
         assert_eq!(s.pending + s.evicted, s.appended, "{s:?}");
         // Survivors are the newest records, still in order.
-        let first = spool.peek().unwrap();
+        let first = spool.peek(0).unwrap();
         let first_idx: usize = first.body.split(':').next().unwrap().parse().unwrap();
         assert!(first_idx > 0, "oldest records were evicted");
         let mut expect = first_idx;
-        while let Some(e) = spool.peek() {
+        while let Some(e) = spool.peek(0) {
             assert!(e.body.starts_with(&format!("{expect}:")));
             spool.ack(&e);
             expect += 1;
@@ -661,7 +701,7 @@ mod tests {
                 let spool = Spool::open(small(&dir)).unwrap();
                 prop_assert_eq!(spool.pending(), records.len() as u64);
                 for (db, body) in &records {
-                    let e = spool.peek().unwrap();
+                    let e = spool.peek(0).unwrap();
                     prop_assert_eq!(&e.db, db);
                     prop_assert_eq!(&e.body, body);
                     spool.ack(&e);

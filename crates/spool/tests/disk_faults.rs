@@ -56,7 +56,7 @@ fn tmp(tag: &str) -> PathBuf {
 
 fn drain(spool: &Spool) -> Vec<String> {
     let mut bodies = Vec::new();
-    while let Some(e) = spool.peek() {
+    while let Some(e) = spool.peek(0) {
         bodies.push(e.body.clone());
         spool.ack(&e);
     }
@@ -96,7 +96,7 @@ fn a_failed_write_strands_nothing_and_a_failed_read_deletes_nothing() {
     let spool = Spool::open(SpoolConfig::new(&dir)).unwrap();
     let lowest_free_fd = std::fs::File::open("/dev/null").unwrap().as_raw_fd() as c_ulong;
     let saved = set_soft_limit(RLIMIT_NOFILE, lowest_free_fd);
-    let peeked = spool.peek();
+    let peeked = spool.peek(0);
     set_soft_limit(RLIMIT_NOFILE, saved);
     assert!(peeked.is_none(), "an unreadable head hands out nothing");
     let s = spool.stats();

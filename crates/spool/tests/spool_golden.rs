@@ -119,7 +119,7 @@ fn golden_spool_replays_every_record() {
     spool.append("lms", "m v=1 1\n").unwrap();
     assert!(segment(&dir, 1).exists());
     for (db, body) in want.iter().chain([&("lms".to_string(), "m v=1 1\n".to_string())]) {
-        let e = spool.peek().expect("a replayed record");
+        let e = spool.peek(0).expect("a replayed record");
         assert_eq!((&e.db, &e.body), (db, body), "replay must hand back the spooled records");
         spool.ack(&e);
     }

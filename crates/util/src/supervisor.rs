@@ -11,10 +11,9 @@
 //! gives up and marks the worker [`WorkerHealth::Failed`], which surfaces
 //! through [`Supervisor::is_ready`] and the `/health/ready` endpoints.
 //!
-//! The design mirrors the delivery path's circuit breaker: transient
-//! faults are absorbed (restart with backoff = retry), persistent faults
-//! trip the budget (open = give up and report unhealthy) rather than
-//! looping forever.
+//! The design mirrors the delivery path's retries: transient faults are
+//! absorbed (restart with backoff = retry), persistent faults use up the
+//! budget (give up and report unhealthy) rather than looping forever.
 
 use crate::error::{Error, Result};
 use crate::rng::XorShift64;

@@ -85,7 +85,8 @@ fn hard_outage_mid_stream_loses_nothing() {
 
 /// A flapping destination: every request gets a seeded coin flip between
 /// clean forwarding, an injected 503, a dropped connection, and a delay.
-/// Retries, the breaker and the spool together must still deliver all.
+/// Retries, the down-node rule and the spool together must still deliver
+/// all.
 #[test]
 fn flapping_database_delivers_every_point() {
     let mut r = rig(FaultConfig {
