@@ -6,15 +6,16 @@
 //! subscribes to the router's `metrics.` topics and applies instantaneous
 //! threshold rules online, raising one alert per (host, rule) violation
 //! streak — live detection without touching the database.
+//!
+//! The worker blocks in [`Subscriber::recv`]. It ends when its connection
+//! does: the publisher closed it, or the analyzer's drop shut it down.
 
 use crate::rules::Rule;
 use crossbeam_channel::{unbounded, Receiver};
 use lms_lineproto::parse_line;
 use lms_mq::Subscriber;
 use lms_util::{FxHashMap, Result};
-use std::net::ToSocketAddrs;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 /// A live alert raised by the analyzer.
@@ -49,7 +50,7 @@ pub struct StreamRule {
 /// Handle to a running stream analyzer.
 pub struct StreamAnalyzer {
     alerts: Receiver<Alert>,
-    stop: Arc<AtomicBool>,
+    connection: TcpStream,
     worker: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -66,54 +67,46 @@ impl StreamAnalyzer {
             sub.subscribe(p)?;
         }
         let (tx, rx) = unbounded();
-        let stop = Arc::new(AtomicBool::new(false));
-        let worker = {
-            let stop = stop.clone();
-            std::thread::Builder::new()
-                .name("lms-stream-analyzer".into())
-                .spawn(move || {
-                    // (hostname, rule index) → current violation streak.
-                    let mut streaks: FxHashMap<(String, usize), u32> = FxHashMap::default();
-                    while !stop.load(Ordering::Acquire) {
-                        let msg = match sub.recv_timeout(Duration::from_millis(100)) {
-                            Ok(Some(m)) => m,
-                            Ok(None) => continue,
-                            Err(_) => return, // publisher gone
+        let connection = sub.connection()?;
+        let worker = std::thread::Builder::new()
+            .name("lms-stream-analyzer".into())
+            .spawn(move || {
+                // (hostname, rule index) → current violation streak.
+                let mut streaks: FxHashMap<(String, usize), u32> = FxHashMap::default();
+                while let Ok(msg) = sub.recv() {
+                    let Ok(text) = std::str::from_utf8(&msg.payload) else { continue };
+                    let Ok(line) = parse_line(text) else { continue };
+                    let Some(host) = line.hostname() else { continue };
+                    for (ri, srule) in rules.iter().enumerate() {
+                        if line.measurement != srule.measurement.as_str() {
+                            continue;
+                        }
+                        let Some(value) =
+                            line.field(&srule.field).and_then(|v| v.as_f64())
+                        else {
+                            continue;
                         };
-                        let Ok(text) = std::str::from_utf8(&msg.payload) else { continue };
-                        let Ok(line) = parse_line(text) else { continue };
-                        let Some(host) = line.hostname() else { continue };
-                        for (ri, srule) in rules.iter().enumerate() {
-                            if line.measurement != srule.measurement.as_str() {
-                                continue;
+                        let key = (host.to_string(), ri);
+                        if srule.rule.violates(value) {
+                            let streak = streaks.entry(key).or_insert(0);
+                            *streak += 1;
+                            if *streak == srule.samples {
+                                let _ = tx.send(Alert {
+                                    rule: srule.rule.name.clone(),
+                                    hostname: host.to_string(),
+                                    measurement: srule.measurement.clone(),
+                                    value,
+                                    streak: *streak,
+                                });
                             }
-                            let Some(value) =
-                                line.field(&srule.field).and_then(|v| v.as_f64())
-                            else {
-                                continue;
-                            };
-                            let key = (host.to_string(), ri);
-                            if srule.rule.violates(value) {
-                                let streak = streaks.entry(key).or_insert(0);
-                                *streak += 1;
-                                if *streak == srule.samples {
-                                    let _ = tx.send(Alert {
-                                        rule: srule.rule.name.clone(),
-                                        hostname: host.to_string(),
-                                        measurement: srule.measurement.clone(),
-                                        value,
-                                        streak: *streak,
-                                    });
-                                }
-                            } else {
-                                streaks.remove(&key);
-                            }
+                        } else {
+                            streaks.remove(&key);
                         }
                     }
-                })
-                .expect("spawn stream analyzer")
-        };
-        Ok(StreamAnalyzer { alerts: rx, stop, worker: Some(worker) })
+                }
+            })
+            .expect("spawn stream analyzer");
+        Ok(StreamAnalyzer { alerts: rx, connection, worker: Some(worker) })
     }
 
     /// Receives the next alert, waiting up to `timeout`.
@@ -129,7 +122,7 @@ impl StreamAnalyzer {
 
 impl Drop for StreamAnalyzer {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
+        let _ = self.connection.shutdown(Shutdown::Both);
         if let Some(w) = self.worker.take() {
             let _ = w.join();
         }

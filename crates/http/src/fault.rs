@@ -13,12 +13,13 @@
 //! connections stay coherent between faults.
 
 use crate::message::{Request, Response};
+use lms_util::net::Acceptor;
 use lms_util::rng::XorShift64;
 use lms_util::{Error, Result};
 use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Fault schedule configuration. Probabilities are evaluated per request
@@ -65,17 +66,12 @@ struct Shared {
     down: AtomicBool,
     /// Blackhole: accept requests, never answer (clients hit timeouts).
     blackhole: AtomicBool,
-    stop: AtomicBool,
-    /// Live downstream connections (by id), so `set_down`/`shutdown` can
-    /// sever them mid-exchange like a crashed server would.
-    conns: Mutex<Vec<(u64, TcpStream)>>,
 }
 
 /// A running fault proxy.
 pub struct FaultProxy {
-    addr: SocketAddr,
     shared: Arc<Shared>,
-    acceptor: Option<std::thread::JoinHandle<()>>,
+    acceptor: Acceptor,
 }
 
 impl FaultProxy {
@@ -86,35 +82,37 @@ impl FaultProxy {
             .to_socket_addrs()?
             .next()
             .ok_or_else(|| Error::config("upstream resolved to nothing"))?;
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             upstream,
             cfg,
             stats: FaultStats::default(),
             down: AtomicBool::new(false),
             blackhole: AtomicBool::new(false),
-            stop: AtomicBool::new(false),
-            conns: Mutex::new(Vec::new()),
         });
         let accept_shared = shared.clone();
-        let acceptor = std::thread::Builder::new()
-            .name("lms-fault-proxy".into())
-            .spawn(move || accept_loop(&listener, &accept_shared))
-            .expect("spawn fault proxy");
-        Ok(FaultProxy { addr, shared, acceptor: Some(acceptor) })
+        let mut conn_index: u64 = 0;
+        let acceptor =
+            Acceptor::bind("127.0.0.1:0", "lms-fault-proxy", "lms-fault-conn", move |_, _| {
+                conn_index += 1;
+                // Each connection gets its own deterministic RNG stream, so the
+                // fault schedule does not depend on thread interleaving.
+                let seed = accept_shared.cfg.seed.wrapping_add(conn_index.wrapping_mul(0x9E37));
+                let (shared, rng) = (accept_shared.clone(), XorShift64::new(seed));
+                Some(Box::new(move |stream| serve_connection(&stream, &shared, rng)))
+            })?;
+        Ok(FaultProxy { shared, acceptor })
     }
 
     /// The address clients should connect to.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.acceptor.addr()
     }
 
     /// Takes the proxied destination fully down: live connections are
     /// severed and new exchanges are refused until [`set_up`](Self::set_up).
     pub fn set_down(&self) {
         self.shared.down.store(true, Ordering::Release);
-        self.shared.kill_connections();
+        self.acceptor.sever();
     }
 
     /// Brings the destination back up.
@@ -139,112 +137,47 @@ impl FaultProxy {
         )
     }
 
-    /// Stops the proxy and severs every connection.
-    pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    fn stop(&mut self) {
-        self.shared.stop.store(true, Ordering::Release);
-        self.shared.kill_connections();
-        // Unblock the acceptor with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.acceptor.take() {
-            let _ = t.join();
-        }
+    /// Stops the proxy, severs every connection and joins its threads.
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for FaultProxy {
     fn drop(&mut self) {
-        if self.acceptor.is_some() {
-            self.stop();
-        }
-    }
-}
-
-impl Shared {
-    fn kill_connections(&self) {
-        let mut conns = self.conns.lock().expect("conns lock");
-        for (_, c) in conns.drain(..) {
-            let _ = c.shutdown(std::net::Shutdown::Both);
-        }
-    }
-
-    /// Severs one connection and stops tracking it. `shutdown` (not just
-    /// dropping our handles) is essential: a tracked clone would keep the
-    /// socket open and the client would wait out its full timeout instead
-    /// of seeing the connection die.
-    fn sever(&self, id: u64, stream: &TcpStream) {
-        let _ = stream.shutdown(std::net::Shutdown::Both);
-        self.conns.lock().expect("conns lock").retain(|(i, _)| *i != id);
-    }
-}
-
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    let mut conn_index: u64 = 0;
-    while !shared.stop.load(Ordering::Acquire) {
-        let Ok((stream, _)) = listener.accept() else { break };
-        if shared.stop.load(Ordering::Acquire) {
-            break;
-        }
-        conn_index += 1;
-        // Each connection gets its own deterministic RNG stream, so the
-        // fault schedule does not depend on thread interleaving.
-        let rng = XorShift64::new(shared.cfg.seed.wrapping_add(conn_index.wrapping_mul(0x9E37)));
-        if let Ok(track) = stream.try_clone() {
-            shared.conns.lock().expect("conns lock").push((conn_index, track));
-        }
-        let conn_shared = shared.clone();
-        let id = conn_index;
-        let _ = std::thread::Builder::new()
-            .name(format!("lms-fault-conn-{conn_index}"))
-            .spawn(move || serve_connection(id, stream, &conn_shared, rng));
+        self.acceptor.sever();
     }
 }
 
 /// Serves one downstream connection request-by-request, injecting faults
-/// at request boundaries. Every exit severs the socket via
-/// [`Shared::sever`] so the client observes the drop immediately.
-fn serve_connection(id: u64, stream: TcpStream, shared: &Shared, mut rng: XorShift64) {
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => {
-            shared.sever(id, &stream);
-            return;
-        }
-    };
+/// at request boundaries. Returning closes the connection, so the client
+/// sees every drop at once.
+fn serve_connection(stream: &TcpStream, shared: &Shared, mut rng: XorShift64) {
+    let mut writer = stream;
     let mut reader = BufReader::new(stream);
     let mut upstream: Option<TcpStream> = None;
     while let Ok(Some(req)) = Request::read_from(&mut reader) {
-        if shared.stop.load(Ordering::Acquire) {
-            break;
-        }
         if shared.down.load(Ordering::Acquire) {
             shared.stats.dropped.fetch_add(1, Ordering::Relaxed);
-            break; // connection drops like against a dead host
+            return; // connection drops like against a dead host
         }
         if shared.blackhole.load(Ordering::Acquire) {
-            // Swallow the request; never answer. Wait for the mode to
-            // change or the client to give up, then drop the connection.
-            while shared.blackhole.load(Ordering::Acquire)
-                && !shared.stop.load(Ordering::Acquire)
-            {
-                std::thread::sleep(Duration::from_millis(10));
-            }
+            // Swallow the request and everything after it; never answer.
+            // The read ends when the client gives up or the proxy severs.
+            let _ = std::io::copy(&mut reader, &mut std::io::sink());
             shared.stats.dropped.fetch_add(1, Ordering::Relaxed);
-            break;
+            return;
         }
         if rng.next_f64() < shared.cfg.error_prob {
             shared.stats.injected_errors.fetch_add(1, Ordering::Relaxed);
             if Response::text(503, "injected fault").write_to(&mut writer).is_err() {
-                break;
+                return;
             }
             continue;
         }
         if rng.next_f64() < shared.cfg.drop_prob {
             shared.stats.dropped.fetch_add(1, Ordering::Relaxed);
-            break;
+            return;
         }
         if rng.next_f64() < shared.cfg.delay_prob {
             shared.stats.delayed.fetch_add(1, Ordering::Relaxed);
@@ -254,17 +187,16 @@ fn serve_connection(id: u64, stream: TcpStream, shared: &Shared, mut rng: XorShi
             Ok(resp) => {
                 shared.stats.forwarded.fetch_add(1, Ordering::Relaxed);
                 if resp.write_to(&mut writer).is_err() {
-                    break;
+                    return;
                 }
             }
             Err(_) => {
                 // Upstream actually unreachable: behave like it.
                 shared.stats.dropped.fetch_add(1, Ordering::Relaxed);
-                break;
+                return;
             }
         }
     }
-    shared.sever(id, &writer);
 }
 
 /// Forwards one request over a (kept-alive, lazily connected) upstream
@@ -277,6 +209,7 @@ fn forward(
     for fresh in [false, true] {
         if fresh || upstream.is_none() {
             let s = TcpStream::connect(addr)?;
+            s.set_nodelay(true)?;
             s.set_read_timeout(Some(Duration::from_secs(10)))?;
             *upstream = Some(s);
         }

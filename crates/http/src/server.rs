@@ -4,8 +4,11 @@
 //! agent, HPM collector, signaler and forwarder keeps one open), so a
 //! fixed worker pool would starve new connections once all workers sit in
 //! keep-alive loops. Each accepted connection therefore gets its own
-//! thread; `max_connections` bounds the total. Connection threads poll the
-//! stop flag every 200 ms while idle, so shutdown completes promptly.
+//! thread; `max_connections` bounds the total. Connections are accepted,
+//! tracked and stopped by [`lms_util::net::Acceptor`]: an idle connection
+//! thread blocks in `read` with no timeout, and shutdown shuts every read
+//! side, so idle threads end at once while answers in flight are still
+//! written, and shutdown returns only when every connection thread has.
 //! Designed for the trusted-cluster-network setting of the paper: no TLS.
 //!
 //! Thread-per-connection is priced per *connection*, so it holds as long
@@ -19,12 +22,12 @@
 //! counts the dials, so a per-request dialer shows up as a number.
 
 use crate::message::{Request, Response};
+use lms_util::net::Acceptor;
 use lms_util::{Error, Result};
 use std::io::{BufReader, BufWriter};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// The request handler type: pure function from request to response.
@@ -50,8 +53,9 @@ pub struct ServerConfig {
     /// answered `413 Payload Too Large`.
     pub max_body_bytes: usize,
     /// Deadline for reading one request (headers + body) once its first
-    /// byte has arrived, so a slow or stalled client cannot pin a
-    /// connection thread indefinitely.
+    /// byte has arrived, and for each write of its answer, so a slow or
+    /// stalled client cannot pin a connection thread, or the server's
+    /// shutdown, indefinitely.
     pub request_deadline: Duration,
     /// `Retry-After` hint (seconds) on shed connections.
     pub retry_after_secs: u64,
@@ -76,14 +80,11 @@ impl ServerConfig {
 }
 
 /// A running HTTP server. Dropping it (or calling [`shutdown`](Self::shutdown))
-/// stops the acceptor and waits for connection threads to drain.
+/// stops the acceptor and joins every connection thread.
 pub struct Server {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    active: Arc<AtomicUsize>,
+    acceptor: Acceptor,
     accepted: Arc<AtomicU64>,
     shed: Arc<AtomicU64>,
-    acceptor: Option<JoinHandle<()>>,
 }
 
 impl Server {
@@ -106,77 +107,41 @@ impl Server {
         config: ServerConfig,
         handler: impl Fn(Request) -> Response + Send + Sync + 'static,
     ) -> Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let active = Arc::new(AtomicUsize::new(0));
         let accepted = Arc::new(AtomicU64::new(0));
         let shed = Arc::new(AtomicU64::new(0));
         let handler: Handler = Arc::new(handler);
         let cap = config.max_connections.max(MIN_CONNECTION_CAP);
-        let retry_after = config.retry_after_secs;
-
-        let acceptor = {
-            let stop = stop.clone();
-            let active = active.clone();
-            let accepted = accepted.clone();
-            let shed = shed.clone();
-            let config = config.clone();
-            std::thread::Builder::new()
-                .name("lms-http-acceptor".into())
-                .spawn(move || {
-                    for conn in listener.incoming() {
-                        if stop.load(Ordering::Acquire) {
-                            break;
-                        }
-                        let Ok(stream) = conn else { continue };
-                        if active.load(Ordering::Acquire) >= cap {
-                            // Over capacity: shed with a fast 503 so the
-                            // client knows to back off. Bounded write
-                            // timeout — a shed response must never block
-                            // the acceptor.
-                            shed.fetch_add(1, Ordering::Relaxed);
-                            let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
-                            let mut w = BufWriter::new(stream);
-                            let _ = Response::service_unavailable(
-                                "server at connection capacity",
-                                retry_after,
-                            )
-                            .write_to(&mut w);
-                            continue;
-                        }
-                        let _ = stream.set_nodelay(true);
-                        accepted.fetch_add(1, Ordering::Relaxed);
-                        active.fetch_add(1, Ordering::AcqRel);
-                        let handler = handler.clone();
-                        let stop = stop.clone();
-                        let conn_active = active.clone();
-                        let config = config.clone();
-                        let spawned = std::thread::Builder::new()
-                            .name("lms-http-conn".into())
-                            .spawn(move || {
-                                serve_connection(stream, &handler, &stop, &config);
-                                conn_active.fetch_sub(1, Ordering::AcqRel);
-                            });
-                        if spawned.is_err() {
-                            active.fetch_sub(1, Ordering::AcqRel);
-                        }
-                    }
-                })
-                .map_err(Error::from)?
-        };
-
-        Ok(Server { addr: local, stop, active, accepted, shed, acceptor: Some(acceptor) })
+        let (conn_accepted, conn_shed) = (accepted.clone(), shed.clone());
+        let acceptor =
+            Acceptor::bind(addr, "lms-http-acceptor", "lms-http-conn", move |stream, live| {
+                if live >= cap {
+                    // Over capacity: shed with a fast 503 so the client knows
+                    // to back off. Bounded write timeout — a shed response must
+                    // never block the acceptor.
+                    conn_shed.fetch_add(1, Ordering::Relaxed);
+                    let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
+                    let _ = Response::service_unavailable(
+                        "server at connection capacity",
+                        config.retry_after_secs,
+                    )
+                    .write_to(&mut BufWriter::new(stream));
+                    return None;
+                }
+                conn_accepted.fetch_add(1, Ordering::Relaxed);
+                let (handler, config) = (handler.clone(), config.clone());
+                Some(Box::new(move |stream| serve_connection(&stream, &handler, &config)))
+            })?;
+        Ok(Server { acceptor, accepted, shed })
     }
 
     /// The bound address (resolves port 0 to the actual port).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.acceptor.addr()
     }
 
     /// Number of open connections.
     pub fn active_connections(&self) -> usize {
-        self.active.load(Ordering::Acquire)
+        self.acceptor.live()
     }
 
     /// Number of connections admitted (given a thread) since the server
@@ -191,70 +156,31 @@ impl Server {
         self.shed.load(Ordering::Relaxed)
     }
 
-    /// Stops accepting and waits (bounded) for connections to drain.
+    /// Stops accepting, ends every idle connection and waits for requests
+    /// in flight to be answered.
     pub fn shutdown(mut self) {
-        self.stop_internal();
-    }
-
-    fn stop_internal(&mut self) {
-        if self.stop.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        // Unblock the acceptor with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-        // Connection threads notice the stop flag within their 200 ms idle
-        // poll; wait up to ~2 s for them (in-flight requests finish first).
-        for _ in 0..100 {
-            if self.active.load(Ordering::Acquire) == 0 {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(20));
-        }
+        self.acceptor.stop();
     }
 }
 
-impl Drop for Server {
-    fn drop(&mut self) {
-        self.stop_internal();
-    }
-}
-
-fn serve_connection(stream: TcpStream, handler: &Handler, stop: &AtomicBool, config: &ServerConfig) {
+fn serve_connection(stream: &TcpStream, handler: &Handler, config: &ServerConfig) {
     use std::io::BufRead as _;
-    // Short idle timeout so keep-alive connections re-check the stop flag
-    // periodically. Once a request starts arriving we switch to the request
-    // deadline — a slow client gets at most that long per request before
-    // the read times out and the connection is dropped.
-    let idle = Some(std::time::Duration::from_millis(200));
+    // An idle keep-alive connection blocks in `read` with no timeout: the
+    // server's stop shuts the read side, which ends the wait. Once a
+    // request starts arriving the request deadline applies — a slow client
+    // gets at most that long per request, and per write of the answer,
+    // before the connection is dropped.
     let busy = Some(config.request_deadline.max(Duration::from_millis(100)));
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
+    let _ = stream.set_write_timeout(busy);
+    let mut reader = BufReader::new(stream);
     let mut writer = BufWriter::new(stream);
     loop {
-        if stop.load(Ordering::Acquire) {
-            return;
-        }
-        // Idle wait: peek without consuming until data arrives or EOF.
-        let _ = reader.get_ref().set_read_timeout(idle);
+        let _ = stream.set_read_timeout(None);
         match reader.fill_buf() {
-            Ok([]) => return, // clean close
+            Ok([]) | Err(_) => return, // closed, or the server stopped
             Ok(_) => {}
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                continue;
-            }
-            Err(_) => return,
         }
-        let _ = reader.get_ref().set_read_timeout(busy);
+        let _ = stream.set_read_timeout(busy);
         match Request::read_from_limited(&mut reader, config.max_body_bytes) {
             Ok(Some(req)) => {
                 let close = req.wants_close();
@@ -423,6 +349,36 @@ mod tests {
             start.elapsed()
         );
         server.shutdown();
+    }
+
+    #[test]
+    fn shutdown_leaves_no_connection_holding_the_handler() {
+        use std::io::Write;
+        // One idle keep-alive client and one that sent half a request: the
+        // latter waits out the 30-s request deadline unless shutdown ends
+        // its read.
+        let token = Arc::new(());
+        let held = token.clone();
+        let server = Server::bind("127.0.0.1:0", 16, move |_| {
+            let _held = &held;
+            Response::no_content()
+        })
+        .unwrap();
+        let mut idle = HttpClient::connect(server.addr()).unwrap();
+        assert_eq!(idle.get("/warm").unwrap().status, 204);
+        // A whole exchange first, so its thread is serving when the half
+        // request arrives.
+        let mut half = TcpStream::connect(server.addr()).unwrap();
+        half.set_nodelay(true).unwrap();
+        half.write_all(b"GET /warm HTTP/1.1\r\n\r\n").unwrap();
+        let warm = Response::read_from(&mut BufReader::new(&half)).unwrap();
+        assert_eq!(warm.status, 204);
+        half.write_all(b"POST /write HTTP/1.1\r\ncontent-length: 10\r\n\r\n12345").unwrap();
+        // Time for its thread to get from the answer into reading the body.
+        std::thread::sleep(std::time::Duration::from_millis(100));
+        assert_eq!(server.active_connections(), 2);
+        server.shutdown();
+        assert_eq!(Arc::strong_count(&token), 1, "a connection thread outlived shutdown");
     }
 
     #[test]

@@ -136,6 +136,30 @@ mod tests {
     }
 
     #[test]
+    fn dropping_the_publisher_closes_every_subscriber() {
+        let p = Publisher::bind("127.0.0.1:0").unwrap();
+        let mut idle = Subscriber::connect(p.addr()).unwrap();
+        idle.subscribe("quiet").unwrap();
+        let mut stalled = Subscriber::connect(p.addr()).unwrap();
+        stalled.subscribe("t").unwrap();
+        p.wait_for_subscribers(2, WAIT).unwrap();
+        // 16 MiB to a subscriber that is not reading: more than the socket
+        // buffers hold, so its writer is blocked mid-write when the
+        // publisher drops.
+        let filler = vec![b'x'; 64 * 1024];
+        for _ in 0..256 {
+            p.publish("t", &filler);
+        }
+        drop(p);
+        let closed = |sub: &mut Subscriber| {
+            (0..1000).find_map(|_| sub.recv_timeout(Duration::from_millis(10)).err())
+        };
+        let err = closed(&mut idle).expect("the idle subscriber sees the close");
+        assert!(err.to_string().contains("publisher closed the connection"), "{err}");
+        assert!(closed(&mut stalled).is_some(), "the stalled subscriber sees the close");
+    }
+
+    #[test]
     fn stats_count_published_and_dropped() {
         let p = Publisher::bind_with_hwm("127.0.0.1:0", 4).unwrap();
         let mut sub = Subscriber::connect(p.addr()).unwrap();

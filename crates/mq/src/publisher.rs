@@ -1,11 +1,19 @@
 //! The PUB side: accept subscribers, fan out with per-subscriber queues.
+//!
+//! Subscribers are accepted through [`lms_util::net::Acceptor`]. Each one's
+//! connection thread reads its subscription frames and runs a writer thread
+//! beside it that drains its queue onto the socket. The reader drops the
+//! subscriber from the fan-out list when its connection ends, which ends
+//! the writer. Dropping the publisher severs every connection, so each
+//! subscriber sees the close and no thread outlives the publisher.
 
 use crate::frame::{self, CTRL_SUB, CTRL_UNSUB, IO_BUFFER};
 use crossbeam_channel::{bounded, Sender, TrySendError};
+use lms_util::net::Acceptor;
 use lms_util::Result;
 use parking_lot::Mutex;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -23,24 +31,20 @@ struct SubscriberHandle {
     topics: Arc<Mutex<Vec<String>>>,
     /// Encoded frames queued for the writer thread.
     queue: Sender<Arc<Vec<u8>>>,
-    /// Set when the connection died; reaped on next publish.
-    dead: Arc<AtomicBool>,
 }
 
 struct Shared {
     subscribers: Mutex<Vec<SubscriberHandle>>,
     published: AtomicU64,
     dropped: AtomicU64,
-    stop: AtomicBool,
     hwm: usize,
 }
 
 /// The publishing end of the queue. Cloneable via `Arc` if needed; all
 /// methods take `&self`.
 pub struct Publisher {
-    addr: SocketAddr,
     shared: Arc<Shared>,
-    acceptor: Option<std::thread::JoinHandle<()>>,
+    acceptor: Acceptor,
 }
 
 impl Publisher {
@@ -51,28 +55,23 @@ impl Publisher {
 
     /// Binds with an explicit per-subscriber high-water mark.
     pub fn bind_with_hwm<A: ToSocketAddrs>(addr: A, hwm: usize) -> Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
         let shared = Arc::new(Shared {
             subscribers: Mutex::new(Vec::new()),
             published: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
-            stop: AtomicBool::new(false),
             hwm: hwm.max(1),
         });
-        let acceptor = {
-            let shared = shared.clone();
-            std::thread::Builder::new()
-                .name("lms-mq-acceptor".into())
-                .spawn(move || accept_loop(listener, shared))
-                .expect("spawn mq acceptor")
-        };
-        Ok(Publisher { addr: local, shared, acceptor: Some(acceptor) })
+        let accept_shared = shared.clone();
+        let acceptor = Acceptor::bind(addr, "lms-mq-acceptor", "lms-mq-reader", move |_, _| {
+            let shared = accept_shared.clone();
+            Some(Box::new(move |stream| serve_subscriber(stream, &shared)))
+        })?;
+        Ok(Publisher { shared, acceptor })
     }
 
     /// The bound address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.acceptor.addr()
     }
 
     /// Publishes one message: fan out to matching subscribers, never block.
@@ -83,9 +82,7 @@ impl Publisher {
     pub fn publish(&self, topic: &str, payload: &[u8]) {
         self.shared.published.fetch_add(1, Ordering::Relaxed);
         let mut encoded: Option<Arc<Vec<u8>>> = None;
-        let mut subs = self.shared.subscribers.lock();
-        subs.retain(|s| !s.dead.load(Ordering::Acquire));
-        for sub in subs.iter() {
+        for sub in self.shared.subscribers.lock().iter() {
             let wants = sub.topics.lock().iter().any(|t| topic.starts_with(t.as_str()));
             if !wants {
                 continue;
@@ -106,11 +103,9 @@ impl Publisher {
         }
     }
 
-    /// Number of currently connected subscribers (dead ones reaped lazily).
+    /// Number of currently connected subscribers.
     pub fn subscriber_count(&self) -> usize {
-        let mut subs = self.shared.subscribers.lock();
-        subs.retain(|s| !s.dead.load(Ordering::Acquire));
-        subs.len()
+        self.shared.subscribers.lock().len()
     }
 
     /// Blocks until at least `n` subscribers are connected *and have at
@@ -146,87 +141,54 @@ impl Publisher {
 
 impl Drop for Publisher {
     fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::Release);
-        let _ = TcpStream::connect(self.addr); // unblock accept
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-        // Subscriber writer/reader threads exit when their sockets close
-        // (queues disconnect as handles drop with the subscriber list).
-        self.shared.subscribers.lock().clear();
+        // Sever rather than let the writers drain: a subscriber that has
+        // stopped reading would hold its writer, and the drop, forever.
+        self.acceptor.sever();
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    for conn in listener.incoming() {
-        if shared.stop.load(Ordering::Acquire) {
-            break;
-        }
-        let Ok(stream) = conn else { continue };
-        let _ = stream.set_nodelay(true);
-        let topics = Arc::new(Mutex::new(Vec::new()));
-        let dead = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = bounded::<Arc<Vec<u8>>>(shared.hwm);
-
-        // Writer thread: drain the queue onto the socket. Every frame
-        // already queued is written before the one flush, so a burst costs
-        // a write per buffer, not per frame.
-        {
-            let stream = match stream.try_clone() {
-                Ok(s) => s,
-                Err(_) => continue,
-            };
-            let dead = dead.clone();
-            std::thread::Builder::new()
-                .name("lms-mq-writer".into())
-                .spawn(move || {
-                    use std::io::Write as _;
-                    let mut w = std::io::BufWriter::with_capacity(IO_BUFFER, stream);
-                    while let Ok(first) = rx.recv() {
-                        let written = std::iter::once(first)
-                            .chain(rx.try_iter())
-                            .try_for_each(|f| frame::write_all(&mut w, &f));
-                        if written.is_err() || w.flush().is_err() {
-                            dead.store(true, Ordering::Release);
-                            return;
-                        }
+/// Serves one subscriber: a writer thread drains its queue onto the
+/// socket while this thread applies its subscription frames, until the
+/// connection ends.
+fn serve_subscriber(stream: TcpStream, shared: &Shared) {
+    let Ok(out) = stream.try_clone() else { return };
+    let topics = Arc::new(Mutex::new(Vec::new()));
+    let (tx, rx) = bounded::<Arc<Vec<u8>>>(shared.hwm);
+    std::thread::scope(|scope| {
+        // Every frame already queued is written before the one flush, so a
+        // burst costs a write per buffer, not per frame. A failed write
+        // shuts the socket, which ends the reader below.
+        let writer = std::thread::Builder::new().name("lms-mq-writer".into()).spawn_scoped(
+            scope,
+            move || {
+                use std::io::Write as _;
+                let mut w = std::io::BufWriter::with_capacity(IO_BUFFER, &out);
+                while let Ok(first) = rx.recv() {
+                    let written = std::iter::once(first)
+                        .chain(rx.try_iter())
+                        .try_for_each(|f| frame::write_all(&mut w, &f));
+                    if written.is_err() || w.flush().is_err() {
+                        let _ = out.shutdown(Shutdown::Both);
+                        return;
                     }
-                })
-                .expect("spawn mq writer");
+                }
+            },
+        );
+        if writer.is_err() {
+            return;
         }
-
-        // Reader thread: apply subscription control frames; detect close.
-        {
-            let topics = topics.clone();
-            let dead = dead.clone();
-            std::thread::Builder::new()
-                .name("lms-mq-reader".into())
-                .spawn(move || {
-                    let mut r = std::io::BufReader::new(stream);
-                    loop {
-                        match frame::read_frame(&mut r) {
-                            Ok(Some(msg)) if msg.topic == CTRL_SUB => {
-                                let pat = String::from_utf8_lossy(&msg.payload).into_owned();
-                                let mut t = topics.lock();
-                                if !t.contains(&pat) {
-                                    t.push(pat);
-                                }
-                            }
-                            Ok(Some(msg)) if msg.topic == CTRL_UNSUB => {
-                                let pat = String::from_utf8_lossy(&msg.payload).into_owned();
-                                topics.lock().retain(|p| *p != pat);
-                            }
-                            Ok(Some(_)) => {} // subscribers don't send data
-                            Ok(None) | Err(_) => {
-                                dead.store(true, Ordering::Release);
-                                return;
-                            }
-                        }
-                    }
-                })
-                .expect("spawn mq reader");
+        shared.subscribers.lock().push(SubscriberHandle { topics: topics.clone(), queue: tx });
+        let mut r = std::io::BufReader::new(stream);
+        while let Ok(Some(msg)) = frame::read_frame(&mut r) {
+            let pat = String::from_utf8_lossy(&msg.payload).into_owned();
+            let mut t = topics.lock();
+            match msg.topic.as_str() {
+                CTRL_SUB if !t.contains(&pat) => t.push(pat),
+                CTRL_UNSUB => t.retain(|p| *p != pat),
+                _ => {} // subscribers don't send data
+            }
         }
-
-        shared.subscribers.lock().push(SubscriberHandle { topics, queue: tx, dead });
-    }
+        // Dropping the handle's queue ends the writer.
+        shared.subscribers.lock().retain(|s| !Arc::ptr_eq(&s.topics, &topics));
+    });
 }

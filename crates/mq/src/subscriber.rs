@@ -36,6 +36,13 @@ impl Subscriber {
         Ok(Subscriber { reader, writer: stream, timeout: None })
     }
 
+    /// A handle on this subscriber's connection for another thread:
+    /// shutting it down makes a [`recv`](Self::recv) blocked here return
+    /// the close error at once.
+    pub fn connection(&self) -> Result<TcpStream> {
+        Ok(self.writer.try_clone()?)
+    }
+
     fn set_timeout(&mut self, timeout: Option<Duration>) -> Result<()> {
         if self.timeout != timeout {
             self.reader.get_ref().set_read_timeout(timeout)?;

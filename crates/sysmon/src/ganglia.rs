@@ -4,12 +4,14 @@
 //! dump of the cluster state and closes. The paper integrates such legacy
 //! sources through the router's pulling proxy; this module provides the
 //! emitting side so the integration path can be exercised end to end.
+//! Connections come through [`lms_util::net::Acceptor`] and are answered on
+//! its accepting thread, so a dump needs no thread of its own.
 
+use lms_util::net::Acceptor;
 use lms_util::{FxHashMap, Result};
 use parking_lot::RwLock;
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
 
 /// One metric in the gmond state.
@@ -72,46 +74,29 @@ impl State {
 
 /// A running gmond-style server.
 pub struct GmondServer {
-    addr: SocketAddr,
     state: Arc<RwLock<State>>,
-    stop: Arc<AtomicBool>,
-    acceptor: Option<std::thread::JoinHandle<()>>,
+    acceptor: Acceptor,
 }
 
 impl GmondServer {
     /// Binds and starts answering connections with the XML dump.
     pub fn start<A: ToSocketAddrs>(addr: A, cluster: &str) -> Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
         let state = Arc::new(RwLock::new(State {
             cluster: cluster.to_string(),
             ..Default::default()
         }));
-        let stop = Arc::new(AtomicBool::new(false));
-        let acceptor = {
-            let state = state.clone();
-            let stop = stop.clone();
-            std::thread::Builder::new()
-                .name("lms-gmond".into())
-                .spawn(move || {
-                    for conn in listener.incoming() {
-                        if stop.load(Ordering::Acquire) {
-                            break;
-                        }
-                        if let Ok(mut s) = conn {
-                            let xml = state.read().render();
-                            let _ = s.write_all(xml.as_bytes());
-                        }
-                    }
-                })
-                .expect("spawn gmond acceptor")
-        };
-        Ok(GmondServer { addr: local, state, stop, acceptor: Some(acceptor) })
+        let dump = state.clone();
+        let acceptor = Acceptor::bind(addr, "lms-gmond", "lms-gmond", move |mut stream, _| {
+            let xml = dump.read().render();
+            let _ = stream.write_all(xml.as_bytes());
+            None
+        })?;
+        Ok(GmondServer { state, acceptor })
     }
 
     /// Bound address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.acceptor.addr()
     }
 
     /// Updates (or adds) a metric for a host.
@@ -144,20 +129,11 @@ impl GmondServer {
     }
 }
 
-impl Drop for GmondServer {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        let _ = TcpStream::connect(self.addr);
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Read;
+    use std::net::TcpStream;
 
     #[test]
     fn serves_xml_dump_per_connection() {

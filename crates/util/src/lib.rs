@@ -23,7 +23,9 @@
 //!   storage engine's WAL and segment files and the router's spool,
 //! - [`fmt`]: human-readable byte/duration/number formatting for reports,
 //! - [`supervisor`]: panic-capturing restart supervision for background
-//!   worker threads.
+//!   worker threads,
+//! - [`net`]: the one TCP acceptor every listener accepts, tracks and
+//!   stops its connections through.
 
 pub mod args;
 pub mod clock;
@@ -32,6 +34,7 @@ pub mod error;
 pub mod fmt;
 pub mod hash;
 pub mod json;
+pub mod net;
 pub mod ring;
 pub mod rng;
 pub mod scratch;
