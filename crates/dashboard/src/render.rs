@@ -9,7 +9,8 @@
 use crate::model::{Panel, PanelKind};
 use lms_analysis::stats::Histogram;
 use lms_analysis::TimeSeries;
-use lms_influx::{QueryResult, QuerySource};
+use lms_influx::query::{Condition, Projection, Select, TimeValue};
+use lms_influx::{QueryResult, QuerySource, Statement};
 use lms_util::{Error, Result, Timestamp};
 
 /// Rendering options.
@@ -107,15 +108,22 @@ pub fn render_panels(
         });
     }
 
-    // An annotation query that fails costs the graphs their event lines,
-    // never the render.
-    let notes = graphs.iter().filter_map(|(_, graph)| graph.annotation_query.clone()).collect();
-    let mut notes = query_per_db(source, notes).unwrap_or_default().into_iter();
-    for (i, graph) in graphs {
-        let events = match graph.annotation_query {
-            Some(_) => notes.next().unwrap_or_default(),
-            None => QueryResult::empty(),
-        };
+    // Each distinct annotation query is sent once; one that fails costs
+    // the graphs their event lines, never the render.
+    let mut notes: Vec<(String, String)> = Vec::new();
+    let mut slot_of = |query: &(String, String)| match notes.iter().position(|n| n == query) {
+        Some(slot) => slot,
+        None => {
+            notes.push(query.clone());
+            notes.len() - 1
+        }
+    };
+    let slots: Vec<Option<usize>> =
+        graphs.iter().map(|(_, graph)| graph.annotation_query.as_ref().map(&mut slot_of)).collect();
+    let answers = query_per_db(source, notes).unwrap_or_default();
+    let none = QueryResult::empty();
+    for ((i, graph), slot) in graphs.into_iter().zip(slots) {
+        let events = slot.and_then(|slot| answers.get(slot)).unwrap_or(&none);
         // Text column isn't numeric; pull times straight from rows.
         let annotations: Vec<(i64, String)> = events
             .series
@@ -243,19 +251,30 @@ impl Graph {
             v_min = 0.0;
         }
 
-        // Event annotations: dashed vertical lines where events fall. The
-        // window extends a little past the data so begin/end events sent just
+        // Event annotations: dashed vertical lines where the panel's own
+        // events fall — those its first target's `tag = 'v'` predicates
+        // admit, within the target's time bounds. Without bounds the window
+        // extends a little past the data so begin/end events sent just
         // outside the sampled range (Fig. 3's bracketing events) still show.
         let annotation_query = panel.annotation_measurement.as_ref().zip(panel.targets.first()).map(
             |(measurement, target)| {
-                let margin = ((t_max - t_min) / 10).max(1);
-                let (a_min, a_max) = (t_min.saturating_sub(margin), t_max.saturating_add(margin));
-                (
-                    target.db.clone(),
-                    format!(
-                        "SELECT text FROM {measurement} WHERE time >= {a_min} AND time <= {a_max}"
-                    ),
-                )
+                let mut conditions = match Statement::parse(&target.query) {
+                    Ok(Statement::Select(select)) => select.conditions,
+                    _ => Vec::new(),
+                };
+                conditions.retain(|c| !matches!(c, Condition::TagNe(..)));
+                if conditions.iter().all(|c| matches!(c, Condition::TagEq(..))) {
+                    let margin = ((t_max - t_min) / 10).max(1);
+                    conditions.push(Condition::TimeGe(TimeValue::Abs(t_min.saturating_sub(margin))));
+                    conditions.push(Condition::TimeLe(TimeValue::Abs(t_max.saturating_add(margin))));
+                }
+                let events = Select {
+                    projections: vec![Projection::Field("text".into())],
+                    measurement: measurement.clone(),
+                    conditions,
+                    ..Select::default()
+                };
+                (target.db.clone(), events.render())
             },
         );
         Graph { series, extents: Some((t_min, t_max, v_min, v_max)), annotation_query }

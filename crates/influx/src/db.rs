@@ -26,11 +26,14 @@
 //! `db name → Database` map is read-mostly (`RwLock` around an
 //! [`Arc<Database>`] map: writes only when a database is created), and each
 //! database partitions its series across [`DEFAULT_SHARDS`] lock-striped
-//! shards selected by series-key hash. Points enter a shard one way only,
-//! WAL replay included: `Database::write_parsed_batch` stages them in the
-//! shard's append buffer, and whichever writer finds the shard backlogged
-//! and free drains it (the `staging` submodule owns the buffer and that
-//! decision).
+//! shards selected by series-key hash. Every logged batch enters a shard
+//! one way, WAL replay included: `Database::write_parsed_batch` stages it
+//! in the shard's append buffer, and whichever writer finds the shard
+//! backlogged and free drains it (the `staging` submodule owns the buffer
+//! and that decision). The one other way in is a rollup pass's: its
+//! recomputed tier rows go into the heads of the tier database it flushes,
+//! inside that flush's session, and are sealed with them
+//! (`Database::flush_with`).
 //!
 //! A series is registered in `meta` — its measurement's list and the tag
 //! postings — before any of its points is staged, and retention, the one
@@ -71,7 +74,7 @@ use crate::exec::{self, QueryResult};
 use crate::query::{Condition, Select, Statement};
 use crate::storage::Series;
 use index::{shrink_sparse_map, shrink_sparse_vec, MeasurementIndex};
-use lms_lineproto::{parse_batch, ParsedLine, Precision};
+use lms_lineproto::{parse_batch, Precision};
 use lms_rollup::Tier;
 use lms_tsm::wal::MAX_BATCH_BYTES;
 use lms_tsm::{BlockEntry, Scrubber, SeriesId, TsmConfig, TsmEngine};
@@ -579,10 +582,14 @@ impl Influx {
     /// is off, when it cannot be created (see [`Self::create_database`]),
     /// with `Error::Invalid` when the batch, each line given its timestamp,
     /// is too large for one WAL record, and with the append's error when it
-    /// cannot be logged; a refused batch leaves nothing behind.
+    /// cannot be logged; a refused batch leaves nothing behind, and while
+    /// the storage is degraded every batch is refused up front.
     ///
     /// The batch is logged, joining a WAL group commit shared with
-    /// concurrent batches, and then staged (see `log_and_stage`).
+    /// concurrent batches, and then staged: the one way a batch enters a
+    /// database. The retention gate is held shared from the append through
+    /// the staging, so a flush, which rotates the WAL under the gate held
+    /// exclusively, finds every record of a frozen segment staged.
     pub fn write_lines(&self, db: &str, batch: &str, opts: WriteOptions) -> Result<WriteOutcome> {
         let parsed = parse_batch(batch);
         let default_ts = self.clock.now().nanos();
@@ -602,30 +609,6 @@ impl Influx {
             }
             wal_batch.push('\n');
         }
-        let written = self.log_and_stage(&database, &parsed.lines, &wal_batch, opts, default_ts)?;
-        Ok(WriteOutcome {
-            written,
-            rejected: parsed.errors.len(),
-            first_error: parsed.errors.first().map(|(line, e)| (*line, e.to_string())),
-        })
-    }
-
-    /// Logs `wal_batch`, the text of `lines` with every timestamp resolved,
-    /// then stages `lines` in `database`: the one way points enter a
-    /// database, after [`Self::write_lines`]' parse or from a rollup pass's
-    /// row writer. A batch that cannot be logged is refused whole and never
-    /// staged, and while the storage is degraded every batch is refused up
-    /// front. The retention gate is held shared from the append through the
-    /// staging, so a flush, which rotates the WAL under the gate held
-    /// exclusively, finds every record of a frozen segment staged.
-    fn log_and_stage(
-        &self,
-        database: &Database,
-        lines: &[ParsedLine<'_>],
-        wal_batch: &str,
-        opts: WriteOptions,
-        default_ts: i64,
-    ) -> Result<usize> {
         database.engine.writable()?;
         if wal_batch.len() > MAX_BATCH_BYTES {
             return Err(Error::invalid(format!(
@@ -634,12 +617,17 @@ impl Influx {
                 wal_batch.len()
             )));
         }
-        if lines.is_empty() {
-            return Ok(0);
+        let mut written = 0;
+        if !parsed.lines.is_empty() {
+            let _gate = database.retention_gate.read();
+            database.engine.append_wal(&wal_batch, parsed.lines.len() as u64)?;
+            written = database.write_parsed_batch(&parsed.lines, opts, default_ts);
         }
-        let _gate = database.retention_gate.read();
-        database.engine.append_wal(wal_batch, lines.len() as u64)?;
-        Ok(database.write_parsed_batch(lines, opts, default_ts))
+        Ok(WriteOutcome {
+            written,
+            rejected: parsed.errors.len(),
+            first_error: parsed.errors.first().map(|(line, e)| (*line, e.to_string())),
+        })
     }
 
     /// Runs a query statement string against a database or a user view

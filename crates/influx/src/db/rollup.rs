@@ -2,13 +2,13 @@
 //! flush reports the ranges it sealed into it, a retention sweep the cutoff
 //! it applied, and retention takes its ceiling from it.
 
+use super::seal::Run;
 use super::{Database, Influx, WriteOptions};
 use crate::exec;
 use crate::storage::Series;
-use lms_lineproto::{FieldValue, ParsedLine};
-use lms_rollup::{align_down, align_up, is_rollup_db, rollup_db_name, Tier, TIERS};
-use lms_rollup::{WATERMARK_FIELD, WATERMARK_MEASUREMENT};
-use lms_tsm::{Agg, BlockEntry};
+use lms_rollup::{align_down, align_up, base_db_of, is_rollup_db, rollup_db_name, stat_field};
+use lms_rollup::{stored_value, Tier, ROW_STATS, TIERS, WATERMARK_FIELD, WATERMARK_MEASUREMENT};
+use lms_tsm::{Agg, BlockEntry, SeriesId};
 use lms_util::Result;
 use parking_lot::Mutex;
 use std::sync::atomic::Ordering;
@@ -91,10 +91,15 @@ impl RollupState {
     /// absorbed them (the tier-boundary straddle guarantee), and `i64::MIN`
     /// — keep everything — before the first pass; [`i64::MAX`] otherwise.
     pub(super) fn retention_clamp(&self) -> i64 {
-        if self.dirty.lock().is_none() {
+        if !self.feeds_tiers() {
             return i64::MAX;
         }
         self.watermark().map_or(i64::MIN, |wm| align_down(wm, Tier::Hour.window_ns()))
+    }
+
+    /// True for a base database under the rollup policy.
+    fn feeds_tiers(&self) -> bool {
+        self.dirty.lock().is_some()
     }
 
     fn watermark(&self) -> Option<i64> {
@@ -123,40 +128,28 @@ pub(super) fn apply_rollup_policy(name: &str, db: &Database, policy: &RollupPoli
     }
 }
 
-/// The tier rows a rollup pass writes into one tier database. Each row is
-/// formatted once ([`lms_rollup::write_row`]) and recorded as the values it
-/// was formatted from, so it is logged as its text and staged without a
-/// parse, one batch per [`TIER_CHUNK_BYTES`] of text.
-#[derive(Default)]
-struct TierRows<'s> {
-    text: String,
-    /// Per row: its series, window start, length with the newline, values.
-    rows: Vec<(&'s Series, i64, usize, usize)>,
-    /// Per stat field: its key's byte range in the row, its value.
-    values: Vec<(std::ops::Range<usize>, FieldValue)>,
-}
-
-/// The most text one rollup batch holds unless one row is longer: small
-/// enough to stay in cache from formatting to staging (1 MiB cost ~12 %).
-const TIER_CHUNK_BYTES: usize = 256 << 10;
-
-impl<'s> TierRows<'s> {
-    /// Logs and stages the first `n` rows; returns `n`.
-    fn stage(&mut self, ix: &Influx, db: &Database, n: usize) -> Result<usize> {
-        let held: usize = self.rows[..n].iter().map(|row| row.3).sum();
-        let (mut values, mut at) = (self.values.drain(..held), 0);
-        let lines: Vec<ParsedLine<'_>> = (self.rows.drain(..n))
-            .map(|(series, ws, len, held)| {
-                at += len;
-                let (raw, fields) = (&self.text[at - len..at - 1], values.by_ref().take(held));
-                ParsedLine::canonical(raw, series.measurement(), series.tags(), fields, ws)
-            })
-            .collect();
-        ix.log_and_stage(db, &lines, &self.text[..at], WriteOptions::default(), 0)?;
-        drop(lines);
-        self.text.drain(..at);
-        Ok(n)
+/// The tier columns of `series`' windows, sorted by window start: per
+/// stat field, in the order the rows first name it, the stored values by
+/// window start. Adds the series' rows to `rows`.
+fn tier_columns(series: &Series, windows: &[(i64, usize, Agg)], rows: &mut u64) -> Vec<Run> {
+    let n = windows.chunk_by(|a, b| a.0 == b.0).count();
+    *rows += n as u64;
+    // Column slot per (field, stat); `usize::MAX` until a row names it.
+    let mut slot_of = vec![usize::MAX; series.fields().count() * ROW_STATS.len()];
+    let mut columns: Vec<Run> = Vec::new();
+    for (ws, field, agg) in windows {
+        for (at, stat) in ROW_STATS.iter().enumerate() {
+            let Some(value) = stored_value(agg, stat) else { continue };
+            let slot = &mut slot_of[field * ROW_STATS.len() + at];
+            if *slot == usize::MAX {
+                *slot = columns.len();
+                let name = series.field_names().nth(*field).expect("the window's field");
+                columns.push((stat_field(name, stat), Vec::with_capacity(n)));
+            }
+            columns[*slot].1.push((*ws, value));
+        }
     }
+    columns
 }
 
 impl Influx {
@@ -214,26 +207,31 @@ impl Influx {
 
     /// Runs one rollup pass for base database `base`: recomputes every
     /// 1m/1h tier window touched by ranges sealed since the last pass
-    /// (plus the catch-up range above the watermark), writes the tier rows
-    /// through the normal write path of the sibling tier databases (their
-    /// WAL makes rollups crash-recoverable like any other write), and
-    /// advances the persisted watermark. Returns tier rows written.
+    /// (plus the catch-up range above the watermark), flushes each sibling
+    /// tier database with the recomputed rows sealed into its blocks, and
+    /// then advances the persisted watermark. Returns tier rows written.
     ///
     /// Windows are recomputed from the *full* in-memory column, not just
     /// the newly sealed blocks, so backfill and overwrites converge to the
-    /// exact aggregate; agent-pre-aggregated rows landing in the same
-    /// window are superseded by last-write-wins.
+    /// exact aggregate; a recomputed value supersedes an agent's
+    /// pre-aggregated row of the same window. The rows are never logged:
+    /// until the watermark moves past them, a restart recomputes them.
     pub fn rollup_pass(&self, base: &str) -> Result<u64> {
-        let Some(db) = self.database(base) else { return Ok(0) };
+        self.roll_up(base).map(|(rows, _)| rows)
+    }
+
+    /// [`Self::rollup_pass`]: `(tier rows written, tier blocks sealed)`.
+    pub(super) fn roll_up(&self, base: &str) -> Result<(u64, usize)> {
+        let Some(db) = self.database(base) else { return Ok((0, 0)) };
         // Only a base database under the policy keeps a backlog to claim.
         let Some(dirty) = db.rollup.dirty.lock().as_mut().map(std::mem::take) else {
-            return Ok(0);
+            return Ok((0, 0));
         };
-        match self.rollup_pass_inner(base, &db, &dirty) {
-            Ok(rows) => {
+        match self.pass(base, &db, &dirty) {
+            Ok((rows, sealed)) => {
                 self.rollup_passes.fetch_add(1, Ordering::Relaxed);
                 self.rollup_windows.fetch_add(rows, Ordering::Relaxed);
-                Ok(rows)
+                Ok((rows, sealed))
             }
             Err(e) => {
                 // Give the claimed ranges back so no sealed range is lost;
@@ -244,7 +242,14 @@ impl Influx {
         }
     }
 
-    fn rollup_pass_inner(&self, base: &str, db: &Database, dirty: &[(i64, i64)]) -> Result<u64> {
+    /// True when `name` is a tier database whose base feeds it: the base's
+    /// rollup pass flushes it.
+    pub(super) fn tiers_sealed_by_pass(&self, name: &str) -> bool {
+        let base = base_db_of(name).and_then(|(base, _)| self.database(base));
+        base.is_some_and(|db| db.rollup.feeds_tiers())
+    }
+
+    fn pass(&self, base: &str, db: &Database, dirty: &[(i64, i64)]) -> Result<(u64, usize)> {
         // Snapshot every series (drains staged writes) and the data extent.
         let snapshot: Vec<Arc<Series>> =
             db.measurement_names(&[]).iter().flat_map(|m| db.series_where(m, &[])).collect();
@@ -261,13 +266,19 @@ impl Influx {
         if lo < hi {
             ranges.push((lo, hi));
         }
-        if ranges.is_empty() {
-            return Ok(0);
-        }
         let floor = db.rollup.drop_cutoff.lock().unwrap_or(i64::MIN);
-        let mut rows_written = 0u64;
-        let mut windows: Vec<(i64, &str, Agg)> = Vec::new();
+        let (mut rows_written, mut sealed) = (0u64, 0usize);
+        let mut windows: Vec<(i64, usize, Agg)> = Vec::new();
         for tier in TIERS {
+            let tier_name = rollup_db_name(base, tier);
+            // Without a range the pass only seals the heads of the tier
+            // databases there are; with one it creates them under the
+            // policy, which gave each its tier's retention.
+            let tier_db = match ranges.is_empty() {
+                true => self.database(&tier_name),
+                false => Some(self.open_database(&tier_name)?),
+            };
+            let Some(tier_db) = tier_db else { continue };
             let w = tier.window_ns();
             // Align each range out to whole windows, then coalesce so no
             // window is recomputed (and emitted) twice in one pass.
@@ -281,15 +292,13 @@ impl Influx {
                     _ => merged.push((lo, hi)),
                 }
             }
-            // Created under the policy, which gave it its tier's retention.
-            let tier_name = rollup_db_name(base, tier);
-            let tier_db = self.open_database(&tier_name)?;
-            let mut rows = TierRows::default();
+            let mut rows: Vec<(Arc<SeriesId>, Vec<Run>)> = Vec::new();
             for series in &snapshot {
-                // (window start, field, aggregate), sorted by window start
-                // and stably so, keeping each row's fields in column order.
+                // (window start, field slot, aggregate), sorted by window
+                // start and stably so, keeping each row's fields in column
+                // order.
                 windows.clear();
-                for (field, col) in series.fields() {
+                for (field, (_, col)) in series.fields().enumerate() {
                     let from = windows.len();
                     for (ts, value) in merged.iter().flat_map(|&(lo, hi)| col.points_in(lo, hi)) {
                         let ws = align_down(ts, w);
@@ -300,40 +309,30 @@ impl Influx {
                             continue;
                         }
                         if windows[from..].last().is_none_or(|window| window.0 != ws) {
-                            windows.push((ws, &**field, Agg::default()));
+                            windows.push((ws, field, Agg::default()));
                         }
                         windows.last_mut().expect("this field's window").2.add(ts, &value);
                     }
                 }
                 windows.sort_by_key(|&(ws, _, _)| ws);
-                for row in windows.chunk_by(|a, b| a.0 == b.0) {
-                    let (ws, start, held) = (row[0].0, rows.text.len(), rows.values.len());
-                    let aggs = row.iter().map(|(_, field, agg)| (*field, agg));
-                    let values = &mut rows.values;
-                    let record = |key, value| values.push((key, value));
-                    if lms_rollup::write_row(series.key(), ws, aggs, &mut rows.text, record) {
-                        let len = rows.text.len() - start;
-                        rows.rows.push((&**series, ws, len, rows.values.len() - held));
-                    }
-                    // A row that takes the text past the chunk bound goes
-                    // into the next batch.
-                    if rows.text.len() > TIER_CHUNK_BYTES && rows.rows.len() > 1 {
-                        rows_written += rows.stage(self, &tier_db, rows.rows.len() - 1)? as u64;
-                    }
+                let runs = tier_columns(series, &windows, &mut rows_written);
+                if !runs.is_empty() {
+                    rows.push((series.id().clone(), runs));
                 }
             }
-            rows_written += rows.stage(self, &tier_db, rows.rows.len())? as u64;
+            sealed += tier_db.flush_with(rows)?;
         }
         // Advance and persist the watermark (a point whose *timestamp* is
-        // the watermark, in the 1m tier database — recovered at startup).
+        // the watermark, in the 1m tier database — recovered at startup)
+        // only once both tiers' flushes are durable.
         let new_wm = data_hi.saturating_add(1).max(wm);
-        if new_wm > wm && new_wm != i64::MIN {
+        if !ranges.is_empty() && new_wm > wm && new_wm != i64::MIN {
             // The pass above created the 1m tier database.
             let line = format!("{WATERMARK_MEASUREMENT} {WATERMARK_FIELD}=1i {new_wm}\n");
             self.write_lines(&rollup_db_name(base, Tier::Minute), &line, WriteOptions::default())?;
             db.rollup.advance_watermark(new_wm);
         }
-        Ok(rows_written)
+        Ok((rows_written, sealed))
     }
 
     /// The tier read context for queries against `db_name`: the available

@@ -2,13 +2,17 @@
 //! boundaries ([`partition_runs`]); a flush reports what it sealed to the
 //! rollup driver.
 
-use super::{Database, Influx};
+use super::{series_slot, Database, Influx};
 use crate::storage::lww_dedup;
 use lms_lineproto::FieldValue;
 use lms_tsm::{BlockEntry, SealedBlock, SeriesId, TsmEngine};
 use lms_util::Result;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+
+/// One column's points for [`Database::flush_with`]: its field name and a
+/// run sorted by timestamp.
+pub(super) type Run = (String, Vec<(i64, FieldValue)>);
 
 /// Splits a sorted point run into contiguous sub-runs that neither
 /// straddle a segment-file time partition (retention drops whole files)
@@ -47,6 +51,16 @@ impl Database {
     /// already sealed in memory are kept in `unflushed` and
     /// re-written by the next flush.
     pub fn flush_storage(&self) -> Result<usize> {
+        self.flush_with(Vec::new())
+    }
+
+    /// [`Self::flush_storage`] with `rows` put into the heads once the WAL
+    /// has rotated, so they are sealed with the heads and never logged:
+    /// per series, its id and columns, each a run sorted by timestamp that
+    /// outranks the head's values at its timestamps. A rollup pass seals
+    /// its recomputed tier rows this way; its watermark covers them until
+    /// the seal is durable.
+    pub(super) fn flush_with(&self, rows: Vec<(Arc<SeriesId>, Vec<Run>)>) -> Result<usize> {
         // Rotate under the retention gate, which a batch holds shared from
         // its WAL append through its staging: every record in a now-frozen
         // segment is staged, so the drain below applies (and the sweep
@@ -60,6 +74,15 @@ impl Database {
         // and a successful flush may settle the gauge by this much.
         let claimed = self.unsealed.load(Ordering::Acquire);
         self.drain_all_pending();
+        for (id, columns) in rows {
+            let mut meta = self.meta.write();
+            let mut shard = self.shard_of(&id.series_key).data.write();
+            let series = series_slot(&mut meta, &mut shard, &id.series_key, || id.clone());
+            let series = Arc::make_mut(series);
+            for (field, run) in columns {
+                series.field_mut_or_create(&field).insert_many(run);
+            }
+        }
         let mut entries = std::mem::take(&mut *self.unflushed.lock());
         for id in self.series_in_flush_order() {
             let mut shard = self.shard_of(&id.series_key).data.write();
@@ -202,15 +225,19 @@ impl Database {
 }
 
 impl Influx {
-    /// Flushes every database's mutable heads to disk; returns total
-    /// blocks sealed. With rollups enabled,
-    /// each base flush is followed by a rollup pass over the sealed
-    /// ranges, keeping the tiers continuously current.
+    /// Flushes every database's mutable heads to disk once; returns total
+    /// blocks sealed. With rollups enabled, each base flush is followed by
+    /// a rollup pass over the sealed ranges, which flushes the base's tier
+    /// databases with their recomputed rows, keeping the tiers
+    /// continuously current.
     pub fn flush_storage(&self) -> Result<usize> {
         let mut sealed = 0;
         for (name, db) in self.databases() {
+            if self.tiers_sealed_by_pass(&name) {
+                continue;
+            }
             sealed += db.flush_storage()?;
-            self.rollup_pass(&name)?;
+            sealed += self.roll_up(&name)?.1;
         }
         Ok(sealed)
     }

@@ -1,17 +1,17 @@
 //! The ingest path: thread-local stage → per-shard staging buffer → drain
 //! → each value appended to its [`Column`](crate::storage::Column).
 //!
-//! `Database::write_parsed_batch` is the only way points enter the series
-//! maps: after the batch's WAL append, or from WAL replay. It stages a
-//! parsed batch per shard in thread-local scratch, hands each touched
-//! shard's share to that shard's [`Staged`] buffer under a brief mutex,
-//! and then decides — here and
-//! nowhere else — whether to apply now or leave the points staged: a shard
-//! is drained only once its backlog is worth a splice
-//! ([`DRAIN_BATCH_POINTS`]) and its `data` lock is free. Whoever wins that
-//! lock applies every staged point, its own and any concurrent writer's, so
-//! N writers on one hot series hand their points to the running drainer
-//! instead of queueing on the series map.
+//! `Database::write_parsed_batch` is the way a batch enters the series
+//! maps: after the batch's WAL append, or from WAL replay (a rollup pass's
+//! flush puts its unlogged tier rows straight into the heads it seals). It
+//! stages a parsed batch per shard in thread-local scratch, hands each
+//! touched shard's share to that shard's [`Staged`] buffer under a brief
+//! mutex, and then decides — here and nowhere else — whether to apply now
+//! or leave the points staged: a shard is drained only once its backlog is
+//! worth a splice ([`DRAIN_BATCH_POINTS`]) and its `data` lock is free.
+//! Whoever wins that lock applies every staged point, its own and any
+//! concurrent writer's, so N writers on one hot series hand their points
+//! to the running drainer instead of queueing on the series map.
 //!
 //! The rest of `db` sees four operations: stage a batch, drain a shard
 //! ([`Database::drain_shard`], which a read calls for the shard of every

@@ -739,6 +739,20 @@ fn unrolled_points_survive_retention() {
 }
 
 #[test]
+fn a_flush_seals_the_tier_heads_when_the_pass_has_no_range() {
+    let ix = Influx::new(Clock::simulated(Timestamp::from_secs(1000))).unwrap();
+    ix.enable_rollups(RollupPolicy::default()).unwrap();
+    ix.write_lines("lms", "m v=1 1000000000", Default::default()).unwrap();
+    ix.flush_storage().unwrap();
+    // An agent's row; the base has nothing new, so the pass recomputes
+    // nothing and flushes the 1m tier's head: the row and the watermark.
+    ix.write_lines("lms__rollup_1m", "m v__count=1i 0", Default::default()).unwrap();
+    assert_eq!(ix.flush_storage().unwrap(), 2, "the 1m tier's head is sealed once");
+    assert_eq!(ix.rollup_counters().1, 2, "one 1m row and one 1h row, both in the first pass");
+    assert_eq!(ix.database("lms__rollup_1m").unwrap().head_point_count(), 0);
+}
+
+#[test]
 fn a_failed_rollup_pass_hands_its_ranges_back() {
     // A first pass takes the watermark past three hours of data; a
     // backfill into hour 1 is then sealed without a pass, so only its
@@ -767,18 +781,18 @@ fn a_failed_rollup_pass_hands_its_ranges_back() {
         ix.flush_storage().unwrap();
         ix.write_lines("lms", &backfill, Default::default()).unwrap();
         ix.database("lms").unwrap().flush_storage().unwrap();
-        // The 1m tier's log rotates, so its next append opens a new file.
         let minute = ix.database("lms__rollup_1m").unwrap();
-        minute.flush_storage().unwrap();
         if fail {
-            // A full disk (`/dev/full`) under the tier log's next files.
-            let wal = dir.join("lms__rollup_1m").join("wal");
-            let full: Vec<PathBuf> =
-                (0..64).map(|seq| wal.join(format!("{seq:016x}.wal"))).filter(|p| !p.exists()).collect();
+            // A full disk (`/dev/full`) at the 1m tier's next segment paths.
+            let tier = dir.join("lms__rollup_1m");
+            let full: Vec<PathBuf> = (0..64)
+                .map(|seq| tier.join(format!("seg-0-{seq:016x}.tmp")))
+                .filter(|p| !p.exists())
+                .collect();
             for p in &full {
                 std::os::unix::fs::symlink("/dev/full", p).unwrap();
             }
-            assert!(ix.rollup_pass("lms").is_err(), "the 1m tier's log refuses the rows");
+            assert!(ix.rollup_pass("lms").is_err(), "the 1m tier's segment refuses the rows");
             for p in &full {
                 let _ = std::fs::remove_file(p);
             }
@@ -787,7 +801,7 @@ fn a_failed_rollup_pass_hands_its_ranges_back() {
         assert!(ix.rollup_pass("lms").unwrap() > 0, "the backfill's windows are recomputed");
         let rows = tiers(&ix);
         drop(ix);
-        // What the passes logged rebuilds the same rows.
+        // What the passes sealed and logged rebuilds the same rows.
         assert_eq!(tiers(&persistent(&dir)), rows, "{tag}: diverged after reopen");
         let _ = std::fs::remove_dir_all(&dir);
         rows

@@ -136,7 +136,7 @@ pub enum Fill {
 }
 
 /// A parsed SELECT.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Select {
     /// Projected columns, in order.
     pub projections: Vec<Projection>,

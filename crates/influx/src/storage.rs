@@ -454,6 +454,11 @@ impl Series {
         Series { id, fields: Vec::new() }
     }
 
+    /// Key, measurement and tags.
+    pub fn id(&self) -> &Arc<SeriesId> {
+        &self.id
+    }
+
     /// The canonical series key.
     pub fn key(&self) -> &str {
         &self.id.series_key

@@ -1,12 +1,12 @@
 //! A gate on the rollup pass that does not depend on how fast the box is:
 //! heap allocations per tier row of one flush of the base database and
-//! the rollup pass it feeds, counted on the calling thread.
+//! the rollup pass it feeds, the tier databases' seal included, counted
+//! on the calling thread.
 //!
-//! A tier row is formatted once, from its window aggregates, into the
-//! tier batch's text and staged from the values it was formatted from: no
-//! point, no string per stat field, no parse. What a row may allocate is
-//! its staged line's field vector, its share of the flush, and its share
-//! of the batch text and of its columns' growth.
+//! A tier row is sealed straight from its window aggregates: no point, no
+//! text, no parse, no staging. What a row may allocate is its share of
+//! its stat columns (a name and a run each), of their sealed blocks and of
+//! the flushes' segment files.
 
 use lms_influx::{Influx, RollupPolicy, StorageConfig};
 use lms_util::{Clock, Timestamp};

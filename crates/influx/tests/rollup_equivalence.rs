@@ -153,9 +153,10 @@ fn tier_path_serves_from_tier_blocks_not_raw() {
 
 #[test]
 fn rollup_blocks_survive_crash_recovery() {
-    // Rollup rows ride the same WAL as raw writes: a database that goes
-    // down right after a rollup pass (no clean flush of the tier heads)
-    // replays them on open and answers tiered queries identically.
+    // A rollup pass seals its rows and then logs its watermark: a database
+    // that goes down right after a pass (no clean flush of the tier heads)
+    // reopens the sealed rows, replays the watermark and answers tiered
+    // queries identically.
     let dir = tmp_dir("recovery");
     let queries = [
         "SELECT mean(v), sum(v), count(v) FROM m",
@@ -174,7 +175,7 @@ fn rollup_blocks_survive_crash_recovery() {
         assert!(rows > 0, "rollup pass produced no tier rows");
         let before: Vec<_> = queries.iter().map(|q| ix.query("lms", q).unwrap()).collect();
         (before, rows)
-        // Dropped without a final flush: tier heads are only in the WAL.
+        // Dropped without a final flush: the watermark is only in the WAL.
     };
     let ix = open(&dir);
     ix.enable_rollups(RollupPolicy::default()).unwrap();

@@ -129,38 +129,6 @@ impl<'a> ParsedLine<'a> {
         buf
     }
 
-    /// A line over text its writer already knows the parse of, so nothing is
-    /// scanned. `raw` must be the canonical series key of `measurement`
-    /// and `tags` (sorted, unique keys), a space, a field section whose
-    /// `fields` name each key by its byte range in `raw` with the value
-    /// parsing it reads, a space and `timestamp`. The line then equals
-    /// [`parse_line`]`(raw)`.
-    pub fn canonical(
-        raw: &'a str,
-        measurement: &'a str,
-        tags: &'a [(String, String)],
-        fields: impl Iterator<Item = (std::ops::Range<usize>, FieldValue)>,
-        timestamp: i64,
-    ) -> ParsedLine<'a> {
-        let mut fields_at = raw.len();
-        let fields = fields
-            .map(|(key, value)| {
-                fields_at = fields_at.min(key.start);
-                let escaped = raw[key.clone()].contains('\\');
-                (take(raw, key.start, key.end, escaped, TAG_ESCAPES), value)
-            })
-            .collect();
-        let tags = tags.iter().map(|(k, v)| (Cow::Borrowed(k.as_str()), Cow::Borrowed(v.as_str())));
-        ParsedLine {
-            measurement: Cow::Borrowed(measurement),
-            tags: tags.collect(),
-            fields,
-            fields_at,
-            timestamp: Some(timestamp),
-            raw,
-        }
-    }
-
     /// Calls `f` with each tag of the [canonical form](Self::canonical_tags),
     /// in key order, unescaped. Allocates only for more than 16 tags.
     pub fn for_each_canonical_tag(&self, mut f: impl FnMut(&str, &str)) {

@@ -16,12 +16,10 @@ fn non_finite_marker(f: f64) -> Option<&'static str> {
     (!f.is_finite()).then_some(if f.is_nan() { "NaN" } else { "Inf" })
 }
 
-/// Writes one field value in wire form and returns the value parsing that
-/// text reads: `v` itself, except that a non-finite float reads back as
-/// the text of its marker. A writer that stages what it wrote records this
-/// instead of parsing its own text.
-pub fn write_field_value_read_back(v: FieldValue, out: &mut String) -> FieldValue {
-    write_field_value(&v, out);
+/// The value parsing `v`'s wire text reads: `v` itself, except that a
+/// non-finite float reads back as the text of its marker. A writer that
+/// stores what it writes records this instead of parsing its own text.
+pub fn read_back(v: FieldValue) -> FieldValue {
     match v {
         FieldValue::Float(f) => non_finite_marker(f).map_or(v, FieldValue::from),
         v => v,
@@ -29,7 +27,7 @@ pub fn write_field_value_read_back(v: FieldValue, out: &mut String) -> FieldValu
 }
 
 /// Writes one field value in wire form.
-fn write_field_value(v: &FieldValue, out: &mut String) {
+pub fn write_field_value(v: &FieldValue, out: &mut String) {
     match v {
         FieldValue::Float(f) => match non_finite_marker(*f) {
             // `{}` on f64 produces the shortest string that parses back to

@@ -11,16 +11,17 @@
 //!
 //! - [`Tier`] — the rollup resolutions (1 minute, 1 hour) and their
 //!   window math,
-//! - the **tier row codec** ([`stat_value`], the one row writer
-//!   [`write_row`] and its inverse [`agg_of_row`]) — a tier row is the
-//!   serialisation of one window's [`Agg`] per raw field, laid out as
-//!   suffixed fields (`v` → `v__count`, `v__sum`, …) of an ordinary line
-//!   whose timestamp is the window start, so rollup tiers are plain
-//!   databases served by the unmodified write/query machinery,
+//! - the **tier row codec** ([`stored_value`], the one row writer
+//!   [`write_row`] and its inverse [`agg_of_row`]) — a tier row holds one
+//!   window's [`Agg`] per raw field, laid out as suffixed fields (`v` →
+//!   `v__count`, `v__sum`, …) of an ordinary row whose timestamp is the
+//!   window start. A rollup pass seals the stored values straight into a
+//!   tier's blocks and an agent writes them as line protocol, so rollup
+//!   tiers are plain databases served by the unmodified query machinery,
 //! - **tier database naming** ([`rollup_db_name`], [`is_rollup_db`],
 //!   [`base_db_of`]) — a base database `lms` materializes into sibling
 //!   databases `lms__rollup_1m` / `lms__rollup_1h`, each with its own
-//!   engine directory, WAL (crash recovery for free) and retention,
+//!   engine directory, WAL and retention,
 //! - [`WindowAggregator`] — the agent-side pre-aggregation window: a node
 //!   emits its 1 s raw stream plus a 60 s aggregate stream tagged for
 //!   direct ingestion into the 1 m tier.
@@ -30,7 +31,8 @@
 //! schema, and last-write-wins converges them to the exact value computed
 //! from the full raw column.
 
-use lms_lineproto::{escape::escape_tag_into, serialize::write_field_value_read_back};
+use lms_lineproto::escape::escape_tag_into;
+use lms_lineproto::serialize::{read_back, write_field_value};
 use lms_lineproto::{FieldValue, Point};
 use lms_tsm::Agg;
 use std::fmt::Write as _;
@@ -57,6 +59,12 @@ pub const FIELD_SEP: &str = "__";
 /// timestamps to break ties the same way a raw decode would.
 pub const STATS: [&str; 9] =
     ["count", "sum", "sumsq", "min", "max", "first", "last", "first_ts", "last_ts"];
+
+/// The order of a field's stats within a tier row: `count`, `sum`,
+/// `sumsq`, `min`, `max`, then `first` and `last`, each followed by its
+/// timestamp.
+pub const ROW_STATS: [&str; 9] =
+    ["count", "sum", "sumsq", "min", "max", "first", "first_ts", "last", "last_ts"];
 
 /// A rollup resolution tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -164,13 +172,20 @@ pub fn stat_value(agg: &Agg, stat: &str) -> Option<FieldValue> {
     }
 }
 
+/// The value a tier row stores for one stat of `agg`: its [`stat_value`]
+/// as parsing the row's text reads it back, so a non-finite float is the
+/// text of its marker. A rollup pass seals these values and [`write_row`]
+/// writes them.
+pub fn stored_value(agg: &Agg, stat: &str) -> Option<FieldValue> {
+    stat_value(agg, stat).map(read_back)
+}
+
 /// Writes one tier row onto `out`: the canonical series `key`, each raw
-/// field's [`stat_value`]s in a fixed order (`count`, `sum`, `sumsq`,
-/// `min`, `max`, then `first` and `last`, each followed by its timestamp),
-/// the window start and a newline — byte for byte what serialising the
-/// row as a point writes. `record` gets each stat field's name, as its
-/// byte range within the row, and the value parsing the row reads there.
-/// Writes nothing and returns `false` when no aggregate counted anything.
+/// field's [`stored_value`]s in [`ROW_STATS`] order, the window start and
+/// a newline — byte for byte what serialising the row as a point writes.
+/// `record` gets each stat field's name, as its byte range within the row,
+/// and its stored value. Writes nothing and returns `false` when no
+/// aggregate counted anything.
 pub fn write_row<'f>(
     key: &str,
     window_start: i64,
@@ -186,10 +201,8 @@ pub fn write_row<'f>(
         // and its two timestamps one integer: a number already written in
         // this field is copied, not formatted again.
         let (mut written, mut slot) = ([(None, 0, 0); 4], 0);
-        for stat in [
-            "count", "sum", "sumsq", "min", "max", "first", "first_ts", "last", "last_ts",
-        ] {
-            let Some(mut value) = stat_value(agg, stat) else { continue };
+        for stat in ROW_STATS {
+            let Some(value) = stored_value(agg, stat) else { continue };
             out.push(sep);
             sep = ',';
             let name = out.len() - start;
@@ -199,7 +212,7 @@ pub fn write_row<'f>(
             let name = name..out.len() - start;
             out.push('=');
             let number = match value {
-                FieldValue::Float(x) if x.is_finite() => Some((true, x.to_bits())),
+                FieldValue::Float(x) => Some((true, x.to_bits())),
                 FieldValue::Integer(n) => Some((false, n as u64)),
                 _ => None,
             };
@@ -209,7 +222,7 @@ pub fn write_row<'f>(
                 // text on char boundaries, so the copy is valid UTF-8.
                 Some(&(_, from, to)) => unsafe { out.as_mut_vec().extend_from_within(from..to) },
                 None => {
-                    value = write_field_value_read_back(value, out);
+                    write_field_value(&value, out);
                     written[slot % 4] = (number, at, out.len());
                     slot += 1;
                 }

@@ -1,11 +1,14 @@
 //! The one tier-row writer against the serialiser it replaced. For any
 //! window aggregates, `write_row` writes exactly the line the retired
 //! point path wrote (build a `Point` of every stat field, then `to_line`),
-//! and the values it records are exactly what parsing that line reads —
-//! which is what lets a rollup pass stage its rows without a parse.
+//! and the values it records are exactly what parsing that line reads.
+//! A rollup pass seals each stat's `stored_value` without writing a row:
+//! those are the values `write_row` records, so a sealed tier holds what
+//! an agent's written row does.
 
-use lms_lineproto::{parse_line, FieldValue, ParsedLine, Point};
-use lms_rollup::{stat_field, stat_value, write_row};
+use lms_lineproto::escape::{unescape, TAG_ESCAPES};
+use lms_lineproto::{parse_line, FieldValue, Point};
+use lms_rollup::{stat_field, stat_value, stored_value, write_row, ROW_STATS};
 use lms_tsm::Agg;
 use proptest::prelude::*;
 
@@ -122,10 +125,43 @@ proptest! {
         prop_assert_eq!(row, format!("{want}\n"));
 
         let raw = row.trim_end_matches('\n');
-        let staged = ParsedLine::canonical(raw, &measurement, &tags, recorded.into_iter(), ws);
         let parsed = parse_line(raw).unwrap();
-        prop_assert_eq!(&staged, &parsed, "row: {}", raw);
+        let recorded: Vec<(String, FieldValue)> = recorded
+            .into_iter()
+            .map(|(name, value)| (unescape(&row[name], TAG_ESCAPES), value))
+            .collect();
+        let read: Vec<(String, FieldValue)> =
+            parsed.fields.iter().map(|(name, value)| (name.to_string(), value.clone())).collect();
+        prop_assert_eq!(recorded, read, "row: {}", raw);
+        prop_assert_eq!(parsed.timestamp, Some(ws));
         let mut buf = String::new();
-        prop_assert_eq!(staged.series_key(&mut buf), key.as_str());
+        prop_assert_eq!(parsed.series_key(&mut buf), key.as_str());
+    }
+
+    #[test]
+    fn the_pass_seals_what_write_row_records(
+        fields in proptest::collection::vec(field(), 1..4),
+        ws in any::<i64>(),
+    ) {
+        // What a rollup pass seals: each field's stats in row order, the
+        // stored value under the stat field's name.
+        let sealed: Vec<(String, FieldValue)> = fields
+            .iter()
+            .flat_map(|(field, agg)| {
+                ROW_STATS.iter().filter_map(move |stat| {
+                    Some((stat_field(field, stat), stored_value(agg, stat)?))
+                })
+            })
+            .collect();
+        let (mut text, mut recorded) = (String::new(), Vec::new());
+        let aggs = fields.iter().map(|(f, agg)| (f.as_str(), agg));
+        write_row("m", ws, aggs, &mut text, |name, value| recorded.push((name, value)));
+        let parsed = if text.is_empty() { Vec::new() } else {
+            let line = parse_line(text.trim_end_matches('\n')).unwrap();
+            line.fields.iter().map(|(name, _)| name.to_string()).collect()
+        };
+        let recorded: Vec<(String, FieldValue)> =
+            parsed.into_iter().zip(recorded).map(|(name, (_, value))| (name, value)).collect();
+        prop_assert_eq!(sealed, recorded);
     }
 }

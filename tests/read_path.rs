@@ -174,8 +174,9 @@ impl Counted {
 }
 
 /// An hour of the standard metric families (one sample a minute) for
-/// hosts `h0..h{n}`, an application metric and a job-start event.
-fn load_job_metrics(router: &Router, hosts: usize) {
+/// hosts `h0..h{n}`, an application metric when `app`, and a job-start
+/// event on each host naming it.
+fn load_job_metrics(router: &Router, hosts: usize, app: bool) {
     for host in 0..hosts {
         let mut batch = String::new();
         for s in (0..3600).step_by(60) {
@@ -187,11 +188,15 @@ fn load_job_metrics(router: &Router, hosts: usize) {
                  network,hostname=h{host} rx_bytes_per_s=1000,tx_bytes_per_s=1000 {ts}\n\
                  disk,hostname=h{host} read_bytes_per_s=10,write_bytes_per_s=10 {ts}\n\
                  hpm_flops_dp,hostname=h{host} dp_mflop_s=150000,ipc=2.0,vectorization_ratio=90 {ts}\n\
-                 hpm_mem,hostname=h{host} memory_bandwidth_mbytes_s=20000 {ts}\n\
-                 minimd_pressure,hostname=h{host} value=1.7 {ts}\n"
+                 hpm_mem,hostname=h{host} memory_bandwidth_mbytes_s=20000 {ts}\n"
             ));
+            if app {
+                batch.push_str(&format!("minimd_pressure,hostname=h{host} value=1.7 {ts}\n"));
+            }
         }
-        batch.push_str(&format!("events,hostname=h{host},kind=job_start text=\"job start\" 0\n"));
+        batch.push_str(&format!(
+            "events,hostname=h{host},kind=job_start text=\"job start on h{host}.\" 0\n"
+        ));
         assert!(router.handle_write(None, &batch).acked);
     }
     assert!(router.flush(Duration::from_secs(30)));
@@ -218,7 +223,7 @@ fn job(id: usize, hosts: std::ops::Range<usize>) -> JobInfo {
 #[test]
 fn a_job_view_is_five_requests_whatever_the_jobs_size() {
     let rig = counted();
-    load_job_metrics(&rig.cluster.router, 16);
+    load_job_metrics(&rig.cluster.router, 16, true);
     let agent = agent();
     let now = Timestamp::from_secs(3600);
     let mut costs = Vec::new();
@@ -246,10 +251,67 @@ fn a_job_view_is_five_requests_whatever_the_jobs_size() {
     rig.shutdown();
 }
 
+/// A source that keeps every statement it passes on.
+struct Recording<'a> {
+    inner: &'a mut dyn QuerySource,
+    statements: Vec<String>,
+}
+
+impl QuerySource for Recording<'_> {
+    fn query_source(&mut self, db: &str, q: &str) -> lms::util::Result<QueryResult> {
+        self.statements.push(q.to_string());
+        self.inner.query_source(db, q)
+    }
+
+    fn query_batch(&mut self, db: &str, stmts: &[String]) -> lms::util::Result<Vec<QueryResult>> {
+        self.statements.extend_from_slice(stmts);
+        self.inner.query_batch(db, stmts)
+    }
+}
+
+/// A job view of hosts `h0..h4` among eight hosts, each holding a job
+/// start of its own: the statements it sent for events, and its text.
+fn four_host_view() -> (Vec<String>, String) {
+    let c = cluster();
+    load_job_metrics(&c.router, 8, false);
+    let rs = RouterServer::start("127.0.0.1:0", c.router.clone()).unwrap();
+    let mut client = InfluxClient::connect(rs.addr()).unwrap();
+    let mut source = Recording { inner: &mut client, statements: Vec::new() };
+    let (agent, job) = (agent(), job(4, 0..4));
+    let dashboard = agent.job_dashboard(&mut source, &job, Timestamp::from_secs(3600)).unwrap();
+    let text = agent.render_dashboard(&mut source, &dashboard, RenderOptions::default()).unwrap();
+    let events = source.statements.into_iter().filter(|q| q.contains(r#"FROM "events""#)).collect();
+    drop(client);
+    rs.shutdown();
+    c.shutdown();
+    (events, text)
+}
+
+#[test]
+fn a_job_view_asks_once_for_each_hosts_events() {
+    let (events, text) = four_host_view();
+    // Three annotated panels per host share one statement.
+    assert_eq!(events.len(), 4, "{events:#?}");
+    for host in 0..4 {
+        let named = events.iter().filter(|q| q.contains(&format!("= 'h{host}'"))).count();
+        assert_eq!(named, 1, "h{host}: {events:#?}");
+        let drawn = text.matches(&format!("job start on h{host}.")).count();
+        assert_eq!(drawn, 3, "h{host}'s event on each of its annotated panels:\n{text}");
+    }
+}
+
+#[test]
+fn a_job_view_draws_no_event_of_another_host() {
+    let (_, text) = four_host_view();
+    for host in 4..8 {
+        assert!(!text.contains(&format!("job start on h{host}.")), "h{host}'s event drawn:\n{text}");
+    }
+}
+
 #[test]
 fn an_admin_view_of_24_jobs_is_one_request() {
     let rig = counted();
-    load_job_metrics(&rig.cluster.router, 24);
+    load_job_metrics(&rig.cluster.router, 24, true);
     let jobs: Vec<JobInfo> = (0..24).map(|i| job(i, i..i + 1)).collect();
     let mut view = None;
     let (front, nodes) = rig.cost_of(|source| {
