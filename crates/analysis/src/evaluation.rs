@@ -10,9 +10,9 @@
 use crate::pathology::{Finding, PathologyDetector};
 use crate::patterns::{classify, Pattern, PerfSignature};
 use crate::series::TimeSeries;
-use lms_influx::QuerySource;
+use lms_influx::{QueryResult, QuerySource};
 use lms_util::fmt::{pad, si_rate};
-use lms_util::{Result, Timestamp};
+use lms_util::{Json, Result, Timestamp};
 
 /// Node peaks used to normalize the signature (from the node's topology).
 #[derive(Debug, Clone, Copy)]
@@ -63,67 +63,62 @@ pub struct JobEvaluation {
     pub signature: PerfSignature,
 }
 
-/// The per-host means an evaluation asks for, as `(measurement, field)`, in
-/// the order [`JobEvaluation::evaluate`] unpacks them. The last two come
-/// from the BRANCH and CYCLE_STALLS groups, which are optional in the
-/// collector rotation: when a site enables them their metrics feed the
-/// corresponding tree inputs, otherwise those stay 0 (the tree orders its
-/// checks so absent signals never misclassify).
-const HOST_MEANS: [(&str, &str); 13] = [
-    ("network", "rx_bytes_per_s"),
-    ("network", "tx_bytes_per_s"),
-    ("disk", "read_bytes_per_s"),
-    ("disk", "write_bytes_per_s"),
-    ("load", "load1"),
-    ("cpu_total", "busy"),
-    ("hpm_flops_dp", "ipc"),
-    ("hpm_flops_dp", "dp_mflop_s"),
-    ("hpm_mem", "memory_bandwidth_mbytes_s"),
-    ("memory", "used_frac"),
-    ("hpm_flops_dp", "vectorization_ratio"),
-    ("hpm_branch", "branch_misprediction_ratio"),
-    ("hpm_cycle_stalls", "stall_rate"),
+/// A job's read, per host, in the order [`HostRead::unpack`] takes the
+/// answers: one statement per measurement, its projections unwindowed
+/// aggregates over the job's range, then Fig. 4's two 1-minute series,
+/// the break detector's input. The BRANCH and CYCLE_STALLS groups are
+/// optional in the collector rotation: when a site enables them their
+/// metrics feed the corresponding tree inputs, otherwise those stay 0 (the
+/// tree orders its checks so absent signals never misclassify).
+const HOST_READ: [&str; 11] = [
+    "mean(rx_bytes_per_s), mean(tx_bytes_per_s) FROM network",
+    "mean(read_bytes_per_s), mean(write_bytes_per_s) FROM disk",
+    "mean(load1) FROM load",
+    "mean(busy) FROM cpu_total",
+    "mean(ipc), mean(dp_mflop_s), mean(vectorization_ratio) FROM hpm_flops_dp",
+    "mean(memory_bandwidth_mbytes_s) FROM hpm_mem",
+    "mean(used_frac), max(used_frac) FROM memory",
+    "mean(branch_misprediction_ratio) FROM hpm_branch",
+    "mean(stall_rate) FROM hpm_cycle_stalls",
+    "mean(dp_mflop_s) FROM hpm_flops_dp",
+    "mean(memory_bandwidth_mbytes_s) FROM hpm_mem",
 ];
 
-impl JobEvaluation {
-    /// Evaluates a job from the database: one batch of per-host means,
-    /// then the pathology detectors' batch.
-    pub fn evaluate(
-        source: &mut dyn QuerySource,
-        db: &str,
-        jobid: &str,
-        hosts: &[String],
-        start: Timestamp,
-        end: Timestamp,
-        peaks: NodePeaks,
-    ) -> Result<JobEvaluation> {
-        let range = format!("time >= {} AND time <= {}", start.nanos(), end.nanos());
-        let stmts: Vec<String> = hosts
+/// The unwindowed statements that open [`HOST_READ`].
+const AGGREGATES: usize = 9;
+
+/// One host's part of a job read: its node row, and what the tree and the
+/// detectors take beyond it (peak memory, Fig. 4's two series).
+pub(crate) struct HostRead {
+    pub(crate) node: NodeEvaluation,
+    pub(crate) mem_peak: f64,
+    branch_misp: f64,
+    stall_rate: f64,
+    pub(crate) fp: TimeSeries,
+    pub(crate) bw: TimeSeries,
+}
+
+impl HostRead {
+    /// Reads one host's answers, in statement order, by column position:
+    /// every aggregate column is named after its function, so a name would
+    /// find the first. A null or missing cell reads as 0.0.
+    fn unpack(hostname: &str, answers: &[QueryResult]) -> HostRead {
+        let (aggregates, series) = answers.split_at(AGGREGATES);
+        let cells: Vec<f64> = aggregates
             .iter()
-            .flat_map(|host| {
-                let range = &range;
-                HOST_MEANS.iter().map(move |(measurement, field)| {
-                    format!(
-                        "SELECT mean({field}) FROM {measurement} WHERE hostname = '{host}' AND {range}"
-                    )
-                })
+            .zip(HOST_READ)
+            .flat_map(|(answer, select)| {
+                let row = answer.series.first().and_then(|s| s.values.first());
+                (1..=select.split(", ").count())
+                    .map(move |i| row.and_then(|r| r.get(i)).and_then(Json::as_f64).unwrap_or(0.0))
             })
             .collect();
-        let means: Vec<f64> = source
-            .query_batch(db, &stmts)?
-            .iter()
-            .map(|r| TimeSeries::from_result(r, "mean").points.first().map_or(0.0, |&(_, v)| v))
-            .collect();
-
-        let mut nodes = Vec::with_capacity(hosts.len());
-        let mut branch_misp_ratio = 0.0;
-        let mut stall_frac = 0.0;
-        for (host, means) in hosts.iter().zip(means.chunks_exact(HOST_MEANS.len())) {
-            let [rx, tx, rd, wr, load1, cpu_busy, ipc, dp_mflops, membw_mbytes, mem_used_frac,
-                 vectorized, branch_misp, stall_rate]: [f64; HOST_MEANS.len()] =
-                means.try_into().expect("chunks of HOST_MEANS.len()");
-            nodes.push(NodeEvaluation {
-                hostname: host.clone(),
+        let [rx, tx, rd, wr, load1, cpu_busy, ipc, dp_mflops, vectorized, membw_mbytes,
+             mem_used_frac, mem_peak, branch_misp, stall_rate]: [f64; 14] =
+            cells.try_into().expect("fourteen projections");
+        HostRead {
+            node: NodeEvaluation {
+                hostname: hostname.to_string(),
                 load1,
                 cpu_busy,
                 ipc,
@@ -133,41 +128,95 @@ impl JobEvaluation {
                 net_bytes: rx + tx,
                 file_bytes: rd + wr,
                 vectorization: vectorized / 100.0,
-            });
-            branch_misp_ratio += branch_misp;
-            stall_frac += stall_rate / 100.0;
+            },
+            mem_peak,
+            branch_misp,
+            stall_rate,
+            fp: TimeSeries::from_result(&series[0], "mean"),
+            bw: TimeSeries::from_result(&series[1], "mean"),
         }
+    }
+}
 
-        let findings = PathologyDetector::new(db).detect(source, hosts, start, end)?;
+impl JobEvaluation {
+    /// Evaluates a job from the database off one batch: per host, one
+    /// statement per measurement and Fig. 4's two 1-minute series.
+    pub fn evaluate(
+        source: &mut dyn QuerySource,
+        db: &str,
+        jobid: &str,
+        hosts: &[String],
+        start: Timestamp,
+        end: Timestamp,
+        peaks: NodePeaks,
+    ) -> Result<JobEvaluation> {
+        Ok(Self::evaluate_jobs(source, db, &[(jobid, hosts, start, end)], peaks)?.remove(0))
+    }
 
-        // Job-wide signature from node means.
-        let n = nodes.len().max(1) as f64;
-        let mean = |f: fn(&NodeEvaluation) -> f64| nodes.iter().map(f).sum::<f64>() / n;
-        let busys: Vec<f64> = nodes.iter().map(|e| e.cpu_busy).collect();
-        let busy_mean = mean(|e| e.cpu_busy);
-        let imbalance = if nodes.len() > 1 && busy_mean > 0.0 {
-            let max = busys.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            let min = busys.iter().copied().fold(f64::INFINITY, f64::min);
+    /// Evaluates every job in `jobs` off one batch of statements: the only
+    /// read of a job's data in this crate.
+    pub(crate) fn evaluate_jobs(
+        source: &mut dyn QuerySource,
+        db: &str,
+        jobs: &[(&str, &[String], Timestamp, Timestamp)],
+        peaks: NodePeaks,
+    ) -> Result<Vec<JobEvaluation>> {
+        let mut stmts = Vec::new();
+        for &(_, hosts, start, end) in jobs {
+            let (from, to) = (start.nanos(), end.nanos());
+            for host in hosts {
+                let filter =
+                    format!("WHERE hostname = '{host}' AND time >= {from} AND time <= {to}");
+                for (i, select) in HOST_READ.iter().enumerate() {
+                    let window = if i < AGGREGATES { "" } else { " GROUP BY time(1m)" };
+                    stmts.push(format!("SELECT {select} {filter}{window}"));
+                }
+            }
+        }
+        let answers = source.query_batch(db, &stmts)?;
+        let mut per_host = answers.chunks_exact(HOST_READ.len());
+        Ok(jobs
+            .iter()
+            .map(|&(jobid, hosts, _, _)| {
+                let reads =
+                    hosts.iter().zip(per_host.by_ref()).map(|(h, a)| HostRead::unpack(h, a));
+                Self::from_read(jobid, reads.collect(), peaks)
+            })
+            .collect())
+    }
+
+    /// The evaluation of one job read: the job-wide signature from the node
+    /// means, its pattern, and the detectors' findings.
+    fn from_read(jobid: &str, reads: Vec<HostRead>, peaks: NodePeaks) -> JobEvaluation {
+        let n = reads.len().max(1) as f64;
+        let mean = |f: fn(&HostRead) -> f64| reads.iter().map(f).sum::<f64>() / n;
+        let busy_mean = mean(|h| h.node.cpu_busy);
+        let imbalance = if reads.len() > 1 && busy_mean > 0.0 {
+            let busys = reads.iter().map(|h| h.node.cpu_busy);
+            let max = busys.clone().fold(f64::NEG_INFINITY, f64::max);
+            let min = busys.fold(f64::INFINITY, f64::min);
             (max - min) / busy_mean
         } else {
             0.0
         };
-        branch_misp_ratio /= n;
-        stall_frac /= n;
-
         let signature = PerfSignature {
-            flops_frac: mean(|e| e.dp_mflops) / peaks.flops_mflops.max(1.0),
-            membw_frac: mean(|e| e.membw_mbytes) / peaks.membw_mbytes.max(1.0),
-            ipc: mean(|e| e.ipc),
-            vectorization: mean(|e| e.vectorization),
-            branch_misp_ratio,
-            stall_frac,
+            flops_frac: mean(|h| h.node.dp_mflops) / peaks.flops_mflops.max(1.0),
+            membw_frac: mean(|h| h.node.membw_mbytes) / peaks.membw_mbytes.max(1.0),
+            ipc: mean(|h| h.node.ipc),
+            vectorization: mean(|h| h.node.vectorization),
+            branch_misp_ratio: mean(|h| h.branch_misp),
+            stall_frac: mean(|h| h.stall_rate / 100.0),
             imbalance,
             cpu_busy: busy_mean,
         };
-        let pattern = classify(&signature);
-
-        Ok(JobEvaluation { jobid: jobid.to_string(), nodes, findings, pattern, signature })
+        let findings = PathologyDetector::default().judge(&reads, &signature);
+        JobEvaluation {
+            jobid: jobid.to_string(),
+            nodes: reads.into_iter().map(|h| h.node).collect(),
+            findings,
+            pattern: classify(&signature),
+            signature,
+        }
     }
 
     /// Renders the Fig. 2-style table: metric rows, one column per node,

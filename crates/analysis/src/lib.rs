@@ -11,11 +11,13 @@
 //! - [`rules`] — the threshold/timeout rule engine (Fig. 4: "FP rate and
 //!   memory bandwidth below thresholds for more than 10 minutes"),
 //! - [`pathology`] — job-level detectors: idle job, exceeded memory,
-//!   computation break, load imbalance,
+//!   computation break, load imbalance, judging the evaluation's read of
+//!   the job (they query nothing themselves),
 //! - [`patterns`] — the performance-pattern decision tree (after Treibig
 //!   et al. \[17\] and the FEPA refinement \[8\]),
-//! - [`evaluation`] — the online job evaluation that renders the Fig. 2
-//!   header table (one column per node),
+//! - [`evaluation`] — the one read of a job (per host, one statement per
+//!   measurement, every host and job in one batch) and the online job
+//!   evaluation that renders the Fig. 2 header table (one column per node),
 //! - [`stream`] — the MQ-attached stream analyzer for live detection.
 
 pub mod evaluation;

@@ -3,14 +3,14 @@
 //! The paper's motivating detections (Sec. I and V): idle jobs, exceeded
 //! memory capacity, unreasonable strong scaling (load imbalance), and the
 //! Fig. 4 computation break (FP rate *and* memory bandwidth below their
-//! thresholds for more than the timeout). Each detector queries the
-//! database for the job's hosts and time range, so the same code runs
-//! online (against the live DB) and offline (against an archive).
+//! thresholds for more than the timeout). The detectors read nothing
+//! themselves: they judge the one read of the job that its
+//! [evaluation](crate::evaluation) makes, so the same code runs online
+//! (against the live DB) and offline (against an archive).
 
+use crate::evaluation::HostRead;
+use crate::patterns::PerfSignature;
 use crate::rules::{evaluate_all, Rule, Violation};
-use crate::series::TimeSeries;
-use lms_influx::QuerySource;
-use lms_util::{Result, Timestamp};
 use std::time::Duration;
 
 /// Detection thresholds.
@@ -73,75 +73,40 @@ pub struct Finding {
     pub detail: String,
 }
 
-/// The detector: thresholds + the database to ask.
-#[derive(Debug, Clone)]
+/// The detectors and their thresholds.
+#[derive(Debug, Clone, Default)]
 pub struct PathologyDetector {
-    /// Database holding the job's metrics.
-    pub db: String,
     /// Detection thresholds.
     pub thresholds: PathologyThresholds,
 }
 
 impl PathologyDetector {
-    /// A detector over database `db` with default thresholds.
-    pub fn new(db: &str) -> Self {
-        PathologyDetector { db: db.to_string(), thresholds: PathologyThresholds::default() }
-    }
-
-    fn range_clause(start: Timestamp, end: Timestamp) -> String {
-        format!("time >= {} AND time <= {}", start.nanos(), end.nanos())
-    }
-
-    /// Runs every detector for one job, off one batch of four statements
-    /// per host.
-    pub fn detect(
-        &self,
-        source: &mut dyn QuerySource,
-        hosts: &[String],
-        start: Timestamp,
-        end: Timestamp,
-    ) -> Result<Vec<Finding>> {
-        let range = Self::range_clause(start, end);
-        let stmts: Vec<String> = hosts
-            .iter()
-            .flat_map(|host| {
-                [
-                    format!("SELECT mean(busy) FROM cpu_total WHERE hostname = '{host}' AND {range}"),
-                    format!("SELECT max(used_frac) FROM memory WHERE hostname = '{host}' AND {range}"),
-                    format!(
-                        "SELECT mean(dp_mflop_s) FROM hpm_flops_dp WHERE hostname = '{host}' AND {range} GROUP BY time(1m)"
-                    ),
-                    format!(
-                        "SELECT mean(memory_bandwidth_mbytes_s) FROM hpm_mem WHERE hostname = '{host}' AND {range} GROUP BY time(1m)"
-                    ),
-                ]
-            })
-            .collect();
-        let answers = source.query_batch(&self.db, &stmts)?;
-        let per_host = || hosts.iter().zip(answers.chunks_exact(4));
-
+    /// Runs every detector over one job read: idle job and imbalance from
+    /// the job's busy mean and spread in `signature`, exceeded memory and
+    /// Fig. 4 breaks per host.
+    pub(crate) fn judge(&self, hosts: &[HostRead], signature: &PerfSignature) -> Vec<Finding> {
         let mut findings = Vec::new();
-        let busys: Vec<f64> = per_host()
-            .map(|(_, a)| TimeSeries::from_result(&a[0], "mean").points.first().map_or(0.0, |&(_, v)| v))
-            .collect();
-        self.detect_idle_and_imbalance(&busys, &mut findings);
-        for (host, a) in per_host() {
-            self.detect_memory(host, &TimeSeries::from_result(&a[1], "max"), &mut findings);
+        if !hosts.is_empty() {
+            self.detect_idle_and_imbalance(hosts, signature, &mut findings);
         }
-        for (host, a) in per_host() {
-            let fp = TimeSeries::from_result(&a[2], "mean");
-            let bw = TimeSeries::from_result(&a[3], "mean");
-            self.detect_breaks(host, &fp, &bw, &mut findings);
+        for host in hosts {
+            self.detect_memory(host, &mut findings);
         }
-        Ok(findings)
+        for host in hosts {
+            self.detect_breaks(host, &mut findings);
+        }
+        findings
     }
 
-    /// Idle-job and load-imbalance detection from per-host busy fractions.
-    fn detect_idle_and_imbalance(&self, busys: &[f64], findings: &mut Vec<Finding>) {
-        if busys.is_empty() {
-            return;
-        }
-        let mean = busys.iter().sum::<f64>() / busys.len() as f64;
+    /// Idle-job and load-imbalance detection from the job's busy mean and
+    /// imbalance; the hosts' busy fractions only word the finding.
+    fn detect_idle_and_imbalance(
+        &self,
+        hosts: &[HostRead],
+        signature: &PerfSignature,
+        findings: &mut Vec<Finding>,
+    ) {
+        let mean = signature.cpu_busy;
         if mean < self.thresholds.idle_busy {
             findings.push(Finding {
                 kind: FindingKind::IdleJob,
@@ -149,60 +114,49 @@ impl PathologyDetector {
                 window: None,
                 detail: format!("mean CPU busy {:.1}% across all nodes", mean * 100.0),
             });
-        } else if busys.len() > 1 && mean > 0.0 {
-            let max = busys.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            let min = busys.iter().copied().fold(f64::INFINITY, f64::min);
-            let imbalance = (max - min) / mean;
-            if imbalance > self.thresholds.imbalance {
-                findings.push(Finding {
-                    kind: FindingKind::LoadImbalance,
-                    host: None,
-                    window: None,
-                    detail: format!(
-                        "busy fraction spread {:.0}%–{:.0}% (imbalance {:.2})",
-                        min * 100.0,
-                        max * 100.0,
-                        imbalance
-                    ),
-                });
-            }
+        } else if signature.imbalance > self.thresholds.imbalance {
+            let busys = hosts.iter().map(|h| h.node.cpu_busy);
+            let max = busys.clone().fold(f64::NEG_INFINITY, f64::max);
+            let min = busys.fold(f64::INFINITY, f64::min);
+            findings.push(Finding {
+                kind: FindingKind::LoadImbalance,
+                host: None,
+                window: None,
+                detail: format!(
+                    "busy fraction spread {:.0}%–{:.0}% (imbalance {:.2})",
+                    min * 100.0,
+                    max * 100.0,
+                    signature.imbalance
+                ),
+            });
         }
     }
 
     /// Exceeded-memory detection from one host's peak used fraction.
-    fn detect_memory(&self, host: &str, used_frac: &TimeSeries, findings: &mut Vec<Finding>) {
-        if let Some(&(_, peak)) = used_frac.points.first() {
-            if peak > self.thresholds.mem_used_frac {
-                findings.push(Finding {
-                    kind: FindingKind::MemoryExceeded,
-                    host: Some(host.to_string()),
-                    window: None,
-                    detail: format!("peak memory use {:.1}% on {host}", peak * 100.0),
-                });
-            }
+    fn detect_memory(&self, read: &HostRead, findings: &mut Vec<Finding>) {
+        let (host, peak) = (&read.node.hostname, read.mem_peak);
+        if peak > self.thresholds.mem_used_frac {
+            findings.push(Finding {
+                kind: FindingKind::MemoryExceeded,
+                host: Some(host.clone()),
+                window: None,
+                detail: format!("peak memory use {:.1}% on {host}", peak * 100.0),
+            });
         }
     }
 
     /// Fig. 4: combined FP-rate + bandwidth break on one host.
-    fn detect_breaks(
-        &self,
-        host: &str,
-        fp: &TimeSeries,
-        bw: &TimeSeries,
-        findings: &mut Vec<Finding>,
-    ) {
+    fn detect_breaks(&self, read: &HostRead, findings: &mut Vec<Finding>) {
+        let (host, fp, bw, t) = (&read.node.hostname, &read.fp, &read.bw, &self.thresholds);
         if fp.is_empty() || bw.is_empty() {
             return;
         }
-        let fp_rule = Rule::below("DP FP rate", self.thresholds.fp_rate_mflops, self.thresholds.break_timeout);
-        let bw_rule =
-            Rule::below("memory bandwidth", self.thresholds.membw_mbytes, self.thresholds.break_timeout);
-        for window in
-            evaluate_all(&[(&fp_rule, fp), (&bw_rule, bw)], self.thresholds.break_timeout)
-        {
+        let fp_rule = Rule::below("DP FP rate", t.fp_rate_mflops, t.break_timeout);
+        let bw_rule = Rule::below("memory bandwidth", t.membw_mbytes, t.break_timeout);
+        for window in evaluate_all(&[(&fp_rule, fp), (&bw_rule, bw)], t.break_timeout) {
             findings.push(Finding {
                 kind: FindingKind::ComputationBreak,
-                host: Some(host.to_string()),
+                host: Some(host.clone()),
                 window: Some(window),
                 detail: format!(
                     "FP rate and memory bandwidth below thresholds for {} on {host}",
@@ -216,8 +170,15 @@ impl PathologyDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::evaluation::{JobEvaluation, NodePeaks};
     use lms_influx::Influx;
-    use lms_util::Clock;
+    use lms_util::{Clock, Timestamp};
+
+    /// The findings of one job read over `hosts` and `[start, end]`.
+    fn detect(ix: &mut Influx, hosts: &[String], start: Timestamp, end: Timestamp) -> Vec<Finding> {
+        let peaks = NodePeaks { flops_mflops: 350_000.0, membw_mbytes: 84_000.0 };
+        JobEvaluation::evaluate(ix, "lms", "1", hosts, start, end, peaks).unwrap().findings
+    }
 
     /// Builds a DB with a 60-minute 2-node job: h1 computes throughout,
     /// h2 has an 18-minute break in the middle; h2 also spikes memory.
@@ -248,8 +209,7 @@ mod tests {
     #[test]
     fn detects_fig4_break_on_the_right_host() {
         let (mut ix, hosts, start, end) = fixture();
-        let det = PathologyDetector::new("lms");
-        let findings = det.detect(&mut ix, &hosts, start, end).unwrap();
+        let findings = detect(&mut ix, &hosts, start, end);
         let breaks: Vec<&Finding> =
             findings.iter().filter(|f| f.kind == FindingKind::ComputationBreak).collect();
         assert_eq!(breaks.len(), 1, "{findings:?}");
@@ -264,8 +224,7 @@ mod tests {
     #[test]
     fn detects_memory_spike() {
         let (mut ix, hosts, start, end) = fixture();
-        let findings =
-            PathologyDetector::new("lms").detect(&mut ix, &hosts, start, end).unwrap();
+        let findings = detect(&mut ix, &hosts, start, end);
         let mem: Vec<&Finding> =
             findings.iter().filter(|f| f.kind == FindingKind::MemoryExceeded).collect();
         assert_eq!(mem.len(), 1);
@@ -275,9 +234,7 @@ mod tests {
     #[test]
     fn healthy_host_produces_no_break() {
         let (mut ix, _, start, end) = fixture();
-        let findings = PathologyDetector::new("lms")
-            .detect(&mut ix, &["h1".to_string()], start, end)
-            .unwrap();
+        let findings = detect(&mut ix, &["h1".to_string()], start, end);
         assert!(
             findings.iter().all(|f| f.kind != FindingKind::ComputationBreak),
             "{findings:?}"
@@ -296,9 +253,8 @@ mod tests {
         }
         ix.write_lines("lms", &batch, Default::default()).unwrap();
         let mut src = ix;
-        let findings = PathologyDetector::new("lms")
-            .detect(&mut src, &["h1".to_string()], Timestamp::from_secs(0), Timestamp::from_secs(1000))
-            .unwrap();
+        let findings =
+            detect(&mut src, &["h1".to_string()], Timestamp::from_secs(0), Timestamp::from_secs(1000));
         assert!(findings.iter().any(|f| f.kind == FindingKind::IdleJob), "{findings:?}");
     }
 
@@ -313,14 +269,12 @@ mod tests {
         }
         ix.write_lines("lms", &batch, Default::default()).unwrap();
         let mut src = ix;
-        let findings = PathologyDetector::new("lms")
-            .detect(
-                &mut src,
-                &["h1".to_string(), "h2".to_string()],
-                Timestamp::from_secs(0),
-                Timestamp::from_secs(1000),
-            )
-            .unwrap();
+        let findings = detect(
+            &mut src,
+            &["h1".to_string(), "h2".to_string()],
+            Timestamp::from_secs(0),
+            Timestamp::from_secs(1000),
+        );
         assert!(findings.iter().any(|f| f.kind == FindingKind::LoadImbalance), "{findings:?}");
     }
 
@@ -328,9 +282,8 @@ mod tests {
     fn empty_database_no_findings() {
         let mut ix = Influx::new(Clock::simulated(Timestamp::from_secs(10))).unwrap();
         ix.create_database("lms");
-        let findings = PathologyDetector::new("lms")
-            .detect(&mut ix, &["h1".to_string()], Timestamp::from_secs(0), Timestamp::from_secs(10))
-            .unwrap();
+        let findings =
+            detect(&mut ix, &["h1".to_string()], Timestamp::from_secs(0), Timestamp::from_secs(10));
         // No cpu data → busy defaults to 0 → flagged idle; but no breaks
         // or memory findings without data.
         assert!(findings.iter().all(|f| f.kind == FindingKind::IdleJob));

@@ -3,8 +3,8 @@
 //! The analysis modules work on plain `(timestamp, value)` vectors; this
 //! module pulls them out of the database's [`QueryResult`] shape.
 
-use lms_influx::{QueryResult, QuerySource};
-use lms_util::{Result, Timestamp};
+use lms_influx::QueryResult;
+use lms_util::Timestamp;
 
 /// A numeric time series.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -52,16 +52,6 @@ impl TimeSeries {
             .collect()
     }
 
-    /// Runs a query and extracts `column` (convenience).
-    pub fn query(
-        source: &mut dyn QuerySource,
-        db: &str,
-        q: &str,
-        column: &str,
-    ) -> Result<TimeSeries> {
-        Ok(Self::from_result(&source.query_source(db, q)?, column))
-    }
-
     /// The values only.
     pub fn values(&self) -> Vec<f64> {
         self.points.iter().map(|&(_, v)| v).collect()
@@ -77,12 +67,6 @@ impl TimeSeries {
         self.points.is_empty()
     }
 
-    /// Mean value (NaN-free); `None` on empty.
-    pub fn mean(&self) -> Option<f64> {
-        let s = crate::stats::summarize(&self.values());
-        (s.count > 0).then_some(s.mean)
-    }
-
     /// Latest value.
     pub fn last(&self) -> Option<(Timestamp, f64)> {
         self.points.last().copied()
@@ -92,6 +76,7 @@ impl TimeSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::summarize;
     use lms_influx::Influx;
     use lms_util::Clock;
 
@@ -108,36 +93,32 @@ mod tests {
         ix
     }
 
+    /// `column` of `q`'s answer.
+    fn query(ix: &Influx, q: &str, column: &str) -> TimeSeries {
+        TimeSeries::from_result(&ix.query("lms", q).unwrap(), column)
+    }
+
     #[test]
     fn extracts_single_series() {
-        let mut ix = fixture();
-        let ts =
-            TimeSeries::query(&mut ix, "lms", "SELECT v FROM m WHERE hostname = 'h1'", "v")
-                .unwrap();
+        let ix = fixture();
+        let ts = query(&ix, "SELECT v FROM m WHERE hostname = 'h1'", "v");
         assert_eq!(ts.len(), 2);
         assert_eq!(ts.points[0], (Timestamp::from_secs(10), 1.0));
-        assert_eq!(ts.mean(), Some(2.0));
+        assert_eq!(summarize(&ts.values()).mean, 2.0);
         assert_eq!(ts.last(), Some((Timestamp::from_secs(20), 3.0)));
     }
 
     #[test]
     fn extracts_aggregate_column() {
-        let mut ix = fixture();
-        let ts = TimeSeries::query(
-            &mut ix,
-            "lms",
-            "SELECT mean(v) FROM m WHERE hostname = 'h1'",
-            "mean",
-        )
-        .unwrap();
+        let ix = fixture();
+        let ts = query(&ix, "SELECT mean(v) FROM m WHERE hostname = 'h1'", "mean");
         assert_eq!(ts.len(), 1);
         assert_eq!(ts.points[0].1, 2.0);
     }
 
     #[test]
     fn per_tag_split() {
-        let mut ix = fixture();
-        let r = ix.query_source("lms", "SELECT mean(v) FROM m GROUP BY hostname").unwrap();
+        let r = fixture().query("lms", "SELECT mean(v) FROM m GROUP BY hostname").unwrap();
         let by_host = TimeSeries::per_tag(&r, "hostname", "mean");
         assert_eq!(by_host.len(), 2);
         assert_eq!(by_host[0].0, "h1");
@@ -148,11 +129,11 @@ mod tests {
 
     #[test]
     fn missing_column_or_measurement_is_empty() {
-        let mut ix = fixture();
-        let ts = TimeSeries::query(&mut ix, "lms", "SELECT v FROM m", "nope").unwrap();
+        let ix = fixture();
+        let ts = query(&ix, "SELECT v FROM m", "nope");
         assert!(ts.is_empty());
-        assert_eq!(ts.mean(), None);
-        let ts = TimeSeries::query(&mut ix, "lms", "SELECT v FROM ghost", "v").unwrap();
+        assert_eq!(summarize(&ts.values()).count, 0);
+        let ts = query(&ix, "SELECT v FROM ghost", "v");
         assert!(ts.is_empty());
     }
 }

@@ -96,26 +96,27 @@ pub struct UsageReport {
 
 impl UsageReport {
     /// Builds the report by evaluating every completed job against the
-    /// database. Jobs whose data has been evicted evaluate to zeros and
-    /// still count toward node-hours (accounting is scheduler truth).
+    /// database, all of them off one batch of statements. Jobs whose data
+    /// has been evicted evaluate to zeros and still count toward
+    /// node-hours (accounting is scheduler truth).
     pub fn build(
         source: &mut dyn QuerySource,
         db: &str,
         jobs: &[CompletedJob],
         peaks: NodePeaks,
     ) -> Result<UsageReport> {
+        let spans: Vec<_> =
+            jobs.iter().map(|j| (j.jobid.as_str(), j.hosts.as_slice(), j.start, j.end)).collect();
+        let evaluations = JobEvaluation::evaluate_jobs(source, db, &spans, peaks)?;
         let mut by_user: FxHashMap<String, GroupUsage> = FxHashMap::default();
         let mut by_app: FxHashMap<String, GroupUsage> = FxHashMap::default();
         let mut total = 0.0;
-        for job in jobs {
+        for (job, ev) in jobs.iter().zip(&evaluations) {
             let hours = job.end.since(job.start).as_secs_f64() / 3600.0;
             let node_hours = hours * job.hosts.len() as f64;
             total += node_hours;
-            let ev = JobEvaluation::evaluate(
-                source, db, &job.jobid, &job.hosts, job.start, job.end, peaks,
-            )?;
-            by_user.entry(job.user.clone()).or_default().add(node_hours, &ev);
-            by_app.entry(job.app.clone()).or_default().add(node_hours, &ev);
+            by_user.entry(job.user.clone()).or_default().add(node_hours, ev);
+            by_app.entry(job.app.clone()).or_default().add(node_hours, ev);
         }
         let sort = |m: FxHashMap<String, GroupUsage>| {
             let mut v: Vec<(String, GroupUsage)> = m.into_iter().collect();

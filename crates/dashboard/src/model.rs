@@ -80,6 +80,33 @@ impl Panel {
         }
     }
 
+    /// Parses a panel from its JSON form (one element of a row's
+    /// `panels`).
+    pub(crate) fn from_json(p: &Json) -> Result<Panel> {
+        let kind = PanelKind::parse(p.get("type").and_then(Json::as_str).unwrap_or("graph"))?;
+        let mut targets = Vec::new();
+        for t in p.get("targets").and_then(Json::as_arr).unwrap_or(&[]) {
+            targets.push(Target {
+                db: t.get("db").and_then(Json::as_str).unwrap_or("lms").to_string(),
+                query: t
+                    .get("query")
+                    .and_then(Json::as_str)
+                    .ok_or_else(|| Error::protocol("target missing query"))?
+                    .to_string(),
+                alias: t.get("alias").and_then(Json::as_str).unwrap_or("").to_string(),
+                column: t.get("column").and_then(Json::as_str).unwrap_or("mean").to_string(),
+            });
+        }
+        Ok(Panel {
+            title: p.get("title").and_then(Json::as_str).unwrap_or("").to_string(),
+            kind,
+            targets,
+            unit: p.get("unit").and_then(Json::as_str).unwrap_or("").to_string(),
+            content: p.get("content").and_then(Json::as_str).unwrap_or("").to_string(),
+            annotation_measurement: p.get("annotations").and_then(Json::as_str).map(String::from),
+        })
+    }
+
     /// A text panel.
     pub fn text(title: &str, content: &str) -> Self {
         Panel {
@@ -188,52 +215,11 @@ impl Dashboard {
         };
         let mut rows = Vec::new();
         for row_json in json.get("rows").and_then(Json::as_arr).unwrap_or(&[]) {
-            let mut row = Row {
-                title: row_json
-                    .get("title")
-                    .and_then(Json::as_str)
-                    .unwrap_or_default()
-                    .to_string(),
-                panels: Vec::new(),
-            };
-            for p in row_json.get("panels").and_then(Json::as_arr).unwrap_or(&[]) {
-                let kind = PanelKind::parse(
-                    p.get("type").and_then(Json::as_str).unwrap_or("graph"),
-                )?;
-                let mut targets = Vec::new();
-                for t in p.get("targets").and_then(Json::as_arr).unwrap_or(&[]) {
-                    targets.push(Target {
-                        db: t.get("db").and_then(Json::as_str).unwrap_or("lms").to_string(),
-                        query: t
-                            .get("query")
-                            .and_then(Json::as_str)
-                            .ok_or_else(|| Error::protocol("target missing query"))?
-                            .to_string(),
-                        alias: t.get("alias").and_then(Json::as_str).unwrap_or("").to_string(),
-                        column: t
-                            .get("column")
-                            .and_then(Json::as_str)
-                            .unwrap_or("mean")
-                            .to_string(),
-                    });
-                }
-                row.panels.push(Panel {
-                    title: p.get("title").and_then(Json::as_str).unwrap_or("").to_string(),
-                    kind,
-                    targets,
-                    unit: p.get("unit").and_then(Json::as_str).unwrap_or("").to_string(),
-                    content: p
-                        .get("content")
-                        .and_then(Json::as_str)
-                        .unwrap_or("")
-                        .to_string(),
-                    annotation_measurement: p
-                        .get("annotations")
-                        .and_then(Json::as_str)
-                        .map(String::from),
-                });
-            }
-            rows.push(row);
+            let panels = row_json.get("panels").and_then(Json::as_arr).unwrap_or(&[]);
+            rows.push(Row {
+                title: row_json.get("title").and_then(Json::as_str).unwrap_or_default().to_string(),
+                panels: panels.iter().map(Panel::from_json).collect::<Result<_>>()?,
+            });
         }
         Ok(Dashboard { title, tags, time_range, rows })
     }

@@ -6,7 +6,7 @@
 //! `$db`, `$from`, `$to` placeholders; the Viewer Agent instantiates a
 //! panel template once per host and composes rows into the job dashboard.
 
-use crate::model::{Dashboard, Panel, Row};
+use crate::model::{Panel, Row};
 use lms_util::{Error, Json, Result};
 
 /// Substitutes `$name` placeholders in every string of a JSON tree.
@@ -36,8 +36,9 @@ pub struct TemplateStore {
     rows: Vec<(String, RowTemplate)>,
 }
 
-/// A row template: title plus the panel templates to instantiate, and the
-/// measurement whose presence in the database triggers the row.
+/// A row template: title plus the panel templates to instantiate once per
+/// host, and the measurement whose presence in the database triggers the
+/// row.
 #[derive(Debug, Clone)]
 pub struct RowTemplate {
     /// Row title (placeholders allowed).
@@ -46,8 +47,6 @@ pub struct RowTemplate {
     pub panel_templates: Vec<String>,
     /// The row is included iff this measurement exists in the job DB.
     pub requires_measurement: String,
-    /// Instantiate the row's panels once per host (`true`) or once per job.
-    pub per_host: bool,
 }
 
 impl TemplateStore {
@@ -97,25 +96,21 @@ impl TemplateStore {
             title: "CPU".into(),
             panel_templates: vec!["cpu_busy".into(), "load".into()],
             requires_measurement: "cpu_total".into(),
-            per_host: true,
         });
         store.add_row(RowTemplate {
             title: "FLOPS".into(),
             panel_templates: vec!["flops_dp".into()],
             requires_measurement: "hpm_flops_dp".into(),
-            per_host: true,
         });
         store.add_row(RowTemplate {
             title: "Memory".into(),
             panel_templates: vec!["membw".into(), "memory".into()],
             requires_measurement: "hpm_mem".into(),
-            per_host: true,
         });
         store.add_row(RowTemplate {
             title: "Network".into(),
             panel_templates: vec!["network".into()],
             requires_measurement: "network".into(),
-            per_host: true,
         });
         store
     }
@@ -129,11 +124,7 @@ impl TemplateStore {
             &[("db", "x"), ("hostname", "h"), ("from", "0"), ("to", "1"), ("jobid", "0"),
               ("user", "u"), ("measurement", "m")],
         );
-        let wrapper = Json::obj([
-            ("title", Json::str("probe")),
-            ("rows", Json::arr([Json::obj([("panels", Json::arr([probe]))])])),
-        ]);
-        Dashboard::from_json(&wrapper)
+        Panel::from_json(&probe)
             .map_err(|e| Error::config(format!("panel template `{name}`: {e}")))?;
         self.panels.retain(|(n, _)| n != name);
         self.panels.push((name.to_string(), json));
@@ -157,16 +148,10 @@ impl TemplateStore {
             .iter()
             .find(|(n, _)| n == name)
             .ok_or_else(|| Error::not_found(format!("panel template `{name}`")))?;
-        let json = substitute(template, vars);
-        let wrapper = Json::obj([
-            ("title", Json::str("wrapper")),
-            ("rows", Json::arr([Json::obj([("panels", Json::arr([json]))])])),
-        ]);
-        let d = Dashboard::from_json(&wrapper)?;
-        Ok(d.rows.into_iter().next().and_then(|r| r.panels.into_iter().next()).expect("one panel"))
+        Panel::from_json(&substitute(template, vars))
     }
 
-    /// Instantiates a row template for the given hosts.
+    /// Instantiates a row template: its panels once per host.
     pub fn instantiate_row(
         &self,
         row: &RowTemplate,
@@ -174,12 +159,7 @@ impl TemplateStore {
         base_vars: &[(&str, &str)],
     ) -> Result<Row> {
         let mut out = Row { title: row.title.clone(), panels: Vec::new() };
-        let host_list: Vec<&str> = if row.per_host {
-            hosts.iter().map(String::as_str).collect()
-        } else {
-            vec![hosts.first().map(String::as_str).unwrap_or("")]
-        };
-        for host in host_list {
+        for host in hosts {
             let mut vars = base_vars.to_vec();
             vars.push(("hostname", host));
             for panel_name in &row.panel_templates {

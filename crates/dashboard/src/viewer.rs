@@ -112,10 +112,11 @@ impl ViewerAgent {
             }
         }
 
-        // Application-level measurements get generic per-job panels —
-        // "with application-level monitoring additional metrics may be
-        // available" (Sec. III-D). Heuristic: uncovered measurements that
-        // are not part of the standard system/HPM families.
+        // Application-level measurements get generic panels, one per job
+        // host as the templated rows have — "with application-level
+        // monitoring additional metrics may be available" (Sec. III-D).
+        // Heuristic: uncovered measurements that are not part of the
+        // standard system/HPM families.
         let standard_prefixes = ["hpm_", "cpu", "memory", "network", "disk", "load", "ganglia_"];
         let mut app_row = Row { title: "Application metrics".into(), panels: Vec::new() };
         for measurement in &available {
@@ -124,21 +125,21 @@ impl ViewerAgent {
             if is_covered || is_standard {
                 continue;
             }
-            app_row.panels.push(Panel {
+            app_row.panels.extend(job.hosts.iter().map(|host| Panel {
                 annotation_measurement: Some("events".into()),
                 ..Panel::graph(
-                    measurement,
+                    &format!("{measurement} {host}"),
                     Target {
                         db: self.db.clone(),
                         query: format!(
-                            "SELECT mean(value) FROM {measurement} WHERE time >= {from} AND time <= {to} GROUP BY time(30s)"
+                            "SELECT mean(value) FROM {measurement} WHERE hostname = '{host}' AND time >= {from} AND time <= {to} GROUP BY time(30s)"
                         ),
-                        alias: measurement.clone(),
+                        alias: host.clone(),
                         column: "mean".into(),
                     },
                     "",
                 )
-            });
+            }));
         }
         if !app_row.panels.is_empty() {
             dashboard.rows.push(app_row);
@@ -289,8 +290,10 @@ mod tests {
         let d = agent().job_dashboard(&mut ix, &job, Timestamp::from_secs(3600)).unwrap();
         let app_row = d.rows.last().unwrap();
         assert_eq!(app_row.title, "Application metrics");
-        assert_eq!(app_row.panels.len(), 1);
-        assert_eq!(app_row.panels[0].title, "minimd_pressure");
+        // One panel per job host, each reading its own host.
+        assert_eq!(app_row.panels.len(), 2);
+        assert_eq!(app_row.panels[0].title, "minimd_pressure h1");
+        assert!(app_row.panels[1].targets[0].query.contains("hostname = 'h2'"));
     }
 
     #[test]

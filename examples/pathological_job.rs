@@ -68,17 +68,16 @@ fn main() {
         println!("{text}");
     }
 
-    // The detection the paper describes: thresholds + 10-minute timeout.
-    let detector = PathologyDetector::new("lms");
+    // The detection the paper describes: thresholds + 10-minute timeout,
+    // judged on the job evaluation's one read of the job.
+    let thresholds = PathologyDetector::default().thresholds;
     println!(
         "thresholds: FP rate < {} MFLOP/s AND bandwidth < {} MBytes/s for > {} min\n",
-        detector.thresholds.fp_rate_mflops,
-        detector.thresholds.membw_mbytes,
-        detector.thresholds.break_timeout.as_secs() / 60
+        thresholds.fp_rate_mflops,
+        thresholds.membw_mbytes,
+        thresholds.break_timeout.as_secs() / 60
     );
-    let findings = detector
-        .detect(&mut source, &info.hosts, info.start, end)
-        .expect("detection");
+    let findings = stack.evaluate_job(job).expect("evaluation").findings;
 
     let mut breaks = 0;
     for finding in &findings {

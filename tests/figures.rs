@@ -2,7 +2,7 @@
 //! versions of the `examples/` scenarios with assertions on the *shape*
 //! of each result (who is detected, where, for how long).
 
-use lms::analysis::pathology::{FindingKind, PathologyDetector};
+use lms::analysis::pathology::FindingKind;
 use lms::analysis::Pattern;
 use lms::apps::{AppProfile, MiniMd, MiniMdConfig};
 use lms::core::{LmsStack, StackConfig};
@@ -108,11 +108,7 @@ fn fig4_computation_break_detection() {
     );
     stack.run_for(Duration::from_secs(61 * 60), Duration::from_secs(60));
 
-    let info = stack.job_info(job).unwrap();
-    let end = info.end.unwrap();
-    let mut src = stack.influx().clone();
-    let findings =
-        PathologyDetector::new("lms").detect(&mut src, &info.hosts, info.start, end).unwrap();
+    let findings = stack.evaluate_job(job).unwrap().findings;
     let breaks: Vec<_> =
         findings.iter().filter(|f| f.kind == FindingKind::ComputationBreak).collect();
     assert_eq!(breaks.len(), 4, "one break per node: {findings:?}");
@@ -134,11 +130,7 @@ fn fig4_computation_break_detection() {
     // And a healthy compute job of the same length yields no break.
     let good = stack.submit_job("anna", "ok", 4, Duration::from_secs(1800), AppProfile::Dgemm);
     stack.run_for(Duration::from_secs(35 * 60), Duration::from_secs(60));
-    let ginfo = stack.job_info(good).unwrap();
-    let gend = ginfo.end.unwrap();
-    let gfindings = PathologyDetector::new("lms")
-        .detect(&mut src, &ginfo.hosts, ginfo.start, gend)
-        .unwrap();
+    let gfindings = stack.evaluate_job(good).unwrap().findings;
     assert!(
         gfindings.iter().all(|f| f.kind != FindingKind::ComputationBreak),
         "{gfindings:?}"

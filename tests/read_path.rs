@@ -1,8 +1,9 @@
 //! The read path's cost per request, as counts and under faults.
 //!
 //! A cluster query costs one round trip per node on a connection the
-//! router already holds; a job view costs at most five such queries
-//! whatever the job's size; an admin view costs one. The counts here are
+//! router already holds; a job view costs at most four such queries
+//! whatever the job's size; a job evaluation and a usage report cost one;
+//! an admin view costs one. The counts here are
 //! exact — connections a node accepted, requests a counting proxy
 //! forwarded — so they gate deterministically where the benchmark can only
 //! measure. The second half runs the same reads against kept connections
@@ -11,7 +12,10 @@
 //! connection cap. Between them, a cluster read answers what one node
 //! holding every point answers.
 
-use lms::analysis::evaluation::NodePeaks;
+use lms::analysis::evaluation::{JobEvaluation, NodeEvaluation, NodePeaks};
+use lms::analysis::pathology::{FindingKind, PathologyThresholds};
+use lms::analysis::rules::{evaluate_all, Rule, Violation};
+use lms::analysis::{classify, CompletedJob, Pattern, PerfSignature, TimeSeries, UsageReport};
 use lms::dashboard::render::RenderOptions;
 use lms::dashboard::{JobInfo, TemplateStore, ViewerAgent};
 use lms::http::{FaultConfig, FaultProxy, HttpClient, MIN_CONNECTION_CAP};
@@ -203,11 +207,7 @@ fn load_job_metrics(router: &Router, hosts: usize, app: bool) {
 }
 
 fn agent() -> ViewerAgent {
-    ViewerAgent::new(
-        "lms",
-        TemplateStore::builtin(),
-        NodePeaks { flops_mflops: 350_000.0, membw_mbytes: 84_000.0 },
-    )
+    ViewerAgent::new("lms", TemplateStore::builtin(), peaks())
 }
 
 fn job(id: usize, hosts: std::ops::Range<usize>) -> JobInfo {
@@ -221,7 +221,7 @@ fn job(id: usize, hosts: std::ops::Range<usize>) -> JobInfo {
 }
 
 #[test]
-fn a_job_view_is_five_requests_whatever_the_jobs_size() {
+fn a_job_view_is_four_requests_whatever_the_jobs_size() {
     let rig = counted();
     load_job_metrics(&rig.cluster.router, 16, true);
     let agent = agent();
@@ -242,41 +242,95 @@ fn a_job_view_is_five_requests_whatever_the_jobs_size() {
         assert!(text.contains("--- Application metrics ---"), "{text}");
         costs.push(cost);
     }
-    // SHOW MEASUREMENTS, the evaluation's means, the detectors' series,
-    // every panel's targets, every graph's annotations.
+    // SHOW MEASUREMENTS, the job read (evaluation and detectors), every
+    // panel's targets, every graph's annotations.
     for (front, nodes) in &costs {
-        assert_eq!(*front, 5, "requests at the router for one job view");
-        assert!(nodes.iter().all(|&n| n == 5), "requests per node: {nodes:?}");
+        assert_eq!(*front, 4, "requests at the router for one job view");
+        assert!(nodes.iter().all(|&n| n == 4), "requests per node: {nodes:?}");
     }
     rig.shutdown();
 }
 
-/// A source that keeps every statement it passes on.
+/// A source that keeps every statement it passes on, and counts the
+/// requests (calls) that carried them.
 struct Recording<'a> {
     inner: &'a mut dyn QuerySource,
     statements: Vec<String>,
+    requests: usize,
+}
+
+impl<'a> Recording<'a> {
+    fn new(inner: &'a mut dyn QuerySource) -> Self {
+        Recording { inner, statements: Vec::new(), requests: 0 }
+    }
 }
 
 impl QuerySource for Recording<'_> {
     fn query_source(&mut self, db: &str, q: &str) -> lms::util::Result<QueryResult> {
         self.statements.push(q.to_string());
+        self.requests += 1;
         self.inner.query_source(db, q)
     }
 
     fn query_batch(&mut self, db: &str, stmts: &[String]) -> lms::util::Result<Vec<QueryResult>> {
         self.statements.extend_from_slice(stmts);
+        self.requests += 1;
         self.inner.query_batch(db, stmts)
     }
 }
 
-/// A job view of hosts `h0..h4` among eight hosts, each holding a job
-/// start of its own: the statements it sent for events, and its text.
-fn four_host_view() -> (Vec<String>, String) {
+fn peaks() -> NodePeaks {
+    NodePeaks { flops_mflops: 350_000.0, membw_mbytes: 84_000.0 }
+}
+
+#[test]
+fn a_job_evaluation_and_a_usage_report_are_one_request() {
     let c = cluster();
-    load_job_metrics(&c.router, 8, false);
+    load_job_metrics(&c.router, 16, false);
     let rs = RouterServer::start("127.0.0.1:0", c.router.clone()).unwrap();
     let mut client = InfluxClient::connect(rs.addr()).unwrap();
-    let mut source = Recording { inner: &mut client, statements: Vec::new() };
+    let (start, end) = (Timestamp::from_secs(0), Timestamp::from_secs(3600));
+    let hosts =
+        |range: std::ops::Range<usize>| -> Vec<String> { range.map(|h| format!("h{h}")).collect() };
+    // Per host, one statement per measurement and Fig. 4's two series.
+    for n in [4, 16] {
+        let mut source = Recording::new(&mut client);
+        let ev =
+            JobEvaluation::evaluate(&mut source, "lms", "1", &hosts(0..n), start, end, peaks())
+                .unwrap();
+        assert_eq!((source.requests, source.statements.len()), (1, 11 * n), "{n} hosts");
+        assert_eq!(ev.nodes.len(), n);
+        assert!(ev.nodes.iter().all(|node| (node.cpu_busy - 0.9).abs() < 1e-9), "{:?}", ev.nodes);
+    }
+    let jobs: Vec<CompletedJob> = (0..4)
+        .map(|i| CompletedJob {
+            jobid: i.to_string(),
+            user: format!("u{}", i % 2),
+            app: "app".into(),
+            hosts: hosts(4 * i..4 * i + 4),
+            start,
+            end,
+        })
+        .collect();
+    let mut source = Recording::new(&mut client);
+    let report = UsageReport::build(&mut source, "lms", &jobs, peaks()).unwrap();
+    assert_eq!((source.requests, source.statements.len()), (1, 11 * 16), "four jobs");
+    assert_eq!((report.by_user.len(), report.by_app[0].1.jobs), (2, 4));
+    assert!((report.total_node_hours - 16.0).abs() < 1e-9);
+    drop(client);
+    rs.shutdown();
+    c.shutdown();
+}
+
+/// A job view of hosts `h0..h4` among eight hosts, each holding a job
+/// start and an application metric of its own: the statements it sent for
+/// events, and its text.
+fn four_host_view() -> (Vec<String>, String) {
+    let c = cluster();
+    load_job_metrics(&c.router, 8, true);
+    let rs = RouterServer::start("127.0.0.1:0", c.router.clone()).unwrap();
+    let mut client = InfluxClient::connect(rs.addr()).unwrap();
+    let mut source = Recording::new(&mut client);
     let (agent, job) = (agent(), job(4, 0..4));
     let dashboard = agent.job_dashboard(&mut source, &job, Timestamp::from_secs(3600)).unwrap();
     let text = agent.render_dashboard(&mut source, &dashboard, RenderOptions::default()).unwrap();
@@ -290,13 +344,15 @@ fn four_host_view() -> (Vec<String>, String) {
 #[test]
 fn a_job_view_asks_once_for_each_hosts_events() {
     let (events, text) = four_host_view();
-    // Three annotated panels per host share one statement.
+    // Four annotated panels per host (CPU busy, FLOP rate, bandwidth, the
+    // application metric) share one statement.
     assert_eq!(events.len(), 4, "{events:#?}");
     for host in 0..4 {
         let named = events.iter().filter(|q| q.contains(&format!("= 'h{host}'"))).count();
         assert_eq!(named, 1, "h{host}: {events:#?}");
         let drawn = text.matches(&format!("job start on h{host}.")).count();
-        assert_eq!(drawn, 3, "h{host}'s event on each of its annotated panels:\n{text}");
+        assert_eq!(drawn, 4, "h{host}'s event on each of its annotated panels:\n{text}");
+        assert!(text.contains(&format!("minimd_pressure h{host}")), "h{host}'s panel:\n{text}");
     }
 }
 
@@ -305,6 +361,7 @@ fn a_job_view_draws_no_event_of_another_host() {
     let (_, text) = four_host_view();
     for host in 4..8 {
         assert!(!text.contains(&format!("job start on h{host}.")), "h{host}'s event drawn:\n{text}");
+        assert!(!text.contains(&format!("minimd_pressure h{host}")), "h{host}'s panel:\n{text}");
     }
 }
 
@@ -542,5 +599,223 @@ proptest! {
             (Err(b), Err(l)) => prop_assert_eq!(b.to_string(), l.to_string()),
             (b, l) => prop_assert!(false, "batch {:?}\n loop {:?}", b, l),
         }
+    }
+}
+
+// ------------------------------------------------- one job read ≡ per field
+
+/// Minutes of data a generated job holds.
+const MINUTES: i64 = 40;
+
+/// One generated host: which of the nine measurements it reports (a bit
+/// each, in `host_lines` order), the minutes it misses, an optional break
+/// `(first minute, length)`, whether its multi-field lines carry their
+/// first field only, and the values it draws from.
+type HostSpec = (u16, Vec<bool>, Option<(i64, i64)>, bool, Vec<f64>);
+
+fn host_spec() -> impl Strategy<Value = HostSpec> {
+    (
+        0u16..512,
+        proptest::collection::vec((0u8..100).prop_map(|r| r < 15), MINUTES as usize),
+        proptest::option::of((0..MINUTES, 5i64..25)),
+        (0u8..4).prop_map(|r| r == 0),
+        proptest::collection::vec(0.0..1.0f64, 17..29),
+    )
+}
+
+/// Host `h`'s lines: per present minute, one line per measurement it
+/// reports. FP rate, bandwidth and busy drop inside its break.
+fn host_lines(h: usize, (mask, gaps, brk, sparse, draws): &HostSpec) -> String {
+    let mut out = String::new();
+    for m in (0..MINUTES).filter(|&m| !gaps[m as usize]) {
+        let ts = (m * 60 + h as i64) * 1_000_000_000;
+        let in_break = brk.is_some_and(|(at, len)| (at..at + len).contains(&m));
+        let x = |i: usize| draws[(m as usize * 3 + i) % draws.len()];
+        let lines: [(&str, Vec<(&str, f64)>); 9] = [
+            ("network", vec![("rx_bytes_per_s", 1e6 * x(0)), ("tx_bytes_per_s", 2e6 * x(1))]),
+            ("disk", vec![("read_bytes_per_s", 1e5 * x(2)), ("write_bytes_per_s", 3e5 * x(3))]),
+            ("load", vec![("load1", 8.0 * x(4))]),
+            ("cpu_total", vec![("busy", if in_break { 0.03 } else { x(5) })]),
+            (
+                "hpm_flops_dp",
+                vec![
+                    ("dp_mflop_s", if in_break { 5.0 * x(6) } else { 2000.0 + 1e4 * x(6) }),
+                    ("ipc", 2.0 * x(7)),
+                    ("vectorization_ratio", 100.0 * x(8)),
+                ],
+            ),
+            (
+                "hpm_mem",
+                vec![(
+                    "memory_bandwidth_mbytes_s",
+                    if in_break { 80.0 * x(9) } else { 20_000.0 + 1e4 * x(9) },
+                )],
+            ),
+            ("memory", vec![("used_frac", x(10))]),
+            ("hpm_branch", vec![("branch_misprediction_ratio", 0.1 * x(11))]),
+            ("hpm_cycle_stalls", vec![("stall_rate", 80.0 * x(12))]),
+        ];
+        for (i, (measurement, fields)) in lines.iter().enumerate() {
+            if mask & (1 << i) == 0 {
+                continue;
+            }
+            let fields = if *sparse { &fields[..1] } else { &fields[..] };
+            let fields: Vec<String> = fields.iter().map(|(f, v)| format!("{f}={v}")).collect();
+            out.push_str(&format!("{measurement},hostname=h{h} {} {ts}\n", fields.join(",")));
+        }
+    }
+    out
+}
+
+/// What an evaluation is compared by: node rows and signature as bits,
+/// findings as `(kind, host, window)`, and the pattern.
+type Compared = (
+    Vec<(String, [u64; 9])>,
+    [u64; 8],
+    Vec<(FindingKind, Option<String>, Option<Violation>)>,
+    Pattern,
+);
+
+fn node_bits(n: &NodeEvaluation) -> (String, [u64; 9]) {
+    let v = [
+        n.load1, n.cpu_busy, n.ipc, n.dp_mflops, n.membw_mbytes, n.mem_used_frac, n.net_bytes,
+        n.file_bytes, n.vectorization,
+    ];
+    (n.hostname.clone(), v.map(f64::to_bits))
+}
+
+fn signature_bits(s: &PerfSignature) -> [u64; 8] {
+    [
+        s.flops_frac, s.membw_frac, s.ipc, s.vectorization, s.branch_misp_ratio, s.stall_frac,
+        s.imbalance, s.cpu_busy,
+    ]
+    .map(f64::to_bits)
+}
+
+fn compared(ev: &JobEvaluation) -> Compared {
+    let findings = ev.findings.iter().map(|f| (f.kind, f.host.clone(), f.window)).collect();
+    (ev.nodes.iter().map(node_bits).collect(), signature_bits(&ev.signature), findings, ev.pattern)
+}
+
+/// A job evaluated by single-field statements, each sent alone: 13 means
+/// per host, then the detectors' peak memory and two 1-minute series, and
+/// the node rows, signature, findings and pattern computed from them.
+fn per_field_evaluation(
+    source: &mut dyn QuerySource,
+    hosts: &[String],
+    start: Timestamp,
+    end: Timestamp,
+) -> Compared {
+    let range = format!("time >= {} AND time <= {}", start.nanos(), end.nanos());
+    let mut read = |host: &str, select: &str, tail: &str, column: &str| {
+        let q = format!("SELECT {select} WHERE hostname = '{host}' AND {range}{tail}");
+        TimeSeries::from_result(&source.query_source("lms", &q).unwrap(), column)
+    };
+    let (mut nodes, mut memory, mut series) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut branch, mut stall) = (0.0, 0.0);
+    for host in hosts {
+        let mut mean = |m: &str, f: &str| {
+            let s = read(host, &format!("mean({f}) FROM {m}"), "", "mean");
+            s.points.first().map_or(0.0, |&(_, v)| v)
+        };
+        nodes.push(NodeEvaluation {
+            hostname: host.clone(),
+            load1: mean("load", "load1"),
+            cpu_busy: mean("cpu_total", "busy"),
+            ipc: mean("hpm_flops_dp", "ipc"),
+            dp_mflops: mean("hpm_flops_dp", "dp_mflop_s"),
+            membw_mbytes: mean("hpm_mem", "memory_bandwidth_mbytes_s"),
+            mem_used_frac: mean("memory", "used_frac"),
+            net_bytes: mean("network", "rx_bytes_per_s") + mean("network", "tx_bytes_per_s"),
+            file_bytes: mean("disk", "read_bytes_per_s") + mean("disk", "write_bytes_per_s"),
+            vectorization: mean("hpm_flops_dp", "vectorization_ratio") / 100.0,
+        });
+        branch += mean("hpm_branch", "branch_misprediction_ratio");
+        stall += mean("hpm_cycle_stalls", "stall_rate") / 100.0;
+        let peak = read(host, "max(used_frac) FROM memory", "", "max").points.first().map(|p| p.1);
+        memory.push((host.clone(), peak));
+        let window = " GROUP BY time(1m)";
+        let fp = read(host, "mean(dp_mflop_s) FROM hpm_flops_dp", window, "mean");
+        let bw = read(host, "mean(memory_bandwidth_mbytes_s) FROM hpm_mem", window, "mean");
+        series.push((host.clone(), fp, bw));
+    }
+
+    let n = nodes.len().max(1) as f64;
+    let avg = |f: fn(&NodeEvaluation) -> f64| nodes.iter().map(f).sum::<f64>() / n;
+    let busys: Vec<f64> = nodes.iter().map(|e| e.cpu_busy).collect();
+    let max = busys.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    let min = busys.iter().copied().fold(f64::INFINITY, f64::min);
+    let busy = avg(|e| e.cpu_busy);
+    let signature = PerfSignature {
+        flops_frac: avg(|e| e.dp_mflops) / peaks().flops_mflops.max(1.0),
+        membw_frac: avg(|e| e.membw_mbytes) / peaks().membw_mbytes.max(1.0),
+        ipc: avg(|e| e.ipc),
+        vectorization: avg(|e| e.vectorization),
+        branch_misp_ratio: branch / n,
+        stall_frac: stall / n,
+        imbalance: if nodes.len() > 1 && busy > 0.0 { (max - min) / busy } else { 0.0 },
+        cpu_busy: busy,
+    };
+
+    let t = PathologyThresholds::default();
+    let mut findings = Vec::new();
+    if !busys.is_empty() {
+        let mean = busys.iter().sum::<f64>() / busys.len() as f64;
+        if mean < t.idle_busy {
+            findings.push((FindingKind::IdleJob, None, None));
+        } else if busys.len() > 1 && mean > 0.0 && (max - min) / mean > t.imbalance {
+            findings.push((FindingKind::LoadImbalance, None, None));
+        }
+    }
+    for (host, peak) in memory {
+        if peak.is_some_and(|p| p > t.mem_used_frac) {
+            findings.push((FindingKind::MemoryExceeded, Some(host), None));
+        }
+    }
+    let fp_rule = Rule::below("DP FP rate", t.fp_rate_mflops, t.break_timeout);
+    let bw_rule = Rule::below("memory bandwidth", t.membw_mbytes, t.break_timeout);
+    for (host, fp, bw) in series.iter().filter(|(_, fp, bw)| !fp.is_empty() && !bw.is_empty()) {
+        for w in evaluate_all(&[(&fp_rule, fp), (&bw_rule, bw)], t.break_timeout) {
+            findings.push((FindingKind::ComputationBreak, Some(host.clone()), Some(w)));
+        }
+    }
+    let nodes_bits = nodes.iter().map(node_bits).collect();
+    (nodes_bits, signature_bits(&signature), findings, classify(&signature))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
+
+    /// The one job read evaluates a job as the single-field statements
+    /// did, bit for bit: on one node, and through a 3-node R = 2 router.
+    #[test]
+    fn one_job_read_equals_the_per_field_statements(
+        specs in proptest::collection::vec(host_spec(), 1..7),
+        from_minute in 0i64..5,
+        to_minute in (MINUTES - 5)..(MINUTES + 1),
+    ) {
+        let body: String = specs.iter().enumerate().map(|(h, spec)| host_lines(h, spec)).collect();
+        let hosts: Vec<String> = (0..specs.len()).map(|h| format!("h{h}")).collect();
+        let (start, end) = (Timestamp::from_secs(from_minute * 60 + 7), Timestamp::from_secs(to_minute * 60));
+        let evaluate = |source: &mut dyn QuerySource| {
+            let ev = JobEvaluation::evaluate(source, "lms", "1", &hosts, start, end, peaks()).unwrap();
+            (compared(&ev), per_field_evaluation(source, &hosts, start, end))
+        };
+
+        let mut ix = Influx::new(clock()).unwrap();
+        ix.write_lines("lms", &body, Default::default()).unwrap();
+        let (one_read, per_field) = evaluate(&mut ix);
+        prop_assert_eq!(one_read, per_field, "one node");
+
+        let c = cluster();
+        prop_assert!(c.router.handle_write(None, &body).acked);
+        prop_assert!(c.router.flush(Duration::from_secs(10)));
+        let rs = RouterServer::start("127.0.0.1:0", c.router.clone()).unwrap();
+        let mut client = InfluxClient::connect(rs.addr()).unwrap();
+        let (one_read, per_field) = evaluate(&mut client);
+        drop(client);
+        rs.shutdown();
+        c.shutdown();
+        prop_assert_eq!(one_read, per_field, "3 nodes, R = 2");
     }
 }
