@@ -10,9 +10,42 @@
 use crate::pathology::{Finding, PathologyDetector};
 use crate::patterns::{classify, Pattern, PerfSignature};
 use crate::series::TimeSeries;
-use lms_influx::{QueryResult, QuerySource};
+use lms_influx::query::Condition;
+use lms_influx::{QueryResult, QuerySource, ResultSeries};
 use lms_util::fmt::{pad, si_rate};
 use lms_util::{Json, Result, Timestamp};
+use std::fmt;
+
+/// A job's scope: its hosts and its time range, the one way this crate and
+/// the dashboards select a job's data. It displays as the body of a
+/// statement's `WHERE`: `<hosts> AND time >= <start> AND time <= <end>`.
+#[derive(Debug, Clone, Copy)]
+pub struct JobScope<'a> {
+    /// The job's hostnames.
+    pub hosts: &'a [String],
+    /// Allocation time.
+    pub start: Timestamp,
+    /// Deallocation time, or now while the job runs.
+    pub end: Timestamp,
+}
+
+impl JobScope<'_> {
+    /// The job's hosts as one tag set, `("hostname" = 'h1' OR …)`, each
+    /// name quoted as InfluxQL quotes a string: the only host predicate
+    /// this crate and the dashboards write. No hosts name the empty
+    /// hostname, which no series carries.
+    pub fn hosts(&self) -> String {
+        let hosts = if self.hosts.is_empty() { vec![String::new()] } else { self.hosts.to_vec() };
+        Condition::TagIn("hostname".into(), hosts).to_string()
+    }
+}
+
+impl fmt::Display for JobScope<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (start, end) = (self.start.nanos(), self.end.nanos());
+        write!(f, "{} AND time >= {start} AND time <= {end}", self.hosts())
+    }
+}
 
 /// Node peaks used to normalize the signature (from the node's topology).
 #[derive(Debug, Clone, Copy)]
@@ -63,13 +96,14 @@ pub struct JobEvaluation {
     pub signature: PerfSignature,
 }
 
-/// A job's read, per host, in the order [`HostRead::unpack`] takes the
-/// answers: one statement per measurement, its projections unwindowed
-/// aggregates over the job's range, then Fig. 4's two 1-minute series,
-/// the break detector's input. The BRANCH and CYCLE_STALLS groups are
-/// optional in the collector rotation: when a site enables them their
-/// metrics feed the corresponding tree inputs, otherwise those stay 0 (the
-/// tree orders its checks so absent signals never misclassify).
+/// A job's read, in the order [`HostRead::unpack`] takes the answers: one
+/// statement per measurement for all the job's hosts, grouped by hostname,
+/// its projections unwindowed aggregates over the job's range, then Fig.
+/// 4's two 1-minute series, the break detector's input. The BRANCH and
+/// CYCLE_STALLS groups are optional in the collector rotation: when a site
+/// enables them their metrics feed the corresponding tree inputs,
+/// otherwise those stay 0 (the tree orders its checks so absent signals
+/// never misclassify).
 const HOST_READ: [&str; 11] = [
     "mean(rx_bytes_per_s), mean(tx_bytes_per_s) FROM network",
     "mean(read_bytes_per_s), mean(write_bytes_per_s) FROM disk",
@@ -98,17 +132,23 @@ pub(crate) struct HostRead {
     pub(crate) bw: TimeSeries,
 }
 
+/// `hostname`'s group of a grouped answer, if it has one.
+fn group<'a>(answer: &'a QueryResult, hostname: &str) -> Option<&'a ResultSeries> {
+    answer.series.iter().find(|s| s.tags.iter().any(|(k, v)| k == "hostname" && v == hostname))
+}
+
 impl HostRead {
-    /// Reads one host's answers, in statement order, by column position:
-    /// every aggregate column is named after its function, so a name would
-    /// find the first. A null or missing cell reads as 0.0.
+    /// Reads one host's group of each of its job's answers, in statement
+    /// order, by column position: every aggregate column is named after
+    /// its function, so a name would find the first. A host without a
+    /// group, and a null or missing cell, read as 0.0.
     fn unpack(hostname: &str, answers: &[QueryResult]) -> HostRead {
         let (aggregates, series) = answers.split_at(AGGREGATES);
         let cells: Vec<f64> = aggregates
             .iter()
             .zip(HOST_READ)
             .flat_map(|(answer, select)| {
-                let row = answer.series.first().and_then(|s| s.values.first());
+                let row = group(answer, hostname).and_then(|s| s.values.first());
                 (1..=select.split(", ").count())
                     .map(move |i| row.and_then(|r| r.get(i)).and_then(Json::as_f64).unwrap_or(0.0))
             })
@@ -132,15 +172,15 @@ impl HostRead {
             mem_peak,
             branch_misp,
             stall_rate,
-            fp: TimeSeries::from_result(&series[0], "mean"),
-            bw: TimeSeries::from_result(&series[1], "mean"),
+            fp: group(&series[0], hostname).map(|s| TimeSeries::from_series(s, "mean")).unwrap_or_default(),
+            bw: group(&series[1], hostname).map(|s| TimeSeries::from_series(s, "mean")).unwrap_or_default(),
         }
     }
 }
 
 impl JobEvaluation {
-    /// Evaluates a job from the database off one batch: per host, one
-    /// statement per measurement and Fig. 4's two 1-minute series.
+    /// Evaluates a job from the database off one batch: one statement per
+    /// measurement and Fig. 4's two 1-minute series, each grouped by host.
     pub fn evaluate(
         source: &mut dyn QuerySource,
         db: &str,
@@ -153,8 +193,9 @@ impl JobEvaluation {
         Ok(Self::evaluate_jobs(source, db, &[(jobid, hosts, start, end)], peaks)?.remove(0))
     }
 
-    /// Evaluates every job in `jobs` off one batch of statements: the only
-    /// read of a job's data in this crate.
+    /// Evaluates every job in `jobs` off one batch of statements, each job
+    /// read by [`HOST_READ`] over its [`JobScope`]: the only read of a
+    /// job's data in this crate.
     pub(crate) fn evaluate_jobs(
         source: &mut dyn QuerySource,
         db: &str,
@@ -163,24 +204,18 @@ impl JobEvaluation {
     ) -> Result<Vec<JobEvaluation>> {
         let mut stmts = Vec::new();
         for &(_, hosts, start, end) in jobs {
-            let (from, to) = (start.nanos(), end.nanos());
-            for host in hosts {
-                let filter =
-                    format!("WHERE hostname = '{host}' AND time >= {from} AND time <= {to}");
-                for (i, select) in HOST_READ.iter().enumerate() {
-                    let window = if i < AGGREGATES { "" } else { " GROUP BY time(1m)" };
-                    stmts.push(format!("SELECT {select} {filter}{window}"));
-                }
+            let scope = JobScope { hosts, start, end };
+            for (i, select) in HOST_READ.iter().enumerate() {
+                let group = if i < AGGREGATES { "hostname" } else { "time(1m), hostname" };
+                stmts.push(format!("SELECT {select} WHERE {scope} GROUP BY {group}"));
             }
         }
         let answers = source.query_batch(db, &stmts)?;
-        let mut per_host = answers.chunks_exact(HOST_READ.len());
-        Ok(jobs
-            .iter()
-            .map(|&(jobid, hosts, _, _)| {
-                let reads =
-                    hosts.iter().zip(per_host.by_ref()).map(|(h, a)| HostRead::unpack(h, a));
-                Self::from_read(jobid, reads.collect(), peaks)
+        let per_job = jobs.iter().zip(answers.chunks_exact(HOST_READ.len()));
+        Ok(per_job
+            .map(|(&(jobid, hosts, _, _), answers)| {
+                let reads = hosts.iter().map(|h| HostRead::unpack(h, answers)).collect();
+                Self::from_read(jobid, reads, peaks)
             })
             .collect())
     }

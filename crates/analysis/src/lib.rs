@@ -15,9 +15,11 @@
 //!   the job (they query nothing themselves),
 //! - [`patterns`] — the performance-pattern decision tree (after Treibig
 //!   et al. \[17\] and the FEPA refinement \[8\]),
-//! - [`evaluation`] — the one read of a job (per host, one statement per
-//!   measurement, every host and job in one batch) and the online job
-//!   evaluation that renders the Fig. 2 header table (one column per node),
+//! - [`evaluation`] — a job's scope ([`JobScope`]: its hosts and time
+//!   range, the one way a job's data is selected), the one read of a job
+//!   (one statement per measurement for all its hosts, grouped by
+//!   hostname, every job in one batch) and the online job evaluation that
+//!   renders the Fig. 2 header table (one column per node),
 //! - [`stream`] — the MQ-attached stream analyzer for live detection.
 
 pub mod evaluation;
@@ -29,7 +31,7 @@ pub mod stats;
 pub mod stream;
 pub mod usage;
 
-pub use evaluation::{JobEvaluation, NodeEvaluation};
+pub use evaluation::{JobEvaluation, JobScope, NodeEvaluation};
 pub use pathology::{Finding, FindingKind, PathologyDetector};
 pub use patterns::{classify, Pattern, PerfSignature};
 pub use rules::{Rule, RuleOp, Violation};

@@ -3,7 +3,7 @@
 //! The analysis modules work on plain `(timestamp, value)` vectors; this
 //! module pulls them out of the database's [`QueryResult`] shape.
 
-use lms_influx::QueryResult;
+use lms_influx::{QueryResult, ResultSeries};
 use lms_util::Timestamp;
 
 /// A numeric time series.
@@ -16,40 +16,26 @@ pub struct TimeSeries {
 impl TimeSeries {
     /// Extracts column `column` of the first result series.
     pub fn from_result(result: &QueryResult, column: &str) -> TimeSeries {
-        let mut points = Vec::new();
-        if let Some(series) = result.series.first() {
-            if let Some(ci) = series.columns.iter().position(|c| c == column) {
-                for row in &series.values {
-                    let (Some(ts), Some(v)) = (
-                        row.first().and_then(|t| t.as_i64()),
-                        row.get(ci).and_then(|v| v.as_f64()),
-                    ) else {
-                        continue;
-                    };
-                    points.push((Timestamp(ts), v));
-                }
-            }
-        }
-        TimeSeries { points }
+        result.series.first().map(|s| Self::from_series(s, column)).unwrap_or_default()
+    }
+
+    /// Extracts column `column` of one result series: its rows with a
+    /// timestamp and a numeric value there.
+    pub fn from_series(series: &ResultSeries, column: &str) -> TimeSeries {
+        let Some(ci) = series.columns.iter().position(|c| c == column) else {
+            return TimeSeries::default();
+        };
+        let points = series.values.iter().filter_map(|row| {
+            Some((Timestamp(row.first()?.as_i64()?), row.get(ci)?.as_f64()?))
+        });
+        TimeSeries { points: points.collect() }
     }
 
     /// Extracts one series per GROUP BY tag value:
     /// `(tag value, series)` pairs in result order.
     pub fn per_tag(result: &QueryResult, tag: &str, column: &str) -> Vec<(String, TimeSeries)> {
-        result
-            .series
-            .iter()
-            .map(|s| {
-                let tag_value = s
-                    .tags
-                    .iter()
-                    .find(|(k, _)| k == tag)
-                    .map(|(_, v)| v.clone())
-                    .unwrap_or_default();
-                let single = QueryResult { series: vec![s.clone()], partial: false };
-                (tag_value, TimeSeries::from_result(&single, column))
-            })
-            .collect()
+        let value = |s: &ResultSeries| s.tags.iter().find(|(k, _)| k == tag).map(|(_, v)| v.clone());
+        result.series.iter().map(|s| (value(s).unwrap_or_default(), Self::from_series(s, column))).collect()
     }
 
     /// The values only.

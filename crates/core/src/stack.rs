@@ -772,7 +772,9 @@ mod tests {
         let dashboard = stack.job_dashboard(job).unwrap();
         assert!(dashboard.rows.len() >= 4, "{:?}", dashboard.rows.len());
         let text = stack.render_job_dashboard(job).unwrap();
-        assert!(text.contains("DP FLOP rate h1"));
+        // One FLOP rate panel for the job, a legend line per host.
+        assert_eq!(text.matches("== DP FLOP rate ==").count(), 1, "{text}");
+        assert!(text.contains(" h1  (n=") && text.contains(" h2  (n="), "{text}");
 
         let admin = stack.admin_view().unwrap();
         assert_eq!(admin.jobs, 1);

@@ -208,18 +208,10 @@ impl Graph {
     fn plot(panel: &Panel, results: &[QueryResult]) -> Graph {
         let mut series: Vec<(String, TimeSeries)> = Vec::new();
         for (target, result) in panel.targets.iter().zip(results) {
-            if result.series.len() > 1 {
-                // GROUP BY tag queries: one plotted series per group.
-                for (tag, ts) in TimeSeries::per_tag(result, "hostname", &target.column) {
-                    let label =
-                        if tag.is_empty() { target.alias.clone() } else { tag.to_string() };
-                    series.push((label, ts));
-                }
-            } else {
-                series.push((
-                    target.alias.clone(),
-                    TimeSeries::from_result(result, &target.column),
-                ));
+            // One plotted series per group, named by its host (a job
+            // panel's `GROUP BY hostname`), else by the target's alias.
+            for (tag, ts) in TimeSeries::per_tag(result, "hostname", &target.column) {
+                series.push((if tag.is_empty() { target.alias.clone() } else { tag }, ts));
             }
         }
         series.retain(|(_, ts)| !ts.is_empty());
@@ -252,10 +244,11 @@ impl Graph {
         }
 
         // Event annotations: dashed vertical lines where the panel's own
-        // events fall — those its first target's `tag = 'v'` predicates
-        // admit, within the target's time bounds. Without bounds the window
-        // extends a little past the data so begin/end events sent just
-        // outside the sampled range (Fig. 3's bracketing events) still show.
+        // events fall — those its first target's `tag = 'v'` and tag-set
+        // predicates admit (a job panel's: its hosts'), within the target's
+        // time bounds. Without bounds the window extends a little past the
+        // data so begin/end events sent just outside the sampled range
+        // (Fig. 3's bracketing events) still show.
         let annotation_query = panel.annotation_measurement.as_ref().zip(panel.targets.first()).map(
             |(measurement, target)| {
                 let mut conditions = match Statement::parse(&target.query) {
@@ -263,7 +256,7 @@ impl Graph {
                     _ => Vec::new(),
                 };
                 conditions.retain(|c| !matches!(c, Condition::TagNe(..)));
-                if conditions.iter().all(|c| matches!(c, Condition::TagEq(..))) {
+                if conditions.iter().all(Condition::is_tag) {
                     let margin = ((t_max - t_min) / 10).max(1);
                     conditions.push(Condition::TimeGe(TimeValue::Abs(t_min.saturating_sub(margin))));
                     conditions.push(Condition::TimeLe(TimeValue::Abs(t_max.saturating_add(margin))));

@@ -226,7 +226,7 @@ mod tests {
         assert_eq!(r.status, 200);
         let text = r.body_str();
         assert!(text.contains("##### Job 42 (alice) #####"));
-        assert!(text.contains("DP FLOP rate h1"), "{text}");
+        assert!(text.contains("== DP FLOP rate ==") && text.contains(" h1  (n="), "{text}");
         server.shutdown();
     }
 

@@ -2,9 +2,12 @@
 //!
 //! "The dashboard templates can be created in Grafana, and the resulting
 //! JSON-based configuration is saved in the template location." Templates
-//! here are dashboard-model JSON with `$jobid`, `$user`, `$hostname`,
-//! `$db`, `$from`, `$to` placeholders; the Viewer Agent instantiates a
-//! panel template once per host and composes rows into the job dashboard.
+//! here are dashboard-model JSON with `$jobid`, `$user`, `$hosts`, `$db`,
+//! `$from`, `$to` placeholders. `$hosts` is the job's host set as one
+//! predicate ([`lms_analysis::JobScope::hosts`]), so a panel reads all the
+//! job's hosts in one statement, `GROUP BY hostname`, and draws one line
+//! per host; the Viewer Agent instantiates each panel template once per
+//! job and composes rows into the job dashboard.
 
 use crate::model::{Panel, Row};
 use lms_util::{Error, Json, Result};
@@ -36,16 +39,16 @@ pub struct TemplateStore {
     rows: Vec<(String, RowTemplate)>,
 }
 
-/// A row template: title plus the panel templates to instantiate once per
-/// host, and the measurement whose presence in the database triggers the
-/// row.
+/// A row template: title plus the panel templates to instantiate, and the
+/// measurement whose presence on the job's hosts triggers the row.
 #[derive(Debug, Clone)]
 pub struct RowTemplate {
     /// Row title (placeholders allowed).
     pub title: String,
     /// Names of panel templates to instantiate.
     pub panel_templates: Vec<String>,
-    /// The row is included iff this measurement exists in the job DB.
+    /// The row is included iff one of the job's hosts holds this
+    /// measurement.
     pub requires_measurement: String,
 }
 
@@ -60,36 +63,36 @@ impl TemplateStore {
         let mut store = TemplateStore::new();
         store.add_panel_json(
             "cpu_busy",
-            r#"{"title":"CPU busy $hostname","type":"graph","unit":"fraction",
-                "targets":[{"db":"$db","query":"SELECT mean(busy) FROM cpu_total WHERE hostname = '$hostname' AND time >= $from AND time <= $to GROUP BY time(1m)","alias":"$hostname","column":"mean"}],
+            r#"{"title":"CPU busy","type":"graph","unit":"fraction",
+                "targets":[{"db":"$db","query":"SELECT mean(busy) FROM cpu_total WHERE $hosts AND time >= $from AND time <= $to GROUP BY time(1m), hostname","alias":"busy","column":"mean"}],
                 "annotations":"events"}"#,
         ).expect("builtin template");
         store.add_panel_json(
             "load",
-            r#"{"title":"Load $hostname","type":"graph","unit":"",
-                "targets":[{"db":"$db","query":"SELECT mean(load1) FROM load WHERE hostname = '$hostname' AND time >= $from AND time <= $to GROUP BY time(1m)","alias":"$hostname","column":"mean"}]}"#,
+            r#"{"title":"Load","type":"graph","unit":"",
+                "targets":[{"db":"$db","query":"SELECT mean(load1) FROM load WHERE $hosts AND time >= $from AND time <= $to GROUP BY time(1m), hostname","alias":"load1","column":"mean"}]}"#,
         ).expect("builtin template");
         store.add_panel_json(
             "flops_dp",
-            r#"{"title":"DP FLOP rate $hostname","type":"graph","unit":"MFLOP/s",
-                "targets":[{"db":"$db","query":"SELECT mean(dp_mflop_s) FROM hpm_flops_dp WHERE hostname = '$hostname' AND time >= $from AND time <= $to GROUP BY time(1m)","alias":"$hostname","column":"mean"}],
+            r#"{"title":"DP FLOP rate","type":"graph","unit":"MFLOP/s",
+                "targets":[{"db":"$db","query":"SELECT mean(dp_mflop_s) FROM hpm_flops_dp WHERE $hosts AND time >= $from AND time <= $to GROUP BY time(1m), hostname","alias":"dp_mflop_s","column":"mean"}],
                 "annotations":"events"}"#,
         ).expect("builtin template");
         store.add_panel_json(
             "membw",
-            r#"{"title":"Memory bandwidth $hostname","type":"graph","unit":"MBytes/s",
-                "targets":[{"db":"$db","query":"SELECT mean(memory_bandwidth_mbytes_s) FROM hpm_mem WHERE hostname = '$hostname' AND time >= $from AND time <= $to GROUP BY time(1m)","alias":"$hostname","column":"mean"}],
+            r#"{"title":"Memory bandwidth","type":"graph","unit":"MBytes/s",
+                "targets":[{"db":"$db","query":"SELECT mean(memory_bandwidth_mbytes_s) FROM hpm_mem WHERE $hosts AND time >= $from AND time <= $to GROUP BY time(1m), hostname","alias":"memory_bandwidth_mbytes_s","column":"mean"}],
                 "annotations":"events"}"#,
         ).expect("builtin template");
         store.add_panel_json(
             "memory",
-            r#"{"title":"Memory used $hostname","type":"graph","unit":"fraction",
-                "targets":[{"db":"$db","query":"SELECT mean(used_frac) FROM memory WHERE hostname = '$hostname' AND time >= $from AND time <= $to GROUP BY time(1m)","alias":"$hostname","column":"mean"}]}"#,
+            r#"{"title":"Memory used","type":"graph","unit":"fraction",
+                "targets":[{"db":"$db","query":"SELECT mean(used_frac) FROM memory WHERE $hosts AND time >= $from AND time <= $to GROUP BY time(1m), hostname","alias":"used_frac","column":"mean"}]}"#,
         ).expect("builtin template");
         store.add_panel_json(
             "network",
-            r#"{"title":"Network $hostname","type":"graph","unit":"B/s",
-                "targets":[{"db":"$db","query":"SELECT mean(rx_bytes_per_s) FROM network WHERE hostname = '$hostname' AND time >= $from AND time <= $to GROUP BY time(1m)","alias":"$hostname rx","column":"mean"}]}"#,
+            r#"{"title":"Network","type":"graph","unit":"B/s",
+                "targets":[{"db":"$db","query":"SELECT mean(rx_bytes_per_s) FROM network WHERE $hosts AND time >= $from AND time <= $to GROUP BY time(1m), hostname","alias":"rx","column":"mean"}]}"#,
         ).expect("builtin template");
 
         store.add_row(RowTemplate {
@@ -121,7 +124,7 @@ impl TemplateStore {
         // Validate it parses as a panel once placeholders are neutralized.
         let probe = substitute(
             &json,
-            &[("db", "x"), ("hostname", "h"), ("from", "0"), ("to", "1"), ("jobid", "0"),
+            &[("db", "x"), ("hosts", "h"), ("from", "0"), ("to", "1"), ("jobid", "0"),
               ("user", "u"), ("measurement", "m")],
         );
         Panel::from_json(&probe)
@@ -151,22 +154,10 @@ impl TemplateStore {
         Panel::from_json(&substitute(template, vars))
     }
 
-    /// Instantiates a row template: its panels once per host.
-    pub fn instantiate_row(
-        &self,
-        row: &RowTemplate,
-        hosts: &[String],
-        base_vars: &[(&str, &str)],
-    ) -> Result<Row> {
-        let mut out = Row { title: row.title.clone(), panels: Vec::new() };
-        for host in hosts {
-            let mut vars = base_vars.to_vec();
-            vars.push(("hostname", host));
-            for panel_name in &row.panel_templates {
-                out.panels.push(self.instantiate_panel(panel_name, &vars)?);
-            }
-        }
-        Ok(out)
+    /// Instantiates a row template: each of its panels once.
+    pub fn instantiate_row(&self, row: &RowTemplate, vars: &[(&str, &str)]) -> Result<Row> {
+        let panels = row.panel_templates.iter().map(|name| self.instantiate_panel(name, vars));
+        Ok(Row { title: row.title.clone(), panels: panels.collect::<Result<_>>()? })
     }
 }
 
@@ -174,6 +165,7 @@ impl TemplateStore {
 mod tests {
     use super::*;
     use crate::model::PanelKind;
+    use lms_util::Timestamp;
 
     #[test]
     fn substitution_descends_the_tree() {
@@ -188,39 +180,33 @@ mod tests {
     #[test]
     fn builtin_store_instantiates_panels() {
         let store = TemplateStore::builtin();
-        let p = store
-            .instantiate_panel(
-                "flops_dp",
-                &[("db", "lms"), ("hostname", "h3"), ("from", "100"), ("to", "200")],
-            )
-            .unwrap();
-        assert_eq!(p.title, "DP FLOP rate h3");
+        let hosts = ["h3".to_string(), "o'brien".to_string()];
+        let scope = lms_analysis::JobScope { hosts: &hosts, start: Timestamp(100), end: Timestamp(200) };
+        let vars = [("db", "lms"), ("hosts", &scope.hosts()), ("from", "100"), ("to", "200")];
+        let p = store.instantiate_panel("flops_dp", &vars).unwrap();
+        assert_eq!(p.title, "DP FLOP rate");
         assert_eq!(p.kind, PanelKind::Graph);
-        assert!(p.targets[0].query.contains("hostname = 'h3'"));
-        assert!(p.targets[0].query.contains("time >= 100 AND time <= 200"));
+        let query = &p.targets[0].query;
+        assert!(query.contains(r#"WHERE ("hostname" = 'h3' OR "hostname" = 'o''brien') AND "#), "{query}");
+        assert!(query.contains("time >= 100 AND time <= 200 GROUP BY time(1m), hostname"), "{query}");
+        lms_influx::Statement::parse(query).unwrap();
         assert_eq!(p.annotation_measurement.as_deref(), Some("events"));
     }
 
     #[test]
-    fn row_instantiation_per_host() {
+    fn row_instantiation_once_per_job() {
         let store = TemplateStore::builtin();
         let row_template = store
             .rows()
             .find(|r| r.requires_measurement == "cpu_total")
             .unwrap()
             .clone();
-        let hosts = vec!["h1".to_string(), "h2".to_string()];
-        let row = store
-            .instantiate_row(
-                &row_template,
-                &hosts,
-                &[("db", "lms"), ("from", "0"), ("to", "1")],
-            )
-            .unwrap();
-        // 2 panel templates × 2 hosts.
-        assert_eq!(row.panels.len(), 4);
-        assert!(row.panels.iter().any(|p| p.title == "CPU busy h1"));
-        assert!(row.panels.iter().any(|p| p.title == "Load h2"));
+        let vars = [("db", "lms"), ("hosts", "(hostname = 'h1' OR hostname = 'h2')"), ("from", "0"), ("to", "1")];
+        let row = store.instantiate_row(&row_template, &vars).unwrap();
+        // 2 panel templates, each reading both hosts.
+        let titles: Vec<&str> = row.panels.iter().map(|p| p.title.as_str()).collect();
+        assert_eq!(titles, ["CPU busy", "Load"]);
+        assert!(row.panels.iter().all(|p| p.targets[0].query.contains("'h1' OR hostname = 'h2'")));
     }
 
     #[test]

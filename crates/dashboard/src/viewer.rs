@@ -4,7 +4,7 @@
 use crate::model::{Dashboard, Panel, Row, Target};
 use crate::render::{render_panels, sparkline, RenderOptions};
 use crate::templates::TemplateStore;
-use lms_analysis::evaluation::{JobEvaluation, NodePeaks};
+use lms_analysis::evaluation::{JobEvaluation, JobScope, NodePeaks};
 use lms_influx::QuerySource;
 use lms_util::{Result, Timestamp};
 
@@ -47,8 +47,9 @@ impl ViewerAgent {
     }
 
     /// Generates the dashboard for one job: evaluation header (Fig. 2) +
-    /// one templated row per available metric family + generic panels for
-    /// application-level measurements (Sec. IV) discovered in the database.
+    /// one templated row per metric family its hosts hold + a panel per
+    /// application-level measurement (Sec. IV) they hold. Every statement
+    /// selects the job by its [`JobScope`], once for all its hosts.
     pub fn job_dashboard(
         &self,
         source: &mut dyn QuerySource,
@@ -56,21 +57,14 @@ impl ViewerAgent {
         now: Timestamp,
     ) -> Result<Dashboard> {
         let end = job.end.unwrap_or(now);
-        let from = job.start.nanos().to_string();
-        let to = end.nanos().to_string();
+        let scope = JobScope { hosts: &job.hosts, start: job.start, end };
+        let (hosts, from, to) = (scope.hosts(), job.start.nanos().to_string(), end.nanos().to_string());
 
-        // "based on available databases and the metrics in them".
-        let available: Vec<String> = source
-            .query_source(&self.db, "SHOW MEASUREMENTS")?
-            .series
-            .first()
-            .map(|s| {
-                s.values
-                    .iter()
-                    .filter_map(|row| row.first().and_then(|v| v.as_str()).map(String::from))
-                    .collect()
-            })
-            .unwrap_or_default();
+        // "based on the hosts participating in a job and the metrics
+        // available in the DB".
+        let listing = source.query_source(&self.db, &format!("SHOW MEASUREMENTS WHERE {hosts}"))?;
+        let available = listing.series.iter().flat_map(|s| &s.values);
+        let available: Vec<&str> = available.filter_map(|row| row.first()?.as_str()).collect();
 
         let mut dashboard = Dashboard {
             title: format!("Job {} ({})", job.jobid, job.user),
@@ -94,52 +88,52 @@ impl ViewerAgent {
             panels: vec![Panel::text("Job evaluation", &evaluation.render_table())],
         });
 
-        // Templated rows for the metric families present in the database.
-        let base_vars: Vec<(&str, &str)> = vec![
+        // Templated rows for the metric families the job's hosts hold.
+        // The hosts go in last, so no placeholder is read inside a name.
+        let vars: Vec<(&str, &str)> = vec![
             ("db", self.db.as_str()),
             ("jobid", job.jobid.as_str()),
             ("user", job.user.as_str()),
             ("from", from.as_str()),
             ("to", to.as_str()),
+            ("hosts", hosts.as_str()),
         ];
         let mut covered: Vec<&str> = vec!["events"];
         for row_template in self.store.rows() {
             covered.push(&row_template.requires_measurement);
-            if available.iter().any(|m| m == &row_template.requires_measurement) {
-                dashboard
-                    .rows
-                    .push(self.store.instantiate_row(row_template, &job.hosts, &base_vars)?);
+            if available.contains(&row_template.requires_measurement.as_str()) {
+                dashboard.rows.push(self.store.instantiate_row(row_template, &vars)?);
             }
         }
 
-        // Application-level measurements get generic panels, one per job
-        // host as the templated rows have — "with application-level
-        // monitoring additional metrics may be available" (Sec. III-D).
-        // Heuristic: uncovered measurements that are not part of the
-        // standard system/HPM families.
+        // Application-level measurements get one generic panel each, a
+        // line per host — "with application-level monitoring additional
+        // metrics may be available" (Sec. III-D). Heuristic: uncovered
+        // measurements that are not part of the standard system/HPM
+        // families.
         let standard_prefixes = ["hpm_", "cpu", "memory", "network", "disk", "load", "ganglia_"];
         let mut app_row = Row { title: "Application metrics".into(), panels: Vec::new() };
-        for measurement in &available {
-            let is_covered = covered.iter().any(|c| c == measurement);
+        for &measurement in &available {
+            let is_covered = covered.contains(&measurement);
             let is_standard = standard_prefixes.iter().any(|p| measurement.starts_with(p));
             if is_covered || is_standard {
                 continue;
             }
-            app_row.panels.extend(job.hosts.iter().map(|host| Panel {
+            app_row.panels.push(Panel {
                 annotation_measurement: Some("events".into()),
                 ..Panel::graph(
-                    &format!("{measurement} {host}"),
+                    measurement,
                     Target {
                         db: self.db.clone(),
                         query: format!(
-                            "SELECT mean(value) FROM {measurement} WHERE hostname = '{host}' AND time >= {from} AND time <= {to} GROUP BY time(30s)"
+                            "SELECT mean(value) FROM {measurement} WHERE {scope} GROUP BY time(30s), hostname"
                         ),
-                        alias: host.clone(),
+                        alias: measurement.to_string(),
                         column: "mean".into(),
                     },
                     "",
                 )
-            }));
+            });
         }
         if !app_row.panels.is_empty() {
             dashboard.rows.push(app_row);
@@ -179,12 +173,9 @@ impl ViewerAgent {
         let stmts: Vec<String> = jobs
             .iter()
             .map(|job| {
-                let host = job.hosts.first().map(String::as_str).unwrap_or("");
-                format!(
-                    "SELECT mean(dp_mflop_s) FROM hpm_flops_dp WHERE hostname = '{host}' AND time >= {} AND time <= {} GROUP BY time(1m)",
-                    job.start.nanos(),
-                    job.end.unwrap_or(now).nanos()
-                )
+                let hosts = &job.hosts[..job.hosts.len().min(1)];
+                let scope = JobScope { hosts, start: job.start, end: job.end.unwrap_or(now) };
+                format!("SELECT mean(dp_mflop_s) FROM hpm_flops_dp WHERE {scope} GROUP BY time(1m)")
             })
             .collect();
         let traces = source.query_batch(&self.db, &stmts)?;
@@ -266,11 +257,12 @@ mod tests {
             titles,
             vec!["Evaluation", "CPU", "FLOPS", "Memory", "Network", "Application metrics"]
         );
-        // Per-host instantiation: FLOPS row has one panel per host.
+        // One panel per template, reading both hosts, a group per host.
         let flops_row = &d.rows[2];
-        assert_eq!(flops_row.panels.len(), 2);
-        assert!(flops_row.panels[0].targets[0].query.contains("'h1'"));
-        assert!(flops_row.panels[1].targets[0].query.contains("'h2'"));
+        assert_eq!(flops_row.panels.len(), 1);
+        let query = &flops_row.panels[0].targets[0].query;
+        assert!(query.contains(r#"("hostname" = 'h1' OR "hostname" = 'h2')"#), "{query}");
+        assert!(query.ends_with("GROUP BY time(1m), hostname"), "{query}");
     }
 
     #[test]
@@ -290,10 +282,12 @@ mod tests {
         let d = agent().job_dashboard(&mut ix, &job, Timestamp::from_secs(3600)).unwrap();
         let app_row = d.rows.last().unwrap();
         assert_eq!(app_row.title, "Application metrics");
-        // One panel per job host, each reading its own host.
-        assert_eq!(app_row.panels.len(), 2);
-        assert_eq!(app_row.panels[0].title, "minimd_pressure h1");
-        assert!(app_row.panels[1].targets[0].query.contains("hostname = 'h2'"));
+        // One panel, reading every job host, a group per host.
+        assert_eq!(app_row.panels.len(), 1);
+        assert_eq!(app_row.panels[0].title, "minimd_pressure");
+        let query = &app_row.panels[0].targets[0].query;
+        assert!(query.contains(r#"("hostname" = 'h1' OR "hostname" = 'h2')"#), "{query}");
+        assert!(query.ends_with("GROUP BY time(30s), hostname"), "{query}");
     }
 
     #[test]
@@ -306,8 +300,43 @@ mod tests {
             .unwrap();
         assert!(text.contains("##### Job 42 (alice) #####"));
         assert!(text.contains("--- FLOPS ---"));
-        assert!(text.contains("DP FLOP rate h1"));
+        // One FLOP rate panel, its legend a line per host.
+        assert_eq!(text.matches("== DP FLOP rate ==").count(), 1, "{text}");
+        assert!(text.contains("* h1  (n=60)") && text.contains("o h2  (n=60)"), "{text}");
         assert!(text.contains('*'), "charts rendered");
+    }
+
+    #[test]
+    fn a_quoted_hostname_gets_its_row_view_and_admin_line() {
+        let ix = Influx::new(Clock::simulated(Timestamp::from_secs(4000))).unwrap();
+        let mut batch = String::new();
+        for s in (0..600).step_by(60) {
+            let ts = s as i64 * 1_000_000_000;
+            for host in ["o'brien", "h2"] {
+                batch.push_str(&format!(
+                    "cpu_total,hostname={host} busy=0.9 {ts}\n\
+                     hpm_flops_dp,hostname={host} dp_mflop_s=150000,ipc=2.0 {ts}\n"
+                ));
+            }
+        }
+        batch.push_str("events,hostname=o'brien text=\"job start\" 0\n");
+        ix.write_lines("lms", &batch, Default::default()).unwrap();
+        let job = JobInfo {
+            jobid: "42".into(),
+            user: "alice".into(),
+            hosts: vec!["o'brien".into(), "h2".into()],
+            start: Timestamp::from_secs(0),
+            end: Some(Timestamp::from_secs(600)),
+        };
+        let (a, mut source) = (agent(), ix);
+        let d = a.job_dashboard(&mut source, &job, Timestamp::from_secs(3600)).unwrap();
+        let table = &d.rows[0].panels[0].content;
+        let busy = table.lines().find(|l| l.starts_with("cpu busy")).unwrap();
+        assert!(table.contains("o'brien") && busy.matches("90.0").count() == 2, "{table}");
+        let text = a.render_dashboard(&mut source, &d, RenderOptions::default()).unwrap();
+        assert!(text.contains("o'brien  (n=10)") && text.contains("job start"), "{text}");
+        let view = a.admin_view(&mut source, &[job], Timestamp::from_secs(3600)).unwrap();
+        assert!(!view.text.contains("(no data)"), "{}", view.text);
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! A series enters it where it is created (`series_slot`) and leaves it
 //! where retention removes it ([`Database::enforce_retention`]); nothing
 //! else writes it. A statement's tag predicates pick their candidates from
-//! the shortest posting they name, so a statement that names one host
-//! reads that host's series, however many the measurement holds.
+//! the shortest posting they name (for a tag set, the union of its
+//! values' postings), so a statement that names a job's hosts reads those
+//! hosts' series, however many the measurement holds.
 //!
 //! [`Database::enforce_retention`]: super::Database::enforce_retention
 
@@ -41,8 +42,9 @@ impl MeasurementIndex {
     }
 
     /// The series the tag predicates among `conditions` admit, in
-    /// first-write order: the shortest `TagEq` posting (the whole list when
-    /// there is none), filtered on every predicate.
+    /// first-write order per candidate posting: the shortest `TagEq`
+    /// posting or `TagIn` union (its values' postings, value by value; the
+    /// whole list when there is neither), filtered on every predicate.
     pub(super) fn matching<'a>(
         &'a self,
         conditions: &'a [Condition],
@@ -54,12 +56,13 @@ impl MeasurementIndex {
         let candidates = conditions
             .iter()
             .filter_map(|c| match c {
-                Condition::TagEq(key, value) => Some(posting(key, value)),
+                Condition::TagEq(key, value) => Some(vec![posting(key, value)]),
+                Condition::TagIn(key, values) => Some(values.iter().map(|v| posting(key, v)).collect()),
                 _ => None,
             })
-            .min_by_key(|ids| ids.len())
-            .unwrap_or(&self.series);
-        candidates.iter().filter(|id| admits(conditions, &id.tags))
+            .min_by_key(|postings| postings.iter().map(|ids| ids.len()).sum::<usize>())
+            .unwrap_or_else(|| vec![&self.series]);
+        candidates.into_iter().flatten().filter(|id| admits(conditions, &id.tags))
     }
 
     /// The tag keys a series `conditions` admit carries, unordered.
@@ -113,6 +116,7 @@ fn admits(conditions: &[Condition], tags: &[(String, String)]) -> bool {
     conditions.iter().all(|c| match c {
         Condition::TagEq(key, value) => tag(key) == Some(value.as_str()),
         Condition::TagNe(key, value) => tag(key) != Some(value.as_str()),
+        Condition::TagIn(key, values) => tag(key).is_some_and(|t| values.iter().any(|v| v == t)),
         _ => true,
     })
 }
@@ -171,17 +175,24 @@ mod tests {
     }
 
     /// 0–3 `TagEq` (a repeated key included when the draws collide), 0–1
-    /// `TagNe` and a time bound the lookup must ignore.
+    /// `TagNe`, 0–2 `TagIn` of 1–3 values and a time bound the lookup must
+    /// ignore.
     fn conditions() -> impl Strategy<Value = Vec<Condition>> {
         let pair = (0usize..5, 0usize..4);
         let tag = |(k, v): (usize, usize)| (KEYS[k].to_string(), VALUES[v].to_string());
         let eqs = proptest::collection::vec(pair.clone(), 0..4);
         let nes = proptest::collection::vec(pair, 0..2);
-        (eqs, nes).prop_map(move |(eqs, nes)| {
+        let set = (0usize..5, proptest::collection::btree_set(0usize..4, 1..4));
+        let sets = proptest::collection::vec(set, 0..3);
+        (eqs, nes, sets).prop_map(move |(eqs, nes, sets)| {
             let eqs = eqs.into_iter().map(tag).map(|(k, v)| Condition::TagEq(k, v));
             let nes = nes.into_iter().map(tag).map(|(k, v)| Condition::TagNe(k, v));
+            let sets = sets.into_iter().map(|(k, values)| {
+                let values = values.into_iter().map(|v| VALUES[v].to_string()).collect();
+                Condition::TagIn(KEYS[k].to_string(), values)
+            });
             let time = Condition::TimeGe(TimeValue::Abs(0));
-            eqs.chain(nes).chain([time]).collect()
+            eqs.chain(nes).chain(sets).chain([time]).collect()
         })
     }
 
@@ -206,6 +217,7 @@ mod tests {
         conditions.iter().all(|c| match c {
             Condition::TagEq(k, v) => series.tag(k) == Some(v.as_str()),
             Condition::TagNe(k, v) => series.tag(k) != Some(v.as_str()),
+            Condition::TagIn(k, values) => series.tag(k).is_some_and(|t| values.iter().any(|v| v == t)),
             _ => true,
         })
     }
@@ -215,9 +227,9 @@ mod tests {
     }
 
     /// Every lookup answers what a scan of the whole measurement answers,
-    /// in first-write order (`written`, the model's), and so do the
-    /// measurement names, tag keys and values, scoped to each list and
-    /// unscoped.
+    /// in first-write order (`written`, the model's; a tag set's union
+    /// value by value, so as a set), and so do the measurement names, tag
+    /// keys and values, scoped to each list and unscoped.
     fn check(
         db: &Database,
         written: &[Tags],
@@ -228,8 +240,13 @@ mod tests {
         for conditions in lists.iter().map(Vec::as_slice).chain([&[][..]]) {
             let scanned: Vec<Arc<Series>> =
                 all.iter().filter(|s| old_filter(s, conditions)).cloned().collect();
-            let looked_up = db.series_where("m", conditions);
-            prop_assert_eq!(tag_sets(&looked_up), tag_sets(&scanned), "{:?}", conditions);
+            let (mut looked_up, mut scanned_tags) =
+                (tag_sets(&db.series_where("m", conditions)), tag_sets(&scanned));
+            if conditions.iter().any(|c| matches!(c, Condition::TagIn(..))) {
+                looked_up.sort_unstable();
+                scanned_tags.sort_unstable();
+            }
+            prop_assert_eq!(looked_up, scanned_tags, "{:?}", conditions);
             let names: Vec<String> = scanned.first().map(|_| "m".to_string()).into_iter().collect();
             prop_assert_eq!(db.measurement_names(conditions), names, "{:?}", conditions);
             for key in KEYS {

@@ -110,6 +110,28 @@ fn a_user_view_reads_the_global_database_under_its_user() {
 }
 
 #[test]
+fn a_tag_set_under_a_user_view_keeps_the_users_predicate() {
+    let ix = influx();
+    let lines = "cpu,hostname=h1,user=bob v=1 1
+cpu,hostname=h2,user=eve v=2 1
+mem,hostname=h2,user=eve v=4 1";
+    ix.write_lines("lms", lines, Default::default()).unwrap();
+    let hosts = "(hostname = 'h1' OR hostname = 'h2')";
+    let sum = |db: &str| {
+        let r = ix.query(db, &format!("SELECT sum(v) FROM cpu WHERE {hosts}")).unwrap();
+        r.series[0].values[0][1].as_f64()
+    };
+    assert_eq!((sum("user_bob"), sum("user_eve"), sum("lms")), (Some(1.0), Some(2.0), Some(3.0)));
+    let names = |db: &str| -> Vec<String> {
+        let r = ix.query(db, &format!("SHOW MEASUREMENTS WHERE {hosts}")).unwrap();
+        r.series[0].values.iter().map(|v| v[0].as_str().unwrap().to_string()).collect()
+    };
+    assert_eq!((names("user_bob"), names("user_eve")), (vec!["cpu".into()], vec!["cpu".into(), "mem".into()]));
+    let grouped = ix.query("user_bob", &format!("SELECT sum(v) FROM cpu WHERE {hosts} GROUP BY hostname"));
+    assert_eq!(grouped.unwrap().series.len(), 1, "only bob's host");
+}
+
+#[test]
 fn duplicate_point_overwrites() {
     let ix = influx();
     ix.write_lines("lms", "m,host=a v=1 5\nm,host=a v=2 5", Default::default()).unwrap();

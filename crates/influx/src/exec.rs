@@ -290,8 +290,8 @@ pub fn execute(
             sel.conditions.extend_from_slice(scope);
             select(&sel, db, tiers, now_ns)
         }
-        Statement::ShowMeasurements => {
-            let names = db.measurement_names(scope).into_iter().map(|m| [m]);
+        Statement::ShowMeasurements(conditions) => {
+            let names = db.measurement_names(&[conditions, scope].concat()).into_iter().map(|m| [m]);
             Ok(QueryResult::listing("measurements", &["name"], names))
         }
         Statement::ShowTagValues { measurement, key } => {
@@ -482,7 +482,7 @@ impl Plan {
     /// resolved range as absolute bounds, and the `PARTIAL` marker.
     pub fn partial_query(&self) -> String {
         let mut sel = self.sel.clone();
-        sel.conditions.retain(|c| matches!(c, Condition::TagEq(..) | Condition::TagNe(..)));
+        sel.conditions.retain(Condition::is_tag);
         if self.start != i64::MIN {
             sel.conditions.push(Condition::TimeGe(TimeValue::Abs(self.start)));
         }
@@ -1223,6 +1223,29 @@ mod tests {
     fn tag_ne_condition() {
         let r = q(&fixture(), "SELECT mean(value) FROM cpu WHERE hostname != 'h2'");
         assert_eq!(r.series[0].values[0][1].as_f64(), Some(4.5));
+    }
+
+    #[test]
+    fn a_tag_set_answers_whatever_its_order_and_one_value_as_equality() {
+        let ix = fixture();
+        ix.write_lines("lms", "cpu,hostname=h3 value=1000 905000000000", Default::default()).unwrap();
+        for (set, eq) in [
+            ("(hostname = 'h2' OR hostname = 'h1')", "hostname != 'h3'"),
+            ("(hostname = 'h1' OR hostname = 'h2' OR hostname = 'h9')", "hostname != 'h3'"),
+            ("(hostname = 'h2')", "hostname = 'h2'"),
+        ] {
+            for tail in ["", " GROUP BY hostname", " GROUP BY time(5s), hostname FILL(0)"] {
+                let want = q(&ix, &format!("SELECT mean(value), count(flag) FROM cpu WHERE {eq}{tail}"));
+                let got = q(&ix, &format!("SELECT mean(value), count(flag) FROM cpu WHERE {set}{tail}"));
+                assert_eq!(got, want, "{set}{tail}");
+                assert!(!got.series.is_empty());
+            }
+            let raw = |w: &str| q(&ix, &format!("SELECT value FROM cpu WHERE {w} GROUP BY *"));
+            assert_eq!(raw(set), raw(eq), "{set}");
+        }
+        let names = |w: &str| q(&ix, &format!("SHOW MEASUREMENTS WHERE {w}")).series;
+        assert_eq!(names("(hostname = 'h3' OR hostname = 'h9')")[0].values, vec![vec![Json::str("cpu")]]);
+        assert!(names("(hostname = 'h9')").iter().all(|s| s.values.is_empty()));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!   ORDER BY time DESC LIMIT 500
 //!
 //! SELECT "value" FROM events
-//! SHOW MEASUREMENTS
+//! SHOW MEASUREMENTS WHERE ("hostname" = 'h1' OR "hostname" = 'h2')
 //! SHOW TAG VALUES FROM "cpu" WITH KEY = "hostname"
 //! SHOW FIELD KEYS FROM "cpu"
 //! CREATE DATABASE userdb
@@ -18,7 +18,8 @@
 //! Identifiers may be bare or double-quoted; string literals are
 //! single-quoted; time literals are nanosecond integers, duration literals
 //! (`10m`, `30s`, ...) or `now() ± duration`; only `AND`-conjunctions are
-//! supported (all LMS dashboards are AND-shaped).
+//! supported (all LMS dashboards are AND-shaped), and one parenthesised
+//! form: an `OR` of equalities on one tag key, which names a job's hosts.
 //!
 //! A trailing `PARTIAL` marks the **partial form** of a SELECT. It is
 //! router-internal: the cluster router writes it, with absolute time
@@ -121,6 +122,44 @@ pub enum Condition {
     TagEq(String, String),
     /// `tag != 'value'`.
     TagNe(String, String),
+    /// `(tag = 'a' OR tag = 'b' …)`: the tag takes one of the values,
+    /// held sorted and deduplicated.
+    TagIn(String, Vec<String>),
+}
+
+impl Condition {
+    /// True for a tag predicate, false for a time bound.
+    pub fn is_tag(&self) -> bool {
+        matches!(self, Condition::TagEq(..) | Condition::TagNe(..) | Condition::TagIn(..))
+    }
+}
+
+/// Renders a condition as parseable InfluxQL, string values quoted with
+/// `''` escaping a quote (relative `now()` bounds stay relative).
+impl std::fmt::Display for Condition {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let tag = |k: &str, op: &str, v: &str| format!("\"{k}\" {op} '{}'", v.replace('\'', "''"));
+        let (op, v) = match self {
+            Condition::TimeGe(v) => (">=", v),
+            Condition::TimeGt(v) => (">", v),
+            Condition::TimeLe(v) => ("<=", v),
+            Condition::TimeLt(v) => ("<", v),
+            Condition::TagEq(k, v) => return f.write_str(&tag(k, "=", v)),
+            Condition::TagNe(k, v) => return f.write_str(&tag(k, "!=", v)),
+            Condition::TagIn(k, values) => {
+                let terms: Vec<String> = values.iter().map(|v| tag(k, "=", v)).collect();
+                return write!(f, "({})", terms.join(" OR "));
+            }
+        };
+        match v {
+            TimeValue::Abs(ns) => write!(f, "time {op} {ns}"),
+            TimeValue::NowOffset(0) => write!(f, "time {op} now()"),
+            TimeValue::NowOffset(off) if *off < 0 => {
+                write!(f, "time {op} now() - {}ns", off.unsigned_abs())
+            }
+            TimeValue::NowOffset(off) => write!(f, "time {op} now() + {off}ns"),
+        }
+    }
 }
 
 /// Empty-window fill policy for `GROUP BY time(...)`.
@@ -166,17 +205,6 @@ fn render_ident(out: &mut String, ident: &str) {
     out.push('"');
     out.push_str(ident);
     out.push('"');
-}
-
-fn render_time(out: &mut String, v: &TimeValue) {
-    match v {
-        TimeValue::Abs(ns) => out.push_str(&ns.to_string()),
-        TimeValue::NowOffset(0) => out.push_str("now()"),
-        TimeValue::NowOffset(off) if *off < 0 => {
-            out.push_str(&format!("now() - {}ns", off.unsigned_abs()))
-        }
-        TimeValue::NowOffset(off) => out.push_str(&format!("now() + {off}ns")),
-    }
 }
 
 impl Select {
@@ -227,32 +255,7 @@ impl Select {
         render_ident(&mut out, &self.measurement);
         for (i, c) in self.conditions.iter().enumerate() {
             out.push_str(if i == 0 { " WHERE " } else { " AND " });
-            match c {
-                Condition::TimeGe(v) => {
-                    out.push_str("time >= ");
-                    render_time(&mut out, v);
-                }
-                Condition::TimeGt(v) => {
-                    out.push_str("time > ");
-                    render_time(&mut out, v);
-                }
-                Condition::TimeLe(v) => {
-                    out.push_str("time <= ");
-                    render_time(&mut out, v);
-                }
-                Condition::TimeLt(v) => {
-                    out.push_str("time < ");
-                    render_time(&mut out, v);
-                }
-                Condition::TagEq(k, v) => {
-                    render_ident(&mut out, k);
-                    out.push_str(&format!(" = '{}'", v.replace('\'', "''")));
-                }
-                Condition::TagNe(k, v) => {
-                    render_ident(&mut out, k);
-                    out.push_str(&format!(" != '{}'", v.replace('\'', "''")));
-                }
-            }
+            out.push_str(&c.to_string());
         }
         let mut group_items: Vec<String> = Vec::new();
         if let Some(w) = self.group_time {
@@ -291,8 +294,9 @@ impl Select {
 pub enum Statement {
     /// A SELECT query.
     Select(Select),
-    /// `SHOW MEASUREMENTS`
-    ShowMeasurements,
+    /// `SHOW MEASUREMENTS [WHERE <tag predicates>]`: the measurements
+    /// holding a series the predicates admit.
+    ShowMeasurements(Vec<Condition>),
     /// `SHOW DATABASES`
     ShowDatabases,
     /// `SHOW TAG VALUES FROM m WITH KEY = k`
@@ -613,7 +617,11 @@ impl P<'_> {
         }
         if self.keyword("SHOW") {
             if self.keyword("MEASUREMENTS") {
-                return Ok(Statement::ShowMeasurements);
+                let conditions = if self.keyword("WHERE") { self.conditions()? } else { Vec::new() };
+                if !conditions.iter().all(Condition::is_tag) {
+                    return Err(Error::protocol("query: SHOW MEASUREMENTS takes tag predicates only"));
+                }
+                return Ok(Statement::ShowMeasurements(conditions));
             }
             if self.keyword("DATABASES") {
                 return Ok(Statement::ShowDatabases);
@@ -654,15 +662,7 @@ impl P<'_> {
         self.expect_keyword("FROM")?;
         let measurement = self.ident()?;
 
-        let mut conditions = Vec::new();
-        if self.keyword("WHERE") {
-            loop {
-                conditions.push(self.condition()?);
-                if !self.keyword("AND") {
-                    break;
-                }
-            }
-        }
+        let conditions = if self.keyword("WHERE") { self.conditions()? } else { Vec::new() };
 
         let mut group_time = None;
         let mut group_tags = Vec::new();
@@ -782,7 +782,41 @@ impl P<'_> {
         Ok(Projection::Field(self.ident()?))
     }
 
+    fn conditions(&mut self) -> Result<Vec<Condition>> {
+        let mut conditions = vec![self.condition()?];
+        while self.keyword("AND") {
+            conditions.push(self.condition()?);
+        }
+        Ok(conditions)
+    }
+
+    /// `(k = 'a' OR k = 'b' …)`, after its `(`: equalities on one tag key
+    /// and nothing else.
+    fn tag_set(&mut self) -> Result<Condition> {
+        let (mut key, mut values) = (None::<String>, Vec::new());
+        loop {
+            let lhs = match self.next() {
+                Some(Tok::Ident(k, quoted)) if *quoted || !k.eq_ignore_ascii_case("time") => k.clone(),
+                _ => return Err(Error::protocol("query: parentheses hold `tag = 'v' OR …` only")),
+            };
+            if key.replace(lhs.clone()).is_some_and(|key| key != lhs) || !self.sym("=") {
+                return Err(Error::protocol("query: parentheses hold one tag key's `=` only"));
+            }
+            values.push(self.string_literal()?);
+            if !self.keyword("OR") {
+                break;
+            }
+        }
+        self.expect_sym(")")?;
+        values.sort_unstable();
+        values.dedup();
+        Ok(Condition::TagIn(key.expect("one equality parsed"), values))
+    }
+
     fn condition(&mut self) -> Result<Condition> {
+        if self.sym("(") {
+            return self.tag_set();
+        }
         let lhs = match self.next().cloned() {
             Some(Tok::Ident(s, quoted)) => (s, quoted),
             other => {
@@ -984,6 +1018,8 @@ mod tests {
             "SELECT sum(v) FROM m WHERE time > now() AND s != 'x' GROUP BY time(1h) FILL(null)",
             "SELECT first(v) FROM m WHERE time >= 5 GROUP BY time(1m) FILL(0) LIMIT 2 PARTIAL",
             "SELECT v FROM m PARTIAL",
+            "SELECT mean(v) FROM m WHERE (\"h\" = 'a' OR \"h\" = 'o''b') AND time >= 5 GROUP BY \"h\" PARTIAL",
+            "SELECT v FROM m WHERE (h = 'x')",
         ] {
             let parsed = sel(q);
             let rendered = parsed.render();
@@ -1000,7 +1036,7 @@ mod tests {
 
     #[test]
     fn show_statements() {
-        assert_eq!(Statement::parse("SHOW MEASUREMENTS").unwrap(), Statement::ShowMeasurements);
+        assert_eq!(Statement::parse("SHOW MEASUREMENTS").unwrap(), Statement::ShowMeasurements(vec![]));
         assert_eq!(
             Statement::parse("SHOW TAG VALUES FROM \"cpu\" WITH KEY = \"hostname\"").unwrap(),
             Statement::ShowTagValues { measurement: "cpu".into(), key: "hostname".into() }
@@ -1100,6 +1136,46 @@ mod tests {
             "DROP DATABASE x",
             "SELECT v FROM m WHERE time = 5",
             "SHOW GRANTS",
+        ] {
+            assert!(Statement::parse(bad).is_err(), "should reject: {bad}");
+        }
+    }
+
+    #[test]
+    fn a_tag_set_parses_sorted_and_deduplicated_and_renders_back() {
+        let s = sel("SELECT v FROM m WHERE (\"hostname\" = 'h2' OR hostname = 'o''brien' OR \"hostname\" = 'h2')");
+        let set = Condition::TagIn("hostname".into(), vec!["h2".into(), "o'brien".into()]);
+        assert_eq!(s.conditions, vec![set.clone()]);
+        assert_eq!(set.to_string(), "(\"hostname\" = 'h2' OR \"hostname\" = 'o''brien')");
+        // The order of the values is not part of the predicate.
+        let swapped = sel("SELECT v FROM m WHERE (hostname = 'o''brien' OR hostname = 'h2')");
+        assert_eq!(swapped, s);
+        assert_eq!(
+            Statement::parse("SHOW MEASUREMENTS WHERE (hostname = 'h1') AND user = 'u'").unwrap(),
+            Statement::ShowMeasurements(vec![
+                Condition::TagIn("hostname".into(), vec!["h1".into()]),
+                Condition::TagEq("user".into(), "u".into()),
+            ])
+        );
+    }
+
+    #[test]
+    fn parentheses_hold_one_keys_equalities_only() {
+        for bad in [
+            "SELECT v FROM m WHERE (h = 'a' OR g = 'b')",
+            "SELECT v FROM m WHERE (h = 'a' OR h != 'b')",
+            "SELECT v FROM m WHERE (h != 'a')",
+            "SELECT v FROM m WHERE (time >= 5)",
+            "SELECT v FROM m WHERE (h = 'a' OR time >= 5)",
+            "SELECT v FROM m WHERE ((h = 'a'))",
+            "SELECT v FROM m WHERE (h = 'a' OR (h = 'b'))",
+            "SELECT v FROM m WHERE (h = 'a' AND h = 'b')",
+            "SELECT v FROM m WHERE (h = 'a' OR)",
+            "SELECT v FROM m WHERE (h = 'a'",
+            "SELECT v FROM m WHERE ()",
+            "SELECT v FROM m WHERE h = 'a' OR h = 'b'",
+            "SHOW MEASUREMENTS WHERE time >= 5",
+            "SHOW MEASUREMENTS WHERE",
         ] {
             assert!(Statement::parse(bad).is_err(), "should reject: {bad}");
         }

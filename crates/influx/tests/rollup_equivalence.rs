@@ -107,6 +107,14 @@ proptest! {
                 "SELECT count(v) FROM m WHERE time >= {lo} AND time < {hi} \
                  GROUP BY time(10m), \"hostname\""
             ),
+            // A job's hosts, grouped per host, unwindowed and windowed.
+            format!(
+                "SELECT mean(v), max(v) FROM m WHERE (\"hostname\" = 'g3' OR \"hostname\" = 'g1') \
+                 AND time >= {lo} AND time < {hi} GROUP BY \"hostname\""
+            ),
+            "SELECT mean(v) FROM m WHERE (\"hostname\" = 'g0' OR \"hostname\" = 'g2') \
+             GROUP BY time(1h), \"hostname\""
+                .to_string(),
             // Step not divisible by any tier window → plain raw path.
             "SELECT mean(v) FROM m GROUP BY time(90s)".to_string(),
             format!("SELECT first(v), last(v) FROM m WHERE time >= {lo} AND time < {hi} GROUP BY time(5m)"),

@@ -1,8 +1,8 @@
 //! The read path's cost per request, as counts and under faults.
 //!
 //! A cluster query costs one round trip per node on a connection the
-//! router already holds; a job view costs at most four such queries
-//! whatever the job's size; a job evaluation and a usage report cost one;
+//! router already holds; a job view costs at most four such queries, and
+//! the same statements, whatever the job's size; a job evaluation and a usage report cost one;
 //! an admin view costs one. The counts here are
 //! exact — connections a node accepted, requests a counting proxy
 //! forwarded — so they gate deterministically where the benchmark can only
@@ -223,28 +223,35 @@ fn job(id: usize, hosts: std::ops::Range<usize>) -> JobInfo {
 #[test]
 fn a_job_view_is_four_requests_whatever_the_jobs_size() {
     let rig = counted();
-    load_job_metrics(&rig.cluster.router, 16, true);
+    load_job_metrics(&rig.cluster.router, 64, true);
     let agent = agent();
     let now = Timestamp::from_secs(3600);
     let mut costs = Vec::new();
-    for hosts in [4, 16] {
+    for hosts in [4, 64] {
         let job = job(hosts, 0..hosts);
-        let mut text = String::new();
+        let (mut text, mut statements) = (String::new(), 0);
         let cost = rig.cost_of(|source| {
-            let dashboard = agent.job_dashboard(source, &job, now).unwrap();
-            text = agent.render_dashboard(source, &dashboard, RenderOptions::default()).unwrap();
+            let mut source = Recording::new(source);
+            let dashboard = agent.job_dashboard(&mut source, &job, now).unwrap();
+            text = agent.render_dashboard(&mut source, &dashboard, RenderOptions::default()).unwrap();
+            statements = source.statements.len();
         });
-        // The view is whole: evaluation header, one FLOPS panel per host
-        // with data and annotations, the application row.
+        // The view is whole: evaluation header, one FLOPS panel with a
+        // legend line per host, annotations, the application row.
         assert!(text.contains("Pattern:"), "{text}");
-        assert_eq!(text.matches("DP FLOP rate h").count(), hosts, "{text}");
-        assert!(text.contains("(n=60)") && text.contains("job start"), "{text}");
+        assert_eq!(text.matches("== DP FLOP rate ==").count(), 1, "{text}");
+        let legend = |h: usize| format!(" h{h}  (n=60)");
+        assert!((0..hosts).all(|h| text.contains(&legend(h))), "{text}");
+        assert!(text.contains("job start"), "{text}");
         assert!(text.contains("--- Application metrics ---"), "{text}");
-        costs.push(cost);
+        costs.push((statements, cost));
     }
     // SHOW MEASUREMENTS, the job read (evaluation and detectors), every
-    // panel's targets, every graph's annotations.
-    for (front, nodes) in &costs {
+    // panel's targets, every graph's annotations: each once per job.
+    let (small, large) = (costs[0].0, costs[1].0);
+    assert_eq!(small, large, "statements for 4 and for 64 hosts");
+    assert!(small <= 25, "{small} statements for one job view");
+    for (_, (front, nodes)) in &costs {
         assert_eq!(*front, 4, "requests at the router for one job view");
         assert!(nodes.iter().all(|&n| n == 4), "requests per node: {nodes:?}");
     }
@@ -292,13 +299,14 @@ fn a_job_evaluation_and_a_usage_report_are_one_request() {
     let (start, end) = (Timestamp::from_secs(0), Timestamp::from_secs(3600));
     let hosts =
         |range: std::ops::Range<usize>| -> Vec<String> { range.map(|h| format!("h{h}")).collect() };
-    // Per host, one statement per measurement and Fig. 4's two series.
+    // One statement per measurement and Fig. 4's two series, each naming
+    // every host and grouped by hostname.
     for n in [4, 16] {
         let mut source = Recording::new(&mut client);
         let ev =
             JobEvaluation::evaluate(&mut source, "lms", "1", &hosts(0..n), start, end, peaks())
                 .unwrap();
-        assert_eq!((source.requests, source.statements.len()), (1, 11 * n), "{n} hosts");
+        assert_eq!((source.requests, source.statements.len()), (1, 11), "{n} hosts");
         assert_eq!(ev.nodes.len(), n);
         assert!(ev.nodes.iter().all(|node| (node.cpu_busy - 0.9).abs() < 1e-9), "{:?}", ev.nodes);
     }
@@ -314,7 +322,7 @@ fn a_job_evaluation_and_a_usage_report_are_one_request() {
         .collect();
     let mut source = Recording::new(&mut client);
     let report = UsageReport::build(&mut source, "lms", &jobs, peaks()).unwrap();
-    assert_eq!((source.requests, source.statements.len()), (1, 11 * 16), "four jobs");
+    assert_eq!((source.requests, source.statements.len()), (1, 11 * 4), "four jobs");
     assert_eq!((report.by_user.len(), report.by_app[0].1.jobs), (2, 4));
     assert!((report.total_node_hours - 16.0).abs() < 1e-9);
     drop(client);
@@ -344,25 +352,52 @@ fn four_host_view() -> (Vec<String>, String) {
 #[test]
 fn a_job_view_asks_once_for_each_hosts_events() {
     let (events, text) = four_host_view();
-    // Four annotated panels per host (CPU busy, FLOP rate, bandwidth, the
-    // application metric) share one statement.
-    assert_eq!(events.len(), 4, "{events:#?}");
+    // Four annotated panels (CPU busy, FLOP rate, bandwidth, the
+    // application metric) share one statement naming the job's hosts.
+    assert_eq!(events.len(), 1, "{events:#?}");
+    assert_eq!(text.matches("== minimd_pressure ==").count(), 1, "{text}");
     for host in 0..4 {
-        let named = events.iter().filter(|q| q.contains(&format!("= 'h{host}'"))).count();
-        assert_eq!(named, 1, "h{host}: {events:#?}");
+        assert!(events[0].contains(&format!("= 'h{host}'")), "h{host}: {events:#?}");
         let drawn = text.matches(&format!("job start on h{host}.")).count();
-        assert_eq!(drawn, 4, "h{host}'s event on each of its annotated panels:\n{text}");
-        assert!(text.contains(&format!("minimd_pressure h{host}")), "h{host}'s panel:\n{text}");
+        assert_eq!(drawn, 4, "h{host}'s event on each annotated panel:\n{text}");
+        let lines = text.matches(&format!(" h{host}  (n=60)")).count();
+        assert_eq!(lines, 7, "h{host}'s line on each of the seven graphs:\n{text}");
     }
 }
 
 #[test]
 fn a_job_view_draws_no_event_of_another_host() {
-    let (_, text) = four_host_view();
+    let (events, text) = four_host_view();
     for host in 4..8 {
+        assert!(!events[0].contains(&format!("'h{host}'")), "h{host} asked for: {events:#?}");
         assert!(!text.contains(&format!("job start on h{host}.")), "h{host}'s event drawn:\n{text}");
-        assert!(!text.contains(&format!("minimd_pressure h{host}")), "h{host}'s panel:\n{text}");
+        assert!(!text.contains(&format!(" h{host}  (n=")), "h{host}'s line drawn:\n{text}");
     }
+}
+
+#[test]
+fn a_job_view_has_no_panel_for_a_measurement_only_other_hosts_hold() {
+    let c = cluster();
+    load_job_metrics(&c.router, 8, true);
+    // A metric of a host outside the job, and a freshness probe's series.
+    let strangers = "stranger_metric,hostname=h7 value=3 60000000000\n\
+                     bench_probe,hostname=probe seq=17i 60000000000\n";
+    assert!(c.router.handle_write(None, strangers).acked);
+    assert!(c.router.flush(Duration::from_secs(30)));
+    let rs = RouterServer::start("127.0.0.1:0", c.router.clone()).unwrap();
+    let mut client = InfluxClient::connect(rs.addr()).unwrap();
+    let dashboard = agent().job_dashboard(&mut client, &job(4, 0..4), Timestamp::from_secs(3600));
+    drop(client);
+    rs.shutdown();
+    c.shutdown();
+    let app: Vec<String> = dashboard
+        .unwrap()
+        .rows
+        .into_iter()
+        .filter(|r| r.title == "Application metrics")
+        .flat_map(|r| r.panels.into_iter().map(|p| p.title))
+        .collect();
+    assert_eq!(app, ["minimd_pressure"]);
 }
 
 #[test]
@@ -788,14 +823,16 @@ proptest! {
 
     /// The one job read evaluates a job as the single-field statements
     /// did, bit for bit: on one node, and through a 3-node R = 2 router.
+    /// The job's last `absent` hosts hold no data at all.
     #[test]
     fn one_job_read_equals_the_per_field_statements(
         specs in proptest::collection::vec(host_spec(), 1..7),
+        absent in 0usize..3,
         from_minute in 0i64..5,
         to_minute in (MINUTES - 5)..(MINUTES + 1),
     ) {
         let body: String = specs.iter().enumerate().map(|(h, spec)| host_lines(h, spec)).collect();
-        let hosts: Vec<String> = (0..specs.len()).map(|h| format!("h{h}")).collect();
+        let hosts: Vec<String> = (0..specs.len() + absent).map(|h| format!("h{h}")).collect();
         let (start, end) = (Timestamp::from_secs(from_minute * 60 + 7), Timestamp::from_secs(to_minute * 60));
         let evaluate = |source: &mut dyn QuerySource| {
             let ev = JobEvaluation::evaluate(source, "lms", "1", &hosts, start, end, peaks()).unwrap();
